@@ -7,9 +7,17 @@ candidates J, and the binary coverage matrix a[i][j] = 1 iff candidate j
 lies within the coverage standard of centroid i. Choosing p candidates, the
 objective is the total population of areas covered by at least one choice.
 
-Objective values are recomputed canonically (one numpy sum over the covered
-rows) so solver and oracle agree exactly; with integer-valued populations
-every comparison in the solvers is exact.
+The bool matrix is the solvers' only representation of coverage. Each
+solver call takes one float64 0/1 copy of it with the columns in ascending
+id order, and every marginal gain is one matrix-vector product of the
+uncovered populations with those columns (``_gains``). Ties go to the first
+maximum, which is the smallest id.
+
+Exactness: with integer populations whose total is below 2**53, every
+partial sum is an integer that float64 holds exactly, so sums agree in any
+order and every comparison in the solvers is exact. Objective values are
+recomputed canonically (one numpy sum over the covered rows) so solver and
+oracle agree.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -43,8 +52,9 @@ class DemandArea:
     geometry: Polygon | None = None
 
     def __post_init__(self):
-        if self.population < 0:
-            raise InputError(f"demand area {self.id!r}: population must be >= 0")
+        if not math.isfinite(self.population) or self.population < 0:
+            raise InputError(
+                f"demand area {self.id!r}: population must be a finite number >= 0")
         if self.centroid is None:
             if self.geometry is None:
                 raise InputError(f"demand area {self.id!r}: needs a centroid or geometry")
@@ -126,26 +136,6 @@ class MclpInstance:
     def total_population(self) -> float:
         return float(self.populations.sum())
 
-    def covering_candidates(self, area_index: int) -> list[str]:
-        """N_i: ids of the candidates covering area i."""
-        return [
-            self.candidates[j].id
-            for j in range(len(self.candidates))
-            if self.matrix[area_index, j]
-        ]
-
-    def candidate_area_masks(self) -> list[int]:
-        """Per-candidate bitmask of covered area indices."""
-        masks = []
-        for j in range(len(self.candidates)):
-            m = 0
-            col = self.matrix[:, j]
-            for i in range(len(self.areas)):
-                if col[i]:
-                    m |= 1 << i
-            masks.append(m)
-        return masks
-
     def to_dict(self) -> dict:
         return {
             "mode": self.mode,
@@ -165,34 +155,61 @@ class MclpInstance:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MclpInstance":
+        if not isinstance(d, dict):
+            raise InputError("instance must be a JSON object")
         mode = d.get("mode", PLANAR)
         standard = None
         if d.get("standard") is not None:
-            standard = CoverageStandard.from_dict(d["standard"])
+            standard = _field(d, "standard", "", CoverageStandard.from_dict)
         areas = tuple(
             DemandArea(
-                id=str(a["id"]),
-                population=float(a["population"]),
-                centroid=Point(float(a["centroid"][0]), float(a["centroid"][1])),
+                id=_field(a, "id", f"areas[{i}]", str),
+                population=_field(a, "population", f"areas[{i}]", float),
+                centroid=_field(a, "centroid", f"areas[{i}]", _point),
             )
-            for a in d.get("areas", [])
+            for i, a in enumerate(_items(d, "areas"))
         )
         cands = tuple(
             existing_site(
-                str(c["id"]),
-                Point(float(c["location"][0]), float(c["location"][1])),
+                _field(c, "id", f"candidates[{i}]", str),
+                _field(c, "location", f"candidates[{i}]", _point),
                 fixed_open=bool(c.get("fixed_open", False)),
             )
-            for c in d.get("candidates", [])
+            for i, c in enumerate(_items(d, "candidates"))
         )
         if d.get("matrix") is not None:
-            matrix = np.array(d["matrix"], dtype=bool)
+            matrix = _field(d, "matrix", "", lambda m: np.array(m, dtype=bool))
         else:
             if standard is None:
                 raise InputError("instance needs either a matrix or a coverage standard")
             return build_coverage(areas, cands, standard, mode=mode)
         return cls(areas=areas, candidates=cands, matrix=matrix,
                    standard=standard, mode=mode)
+
+
+def _field(obj, key: str, where: str, convert):
+    """convert(obj[key]); a missing or malformed field is an InputError
+    that names it (``where`` is the enclosing path, "" at the top level)."""
+    path = f"{where}.{key}" if where else key
+    if not isinstance(obj, dict):
+        raise InputError(f"instance field {where} must be a JSON object")
+    if key not in obj:
+        raise InputError(f"instance field {path} is missing")
+    try:
+        return convert(obj[key])
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"instance field {path} is malformed: {exc}") from None
+
+
+def _items(d: dict, key: str) -> list:
+    items = d.get(key, [])
+    if not isinstance(items, list):
+        raise InputError(f"instance field {key} must be a list")
+    return items
+
+
+def _point(xy) -> Point:
+    return Point(float(xy[0]), float(xy[1]))
 
 
 @dataclass(frozen=True)
@@ -249,17 +266,6 @@ def build_coverage(areas: Sequence[DemandArea], candidates: Sequence[CandidateSi
     )
 
 
-def _popcount_weight(mask: int, pops: Sequence[float]) -> float:
-    total = 0.0
-    i = 0
-    while mask:
-        if mask & 1:
-            total += pops[i]
-        mask >>= 1
-        i += 1
-    return total
-
-
 def _finish_solution(inst: MclpInstance, chosen_ids: Iterable[str], method: str,
                      optimal: bool, gains: Sequence[float] = ()) -> MclpSolution:
     """Build the solution record, recomputing z canonically from the matrix."""
@@ -280,18 +286,39 @@ def _finish_solution(inst: MclpInstance, chosen_ids: Iterable[str], method: str,
 
 
 def _prepare(inst: MclpInstance, p: int):
+    """Check p; return the candidate indices in ascending id order, the
+    populations, the float64 0/1 coverage columns in that order, and the
+    positions (in that order) of the fixed-open candidates."""
     n = len(inst.candidates)
     if not 1 <= p <= n:
         raise InputError(f"p must be in [1, {n}], got {p}")
     order = sorted(range(n), key=lambda j: inst.candidates[j].id)
-    pops = [a.population for a in inst.areas]
-    masks = inst.candidate_area_masks()
-    fixed = [j for j in order if inst.candidates[j].fixed_open]
+    fixed = [k for k, j in enumerate(order) if inst.candidates[j].fixed_open]
     if len(fixed) > p:
         raise InputError(
             f"{len(fixed)} candidates are fixed open but p={p}"
         )
-    return order, pops, masks, fixed
+    cols = inst.matrix[:, order].astype(np.float64)
+    return order, inst.populations, cols, fixed
+
+
+def _gains(cols: np.ndarray, pops: np.ndarray, covered: np.ndarray) -> np.ndarray:
+    """Population each column would newly cover: one matrix-vector product."""
+    return np.where(covered, 0.0, pops) @ cols
+
+
+def _best(cols: np.ndarray, pops: np.ndarray, covered: np.ndarray,
+          taken: Sequence[int]) -> tuple[int, float]:
+    """The column outside ``taken`` with the largest gain, ties to the first."""
+    gains = _gains(cols, pops, covered)
+    gains[list(taken)] = -np.inf    # a list: gains[()] would be every column
+    k = int(np.argmax(gains))
+    return k, float(gains[k])
+
+
+def _positions(inst: MclpInstance, order: Sequence[int], ids: Iterable[str]) -> list[int]:
+    pos = {inst.candidates[j].id: k for k, j in enumerate(order)}
+    return [pos[s] for s in ids]
 
 
 def solve_exact(inst: MclpInstance, p: int, size_cap: int = EXACT_SIZE_CAP,
@@ -310,35 +337,28 @@ def solve_exact(inst: MclpInstance, p: int, size_cap: int = EXACT_SIZE_CAP,
             f"instance has {n} candidates, above the exact-solver cap of {size_cap}; "
             "use the greedy solver or override the cap"
         )
-    order, pops, masks, fixed = _prepare(inst, p)
-    free_order = [j for j in order if j not in set(fixed)]
+    order, pops, cols, fixed = _prepare(inst, p)
+    free = [k for k in range(n) if k not in set(fixed)]
+    nfree = len(free)
+    free_cols = cols[:, free]
+    hit = free_cols > 0
+    # column nfree + k: every area a free candidate from position k on can
+    # cover, so one product gives the residual gains and what is reachable
+    reach = np.logical_or.accumulate(hit[:, ::-1], axis=1)[:, ::-1]
+    table = np.hstack([free_cols, reach])
 
-    start_mask = 0
-    for j in fixed:
-        start_mask |= masks[j]
-    start_z = _popcount_weight(start_mask, pops)
+    start_covered = (cols[:, fixed] > 0).any(axis=1)
+    start_z = float(pops[start_covered].sum())
 
     # greedy incumbent: prunes hard, but stays replaceable by an equal-value
     # DFS solution so the reported set is still the lexicographically
     # smallest optimum (strict pruning until DFS finds its own incumbent)
-    best_z = _greedy_value(free_order, masks, pops, start_mask, start_z,
+    best_z = _greedy_value(free_cols, pops, start_covered, start_z,
                            p - len(fixed))
     best_sel: list[int] = []
     seeded = True
 
-    # suffix_union[k] = every area any candidate from position k on can cover
-    suffix_union = [0] * (len(free_order) + 1)
-    for k in range(len(free_order) - 1, -1, -1):
-        suffix_union[k] = suffix_union[k + 1] | masks[free_order[k]]
-
-    def residual_gains(covered: int, start: int) -> list[float]:
-        gains = []
-        for idx in range(start, len(free_order)):
-            j = free_order[idx]
-            gains.append(_popcount_weight(masks[j] & ~covered, pops))
-        return gains
-
-    def dfs(start: int, chosen: list[int], covered: int, z: float):
+    def dfs(start: int, chosen: list[int], covered: np.ndarray, z: float):
         nonlocal best_z, best_sel, seeded
         slots = p - len(fixed) - len(chosen)
         if slots == 0:
@@ -347,38 +367,29 @@ def solve_exact(inst: MclpInstance, p: int, size_cap: int = EXACT_SIZE_CAP,
                 best_sel = list(chosen)
                 seeded = False
             return
-        remaining = len(free_order) - start
-        if remaining < slots:
+        if nfree - start < slots:
             return
-        gains = residual_gains(covered, start)
-        top = sum(sorted(gains, reverse=True)[:slots])
-        reachable = _popcount_weight(suffix_union[start] & ~covered, pops)
-        bound = z + min(top, reachable)
+        gains = _gains(table, pops, covered)
+        residual = np.sort(gains[start:nfree])
+        top = residual[residual.size - slots:].sum()
+        bound = z + min(top, gains[nfree + start])
         if bound < best_z or (bound == best_z and not seeded):
             return
-        j = free_order[start]
-        gain = _popcount_weight(masks[j] & ~covered, pops)
-        dfs(start + 1, chosen + [j], covered | masks[j], z + gain)
+        dfs(start + 1, chosen + [start], covered | hit[:, start], z + gains[start])
         dfs(start + 1, chosen, covered, z)
 
-    dfs(0, [], start_mask, start_z)
-    chosen_ids = [inst.candidates[j].id for j in fixed + best_sel]
+    dfs(0, [], start_covered, start_z)
+    chosen_ids = [inst.candidates[order[k]].id
+                  for k in fixed + [free[i] for i in best_sel]]
     return _finish_solution(inst, chosen_ids, METHOD_EXACT, optimal=True)
 
 
-def _greedy_value(free_order: Sequence[int], masks: Sequence[int],
-                  pops: Sequence[float], covered: int, z: float,
-                  rounds: int) -> float:
+def _greedy_value(cols: np.ndarray, pops: np.ndarray, covered: np.ndarray,
+                  z: float, rounds: int) -> float:
     for _ in range(rounds):
-        best_gain = 0.0
-        best_mask = 0
-        for j in free_order:
-            g = _popcount_weight(masks[j] & ~covered, pops)
-            if g > best_gain:
-                best_gain = g
-                best_mask = masks[j]
-        covered |= best_mask
-        z += best_gain
+        k, gain = _best(cols, pops, covered, [])
+        covered = covered | (cols[:, k] > 0)
+        z += gain
     return z
 
 
@@ -386,66 +397,53 @@ def solve_greedy(inst: MclpInstance, p: int) -> MclpSolution:
     """Greedy heuristic: p rounds, each adding the candidate with the largest
     marginal covered population (ties to the smallest id). Records the
     marginal gain sequence, which is non-increasing by submodularity."""
-    order, pops, masks, fixed = _prepare(inst, p)
+    order, pops, cols, fixed = _prepare(inst, p)
     chosen: list[int] = []
-    covered = 0
+    covered = np.zeros(len(pops), dtype=bool)
     gains: list[float] = []
-    for j in fixed:
-        gains.append(_popcount_weight(masks[j] & ~covered, pops))
-        covered |= masks[j]
-        chosen.append(j)
+    for k in fixed:
+        gains.append(float(_gains(cols[:, k], pops, covered)))
+        covered |= cols[:, k] > 0
+        chosen.append(k)
     while len(chosen) < p:
-        best_j = None
-        best_gain = -1.0
-        for j in order:
-            if j in chosen:
-                continue
-            g = _popcount_weight(masks[j] & ~covered, pops)
-            if g > best_gain:
-                best_gain = g
-                best_j = j
-        chosen.append(best_j)
-        covered |= masks[best_j]
-        gains.append(best_gain)
+        k, gain = _best(cols, pops, covered, chosen)
+        chosen.append(k)
+        covered |= cols[:, k] > 0
+        gains.append(gain)
     free_gains = gains[len(fixed):]
     if any(b > a + 1e-9 for a, b in zip(free_gains, free_gains[1:])):
         raise AssertionError("greedy marginal gains must be non-increasing")
-    ids = [inst.candidates[j].id for j in chosen]
+    ids = [inst.candidates[order[k]].id for k in chosen]
     return _finish_solution(inst, ids, METHOD_GREEDY_SWAP, optimal=False, gains=gains)
 
 
 def improve_swap(inst: MclpInstance, sol: MclpSolution) -> MclpSolution:
-    """Best-improvement single swaps until no swap strictly raises z."""
-    order, pops, masks, _fixed = _prepare(inst, sol.p)
-    id_to_idx = {c.id: j for j, c in enumerate(inst.candidates)}
-    fixed_ids = {c.id for c in inst.candidates if c.fixed_open}
-    selected = sorted(sol.selected)
+    """Best-improvement single swaps until no swap strictly raises z.
+
+    Dropping a site leaves covered the areas whose cover count stays
+    positive; one product then scores every incoming candidate. Ties go to
+    the smallest dropped id, then the smallest added id."""
+    order, pops, cols, fixed = _prepare(inst, sol.p)
+    selected = sorted(_positions(inst, order, sol.selected))
     z_cur = sol.objective
-    improved = True
-    while improved:
-        improved = False
-        best = None  # (z_new, out_id, in_id)
-        sel_set = set(selected)
-        for out_id in selected:
-            if out_id in fixed_ids:
+    while True:
+        count = cols[:, selected].sum(axis=1)
+        best = None  # (z_new, dropped, added)
+        for drop in selected:
+            if drop in fixed:
                 continue
-            keep = [id_to_idx[s] for s in selected if s != out_id]
-            base_mask = 0
-            for j in keep:
-                base_mask |= masks[j]
-            for j in order:  # candidates in id order: deterministic scan
-                cand_id = inst.candidates[j].id
-                if cand_id in sel_set:
-                    continue
-                z_new = _popcount_weight(base_mask | masks[j], pops)
-                if z_new > z_cur and (best is None or z_new > best[0]):
-                    best = (z_new, out_id, cand_id)
-        if best is not None:
-            _, out_id, in_id = best
-            selected = sorted(set(selected) - {out_id} | {in_id})
-            z_cur = best[0]
-            improved = True
-    out = _finish_solution(inst, selected, METHOD_GREEDY_SWAP, optimal=False,
+            kept = count - cols[:, drop] > 0
+            z_new = pops[kept].sum() + _gains(cols, pops, kept)
+            z_new[selected] = -np.inf
+            k = int(np.argmax(z_new))
+            if z_new[k] > z_cur and (best is None or z_new[k] > best[0]):
+                best = (z_new[k], drop, k)
+        if best is None:
+            break
+        z_cur, drop, add = best
+        selected = sorted(set(selected) - {drop} | {add})
+    ids = [inst.candidates[order[k]].id for k in selected]
+    out = _finish_solution(inst, ids, METHOD_GREEDY_SWAP, optimal=False,
                            gains=sol.marginal_gains)
     if out.objective < sol.objective:
         raise AssertionError("swap improvement must not lower the objective")
@@ -488,40 +486,13 @@ def coverage_curve(inst: MclpInstance, p_max: int,
 
 def _extend_by_best(inst: MclpInstance, prev: MclpSolution) -> MclpSolution:
     """prev's selection plus the candidate with the best marginal gain."""
-    order, pops, masks, _ = _prepare(inst, prev.p + 1)
-    id_to_idx = {c.id: j for j, c in enumerate(inst.candidates)}
-    covered = 0
-    for s in prev.selected:
-        covered |= masks[id_to_idx[s]]
-    best_j = None
-    best_gain = -1.0
-    sel = set(prev.selected)
-    for j in order:
-        if inst.candidates[j].id in sel:
-            continue
-        g = _popcount_weight(masks[j] & ~covered, pops)
-        if g > best_gain:
-            best_gain = g
-            best_j = j
-    ids = list(prev.selected) + [inst.candidates[best_j].id]
+    order, pops, cols, _ = _prepare(inst, prev.p + 1)
+    taken = _positions(inst, order, prev.selected)
+    covered = (cols[:, taken] > 0).any(axis=1)
+    k, gain = _best(cols, pops, covered, taken)
+    ids = list(prev.selected) + [inst.candidates[order[k]].id]
     return _finish_solution(inst, ids, METHOD_GREEDY_SWAP, optimal=False,
-                            gains=tuple(prev.marginal_gains) + (best_gain,))
-
-
-def verify_solution(inst: MclpInstance, sol: MclpSolution) -> bool:
-    """Re-evaluate feasibility and the coverage linkage from the raw matrix."""
-    if len(sol.selected) != sol.p:
-        return False
-    idx = {c.id: j for j, c in enumerate(inst.candidates)}
-    if any(s not in idx for s in sol.selected):
-        return False
-    cols = [idx[s] for s in sol.selected]
-    covered_rows = inst.matrix[:, cols].any(axis=1)
-    covered_ids = {inst.areas[i].id for i in range(len(inst.areas)) if covered_rows[i]}
-    if covered_ids != set(sol.covered):
-        return False
-    z = float(inst.populations[covered_rows].sum())
-    return z == sol.objective
+                            gains=tuple(prev.marginal_gains) + (gain,))
 
 
 def instance_to_json(inst: MclpInstance) -> str:

@@ -1,12 +1,23 @@
-"""Shared test utilities: random instance generation and enumeration oracles."""
+"""Shared test utilities: random instance generation, enumeration oracles,
+solution checks, and a big-int bitmask reference for the heuristic solvers."""
 
 import itertools
+import random
+from typing import Sequence
 
 import numpy as np
 
 from branchsite.candidates import existing_site
 from branchsite.geo import Point
-from branchsite.mclp import DemandArea, MclpInstance
+from branchsite.mclp import (
+    METHOD_GREEDY_SWAP,
+    CoverageCurve,
+    DemandArea,
+    MclpInstance,
+    MclpSolution,
+    _finish_solution,
+)
+from branchsite.errors import InputError
 
 
 def random_instance(rng, max_areas=30, max_cands=12, density=0.4):
@@ -25,6 +36,17 @@ def random_instance(rng, max_areas=30, max_cands=12, density=0.4):
     return MclpInstance(areas=areas, candidates=cands, matrix=matrix)
 
 
+def oracle_family():
+    """The 200 (instance, p) pairs the acceptance solver criteria run on."""
+    rng = random.Random(20240614)
+    out = []
+    for _ in range(200):
+        inst = random_instance(rng, max_areas=30, max_cands=12)
+        p = rng.randint(1, min(4, len(inst.candidates)))
+        out.append((inst, p))
+    return out
+
+
 def enumerate_optimum(inst, p):
     """Full C(|J|, p) enumeration; returns (z, lexicographically smallest set)."""
     pops = inst.populations
@@ -41,3 +63,172 @@ def enumerate_optimum(inst, p):
             best_z = z
             best_sel = sel
     return best_z, best_sel
+
+
+def covering_candidates(inst: MclpInstance, area_index: int) -> list[str]:
+    """N_i: ids of the candidates covering area i."""
+    return [
+        inst.candidates[j].id
+        for j in range(len(inst.candidates))
+        if inst.matrix[area_index, j]
+    ]
+
+
+def verify_solution(inst: MclpInstance, sol: MclpSolution) -> bool:
+    """Re-evaluate feasibility and the coverage linkage from the raw matrix."""
+    if len(sol.selected) != sol.p:
+        return False
+    idx = {c.id: j for j, c in enumerate(inst.candidates)}
+    if any(s not in idx for s in sol.selected):
+        return False
+    cols = [idx[s] for s in sol.selected]
+    covered_rows = inst.matrix[:, cols].any(axis=1)
+    covered_ids = {inst.areas[i].id for i in range(len(inst.areas)) if covered_rows[i]}
+    if covered_ids != set(sol.covered):
+        return False
+    z = float(inst.populations[covered_rows].sum())
+    return z == sol.objective
+
+
+# -- bitmask reference --------------------------------------------------------
+# The greedy, swap and extension loops as they were written over per-candidate
+# Python int bitmasks, scanning candidates one at a time in id order. The
+# library's matrix-product solvers must return exactly what these return.
+
+def candidate_area_masks(inst: MclpInstance) -> list[int]:
+    """Per-candidate bitmask of covered area indices."""
+    masks = []
+    for j in range(len(inst.candidates)):
+        m = 0
+        col = inst.matrix[:, j]
+        for i in range(len(inst.areas)):
+            if col[i]:
+                m |= 1 << i
+        masks.append(m)
+    return masks
+
+
+def _popcount_weight(mask: int, pops: Sequence[float]) -> float:
+    total = 0.0
+    i = 0
+    while mask:
+        if mask & 1:
+            total += pops[i]
+        mask >>= 1
+        i += 1
+    return total
+
+
+def _prepare(inst: MclpInstance, p: int):
+    n = len(inst.candidates)
+    if not 1 <= p <= n:
+        raise InputError(f"p must be in [1, {n}], got {p}")
+    order = sorted(range(n), key=lambda j: inst.candidates[j].id)
+    pops = [a.population for a in inst.areas]
+    masks = candidate_area_masks(inst)
+    fixed = [j for j in order if inst.candidates[j].fixed_open]
+    if len(fixed) > p:
+        raise InputError(
+            f"{len(fixed)} candidates are fixed open but p={p}"
+        )
+    return order, pops, masks, fixed
+
+
+def reference_solve_greedy(inst: MclpInstance, p: int) -> MclpSolution:
+    order, pops, masks, fixed = _prepare(inst, p)
+    chosen: list[int] = []
+    covered = 0
+    gains: list[float] = []
+    for j in fixed:
+        gains.append(_popcount_weight(masks[j] & ~covered, pops))
+        covered |= masks[j]
+        chosen.append(j)
+    while len(chosen) < p:
+        best_j = None
+        best_gain = -1.0
+        for j in order:
+            if j in chosen:
+                continue
+            g = _popcount_weight(masks[j] & ~covered, pops)
+            if g > best_gain:
+                best_gain = g
+                best_j = j
+        chosen.append(best_j)
+        covered |= masks[best_j]
+        gains.append(best_gain)
+    free_gains = gains[len(fixed):]
+    if any(b > a + 1e-9 for a, b in zip(free_gains, free_gains[1:])):
+        raise AssertionError("greedy marginal gains must be non-increasing")
+    ids = [inst.candidates[j].id for j in chosen]
+    return _finish_solution(inst, ids, METHOD_GREEDY_SWAP, optimal=False, gains=gains)
+
+
+def reference_improve_swap(inst: MclpInstance, sol: MclpSolution) -> MclpSolution:
+    order, pops, masks, _fixed = _prepare(inst, sol.p)
+    id_to_idx = {c.id: j for j, c in enumerate(inst.candidates)}
+    fixed_ids = {c.id for c in inst.candidates if c.fixed_open}
+    selected = sorted(sol.selected)
+    z_cur = sol.objective
+    improved = True
+    while improved:
+        improved = False
+        best = None  # (z_new, out_id, in_id)
+        sel_set = set(selected)
+        for out_id in selected:
+            if out_id in fixed_ids:
+                continue
+            keep = [id_to_idx[s] for s in selected if s != out_id]
+            base_mask = 0
+            for j in keep:
+                base_mask |= masks[j]
+            for j in order:  # candidates in id order: deterministic scan
+                cand_id = inst.candidates[j].id
+                if cand_id in sel_set:
+                    continue
+                z_new = _popcount_weight(base_mask | masks[j], pops)
+                if z_new > z_cur and (best is None or z_new > best[0]):
+                    best = (z_new, out_id, cand_id)
+        if best is not None:
+            _, out_id, in_id = best
+            selected = sorted(set(selected) - {out_id} | {in_id})
+            z_cur = best[0]
+            improved = True
+    out = _finish_solution(inst, selected, METHOD_GREEDY_SWAP, optimal=False,
+                           gains=sol.marginal_gains)
+    if out.objective < sol.objective:
+        raise AssertionError("swap improvement must not lower the objective")
+    return out
+
+
+def reference_extend_by_best(inst: MclpInstance, prev: MclpSolution) -> MclpSolution:
+    order, pops, masks, _ = _prepare(inst, prev.p + 1)
+    id_to_idx = {c.id: j for j, c in enumerate(inst.candidates)}
+    covered = 0
+    for s in prev.selected:
+        covered |= masks[id_to_idx[s]]
+    best_j = None
+    best_gain = -1.0
+    sel = set(prev.selected)
+    for j in order:
+        if inst.candidates[j].id in sel:
+            continue
+        g = _popcount_weight(masks[j] & ~covered, pops)
+        if g > best_gain:
+            best_gain = g
+            best_j = j
+    ids = list(prev.selected) + [inst.candidates[best_j].id]
+    return _finish_solution(inst, ids, METHOD_GREEDY_SWAP, optimal=False,
+                            gains=tuple(prev.marginal_gains) + (best_gain,))
+
+
+def reference_greedy_curve(inst: MclpInstance, p_max: int) -> CoverageCurve:
+    """coverage_curve(inst, p_max, "greedy+swap") over the reference loops."""
+    rows: list[MclpSolution] = []
+    for p in range(1, p_max + 1):
+        sol = reference_improve_swap(inst, reference_solve_greedy(inst, p))
+        if rows:
+            ext = reference_extend_by_best(inst, rows[-1])
+            if ext.objective > sol.objective:
+                sol = ext
+        rows.append(sol)
+    return CoverageCurve(tuple(rows))

@@ -1,11 +1,22 @@
+import dataclasses
 import math
 import random
 
 import numpy as np
 import pytest
 
-from helpers import enumerate_optimum, random_instance
+from helpers import (
+    covering_candidates,
+    enumerate_optimum,
+    oracle_family,
+    random_instance,
+    reference_greedy_curve,
+    reference_improve_swap,
+    reference_solve_greedy,
+    verify_solution,
+)
 
+from branchsite import mclp
 from branchsite.candidates import CandidateSite, existing_site
 from branchsite.errors import ConfigError, InputError, SolverRefused
 from branchsite.geo import Point
@@ -22,7 +33,6 @@ from branchsite.mclp import (
     parse_coverage_table_csv,
     solve_exact,
     solve_greedy,
-    verify_solution,
 )
 
 GREEDY_GUARANTEE = 1.0 - 1.0 / math.e
@@ -104,7 +114,7 @@ class TestBuildCoverage:
                 d = math.sqrt((a.centroid.x - c.location.x) ** 2
                               + (a.centroid.y - c.location.y) ** 2)
                 assert inst.matrix[i, j] == (d <= 1500.0)
-        assert inst.covering_candidates(0) == [
+        assert covering_candidates(inst, 0) == [
             cands[j].id for j in range(23) if inst.matrix[0, j]
         ]
 
@@ -143,6 +153,13 @@ class TestSolveExact:
             sol = solve_exact(inst, p)
             _, sel = enumerate_optimum(inst, p)
             assert sol.selected == sel
+
+    def test_incumbent_is_the_greedy_objective(self):
+        for inst, p in oracle_family()[:60]:
+            _order, pops, cols, _fixed = mclp._prepare(inst, p)
+            no_cover = np.zeros(len(pops), dtype=bool)
+            z = mclp._greedy_value(cols, pops, no_cover, 0.0, p)
+            assert z == solve_greedy(inst, p).objective
 
     def test_size_cap_refusal_mentions_greedy(self):
         areas = [DemandArea("d0", 10, Point(0, 0))]
@@ -308,3 +325,101 @@ class TestSerialization:
             assert row[0] == sol.p
             assert row[1] == sol.selected
             assert row[2] == sol.coverage_pct  # exact float round trip
+
+
+def _with_fixed_open(inst, positions):
+    cands = tuple(
+        dataclasses.replace(c, fixed_open=j in positions)
+        for j, c in enumerate(inst.candidates)
+    )
+    return MclpInstance(areas=inst.areas, candidates=cands, matrix=np.array(inst.matrix))
+
+
+def _reference_family():
+    """The oracle family, plus each instance with one and with two
+    fixed-open candidates (p raised to at least the fixed count)."""
+    rng = random.Random(139)
+    for inst, p in oracle_family():
+        yield inst, p
+        for n_fixed in (1, 2):
+            fixed = set(rng.sample(range(len(inst.candidates)), n_fixed))
+            yield _with_fixed_open(inst, fixed), max(p, n_fixed)
+
+
+def _same(got, want):
+    assert got.selected == want.selected
+    assert got.objective == want.objective
+    assert got.marginal_gains == want.marginal_gains
+
+
+class TestBitmaskReference:
+    """The matrix-product solvers pick exactly what the bitmask loops picked."""
+
+    def test_greedy_and_swap_match(self):
+        checked = 0
+        for inst, p in _reference_family():
+            g = solve_greedy(inst, p)
+            _same(g, reference_solve_greedy(inst, p))
+            _same(improve_swap(inst, g), reference_improve_swap(inst, g))
+            checked += 1
+        assert checked == 600
+
+    def test_greedy_swap_curve_matches(self):
+        for inst, _p in _reference_family():
+            p_max = min(5, len(inst.candidates))
+            try:
+                want = reference_greedy_curve(inst, p_max)
+            except InputError:  # more fixed-open sites than p = 1 allows
+                with pytest.raises(InputError, match="fixed open"):
+                    coverage_curve(inst, p_max, method="greedy+swap")
+                continue
+            got = coverage_curve(inst, p_max, method="greedy+swap")
+            assert len(got.rows) == len(want.rows)
+            for g, w in zip(got.rows, want.rows):
+                assert g.p == w.p
+                _same(g, w)
+
+
+def _seeded_planar_instance(seed, n_areas=200, n_cands=30, side=12000.0):
+    rng = random.Random(seed)
+    areas = [
+        DemandArea(f"d{i:03d}", float(rng.randint(100, 5000)),
+                   Point(rng.uniform(0, side), rng.uniform(0, side)))
+        for i in range(n_areas)
+    ]
+    cands = [
+        existing_site(f"c{j:02d}", Point(rng.uniform(0, side), rng.uniform(0, side)))
+        for j in range(n_cands)
+    ]
+    return build_coverage(areas, cands, CoverageStandard(radius=2500.0))
+
+
+def _milp_optimum(inst, p):
+    """Church-ReVelle ILP solved by HiGHS; the objective of its selection."""
+    from scipy import optimize
+
+    a = inst.matrix.astype(float)
+    m, n = a.shape
+    cost = np.concatenate([np.zeros(n), -inst.populations])
+    link = optimize.LinearConstraint(np.hstack([-a, np.eye(m)]), -np.inf, 0.0)
+    budget = optimize.LinearConstraint(
+        np.concatenate([np.ones(n), np.zeros(m)])[None, :], p, p)
+    res = optimize.milp(cost, constraints=[link, budget],
+                        integrality=np.concatenate([np.ones(n), np.zeros(m)]),
+                        bounds=optimize.Bounds(0, 1))
+    assert res.success, res.message
+    chosen = res.x[:n] > 0.5
+    assert chosen.sum() == p
+    return float(inst.populations[inst.matrix[:, chosen].any(axis=1)].sum())
+
+
+class TestExactAgainstMilp:
+    """Past the reach of enumeration: C(30, 12) is 86 million subsets."""
+
+    @pytest.mark.parametrize("p", [10, 12])
+    def test_matches_highs_optimum(self, p):
+        pytest.importorskip("scipy")
+        inst = _seeded_planar_instance(1)
+        sol = solve_exact(inst, p)
+        assert sol.objective == _milp_optimum(inst, p)
+        assert verify_solution(inst, sol)

@@ -285,6 +285,25 @@ class TestRenderedArtifacts:
             assert (out / name).read_bytes() == (artifact_dir / name).read_bytes(), name
 
 
+def _without_population(d):
+    del d["areas"][1]["population"]
+    return d
+
+
+def _as_top_level_list(d):
+    return [d]
+
+
+def _with_ragged_matrix(d):
+    d["matrix"][2] = [0]
+    return d
+
+
+def _with_text_population(d):
+    d["areas"][0]["population"] = "x"
+    return d
+
+
 class TestCli:
     def test_pipeline_command(self, demo_config_path, tmp_path, capsys):
         out = tmp_path / "run"
@@ -375,6 +394,28 @@ class TestCli:
         code = main(["--out", str(tmp_path / "o"), "solve",
                      "--instance", str(path), "--p", "2", "--method", "exact"])
         assert code == 3
+
+    @pytest.mark.parametrize("mutate, field", [
+        (_without_population, "areas[1].population"),
+        (_as_top_level_list, "JSON object"),
+        (_with_ragged_matrix, "matrix"),
+        (_with_text_population, "areas[0].population"),
+    ])
+    def test_malformed_instance_exits_2(self, tmp_path, capsys, mutate, field):
+        instance = {
+            "mode": "planar",
+            "areas": [{"id": f"d{i}", "population": 10, "centroid": [i, 0]}
+                      for i in range(3)],
+            "candidates": [{"id": "c0", "location": [0, 0]},
+                           {"id": "c1", "location": [2, 0]}],
+            "matrix": [[1, 0], [1, 1], [0, 1]],
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(mutate(instance)))
+        code = main(["--out", str(tmp_path / "o"), "solve",
+                     "--instance", str(path), "--p", "1"])
+        assert code == 2
+        assert field in capsys.readouterr().err
 
     def test_locked_output_exits_4(self, demo_config_path, tmp_path):
         out = tmp_path / "locked"

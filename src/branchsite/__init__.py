@@ -34,9 +34,7 @@ from .errors import (
 from .geo import (
     Point,
     Polygon,
-    SpatialIndex,
     geodesic_distance,
-    nearest_distance,
     planar_distance,
     point_in_polygon,
 )

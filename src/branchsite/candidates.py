@@ -14,8 +14,10 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
+import numpy as np
+
 from .errors import InputError
-from .geo import PLANAR, Point, distance
+from .geo import PLANAR, Point, distances_to
 from .overlay import ScoreRaster
 
 ORIGIN_PROPOSED = "proposed"
@@ -77,12 +79,16 @@ def extract(raster: ScoreRaster, cfg: ExtractionConfig,
     eligible.sort(key=lambda t: (-t[0], t[1], t[2]))
 
     picked: list[tuple[float, Point]] = []
+    # coordinates of the picked sites, filled in pick order
+    xy = np.empty((2, min(cfg.max_proposed, len(eligible))))
     for v, row, col in eligible:
-        if len(picked) >= cfg.max_proposed:
+        n = len(picked)
+        if n >= cfg.max_proposed:
             break
         center = raster.grid.cell_center(row, col)
-        if any(distance(center, p, mode) < cfg.min_separation for _, p in picked):
+        if (distances_to(xy[0, :n], xy[1, :n], center, mode) < cfg.min_separation).any():
             continue
+        xy[:, n] = center.x, center.y
         picked.append((v, center))
 
     width = max(2, len(str(cfg.max_proposed)))

@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 validation error, 3 solver refusal, 4 I/O error.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import sys
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import click
 
-from .errors import BranchSiteError, SolverRefused, StageError
+from .errors import BranchSiteError, InputError, SolverRefused, StageError
 from .fixture import write_fixture
 from .mclp import (
     coverage_curve,
@@ -42,26 +43,24 @@ from .project import (
 )
 from .candidates import candidates_geojson
 
-LOCK_NAME = ".branchsite.lock"
-
 
 @contextmanager
 def _locked_output(out_dir: Path):
-    """One CLI process per output directory."""
+    """One CLI process per output directory: an exclusive flock on the
+    directory itself. The kernel drops it when the process ends, however
+    it ends, so no stale lock can outlive a run."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    lock = out_dir / LOCK_NAME
+    fd = os.open(out_dir, os.O_RDONLY)
     try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise OSError(
-            f"output directory {out_dir} is in use by another run "
-            f"(remove {lock} if that run is gone)"
-        ) from None
-    try:
-        os.close(fd)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise OSError(
+                f"output directory {out_dir} is in use by another run"
+            ) from None
         yield
     finally:
-        lock.unlink(missing_ok=True)
+        os.close(fd)
 
 
 def _dump(payload: dict) -> str:
@@ -222,7 +221,12 @@ def pipeline(ctx):
 @click.pass_context
 def report(ctx, report_path):
     """Re-render artifacts from an existing report."""
-    data = json.loads(Path(report_path).read_text())
+    try:
+        data = json.loads(Path(report_path).read_text())
+    except ValueError as exc:
+        raise InputError(f"report {report_path} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise InputError(f"report {report_path} must be a JSON object")
     out = ctx.obj["out"]
     with _locked_output(out):
         written = render_report(data, out)

@@ -1,9 +1,19 @@
-"""Geometry primitives and distance kernels.
+"""Geometry primitives and the geometric kernels.
 
 Two coordinate modes exist project-wide: ``planar`` (x/y in meters) and
 ``geodesic`` (x = longitude, y = latitude in degrees, distances on a sphere
 of radius 6,371,000 m). Mixing modes is a caller error; every consumer takes
 the mode explicitly. All types are immutable after construction.
+
+Each geometric operation has exactly one implementation, a numpy kernel over
+coordinate arrays: ``distances_to`` (many points to one point, in either
+mode) and ``points_in_polygon`` (ray crossing, boundary inclusive). The
+scalar functions ``planar_distance``, ``geodesic_distance`` and
+``point_in_polygon`` are thin wrappers that run the kernel on one point, so
+a scalar check agrees bit for bit with every raster, coverage matrix and
+extraction built from the arrays. Planar distances are ``dx*dx + dy*dy``
+under a correctly rounded square root, the same IEEE operations as a scalar
+evaluation; geodesic distances are one numpy haversine.
 """
 
 from __future__ import annotations
@@ -11,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -31,40 +43,49 @@ class Point:
             raise DomainError(f"point coordinates must be finite, got ({self.x}, {self.y})")
 
 
-def _check_geodesic_range(p: Point) -> None:
-    if not (-180.0 <= p.x <= 180.0 and -90.0 <= p.y <= 90.0):
+def _check_geodesic_range(xs, ys) -> None:
+    xs, ys = np.atleast_1d(xs, ys)
+    bad = ~((-180.0 <= xs) & (xs <= 180.0) & (-90.0 <= ys) & (ys <= 90.0))
+    if bad.any():
+        k = int(np.argmax(bad))
         raise DomainError(
-            f"geodesic coordinates out of range: lon={p.x}, lat={p.y} "
+            f"geodesic coordinates out of range: lon={xs[k]}, lat={ys[k]} "
             "(expected lon in [-180, 180], lat in [-90, 90])"
         )
 
 
+def distances_to(xs: np.ndarray, ys: np.ndarray, q: Point,
+                 mode: str = PLANAR) -> np.ndarray:
+    """Distance in meters from each point (xs[k], ys[k]) to q under the
+    coordinate mode: Euclidean in planar mode, haversine in geodesic mode."""
+    if mode == PLANAR:
+        dx = xs - q.x
+        dy = ys - q.y
+        return np.sqrt(dx * dx + dy * dy)
+    if mode != GEODESIC:
+        raise DomainError(f"unknown coordinate mode: {mode!r}")
+    _check_geodesic_range(xs, ys)
+    _check_geodesic_range(q.x, q.y)
+    lat1 = np.radians(ys)
+    lat2 = np.radians(q.y)
+    dlat = np.radians(q.y - ys)
+    dlon = np.radians(q.x - xs)
+    h = np.sin(dlat / 2.0) ** 2 + np.cos(lat1) * np.cos(lat2) * np.sin(dlon / 2.0) ** 2
+    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(h)))
+
+
+def _coords(p: Point) -> tuple[np.ndarray, np.ndarray]:
+    return np.array([p.x]), np.array([p.y])
+
+
 def planar_distance(a: Point, b: Point) -> float:
     """Euclidean distance in meters between two planar points."""
-    dx = a.x - b.x
-    dy = a.y - b.y
-    return math.sqrt(dx * dx + dy * dy)
+    return float(distances_to(*_coords(a), b, PLANAR)[0])
 
 
 def geodesic_distance(a: Point, b: Point) -> float:
     """Haversine great-circle distance in meters between two lon/lat points."""
-    _check_geodesic_range(a)
-    _check_geodesic_range(b)
-    lat1 = math.radians(a.y)
-    lat2 = math.radians(b.y)
-    dlat = math.radians(b.y - a.y)
-    dlon = math.radians(b.x - a.x)
-    h = math.sin(dlat / 2.0) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
-
-
-def distance(a: Point, b: Point, mode: str = PLANAR) -> float:
-    """Distance under the active coordinate mode."""
-    if mode == PLANAR:
-        return planar_distance(a, b)
-    if mode == GEODESIC:
-        return geodesic_distance(a, b)
-    raise DomainError(f"unknown coordinate mode: {mode!r}")
+    return float(distances_to(*_coords(a), b, GEODESIC)[0])
 
 
 def _orient(a: Point, b: Point, c: Point) -> float:
@@ -192,111 +213,50 @@ class Polygon:
         return min(xs), min(ys), max(xs), max(ys)
 
 
-def _ray_crossings_odd(p: Point, ring: Sequence[Point]) -> bool:
-    """Odd/even crossing count of an eastward ray from p."""
-    inside = False
-    n = len(ring)
-    for i in range(n):
-        a = ring[i]
-        b = ring[(i + 1) % n]
-        if (a.y > p.y) != (b.y > p.y):
-            x_at = a.x + (p.y - a.y) * (b.x - a.x) / (b.y - a.y)
-            if p.x < x_at:
-                inside = not inside
-    return inside
+def points_in_polygon(xs: np.ndarray, ys: np.ndarray, poly: Polygon) -> np.ndarray:
+    """Ray-crossing containment of each point (xs[k], ys[k]); boundary
+    points count as inside."""
 
+    def ring_arrays(ring):
+        ax = np.array([p.x for p in ring])
+        ay = np.array([p.y for p in ring])
+        bx = np.roll(ax, -1)
+        by = np.roll(ay, -1)
+        return ax, ay, bx, by
 
-def _on_ring(p: Point, ring: Sequence[Point]) -> bool:
-    n = len(ring)
-    for i in range(n):
-        if _on_segment(ring[i], ring[(i + 1) % n], p):
-            return True
-    return False
+    def crossings_odd(ring):
+        ax, ay, bx, by = ring_arrays(ring)
+        inside = np.zeros(xs.shape, dtype=bool)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i in range(len(ax)):
+                cond = (ay[i] > ys) != (by[i] > ys)
+                if not cond.any():
+                    continue
+                x_at = ax[i] + (ys - ay[i]) * (bx[i] - ax[i]) / (by[i] - ay[i])
+                inside ^= cond & (xs < x_at)
+        return inside
+
+    def on_ring(ring):
+        ax, ay, bx, by = ring_arrays(ring)
+        on = np.zeros(xs.shape, dtype=bool)
+        for i in range(len(ax)):
+            cross = (bx[i] - ax[i]) * (ys - ay[i]) - (by[i] - ay[i]) * (xs - ax[i])
+            bbox = (
+                (np.minimum(ax[i], bx[i]) <= xs) & (xs <= np.maximum(ax[i], bx[i]))
+                & (np.minimum(ay[i], by[i]) <= ys) & (ys <= np.maximum(ay[i], by[i]))
+            )
+            on |= (cross == 0.0) & bbox
+        return on
+
+    boundary = on_ring(poly.exterior)
+    for hole in poly.holes:
+        boundary |= on_ring(hole)
+    inside = crossings_odd(poly.exterior)
+    for hole in poly.holes:
+        inside &= ~crossings_odd(hole)
+    return boundary | inside
 
 
 def point_in_polygon(p: Point, poly: Polygon) -> bool:
     """Ray-crossing containment test; boundary points count as inside."""
-    if _on_ring(p, poly.exterior):
-        return True
-    for hole in poly.holes:
-        if _on_ring(p, hole):
-            return True
-    if not _ray_crossings_odd(p, poly.exterior):
-        return False
-    return not any(_ray_crossings_odd(p, hole) for hole in poly.holes)
-
-
-class SpatialIndex:
-    """Uniform bucket grid over points for nearest-feature queries.
-
-    Correctness is the contract: results equal an exhaustive scan exactly.
-    In geodesic mode the query falls back to a linear scan, since bucket
-    geometry in degrees does not bound great-circle distances.
-    """
-
-    def __init__(self, points: Iterable[Point], cell_size: float = 3000.0,
-                 mode: str = PLANAR):
-        if cell_size <= 0:
-            raise DomainError("spatial index cell_size must be positive")
-        if mode not in MODES:
-            raise DomainError(f"unknown coordinate mode: {mode!r}")
-        self.cell_size = float(cell_size)
-        self.mode = mode
-        self.points: tuple[Point, ...] = tuple(points)
-        if mode == GEODESIC:
-            for p in self.points:
-                _check_geodesic_range(p)
-        self._buckets: dict[tuple[int, int], list[Point]] = {}
-        for p in self.points:
-            self._buckets.setdefault(self._key(p), []).append(p)
-
-    def _key(self, p: Point) -> tuple[int, int]:
-        return (math.floor(p.x / self.cell_size), math.floor(p.y / self.cell_size))
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def nearest_distance(self, q: Point) -> float:
-        """Distance from q to the nearest indexed point."""
-        if not self.points:
-            raise DomainError("empty feature layer")
-        if self.mode == GEODESIC:
-            return min(geodesic_distance(q, p) for p in self.points)
-
-        qi, qj = self._key(q)
-        best = math.inf
-        seen = 0
-        ring = 0
-        while True:
-            cells = self._ring_cells(qi, qj, ring)
-            for key in cells:
-                pts = self._buckets.get(key)
-                if not pts:
-                    continue
-                seen += len(pts)
-                for p in pts:
-                    d = planar_distance(q, p)
-                    if d < best:
-                        best = d
-            # any point in an unscanned bucket lies farther than ring*cell_size
-            if best <= ring * self.cell_size or seen == len(self.points):
-                return best
-            ring += 1
-
-    @staticmethod
-    def _ring_cells(qi: int, qj: int, r: int) -> list[tuple[int, int]]:
-        if r == 0:
-            return [(qi, qj)]
-        cells = []
-        for i in range(qi - r, qi + r + 1):
-            cells.append((i, qj - r))
-            cells.append((i, qj + r))
-        for j in range(qj - r + 1, qj + r):
-            cells.append((qi - r, j))
-            cells.append((qi + r, j))
-        return cells
-
-
-def nearest_distance(index: SpatialIndex, q: Point) -> float:
-    """Distance from q to the nearest point held by the index."""
-    return index.nearest_distance(q)
+    return bool(points_in_polygon(*_coords(p), poly)[0])

@@ -33,7 +33,7 @@ import numpy as np
 
 from .candidates import CandidateSite, existing_site
 from .errors import ConfigError, InputError, SolverRefused
-from .geo import PLANAR, Point, Polygon, distance, point_in_polygon
+from .geo import PLANAR, Point, Polygon, distances_to, point_in_polygon
 
 EXACT_SIZE_CAP = 30
 
@@ -256,10 +256,13 @@ def build_coverage(areas: Sequence[DemandArea], candidates: Sequence[CandidateSi
     if not areas or not candidates:
         raise InputError("coverage needs at least one area and one candidate")
     radius = standard.effective_radius_m
-    matrix = np.zeros((len(areas), len(candidates)), dtype=bool)
-    for i, area in enumerate(areas):
-        for j, cand in enumerate(candidates):
-            matrix[i, j] = distance(area.centroid, cand.location, mode) <= radius
+    xs = np.array([a.centroid.x for a in areas])
+    ys = np.array([a.centroid.y for a in areas])
+    # one column per kernel call: an |I| x |J| float temporary would cost
+    # more memory than the bool matrix it fills
+    matrix = np.empty((len(areas), len(candidates)), dtype=bool)
+    for j, cand in enumerate(candidates):
+        matrix[:, j] = distances_to(xs, ys, cand.location, mode) <= radius
     return MclpInstance(
         areas=tuple(areas), candidates=tuple(candidates),
         matrix=matrix, standard=standard, mode=mode,

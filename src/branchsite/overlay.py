@@ -26,7 +26,7 @@ from .criteria import (
     score,
 )
 from .errors import InputError
-from .geo import GEODESIC, PLANAR, Point, Polygon, geodesic_distance
+from .geo import PLANAR, Point, Polygon, distances_to, points_in_polygon
 from .weights import WeightVector
 
 MAX_CELLS = 4_000_000
@@ -129,76 +129,20 @@ class ScoreRaster:
         _freeze(self.mask)
 
 
-def _points_in_polygon_bulk(xs: np.ndarray, ys: np.ndarray, poly: Polygon) -> np.ndarray:
-    """Vectorized twin of geo.point_in_polygon (boundary counts as inside)."""
-
-    def ring_arrays(ring):
-        ax = np.array([p.x for p in ring])
-        ay = np.array([p.y for p in ring])
-        bx = np.roll(ax, -1)
-        by = np.roll(ay, -1)
-        return ax, ay, bx, by
-
-    def crossings_odd(ring):
-        ax, ay, bx, by = ring_arrays(ring)
-        inside = np.zeros(xs.shape, dtype=bool)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for i in range(len(ax)):
-                cond = (ay[i] > ys) != (by[i] > ys)
-                if not cond.any():
-                    continue
-                x_at = ax[i] + (ys - ay[i]) * (bx[i] - ax[i]) / (by[i] - ay[i])
-                inside ^= cond & (xs < x_at)
-        return inside
-
-    def on_ring(ring):
-        ax, ay, bx, by = ring_arrays(ring)
-        on = np.zeros(xs.shape, dtype=bool)
-        for i in range(len(ax)):
-            cross = (bx[i] - ax[i]) * (ys - ay[i]) - (by[i] - ay[i]) * (xs - ax[i])
-            bbox = (
-                (np.minimum(ax[i], bx[i]) <= xs) & (xs <= np.maximum(ax[i], bx[i]))
-                & (np.minimum(ay[i], by[i]) <= ys) & (ys <= np.maximum(ay[i], by[i]))
-            )
-            on |= (cross == 0.0) & bbox
-        return on
-
-    boundary = on_ring(poly.exterior)
-    for hole in poly.holes:
-        boundary |= on_ring(hole)
-    inside = crossings_odd(poly.exterior)
-    for hole in poly.holes:
-        inside &= ~crossings_odd(hole)
-    return boundary | inside
-
-
 def build_mask(grid: GridSpec, polygons: Sequence[Polygon]) -> np.ndarray:
     """True where the cell center lies inside any of the polygons."""
     xs, ys = grid.center_arrays()
     mask = np.zeros(grid.shape, dtype=bool)
     for poly in polygons:
-        mask |= _points_in_polygon_bulk(xs, ys, poly)
+        mask |= points_in_polygon(xs, ys, poly)
     return mask
 
 
 def _min_distances(xs: np.ndarray, ys: np.ndarray, points: Sequence[Point],
                    mode: str) -> np.ndarray:
-    if mode == GEODESIC:
-        # scalar kernel per cell keeps bit-parity with geo.geodesic_distance
-        out = np.empty(xs.shape)
-        flat_x, flat_y = xs.ravel(), ys.ravel()
-        flat = out.ravel()
-        for i in range(flat_x.size):
-            q = Point(float(flat_x[i]), float(flat_y[i]))
-            flat[i] = min(geodesic_distance(q, p) for p in points)
-        return out
-    px = np.array([p.x for p in points])
-    py = np.array([p.y for p in points])
     best = np.full(xs.shape, np.inf)
-    for i in range(px.size):
-        dx = xs - px[i]
-        dy = ys - py[i]
-        np.minimum(best, np.sqrt(dx * dx + dy * dy), out=best)
+    for p in points:
+        np.minimum(best, distances_to(xs, ys, p, mode), out=best)
     return best
 
 
@@ -247,7 +191,7 @@ def rasterize(spec: NormalizedCriterion, features, grid: GridSpec,
         best_area = np.full(grid.shape, np.inf)
         zone_idx = np.full(grid.shape, -1)
         for k, (poly, _value) in enumerate(zones):
-            contains = _points_in_polygon_bulk(xs, ys, poly) & mask
+            contains = points_in_polygon(xs, ys, poly) & mask
             take = contains & (poly.area < best_area)
             best_area[take] = poly.area
             zone_idx[take] = k

@@ -75,6 +75,8 @@ from .weights import (
 
 
 def _req(obj: dict, key: str, path: str):
+    if not isinstance(obj, dict):
+        raise ConfigError(f"config field {path} must be an object, got {obj!r}")
     if key not in obj:
         raise ConfigError(f"missing config field: {path}.{key}")
     return obj[key]
@@ -84,6 +86,12 @@ def _num(value, path: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"config field {path} must be a number, got {value!r}")
     return float(value)
+
+
+def _int(value, path: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"config field {path} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -201,12 +209,14 @@ def load_project(path: str | Path) -> ProjectConfig:
 
     gcfg = _req(cfg, "grid", "config")
     origin = _req(gcfg, "origin", "grid")
+    if not isinstance(origin, list) or len(origin) != 2:
+        raise ConfigError(f"config field grid.origin must be [x, y], got {origin!r}")
     grid = GridSpec(
         origin_x=_num(origin[0], "grid.origin[0]"),
         origin_y=_num(origin[1], "grid.origin[1]"),
         cell_size=_num(_req(gcfg, "cell_size", "grid"), "grid.cell_size"),
-        ncols=int(_req(gcfg, "ncols", "grid")),
-        nrows=int(_req(gcfg, "nrows", "grid")),
+        ncols=_int(_req(gcfg, "ncols", "grid"), "grid.ncols"),
+        nrows=_int(_req(gcfg, "nrows", "grid"), "grid.nrows"),
     )
 
     scfg = cfg.get("scheme", {})
@@ -264,11 +274,12 @@ def load_project(path: str | Path) -> ProjectConfig:
         min_score=_num(_req(ecfg, "min_score", "extraction"), "extraction.min_score"),
         min_separation=_num(_req(ecfg, "min_separation", "extraction"),
                             "extraction.min_separation"),
-        max_proposed=int(_req(ecfg, "max_proposed", "extraction")),
+        max_proposed=_int(_req(ecfg, "max_proposed", "extraction"),
+                          "extraction.max_proposed"),
     )
 
     standard = CoverageStandard.from_dict(_req(cfg, "standard", "config"))
-    p_max = int(_req(cfg, "p_max", "config"))
+    p_max = _int(_req(cfg, "p_max", "config"), "config.p_max")
     if p_max < 1:
         raise ConfigError(f"config.p_max must be >= 1, got {p_max}")
     solver = cfg.get("solver", "exact")

@@ -8,9 +8,7 @@ from branchsite.geo import (
     EARTH_RADIUS_M,
     Point,
     Polygon,
-    SpatialIndex,
     geodesic_distance,
-    nearest_distance,
     planar_distance,
     point_in_polygon,
 )
@@ -184,45 +182,3 @@ class TestPointInPolygon:
             for _ in range(50):
                 p = Point(rng.uniform(-9, 9), rng.uniform(-9, 9))
                 assert point_in_polygon(p, poly) == winding_number_inside(p, poly.exterior)
-
-
-class TestSpatialIndex:
-    def test_query_point_itself_indexed(self):
-        idx = SpatialIndex([Point(1, 2), Point(5, 5)])
-        assert nearest_distance(idx, Point(5, 5)) == 0.0
-
-    def test_single_point(self):
-        idx = SpatialIndex([Point(3, 4)])
-        assert nearest_distance(idx, Point(0, 0)) == 5.0
-
-    def test_empty_index_rejected(self):
-        idx = SpatialIndex([])
-        with pytest.raises(DomainError, match="empty feature layer"):
-            nearest_distance(idx, Point(0, 0))
-
-    def test_matches_linear_scan_exactly(self):
-        rng = random.Random(17)
-        pts = [Point(rng.uniform(0, 10000), rng.uniform(0, 10000)) for _ in range(500)]
-        idx = SpatialIndex(pts, cell_size=700.0)
-        for _ in range(100):
-            q = Point(rng.uniform(-2000, 12000), rng.uniform(-2000, 12000))
-            want = min(planar_distance(q, p) for p in pts)
-            assert nearest_distance(idx, q) == want
-
-    def test_small_cell_size_still_exact(self):
-        rng = random.Random(23)
-        pts = [Point(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(40)]
-        idx = SpatialIndex(pts, cell_size=3.0)
-        for _ in range(50):
-            q = Point(rng.uniform(-50, 150), rng.uniform(-50, 150))
-            want = min(planar_distance(q, p) for p in pts)
-            assert nearest_distance(idx, q) == want
-
-    def test_geodesic_mode_matches_scan(self):
-        rng = random.Random(29)
-        pts = [Point(rng.uniform(50, 53), rng.uniform(31, 34)) for _ in range(60)]
-        idx = SpatialIndex(pts, mode="geodesic")
-        for _ in range(30):
-            q = Point(rng.uniform(50, 53), rng.uniform(31, 34))
-            want = min(geodesic_distance(q, p) for p in pts)
-            assert nearest_distance(idx, q) == want

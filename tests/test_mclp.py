@@ -19,7 +19,7 @@ from helpers import (
 from branchsite import mclp
 from branchsite.candidates import CandidateSite, existing_site
 from branchsite.errors import ConfigError, InputError, SolverRefused
-from branchsite.geo import Point
+from branchsite.geo import Point, geodesic_distance, planar_distance
 from branchsite.mclp import (
     CoverageStandard,
     DemandArea,
@@ -117,6 +117,35 @@ class TestBuildCoverage:
         assert covering_candidates(inst, 0) == [
             cands[j].id for j in range(23) if inst.matrix[0, j]
         ]
+
+    @pytest.mark.parametrize("mode", ["planar", "geodesic"])
+    def test_matches_scalar_wrapper_per_pair(self, mode):
+        rng = random.Random(89)
+        if mode == "planar":
+            # integer points 0..12 apart give many pairs exactly 5.0 apart
+            # (3-4-5 and 0-5 triangles), on the boundary of a 5.0 radius
+            def point(k):
+                if k % 2:
+                    return Point(rng.uniform(0, 12), rng.uniform(0, 12))
+                return Point(rng.randint(0, 12), rng.randint(0, 12))
+            wrapper = planar_distance
+        else:
+            def point(k):
+                return Point(rng.uniform(51.60, 51.64), rng.uniform(32.60, 32.64))
+            wrapper = geodesic_distance
+        areas = [DemandArea(f"d{i}", 10, point(i)) for i in range(40)]
+        cands = [existing_site(f"c{j}", point(j)) for j in range(30)]
+        radius = 5.0 if mode == "planar" else wrapper(areas[0].centroid,
+                                                      cands[0].location)
+        inst = build_coverage(areas, cands, CoverageStandard(radius=radius),
+                              mode=mode)
+        on_radius = 0
+        for i, a in enumerate(areas):
+            for j, c in enumerate(cands):
+                d = wrapper(a.centroid, c.location)
+                on_radius += d == radius
+                assert inst.matrix[i, j] == (d <= radius), (i, j)
+        assert on_radius > 0
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(InputError):

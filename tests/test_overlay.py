@@ -14,12 +14,17 @@ from branchsite.criteria import (
     validate_spec,
 )
 from branchsite.errors import InputError
-from branchsite.geo import Point, Polygon, SpatialIndex, point_in_polygon
+from branchsite.geo import (
+    Point,
+    Polygon,
+    planar_distance,
+    point_in_polygon,
+    points_in_polygon,
+)
 from branchsite.overlay import (
     CombineMode,
     GridSpec,
     SuitabilityRaster,
-    _points_in_polygon_bulk,
     build_mask,
     combine,
     esri_ascii_text,
@@ -83,11 +88,11 @@ class TestRasterizeDistance:
         grid = GridSpec(-250.0, 130.0, 37.5, 20, 20)
         points = [Point(rng.uniform(-300, 600), rng.uniform(0, 1000)) for _ in range(5)]
         raster = rasterize(MEDICINE, points, grid, SCHEME)
-        index = SpatialIndex(points, cell_size=120.0)
         for row in range(grid.nrows):
             for col in range(grid.ncols):
                 center = grid.cell_center(row, col)
-                want = score(classify(MEDICINE, index.nearest_distance(center)), SCHEME)
+                nearest = min(planar_distance(center, p) for p in points)
+                want = score(classify(MEDICINE, nearest), SCHEME)
                 assert raster.values[row, col] == want
 
     def test_insertion_order_irrelevant(self):
@@ -210,7 +215,7 @@ class TestBuildMask:
         poly = Polygon.from_coords([(0, 0), (10, 0), (10, 10), (0, 10)])
         xs = np.array([5.0, 0.0, 20.0, 10.0])
         ys = np.array([0.0, 5.0, 5.0, 10.0])
-        got = _points_in_polygon_bulk(xs, ys, poly)
+        got = points_in_polygon(xs, ys, poly)
         assert got.tolist() == [True, True, False, True]
 
 

@@ -1,5 +1,7 @@
+import fcntl
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -304,6 +306,29 @@ def _with_text_population(d):
     return d
 
 
+def _with_geodesic_centroid_off_range(d):
+    del d["matrix"]
+    d["mode"] = "geodesic"
+    d["standard"] = {"kind": "radius", "radius": 1000.0}
+    d["areas"][0]["centroid"] = [200, 0]
+    return d
+
+
+def _config_argv(mutate):
+    def argv(config_path, tmp_path):
+        path = write_variant(config_path, mutate, "malformed.json")
+        return ["--config", str(path), "--out", str(tmp_path / "o"), "pipeline"]
+    return argv
+
+
+def _report_argv(text):
+    def argv(config_path, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text(text)
+        return ["--out", str(tmp_path / "o"), "report", "--report", str(path)]
+    return argv
+
+
 class TestCli:
     def test_pipeline_command(self, demo_config_path, tmp_path, capsys):
         out = tmp_path / "run"
@@ -400,6 +425,7 @@ class TestCli:
         (_as_top_level_list, "JSON object"),
         (_with_ragged_matrix, "matrix"),
         (_with_text_population, "areas[0].population"),
+        (_with_geodesic_centroid_off_range, "lon=200"),
     ])
     def test_malformed_instance_exits_2(self, tmp_path, capsys, mutate, field):
         instance = {
@@ -417,12 +443,41 @@ class TestCli:
         assert code == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, field", [
+        (_config_argv(lambda cfg: cfg["grid"].update(ncols="abc")), "grid.ncols"),
+        (_config_argv(lambda cfg: cfg["grid"].update(nrows=19.5)), "grid.nrows"),
+        (_config_argv(lambda cfg: cfg["grid"].update(origin=5)), "grid.origin"),
+        (_config_argv(lambda cfg: cfg.update(grid=5)), "grid must be an object"),
+        (_config_argv(lambda cfg: cfg["extraction"].update(max_proposed="14")),
+         "extraction.max_proposed"),
+        (_config_argv(lambda cfg: cfg.update(p_max="3")), "p_max"),
+        (_report_argv("{not json"), "not valid JSON"),
+        (_report_argv("[1, 2]"), "JSON object"),
+    ])
+    def test_malformed_config_or_report_exits_2(self, demo_config_path, tmp_path,
+                                                capsys, argv, field):
+        code = main(argv(demo_config_path, tmp_path))
+        assert code == 2
+        assert field in capsys.readouterr().err
+
     def test_locked_output_exits_4(self, demo_config_path, tmp_path):
         out = tmp_path / "locked"
         out.mkdir()
-        (out / ".branchsite.lock").touch()
-        code = main(["--config", str(demo_config_path), "--out", str(out), "pipeline"])
+        fd = os.open(out, os.O_RDONLY)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            code = main(["--config", str(demo_config_path), "--out", str(out),
+                         "pipeline"])
+        finally:
+            os.close(fd)
         assert code == 4
+
+    def test_leftover_lock_file_does_not_block(self, demo_config_path, tmp_path):
+        out = tmp_path / "stale"
+        out.mkdir()
+        (out / ".branchsite.lock").touch()
+        code = main(["--config", str(demo_config_path), "--out", str(out), "weights"])
+        assert code == 0
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["--out", str(tmp_path / "o"), "pipeline"]) == 2

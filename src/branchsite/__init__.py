@@ -59,7 +59,6 @@ from .overlay import (
     combine,
     rasterize,
     read_esri_ascii,
-    write_esri_ascii,
 )
 from .project import (
     ProjectConfig,

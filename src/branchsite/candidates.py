@@ -10,7 +10,6 @@ with remainders going to the higher tiers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -46,6 +45,11 @@ class CandidateSite:
         if self.tier is not None and self.tier not in TIERS:
             raise InputError(f"candidate {self.id!r}: unknown tier {self.tier!r}")
 
+    def to_dict(self) -> dict:
+        return {"id": self.id, "location": [self.location.x, self.location.y],
+                "score": self.score, "origin": self.origin, "tier": self.tier,
+                "fixed_open": self.fixed_open}
+
 
 @dataclass(frozen=True)
 class ExtractionConfig:
@@ -68,28 +72,25 @@ def extract(raster: ScoreRaster, cfg: ExtractionConfig,
     min_score (an empty-result signal, not an error). Zero-score cells are
     never eligible.
     """
-    eligible: list[tuple[float, int, int]] = []
     values = raster.values
-    for row in range(raster.grid.nrows):
-        for col in range(raster.grid.ncols):
-            v = values[row, col]
-            if math.isnan(v) or v <= 0.0 or v < cfg.min_score:
-                continue
-            eligible.append((float(v), row, col))
-    eligible.sort(key=lambda t: (-t[0], t[1], t[2]))
+    # NaN cells compare False, so they drop out with the non-positive ones
+    rows, cols = np.nonzero((values > 0.0) & (values >= cfg.min_score))
+    scores = values[rows, cols]
+    # np.nonzero is row-major, so the stable sort orders by (score desc, row, col)
+    order = np.argsort(-scores, kind="stable")
 
     picked: list[tuple[float, Point]] = []
     # coordinates of the picked sites, filled in pick order
-    xy = np.empty((2, min(cfg.max_proposed, len(eligible))))
-    for v, row, col in eligible:
+    xy = np.empty((2, min(cfg.max_proposed, len(order))))
+    for k in order:
         n = len(picked)
         if n >= cfg.max_proposed:
             break
-        center = raster.grid.cell_center(row, col)
+        center = raster.grid.cell_center(int(rows[k]), int(cols[k]))
         if (distances_to(xy[0, :n], xy[1, :n], center, mode) < cfg.min_separation).any():
             continue
         xy[:, n] = center.x, center.y
-        picked.append((v, center))
+        picked.append((float(scores[k]), center))
 
     width = max(2, len(str(cfg.max_proposed)))
     return [
@@ -154,23 +155,25 @@ def existing_site(site_id: str, location: Point, fixed_open: bool = False) -> Ca
     )
 
 
-def candidates_geojson(sites: Sequence[CandidateSite], meta: dict | None = None) -> dict:
-    """GeoJSON FeatureCollection with id/score/origin/tier properties.
+def candidates_geojson(rows: Sequence[dict], meta: dict | None = None) -> dict:
+    """GeoJSON FeatureCollection of ``CandidateSite.to_dict`` rows with
+    id/score/origin/tier properties.
 
     ``meta`` entries are added as top-level foreign members so the file
     identifies the run that produced it.
     """
     features = []
-    for s in sites:
+    for c in rows:
         features.append({
             "type": "Feature",
-            "geometry": {"type": "Point", "coordinates": [s.location.x, s.location.y]},
+            "geometry": {"type": "Point",
+                         "coordinates": [c["location"][0], c["location"][1]]},
             "properties": {
-                "id": s.id,
-                "score": None if s.score is None else float(s.score),
-                "origin": s.origin,
-                "tier": s.tier,
-                "fixed_open": s.fixed_open,
+                "id": c["id"],
+                "score": None if c["score"] is None else float(c["score"]),
+                "origin": c["origin"],
+                "tier": c["tier"],
+                "fixed_open": c["fixed_open"],
             },
         })
     payload = {"type": "FeatureCollection", "features": features}

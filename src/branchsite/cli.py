@@ -12,11 +12,8 @@ Exit codes: 0 success, 2 validation error, 3 solver refusal, 4 I/O error.
 
 from __future__ import annotations
 
-import fcntl
 import json
-import os
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -25,46 +22,26 @@ from .errors import BranchSiteError, InputError, SolverRefused, StageError
 from .fixture import write_fixture
 from .mclp import (
     coverage_curve,
-    coverage_table_csv,
     improve_swap,
     instance_from_json,
     solve_exact,
     solve_greedy,
 )
-from .overlay import esri_ascii_text, score_points_geojson
 from .project import (
     build_candidate_set,
     build_surface,
+    candidate_files,
+    curve_files,
     evaluate_weights,
+    json_text,
     load_project,
     render_report,
     run_pipeline,
+    surface_files,
+    weights_files,
+    write_artifacts,
     write_pipeline_artifacts,
 )
-from .candidates import candidates_geojson
-
-
-@contextmanager
-def _locked_output(out_dir: Path):
-    """One CLI process per output directory: an exclusive flock on the
-    directory itself. The kernel drops it when the process ends, however
-    it ends, so no stale lock can outlive a run."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    fd = os.open(out_dir, os.O_RDONLY)
-    try:
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except BlockingIOError:
-            raise OSError(
-                f"output directory {out_dir} is in use by another run"
-            ) from None
-        yield
-    finally:
-        os.close(fd)
-
-
-def _dump(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 @click.group()
@@ -99,18 +76,7 @@ def weights(ctx):
     cfg = load_project(_require_config(ctx))
     vector, gates = evaluate_weights(cfg)
     out = ctx.obj["out"]
-    with _locked_output(out):
-        payload = {
-            "config_digest": cfg.digest,
-            "mode": cfg.mode,
-            "weights": vector.as_dict(),
-            "consistency": [
-                {"matrix": g.matrix_id, "cr": g.cr, "threshold": g.threshold,
-                 "passed": g.passed}
-                for g in gates
-            ],
-        }
-        (out / "weights.json").write_text(_dump(payload))
+    write_artifacts(out, weights_files(cfg.meta, vector, gates))
     for g in gates:
         click.echo(f"{g.matrix_id}: CR={g.cr:.6f} "
                    f"{'pass' if g.passed else 'FAIL'}")
@@ -126,17 +92,7 @@ def score(ctx):
     cfg = load_project(_require_config(ctx))
     surface = build_surface(cfg)
     out = ctx.obj["out"]
-    with _locked_output(out):
-        (out / "score.asc").write_text(
-            esri_ascii_text(surface.score.grid, surface.score.values))
-        meta = {"config_digest": cfg.digest, "mode": cfg.mode}
-        (out / "score_points.geojson").write_text(
-            _dump(score_points_geojson(surface.score, meta=meta)))
-        raster_dir = out / "rasters"
-        raster_dir.mkdir(exist_ok=True)
-        for raster in surface.rasters:
-            (raster_dir / f"{raster.criterion_id}.asc").write_text(
-                esri_ascii_text(raster.grid, raster.values))
+    write_artifacts(out, surface_files(cfg.meta, surface.score, surface.rasters))
     click.echo(f"wrote {out / 'score.asc'} and {len(surface.rasters)} criterion rasters")
 
 
@@ -148,10 +104,7 @@ def candidates(ctx):
     surface = build_surface(cfg)
     tiered, merged = build_candidate_set(cfg, surface)
     out = ctx.obj["out"]
-    with _locked_output(out):
-        meta = {"config_digest": cfg.digest, "mode": cfg.mode}
-        (out / "candidates.geojson").write_text(
-            _dump(candidates_geojson(merged, meta=meta)))
+    write_artifacts(out, candidate_files(cfg.meta, [s.to_dict() for s in merged]))
     click.echo(f"{len(tiered)} proposed + {len(merged) - len(tiered)} existing "
                f"-> {out / 'candidates.geojson'}")
 
@@ -175,24 +128,21 @@ def solve(ctx, instance_path, p_single, p_max, method, override_cap):
         raise click.UsageError("pass exactly one of --p or --p-max")
     inst = instance_from_json(Path(instance_path).read_text())
     out = ctx.obj["out"]
-    with _locked_output(out):
-        if p_single is not None:
-            if method == "exact":
-                sol = solve_exact(inst, p_single, override_cap=override_cap)
-            else:
-                sol = improve_swap(inst, solve_greedy(inst, p_single))
-            (out / "solution.json").write_text(_dump(sol.to_dict()))
-            click.echo(f"p={sol.p}: {sol.coverage_pct:g}% covered "
-                       f"by {', '.join(sol.selected)}")
+    if p_single is not None:
+        if method == "exact":
+            sol = solve_exact(inst, p_single, override_cap=override_cap)
         else:
-            curve = coverage_curve(inst, p_max, method=method,
-                                   override_cap=override_cap)
-            (out / "solutions.json").write_text(
-                _dump({"rows": [r.to_dict() for r in curve.rows]}))
-            (out / "coverage.csv").write_text(coverage_table_csv(curve))
-            for row in curve.rows:
-                click.echo(f"p={row.p}: {row.coverage_pct:g}% "
-                           f"({', '.join(row.selected)})")
+            sol = improve_swap(inst, solve_greedy(inst, p_single))
+        write_artifacts(out, [("solution.json", json_text(sol.to_dict()))])
+        click.echo(f"p={sol.p}: {sol.coverage_pct:g}% covered "
+                   f"by {', '.join(sol.selected)}")
+    else:
+        curve = coverage_curve(inst, p_max, method=method,
+                               override_cap=override_cap)
+        write_artifacts(out, curve_files(curve.to_dict()))
+        for row in curve.rows:
+            click.echo(f"p={row.p}: {row.coverage_pct:g}% "
+                       f"({', '.join(row.selected)})")
 
 
 @cli.command()
@@ -202,8 +152,7 @@ def pipeline(ctx):
     cfg = load_project(_require_config(ctx))
     report = run_pipeline(cfg)
     out = ctx.obj["out"]
-    with _locked_output(out):
-        written = write_pipeline_artifacts(report, out)
+    written = write_pipeline_artifacts(report, out)
     if report.data["extraction_empty"]:
         click.echo("no cell reached the extraction threshold; "
                    "no coverage table was produced")
@@ -228,8 +177,7 @@ def report(ctx, report_path):
     if not isinstance(data, dict):
         raise InputError(f"report {report_path} must be a JSON object")
     out = ctx.obj["out"]
-    with _locked_output(out):
-        written = render_report(data, out)
+    written = render_report(data, out)
     click.echo(f"re-rendered {len(written)} files to {out}")
 
 

@@ -498,10 +498,6 @@ def _extend_by_best(inst: MclpInstance, prev: MclpSolution) -> MclpSolution:
                             gains=tuple(prev.marginal_gains) + (gain,))
 
 
-def instance_to_json(inst: MclpInstance) -> str:
-    return json.dumps(inst.to_dict(), indent=2, sort_keys=True) + "\n"
-
-
 def instance_from_json(text: str) -> MclpInstance:
     try:
         d = json.loads(text)
@@ -510,13 +506,14 @@ def instance_from_json(text: str) -> MclpInstance:
     return MclpInstance.from_dict(d)
 
 
-def coverage_table_csv(curve: CoverageCurve) -> str:
-    """CSV mirror of the solution table: p, selected ids, covering percentage."""
+def coverage_table_csv(rows: Sequence[dict]) -> str:
+    """CSV mirror of the solution table (``MclpSolution.to_dict`` rows): p,
+    selected ids, covering percentage."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["p", "selected_ids", "covering_percentage"])
-    for row in curve.rows:
-        writer.writerow([row.p, ";".join(row.selected), repr(row.coverage_pct)])
+    for row in rows:
+        writer.writerow([row["p"], ";".join(row["selected"]), repr(row["coverage_pct"])])
     return buf.getvalue()
 
 

@@ -307,10 +307,6 @@ def esri_ascii_text(grid: GridSpec, values: np.ndarray, nodata: float = NODATA) 
     return "\n".join(lines) + "\n"
 
 
-def write_esri_ascii(raster, path: str | Path, nodata: float = NODATA) -> None:
-    Path(path).write_text(esri_ascii_text(raster.grid, raster.values, nodata))
-
-
 def read_esri_ascii(path: str | Path) -> tuple[GridSpec, np.ndarray]:
     """Parse an Esri ASCII grid; nodata cells come back as NaN."""
     text = Path(path).read_text().strip().splitlines()

@@ -13,11 +13,14 @@ produce byte-identical artifacts (no timestamps anywhere).
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -74,10 +77,14 @@ from .weights import (
 )
 
 
-def _req(obj: dict, key: str, path: str):
+def _obj(obj, path: str) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError(f"config field {path} must be an object, got {obj!r}")
-    if key not in obj:
+    return obj
+
+
+def _req(obj: dict, key: str, path: str):
+    if key not in _obj(obj, path):
         raise ConfigError(f"missing config field: {path}.{key}")
     return obj[key]
 
@@ -113,6 +120,11 @@ class ProjectConfig:
     standard: CoverageStandard
     p_max: int
     solver: str
+
+    @property
+    def meta(self) -> dict:
+        """The keys that make each JSON artifact self-describing."""
+        return {"config_digest": self.digest, "mode": self.mode}
 
     def input_files(self) -> dict[str, Path]:
         """Every file the pipeline reads, keyed by config-relative name."""
@@ -152,7 +164,8 @@ def _parse_criterion(entry: dict, idx: int, base_dir: Path) -> tuple[NormalizedC
         raise ConfigError(f"{where}.layer: file not found: {layer_path}")
     if "categories" in entry:
         categories = {
-            name: parse_class(cls) for name, cls in entry["categories"].items()
+            name: parse_class(cls)
+            for name, cls in _obj(entry["categories"], f"{where}.categories").items()
         }
         spec = CriterionSpec(id=cid, kind=kind, categories=categories,
                              layer_ref=str(layer_rel))
@@ -219,7 +232,7 @@ def load_project(path: str | Path) -> ProjectConfig:
         nrows=_int(_req(gcfg, "nrows", "grid"), "grid.nrows"),
     )
 
-    scfg = cfg.get("scheme", {})
+    scfg = _obj(cfg.get("scheme", {}), "scheme")
     scheme = ScoreScheme(
         high=_num(scfg.get("high", 0.6), "scheme.high"),
         mid=_num(scfg.get("mid", 0.4), "scheme.mid"),
@@ -417,10 +430,15 @@ class RunReport:
 
     data: dict
     rasters: tuple[SuitabilityRaster, ...]
-    score: ScoreRaster | None
+    score: ScoreRaster
 
     def to_json(self) -> str:
-        return json.dumps(self.data, indent=2, sort_keys=True) + "\n"
+        return json_text(self.data)
+
+
+def _gate_rows(gates) -> list[dict]:
+    return [{"matrix": g.matrix_id, "cr": g.cr, "threshold": g.threshold,
+             "passed": g.passed} for g in gates]
 
 
 def evaluate_weights(cfg: ProjectConfig) -> tuple[WeightVector, tuple[GateResult, ...]]:
@@ -492,9 +510,8 @@ def run_pipeline(cfg: ProjectConfig) -> RunReport:
             for row in surface.score.values
         ]
         data = {
-            "config_digest": cfg.digest,
+            **cfg.meta,
             "input_digests": digests,
-            "mode": cfg.mode,
             "combine_mode": cfg.combine_mode.value,
             "scheme": {"high": cfg.scheme.high, "mid": cfg.scheme.mid,
                        "non": cfg.scheme.non},
@@ -502,23 +519,14 @@ def run_pipeline(cfg: ProjectConfig) -> RunReport:
                      "cell_size": cfg.grid.cell_size,
                      "ncols": cfg.grid.ncols, "nrows": cfg.grid.nrows},
             "weights": surface.weights.as_dict(),
-            "consistency": [
-                {"matrix": g.matrix_id, "cr": g.cr, "threshold": g.threshold,
-                 "passed": g.passed}
-                for g in surface.gates
-            ],
+            "consistency": _gate_rows(surface.gates),
             "criteria": [
                 {"id": spec.id, "kind": spec.kind,
                  "normalization_repairs": list(spec.repairs)}
                 for spec in cfg.criteria
             ],
             "extraction_empty": extraction_empty,
-            "candidates": [
-                {"id": s.id, "location": [s.location.x, s.location.y],
-                 "score": s.score, "origin": s.origin, "tier": s.tier,
-                 "fixed_open": s.fixed_open}
-                for s in merged
-            ],
+            "candidates": [s.to_dict() for s in merged],
             "solver": cfg.solver,
             "p_max": cfg.p_max,
             "curve": None if curve is None else [r.to_dict() for r in curve.rows],
@@ -545,91 +553,110 @@ def _score_raster_from_report(data: dict) -> ScoreRaster:
     return ScoreRaster(grid, values, mask, CombineMode(data["combine_mode"]))
 
 
-def _candidates_from_report(data: dict) -> list[CandidateSite]:
-    sites = []
-    for c in data["candidates"]:
-        sites.append(CandidateSite(
-            id=c["id"], location=Point(c["location"][0], c["location"][1]),
-            score=c["score"], origin=c["origin"], tier=c["tier"],
-            fixed_open=c["fixed_open"],
-        ))
-    return sites
-
-
-def _curve_csv_from_report(data: dict) -> str | None:
-    if not data.get("curve"):
-        return None
-    from .mclp import CoverageCurve, MclpSolution
-    rows = tuple(
-        MclpSolution(
-            p=r["p"], selected=tuple(r["selected"]), covered=tuple(r["covered"]),
-            objective=r["objective"], coverage_pct=r["coverage_pct"],
-            method=r["method"], optimal=r["optimal"],
-            marginal_gains=tuple(r.get("marginal_gains", ())),
-        )
-        for r in data["curve"]
-    )
-    return coverage_table_csv(CoverageCurve(rows))
-
-
-def _dump_json(payload: dict) -> str:
+def json_text(payload) -> str:
+    """The one JSON encoding of every JSON artifact and of report.json."""
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def render_report(data: dict, out_dir: str | Path) -> list[Path]:
-    """Re-emit every artifact from a report body. Removes anything it wrote
-    if a write fails partway.
+def write_artifacts(out_dir: str | Path, files: Iterable[tuple[str, str]]) -> list[Path]:
+    """Write each (name relative to ``out_dir``, text) pair, all or nothing.
 
-    JSON/GeoJSON artifacts embed the config digest and mode so each file is
-    self-describing; the Esri ASCII grid and the fixed-column coverage table
-    have no room for extra fields and stay bare.
+    Each text goes to a temporary sibling of its target; only once every
+    text is written are they renamed into place, so an error (in a
+    formatter or a write) leaves the previous files untouched and no
+    temporary behind. An exclusive ``flock`` on the directory keeps it to
+    one writer; the kernel drops it when the process ends, however it ends.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    meta = {"config_digest": data["config_digest"], "mode": data["mode"]}
-    score = _score_raster_from_report(data)
-    texts: list[tuple[Path, str]] = [
-        (out / "report.json", _dump_json(data)),
-        (out / "candidates.geojson",
-         _dump_json(candidates_geojson(_candidates_from_report(data), meta=meta))),
-        (out / "score.asc", esri_ascii_text(score.grid, score.values)),
-        (out / "score_points.geojson",
-         _dump_json(score_points_geojson(score, meta=meta))),
-    ]
-    csv_text = _curve_csv_from_report(data)
-    if csv_text is not None:
-        texts.append((out / "coverage.csv", csv_text))
-        texts.append((out / "solutions.json",
-                      _dump_json({**meta, "rows": data["curve"]})))
-    if data.get("instance") is not None:
-        texts.append((out / "instance.json",
-                      _dump_json({**meta, **data["instance"]})))
-
-    written: list[Path] = []
+    fd = os.open(out, os.O_RDONLY)
+    staged: list[tuple[Path, Path]] = []
     try:
-        for path, text in texts:
-            path.write_text(text)
-            written.append(path)
-    except OSError:
-        for path in written:
-            path.unlink(missing_ok=True)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise OSError(f"output directory {out} is in use by another run") from None
+        for name, text in files:
+            path = out / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp = path.with_name(f".{path.name}.tmp")
+            staged.append((tmp, path))
+            tmp.write_text(text)
+            del text  # keep one artifact text alive at a time
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
         raise
-    return written
+    finally:
+        os.close(fd)
+    return [path for _, path in staged]
+
+
+# One generator of (name, text) pairs per stage; each artifact format lives
+# in exactly one of them. ``meta`` (config digest and mode) makes each JSON
+# file self-describing; the Esri grids and the CSV have no room for it.
+
+def weights_files(meta: dict, weights: WeightVector, gates) -> Iterator[tuple[str, str]]:
+    yield "weights.json", json_text(
+        {**meta, "weights": weights.as_dict(), "consistency": _gate_rows(gates)})
+
+
+def surface_files(meta: dict, score: ScoreRaster,
+                  rasters: Iterable[SuitabilityRaster]) -> Iterator[tuple[str, str]]:
+    yield "score.asc", esri_ascii_text(score.grid, score.values)
+    yield "score_points.geojson", json_text(score_points_geojson(score, meta=meta))
+    for raster in rasters:
+        yield (f"rasters/{raster.criterion_id}.asc",
+               esri_ascii_text(raster.grid, raster.values))
+
+
+def candidate_files(meta: dict, rows: list[dict]) -> Iterator[tuple[str, str]]:
+    yield "candidates.geojson", json_text(candidates_geojson(rows, meta=meta))
+
+
+def curve_files(solutions: dict) -> Iterator[tuple[str, str]]:
+    """``solutions`` is ``{"rows": [solution dicts]}`` plus any meta keys."""
+    yield "coverage.csv", coverage_table_csv(solutions["rows"])
+    yield "solutions.json", json_text(solutions)
+
+
+def instance_files(meta: dict, instance: dict) -> Iterator[tuple[str, str]]:
+    yield "instance.json", json_text({**meta, **instance})
+
+
+def _run_files(data: dict, meta: dict, score: ScoreRaster,
+               rasters: Iterable[SuitabilityRaster]) -> Iterator[tuple[str, str]]:
+    yield "report.json", json_text(data)
+    yield from candidate_files(meta, data["candidates"])
+    yield from surface_files(meta, score, rasters)
+    if data.get("curve"):
+        yield from curve_files({**meta, "rows": data["curve"]})
+    if data.get("instance") is not None:
+        yield from instance_files(meta, data["instance"])
+
+
+def _meta(data: dict) -> dict:
+    return {"config_digest": data["config_digest"], "mode": data["mode"]}
+
+
+def render_report(data: dict, out_dir: str | Path) -> list[Path]:
+    """Re-emit every artifact but the criterion rasters from a report body.
+
+    A report with a missing or mistyped field raises ``InputError``.
+    """
+    try:
+        meta = _meta(data)
+        files = _run_files(data, meta, _score_raster_from_report(data), ())
+        return write_artifacts(out_dir, files)
+    except KeyError as exc:
+        raise InputError(f"report field {exc} is missing") from None
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise InputError(f"report is malformed: {exc}") from None
 
 
 def write_pipeline_artifacts(report: RunReport, out_dir: str | Path) -> list[Path]:
-    """render_report plus one Esri ASCII grid per criterion raster."""
-    out = Path(out_dir)
-    written = render_report(report.data, out)
-    raster_dir = out / "rasters"
-    raster_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        for raster in report.rasters:
-            path = raster_dir / f"{raster.criterion_id}.asc"
-            path.write_text(esri_ascii_text(raster.grid, raster.values))
-            written.append(path)
-    except OSError:
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise
-    return written
+    """Every artifact of a run, plus one Esri ASCII grid per criterion raster."""
+    return write_artifacts(out_dir, _run_files(report.data, _meta(report.data),
+                                               report.score, report.rasters))

@@ -181,7 +181,7 @@ class TestGeojson:
     def test_properties_rendered(self):
         sites = assign_tiers([CandidateSite("p01", Point(50, 50), 0.6, "proposed")])
         sites = merge(sites, [existing_site("e01", Point(10, 10))])
-        gj = candidates_geojson(sites)
+        gj = candidates_geojson([s.to_dict() for s in sites])
         assert gj["type"] == "FeatureCollection"
         props = [f["properties"] for f in gj["features"]]
         assert props[0] == {"id": "p01", "score": 0.6, "origin": "proposed",

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import random
 
@@ -29,7 +30,6 @@ from branchsite.mclp import (
     coverage_table_csv,
     improve_swap,
     instance_from_json,
-    instance_to_json,
     parse_coverage_table_csv,
     solve_exact,
     solve_greedy,
@@ -330,7 +330,7 @@ class TestSerialization:
     def test_instance_json_round_trip(self):
         rng = random.Random(137)
         inst = random_instance(rng, max_areas=8, max_cands=5)
-        text = instance_to_json(inst)
+        text = json.dumps(inst.to_dict())
         back = instance_from_json(text)
         assert np.array_equal(back.matrix, inst.matrix)
         assert [a.id for a in back.areas] == [a.id for a in inst.areas]
@@ -347,7 +347,7 @@ class TestSerialization:
 
     def test_coverage_table_round_trips_exactly(self):
         curve = coverage_curve(GREEDY_TRAP, 3, method="exact")
-        text = coverage_table_csv(curve)
+        text = coverage_table_csv([r.to_dict() for r in curve.rows])
         rows = parse_coverage_table_csv(text)
         assert len(rows) == 3
         for row, sol in zip(rows, curve.rows):

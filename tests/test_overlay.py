@@ -31,7 +31,6 @@ from branchsite.overlay import (
     rasterize,
     read_esri_ascii,
     score_points_geojson,
-    write_esri_ascii,
 )
 from branchsite.weights import WeightVector
 
@@ -339,7 +338,7 @@ class TestExports:
         mask[1, 2] = False
         r = make_raster(grid, "a", [[0.6, 0.4, 0.0], [0.4, 0.6, 0.6]], mask)
         path = tmp_path / "r.asc"
-        write_esri_ascii(r, path)
+        path.write_text(esri_ascii_text(r.grid, r.values))
         grid2, values = read_esri_ascii(path)
         assert grid2 == grid
         assert np.array_equal(values, r.values, equal_nan=True)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from branchsite import project
 from branchsite.cli import main
 from branchsite.errors import ConfigError, GateError, InputError
 from branchsite.mclp import parse_coverage_table_csv
@@ -286,6 +287,29 @@ class TestRenderedArtifacts:
                      "instance.json"):
             assert (out / name).read_bytes() == (artifact_dir / name).read_bytes(), name
 
+    def test_failed_write_leaves_previous_files(self, demo_report, tmp_path,
+                                                monkeypatch):
+        out = tmp_path / "out"
+        write_pipeline_artifacts(demo_report, out)
+        before = _dir_bytes(out)
+        calls = []
+
+        def failing_on_fourth_call(grid, values):
+            calls.append(grid)
+            if len(calls) == 4:
+                raise OSError("disk full")
+            return "changed\n"
+
+        monkeypatch.setattr(project, "esri_ascii_text", failing_on_fourth_call)
+        with pytest.raises(OSError, match="disk full"):
+            write_pipeline_artifacts(demo_report, out)
+        # same names (so no temporary is left) and the same bytes
+        assert _dir_bytes(out) == before
+
+
+def _dir_bytes(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
 
 def _without_population(d):
     del d["areas"][1]["population"]
@@ -398,6 +422,30 @@ class TestCli:
         assert code == 0
         assert (out2 / "report.json").read_bytes() == (out1 / "report.json").read_bytes()
 
+    def test_stage_commands_write_the_pipeline_bytes(self, demo_config_path, tmp_path):
+        config = ["--config", str(demo_config_path)]
+        pipe = tmp_path / "pipeline"
+        assert main(config + ["--out", str(pipe), "pipeline"]) == 0
+        for command in ("score", "candidates"):
+            out = tmp_path / command
+            assert main(config + ["--out", str(out), command]) == 0
+            files = _dir_bytes(out)
+            assert files == {rel: (pipe / rel).read_bytes() for rel in files}
+        assert len(_dir_bytes(tmp_path / "score")) == 14  # 2 + 12 criterion rasters
+
+        solved = tmp_path / "solve"
+        assert main(["--out", str(solved), "solve", "--instance",
+                     str(pipe / "instance.json"), "--p-max", "3"]) == 0
+        assert (solved / "coverage.csv").read_bytes() == (pipe / "coverage.csv").read_bytes()
+        rows = json.loads((pipe / "solutions.json").read_text())["rows"]
+        assert json.loads((solved / "solutions.json").read_text()) == {"rows": rows}
+
+        assert main(config + ["--out", str(tmp_path / "w"), "weights"]) == 0
+        weights = json.loads((tmp_path / "w" / "weights.json").read_text())
+        report = json.loads((pipe / "report.json").read_text())
+        assert weights == {key: report[key] for key in
+                           ("config_digest", "mode", "weights", "consistency")}
+
     def test_validation_error_exits_2(self, demo_config_path, tmp_path):
         path = write_variant(demo_config_path,
                              lambda cfg: cfg.__delitem__("grid"), "cli_bad.json")
@@ -453,6 +501,10 @@ class TestCli:
         (_config_argv(lambda cfg: cfg.update(p_max="3")), "p_max"),
         (_report_argv("{not json"), "not valid JSON"),
         (_report_argv("[1, 2]"), "JSON object"),
+        (_report_argv("{}"), "config_digest"),
+        (_config_argv(lambda cfg: cfg.update(scheme="x")), "field scheme must be an object"),
+        (_config_argv(lambda cfg: cfg["criteria"][6].update(categories=["High"])),
+         "criteria[6].categories"),
     ])
     def test_malformed_config_or_report_exits_2(self, demo_config_path, tmp_path,
                                                 capsys, argv, field):

@@ -5,10 +5,16 @@ Cells are scored at their centers. Row 0 is the southernmost row; exports
 write rows top-down as the Esri ASCII grid format expects. Combination
 accumulates rasters in criterion-id order so the result is bit-identical
 under any input permutation.
+
+The Esri grids and ``score_points.geojson`` are formatted from arrays: each
+distinct bit pattern of a float array is formatted once into a table of
+strings, which the cells then index, so the text is the same as formatting
+every cell on its own.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -83,11 +89,16 @@ class GridSpec:
             self.origin_y + (row + 0.5) * self.cell_size,
         )
 
-    def center_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(xs, ys) arrays of shape (nrows, ncols); identical arithmetic to
+    def center_axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(column xs, row ys) of the cell centers; identical arithmetic to
         cell_center so scalar and vector paths agree bit for bit."""
         xs = self.origin_x + (np.arange(self.ncols, dtype=float) + 0.5) * self.cell_size
         ys = self.origin_y + (np.arange(self.nrows, dtype=float) + 0.5) * self.cell_size
+        return xs, ys
+
+    def center_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(xs, ys) arrays of shape (nrows, ncols), from center_axes."""
+        xs, ys = self.center_axes()
         return np.broadcast_to(xs, (self.nrows, self.ncols)).copy(), \
             np.broadcast_to(ys[:, None], (self.nrows, self.ncols)).copy()
 
@@ -288,6 +299,24 @@ def combine(rasters: Sequence[SuitabilityRaster], weights,
     return ScoreRaster(grid, acc, mask.copy(), mode)
 
 
+def json_text(payload) -> str:
+    """The one JSON encoding of every JSON artifact and of report.json."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _text_table(values, fmt, nan_text: str) -> np.ndarray:
+    """``values`` as an object array of strings of the same shape.
+
+    ``fmt`` runs once per distinct bit pattern (so ``-0.0`` and ``0.0``
+    keep their own text) and every NaN becomes ``nan_text``.
+    """
+    values = np.ascontiguousarray(values, dtype=float)
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    table = np.array([nan_text if math.isnan(v) else fmt(v)
+                      for v in bits.view(float).tolist()], dtype=object)
+    return table[inverse].reshape(values.shape)
+
+
 def esri_ascii_text(grid: GridSpec, values: np.ndarray, nodata: float = NODATA) -> str:
     """Esri ASCII grid body; rows written north to south."""
     lines = [
@@ -298,12 +327,8 @@ def esri_ascii_text(grid: GridSpec, values: np.ndarray, nodata: float = NODATA) 
         f"CELLSIZE {grid.cell_size!r}",
         f"NODATA_VALUE {nodata!r}",
     ]
-    for row in range(grid.nrows - 1, -1, -1):
-        cells = [
-            repr(nodata) if math.isnan(v) else repr(float(v))
-            for v in values[row, :]
-        ]
-        lines.append(" ".join(cells))
+    cells = _text_table(values, repr, repr(nodata))
+    lines += [" ".join(row) for row in cells[::-1].tolist()]
     return "\n".join(lines) + "\n"
 
 
@@ -339,26 +364,39 @@ def read_esri_ascii(path: str | Path) -> tuple[GridSpec, np.ndarray]:
     return grid, values
 
 
-def score_points_geojson(raster, meta: dict | None = None) -> dict:
-    """GeoJSON FeatureCollection of in-area cell centers with their score.
+# One feature of score_points.geojson exactly as json_text indents it inside
+# the top-level "features" list; the %s are x, y and the score.
+_POINT_FEATURE = """\
+    {
+      "geometry": {
+        "coordinates": [
+          %s,
+          %s
+        ],
+        "type": "Point"
+      },
+      "properties": {
+        "score": %s
+      },
+      "type": "Feature"
+    }"""
+
+
+def score_points_geojson(raster, meta: dict | None = None) -> str:
+    """GeoJSON FeatureCollection text of the in-area cell centers with their
+    score, in row-major order; the same bytes as ``json_text`` of the dict.
 
     ``meta`` entries (config digest, mode, ...) are added as top-level
     foreign members so the file identifies the run that produced it.
     """
-    features = []
-    grid = raster.grid
-    for row in range(grid.nrows):
-        for col in range(grid.ncols):
-            v = raster.values[row, col]
-            if math.isnan(v):
-                continue
-            center = grid.cell_center(row, col)
-            features.append({
-                "type": "Feature",
-                "geometry": {"type": "Point", "coordinates": [center.x, center.y]},
-                "properties": {"score": float(v)},
-            })
-    payload = {"type": "FeatureCollection", "features": features}
-    if meta:
-        payload.update(meta)
-    return payload
+    text = json_text({"type": "FeatureCollection", "features": [], **(meta or {})})
+    rows, cols = np.nonzero(~np.isnan(raster.values))
+    if not len(rows):
+        return text
+    xs, ys = raster.grid.center_axes()
+    features = zip(_text_table(xs, json.dumps, "NaN")[cols].tolist(),
+                   _text_table(ys, json.dumps, "NaN")[rows].tolist(),
+                   _text_table(raster.values[rows, cols], json.dumps, "NaN").tolist())
+    block = ",\n".join(_POINT_FEATURE % f for f in features)
+    # at two spaces and after a newline, only the top-level key can match
+    return text.replace('\n  "features": []', f'\n  "features": [\n{block}\n  ]', 1)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import fcntl
 import hashlib
 import json
-import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -62,6 +61,7 @@ from .overlay import (
     build_mask,
     combine,
     esri_ascii_text,
+    json_text,
     parse_combine_mode,
     rasterize,
     score_points_geojson,
@@ -178,7 +178,7 @@ def _parse_criterion(entry: dict, idx: int, base_dir: Path) -> tuple[NormalizedC
 
 
 def _parse_hierarchy(cfg: dict, base_dir: Path) -> tuple[Hierarchy, float]:
-    hcfg = _req(cfg, "hierarchy", "config")
+    hcfg = _obj(_req(cfg, "hierarchy", "config"), "hierarchy")
     threshold = _num(hcfg.get("cr_threshold", 0.1), "hierarchy.cr_threshold")
     nodes = []
     for i, entry in enumerate(_req(hcfg, "nodes", "hierarchy")):
@@ -291,7 +291,8 @@ def load_project(path: str | Path) -> ProjectConfig:
                           "extraction.max_proposed"),
     )
 
-    standard = CoverageStandard.from_dict(_req(cfg, "standard", "config"))
+    standard = CoverageStandard.from_dict(
+        _obj(_req(cfg, "standard", "config"), "standard"))
     p_max = _int(_req(cfg, "p_max", "config"), "config.p_max")
     if p_max < 1:
         raise ConfigError(f"config.p_max must be >= 1, got {p_max}")
@@ -505,10 +506,8 @@ def run_pipeline(cfg: ProjectConfig) -> RunReport:
             name: hashlib.sha256(p.read_bytes()).hexdigest()
             for name, p in cfg.input_files().items()
         }
-        score_values = [
-            [None if math.isnan(v) else float(v) for v in row]
-            for row in surface.score.values
-        ]
+        values = surface.score.values
+        score_values = np.where(np.isnan(values), None, values).tolist()
         data = {
             **cfg.meta,
             "input_digests": digests,
@@ -544,18 +543,9 @@ def _grid_from_report(data: dict) -> GridSpec:
 
 def _score_raster_from_report(data: dict) -> ScoreRaster:
     grid = _grid_from_report(data)
-    values = np.array(
-        [[np.nan if v is None else v for v in row]
-         for row in data["score_raster"]["values"]],
-        dtype=float,
-    )
+    values = np.array(data["score_raster"]["values"], dtype=float)  # None -> NaN
     mask = ~np.isnan(values)
     return ScoreRaster(grid, values, mask, CombineMode(data["combine_mode"]))
-
-
-def json_text(payload) -> str:
-    """The one JSON encoding of every JSON artifact and of report.json."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def write_artifacts(out_dir: str | Path, files: Iterable[tuple[str, str]]) -> list[Path]:
@@ -606,7 +596,7 @@ def weights_files(meta: dict, weights: WeightVector, gates) -> Iterator[tuple[st
 def surface_files(meta: dict, score: ScoreRaster,
                   rasters: Iterable[SuitabilityRaster]) -> Iterator[tuple[str, str]]:
     yield "score.asc", esri_ascii_text(score.grid, score.values)
-    yield "score_points.geojson", json_text(score_points_geojson(score, meta=meta))
+    yield "score_points.geojson", score_points_geojson(score, meta=meta)
     for raster in rasters:
         yield (f"rasters/{raster.criterion_id}.asc",
                esri_ascii_text(raster.grid, raster.values))

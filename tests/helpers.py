@@ -1,7 +1,9 @@
 """Shared test utilities: random instance generation, enumeration oracles,
-solution checks, and a big-int bitmask reference for the heuristic solvers."""
+solution checks, a big-int bitmask reference for the heuristic solvers, and
+per-cell loop references for the raster formatters."""
 
 import itertools
+import math
 import random
 from typing import Sequence
 
@@ -18,6 +20,7 @@ from branchsite.mclp import (
     _finish_solution,
 )
 from branchsite.errors import InputError
+from branchsite.overlay import NODATA, GridSpec
 
 
 def random_instance(rng, max_areas=30, max_cands=12, density=0.4):
@@ -232,3 +235,53 @@ def reference_greedy_curve(inst: MclpInstance, p_max: int) -> CoverageCurve:
                 sol = ext
         rows.append(sol)
     return CoverageCurve(tuple(rows))
+
+
+# --- per-cell loop references for the raster formatters --------------------
+# The formatters as they were before they formatted each distinct value
+# once, kept verbatim; overlay's array formatters must give the same text.
+
+
+def reference_esri_ascii_text(grid: GridSpec, values: np.ndarray,
+                              nodata: float = NODATA) -> str:
+    """Esri ASCII grid body; rows written north to south."""
+    lines = [
+        f"NCOLS {grid.ncols}",
+        f"NROWS {grid.nrows}",
+        f"XLLCORNER {grid.origin_x!r}",
+        f"YLLCORNER {grid.origin_y!r}",
+        f"CELLSIZE {grid.cell_size!r}",
+        f"NODATA_VALUE {nodata!r}",
+    ]
+    for row in range(grid.nrows - 1, -1, -1):
+        cells = [
+            repr(nodata) if math.isnan(v) else repr(float(v))
+            for v in values[row, :]
+        ]
+        lines.append(" ".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def reference_score_points_geojson(raster, meta: dict | None = None) -> dict:
+    """GeoJSON FeatureCollection of in-area cell centers with their score.
+
+    ``meta`` entries (config digest, mode, ...) are added as top-level
+    foreign members so the file identifies the run that produced it.
+    """
+    features = []
+    grid = raster.grid
+    for row in range(grid.nrows):
+        for col in range(grid.ncols):
+            v = raster.values[row, col]
+            if math.isnan(v):
+                continue
+            center = grid.cell_center(row, col)
+            features.append({
+                "type": "Feature",
+                "geometry": {"type": "Point", "coordinates": [center.x, center.y]},
+                "properties": {"score": float(v)},
+            })
+    payload = {"type": "FeatureCollection", "features": features}
+    if meta:
+        payload.update(meta)
+    return payload

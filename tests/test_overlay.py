@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -24,15 +25,19 @@ from branchsite.geo import (
 from branchsite.overlay import (
     CombineMode,
     GridSpec,
+    ScoreRaster,
     SuitabilityRaster,
     build_mask,
     combine,
     esri_ascii_text,
+    json_text,
     rasterize,
     read_esri_ascii,
     score_points_geojson,
 )
 from branchsite.weights import WeightVector
+
+from helpers import reference_esri_ascii_text, reference_score_points_geojson
 
 HIGH = SuitabilityClass.HIGH_SUITABLE
 SUIT = SuitabilityClass.SUITABLE
@@ -355,7 +360,68 @@ class TestExports:
         grid = GridSpec(0, 0, 100, 2, 1)
         mask = np.array([[True, False]])
         r = make_raster(grid, "a", [[0.6, 0.4]], mask)
-        gj = score_points_geojson(r)
+        gj = json.loads(score_points_geojson(r))
         assert len(gj["features"]) == 1
         assert gj["features"][0]["geometry"]["coordinates"] == [50.0, 50.0]
         assert gj["features"][0]["properties"]["score"] == 0.6
+
+
+NAN, INF = math.nan, math.inf
+# Values whose text is easy to get wrong: signed zeros, infinities, the
+# smallest subnormal, exponent notation on both sides, a non-short repr.
+AWKWARD = [0.0, -0.0, INF, -INF, 5e-324, 1e16, 1e-5, 0.1 + 0.2, NAN, 0.6]
+
+FORMATTER_CASES = {
+    "signed_zeros": (GridSpec(0, 0, 10, 3, 2), [[0.0, -0.0, 0.0], [-0.0, NAN, 0.6]]),
+    "awkward_floats": (GridSpec(-5, 7, 2.5, 3, 2),
+                       [[INF, -INF, 5e-324], [1e16, 1e-5, 0.1 + 0.2]]),
+    "all_nan": (GridSpec(0, 0, 1, 2, 2), [[NAN, NAN], [NAN, NAN]]),
+    "single_cell": (GridSpec(3, 4, 100, 1, 1), [[0.6]]),
+    "non_square_fractional_origin": (
+        GridSpec(1234.567, -89.125, 0.3, 5, 2),
+        [[0.4, NAN, 0.1 + 0.2, 0.6, 0.0], [NAN, 0.6, 0.4, -0.0, 1e-5]]),
+}
+FORMATTER_METAS = [None, {"config_digest": "abc", "mode": "planar"},
+                   {"mode": "g\u00e9od\u00e9sique \u0627\u0635\u0641\u0647\u0627\u0646",
+                    "zz": ["\u00fc", 1]}]
+
+
+def _score_raster(grid, cells):
+    values = np.array(cells, dtype=float)
+    return ScoreRaster(grid, values, ~np.isnan(values), CombineMode.WEIGHTED_SUM)
+
+
+def _assert_formatters_match_reference(raster, meta):
+    assert (esri_ascii_text(raster.grid, raster.values)
+            == reference_esri_ascii_text(raster.grid, raster.values))
+    assert (score_points_geojson(raster, meta=meta)
+            == json_text(reference_score_points_geojson(raster, meta=meta)))
+
+
+class TestFormattersMatchReference:
+    """The array formatters give the per-cell loops' bytes exactly."""
+
+    @pytest.mark.parametrize("meta", FORMATTER_METAS)
+    @pytest.mark.parametrize("case", sorted(FORMATTER_CASES))
+    def test_named_rasters(self, case, meta):
+        grid, cells = FORMATTER_CASES[case]
+        _assert_formatters_match_reference(_score_raster(grid, cells), meta)
+
+    def test_drawn_rasters(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(
+            ncols=st.integers(1, 6), nrows=st.integers(1, 6),
+            origin=st.sampled_from([0.0, -0.0, 1234.567, -89.125, 1e16, 5e-324]),
+            cell_size=st.sampled_from([0.1 + 0.2, 1e-5, 2.5, 100.0]),
+            data=st.data(), meta=st.sampled_from(FORMATTER_METAS))
+        def check(ncols, nrows, origin, cell_size, data, meta):
+            cells = data.draw(st.lists(st.sampled_from(AWKWARD),
+                                       min_size=nrows * ncols, max_size=nrows * ncols))
+            grid = GridSpec(origin, -origin, cell_size, ncols, nrows)
+            raster = _score_raster(grid, np.reshape(cells, (nrows, ncols)))
+            _assert_formatters_match_reference(raster, meta)
+
+        check()

@@ -1,4 +1,5 @@
 import fcntl
+import hashlib
 import json
 import math
 import os
@@ -240,6 +241,50 @@ class TestPipeline:
         assert any("overlap" in r for r in entries["office_company"]["normalization_repairs"])
 
 
+# sha256 of every file `pipeline` writes for the demo project (fixture seed
+# 0), taken before the raster formatters worked from arrays.
+GOLDEN_DIGESTS = {
+    "candidates.geojson":
+        "60c21474a2c5f1c03e5c41e3b80bd7ed45a6f7e35824cb5686a60883c4c8b86b",
+    "coverage.csv":
+        "4695d1ddad71b2ca28606a6cac04342f3634a5f75333dbdd833c7590c6a246e4",
+    "instance.json":
+        "12bcaf6a8fea9908ce4f074739739a0b61c062bdf9455ed18988322b5a33ed4a",
+    "rasters/building_cost.asc":
+        "2c9b3357efec2d4142ffe2e1c858a6869fbb9c7e6e8b3f0e327db0e1829f4063",
+    "rasters/business_center.asc":
+        "9d7c5bf30328ee49eedb57db1b3d19ca3e3aa132599cee07766427848bfae3ca",
+    "rasters/competitor_branch.asc":
+        "4064373eaf62139fbbae736566919c1297598a6920a296c2f5ef1c75b39ef4a3",
+    "rasters/hotel_tourism.asc":
+        "9033ff527192d0dda74c774695b56262f89038a63d9f156a46e84528719f625e",
+    "rasters/income_level.asc":
+        "4f950c38d761843ced0fc2b7320b83d1f39d608e2d54e7e17e58e745c1ec151e",
+    "rasters/main_street.asc":
+        "a57659cdbb74632d143e1aa8eafa451bf843cd6b7fe56d6c0d5335675c62664c",
+    "rasters/medicine_center.asc":
+        "0290b1384a9ea93a4fa90b57a81d95afeb8204230af5c99aa91ff1b45342c776",
+    "rasters/office_company.asc":
+        "b62f4323f4c7f7eb1f27af313ed399e2a438af0ea4b160a848079f2922d26888",
+    "rasters/own_branch_distance.asc":
+        "9c52d10081c74baa1a6bd7396e643f45fbd49d3c53937241909abaabdbc5c309",
+    "rasters/parking.asc":
+        "c02c1357a2f3c34917a018d4799413690d66e6d92b94cfd368706ae872b4cc06",
+    "rasters/population_density.asc":
+        "3377d2989800d7da7ac22f9362898ae22880afd733c934c7bcca23db0e340146",
+    "rasters/transit_stop.asc":
+        "d1f13b293f2cf8e595c7d6c04a05a3eb5710597a39311786c633dadb90f1a75a",
+    "report.json":
+        "4d8569f92335cd6b0e96786db1b915b954e3c43495738ef84f9ba8b87396b7ff",
+    "score.asc":
+        "1fda74b31df0aab72d907bb2d6640f5c2f16813d0352caef0d7140e86c827c8c",
+    "score_points.geojson":
+        "094a04f3a7d323cb5a15cea4e52436812e1d915a21f3ecca73e7e8ffbebce13f",
+    "solutions.json":
+        "57fd630da4ef2b69ed6ff669992b63a2250d2de696525b1494b0d74d4784fbab",
+}
+
+
 @pytest.fixture(scope="module")
 def artifact_dir(demo_report, tmp_path_factory):
     out = tmp_path_factory.mktemp("artifacts")
@@ -277,6 +322,11 @@ class TestRenderedArtifacts:
         rasters = sorted(p.name for p in (artifact_dir / "rasters").glob("*.asc"))
         assert len(rasters) == 12
         assert "main_street.asc" in rasters
+
+    def test_artifacts_match_golden_digests(self, artifact_dir):
+        got = {str(p.relative_to(artifact_dir)): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in artifact_dir.rglob("*") if p.is_file()}
+        assert got == GOLDEN_DIGESTS
 
     def test_report_rerender_is_byte_identical(self, artifact_dir, tmp_path):
         data = json.loads((artifact_dir / "report.json").read_text())
@@ -505,6 +555,15 @@ class TestCli:
         (_config_argv(lambda cfg: cfg.update(scheme="x")), "field scheme must be an object"),
         (_config_argv(lambda cfg: cfg["criteria"][6].update(categories=["High"])),
          "criteria[6].categories"),
+        (_config_argv(lambda cfg: cfg.update(hierarchy=5)),
+         "field hierarchy must be an object"),
+        (_config_argv(lambda cfg: cfg.update(standard="x")),
+         "field standard must be an object"),
+        (_report_argv(json.dumps({
+            "config_digest": "0", "mode": "planar", "combine_mode": "weighted_sum",
+            "grid": {"origin": [0, 0], "cell_size": 1, "ncols": 2, "nrows": 1},
+            "score_raster": {"values": [[0.5, "high"]]}})),
+         "could not convert string to float: 'high'"),
     ])
     def test_malformed_config_or_report_exits_2(self, demo_config_path, tmp_path,
                                                 capsys, argv, field):

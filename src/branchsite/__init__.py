@@ -58,7 +58,6 @@ from .overlay import (
     build_mask,
     combine,
     rasterize,
-    read_esri_ascii,
 )
 from .project import (
     ProjectConfig,

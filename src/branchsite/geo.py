@@ -43,13 +43,16 @@ class Point:
             raise DomainError(f"point coordinates must be finite, got ({self.x}, {self.y})")
 
 
-def _check_geodesic_range(xs, ys) -> None:
-    xs, ys = np.atleast_1d(xs, ys)
+def check_geodesic_range(xs, ys) -> None:
+    """Raise DomainError naming the first point (xs[k], ys[k]), in flat
+    order, outside lon [-180, 180] or lat [-90, 90]; any shapes that
+    broadcast."""
+    xs, ys = np.broadcast_arrays(xs, ys)
     bad = ~((-180.0 <= xs) & (xs <= 180.0) & (-90.0 <= ys) & (ys <= 90.0))
     if bad.any():
         k = int(np.argmax(bad))
         raise DomainError(
-            f"geodesic coordinates out of range: lon={xs[k]}, lat={ys[k]} "
+            f"geodesic coordinates out of range: lon={xs.flat[k]}, lat={ys.flat[k]} "
             "(expected lon in [-180, 180], lat in [-90, 90])"
         )
 
@@ -64,8 +67,8 @@ def distances_to(xs: np.ndarray, ys: np.ndarray, q: Point,
         return np.sqrt(dx * dx + dy * dy)
     if mode != GEODESIC:
         raise DomainError(f"unknown coordinate mode: {mode!r}")
-    _check_geodesic_range(xs, ys)
-    _check_geodesic_range(q.x, q.y)
+    check_geodesic_range(xs, ys)
+    check_geodesic_range(q.x, q.y)
     lat1 = np.radians(ys)
     lat2 = np.radians(q.y)
     dlat = np.radians(q.y - ys)

@@ -18,7 +18,6 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -96,12 +95,6 @@ class GridSpec:
         ys = self.origin_y + (np.arange(self.nrows, dtype=float) + 0.5) * self.cell_size
         return xs, ys
 
-    def center_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(xs, ys) arrays of shape (nrows, ncols), from center_axes."""
-        xs, ys = self.center_axes()
-        return np.broadcast_to(xs, (self.nrows, self.ncols)).copy(), \
-            np.broadcast_to(ys[:, None], (self.nrows, self.ncols)).copy()
-
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
@@ -141,11 +134,15 @@ class ScoreRaster:
 
 
 def build_mask(grid: GridSpec, polygons: Sequence[Polygon]) -> np.ndarray:
-    """True where the cell center lies inside any of the polygons."""
-    xs, ys = grid.center_arrays()
+    """True where the cell center lies inside any of the polygons; each
+    polygon is tested only on the cells whose center lies in its bounds."""
+    xs, ys = grid.center_axes()
     mask = np.zeros(grid.shape, dtype=bool)
     for poly in polygons:
-        mask |= points_in_polygon(xs, ys, poly)
+        x0, y0, x1, y1 = poly.bounds
+        cols = slice(np.searchsorted(xs, x0, "left"), np.searchsorted(xs, x1, "right"))
+        rows = slice(np.searchsorted(ys, y0, "left"), np.searchsorted(ys, y1, "right"))
+        mask[rows, cols] |= points_in_polygon(*np.meshgrid(xs[cols], ys[rows]), poly)
     return mask
 
 
@@ -182,13 +179,16 @@ def rasterize(spec: NormalizedCriterion, features, grid: GridSpec,
     ``features`` is a point sequence for distance criteria, or a sequence of
     (Polygon, attribute) zones for categorical/density criteria. Zones may
     nest; the smallest zone containing the center wins, so the result does
-    not depend on feature order.
+    not depend on feature order. Only the in-area cells are computed, in
+    row-major order; each zone tests only those inside its bounds.
     """
     if mask is None:
         mask = np.ones(grid.shape, dtype=bool)
     if mask.shape != grid.shape:
         raise InputError("mask shape does not match the grid")
-    xs, ys = grid.center_arrays()
+    rows, cols = np.nonzero(mask)
+    cx, cy = grid.center_axes()
+    xs, ys = cx[cols], cy[rows]
     values = np.full(grid.shape, np.nan)
 
     if spec.kind in (KIND_CATEGORICAL, KIND_DENSITY):
@@ -199,25 +199,29 @@ def rasterize(spec: NormalizedCriterion, features, grid: GridSpec,
             raise InputError(
                 f"criterion {spec.id!r} expects (Polygon, attribute) zones"
             )
-        best_area = np.full(grid.shape, np.inf)
-        zone_idx = np.full(grid.shape, -1)
+        best_area = np.full(xs.shape, np.inf)
+        zone_idx = np.full(xs.shape, -1)
         for k, (poly, _value) in enumerate(zones):
-            contains = points_in_polygon(xs, ys, poly) & mask
-            take = contains & (poly.area < best_area)
+            x0, y0, x1, y1 = poly.bounds
+            near = np.flatnonzero((x0 <= xs) & (xs <= x1) & (y0 <= ys) & (ys <= y1))
+            contains = near[points_in_polygon(xs[near], ys[near], poly)]
+            take = contains[poly.area < best_area[contains]]
             best_area[take] = poly.area
             zone_idx[take] = k
-        missing = mask & (zone_idx < 0)
-        if missing.any():
-            row, col = map(int, np.argwhere(missing)[0])
+        missing = np.flatnonzero(zone_idx < 0)
+        if len(missing):
+            row, col = int(rows[missing[0]]), int(cols[missing[0]])
             center = grid.cell_center(row, col)
             raise InputError(
                 f"criterion {spec.id!r}: cell (row={row}, col={col}) at "
                 f"({center.x}, {center.y}) is covered by no zone polygon"
             )
-        for k, (_poly, value) in enumerate(zones):
-            cells = zone_idx == k
-            if cells.any():
-                values[cells] = score(classify(spec, value), scheme)
+        # a zone that wins no cell is never classified, so its attribute
+        # cannot raise; the others are classified in zone order
+        scores = np.full(len(zones), np.nan)
+        for k in np.flatnonzero(np.bincount(zone_idx, minlength=len(zones))).tolist():
+            scores[k] = score(classify(spec, zones[k][1]), scheme)
+        values[rows, cols] = scores[zone_idx]
         return SuitabilityRaster(grid, spec.id, values, mask.copy())
 
     points = list(features)
@@ -226,7 +230,7 @@ def rasterize(spec: NormalizedCriterion, features, grid: GridSpec,
     if not all(isinstance(p, Point) for p in points):
         raise InputError(f"criterion {spec.id!r} expects point features")
     raws = _min_distances(xs, ys, points, mode)
-    values[mask] = _classify_scores(spec, raws[mask], scheme)
+    values[rows, cols] = _classify_scores(spec, raws, scheme)
     return SuitabilityRaster(grid, spec.id, values, mask.copy())
 
 
@@ -330,38 +334,6 @@ def esri_ascii_text(grid: GridSpec, values: np.ndarray, nodata: float = NODATA) 
     cells = _text_table(values, repr, repr(nodata))
     lines += [" ".join(row) for row in cells[::-1].tolist()]
     return "\n".join(lines) + "\n"
-
-
-def read_esri_ascii(path: str | Path) -> tuple[GridSpec, np.ndarray]:
-    """Parse an Esri ASCII grid; nodata cells come back as NaN."""
-    text = Path(path).read_text().strip().splitlines()
-    header: dict[str, float] = {}
-    data_lines = []
-    for line in text:
-        parts = line.split()
-        if len(parts) == 2 and parts[0].upper() in (
-            "NCOLS", "NROWS", "XLLCORNER", "YLLCORNER", "CELLSIZE", "NODATA_VALUE"
-        ):
-            header[parts[0].upper()] = float(parts[1])
-        else:
-            data_lines.append(parts)
-    try:
-        grid = GridSpec(
-            origin_x=header["XLLCORNER"],
-            origin_y=header["YLLCORNER"],
-            cell_size=header["CELLSIZE"],
-            ncols=int(header["NCOLS"]),
-            nrows=int(header["NROWS"]),
-        )
-    except KeyError as exc:
-        raise InputError(f"esri ascii grid missing header field {exc}") from None
-    nodata = header.get("NODATA_VALUE", NODATA)
-    rows = [[float(v) for v in line] for line in data_lines]
-    if len(rows) != grid.nrows or any(len(r) != grid.ncols for r in rows):
-        raise InputError("esri ascii grid body does not match NCOLS/NROWS")
-    values = np.array(rows[::-1], dtype=float)  # back to row 0 = south
-    values[values == nodata] = np.nan
-    return grid, values
 
 
 # One feature of score_points.geojson exactly as json_text indents it inside

@@ -42,8 +42,15 @@ from .criteria import (
     parse_class,
     validate_spec,
 )
-from .errors import BranchSiteError, ConfigError, GateError, InputError, StageError
-from .geo import GEODESIC, MODES, Point, Polygon
+from .errors import (
+    BranchSiteError,
+    ConfigError,
+    DomainError,
+    GateError,
+    InputError,
+    StageError,
+)
+from .geo import GEODESIC, MODES, Point, Polygon, check_geodesic_range
 from .mclp import (
     CoverageStandard,
     DemandArea,
@@ -231,6 +238,14 @@ def load_project(path: str | Path) -> ProjectConfig:
         ncols=_int(_req(gcfg, "ncols", "grid"), "grid.ncols"),
         nrows=_int(_req(gcfg, "nrows", "grid"), "grid.nrows"),
     )
+    if mode == GEODESIC:
+        # the centers are monotone in row and column, so the first and the
+        # last cell bound every cell, masked or not
+        xs, ys = grid.center_axes()
+        try:
+            check_geodesic_range(xs[[0, -1]], ys[[0, -1]])
+        except DomainError as exc:
+            raise ConfigError(f"config field grid: {exc}") from None
 
     scfg = _obj(cfg.get("scheme", {}), "scheme")
     scheme = ScoreScheme(

@@ -1,16 +1,26 @@
 """Shared test utilities: random instance generation, enumeration oracles,
-solution checks, a big-int bitmask reference for the heuristic solvers, and
-per-cell loop references for the raster formatters."""
+solution checks, a big-int bitmask reference for the heuristic solvers,
+per-cell loop references for the raster formatters, full-grid references for
+the overlay kernels, and an Esri ASCII grid reader."""
 
 import itertools
 import math
 import random
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from branchsite.candidates import existing_site
-from branchsite.geo import Point
+from branchsite.criteria import (
+    KIND_CATEGORICAL,
+    KIND_DENSITY,
+    NormalizedCriterion,
+    ScoreScheme,
+    classify,
+    score,
+)
+from branchsite.geo import PLANAR, Point, Polygon, points_in_polygon
 from branchsite.mclp import (
     METHOD_GREEDY_SWAP,
     CoverageCurve,
@@ -20,7 +30,14 @@ from branchsite.mclp import (
     _finish_solution,
 )
 from branchsite.errors import InputError
-from branchsite.overlay import NODATA, GridSpec
+from branchsite.overlay import (
+    NODATA,
+    GridSpec,
+    SuitabilityRaster,
+    _classify_scores,
+    _is_zone_layer,
+    _min_distances,
+)
 
 
 def random_instance(rng, max_areas=30, max_cands=12, density=0.4):
@@ -285,3 +302,118 @@ def reference_score_points_geojson(raster, meta: dict | None = None) -> dict:
     if meta:
         payload.update(meta)
     return payload
+
+
+# --- full-grid references for the overlay kernels ---------------------------
+# build_mask and rasterize as they were before they computed only the cells
+# they keep, kept verbatim apart from the full (nrows, ncols) center arrays,
+# which the grid no longer builds; the masked kernels must give the same
+# arrays and the same errors.
+
+
+def _reference_center_arrays(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(xs, ys) arrays of shape (nrows, ncols), from center_axes."""
+    xs, ys = grid.center_axes()
+    return np.broadcast_to(xs, (grid.nrows, grid.ncols)).copy(), \
+        np.broadcast_to(ys[:, None], (grid.nrows, grid.ncols)).copy()
+
+
+def reference_build_mask(grid: GridSpec, polygons: Sequence[Polygon]) -> np.ndarray:
+    """True where the cell center lies inside any of the polygons."""
+    xs, ys = _reference_center_arrays(grid)
+    mask = np.zeros(grid.shape, dtype=bool)
+    for poly in polygons:
+        mask |= points_in_polygon(xs, ys, poly)
+    return mask
+
+
+def reference_rasterize(spec: NormalizedCriterion, features, grid: GridSpec,
+                        scheme: ScoreScheme, mask: np.ndarray | None = None,
+                        mode: str = PLANAR) -> SuitabilityRaster:
+    """Score one criterion at every in-area cell center.
+
+    ``features`` is a point sequence for distance criteria, or a sequence of
+    (Polygon, attribute) zones for categorical/density criteria. Zones may
+    nest; the smallest zone containing the center wins, so the result does
+    not depend on feature order.
+    """
+    if mask is None:
+        mask = np.ones(grid.shape, dtype=bool)
+    if mask.shape != grid.shape:
+        raise InputError("mask shape does not match the grid")
+    xs, ys = _reference_center_arrays(grid)
+    values = np.full(grid.shape, np.nan)
+
+    if spec.kind in (KIND_CATEGORICAL, KIND_DENSITY):
+        zones = list(features)
+        if not zones:
+            raise InputError(f"criterion {spec.id!r}: empty zone layer")
+        if not _is_zone_layer(zones):
+            raise InputError(
+                f"criterion {spec.id!r} expects (Polygon, attribute) zones"
+            )
+        best_area = np.full(grid.shape, np.inf)
+        zone_idx = np.full(grid.shape, -1)
+        for k, (poly, _value) in enumerate(zones):
+            contains = points_in_polygon(xs, ys, poly) & mask
+            take = contains & (poly.area < best_area)
+            best_area[take] = poly.area
+            zone_idx[take] = k
+        missing = mask & (zone_idx < 0)
+        if missing.any():
+            row, col = map(int, np.argwhere(missing)[0])
+            center = grid.cell_center(row, col)
+            raise InputError(
+                f"criterion {spec.id!r}: cell (row={row}, col={col}) at "
+                f"({center.x}, {center.y}) is covered by no zone polygon"
+            )
+        for k, (_poly, value) in enumerate(zones):
+            cells = zone_idx == k
+            if cells.any():
+                values[cells] = score(classify(spec, value), scheme)
+        return SuitabilityRaster(grid, spec.id, values, mask.copy())
+
+    points = list(features)
+    if not points:
+        raise InputError(f"criterion {spec.id!r}: empty feature layer")
+    if not all(isinstance(p, Point) for p in points):
+        raise InputError(f"criterion {spec.id!r} expects point features")
+    raws = _min_distances(xs, ys, points, mode)
+    values[mask] = _classify_scores(spec, raws[mask], scheme)
+    return SuitabilityRaster(grid, spec.id, values, mask.copy())
+
+
+# --- Esri ASCII grid reader --------------------------------------------------
+# Only the tests read the grids back; the package writes them.
+
+
+def read_esri_ascii(path: str | Path) -> tuple[GridSpec, np.ndarray]:
+    """Parse an Esri ASCII grid; nodata cells come back as NaN."""
+    text = Path(path).read_text().strip().splitlines()
+    header: dict[str, float] = {}
+    data_lines = []
+    for line in text:
+        parts = line.split()
+        if len(parts) == 2 and parts[0].upper() in (
+            "NCOLS", "NROWS", "XLLCORNER", "YLLCORNER", "CELLSIZE", "NODATA_VALUE"
+        ):
+            header[parts[0].upper()] = float(parts[1])
+        else:
+            data_lines.append(parts)
+    try:
+        grid = GridSpec(
+            origin_x=header["XLLCORNER"],
+            origin_y=header["YLLCORNER"],
+            cell_size=header["CELLSIZE"],
+            ncols=int(header["NCOLS"]),
+            nrows=int(header["NROWS"]),
+        )
+    except KeyError as exc:
+        raise InputError(f"esri ascii grid missing header field {exc}") from None
+    nodata = header.get("NODATA_VALUE", NODATA)
+    rows = [[float(v) for v in line] for line in data_lines]
+    if len(rows) != grid.nrows or any(len(r) != grid.ncols for r in rows):
+        raise InputError("esri ascii grid body does not match NCOLS/NROWS")
+    values = np.array(rows[::-1], dtype=float)  # back to row 0 = south
+    values[values == nodata] = np.nan
+    return grid, values

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from branchsite.errors import DomainError
@@ -8,6 +9,7 @@ from branchsite.geo import (
     EARTH_RADIUS_M,
     Point,
     Polygon,
+    distances_to,
     geodesic_distance,
     planar_distance,
     point_in_polygon,
@@ -86,6 +88,10 @@ class TestGeodesicDistance:
             geodesic_distance(Point(181.0, 0.0), Point(0.0, 0.0))
         with pytest.raises(DomainError):
             geodesic_distance(Point(0.0, 0.0), Point(0.0, 91.0))
+        # a 2-D coordinate array is named by its first bad cell
+        xs, ys = np.array([[0.0, 10.0], [179.0, 181.0]]), np.full((2, 2), 5.0)
+        with pytest.raises(DomainError, match="lon=181.0, lat=5.0"):
+            distances_to(xs, ys, Point(0.0, 0.0), "geodesic")
 
     def test_kernel_properties_random(self):
         rng = random.Random(11)

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from branchsite.cli import main
 from branchsite.errors import InputError
 from branchsite.geo import Point, geodesic_distance
 from branchsite.project import load_project, run_pipeline
@@ -143,3 +144,16 @@ def test_geodesic_rejects_out_of_range_layer(geodesic_project, tmp_path):
     variant.write_text(json.dumps(cfg))
     with pytest.raises(InputError, match="out of lon/lat range"):
         run_pipeline(load_project(variant))
+
+
+def test_geodesic_grid_past_antimeridian_exits_2(geodesic_project, tmp_path, capsys):
+    # the demand areas stay in range; only cells outside the study area pass
+    # lon 180, where no kernel that runs on the masked cells would see them
+    cfg = json.loads(geodesic_project.read_text())
+    cfg["grid"]["ncols"] = math.ceil((180.0 - ORIGIN[0]) / CELL) + 1
+    variant = geodesic_project.parent / "wide_grid_project.json"
+    variant.write_text(json.dumps(cfg))
+    code = main(["--config", str(variant), "--out", str(tmp_path / "o"), "pipeline"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config field grid" in err and "out of range" in err

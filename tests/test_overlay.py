@@ -14,7 +14,7 @@ from branchsite.criteria import (
     score,
     validate_spec,
 )
-from branchsite.errors import InputError
+from branchsite.errors import BranchSiteError, InputError
 from branchsite.geo import (
     Point,
     Polygon,
@@ -32,12 +32,17 @@ from branchsite.overlay import (
     esri_ascii_text,
     json_text,
     rasterize,
-    read_esri_ascii,
     score_points_geojson,
 )
 from branchsite.weights import WeightVector
 
-from helpers import reference_esri_ascii_text, reference_score_points_geojson
+from helpers import (
+    read_esri_ascii,
+    reference_build_mask,
+    reference_esri_ascii_text,
+    reference_rasterize,
+    reference_score_points_geojson,
+)
 
 HIGH = SuitabilityClass.HIGH_SUITABLE
 SUIT = SuitabilityClass.SUITABLE
@@ -165,14 +170,14 @@ class TestGridSpec:
         with pytest.raises(InputError):
             GridSpec(0, 0, 10, 0, 10)
 
-    def test_center_arrays_match_scalar_centers(self):
+    def test_center_axes_match_scalar_centers(self):
         grid = GridSpec(-130.0, 42.5, 12.5, 7, 5)
-        xs, ys = grid.center_arrays()
+        xs, ys = grid.center_axes()
         for row in range(5):
             for col in range(7):
                 c = grid.cell_center(row, col)
-                assert xs[row, col] == c.x
-                assert ys[row, col] == c.y
+                assert xs[col] == c.x
+                assert ys[row] == c.y
 
 
 class TestGeodesicRasterize:
@@ -221,6 +226,140 @@ class TestBuildMask:
         ys = np.array([0.0, 5.0, 5.0, 10.0])
         got = points_in_polygon(xs, ys, poly)
         assert got.tolist() == [True, True, False, True]
+
+
+def rect(x0, y0, x1, y1, holes=()):
+    return Polygon.from_coords([(x0, y0), (x1, y0), (x1, y1), (x0, y1)], holes)
+
+
+def _outcome(fn, *args, **kwargs):
+    """The function's result, or the type and text of the error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except BranchSiteError as exc:
+        return type(exc), str(exc)
+
+
+def _bits(values):
+    return np.ascontiguousarray(values).view(np.int64)
+
+
+def _assert_kernels_match_reference(grid, demand, zones, points, mode="planar",
+                                    distance_spec=MEDICINE):
+    """build_mask and rasterize give the full-grid references' arrays, or
+    their errors; ``demand=None`` rasterizes without a mask."""
+    mask = None
+    if demand is not None:
+        mask = build_mask(grid, demand)
+        assert np.array_equal(mask, reference_build_mask(grid, demand))
+    for spec, features in ((INCOME, zones), (distance_spec, points)):
+        got = _outcome(rasterize, spec, features, grid, SCHEME, mask=mask, mode=mode)
+        want = _outcome(reference_rasterize, spec, features, grid, SCHEME,
+                        mask=mask, mode=mode)
+        if isinstance(want, tuple):
+            assert got == want
+            continue
+        assert np.array_equal(_bits(got.values), _bits(want.values))
+        assert np.array_equal(got.mask, want.mask)
+
+
+# 10 x 8 cells of 10 m: centers on x = 5, 15, ..., 95 and y = 5, 15, ..., 75.
+KERNEL_GRID = GridSpec(0, 0, 10, 10, 8)
+KERNEL_POINTS = [Point(12.5, 33.0), Point(95.0, 75.0), Point(-40.0, 10.0)]
+GEO_DISTANCE = validate_spec(CriterionSpec(
+    id="clinic", kind="distance", direction="near_better",
+    bands=(Band(0, 500, HIGH), Band(500, 2000, SUIT), Band(2000, None, NON)),
+))
+
+KERNEL_CASES = {
+    "nested_zones": dict(
+        demand=[rect(0, 0, 70, 60), rect(40, 30, 100, 80)],
+        zones=[(rect(-10, -10, 110, 90), "Low"), (rect(20, 20, 60, 60), "Middle"),
+               (rect(30, 30, 50, 50), "High")]),
+    "zone_with_hole": dict(
+        demand=[rect(0, 0, 100, 80, holes=[[(30, 30), (70, 30), (70, 60), (30, 60)]])],
+        zones=[(rect(-10, -10, 110, 90, holes=[[(25, 25), (75, 25), (75, 55), (25, 55)]]),
+                "Middle"),
+               (rect(25, 25, 75, 55), "High"),
+               (rect(35, 35, 45, 45), "Low")]),
+    "past_and_outside_grid": dict(
+        demand=[rect(-50, -50, 55, 200), rect(500, 500, 600, 600),
+                rect(90, -30, 400, 20)],
+        zones=[(rect(-1000, -1000, 1000, 1000), "Middle"),
+               (rect(500, 500, 510, 510), "Unknown"),
+               (rect(-20, 60, 30, 150), "High")]),
+    "centers_on_edges": dict(
+        # edges and bounding boxes on the center lines x = 15, 55, 5, 65 and
+        # y = 15, 45, 5, 65; the hypotenuse x + y = 70 runs through centers;
+        # the last triangle's box touches y = 45 only away from the polygon
+        demand=[rect(15, 15, 55, 45), Polygon.from_coords([(5, 5), (65, 5), (5, 65)]),
+                Polygon.from_coords([(60, 0), (100, 0), (80, 45)])],
+        zones=[(Polygon.from_coords([(5, 5), (95, 5), (95, 75), (5, 75)]), "Low"),
+               (Polygon.from_coords([(5, 5), (65, 5), (5, 65)]), "High"),
+               (rect(15, 15, 55, 45), "Middle")]),
+    "empty_mask": dict(
+        demand=[rect(200, 200, 300, 300)],
+        zones=[(rect(0, 0, 10, 10), "Unknown")]),
+    "no_mask": dict(
+        demand=None,
+        zones=[(rect(0, 0, 100, 80), "Low"), (rect(0, 0, 50, 40), "High")]),
+    "uncovered_cell": dict(
+        demand=[rect(0, 0, 100, 80)],
+        zones=[(rect(0, 0, 100, 30), "Low"), (rect(0, 50, 100, 80), "High")]),
+}
+
+
+class TestMaskedKernelsMatchReference:
+    """The masked kernels give the full-grid kernels' arrays bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_named_cases(self, case):
+        _assert_kernels_match_reference(KERNEL_GRID, points=KERNEL_POINTS,
+                                        **KERNEL_CASES[case])
+
+    def test_geodesic(self):
+        grid = GridSpec(51.60, 32.60, 0.004, 9, 7)
+        demand = [rect(51.61, 32.605, 51.628, 32.63),
+                  Polygon.from_coords([(51.62, 32.60), (51.64, 32.61), (51.62, 32.628)])]
+        zones = [(rect(51.59, 32.59, 51.65, 32.64), "Middle"),
+                 (rect(51.614, 32.61, 51.626, 32.62), "High")]
+        points = [Point(51.63, 32.62), Point(51.61, 32.64)]
+        _assert_kernels_match_reference(grid, demand, zones, points, mode="geodesic",
+                                        distance_spec=GEO_DISTANCE)
+
+    def test_drawn_polygons(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        # half-cell lattice coordinates put centers on edges and box edges often
+        coord = st.integers(-4, 20).map(lambda k: k * 2.5)
+
+        @st.composite
+        def polygons(draw):
+            if draw(st.booleans()):
+                x0, x1 = sorted(draw(st.lists(coord, min_size=2, max_size=2, unique=True)))
+                y0, y1 = sorted(draw(st.lists(coord, min_size=2, max_size=2, unique=True)))
+                return rect(x0, y0, x1, y1)
+            xy = draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=3, unique=True))
+            (ax, ay), (bx, by), (cx, cy) = xy
+            hypothesis.assume((bx - ax) * (cy - ay) != (by - ay) * (cx - ax))
+            return Polygon.from_coords(xy)
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(
+            ncols=st.integers(1, 8), nrows=st.integers(1, 8),
+            cell_size=st.sampled_from([2.5, 5.0]),
+            demand=st.one_of(st.none(), st.lists(polygons(), min_size=1, max_size=3)),
+            zones=st.lists(st.tuples(polygons(), st.sampled_from(["High", "Middle", "Low"])),
+                           min_size=1, max_size=4),
+            base=st.booleans(),
+            points=st.lists(st.builds(Point, coord, coord), min_size=1, max_size=3))
+        def check(ncols, nrows, cell_size, demand, zones, base, points):
+            grid = GridSpec(0.0, 0.0, cell_size, ncols, nrows)
+            if base:  # a zone under everything, so most draws score every cell
+                zones = zones + [(rect(-20, -20, 60, 60), "Low")]
+            _assert_kernels_match_reference(grid, demand, zones, points)
+
+        check()
 
 
 class TestCombine:

@@ -308,7 +308,7 @@ class TestRenderedArtifacts:
         assert len(gj["features"]) == 23
 
     def test_score_raster_exports_consistent(self, artifact_dir, demo_report):
-        from branchsite.overlay import read_esri_ascii
+        from helpers import read_esri_ascii
         grid, values = read_esri_ascii(artifact_dir / "score.asc")
         assert grid.ncols == 60 and grid.nrows == 195
         embedded = demo_report.data["score_raster"]["values"]

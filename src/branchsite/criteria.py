@@ -134,12 +134,6 @@ class Segment:
         below = v < self.hi or (self.hi_inc and v == self.hi)
         return above and below
 
-    def describe(self) -> str:
-        left = "[" if self.lo_inc else "("
-        right = "]" if self.hi_inc else ")"
-        hi = "inf" if math.isinf(self.hi) else f"{self.hi:g}"
-        return f"{left}{self.lo:g}, {hi}{right} -> {self.cls.value}"
-
 
 @dataclass(frozen=True)
 class CriterionSpec:

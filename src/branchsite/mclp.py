@@ -515,16 +515,3 @@ def coverage_table_csv(rows: Sequence[dict]) -> str:
     for row in rows:
         writer.writerow([row["p"], ";".join(row["selected"]), repr(row["coverage_pct"])])
     return buf.getvalue()
-
-
-def parse_coverage_table_csv(text: str) -> list[tuple[int, tuple[str, ...], float]]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != ["p", "selected_ids", "covering_percentage"]:
-        raise InputError(f"unexpected coverage table header: {header}")
-    out = []
-    for row in reader:
-        if not row:
-            continue
-        out.append((int(row[0]), tuple(row[1].split(";")), float(row[2])))
-    return out

@@ -6,10 +6,13 @@ write rows top-down as the Esri ASCII grid format expects. Combination
 accumulates rasters in criterion-id order so the result is bit-identical
 under any input permutation.
 
-The Esri grids and ``score_points.geojson`` are formatted from arrays: each
-distinct bit pattern of a float array is formatted once into a table of
-strings, which the cells then index, so the text is the same as formatting
-every cell on its own.
+The Esri grids, ``score_points.geojson`` and the score raster inside
+``report.json`` are formatted from arrays: each distinct bit pattern of a
+float array is formatted once into a table of strings, which the cells then
+index, so the text is the same as formatting every cell on its own. The
+grids and the report's raster are also joined once per distinct row (rows
+repeat: every row outside the study area is the same), and each later
+occurrence of a row reuses that text.
 """
 
 from __future__ import annotations
@@ -321,6 +324,24 @@ def _text_table(values, fmt, nan_text: str) -> np.ndarray:
     return table[inverse].reshape(values.shape)
 
 
+def _row_texts(values, fmt, nan_text: str, sep: str) -> list[str]:
+    """One text per row of the 2-D ``values``: its cells' ``_text_table``
+    strings joined by ``sep``.
+
+    Rows are keyed by their bytes, so rows that differ only in ``-0.0`` and
+    ``0.0`` or in a NaN payload keep their own text; only the first
+    occurrence of each distinct row is formatted and joined.
+    """
+    values = np.ascontiguousarray(values, dtype=float)
+    slot: dict[bytes, int] = {}
+    order = [slot.setdefault(row.tobytes(), len(slot)) for row in values]
+    # the keys, in slot order, are the distinct rows' bytes
+    distinct = np.frombuffer(b"".join(slot), dtype=float)
+    cells = _text_table(distinct.reshape(len(slot), values.shape[1]), fmt, nan_text)
+    texts = [sep.join(row) for row in cells.tolist()]
+    return [texts[k] for k in order]
+
+
 def esri_ascii_text(grid: GridSpec, values: np.ndarray, nodata: float = NODATA) -> str:
     """Esri ASCII grid body; rows written north to south."""
     lines = [
@@ -331,8 +352,7 @@ def esri_ascii_text(grid: GridSpec, values: np.ndarray, nodata: float = NODATA) 
         f"CELLSIZE {grid.cell_size!r}",
         f"NODATA_VALUE {nodata!r}",
     ]
-    cells = _text_table(values, repr, repr(nodata))
-    lines += [" ".join(row) for row in cells[::-1].tolist()]
+    lines += _row_texts(values[::-1], repr, repr(nodata), " ")
     return "\n".join(lines) + "\n"
 
 
@@ -372,3 +392,17 @@ def score_points_geojson(raster, meta: dict | None = None) -> str:
     block = ",\n".join(_POINT_FEATURE % f for f in features)
     # at two spaces and after a newline, only the top-level key can match
     return text.replace('\n  "features": []', f'\n  "features": [\n{block}\n  ]', 1)
+
+
+def report_json_text(data: dict, score: ScoreRaster) -> str:
+    """``json_text(data)`` for a run report whose ``score_raster`` is
+    ``{"values": ...}`` holding ``score.values`` as float rows with NaN as
+    ``null``; the raster's rows are encoded by ``_row_texts``, not cell by
+    cell through the indenting encoder.
+    """
+    text = json_text({**data, "score_raster": {"values": []}})
+    rows = _row_texts(score.values, json.dumps, "null", ",\n        ")
+    block = ",\n".join(f"      [\n        {row}\n      ]" for row in rows)
+    # at two spaces and after a newline, only the top-level key can match
+    return text.replace('\n  "score_raster": {\n    "values": []',
+                        f'\n  "score_raster": {{\n    "values": [\n{block}\n    ]', 1)

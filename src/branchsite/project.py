@@ -17,6 +17,7 @@ import fcntl
 import hashlib
 import json
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -71,6 +72,7 @@ from .overlay import (
     json_text,
     parse_combine_mode,
     rasterize,
+    report_json_text,
     score_points_geojson,
 )
 from .weights import (
@@ -96,8 +98,15 @@ def _req(obj: dict, key: str, path: str):
     return obj[key]
 
 
+def _is_number(value) -> bool:
+    """A JSON number that converts to a float (no bool, no huge integer)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, float) or abs(value) <= sys.float_info.max
+
+
 def _num(value, path: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if not _is_number(value):
         raise ConfigError(f"config field {path} must be a number, got {value!r}")
     return float(value)
 
@@ -123,6 +132,7 @@ class ProjectConfig:
     existing_path: Path
     hierarchy: Hierarchy
     cr_threshold: float
+    gates: tuple[GateResult, ...]  # one per matrix, computed at load
     extraction: ExtractionConfig
     standard: CoverageStandard
     p_max: int
@@ -320,21 +330,53 @@ def load_project(path: str | Path) -> ProjectConfig:
         scheme=scheme, combine_mode=combine_mode, criteria=tuple(criteria),
         layer_paths=layer_paths, demand_path=demand_path,
         existing_path=existing_path, hierarchy=hierarchy,
-        cr_threshold=cr_threshold, extraction=extraction, standard=standard,
-        p_max=p_max, solver=solver,
+        cr_threshold=cr_threshold, gates=tuple(gates), extraction=extraction,
+        standard=standard, p_max=p_max, solver=solver,
     )
 
 
-def _load_geojson(path: Path) -> list[dict]:
+def _load_features(path: Path) -> Iterator[tuple[int, str, dict]]:
+    """(index, "<path> feature <index>", feature) for each feature of the
+    GeoJSON FeatureCollection at ``path``."""
     try:
         data = json.loads(path.read_text())
     except OSError as exc:
         raise InputError(f"cannot read layer {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"layer {path} is not valid JSON: {exc}") from exc
-    if data.get("type") != "FeatureCollection" or "features" not in data:
+    if (not isinstance(data, dict) or data.get("type") != "FeatureCollection"
+            or not isinstance(data.get("features"), list)):
         raise InputError(f"layer {path} is not a GeoJSON FeatureCollection")
-    return data["features"]
+    for i, feat in enumerate(data["features"]):
+        where = f"{path} feature {i}"
+        if not isinstance(feat, dict):
+            raise InputError(f"{where}: feature must be an object, got {feat!r}")
+        yield i, where, feat
+
+
+def _coordinates(feat: dict, kind: str, where: str):
+    geom = feat.get("geometry") or {}
+    gtype = geom.get("type") if isinstance(geom, dict) else None
+    if gtype != kind:
+        raise InputError(f"{where}: expected {kind} geometry, got {gtype!r}")
+    if "coordinates" not in geom:
+        raise InputError(f"{where}: {kind} geometry has no coordinates")
+    return geom["coordinates"]
+
+
+def _properties(feat: dict, where: str) -> dict:
+    props = feat.get("properties") or {}
+    if not isinstance(props, dict):
+        raise InputError(f"{where}: properties must be an object, got {props!r}")
+    return props
+
+
+def _position(value, where: str) -> Point:
+    """A GeoJSON position [x, y, ...]; coordinates past the second are ignored."""
+    if (not isinstance(value, list) or len(value) < 2
+            or not all(_is_number(v) for v in value[:2])):
+        raise InputError(f"{where}: expected an [x, y] position of numbers, got {value!r}")
+    return Point(float(value[0]), float(value[1]))
 
 
 def _check_mode_range(p: Point, mode: str, where: str):
@@ -344,37 +386,36 @@ def _check_mode_range(p: Point, mode: str, where: str):
 
 def load_point_layer(path: Path, mode: str) -> list[tuple[str | None, Point]]:
     out = []
-    for i, feat in enumerate(_load_geojson(path)):
-        geom = feat.get("geometry") or {}
-        if geom.get("type") != "Point":
-            raise InputError(
-                f"{path} feature {i}: expected Point geometry, got {geom.get('type')!r}"
-            )
-        x, y = geom["coordinates"][:2]
-        p = Point(float(x), float(y))
-        _check_mode_range(p, mode, f"{path} feature {i}")
-        fid = (feat.get("properties") or {}).get("id")
+    for _, where, feat in _load_features(path):
+        p = _position(_coordinates(feat, "Point", where), where)
+        _check_mode_range(p, mode, where)
+        fid = _properties(feat, where).get("id")
         out.append((None if fid is None else str(fid), p))
     return out
 
 
-def _polygon_from_geojson(geom: dict, where: str) -> Polygon:
-    if geom.get("type") != "Polygon":
-        raise InputError(f"{where}: expected Polygon geometry, got {geom.get('type')!r}")
-    rings = geom["coordinates"]
-    if not rings:
+def _polygon(feat: dict, mode: str, where: str) -> Polygon:
+    rings = _coordinates(feat, "Polygon", where)
+    if not isinstance(rings, list) or not rings:
         raise InputError(f"{where}: polygon has no rings")
-    return Polygon.from_coords(rings[0], holes=rings[1:])
+    for ring in rings:
+        if not isinstance(ring, list):
+            raise InputError(f"{where}: polygon ring must be a list, got {ring!r}")
+    try:
+        poly = Polygon(tuple(_position(v, where) for v in rings[0]),
+                       tuple(tuple(_position(v, where) for v in ring) for ring in rings[1:]))
+    except DomainError as exc:
+        raise InputError(f"{where}: {exc}") from None
+    for v in poly.exterior:
+        _check_mode_range(v, mode, where)
+    return poly
 
 
 def load_zone_layer(path: Path, mode: str) -> list[tuple[Polygon, object]]:
     out = []
-    for i, feat in enumerate(_load_geojson(path)):
-        where = f"{path} feature {i}"
-        poly = _polygon_from_geojson(feat.get("geometry") or {}, where)
-        for v in poly.exterior:
-            _check_mode_range(v, mode, where)
-        props = feat.get("properties") or {}
+    for _, where, feat in _load_features(path):
+        poly = _polygon(feat, mode, where)
+        props = _properties(feat, where)
         if "level" not in props:
             raise InputError(f"{where}: zone polygon is missing the 'level' property")
         out.append((poly, props["level"]))
@@ -383,21 +424,20 @@ def load_zone_layer(path: Path, mode: str) -> list[tuple[Polygon, object]]:
 
 def load_demand_layer(path: Path, mode: str) -> list[DemandArea]:
     out = []
-    for i, feat in enumerate(_load_geojson(path)):
-        where = f"{path} feature {i}"
-        poly = _polygon_from_geojson(feat.get("geometry") or {}, where)
-        for v in poly.exterior:
-            _check_mode_range(v, mode, where)
-        props = feat.get("properties") or {}
+    for i, where, feat in _load_features(path):
+        poly = _polygon(feat, mode, where)
+        props = _properties(feat, where)
         if "population" not in props:
             raise InputError(f"{where}: demand area is missing the 'population' property")
-        population = float(props["population"])
+        population = props["population"]
+        if not _is_number(population):
+            raise InputError(
+                f"{where}: 'population' must be a number, got {population!r}")
         aid = str(props.get("id", f"area{i + 1:02d}"))
         centroid = None
         if props.get("centroid") is not None:
-            cx, cy = props["centroid"][:2]
-            centroid = Point(float(cx), float(cy))
-        out.append(DemandArea(id=aid, population=population,
+            centroid = _position(props["centroid"], where)
+        out.append(DemandArea(id=aid, population=float(population),
                               centroid=centroid, geometry=poly))
     ids = [a.id for a in out]
     if len(set(ids)) != len(ids):
@@ -449,7 +489,7 @@ class RunReport:
     score: ScoreRaster
 
     def to_json(self) -> str:
-        return json_text(self.data)
+        return report_json_text(self.data, self.score)
 
 
 def _gate_rows(gates) -> list[dict]:
@@ -458,8 +498,7 @@ def _gate_rows(gates) -> list[dict]:
 
 
 def evaluate_weights(cfg: ProjectConfig) -> tuple[WeightVector, tuple[GateResult, ...]]:
-    gates = tuple(gate(m, cfg.cr_threshold) for m in cfg.hierarchy.matrices())
-    return synthesize(cfg.hierarchy, cfg.cr_threshold), gates
+    return synthesize(cfg.hierarchy, cfg.cr_threshold), cfg.gates
 
 
 def build_surface(cfg: ProjectConfig) -> SurfaceResult:
@@ -558,9 +597,15 @@ def _grid_from_report(data: dict) -> GridSpec:
 
 def _score_raster_from_report(data: dict) -> ScoreRaster:
     grid = _grid_from_report(data)
-    values = np.array(data["score_raster"]["values"], dtype=float)  # None -> NaN
+    cells = data["score_raster"]["values"]
+    values = np.array(cells, dtype=float)  # None -> NaN
     mask = ~np.isnan(values)
-    return ScoreRaster(grid, values, mask, CombineMode(data["combine_mode"]))
+    raster = ScoreRaster(grid, values, mask, CombineMode(data["combine_mode"]))
+    # numpy parses "0.5" as a float, but report.json is re-encoded from the
+    # floats, so a string cell would silently lose its quotes
+    if any(isinstance(v, str) for row in cells for v in row):
+        raise InputError("report field score_raster.values holds a string cell")
+    return raster
 
 
 def write_artifacts(out_dir: str | Path, files: Iterable[tuple[str, str]]) -> list[Path]:
@@ -633,7 +678,7 @@ def instance_files(meta: dict, instance: dict) -> Iterator[tuple[str, str]]:
 
 def _run_files(data: dict, meta: dict, score: ScoreRaster,
                rasters: Iterable[SuitabilityRaster]) -> Iterator[tuple[str, str]]:
-    yield "report.json", json_text(data)
+    yield "report.json", report_json_text(data, score)
     yield from candidate_files(meta, data["candidates"])
     yield from surface_files(meta, score, rasters)
     if data.get("curve"):
@@ -657,7 +702,7 @@ def render_report(data: dict, out_dir: str | Path) -> list[Path]:
         return write_artifacts(out_dir, files)
     except KeyError as exc:
         raise InputError(f"report field {exc} is missing") from None
-    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"report is malformed: {exc}") from None
 
 

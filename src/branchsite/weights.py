@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -299,11 +299,3 @@ def load_matrix_csv(path: str | Path, matrix_id: str | None = None) -> Compariso
         items=tuple(header),
         rows=tuple(data),
     )
-
-
-def consistent_matrix(matrix_id: str, items: Sequence[str],
-                      weights: Iterable[float]) -> ComparisonMatrix:
-    """Build the perfectly consistent matrix a[i][j] = w_i / w_j."""
-    w = list(weights)
-    rows = tuple(tuple(wi / wj for wj in w) for wi in w)
-    return ComparisonMatrix(id=matrix_id, items=tuple(items), rows=rows)

@@ -1,13 +1,16 @@
 """Shared test utilities: random instance generation, enumeration oracles,
 solution checks, a big-int bitmask reference for the heuristic solvers,
 per-cell loop references for the raster formatters, full-grid references for
-the overlay kernels, and an Esri ASCII grid reader."""
+the overlay kernels, consistent judgment matrices, and readers for the Esri
+ASCII grids and the coverage table."""
 
+import csv
+import io
 import itertools
 import math
 import random
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,6 +33,7 @@ from branchsite.mclp import (
     _finish_solution,
 )
 from branchsite.errors import InputError
+from branchsite.weights import ComparisonMatrix
 from branchsite.overlay import (
     NODATA,
     GridSpec,
@@ -383,8 +387,8 @@ def reference_rasterize(spec: NormalizedCriterion, features, grid: GridSpec,
     return SuitabilityRaster(grid, spec.id, values, mask.copy())
 
 
-# --- Esri ASCII grid reader --------------------------------------------------
-# Only the tests read the grids back; the package writes them.
+# --- Esri ASCII grid and coverage table readers -----------------------------
+# Only the tests read the artifacts back; the package writes them.
 
 
 def read_esri_ascii(path: str | Path) -> tuple[GridSpec, np.ndarray]:
@@ -417,3 +421,28 @@ def read_esri_ascii(path: str | Path) -> tuple[GridSpec, np.ndarray]:
     values = np.array(rows[::-1], dtype=float)  # back to row 0 = south
     values[values == nodata] = np.nan
     return grid, values
+
+
+def parse_coverage_table_csv(text: str) -> list[tuple[int, tuple[str, ...], float]]:
+    """The rows of a coverage.csv as (p, selected ids, covering percentage)."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader)
+    if header != ["p", "selected_ids", "covering_percentage"]:
+        raise InputError(f"unexpected coverage table header: {header}")
+    out = []
+    for row in reader:
+        if not row:
+            continue
+        out.append((int(row[0]), tuple(row[1].split(";")), float(row[2])))
+    return out
+
+
+# --- judgment matrices ---------------------------------------------------------
+
+
+def consistent_matrix(matrix_id: str, items: Sequence[str],
+                      weights: Iterable[float]) -> ComparisonMatrix:
+    """Build the perfectly consistent matrix a[i][j] = w_i / w_j."""
+    w = list(weights)
+    rows = tuple(tuple(wi / wj for wj in w) for wi in w)
+    return ComparisonMatrix(id=matrix_id, items=tuple(items), rows=rows)

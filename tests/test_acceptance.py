@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import enumerate_optimum, random_instance
+from helpers import consistent_matrix, enumerate_optimum, random_instance
 
 from branchsite.criteria import KIND_CATEGORICAL, ScoreScheme, classify
 from branchsite.mclp import (
@@ -30,7 +30,6 @@ from branchsite.weights import (
     RANDOM_INDEX,
     ComparisonMatrix,
     consistency_ratio,
-    consistent_matrix,
     gate,
     principal_weights,
 )

@@ -10,6 +10,7 @@ from helpers import (
     covering_candidates,
     enumerate_optimum,
     oracle_family,
+    parse_coverage_table_csv,
     random_instance,
     reference_greedy_curve,
     reference_improve_swap,
@@ -30,7 +31,6 @@ from branchsite.mclp import (
     coverage_table_csv,
     improve_swap,
     instance_from_json,
-    parse_coverage_table_csv,
     solve_exact,
     solve_greedy,
 )

@@ -32,6 +32,7 @@ from branchsite.overlay import (
     esri_ascii_text,
     json_text,
     rasterize,
+    report_json_text,
     score_points_geojson,
 )
 from branchsite.weights import WeightVector
@@ -506,9 +507,15 @@ class TestExports:
 
 
 NAN, INF = math.nan, math.inf
+# NaNs with other payloads than math.nan's, and a negative one
+NAN_1, NAN_2, NEG_NAN = np.array(
+    [0x7FF8000000000001, 0x7FF8000000000002, -0x0008000000000000],
+    dtype=np.int64).view(float).tolist()
 # Values whose text is easy to get wrong: signed zeros, infinities, the
-# smallest subnormal, exponent notation on both sides, a non-short repr.
-AWKWARD = [0.0, -0.0, INF, -INF, 5e-324, 1e16, 1e-5, 0.1 + 0.2, NAN, 0.6]
+# smallest subnormal, exponent notation on both sides, a non-short repr,
+# NaN payloads.
+AWKWARD = [0.0, -0.0, INF, -INF, 5e-324, 1e16, 1e-5, 0.1 + 0.2, NAN, 0.6,
+           NAN_1, NEG_NAN]
 
 FORMATTER_CASES = {
     "signed_zeros": (GridSpec(0, 0, 10, 3, 2), [[0.0, -0.0, 0.0], [-0.0, NAN, 0.6]]),
@@ -519,10 +526,27 @@ FORMATTER_CASES = {
     "non_square_fractional_origin": (
         GridSpec(1234.567, -89.125, 0.3, 5, 2),
         [[0.4, NAN, 0.1 + 0.2, 0.6, 0.0], [NAN, 0.6, 0.4, -0.0, 1e-5]]),
+    # the Esri grids and the report's raster are joined once per distinct row
+    "repeated_rows": (GridSpec(0, 0, 10, 3, 5),
+                      [[0.6, 0.4, NAN], [0.6, 0.4, NAN], [0.0, 0.4, 0.6],
+                       [0.6, 0.4, NAN], [0.0, 0.4, 0.6]]),
+    "all_nan_rows": (GridSpec(0, 0, 10, 3, 4),
+                     [[NAN, NAN, NAN], [0.6, NAN, 0.4], [NAN, NAN, NAN],
+                      [NAN, NAN, NAN]]),
+    "rows_differ_in_zero_sign": (GridSpec(0, 0, 10, 2, 4),
+                                 [[0.0, 0.6], [-0.0, 0.6], [0.0, 0.6], [-0.0, 0.6]]),
+    "rows_differ_in_nan_payload": (GridSpec(0, 0, 10, 2, 4),
+                                   [[NAN, 0.6], [NAN_1, 0.6], [NAN_2, 0.6],
+                                    [NEG_NAN, 0.6]]),
+    "single_row": (GridSpec(0, 0, 10, 4, 1), [[0.6, NAN, -0.0, 0.6]]),
+    "single_column": (GridSpec(0, 0, 10, 1, 5), [[0.6], [-0.0], [0.6], [NAN], [0.0]]),
 }
 FORMATTER_METAS = [None, {"config_digest": "abc", "mode": "planar"},
                    {"mode": "g\u00e9od\u00e9sique \u0627\u0635\u0641\u0647\u0627\u0646",
-                    "zz": ["\u00fc", 1]}]
+                    "zz": ["\u00fc", 1]},
+                   # the text each splice anchors on, inside string values
+                   {"config_digest": '\n  "features": []',
+                    "mode": '\n  "score_raster": {\n    "values": []'}]
 
 
 def _score_raster(grid, cells):
@@ -535,6 +559,10 @@ def _assert_formatters_match_reference(raster, meta):
             == reference_esri_ascii_text(raster.grid, raster.values))
     assert (score_points_geojson(raster, meta=meta)
             == json_text(reference_score_points_geojson(raster, meta=meta)))
+    # a run report holds the raster as rows of floats with NaN as None
+    values = np.where(np.isnan(raster.values), None, raster.values).tolist()
+    data = {**(meta or {}), "score_raster": {"values": values}, "p_max": 3}
+    assert report_json_text(data, raster) == json_text(data)
 
 
 class TestFormattersMatchReference:
@@ -562,5 +590,23 @@ class TestFormattersMatchReference:
             grid = GridSpec(origin, -origin, cell_size, ncols, nrows)
             raster = _score_raster(grid, np.reshape(cells, (nrows, ncols)))
             _assert_formatters_match_reference(raster, meta)
+
+        check()
+
+    def test_drawn_rasters_with_repeated_rows(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(ncols=st.integers(1, 4), nrows=st.integers(1, 8),
+                          data=st.data(), meta=st.sampled_from(FORMATTER_METAS))
+        def check(ncols, nrows, data, meta):
+            row = st.lists(st.sampled_from(AWKWARD), min_size=ncols, max_size=ncols)
+            palette = data.draw(st.lists(row, min_size=1, max_size=3))
+            picks = data.draw(st.lists(st.integers(0, len(palette) - 1),
+                                       min_size=nrows, max_size=nrows))
+            grid = GridSpec(0.0, 0.0, 2.5, ncols, nrows)
+            _assert_formatters_match_reference(
+                _score_raster(grid, [palette[k] for k in picks]), meta)
 
         check()

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from branchsite import project
 from branchsite.cli import main
 from branchsite.errors import ConfigError, GateError, InputError
-from branchsite.mclp import parse_coverage_table_csv
+from branchsite.overlay import json_text
 from branchsite.project import (
     load_demand_layer,
     load_existing_branches,
@@ -21,6 +22,8 @@ from branchsite.project import (
     run_pipeline,
     write_pipeline_artifacts,
 )
+
+from helpers import parse_coverage_table_csv
 
 
 def load_config_json(config_path):
@@ -66,6 +69,15 @@ class TestLoadProject:
         path = write_variant(demo_config_path, drop_leaf, "unreferenced.json")
         with pytest.raises(ConfigError, match="transit_stop"):
             load_project(path)
+
+    def test_weights_reuse_the_gates_of_the_load(self, demo_config_path, monkeypatch):
+        cfg = load_project(demo_config_path)
+        assert [g.matrix_id for g in cfg.gates] == [m.id for m in cfg.hierarchy.matrices()]
+        calls = []
+        monkeypatch.setattr(project, "gate", lambda *args: calls.append(args))
+        _, gates = project.evaluate_weights(cfg)
+        assert gates is cfg.gates
+        assert not calls
 
     def test_inconsistent_matrix_fails_gate_at_load(self, demo_config_path, tmp_path):
         base = Path(demo_config_path).parent
@@ -180,6 +192,9 @@ class TestPipeline:
         assert tiers.count("second") == 5
         assert tiers.count("third") == 4
         assert all(c["tier"] is None for c in cands if c["origin"] == "existing")
+
+    def test_report_text_is_json_text_of_data(self, demo_report):
+        assert demo_report.to_json() == json_text(demo_report.data)
 
     def test_rerun_is_byte_identical(self, demo_config_path, demo_report, tmp_path):
         cfg = load_project(demo_config_path)
@@ -395,6 +410,34 @@ def _config_argv(mutate):
     return argv
 
 
+def _layer_argv(layer, mutate):
+    """A pipeline run on a copy of the demo project whose ``layer`` file is
+    ``mutate``d; ``mutate`` returns the new layer body."""
+    def argv(config_path, tmp_path):
+        root = tmp_path / "project"
+        shutil.copytree(Path(config_path).parent, root)
+        path = root / "layers" / layer
+        path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
+        return ["--config", str(root / Path(config_path).name),
+                "--out", str(tmp_path / "o"), "pipeline"]
+    return argv
+
+
+def _set_in_features(keys, value):
+    """Mutation setting the item at the ``keys`` path under the layer's
+    features list; a ``value`` of None deletes the item."""
+    def mutate(layer):
+        obj = layer["features"]
+        for key in keys[:-1]:
+            obj = obj[key]
+        if value is None:
+            del obj[keys[-1]]
+        else:
+            obj[keys[-1]] = value
+        return layer
+    return mutate
+
+
 def _report_argv(text):
     def argv(config_path, tmp_path):
         path = tmp_path / "report.json"
@@ -549,6 +592,8 @@ class TestCli:
         (_config_argv(lambda cfg: cfg["extraction"].update(max_proposed="14")),
          "extraction.max_proposed"),
         (_config_argv(lambda cfg: cfg.update(p_max="3")), "p_max"),
+        (_config_argv(lambda cfg: cfg.update(scheme={"high": 10 ** 400})),
+         "config field scheme.high must be a number"),
         (_report_argv("{not json"), "not valid JSON"),
         (_report_argv("[1, 2]"), "JSON object"),
         (_report_argv("{}"), "config_digest"),
@@ -564,12 +609,53 @@ class TestCli:
             "grid": {"origin": [0, 0], "cell_size": 1, "ncols": 2, "nrows": 1},
             "score_raster": {"values": [[0.5, "high"]]}})),
          "could not convert string to float: 'high'"),
+        (_report_argv(json.dumps({
+            "config_digest": "0", "mode": "planar", "combine_mode": "weighted_sum",
+            "grid": {"origin": [0, 0], "cell_size": 1, "ncols": 2, "nrows": 1},
+            "score_raster": {"values": [[0.5, "0.5"]]}})),
+         "score_raster.values holds a string cell"),
+        (_report_argv(json.dumps({
+            "config_digest": "0", "mode": "planar", "combine_mode": "weighted_sum",
+            "grid": {"origin": [0, 0], "cell_size": 1, "ncols": 2, "nrows": 1},
+            "score_raster": {"values": [[0.5, 10 ** 400]]}})),
+         "int too large to convert to float"),
     ])
     def test_malformed_config_or_report_exits_2(self, demo_config_path, tmp_path,
                                                 capsys, argv, field):
         code = main(argv(demo_config_path, tmp_path))
         assert code == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (_layer_argv("demand_areas.geojson", lambda layer: layer["features"]),
+         "demand_areas.geojson is not a GeoJSON FeatureCollection"),
+        (_layer_argv("main_street.geojson", _set_in_features([1], 5)),
+         "main_street.geojson feature 1: feature must be an object"),
+        (_layer_argv("hotels.geojson",
+                     _set_in_features([0, "geometry", "coordinates"], None)),
+         "hotels.geojson feature 0: Point geometry has no coordinates"),
+        (_layer_argv("parking.geojson",
+                     _set_in_features([2, "geometry", "coordinates"], "12")),
+         "parking.geojson feature 2: expected an [x, y] position of numbers, got '12'"),
+        (_layer_argv("demand_areas.geojson",
+                     _set_in_features([3, "properties", "population"], "abc")),
+         "demand_areas.geojson feature 3: 'population' must be a number, got 'abc'"),
+        (_layer_argv("demand_areas.geojson",
+                     _set_in_features([4, "properties", "centroid"], [1])),
+         "demand_areas.geojson feature 4: expected an [x, y] position of numbers"),
+        (_layer_argv("demand_areas.geojson",
+                     _set_in_features([5, "properties", "population"], 10 ** 400)),
+         "demand_areas.geojson feature 5: 'population' must be a number"),
+        (_layer_argv("demand_areas.geojson",
+                     _set_in_features([6, "geometry", "coordinates"],
+                                      [[[0, 0], [1, 0], [2, 0], [0, 0]]])),
+         "demand_areas.geojson feature 6: polygon area must be strictly positive"),
+    ])
+    def test_malformed_layer_exits_2(self, demo_config_path, tmp_path, capsys,
+                                     argv, message):
+        code = main(argv(demo_config_path, tmp_path))
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_locked_output_exits_4(self, demo_config_path, tmp_path):
         out = tmp_path / "locked"

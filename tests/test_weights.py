@@ -11,12 +11,13 @@ from branchsite.weights import (
     HierarchyNode,
     WeightVector,
     consistency_ratio,
-    consistent_matrix,
     gate,
     load_matrix_csv,
     principal_weights,
     synthesize,
 )
+
+from helpers import consistent_matrix
 
 
 def oracle_cr(matrix: ComparisonMatrix) -> float:

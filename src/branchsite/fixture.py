@@ -10,20 +10,18 @@ matrices, and 9 existing branches. The layout is constructed so that
   * the maximal-coverage optima over the 23 merged candidates are exactly
     90% / 96% / 100% of the population for p = 1 / 2 / 3.
 
-``write_fixture`` re-derives and asserts those facts before writing anything,
-so a drifting constant fails loudly at generation time rather than skewing
-downstream results. The seed only jitters cosmetic extra amenity points; the
-load-bearing geometry is fixed.
+``tests/test_fixture.py`` re-derives those facts from the constants here, so
+a drifting constant fails a test rather than skewing downstream results. The
+seed only jitters cosmetic extra amenity points; the load-bearing geometry is
+fixed.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 from pathlib import Path
 
-from .errors import InputError
 from .geo import Point, planar_distance
 
 GRID = {"origin": [0.0, 0.0], "cell_size": 100.0, "ncols": 60, "nrows": 195}
@@ -310,74 +308,8 @@ def _project_config():
     }
 
 
-def _area_centroids():
-    return {
-        aid: ((x0 + x1) / 2.0, (y0 + y1) / 2.0)
-        for aid, x0, y0, x1, y1, _pop in DEMAND_AREAS
-    }
-
-
-def _certify():
-    """Re-derive the construction guarantees; raise if any drifted."""
-    peaks = [Point(x, y) for x, y in ALL_PEAKS]
-
-    for i, a in enumerate(peaks):
-        for b in peaks[i + 1:]:
-            d = planar_distance(a, b)
-            if d < MIN_SEPARATION_M:
-                raise InputError(f"fixture: seed cells {i} only {d:.0f} m apart")
-
-    for _, ex, ey in EXISTING_BRANCHES:
-        for p in peaks:
-            if planar_distance(Point(ex, ey), p) < 1000.0:
-                raise InputError("fixture: an existing branch sits within 1 km of a seed cell")
-
-    competitors = [(x + COMPETITOR_OFFSET_M, y) for x, y in ALL_PEAKS]
-    for p in peaks:
-        dists = sorted(planar_distance(p, Point(cx, cy)) for cx, cy in competitors)
-        if not 100.0 < dists[0] < 200.0:
-            raise InputError("fixture: nearest competitor outside the 100..200 m band")
-        if len(dists) > 1 and dists[1] <= 200.0:
-            raise InputError("fixture: second competitor too close to a seed cell")
-
-    for px, py in ALL_PEAKS:
-        inside = any(
-            x0 <= px <= x1 and y0 <= py <= y1
-            for _aid, x0, y0, x1, y1, _pop in DEMAND_AREAS
-        )
-        if not inside:
-            raise InputError(f"fixture: seed cell ({px}, {py}) outside every demand area")
-
-    # coverage optima by full enumeration over the 23 candidates
-    centroids = _area_centroids()
-    pops = {aid: pop for aid, _x0, _y0, _x1, _y1, pop in DEMAND_AREAS}
-    sites = [Point(x, y) for x, y in ALL_PEAKS]
-    sites += [Point(x, y) for _id, x, y in EXISTING_BRANCHES]
-    cover_sets = []
-    for site in sites:
-        covered = frozenset(
-            aid for aid, (cx, cy) in centroids.items()
-            if planar_distance(site, Point(cx, cy)) <= COVERAGE_RADIUS_M
-        )
-        cover_sets.append(covered)
-    total = sum(pops.values())
-    expected = {1: 90.0, 2: 96.0, 3: 100.0}
-    for p, want_pct in expected.items():
-        best = 0
-        for combo in itertools.combinations(range(len(sites)), p):
-            z = sum(pops[a] for a in frozenset().union(*(cover_sets[j] for j in combo)))
-            best = max(best, z)
-        got_pct = 100.0 * best / total
-        if got_pct != want_pct:
-            raise InputError(
-                f"fixture: enumeration gives {got_pct}% coverage for p={p}, "
-                f"expected {want_pct}%"
-            )
-
-
 def write_fixture(target_dir: str | Path, seed: int = 0) -> Path:
     """Write the demo project into target_dir and return the config path."""
-    _certify()
     rng = random.Random(seed)
     target = Path(target_dir)
     layers = target / "layers"

@@ -2,9 +2,14 @@
 combination over a uniform analysis grid.
 
 Cells are scored at their centers. Row 0 is the southernmost row; exports
-write rows top-down as the Esri ASCII grid format expects. Combination
-accumulates rasters in criterion-id order so the result is bit-identical
-under any input permutation.
+write rows top-down as the Esri ASCII grid format expects. Only the cells
+inside the study-area mask are scored and combined. A distance criterion
+measures each feature point only on the cells within the criterion's reach
+(its largest finite band edge) plus one cell; a cell farther than that from
+every point gets the score of the top band, the one unbounded above, which
+is the score its exact distance would get. Combination accumulates the
+masked cells in criterion-id order so the result is bit-identical under any
+input permutation.
 
 The Esri grids, ``score_points.geojson`` and the score raster inside
 ``report.json`` are formatted from arrays: each distinct bit pattern of a
@@ -33,8 +38,17 @@ from .criteria import (
     classify,
     score,
 )
-from .errors import InputError
-from .geo import PLANAR, Point, Polygon, distances_to, points_in_polygon
+from .errors import DomainError, InputError
+from .geo import (
+    EARTH_RADIUS_M,
+    GEODESIC,
+    PLANAR,
+    Point,
+    Polygon,
+    check_geodesic_range,
+    distances_to,
+    points_in_polygon,
+)
 from .weights import WeightVector
 
 MAX_CELLS = 4_000_000
@@ -149,11 +163,55 @@ def build_mask(grid: GridSpec, polygons: Sequence[Polygon]) -> np.ndarray:
     return mask
 
 
-def _min_distances(xs: np.ndarray, ys: np.ndarray, points: Sequence[Point],
-                   mode: str) -> np.ndarray:
-    best = np.full(xs.shape, np.inf)
-    for p in points:
-        np.minimum(best, distances_to(xs, ys, p, mode), out=best)
+def _reach(spec: NormalizedCriterion) -> float:
+    """The largest finite band edge: the segments cover [0, inf), so every
+    distance above it falls in the one segment unbounded above."""
+    return max((edge for seg in spec.segments for edge in (seg.lo, seg.hi)
+                if math.isfinite(edge)), default=0.0)
+
+
+def _nearest_distances(points: Sequence[Point], grid: GridSpec, mask: np.ndarray,
+                       reach: float, mode: str) -> np.ndarray:
+    """A grid of the distance from each masked cell center to the nearest
+    point, or inf where every point is farther than ``reach``; the cells
+    outside the mask hold any distance or inf.
+
+    Each point is measured only on its window: the cells whose centers lie
+    within ``reach`` plus one cell of it, cut to the bounding box of the
+    mask. In geodesic mode the window is the rows within that latitude span,
+    since the haversine distance is at least R * |dlat|. A window broadcasts
+    the center axes, so every cell goes through the same IEEE operations as
+    when it is measured on its own.
+    """
+    cx, cy = grid.center_axes()
+    px = np.array([p.x for p in points])
+    py = np.array([p.y for p in points])
+    if mode == GEODESIC:
+        # a point whose window is empty is never measured, so check them all
+        xs, ys = np.broadcast_arrays(cx, cy[:, None])
+        check_geodesic_range(xs[mask], ys[mask])
+        check_geodesic_range(px, py)
+    elif mode != PLANAR:
+        raise DomainError(f"unknown coordinate mode: {mode!r}")
+    best = np.full(grid.shape, np.inf)
+    # the rows and columns of the mask's bounding box
+    rows = np.flatnonzero(mask.any(axis=1))
+    cols = np.flatnonzero(mask.any(axis=0))
+    if not len(rows):
+        return best
+    if mode == PLANAR:
+        pad = reach + grid.cell_size
+        c0, c1 = np.searchsorted(cx, [px - pad, px + pad])
+    else:
+        pad = math.degrees(reach / EARTH_RADIUS_M) + grid.cell_size
+        c0, c1 = np.zeros(px.shape, int), np.full(px.shape, grid.ncols)
+    r0, r1 = np.clip(np.searchsorted(cy, [py - pad, py + pad]), rows[0], rows[-1] + 1)
+    c0, c1 = np.clip([c0, c1], cols[0], cols[-1] + 1)
+    for p, a, b, c, d in zip(points, r0.tolist(), r1.tolist(), c0.tolist(), c1.tolist()):
+        if a < b and c < d:
+            window = best[a:b, c:d]
+            np.minimum(window, distances_to(cx[None, c:d], cy[a:b, None], p, mode),
+                       out=window)
     return best
 
 
@@ -184,15 +242,17 @@ def rasterize(spec: NormalizedCriterion, features, grid: GridSpec,
     nest; the smallest zone containing the center wins, so the result does
     not depend on feature order. Only the in-area cells are computed, in
     row-major order; each zone tests only those inside its bounds.
+
+    A distance criterion's bands tell distances apart only up to its reach,
+    the largest finite band edge; every distance past it falls in the top
+    segment, the one unbounded above. So each point is measured only on the
+    window of cells within reach plus one cell of it, and an in-area cell
+    that no window reaches gets the top segment's score. The scores are the
+    ones of measuring every in-area cell against every point.
     """
-    if mask is None:
-        mask = np.ones(grid.shape, dtype=bool)
+    mask = np.ones(grid.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     if mask.shape != grid.shape:
         raise InputError("mask shape does not match the grid")
-    rows, cols = np.nonzero(mask)
-    cx, cy = grid.center_axes()
-    xs, ys = cx[cols], cy[rows]
-    values = np.full(grid.shape, np.nan)
 
     if spec.kind in (KIND_CATEGORICAL, KIND_DENSITY):
         zones = list(features)
@@ -202,6 +262,9 @@ def rasterize(spec: NormalizedCriterion, features, grid: GridSpec,
             raise InputError(
                 f"criterion {spec.id!r} expects (Polygon, attribute) zones"
             )
+        rows, cols = np.nonzero(mask)
+        cx, cy = grid.center_axes()
+        xs, ys = cx[cols], cy[rows]
         best_area = np.full(xs.shape, np.inf)
         zone_idx = np.full(xs.shape, -1)
         for k, (poly, _value) in enumerate(zones):
@@ -224,6 +287,7 @@ def rasterize(spec: NormalizedCriterion, features, grid: GridSpec,
         scores = np.full(len(zones), np.nan)
         for k in np.flatnonzero(np.bincount(zone_idx, minlength=len(zones))).tolist():
             scores[k] = score(classify(spec, zones[k][1]), scheme)
+        values = np.full(grid.shape, np.nan)
         values[rows, cols] = scores[zone_idx]
         return SuitabilityRaster(grid, spec.id, values, mask.copy())
 
@@ -232,8 +296,15 @@ def rasterize(spec: NormalizedCriterion, features, grid: GridSpec,
         raise InputError(f"criterion {spec.id!r}: empty feature layer")
     if not all(isinstance(p, Point) for p in points):
         raise InputError(f"criterion {spec.id!r} expects point features")
-    raws = _min_distances(xs, ys, points, mode)
-    values[rows, cols] = _classify_scores(spec, raws, scheme)
+    reach = _reach(spec)
+    # the distance grid becomes the score grid, saving a fresh grid per raster
+    values = _nearest_distances(points, grid, mask, reach, mode)
+    raws = values[mask]
+    # a cell no window reached is farther than reach from every point, where
+    # only the top segment lies: score it as a distance just past reach
+    raws[np.isinf(raws)] = np.nextafter(reach, np.inf)
+    values.fill(np.nan)
+    values[mask] = _classify_scores(spec, raws, scheme)
     return SuitabilityRaster(grid, spec.id, values, mask.copy())
 
 
@@ -288,22 +359,24 @@ def combine(rasters: Sequence[SuitabilityRaster], weights,
 
     # canonical order by criterion id: bit-identical under input permutation
     order = sorted(range(len(rasters)), key=lambda k: rasters[k].criterion_id)
+    cells = int(mask.sum())
     if mode is CombineMode.WEIGHTED_SUM:
-        acc = np.zeros(grid.shape)
+        acc = np.zeros(cells)
         for k in order:
-            acc = acc + w_list[k] * rasters[k].values
+            acc = acc + w_list[k] * rasters[k].values[mask]
     elif mode is CombineMode.LITERAL_PRODUCT:
-        acc = np.ones(grid.shape)
+        acc = np.ones(cells)
         for k in order:
-            acc = acc * (w_list[k] * rasters[k].values)
+            acc = acc * (w_list[k] * rasters[k].values[mask])
     elif mode is CombineMode.WEIGHTED_GEOMETRIC:
-        acc = np.ones(grid.shape)
+        acc = np.ones(cells)
         for k in order:
-            acc = acc * np.power(rasters[k].values, w_list[k])
+            acc = acc * np.power(rasters[k].values[mask], w_list[k])
     else:
         raise InputError(f"unknown combine mode: {mode!r}")
-    acc[~mask] = np.nan
-    return ScoreRaster(grid, acc, mask.copy(), mode)
+    values = np.full(grid.shape, np.nan)
+    values[mask] = acc
+    return ScoreRaster(grid, values, mask.copy(), mode)
 
 
 def json_text(payload) -> str:

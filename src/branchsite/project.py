@@ -371,24 +371,26 @@ def _properties(feat: dict, where: str) -> dict:
     return props
 
 
-def _position(value, where: str) -> Point:
-    """A GeoJSON position [x, y, ...]; coordinates past the second are ignored."""
+def _position(value, where: str, mode: str) -> Point:
+    """A GeoJSON position [x, y, ...] in the coordinate mode; coordinates
+    past the second are ignored."""
     if (not isinstance(value, list) or len(value) < 2
             or not all(_is_number(v) for v in value[:2])):
         raise InputError(f"{where}: expected an [x, y] position of numbers, got {value!r}")
-    return Point(float(value[0]), float(value[1]))
-
-
-def _check_mode_range(p: Point, mode: str, where: str):
-    if mode == GEODESIC and not (-180.0 <= p.x <= 180.0 and -90.0 <= p.y <= 90.0):
-        raise InputError(f"{where}: coordinates ({p.x}, {p.y}) out of lon/lat range")
+    p = Point(float(value[0]), float(value[1]))
+    if mode == GEODESIC:
+        try:
+            check_geodesic_range(p.x, p.y)
+        except DomainError:
+            raise InputError(
+                f"{where}: coordinates ({p.x}, {p.y}) out of lon/lat range") from None
+    return p
 
 
 def load_point_layer(path: Path, mode: str) -> list[tuple[str | None, Point]]:
     out = []
     for _, where, feat in _load_features(path):
-        p = _position(_coordinates(feat, "Point", where), where)
-        _check_mode_range(p, mode, where)
+        p = _position(_coordinates(feat, "Point", where), where, mode)
         fid = _properties(feat, where).get("id")
         out.append((None if fid is None else str(fid), p))
     return out
@@ -402,12 +404,11 @@ def _polygon(feat: dict, mode: str, where: str) -> Polygon:
         if not isinstance(ring, list):
             raise InputError(f"{where}: polygon ring must be a list, got {ring!r}")
     try:
-        poly = Polygon(tuple(_position(v, where) for v in rings[0]),
-                       tuple(tuple(_position(v, where) for v in ring) for ring in rings[1:]))
+        poly = Polygon(tuple(_position(v, where, mode) for v in rings[0]),
+                       tuple(tuple(_position(v, where, mode) for v in ring)
+                             for ring in rings[1:]))
     except DomainError as exc:
         raise InputError(f"{where}: {exc}") from None
-    for v in poly.exterior:
-        _check_mode_range(v, mode, where)
     return poly
 
 
@@ -436,7 +437,7 @@ def load_demand_layer(path: Path, mode: str) -> list[DemandArea]:
         aid = str(props.get("id", f"area{i + 1:02d}"))
         centroid = None
         if props.get("centroid") is not None:
-            centroid = _position(props["centroid"], where)
+            centroid = _position(props["centroid"], where, mode)
         out.append(DemandArea(id=aid, population=float(population),
                               centroid=centroid, geometry=poly))
     ids = [a.id for a in out]

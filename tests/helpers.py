@@ -23,7 +23,7 @@ from branchsite.criteria import (
     classify,
     score,
 )
-from branchsite.geo import PLANAR, Point, Polygon, points_in_polygon
+from branchsite.geo import PLANAR, Point, Polygon, distances_to, points_in_polygon
 from branchsite.mclp import (
     METHOD_GREEDY_SWAP,
     CoverageCurve,
@@ -38,10 +38,12 @@ from branchsite.overlay import (
     NODATA,
     GridSpec,
     SuitabilityRaster,
+    CombineMode,
+    ScoreRaster,
     _classify_scores,
     _is_zone_layer,
-    _min_distances,
 )
+from branchsite.weights import WeightVector
 
 
 def random_instance(rng, max_areas=30, max_cands=12, density=0.4):
@@ -309,10 +311,11 @@ def reference_score_points_geojson(raster, meta: dict | None = None) -> dict:
 
 
 # --- full-grid references for the overlay kernels ---------------------------
-# build_mask and rasterize as they were before they computed only the cells
-# they keep, kept verbatim apart from the full (nrows, ncols) center arrays,
-# which the grid no longer builds; the masked kernels must give the same
-# arrays and the same errors.
+# build_mask, rasterize and combine as they were before they computed only
+# the cells they keep, and before distances were measured only within a
+# criterion's reach, kept verbatim apart from the full (nrows, ncols) center
+# arrays, which the grid no longer builds; the masked kernels must give the
+# same arrays and the same errors.
 
 
 def _reference_center_arrays(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -320,6 +323,14 @@ def _reference_center_arrays(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     xs, ys = grid.center_axes()
     return np.broadcast_to(xs, (grid.nrows, grid.ncols)).copy(), \
         np.broadcast_to(ys[:, None], (grid.nrows, grid.ncols)).copy()
+
+
+def _min_distances(xs: np.ndarray, ys: np.ndarray, points: Sequence[Point],
+                   mode: str) -> np.ndarray:
+    best = np.full(xs.shape, np.inf)
+    for p in points:
+        np.minimum(best, distances_to(xs, ys, p, mode), out=best)
+    return best
 
 
 def reference_build_mask(grid: GridSpec, polygons: Sequence[Polygon]) -> np.ndarray:
@@ -385,6 +396,69 @@ def reference_rasterize(spec: NormalizedCriterion, features, grid: GridSpec,
     raws = _min_distances(xs, ys, points, mode)
     values[mask] = _classify_scores(spec, raws[mask], scheme)
     return SuitabilityRaster(grid, spec.id, values, mask.copy())
+
+
+def reference_combine(rasters: Sequence[SuitabilityRaster], weights,
+                      mode: CombineMode) -> ScoreRaster:
+    """Weighted per-cell combination of suitability rasters.
+
+    weighted_sum:        sum_k w_k * s_k
+    literal_product:     prod_k (w_k * s_k)
+    weighted_geometric:  prod_k s_k ** w_k   (0 ** w = 0)
+    """
+    if not rasters:
+        raise InputError("combine needs at least one raster")
+    ids = [r.criterion_id for r in rasters]
+    if len(set(ids)) != len(ids):
+        raise InputError("combine: duplicate criterion ids")
+
+    if isinstance(weights, WeightVector):
+        if set(weights.items) != set(ids):
+            raise InputError(
+                f"combine: weight ids {sorted(weights.items)} do not match "
+                f"raster ids {sorted(ids)}"
+            )
+        wmap = weights.as_dict()
+        w_list = [wmap[i] for i in ids]
+    else:
+        w_list = [float(w) for w in weights]
+        if len(w_list) != len(rasters):
+            raise InputError(
+                f"combine: {len(w_list)} weights for {len(rasters)} rasters"
+            )
+    if abs(sum(w_list) - 1.0) > 1e-9:
+        raise InputError(f"combine: weights must sum to 1, got {sum(w_list)!r}")
+
+    grid = rasters[0].grid
+    mask = rasters[0].mask
+    for r in rasters[1:]:
+        if r.grid != grid:
+            raise InputError(
+                f"combine: raster {r.criterion_id!r} is on a different grid"
+            )
+        if not np.array_equal(r.mask, mask):
+            raise InputError(
+                f"combine: raster {r.criterion_id!r} has a different study-area mask"
+            )
+
+    # canonical order by criterion id: bit-identical under input permutation
+    order = sorted(range(len(rasters)), key=lambda k: rasters[k].criterion_id)
+    if mode is CombineMode.WEIGHTED_SUM:
+        acc = np.zeros(grid.shape)
+        for k in order:
+            acc = acc + w_list[k] * rasters[k].values
+    elif mode is CombineMode.LITERAL_PRODUCT:
+        acc = np.ones(grid.shape)
+        for k in order:
+            acc = acc * (w_list[k] * rasters[k].values)
+    elif mode is CombineMode.WEIGHTED_GEOMETRIC:
+        acc = np.ones(grid.shape)
+        for k in order:
+            acc = acc * np.power(rasters[k].values, w_list[k])
+    else:
+        raise InputError(f"unknown combine mode: {mode!r}")
+    acc[~mask] = np.nan
+    return ScoreRaster(grid, acc, mask.copy(), mode)
 
 
 # --- Esri ASCII grid and coverage table readers -----------------------------

@@ -9,7 +9,7 @@ import pytest
 from branchsite.cli import main
 from branchsite.errors import InputError
 from branchsite.geo import Point, geodesic_distance
-from branchsite.project import load_project, run_pipeline
+from branchsite.project import load_demand_layer, load_project, run_pipeline
 
 # a ~2.2 km x 2.2 km patch around (51.66E, 32.64N); 0.002 deg cells
 ORIGIN = (51.65, 32.63)
@@ -144,6 +144,26 @@ def test_geodesic_rejects_out_of_range_layer(geodesic_project, tmp_path):
     variant.write_text(json.dumps(cfg))
     with pytest.raises(InputError, match="out of lon/lat range"):
         run_pipeline(load_project(variant))
+
+
+@pytest.mark.parametrize("bad", ["vertex", "hole", "centroid"])
+def test_geodesic_demand_layer_checks_every_position(tmp_path, bad):
+    x0, y0 = ORIGIN
+    ring = rect(x0, y0, x0 + 10 * CELL, y0 + 10 * CELL)
+    props = {"population": 10}
+    if bad == "vertex":
+        ring[0][2] = [190.0, y0 + 10 * CELL]
+    elif bad == "hole":
+        ring.append([[x0 + CELL, y0 + CELL], [x0 + 2 * CELL, y0 + CELL], [x0 + CELL, 95.0]])
+    else:
+        props["centroid"] = [x0, -91.0]
+    path = tmp_path / "areas.geojson"
+    path.write_text(json.dumps(collection([
+        feature("Polygon", rect(x0, y0, x0 + CELL, y0 + CELL), {"population": 1}),
+        feature("Polygon", ring, props),
+    ])))
+    with pytest.raises(InputError, match="feature 1: coordinates .* out of lon/lat range"):
+        load_demand_layer(path, "geodesic")
 
 
 def test_geodesic_grid_past_antimeridian_exits_2(geodesic_project, tmp_path, capsys):

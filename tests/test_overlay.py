@@ -16,6 +16,7 @@ from branchsite.criteria import (
 )
 from branchsite.errors import BranchSiteError, InputError
 from branchsite.geo import (
+    EARTH_RADIUS_M,
     Point,
     Polygon,
     planar_distance,
@@ -40,6 +41,7 @@ from branchsite.weights import WeightVector
 from helpers import (
     read_esri_ascii,
     reference_build_mask,
+    reference_combine,
     reference_esri_ascii_text,
     reference_rasterize,
     reference_score_points_geojson,
@@ -126,6 +128,15 @@ class TestRasterizeDistance:
         mask[0, 0] = False
         raster = rasterize(MEDICINE, [grid.cell_center(1, 1)], grid, SCHEME, mask=mask)
         assert math.isnan(raster.values[0, 0])
+
+    def test_integer_mask_reads_as_bool(self):
+        grid = GridSpec(0, 0, 100, 3, 3)
+        mask = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+        points = [grid.cell_center(1, 1)]
+        got = rasterize(MEDICINE, points, grid, SCHEME, mask=mask)
+        want = rasterize(MEDICINE, points, grid, SCHEME, mask=mask.astype(bool))
+        assert np.array_equal(got.values, want.values, equal_nan=True)
+        assert np.array_equal(got.mask, want.mask)
 
 
 class TestRasterizeZones:
@@ -245,6 +256,18 @@ def _bits(values):
     return np.ascontiguousarray(values).view(np.int64)
 
 
+def _assert_raster_matches_reference(spec, features, grid, mask=None, mode="planar"):
+    """rasterize gives the full-grid reference's array, or its error."""
+    got = _outcome(rasterize, spec, features, grid, SCHEME, mask=mask, mode=mode)
+    want = _outcome(reference_rasterize, spec, features, grid, SCHEME,
+                    mask=mask, mode=mode)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert np.array_equal(_bits(got.values), _bits(want.values))
+    assert np.array_equal(got.mask, want.mask)
+
+
 def _assert_kernels_match_reference(grid, demand, zones, points, mode="planar",
                                     distance_spec=MEDICINE):
     """build_mask and rasterize give the full-grid references' arrays, or
@@ -254,14 +277,7 @@ def _assert_kernels_match_reference(grid, demand, zones, points, mode="planar",
         mask = build_mask(grid, demand)
         assert np.array_equal(mask, reference_build_mask(grid, demand))
     for spec, features in ((INCOME, zones), (distance_spec, points)):
-        got = _outcome(rasterize, spec, features, grid, SCHEME, mask=mask, mode=mode)
-        want = _outcome(reference_rasterize, spec, features, grid, SCHEME,
-                        mask=mask, mode=mode)
-        if isinstance(want, tuple):
-            assert got == want
-            continue
-        assert np.array_equal(_bits(got.values), _bits(want.values))
-        assert np.array_equal(got.mask, want.mask)
+        _assert_raster_matches_reference(spec, features, grid, mask, mode)
 
 
 # 10 x 8 cells of 10 m: centers on x = 5, 15, ..., 95 and y = 5, 15, ..., 75.
@@ -310,6 +326,76 @@ KERNEL_CASES = {
 }
 
 
+def banded_spec(direction, edges, classes):
+    """Bands [0, e1], [e1, e2], ..., [ek, inf) with the given classes."""
+    bounds = [0.0, *edges, None]
+    return validate_spec(CriterionSpec(
+        id="drawn", kind="distance", direction=direction,
+        bands=tuple(Band(lo, hi, cls) for lo, hi, cls in zip(bounds, bounds[1:], classes)),
+    ))
+
+
+# reach 50 m; 50 m itself belongs to the more suitable side, so the top
+# segment is [50, inf) when it is the best class and (50, inf) otherwise
+REACH_50_TOP_CLOSED = banded_spec("far_better", [20, 50], [NON, SUIT, HIGH])
+REACH_50_TOP_OPEN = banded_spec("near_better", [20, 50], [HIGH, SUIT, NON])
+REACH_30 = banded_spec("near_better", [10, 30], [HIGH, SUIT, NON])
+RING = banded_spec("band", [10, 30], [NON, HIGH, SUIT])
+ONE_BAND = banded_spec("near_better", [], [SUIT])
+WIDE = banded_spec("near_better", [1000, 5000], [HIGH, SUIT, NON])
+
+# every third cell of KERNEL_GRID out of the study area, and a band of rows
+# that leaves the mask's bounding box smaller than the grid
+SPARSE_MASK = np.add.outer(np.arange(8), np.arange(10)) % 3 != 0
+MIDDLE_ROWS = np.zeros((8, 10), dtype=bool)
+MIDDLE_ROWS[2:5, 3:8] = True
+
+# (45, 35) is a cell center: the centers 50 m from it lie at offsets (50, 0),
+# (30, 40), (40, 30) and their reflections, e.g. (95, 35), (75, 75), (5, 5)
+AT_REACH = [Point(45.0, 35.0)]
+
+DISTANCE_CASES = {
+    "at_reach_top_closed": dict(spec=REACH_50_TOP_CLOSED, points=AT_REACH),
+    "at_reach_top_open": dict(spec=REACH_50_TOP_OPEN, points=AT_REACH),
+    "at_reach_sparse_mask": dict(spec=REACH_50_TOP_OPEN, points=AT_REACH,
+                                 mask=SPARSE_MASK),
+    "point_beyond_reach": dict(spec=MEDICINE, points=[Point(1000.0, 40.0)]),
+    "points_near_and_beyond_reach": dict(
+        spec=REACH_30, points=[Point(-200.0, 40.0), Point(45.0, 35.0)]),
+    "one_band_reach_0": dict(spec=ONE_BAND, points=KERNEL_POINTS),
+    "reach_wider_than_grid": dict(spec=WIDE, points=[Point(3000.0, -2000.0)]),
+    "points_off_each_side": dict(
+        spec=REACH_30,
+        points=[Point(-25.0, 40.0), Point(125.0, 20.0), Point(50.0, -35.0),
+                Point(30.0, 110.0), Point(-100.0, -100.0)]),
+    "points_off_each_side_middle_rows": dict(
+        spec=REACH_30, mask=MIDDLE_ROWS,
+        points=[Point(10.0, 40.0), Point(95.0, 20.0), Point(50.0, 0.0),
+                Point(30.0, 75.0)]),
+    "far_better": dict(spec=REACH_50_TOP_CLOSED, points=KERNEL_POINTS,
+                       mask=SPARSE_MASK),
+    "band": dict(spec=RING, points=KERNEL_POINTS + AT_REACH),
+    "empty_mask": dict(spec=REACH_30, points=KERNEL_POINTS,
+                       mask=np.zeros((8, 10), dtype=bool)),
+}
+
+# 9 x 7 cells of 0.004 degrees; GEO_DISTANCE reaches 2,000 m, about 0.018
+# degrees of latitude
+GEO_GRID = GridSpec(51.60, 32.60, 0.004, 9, 7)
+GEO_MASK = np.add.outer(np.arange(7), np.arange(9)) % 4 != 1
+
+GEODESIC_CASES = {
+    "near_and_far": dict(points=[Point(51.63, 32.62), Point(51.60, 33.50)]),
+    "point_out_of_range_empty_window": dict(
+        points=[Point(51.63, 32.62), Point(51.61, 95.0)]),
+    "lon_out_of_range": dict(points=[Point(51.63, 32.62), Point(200.0, 32.61)]),
+    "empty_mask_point_out_of_range": dict(
+        points=[Point(51.63, 32.62), Point(51.61, -95.0)],
+        mask=np.zeros((7, 9), dtype=bool)),
+    "unknown_mode": dict(points=[Point(51.63, 32.62)], mode="spherical"),
+}
+
+
 class TestMaskedKernelsMatchReference:
     """The masked kernels give the full-grid kernels' arrays bit for bit."""
 
@@ -317,6 +403,90 @@ class TestMaskedKernelsMatchReference:
     def test_named_cases(self, case):
         _assert_kernels_match_reference(KERNEL_GRID, points=KERNEL_POINTS,
                                         **KERNEL_CASES[case])
+
+    @pytest.mark.parametrize("case", sorted(DISTANCE_CASES))
+    def test_distance_windows(self, case):
+        c = DISTANCE_CASES[case]
+        _assert_raster_matches_reference(c["spec"], c["points"], KERNEL_GRID,
+                                         mask=c.get("mask"))
+
+    @pytest.mark.parametrize("case", sorted(GEODESIC_CASES))
+    def test_geodesic_distance_windows(self, case):
+        c = GEODESIC_CASES[case]
+        _assert_raster_matches_reference(GEO_DISTANCE, c["points"], GEO_GRID,
+                                         mask=c.get("mask", GEO_MASK),
+                                         mode=c.get("mode", "geodesic"))
+
+    def test_cells_at_reach_take_the_band_that_owns_reach(self):
+        # the reference agreeing is not enough if both skipped the boundary
+        closed = rasterize(REACH_50_TOP_CLOSED, AT_REACH, KERNEL_GRID, SCHEME)
+        opened = rasterize(REACH_50_TOP_OPEN, AT_REACH, KERNEL_GRID, SCHEME)
+        for row, col in [(3, 9), (7, 7), (7, 1), (6, 8), (6, 0), (0, 8), (0, 0)]:
+            center = KERNEL_GRID.cell_center(row, col)
+            assert planar_distance(center, AT_REACH[0]) == 50.0
+            assert closed.values[row, col] == SCHEME.high
+            assert opened.values[row, col] == SCHEME.mid
+
+    def test_geodesic_window_stays_inside_the_mask_bounds(self):
+        # columns past lon 180 lie outside the study area, so no kernel
+        # measures them, as on the grid cut at lon 180
+        wide = GridSpec(179.95, 10.0, 0.02, 6, 3)
+        cut = GridSpec(179.95, 10.0, 0.02, 2, 3)
+        mask = np.zeros(wide.shape, dtype=bool)
+        mask[:, :2] = True
+        points = [Point(179.97, 10.01), Point(-179.99, 10.03)]
+        got = rasterize(GEO_DISTANCE, points, wide, SCHEME, mask=mask, mode="geodesic")
+        want = rasterize(GEO_DISTANCE, points, cut, SCHEME, mode="geodesic")
+        assert np.array_equal(_bits(got.values[:, :2]), _bits(want.values))
+        assert np.isnan(got.values[:, 2:]).all()
+
+    def test_drawn_distance_windows(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def cases(draw):
+            ncols, nrows = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+            mask = np.array(draw(st.lists(st.booleans(), min_size=ncols * nrows,
+                                          max_size=ncols * nrows)), dtype=bool)
+            if draw(st.booleans()):
+                mode = "geodesic"
+                cell = draw(st.sampled_from([0.001, 0.01, 0.25, 1.0]))
+                x0 = draw(st.floats(-180.0, 180.0 - ncols * cell))
+                y0 = draw(st.floats(-85.0, 85.0 - nrows * cell))
+                meters = math.radians(cell) * EARTH_RADIUS_M  # a cell of latitude
+            else:
+                mode = "planar"
+                cell = draw(st.sampled_from([2.5, 10.0, 25.0]))
+                x0, y0 = (draw(st.integers(-5, 5)) * cell for _ in range(2))
+                meters = cell
+            # points on a half-cell lattice reaching a few cells past the grid,
+            # so centers at exactly a band edge come up
+            half = cell / 2.0
+            xk = st.integers(-8, 2 * ncols + 8)
+            yk = st.integers(-8, 2 * nrows + 8)
+            points = draw(st.lists(st.builds(lambda i, j: Point(x0 + i * half, y0 + j * half),
+                                             xk, yk), min_size=1, max_size=4))
+            if mode == "geodesic":
+                points = [Point(min(max(p.x, -180.0), 180.0), min(max(p.y, -90.0), 90.0))
+                          for p in points]
+            edges = sorted(draw(st.lists(st.integers(1, 24), max_size=3, unique=True)))
+            classes = draw(st.lists(st.sampled_from([HIGH, SUIT, NON]),
+                                    min_size=len(edges) + 1, max_size=len(edges) + 1))
+            direction = draw(st.sampled_from(["near_better", "far_better", "band"]))
+            if direction != "band":
+                classes.sort(key=lambda c: c.rank, reverse=direction == "near_better")
+            spec = banded_spec(direction, [k * meters / 2.0 for k in edges], classes)
+            grid = GridSpec(x0, y0, cell, ncols, nrows)
+            return spec, points, grid, mask.reshape(grid.shape), mode
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(case=cases())
+        def check(case):
+            spec, points, grid, mask, mode = case
+            _assert_raster_matches_reference(spec, points, grid, mask, mode)
+
+        check()
 
     def test_geodesic(self):
         grid = GridSpec(51.60, 32.60, 0.004, 9, 7)
@@ -474,6 +644,71 @@ class TestCombine:
         r1 = make_raster(grid, "a", [[0.6]])
         with pytest.raises(InputError, match="weights"):
             combine([r1], [0.5, 0.5], CombineMode.WEIGHTED_SUM)
+
+    @staticmethod
+    def _assert_matches_reference(rasters, weights, mode):
+        got = _outcome(combine, rasters, weights, mode)
+        want = _outcome(reference_combine, rasters, weights, mode)
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert np.array_equal(_bits(got.values), _bits(want.values))
+        assert np.array_equal(got.mask, want.mask)
+        assert got.mode is want.mode
+
+    def test_masked_matches_full_grid_reference(self):
+        # scores anywhere outside the mask, zeros under weighted_geometric,
+        # zero weights, masks from empty to full, rasters in any order
+        rng = np.random.default_rng(71)
+        grid = GridSpec(0, 0, 10, 9, 7)
+        palette = np.array([0.0, 0.4, 0.6, 0.123456789])
+        for _ in range(60):
+            mask = rng.random(grid.shape) < rng.choice([0.0, 0.3, 0.9, 1.0])
+            n = int(rng.integers(1, 6))
+            rasters = []
+            for k in rng.permutation(n).tolist():
+                values = rng.choice(palette, size=grid.shape)
+                values[~mask & (rng.random(grid.shape) < 0.5)] = np.nan
+                rasters.append(SuitabilityRaster(grid, f"c{k}", values, mask.copy()))
+            weights = rng.random(n) * (rng.random(n) < 0.8)
+            if not weights.sum():
+                weights[0] = 1.0
+            weights = (weights / weights.sum()).tolist()
+            for mode in CombineMode:
+                self._assert_matches_reference(rasters, weights, mode)
+                self._assert_matches_reference(
+                    rasters, WeightVector(tuple(r.criterion_id for r in rasters),
+                                          tuple(weights)), mode)
+
+    def test_masked_geometric_zero_scores(self):
+        grid = GridSpec(0, 0, 10, 3, 2)
+        mask = np.array([[True, True, False], [False, True, True]])
+        r1 = make_raster(grid, "a", [[0.0, 0.6, 0.6], [0.4, 0.0, 0.4]], mask)
+        r2 = make_raster(grid, "b", [[0.6, 0.0, 0.0], [0.0, 0.0, 0.6]], mask)
+        for weights in ([0.5, 0.5], [1.0, 0.0], [0.0, 1.0]):
+            self._assert_matches_reference([r1, r2], weights,
+                                           CombineMode.WEIGHTED_GEOMETRIC)
+        out = combine([r1, r2], [0.5, 0.5], CombineMode.WEIGHTED_GEOMETRIC)
+        assert out.values[0, 0] == out.values[0, 1] == out.values[1, 1] == 0.0
+
+    def test_masked_errors_match_full_grid_reference(self):
+        grid = GridSpec(0, 0, 10, 2, 2)
+        a = make_raster(grid, "a", [[0.6, 0.4], [0.0, 0.6]])
+        b = make_raster(grid, "b", [[0.4, 0.4], [0.6, 0.0]])
+        other_mask = make_raster(grid, "c", [[0.4, 0.4], [0.6, 0.0]],
+                                 np.array([[True, False], [True, True]]))
+        other_grid = make_raster(GridSpec(0, 0, 20, 2, 2), "d", [[0.6, 0.4], [0.4, 0.6]])
+        for rasters, weights, mode in [
+            ([], [], CombineMode.WEIGHTED_SUM),
+            ([a, a], [0.5, 0.5], CombineMode.WEIGHTED_SUM),
+            ([a, b], [0.5, 0.6], CombineMode.LITERAL_PRODUCT),
+            ([a, b], [1.0], CombineMode.WEIGHTED_SUM),
+            ([a, b], WeightVector(("a", "c"), (0.5, 0.5)), CombineMode.WEIGHTED_SUM),
+            ([a, other_mask], [0.5, 0.5], CombineMode.WEIGHTED_GEOMETRIC),
+            ([a, other_grid], [0.5, 0.5], CombineMode.WEIGHTED_SUM),
+            ([a, b], [0.5, 0.5], "weighted_sum"),
+        ]:
+            self._assert_matches_reference(rasters, weights, mode)
 
 
 class TestExports:

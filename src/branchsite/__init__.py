@@ -17,7 +17,6 @@ from .criteria import (
     ScoreScheme,
     SuitabilityClass,
     classify,
-    score,
     validate_spec,
 )
 from .errors import (

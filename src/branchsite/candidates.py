@@ -65,7 +65,7 @@ class ExtractionConfig:
 
 
 def extract(raster: ScoreRaster, cfg: ExtractionConfig,
-            mode: str = PLANAR, id_prefix: str = "p") -> list[CandidateSite]:
+            mode: str = PLANAR) -> list[CandidateSite]:
     """Greedy peak extraction with non-maximum suppression.
 
     Returns proposed candidates in pick order; empty when no cell reaches
@@ -95,7 +95,7 @@ def extract(raster: ScoreRaster, cfg: ExtractionConfig,
     width = max(2, len(str(cfg.max_proposed)))
     return [
         CandidateSite(
-            id=f"{id_prefix}{i + 1:0{width}d}",
+            id=f"p{i + 1:0{width}d}",
             location=loc,
             score=v,
             origin=ORIGIN_PROPOSED,

@@ -7,6 +7,10 @@ disjoint intervals covering [0, inf) before use: overlapping stated bands are
 resolved in favor of the more suitable class, shared boundaries belong to the
 more suitable side, and gaps are filled by extending both neighbors to the
 gap midpoint. Every repair is recorded on the normalized spec.
+
+``segment_index`` is the one rule for which segment holds a value: it
+serves ``classify`` one value at a time and the raster overlay a whole
+array at once.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .errors import InputError, SpecificationError
 
@@ -70,11 +76,6 @@ class ScoreScheme:
         return self.non
 
 
-def score(cls: SuitabilityClass, scheme: ScoreScheme) -> float:
-    """Numeric score of a suitability class under the scheme."""
-    return scheme.value(cls)
-
-
 # criterion kinds (aliases from config vocabularies map onto these)
 KIND_DISTANCE = "distance"
 KIND_DENSITY = "density"
@@ -128,11 +129,6 @@ class Segment:
     hi: float
     hi_inc: bool
     cls: SuitabilityClass
-
-    def contains(self, v: float) -> bool:
-        above = v > self.lo or (self.lo_inc and v == self.lo)
-        below = v < self.hi or (self.hi_inc and v == self.hi)
-        return above and below
 
 
 @dataclass(frozen=True)
@@ -386,6 +382,20 @@ def validate_spec(spec: CriterionSpec | NormalizedCriterion) -> NormalizedCriter
     return _normalize_numeric(spec)
 
 
+def segment_index(spec: NormalizedCriterion, values):
+    """Index into ``spec.segments`` of the segment holding each value, for a
+    scalar or an array of values >= 0; ``inf`` falls in the top segment.
+
+    An internal edge belongs to the segment below it when that segment is
+    closed there (``hi_inc``), otherwise to the segment above it.
+    """
+    inner = spec.segments[:-1]
+    lower_owned = [seg.hi for seg in inner if seg.hi_inc]
+    upper_owned = [seg.hi for seg in inner if not seg.hi_inc]
+    return (np.searchsorted(lower_owned, values, "left")
+            + np.searchsorted(upper_owned, values, "right"))
+
+
 def classify(spec: NormalizedCriterion, raw) -> SuitabilityClass:
     """Class of the unique normalized band containing the raw value."""
     if spec.kind == KIND_CATEGORICAL:
@@ -395,13 +405,12 @@ def classify(spec: NormalizedCriterion, raw) -> SuitabilityClass:
                 f"criterion {spec.id!r}: category {raw!r} not in {sorted(cats)}"
             )
         return cats[raw]
-    if not isinstance(raw, (int, float)) or not math.isfinite(raw) or raw < 0:
+    try:
+        valid = isinstance(raw, (int, float)) and math.isfinite(raw) and raw >= 0
+    except OverflowError:  # an int too large for a float
+        valid = False
+    if not valid:
         raise SpecificationError(
             f"criterion {spec.id!r}: raw value {raw!r} outside the normalized bands"
         )
-    for seg in spec.segments:
-        if seg.contains(raw):
-            return seg.cls
-    raise SpecificationError(
-        f"criterion {spec.id!r}: raw value {raw!r} outside the normalized bands"
-    )
+    return spec.segments[segment_index(spec, float(raw))].cls

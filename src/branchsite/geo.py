@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -185,13 +185,6 @@ class Polygon:
         for ring in (ext,) + holes:
             if _ring_self_intersects(ring):
                 raise DomainError("polygon ring is self-intersecting")
-
-    @classmethod
-    def from_coords(cls, exterior: Iterable[tuple[float, float]],
-                    holes: Iterable[Iterable[tuple[float, float]]] = ()) -> "Polygon":
-        ext = tuple(Point(float(x), float(y)) for x, y in exterior)
-        hs = tuple(tuple(Point(float(x), float(y)) for x, y in ring) for ring in holes)
-        return cls(ext, hs)
 
     @property
     def area(self) -> float:

@@ -324,8 +324,7 @@ def _positions(inst: MclpInstance, order: Sequence[int], ids: Iterable[str]) -> 
     return [pos[s] for s in ids]
 
 
-def solve_exact(inst: MclpInstance, p: int, size_cap: int = EXACT_SIZE_CAP,
-                override_cap: bool = False) -> MclpSolution:
+def solve_exact(inst: MclpInstance, p: int, override_cap: bool = False) -> MclpSolution:
     """Provably optimal solution by depth-first branch and bound.
 
     Candidates are explored in ascending id order with an include-first
@@ -335,9 +334,9 @@ def solve_exact(inst: MclpInstance, p: int, size_cap: int = EXACT_SIZE_CAP,
     optimal id set.
     """
     n = len(inst.candidates)
-    if n > size_cap and not override_cap:
+    if n > EXACT_SIZE_CAP and not override_cap:
         raise SolverRefused(
-            f"instance has {n} candidates, above the exact-solver cap of {size_cap}; "
+            f"instance has {n} candidates, above the exact-solver cap of {EXACT_SIZE_CAP}; "
             "use the greedy solver or override the cap"
         )
     order, pops, cols, fixed = _prepare(inst, p)
@@ -459,7 +458,6 @@ def _greedy_swap(inst: MclpInstance, p: int) -> MclpSolution:
 
 def coverage_curve(inst: MclpInstance, p_max: int,
                    method: str = METHOD_EXACT,
-                   size_cap: int = EXACT_SIZE_CAP,
                    override_cap: bool = False) -> CoverageCurve:
     """Solve for every p in 1..p_max independently.
 
@@ -476,7 +474,7 @@ def coverage_curve(inst: MclpInstance, p_max: int,
     rows: list[MclpSolution] = []
     for p in range(1, p_max + 1):
         if method == METHOD_EXACT:
-            sol = solve_exact(inst, p, size_cap=size_cap, override_cap=override_cap)
+            sol = solve_exact(inst, p, override_cap=override_cap)
         else:
             sol = _greedy_swap(inst, p)
             if rows:

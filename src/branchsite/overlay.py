@@ -7,9 +7,13 @@ inside the study-area mask are scored and combined. A distance criterion
 measures each feature point only on the cells within the criterion's reach
 (its largest finite band edge) plus one cell; a cell farther than that from
 every point gets the score of the top band, the one unbounded above, which
-is the score its exact distance would get. Combination accumulates the
-masked cells in criterion-id order so the result is bit-identical under any
-input permutation.
+is the score its exact distance would get. The distances, and the
+attributes of the density zones that win a cell, find their band through
+``criteria.segment_index``, the one band lookup, which ``classify`` also
+uses; the tests check it against the per-segment comparison loop it
+replaced, kept in ``tests/helpers.py``. Combination accumulates the masked
+cells in criterion-id order so the result is bit-identical under any input
+permutation.
 
 The Esri grids, ``score_points.geojson`` and the score raster inside
 ``report.json`` are formatted from arrays: each distinct bit pattern of a
@@ -36,7 +40,7 @@ from .criteria import (
     NormalizedCriterion,
     ScoreScheme,
     classify,
-    score,
+    segment_index,
 )
 from .errors import DomainError, InputError
 from .geo import (
@@ -163,13 +167,6 @@ def build_mask(grid: GridSpec, polygons: Sequence[Polygon]) -> np.ndarray:
     return mask
 
 
-def _reach(spec: NormalizedCriterion) -> float:
-    """The largest finite band edge: the segments cover [0, inf), so every
-    distance above it falls in the one segment unbounded above."""
-    return max((edge for seg in spec.segments for edge in (seg.lo, seg.hi)
-                if math.isfinite(edge)), default=0.0)
-
-
 def _nearest_distances(points: Sequence[Point], grid: GridSpec, mask: np.ndarray,
                        reach: float, mode: str) -> np.ndarray:
     """A grid of the distance from each masked cell center to the nearest
@@ -213,23 +210,6 @@ def _nearest_distances(points: Sequence[Point], grid: GridSpec, mask: np.ndarray
             np.minimum(window, distances_to(cx[None, c:d], cy[a:b, None], p, mode),
                        out=window)
     return best
-
-
-def _classify_scores(spec: NormalizedCriterion, raws: np.ndarray,
-                     scheme: ScoreScheme) -> np.ndarray:
-    """Vectorized band lookup; comparisons mirror criteria.classify."""
-    out = np.full(raws.shape, np.nan)
-    assigned = np.zeros(raws.shape, dtype=bool)
-    for seg in spec.segments:
-        above = (raws > seg.lo) | (seg.lo_inc & (raws == seg.lo))
-        below = (raws < seg.hi) | (seg.hi_inc & (raws == seg.hi))
-        hit = above & below & ~assigned
-        out[hit] = score(seg.cls, scheme)
-        assigned |= hit
-    if not assigned.all():
-        bad = float(raws[~assigned].flat[0])
-        raise InputError(f"criterion {spec.id!r}: raw value {bad} outside normalized bands")
-    return out
 
 
 def rasterize(spec: NormalizedCriterion, features, grid: GridSpec,
@@ -286,7 +266,7 @@ def rasterize(spec: NormalizedCriterion, features, grid: GridSpec,
         # cannot raise; the others are classified in zone order
         scores = np.full(len(zones), np.nan)
         for k in np.flatnonzero(np.bincount(zone_idx, minlength=len(zones))).tolist():
-            scores[k] = score(classify(spec, zones[k][1]), scheme)
+            scores[k] = scheme.value(classify(spec, zones[k][1]))
         values = np.full(grid.shape, np.nan)
         values[rows, cols] = scores[zone_idx]
         return SuitabilityRaster(grid, spec.id, values, mask.copy())
@@ -296,15 +276,14 @@ def rasterize(spec: NormalizedCriterion, features, grid: GridSpec,
         raise InputError(f"criterion {spec.id!r}: empty feature layer")
     if not all(isinstance(p, Point) for p in points):
         raise InputError(f"criterion {spec.id!r} expects point features")
-    reach = _reach(spec)
-    # the distance grid becomes the score grid, saving a fresh grid per raster
-    values = _nearest_distances(points, grid, mask, reach, mode)
+    # the reach is the largest internal band edge, 0.0 with one segment; the
+    # distance grid becomes the score grid, saving a fresh grid per raster
+    values = _nearest_distances(points, grid, mask, spec.segments[-1].lo, mode)
     raws = values[mask]
-    # a cell no window reached is farther than reach from every point, where
-    # only the top segment lies: score it as a distance just past reach
-    raws[np.isinf(raws)] = np.nextafter(reach, np.inf)
     values.fill(np.nan)
-    values[mask] = _classify_scores(spec, raws, scheme)
+    # a cell no window reached holds inf, which falls in the top segment
+    scores = np.array([scheme.value(seg.cls) for seg in spec.segments])
+    values[mask] = scores[segment_index(spec, raws)]
     return SuitabilityRaster(grid, spec.id, values, mask.copy())
 
 
@@ -415,7 +394,7 @@ def _row_texts(values, fmt, nan_text: str, sep: str) -> list[str]:
     return [texts[k] for k in order]
 
 
-def esri_ascii_text(grid: GridSpec, values: np.ndarray, nodata: float = NODATA) -> str:
+def esri_ascii_text(grid: GridSpec, values: np.ndarray) -> str:
     """Esri ASCII grid body; rows written north to south."""
     lines = [
         f"NCOLS {grid.ncols}",
@@ -423,9 +402,9 @@ def esri_ascii_text(grid: GridSpec, values: np.ndarray, nodata: float = NODATA) 
         f"XLLCORNER {grid.origin_x!r}",
         f"YLLCORNER {grid.origin_y!r}",
         f"CELLSIZE {grid.cell_size!r}",
-        f"NODATA_VALUE {nodata!r}",
+        f"NODATA_VALUE {NODATA!r}",
     ]
-    lines += _row_texts(values[::-1], repr, repr(nodata), " ")
+    lines += _row_texts(values[::-1], repr, repr(NODATA), " ")
     return "\n".join(lines) + "\n"
 
 
@@ -468,10 +447,10 @@ def score_points_geojson(raster, meta: dict | None = None) -> str:
 
 
 def report_json_text(data: dict, score: ScoreRaster) -> str:
-    """``json_text(data)`` for a run report whose ``score_raster`` is
-    ``{"values": ...}`` holding ``score.values`` as float rows with NaN as
-    ``null``; the raster's rows are encoded by ``_row_texts``, not cell by
-    cell through the indenting encoder.
+    """``json_text`` of the run report ``data`` with its ``score_raster``
+    set to ``{"values": ...}``, holding ``score.values`` as float rows with
+    NaN as ``null``; the raster's rows are encoded by ``_row_texts``, not
+    cell by cell through the indenting encoder.
     """
     text = json_text({**data, "score_raster": {"values": []}})
     rows = _row_texts(score.values, json.dumps, "null", ",\n        ")

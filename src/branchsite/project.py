@@ -483,7 +483,9 @@ class SurfaceResult:
 
 @dataclass
 class RunReport:
-    """Everything a run produced; ``data`` alone re-renders every artifact."""
+    """Everything a run produced. ``data`` is the body of report.json
+    without its ``score_raster``, which ``to_json`` encodes from ``score``;
+    the parsed ``to_json()`` text alone re-renders every artifact."""
 
     data: dict
     rasters: tuple[SuitabilityRaster, ...]
@@ -561,8 +563,6 @@ def run_pipeline(cfg: ProjectConfig) -> RunReport:
             name: hashlib.sha256(p.read_bytes()).hexdigest()
             for name, p in cfg.input_files().items()
         }
-        values = surface.score.values
-        score_values = np.where(np.isnan(values), None, values).tolist()
         data = {
             **cfg.meta,
             "input_digests": digests,
@@ -585,7 +585,6 @@ def run_pipeline(cfg: ProjectConfig) -> RunReport:
             "p_max": cfg.p_max,
             "curve": None if curve is None else [r.to_dict() for r in curve.rows],
             "instance": None if instance is None else instance.to_dict(),
-            "score_raster": {"values": score_values},
         }
     return RunReport(data=data, rasters=surface.rasters, score=surface.score)
 

@@ -11,13 +11,12 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
 from .errors import ConfigError, GateError, InputError, NumericalError
 
-# Saaty's random-index table; callers may pass an alternative published table.
+# Saaty's random-index table.
 RANDOM_INDEX = {
     1: 0.0, 2: 0.0, 3: 0.58, 4: 0.90, 5: 1.12, 6: 1.24, 7: 1.32,
     8: 1.41, 9: 1.45, 10: 1.49, 11: 1.51, 12: 1.48, 13: 1.56,
@@ -122,8 +121,7 @@ def principal_weights(matrix: ComparisonMatrix) -> WeightVector:
     return WeightVector(matrix.items, tuple(float(x) for x in w))
 
 
-def consistency_ratio(matrix: ComparisonMatrix,
-                      random_index: Mapping[int, float] = RANDOM_INDEX) -> float:
+def consistency_ratio(matrix: ComparisonMatrix) -> float:
     """CR of the matrix; 0 by convention for n <= 2 (always consistent)."""
     n = matrix.n
     if n <= 2:
@@ -133,7 +131,7 @@ def consistency_ratio(matrix: ComparisonMatrix,
     if ci < 0.0:  # numerical noise around a perfectly consistent matrix
         ci = 0.0
     try:
-        ri = random_index[n]
+        ri = RANDOM_INDEX[n]
     except KeyError:
         raise ConfigError(f"no random index defined for n={n}") from None
     return ci / ri
@@ -147,12 +145,11 @@ class GateResult:
     passed: bool
 
 
-def gate(matrix: ComparisonMatrix, threshold: float = DEFAULT_CR_THRESHOLD,
-         random_index: Mapping[int, float] = RANDOM_INDEX) -> GateResult:
+def gate(matrix: ComparisonMatrix, threshold: float = DEFAULT_CR_THRESHOLD) -> GateResult:
     """Pass/fail the matrix against the CR threshold; fails iff CR >= threshold."""
     if threshold <= 0:
         raise ConfigError(f"gate threshold must be positive, got {threshold}")
-    cr = consistency_ratio(matrix, random_index)
+    cr = consistency_ratio(matrix)
     return GateResult(matrix.id, cr, threshold, cr < threshold)
 
 
@@ -239,8 +236,7 @@ class Hierarchy:
         return tuple(n.matrix for n in self.nodes if n.matrix is not None)
 
 
-def synthesize(hierarchy: Hierarchy, threshold: float = DEFAULT_CR_THRESHOLD,
-               random_index: Mapping[int, float] = RANDOM_INDEX) -> WeightVector:
+def synthesize(hierarchy: Hierarchy, threshold: float = DEFAULT_CR_THRESHOLD) -> WeightVector:
     """Global leaf weights: the product of local weights along each root path.
 
     Every matrix must pass the consistency gate first; any failure rejects
@@ -248,7 +244,7 @@ def synthesize(hierarchy: Hierarchy, threshold: float = DEFAULT_CR_THRESHOLD,
     """
     failures = []
     for m in hierarchy.matrices():
-        result = gate(m, threshold, random_index)
+        result = gate(m, threshold)
         if not result.passed:
             failures.append((m.id, result.cr))
     if failures:

@@ -1,8 +1,9 @@
 """Shared test utilities: random instance generation, enumeration oracles,
 solution checks, a big-int bitmask reference for the heuristic solvers,
-per-cell loop references for the raster formatters, full-grid references for
-the overlay kernels, consistent judgment matrices, and readers for the Esri
-ASCII grids and the coverage table."""
+per-cell loop references for the raster formatters, per-segment comparison
+references for the band lookup, full-grid references for the overlay
+kernels, polygons from coordinate pairs, consistent judgment matrices, and
+readers for the Esri ASCII grids and the coverage table."""
 
 import csv
 import io
@@ -20,8 +21,8 @@ from branchsite.criteria import (
     KIND_DENSITY,
     NormalizedCriterion,
     ScoreScheme,
+    Segment,
     classify,
-    score,
 )
 from branchsite.geo import PLANAR, Point, Polygon, distances_to, points_in_polygon
 from branchsite.mclp import (
@@ -40,7 +41,6 @@ from branchsite.overlay import (
     SuitabilityRaster,
     CombineMode,
     ScoreRaster,
-    _classify_scores,
     _is_zone_layer,
 )
 from branchsite.weights import WeightVector
@@ -310,6 +310,46 @@ def reference_score_points_geojson(raster, meta: dict | None = None) -> dict:
     return payload
 
 
+# --- per-segment comparison references for the band lookup ------------------
+# The band decision as it was written before criteria.segment_index: each
+# segment tests both of its endpoints, the scalar rule as a segment method and
+# the array rule in overlay. Kept verbatim apart from the score lookup, which
+# goes through ScoreScheme.value since the criteria.score alias is gone.
+
+
+def segment_contains(seg: Segment, v: float) -> bool:
+    above = v > seg.lo or (seg.lo_inc and v == seg.lo)
+    below = v < seg.hi or (seg.hi_inc and v == seg.hi)
+    return above and below
+
+
+def _classify_scores(spec: NormalizedCriterion, raws: np.ndarray,
+                     scheme: ScoreScheme) -> np.ndarray:
+    """Vectorized band lookup; comparisons mirror criteria.classify."""
+    out = np.full(raws.shape, np.nan)
+    assigned = np.zeros(raws.shape, dtype=bool)
+    for seg in spec.segments:
+        above = (raws > seg.lo) | (seg.lo_inc & (raws == seg.lo))
+        below = (raws < seg.hi) | (seg.hi_inc & (raws == seg.hi))
+        hit = above & below & ~assigned
+        out[hit] = scheme.value(seg.cls)
+        assigned |= hit
+    if not assigned.all():
+        bad = float(raws[~assigned].flat[0])
+        raise InputError(f"criterion {spec.id!r}: raw value {bad} outside normalized bands")
+    return out
+
+
+# --- polygons from coordinate pairs -------------------------------------------
+
+
+def polygon_from_coords(exterior: Iterable[tuple[float, float]],
+                        holes: Iterable[Iterable[tuple[float, float]]] = ()) -> Polygon:
+    ext = tuple(Point(float(x), float(y)) for x, y in exterior)
+    hs = tuple(tuple(Point(float(x), float(y)) for x, y in ring) for ring in holes)
+    return Polygon(ext, hs)
+
+
 # --- full-grid references for the overlay kernels ---------------------------
 # build_mask, rasterize and combine as they were before they computed only
 # the cells they keep, and before distances were measured only within a
@@ -385,7 +425,7 @@ def reference_rasterize(spec: NormalizedCriterion, features, grid: GridSpec,
         for k, (_poly, value) in enumerate(zones):
             cells = zone_idx == k
             if cells.any():
-                values[cells] = score(classify(spec, value), scheme)
+                values[cells] = scheme.value(classify(spec, value))
         return SuitabilityRaster(grid, spec.id, values, mask.copy())
 
     points = list(features)

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from branchsite.criteria import (
@@ -9,10 +10,12 @@ from branchsite.criteria import (
     ScoreScheme,
     SuitabilityClass,
     classify,
-    score,
+    segment_index,
     validate_spec,
 )
 from branchsite.errors import InputError, SpecificationError
+
+from helpers import _classify_scores, segment_contains
 
 HIGH = SuitabilityClass.HIGH_SUITABLE
 SUIT = SuitabilityClass.SUITABLE
@@ -105,16 +108,78 @@ class TestClassify:
             classify(validate_spec(MAIN_STREET), -1.0)
 
 
+class TestSegmentIndex:
+    """The band lookup shared by classify and the rasters, against the
+    per-segment comparison rules it replaced."""
+
+    def test_drawn_band_tables(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        scheme = ScoreScheme()
+        # a coarse lattice makes point, touching and overlapping bands and
+        # shared gap midpoints common; free floats cover the rest
+        edge = st.one_of(st.integers(0, 12).map(lambda k: k * 12.5),
+                         st.floats(0.0, 200.0))
+
+        @st.composite
+        def specs(draw):
+            bands = []
+            for _ in range(draw(st.integers(1, 5))):
+                lo = draw(edge)
+                shape = draw(st.sampled_from(["point", "bounded", "unbounded"]))
+                hi = {"point": lo, "bounded": lo + draw(edge), "unbounded": None}[shape]
+                bands.append(Band(lo, hi, draw(st.sampled_from([HIGH, SUIT, NON]))))
+            spec = CriterionSpec(id="drawn", kind=draw(st.sampled_from(["distance", "density"])),
+                                 direction="band", bands=tuple(bands))
+            try:
+                return validate_spec(spec)
+            except SpecificationError:
+                hypothesis.assume(False)
+
+        @hypothesis.settings(max_examples=400, deadline=None)
+        @hypothesis.given(spec=specs(),
+                          randoms=st.lists(st.floats(0.0, 1e6), max_size=20))
+        def check(spec, randoms):
+            values = [0.0, -0.0] + randoms
+            for seg in spec.segments[:-1]:
+                values += [math.nextafter(seg.hi, -math.inf), seg.hi,
+                           math.nextafter(seg.hi, math.inf)]
+            values = [v for v in values if v >= 0.0]
+            raws = np.array(values)
+            scores = np.array([scheme.value(seg.cls) for seg in spec.segments])
+            got = segment_index(spec, raws)
+            assert np.array_equal(scores[got], _classify_scores(spec, raws, scheme))
+            for v, k in zip(values, got.tolist()):
+                hits = [j for j, seg in enumerate(spec.segments) if segment_contains(seg, v)]
+                assert hits == [k], (spec.segments, v)
+                assert segment_index(spec, v) == k
+                assert classify(spec, v) is spec.segments[k].cls
+            for bad in (-5e-324, -0.5, -1e6, math.nan, math.inf, -math.inf,
+                        10 ** 400, -(10 ** 400)):
+                with pytest.raises(SpecificationError, match="outside the normalized bands"):
+                    classify(spec, bad)
+
+        check()
+
+    def test_edges_of_the_point_band(self):
+        norm = validate_spec(CriterionSpec(
+            id="point", kind="distance", direction="band",
+            bands=(Band(0, 10, NON), Band(10, 10, HIGH), Band(10, None, SUIT))))
+        assert [classify(norm, v) for v in (math.nextafter(10.0, 0.0), 10.0,
+                                            math.nextafter(10.0, 20.0))] == [NON, HIGH, SUIT]
+        assert segment_index(norm, np.array([0.0, 10.0, math.inf])).tolist() == [0, 1, 2]
+
+
 class TestScore:
     def test_default_scheme_values(self):
         scheme = ScoreScheme()
-        assert score(HIGH, scheme) == 0.6
-        assert score(SUIT, scheme) == 0.4
-        assert score(NON, scheme) == 0.0
+        assert scheme.value(HIGH) == 0.6
+        assert scheme.value(SUIT) == 0.4
+        assert scheme.value(NON) == 0.0
 
     def test_strictly_order_reversing(self):
         for scheme in (ScoreScheme(), ScoreScheme(0.9, 0.5, 0.1), ScoreScheme(1.0, 0.2, 0.0)):
-            assert score(HIGH, scheme) > score(SUIT, scheme) > score(NON, scheme)
+            assert scheme.value(HIGH) > scheme.value(SUIT) > scheme.value(NON)
 
     def test_invalid_scheme_rejected(self):
         with pytest.raises(SpecificationError):
@@ -161,7 +226,7 @@ class TestValidateSpec:
         rng = random.Random(1)
         for _ in range(10_000):
             v = rng.uniform(0, 1000)
-            hits = [seg for seg in norm.segments if seg.contains(v)]
+            hits = [seg for seg in norm.segments if segment_contains(seg, v)]
             assert len(hits) == 1
 
     def test_idempotent(self):
@@ -177,11 +242,11 @@ class TestValidateSpec:
                 v = rng.choice(
                     [rng.uniform(0, 50), rng.uniform(0, 600), rng.uniform(0, 1e6)]
                 )
-                hits = [seg for seg in norm.segments if seg.contains(v)]
+                hits = [seg for seg in norm.segments if segment_contains(seg, v)]
                 assert len(hits) == 1, (spec.id, v)
             # exact stated boundaries too
             for v in (0.0, 100.0, 200.0, 250.0, 500.0):
-                assert sum(seg.contains(v) for seg in norm.segments) == 1
+                assert sum(segment_contains(seg, v) for seg in norm.segments) == 1
 
     def test_partition_structure(self):
         norm = validate_spec(OFFICE)

@@ -11,14 +11,12 @@ from branchsite.criteria import (
     ScoreScheme,
     SuitabilityClass,
     classify,
-    score,
     validate_spec,
 )
 from branchsite.errors import BranchSiteError, InputError
 from branchsite.geo import (
     EARTH_RADIUS_M,
     Point,
-    Polygon,
     planar_distance,
     point_in_polygon,
     points_in_polygon,
@@ -39,6 +37,7 @@ from branchsite.overlay import (
 from branchsite.weights import WeightVector
 
 from helpers import (
+    polygon_from_coords,
     read_esri_ascii,
     reference_build_mask,
     reference_combine,
@@ -104,7 +103,7 @@ class TestRasterizeDistance:
             for col in range(grid.ncols):
                 center = grid.cell_center(row, col)
                 nearest = min(planar_distance(center, p) for p in points)
-                want = score(classify(MEDICINE, nearest), SCHEME)
+                want = SCHEME.value(classify(MEDICINE, nearest))
                 assert raster.values[row, col] == want
 
     def test_insertion_order_irrelevant(self):
@@ -142,8 +141,8 @@ class TestRasterizeDistance:
 class TestRasterizeZones:
     def test_island_zone_beats_base_zone(self):
         grid = GridSpec(0, 0, 100, 4, 4)
-        base = Polygon.from_coords([(0, 0), (400, 0), (400, 400), (0, 400)])
-        island = Polygon.from_coords([(100, 100), (200, 100), (200, 200), (100, 200)])
+        base = polygon_from_coords([(0, 0), (400, 0), (400, 400), (0, 400)])
+        island = polygon_from_coords([(100, 100), (200, 100), (200, 200), (100, 200)])
         zones = [(base, "Middle"), (island, "High")]
         raster = rasterize(INCOME, zones, grid, SCHEME)
         assert raster.values[1, 1] == 0.6  # inside the island
@@ -154,7 +153,7 @@ class TestRasterizeZones:
 
     def test_uncovered_cell_named_in_error(self):
         grid = GridSpec(0, 0, 100, 4, 4)
-        small = Polygon.from_coords([(0, 0), (200, 0), (200, 200), (0, 200)])
+        small = polygon_from_coords([(0, 0), (200, 0), (200, 200), (0, 200)])
         with pytest.raises(InputError, match=r"row=0, col=2"):
             rasterize(INCOME, [(small, "High")], grid, SCHEME)
 
@@ -164,8 +163,8 @@ class TestRasterizeZones:
             bands=(Band(500, None, HIGH), Band(200, 500, SUIT), Band(0, 200, NON)),
         ))
         grid = GridSpec(0, 0, 100, 2, 2)
-        left = Polygon.from_coords([(0, 0), (100, 0), (100, 200), (0, 200)])
-        right = Polygon.from_coords([(100, 0), (200, 0), (200, 200), (100, 200)])
+        left = polygon_from_coords([(0, 0), (100, 0), (100, 200), (0, 200)])
+        right = polygon_from_coords([(100, 0), (200, 0), (200, 200), (100, 200)])
         raster = rasterize(density, [(left, 650), (right, 120)], grid, SCHEME)
         assert raster.values[0, 0] == 0.6
         assert raster.values[0, 1] == 0.0
@@ -207,7 +206,7 @@ class TestGeodesicRasterize:
             for col in range(6):
                 center = grid.cell_center(row, col)
                 raw = min(geodesic_distance(center, p) for p in points)
-                want = score(cls_fn(spec, raw), SCHEME)
+                want = SCHEME.value(cls_fn(spec, raw))
                 assert raster.values[row, col] == want
 
 
@@ -220,7 +219,7 @@ class TestBuildMask:
             cx, cy = rng.uniform(-50, 300), rng.uniform(-50, 300)
             k = rng.randint(5, 9)
             radii = [rng.uniform(40, 160) for _ in range(k)]
-            polys.append(Polygon.from_coords([
+            polys.append(polygon_from_coords([
                 (cx + r * math.cos(2 * math.pi * i / k),
                  cy + r * math.sin(2 * math.pi * i / k))
                 for i, r in enumerate(radii)
@@ -233,7 +232,7 @@ class TestBuildMask:
                 assert mask[row, col] == want
 
     def test_bulk_pip_boundary_inclusive(self):
-        poly = Polygon.from_coords([(0, 0), (10, 0), (10, 10), (0, 10)])
+        poly = polygon_from_coords([(0, 0), (10, 0), (10, 10), (0, 10)])
         xs = np.array([5.0, 0.0, 20.0, 10.0])
         ys = np.array([0.0, 5.0, 5.0, 10.0])
         got = points_in_polygon(xs, ys, poly)
@@ -241,7 +240,7 @@ class TestBuildMask:
 
 
 def rect(x0, y0, x1, y1, holes=()):
-    return Polygon.from_coords([(x0, y0), (x1, y0), (x1, y1), (x0, y1)], holes)
+    return polygon_from_coords([(x0, y0), (x1, y0), (x1, y1), (x0, y1)], holes)
 
 
 def _outcome(fn, *args, **kwargs):
@@ -309,10 +308,10 @@ KERNEL_CASES = {
         # edges and bounding boxes on the center lines x = 15, 55, 5, 65 and
         # y = 15, 45, 5, 65; the hypotenuse x + y = 70 runs through centers;
         # the last triangle's box touches y = 45 only away from the polygon
-        demand=[rect(15, 15, 55, 45), Polygon.from_coords([(5, 5), (65, 5), (5, 65)]),
-                Polygon.from_coords([(60, 0), (100, 0), (80, 45)])],
-        zones=[(Polygon.from_coords([(5, 5), (95, 5), (95, 75), (5, 75)]), "Low"),
-               (Polygon.from_coords([(5, 5), (65, 5), (5, 65)]), "High"),
+        demand=[rect(15, 15, 55, 45), polygon_from_coords([(5, 5), (65, 5), (5, 65)]),
+                polygon_from_coords([(60, 0), (100, 0), (80, 45)])],
+        zones=[(polygon_from_coords([(5, 5), (95, 5), (95, 75), (5, 75)]), "Low"),
+               (polygon_from_coords([(5, 5), (65, 5), (5, 65)]), "High"),
                (rect(15, 15, 55, 45), "Middle")]),
     "empty_mask": dict(
         demand=[rect(200, 200, 300, 300)],
@@ -491,7 +490,7 @@ class TestMaskedKernelsMatchReference:
     def test_geodesic(self):
         grid = GridSpec(51.60, 32.60, 0.004, 9, 7)
         demand = [rect(51.61, 32.605, 51.628, 32.63),
-                  Polygon.from_coords([(51.62, 32.60), (51.64, 32.61), (51.62, 32.628)])]
+                  polygon_from_coords([(51.62, 32.60), (51.64, 32.61), (51.62, 32.628)])]
         zones = [(rect(51.59, 32.59, 51.65, 32.64), "Middle"),
                  (rect(51.614, 32.61, 51.626, 32.62), "High")]
         points = [Point(51.63, 32.62), Point(51.61, 32.64)]
@@ -513,7 +512,7 @@ class TestMaskedKernelsMatchReference:
             xy = draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=3, unique=True))
             (ax, ay), (bx, by), (cx, cy) = xy
             hypothesis.assume((bx - ax) * (cy - ay) != (by - ay) * (cx - ax))
-            return Polygon.from_coords(xy)
+            return polygon_from_coords(xy)
 
         @hypothesis.settings(max_examples=200, deadline=None)
         @hypothesis.given(

@@ -194,7 +194,10 @@ class TestPipeline:
         assert all(c["tier"] is None for c in cands if c["origin"] == "existing")
 
     def test_report_text_is_json_text_of_data(self, demo_report):
-        assert demo_report.to_json() == json_text(demo_report.data)
+        values = demo_report.score.values
+        cells = np.where(np.isnan(values), None, values).tolist()
+        data = {**demo_report.data, "score_raster": {"values": cells}}
+        assert demo_report.to_json() == json_text(data)
 
     def test_rerun_is_byte_identical(self, demo_config_path, demo_report, tmp_path):
         cfg = load_project(demo_config_path)
@@ -237,7 +240,7 @@ class TestPipeline:
         assert report.data["curve"] is None
         assert report.data["instance"] is None
         out = tmp_path / "empty"
-        written = render_report(report.data, out)
+        written = render_report(json.loads(report.to_json()), out)
         names = {p.name for p in written}
         assert "coverage.csv" not in names
         assert "report.json" in names
@@ -326,7 +329,7 @@ class TestRenderedArtifacts:
         from helpers import read_esri_ascii
         grid, values = read_esri_ascii(artifact_dir / "score.asc")
         assert grid.ncols == 60 and grid.nrows == 195
-        embedded = demo_report.data["score_raster"]["values"]
+        embedded = json.loads(demo_report.to_json())["score_raster"]["values"]
         for row in range(grid.nrows):
             for col in range(grid.ncols):
                 want = embedded[row][col]
@@ -650,6 +653,10 @@ class TestCli:
                      _set_in_features([6, "geometry", "coordinates"],
                                       [[[0, 0], [1, 0], [2, 0], [0, 0]]])),
          "demand_areas.geojson feature 6: polygon area must be strictly positive"),
+        # an integer level too large for a float is a bad raw value, not a crash
+        (_layer_argv("density_zones.geojson",
+                     _set_in_features([-1, "properties", "level"], 10 ** 400)),
+         "criterion 'population_density': raw value 1000"),
     ])
     def test_malformed_layer_exits_2(self, demo_config_path, tmp_path, capsys,
                                      argv, message):

@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 validation error, 3 solver refusal, 4 I/O error.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -163,6 +164,16 @@ def pipeline(ctx):
     click.echo(f"wrote {len(written)} files to {out}")
 
 
+def _finite(text: str) -> float:
+    """Parse a number of a report. NaN, Infinity and numbers too large for
+    a float are rejected: the re-rendered artifacts are strict JSON, which
+    has no text for them."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} is not finite")
+    return value
+
+
 @cli.command()
 @click.option("--report", "report_path", required=True,
               type=click.Path(exists=True, dir_okay=False),
@@ -171,7 +182,8 @@ def pipeline(ctx):
 def report(ctx, report_path):
     """Re-render artifacts from an existing report."""
     try:
-        data = json.loads(Path(report_path).read_text())
+        data = json.loads(Path(report_path).read_text(),
+                          parse_float=_finite, parse_constant=_finite)
     except ValueError as exc:
         raise InputError(f"report {report_path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):

@@ -21,7 +21,9 @@ float array is formatted once into a table of strings, which the cells then
 index, so the text is the same as formatting every cell on its own. The
 grids and the report's raster are also joined once per distinct row (rows
 repeat: every row outside the study area is the same), and each later
-occurrence of a row reuses that text.
+occurrence of a row reuses that text. Each feature of
+``score_points.geojson`` is a column's, a row's and a score's text, so the
+file is one join of those shared pieces.
 """
 
 from __future__ import annotations
@@ -98,6 +100,13 @@ class GridSpec:
             raise InputError(
                 f"grid has {self.ncols * self.nrows} cells, above the cap of {MAX_CELLS}"
             )
+        # the centers lie between the origin and the far corner
+        far = (self.origin_x + self.ncols * self.cell_size,
+               self.origin_y + self.nrows * self.cell_size)
+        if not all(map(math.isfinite, (self.origin_x, self.origin_y, *far))):
+            raise InputError(
+                f"grid origin ({self.origin_x}, {self.origin_y}) and far corner "
+                f"{far} must be finite")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -424,6 +433,25 @@ _POINT_FEATURE = """\
       },
       "type": "Feature"
     }"""
+_HEAD, _MID, _MID2, _TAIL = _POINT_FEATURE.split("%s")
+
+
+def _splice(text: str, anchor: str, parts: list[str]) -> str:
+    """``text`` with its first ``anchor`` replaced by the concatenated
+    ``parts``, in a single join.
+
+    The anchors start with a newline and two spaces, so inside ``json_text``
+    only a top-level key can match: a string value escapes its newlines.
+    """
+    head, tail = text.split(anchor, 1)
+    return "".join([head, *parts, tail])
+
+
+def _json_pieces(values, before: str, after: str) -> np.ndarray:
+    """``_text_table`` of ``values`` as ``json.dumps`` text, each text
+    between ``before`` and ``after``."""
+    return _text_table(values, lambda v: before + json.dumps(v) + after,
+                       before + "NaN" + after)
 
 
 def score_points_geojson(raster, meta: dict | None = None) -> str:
@@ -432,18 +460,24 @@ def score_points_geojson(raster, meta: dict | None = None) -> str:
 
     ``meta`` entries (config digest, mode, ...) are added as top-level
     foreign members so the file identifies the run that produced it.
+
+    Each feature's text is three pieces: one per column (the separator and
+    x), one per row (y) and one per distinct score. Each piece is formatted
+    once and the features are indexed from those tables, so the only
+    full-size string built is the file itself.
     """
     text = json_text({"type": "FeatureCollection", "features": [], **(meta or {})})
     rows, cols = np.nonzero(~np.isnan(raster.values))
     if not len(rows):
         return text
     xs, ys = raster.grid.center_axes()
-    features = zip(_text_table(xs, json.dumps, "NaN")[cols].tolist(),
-                   _text_table(ys, json.dumps, "NaN")[rows].tolist(),
-                   _text_table(raster.values[rows, cols], json.dumps, "NaN").tolist())
-    block = ",\n".join(_POINT_FEATURE % f for f in features)
-    # at two spaces and after a newline, only the top-level key can match
-    return text.replace('\n  "features": []', f'\n  "features": [\n{block}\n  ]', 1)
+    pieces = np.empty((len(rows), 3), dtype=object)
+    pieces[:, 0] = _json_pieces(xs, ",\n" + _HEAD, _MID)[cols]
+    pieces[:, 1] = _json_pieces(ys, "", _MID2)[rows]
+    pieces[:, 2] = _json_pieces(raster.values[rows, cols], "", _TAIL)
+    pieces[0, 0] = pieces[0, 0][len(",\n"):]  # no separator before the first
+    return _splice(text, '\n  "features": []',
+                   ['\n  "features": [\n', *pieces.ravel().tolist(), "\n  ]"])
 
 
 def report_json_text(data: dict, score: ScoreRaster) -> str:
@@ -454,7 +488,6 @@ def report_json_text(data: dict, score: ScoreRaster) -> str:
     """
     text = json_text({**data, "score_raster": {"values": []}})
     rows = _row_texts(score.values, json.dumps, "null", ",\n        ")
-    block = ",\n".join(f"      [\n        {row}\n      ]" for row in rows)
-    # at two spaces and after a newline, only the top-level key can match
-    return text.replace('\n  "score_raster": {\n    "values": []',
-                        f'\n  "score_raster": {{\n    "values": [\n{block}\n    ]', 1)
+    return _splice(text, '\n  "score_raster": {\n    "values": []',
+                   ['\n  "score_raster": {\n    "values": [\n      [\n        ',
+                    "\n      ],\n      [\n        ".join(rows), "\n      ]\n    ]"])

@@ -105,6 +105,10 @@ def _is_number(value) -> bool:
     return isinstance(value, float) or abs(value) <= sys.float_info.max
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _num(value, path: str) -> float:
     if not _is_number(value):
         raise ConfigError(f"config field {path} must be a number, got {value!r}")
@@ -112,7 +116,7 @@ def _num(value, path: str) -> float:
 
 
 def _int(value, path: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         raise ConfigError(f"config field {path} must be an integer, got {value!r}")
     return value
 
@@ -171,9 +175,20 @@ def _parse_bands(entries, path: str) -> tuple[Band, ...]:
     return tuple(bands)
 
 
+def _file_name(value, path: str) -> str:
+    """A criterion id names its raster, ``rasters/<id>.asc``, so it must be
+    one file-name component: a write may not leave the output directory."""
+    if (not isinstance(value, str) or value in ("", ".", "..")
+            or any(c in value for c in "/\\\0")):
+        raise ConfigError(
+            f"config field {path} must be a file name, not empty, '.' or '..' "
+            f"and without '/', '\\' or NUL, got {value!r}")
+    return value
+
+
 def _parse_criterion(entry: dict, idx: int, base_dir: Path) -> tuple[NormalizedCriterion, Path]:
     where = f"criteria[{idx}]"
-    cid = _req(entry, "id", where)
+    cid = _file_name(_req(entry, "id", where), f"{where}.id")
     kind = _req(entry, "kind", where)
     layer_rel = _req(entry, "layer", where)
     layer_path = base_dir / layer_rel
@@ -590,9 +605,23 @@ def run_pipeline(cfg: ProjectConfig) -> RunReport:
 
 
 def _grid_from_report(data: dict) -> GridSpec:
+    """The grid of a report, typed as ``load_project`` types it; its values
+    are re-rendered as they stand, so a float ``ncols`` would give an
+    invalid Esri header."""
     g = data["grid"]
-    return GridSpec(origin_x=g["origin"][0], origin_y=g["origin"][1],
-                    cell_size=g["cell_size"], ncols=g["ncols"], nrows=g["nrows"])
+    origin = g["origin"]
+    if not isinstance(origin, list) or len(origin) != 2:
+        raise InputError(f"report field grid.origin must be [x, y], got {origin!r}")
+    fields = {"origin[0]": origin[0], "origin[1]": origin[1],
+              "cell_size": g["cell_size"]}
+    for name, value in fields.items():
+        if not _is_number(value):
+            raise InputError(f"report field grid.{name} must be a number, got {value!r}")
+    for name in ("ncols", "nrows"):
+        if not _is_int(g[name]):
+            raise InputError(f"report field grid.{name} must be an integer, got {g[name]!r}")
+    return GridSpec(origin_x=float(origin[0]), origin_y=float(origin[1]),
+                    cell_size=float(g["cell_size"]), ncols=g["ncols"], nrows=g["nrows"])
 
 
 def _score_raster_from_report(data: dict) -> ScoreRaster:
@@ -601,10 +630,15 @@ def _score_raster_from_report(data: dict) -> ScoreRaster:
     values = np.array(cells, dtype=float)  # None -> NaN
     mask = ~np.isnan(values)
     raster = ScoreRaster(grid, values, mask, CombineMode(data["combine_mode"]))
-    # numpy parses "0.5" as a float, but report.json is re-encoded from the
-    # floats, so a string cell would silently lose its quotes
-    if any(isinstance(v, str) for row in cells for v in row):
-        raise InputError("report field score_raster.values holds a string cell")
+    # numpy parses "0.5" and true as floats, but report.json is re-encoded
+    # from the floats, so a string or bool cell would silently change
+    kinds = {type(v) for row in cells for v in row}
+    for kind, name in ((str, "string"), (bool, "bool")):
+        if kind in kinds:
+            raise InputError(f"report field score_raster.values holds a {name} cell")
+    # a null cell is NaN; any other NaN or infinity has no JSON text
+    if np.count_nonzero(~np.isfinite(values)) != sum(row.count(None) for row in cells):
+        raise InputError("report field score_raster.values holds a non-finite cell")
     return raster
 
 

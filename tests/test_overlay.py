@@ -774,6 +774,19 @@ FORMATTER_CASES = {
                                     [NEG_NAN, 0.6]]),
     "single_row": (GridSpec(0, 0, 10, 4, 1), [[0.6, NAN, -0.0, 0.6]]),
     "single_column": (GridSpec(0, 0, 10, 1, 5), [[0.6], [-0.0], [0.6], [NAN], [0.0]]),
+    # score_points.geojson is pieced from column, row and score texts, with
+    # no separator before the first feature and the closing text after the
+    # last one
+    "single_masked_cell": (GridSpec(0, 0, 10, 3, 3),
+                           [[NAN, NAN, NAN], [NAN, 0.4, NAN], [NAN, NAN, NAN]]),
+    "only_first_cell": (GridSpec(0, 0, 10, 3, 2), [[0.6, NAN, NAN], [NAN, NAN, NAN]]),
+    "only_last_cell": (GridSpec(0, 0, 10, 3, 2), [[NAN, NAN, NAN], [NAN, NAN, 0.6]]),
+    "full_mask": (GridSpec(5, 5, 10, 3, 2), [[0.6, 0.4, 0.0], [0.4, 0.1 + 0.2, 0.6]]),
+    "repeated_scores_and_negative_zero": (
+        GridSpec(0, 0, 10, 4, 2), [[-0.0, 0.6, -0.0, 0.0], [0.6, 0.0, NAN, -0.0]]),
+    "negative_fractional_origin": (GridSpec(-1234.567, -0.125, 0.3, 3, 3),
+                                   [[0.4, NAN, 0.6], [NAN, -0.0, 0.4],
+                                    [0.6, 0.4, NAN]]),
 }
 FORMATTER_METAS = [None, {"config_digest": "abc", "mode": "planar"},
                    {"mode": "g\u00e9od\u00e9sique \u0627\u0635\u0641\u0647\u0627\u0646",
@@ -842,5 +855,30 @@ class TestFormattersMatchReference:
             grid = GridSpec(0.0, 0.0, 2.5, ncols, nrows)
             _assert_formatters_match_reference(
                 _score_raster(grid, [palette[k] for k in picks]), meta)
+
+        check()
+
+    def test_drawn_grids_and_masks(self):
+        """score_points.geojson on random grids, masks and repeated scores."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(
+            ncols=st.integers(1, 9), nrows=st.integers(1, 9), x0=finite, y0=finite,
+            cell_size=st.floats(1e-3, 1e3), data=st.data(),
+            meta=st.sampled_from(FORMATTER_METAS))
+        def check(ncols, nrows, x0, y0, cell_size, data, meta):
+            n = nrows * ncols
+            palette = data.draw(st.lists(st.sampled_from(AWKWARD) | finite,
+                                         min_size=1, max_size=4))
+            scores = data.draw(st.lists(st.sampled_from(palette), min_size=n, max_size=n))
+            masked = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            cells = np.where(masked, np.array(scores, dtype=float), NAN)
+            raster = _score_raster(GridSpec(x0, y0, cell_size, ncols, nrows),
+                                   cells.reshape(nrows, ncols))
+            assert (score_points_geojson(raster, meta=meta)
+                    == json_text(reference_score_points_geojson(raster, meta=meta)))
 
         check()

@@ -1,9 +1,12 @@
+import copy
 import fcntl
 import hashlib
 import json
 import math
 import os
+import re
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -449,6 +452,19 @@ def _report_argv(text):
     return argv
 
 
+def _report_variant(**grid_and_cells):
+    """A tiny valid report (2 x 1 grid) with some grid fields or the score
+    cells replaced; the text is written as given, so ``1e400`` and ``NaN``
+    stay literals."""
+    grid = {"origin": "[0.0, 0.0]", "cell_size": "1.0", "ncols": "2", "nrows": "1",
+            "values": "[[0.5, null]]"}
+    grid.update(grid_and_cells)
+    return ('{"config_digest": "0", "mode": "planar", "combine_mode": "weighted_sum", '
+            '"candidates": [], "grid": {"origin": %(origin)s, "cell_size": %(cell_size)s, '
+            '"ncols": %(ncols)s, "nrows": %(nrows)s}, '
+            '"score_raster": {"values": %(values)s}}' % grid)
+
+
 class TestCli:
     def test_pipeline_command(self, demo_config_path, tmp_path, capsys):
         out = tmp_path / "run"
@@ -622,6 +638,22 @@ class TestCli:
             "grid": {"origin": [0, 0], "cell_size": 1, "ncols": 2, "nrows": 1},
             "score_raster": {"values": [[0.5, 10 ** 400]]}})),
          "int too large to convert to float"),
+        (_report_argv(_report_variant(ncols="2.0")), "grid.ncols must be an integer, got 2.0"),
+        (_report_argv(_report_variant(nrows="true")), "grid.nrows must be an integer, got True"),
+        (_report_argv(_report_variant(origin="[0.0]")), "grid.origin must be [x, y]"),
+        (_report_argv(_report_variant(origin='["0", 0]')),
+         "grid.origin[0] must be a number"),
+        (_report_argv(_report_variant(cell_size="false")),
+         "grid.cell_size must be a number"),
+        (_report_argv(_report_variant(values="[[true, null]]")), "values holds a bool cell"),
+        # a report is strict JSON: non-finite numbers fail as it is parsed
+        (_report_argv(_report_variant(values="[[1e400, null]]")), "number 1e400 is not finite"),
+        (_report_argv(_report_variant(values="[[-Infinity, 0.5]]")),
+         "number -Infinity is not finite"),
+        (_report_argv(_report_variant(cell_size="NaN")), "number NaN is not finite"),
+        # the cell centers of this grid overflow to inf
+        (_config_argv(lambda cfg: cfg["grid"].update(cell_size=1e308)),
+         "far corner (inf, inf) must be finite"),
     ])
     def test_malformed_config_or_report_exits_2(self, demo_config_path, tmp_path,
                                                 capsys, argv, field):
@@ -685,3 +717,201 @@ class TestCli:
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["--out", str(tmp_path / "o"), "pipeline"]) == 2
+
+
+def _renamed_criterion_project(config_path, root, new_id, old_id="building_cost"):
+    """A copy of the demo project at ``root`` whose criterion ``old_id``, a
+    single child with no matrix, is ``new_id`` in the criteria and in the
+    hierarchy; returns the copy's project file."""
+    shutil.copytree(Path(config_path).parent, root)
+    path = root / Path(config_path).name
+    cfg = load_config_json(path)
+    for entry in cfg["criteria"]:
+        if entry["id"] == old_id:
+            entry["id"] = new_id
+    for node in cfg["hierarchy"]["nodes"]:
+        node["children"] = [new_id if c == old_id else c for c in node["children"]]
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+BAD_CRITERION_IDS = {"parent_escape": "../../escaped", "subdirectory": "a/b",
+                     "backslash": "a\\b", "nul": "a\0b", "dot": ".", "dotdot": "..",
+                     "empty": "", "number": 5, "null": None, "list": ["a"]}
+
+
+class TestCriterionIds:
+    """A criterion id names ``rasters/<id>.asc``, so it must be one file name."""
+
+    @pytest.mark.parametrize("name", sorted(BAD_CRITERION_IDS))
+    def test_bad_id_exits_2_and_writes_nothing(self, demo_config_path, tmp_path,
+                                               capsys, name):
+        cid = BAD_CRITERION_IDS[name]
+        config = _renamed_criterion_project(demo_config_path, tmp_path / "project", cid)
+        out = tmp_path / "project" / "o"
+        code = main(["--config", str(config), "--out", str(out), "pipeline"])
+        assert code == 2
+        assert "criteria[7].id must be a file name" in capsys.readouterr().err
+        assert not out.exists()
+        assert not list(tmp_path.rglob("*.asc"))
+
+    @pytest.mark.parametrize("cid", ["..a", "a.b", "a b", "été", "-x"])
+    def test_unusual_file_names_pass(self, demo_config_path, tmp_path, cid):
+        config = _renamed_criterion_project(demo_config_path, tmp_path / "project", cid)
+        cfg = load_project(config)
+        assert cfg.criteria[7].id == cid
+        assert sorted(cfg.layer_paths) == sorted(c.id for c in cfg.criteria)
+
+    def test_demo_ids_name_their_rasters(self, demo_config_path, tmp_path):
+        cfg = load_project(demo_config_path)
+        out = tmp_path / "o"
+        assert main(["--config", str(demo_config_path), "--out", str(out), "score"]) == 0
+        assert (sorted(p.name for p in (out / "rasters").iterdir())
+                == sorted(f"{c.id}.asc" for c in cfg.criteria))
+
+
+def _small_report(config_path, root):
+    """report.json text of the demo project re-gridded to 400 m cells
+    (27 x 39 cells), which still proposes candidates and solves p = 1..3."""
+    shutil.copytree(Path(config_path).parent, root)
+    path = root / Path(config_path).name
+    cfg = load_config_json(path)
+    grid = cfg["grid"]
+    scale = grid["cell_size"] / 400.0
+    grid.update(cell_size=400.0, ncols=round(grid["ncols"] * scale),
+                nrows=round(grid["nrows"] * scale))
+    path.write_text(json.dumps(cfg))
+    return run_pipeline(load_project(path)).to_json()
+
+
+class TestReportInput:
+    @pytest.mark.parametrize("text, message", [
+        (_report_variant(values="[[1e400, null]]"), "values holds a non-finite cell"),
+        (_report_variant(values="[[NaN, 0.5]]"), "values holds a non-finite cell"),
+        (_report_variant(origin="[0, -Infinity]"), "far corner (2.0, -inf) must be finite"),
+        (_report_variant(cell_size="1e400"), "far corner (inf, inf) must be finite"),
+        (_report_variant(cell_size="1e308"), "far corner (inf, 1e+308) must be finite"),
+    ])
+    def test_non_finite_grid_or_cell_rejected_by_render_report(self, tmp_path, text,
+                                                               message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            render_report(json.loads(text), tmp_path / "o")
+        assert not (tmp_path / "o").exists()
+
+    def test_valid_variant_renders(self, tmp_path):
+        assert main(_report_argv(_report_variant())(None, tmp_path)) == 0
+        assert (tmp_path / "o" / "score.asc").read_text().startswith("NCOLS 2\nNROWS 1\n")
+
+    def test_fuzzed_report_succeeds_or_exits_2(self, demo_config_path, tmp_path):
+        """Random deletions, type changes and non-finite or huge numbers in a
+        pipeline report.json: ``report`` either raises a ``BranchSiteError``
+        that exits 2, or succeeds with strict JSON artifacts, an Esri header
+        with integer sizes and a report.json that reads back as its input."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        from click.testing import CliRunner
+
+        from branchsite.cli import _exit_code, cli
+        from branchsite.errors import BranchSiteError
+
+        base = _small_report(demo_config_path, tmp_path / "project")
+        runner = CliRunner()
+        values = st.sampled_from([None, True, False, 0, -1, 3, 2.5, -0.0, 1e308,
+                                  10 ** 400, -10 ** 400, math.inf, -math.inf,
+                                  math.nan, "", "x", [], {}, [0, 0], [[0.5]],
+                                  {"a": 1}])
+
+        def retyped(value):
+            """``value`` as other JSON types, the same number where it can be."""
+            others = [str(value), [value]]
+            if isinstance(value, bool):
+                others.append(int(value))
+            elif isinstance(value, (int, float)):
+                others.append(bool(value))
+                if isinstance(value, int) and abs(value) <= 2 ** 53:
+                    others.append(float(value))
+                elif isinstance(value, float) and value.is_integer():
+                    others.append(int(value))
+            return st.sampled_from(others)
+
+        def site(doc, data):
+            """(container, key) of the value to mutate: where a walk from the
+            top or from the grid stops, or a scored cell."""
+            region = data.draw(st.sampled_from(["cell", "grid", "top"]))
+            if region == "cell":
+                try:
+                    cells = [(row, j) for row in doc["score_raster"]["values"]
+                             for j, v in enumerate(row) if isinstance(v, float)]
+                except (KeyError, TypeError):
+                    cells = []
+                if cells:
+                    return data.draw(st.sampled_from(cells))
+            node = doc
+            if region == "grid" and isinstance(doc.get("grid"), dict) and doc["grid"]:
+                node = doc["grid"]
+            parent, key = None, None
+            while isinstance(node, (dict, list)) and node:
+                if parent is not None and data.draw(st.booleans()):
+                    break
+                keys = sorted(node) if isinstance(node, dict) else range(len(node))
+                parent, key = node, data.draw(st.sampled_from(list(keys)))
+                node = parent[key]
+            return parent, key
+
+        def mutate(doc, data):
+            """Delete, replace or retype one value of ``doc``."""
+            parent, key = site(doc, data)
+            if parent is None:
+                return
+            op = data.draw(st.sampled_from(["delete", "replace", "retype"]))
+            if op == "delete":
+                del parent[key]
+            else:
+                # a copy: a later mutation may edit a drawn list or dict
+                parent[key] = copy.deepcopy(data.draw(
+                    values if op == "replace" else retyped(parent[key])))
+
+        def no_constant(name):
+            raise AssertionError(f"{name} written into a JSON artifact")
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(data=st.data())
+        def check(data):
+            doc = json.loads(base)
+            for _ in range(data.draw(st.integers(1, 2))):
+                mutate(doc, data)
+            work = Path(tempfile.mkdtemp(dir=tmp_path))
+            try:
+                (work / "report.json").write_text(json.dumps(doc))
+                result = runner.invoke(
+                    cli, ["--out", str(work / "o"), "report", "--report",
+                          str(work / "report.json")], standalone_mode=False)
+                exc = result.exception
+                if exc is not None:
+                    assert isinstance(exc, BranchSiteError), result.exc_info
+                    assert _exit_code(exc) == 2, exc
+                    return
+                texts = {p.name: p.read_text() for p in (work / "o").iterdir()}
+            finally:
+                shutil.rmtree(work)
+            parsed = {name: json.loads(text, parse_constant=no_constant)
+                      for name, text in texts.items()
+                      if name.endswith((".json", ".geojson"))}
+            assert _same_json(parsed["report.json"], doc)
+            assert re.match(r"NCOLS \d+\nNROWS \d+\n", texts["score.asc"])
+
+        check()
+
+
+def _same_json(a, b) -> bool:
+    """JSON equality where a bool equals only a bool (``1 == True`` in
+    Python) and an int equals the float of its value."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return type(a) is type(b) and a == b
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_same_json(a[k], b[k]) for k in a)
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_same_json, a, b))
+    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+        return a == b
+    return type(a) is type(b) and a == b

@@ -33,7 +33,6 @@ from .errors import (
 from .geo import (
     Point,
     Polygon,
-    geodesic_distance,
     planar_distance,
     point_in_polygon,
 )

@@ -8,12 +8,12 @@ the mode explicitly. All types are immutable after construction.
 Each geometric operation has exactly one implementation, a numpy kernel over
 coordinate arrays: ``distances_to`` (many points to one point, in either
 mode) and ``points_in_polygon`` (ray crossing, boundary inclusive). The
-scalar functions ``planar_distance``, ``geodesic_distance`` and
-``point_in_polygon`` are thin wrappers that run the kernel on one point, so
-a scalar check agrees bit for bit with every raster, coverage matrix and
-extraction built from the arrays. Planar distances are ``dx*dx + dy*dy``
-under a correctly rounded square root, the same IEEE operations as a scalar
-evaluation; geodesic distances are one numpy haversine.
+scalar functions ``planar_distance`` and ``point_in_polygon`` are thin
+wrappers that run the kernel on one point, so a scalar check agrees bit for
+bit with every raster, coverage matrix and extraction built from the arrays.
+Planar distances are ``dx*dx + dy*dy`` under a correctly rounded square
+root, the same IEEE operations as a scalar evaluation; geodesic distances
+are one numpy haversine.
 """
 
 from __future__ import annotations
@@ -84,11 +84,6 @@ def _coords(p: Point) -> tuple[np.ndarray, np.ndarray]:
 def planar_distance(a: Point, b: Point) -> float:
     """Euclidean distance in meters between two planar points."""
     return float(distances_to(*_coords(a), b, PLANAR)[0])
-
-
-def geodesic_distance(a: Point, b: Point) -> float:
-    """Haversine great-circle distance in meters between two lon/lat points."""
-    return float(distances_to(*_coords(a), b, GEODESIC)[0])
 
 
 def _orient(a: Point, b: Point, c: Point) -> float:

@@ -26,6 +26,7 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -75,16 +76,18 @@ class CoverageStandard:
 
     def __post_init__(self):
         if self.kind == "radius":
-            if self.radius is None or self.radius <= 0:
-                raise ConfigError("coverage standard: radius must be positive")
+            names = ("radius",)
         elif self.kind == "travel_time":
-            if (self.minutes is None or self.minutes <= 0
-                    or self.speed_kmh is None or self.speed_kmh <= 0):
-                raise ConfigError(
-                    "coverage standard: travel time needs positive minutes and speed"
-                )
+            names = ("minutes", "speed_kmh")
         else:
             raise ConfigError(f"coverage standard: unknown kind {self.kind!r}")
+        for name in names:
+            value = getattr(self, name)
+            if not _positive_finite(value):
+                raise ConfigError(f"coverage standard: {name} must be a finite "
+                                  f"positive number, got {value!r}")
+        if not math.isfinite(self.effective_radius_m):
+            raise ConfigError("coverage standard: travel time gives an infinite radius")
 
     @property
     def effective_radius_m(self) -> float:
@@ -105,6 +108,16 @@ class CoverageStandard:
             minutes=d.get("minutes"),
             speed_kmh=d.get("speed_kmh"),
         )
+
+
+def _positive_finite(value) -> bool:
+    """A real number (not a bool) that is finite and above zero."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value) and value > 0
+    except OverflowError:   # an integer too large for a float
+        return False
 
 
 @dataclass(frozen=True)
@@ -328,9 +341,35 @@ def solve_exact(inst: MclpInstance, p: int, override_cap: bool = False) -> MclpS
     """Provably optimal solution by depth-first branch and bound.
 
     Candidates are explored in ascending id order with an include-first
-    strategy, and a branch is pruned when its submodular upper bound (current
-    coverage plus the best p-k residual gains) cannot beat the incumbent;
-    the first optimum found is therefore the lexicographically smallest
+    strategy, so subsets are enumerated in lexicographic order of their
+    sorted ids. A node with covered areas C, free columns F (positions
+    ``start`` on) and s open slots is pruned by two upper bounds on the best
+    completion:
+
+    * the submodular bound: current coverage plus the best s residual
+      gains, capped by what F can reach at all;
+    * when that fails and s > 1 (for s = 1 it is already exact), the
+      Lagrangian relaxation of Galvao & ReVelle (1996). For multipliers
+      lambda_i in [0, w_i] on the uncovered areas,
+      L(lambda) = sum_{i not in C} (w_i - lambda_i) + (the s largest
+      c_j = sum_{i not in C} lambda_i a_ij over j in F)
+      bounds the completion from above. Areas that are covered or that no
+      column of F reaches drop out (lambda_i = w_i there). lambda is set by
+      up to ``_LAGRANGE_STEPS`` projected subgradient steps (Fisher 1981):
+      g_i = (how many of the s chosen columns cover i) - 1, zeroed where
+      lambda_i sits on a box bound that g would push it past, with a
+      Polyak step toward the target ``best_z - z``. Each node starts from
+      its parent's multipliers; the root starts at w / 2.
+
+    A greedy incumbent seeds the search. While it is the incumbent a subtree
+    is cut only when it is strictly worse (exact bound below ``best_z``, or
+    ``z + L + tol < best_z``), and a leaf equal to it replaces it; after that
+    a subtree is cut when it cannot beat the incumbent (exact bound at most
+    ``best_z``, or ``z + L + tol <= best_z``). ``tol`` (1e-9 of the total
+    population) absorbs the rounding of the fractional multipliers, so it
+    only ever weakens a cut. As the DFS meets subsets in lexicographic order
+    and never cuts a subtree holding a leaf that could replace the
+    incumbent, the first optimum it keeps is the lexicographically smallest
     optimal id set.
     """
     n = len(inst.candidates)
@@ -348,6 +387,7 @@ def solve_exact(inst: MclpInstance, p: int, override_cap: bool = False) -> MclpS
     # cover, so one product gives the residual gains and what is reachable
     reach = np.logical_or.accumulate(hit[:, ::-1], axis=1)[:, ::-1]
     table = np.hstack([free_cols, reach])
+    tol = 1e-9 * float(pops.sum())
 
     start_covered = (cols[:, fixed] > 0).any(axis=1)
     start_z = float(pops[start_covered].sum())
@@ -360,7 +400,13 @@ def solve_exact(inst: MclpInstance, p: int, override_cap: bool = False) -> MclpS
     best_sel: list[int] = []
     seeded = True
 
-    def dfs(start: int, chosen: list[int], covered: np.ndarray, z: float):
+    def cut(bound: float, slack: float = 0.0) -> bool:
+        if seeded:
+            return bound + slack < best_z
+        return bound + slack <= best_z
+
+    def dfs(start: int, chosen: list[int], covered: np.ndarray, z: float,
+            lam: np.ndarray):
         nonlocal best_z, best_sel, seeded
         slots = p - len(fixed) - len(chosen)
         if slots == 0:
@@ -374,16 +420,54 @@ def solve_exact(inst: MclpInstance, p: int, override_cap: bool = False) -> MclpS
         gains = _gains(table, pops, covered)
         residual = np.sort(gains[start:nfree])
         top = residual[residual.size - slots:].sum()
-        bound = z + min(top, gains[nfree + start])
-        if bound < best_z or (bound == best_z and not seeded):
+        if cut(z + min(top, gains[nfree + start])):
             return
-        dfs(start + 1, chosen + [start], covered | hit[:, start], z + gains[start])
-        dfs(start + 1, chosen, covered, z)
+        if slots > 1:
+            lam = _lagrange_cut(lam, ~covered & reach[:, start], pops,
+                                free_cols[:, start:nfree], slots, best_z - z,
+                                lambda bound: cut(z + bound, tol))
+            if lam is None:
+                return
+        dfs(start + 1, chosen + [start], covered | hit[:, start], z + gains[start],
+            lam)
+        dfs(start + 1, chosen, covered, z, lam)
 
-    dfs(0, [], start_covered, start_z)
+    dfs(0, [], start_covered, start_z, pops / 2)
     chosen_ids = [inst.candidates[order[k]].id
                   for k in fixed + [free[i] for i in best_sel]]
     return _finish_solution(inst, chosen_ids, METHOD_EXACT, optimal=True)
+
+
+_LAGRANGE_STEPS = 5
+
+
+def _lagrange_cut(lam: np.ndarray, open_rows: np.ndarray, pops: np.ndarray,
+                  cols: np.ndarray, slots: int, target: float,
+                  cut) -> np.ndarray | None:
+    """Projected subgradient descent on the Lagrangian bound of a node.
+
+    ``open_rows`` marks the areas still to cover that ``cols`` can reach,
+    and ``lam`` holds the multipliers to start from. Returns None as soon
+    as ``cut(L)`` holds for a bound L, else the multipliers reached."""
+    rows = np.flatnonzero(open_rows)
+    w = pops[rows]
+    sub = cols[rows]
+    mult = lam[rows]
+    for _ in range(_LAGRANGE_STEPS):
+        c = mult @ sub
+        pick = np.argpartition(c, c.size - slots)[c.size - slots:]
+        bound = float((w - mult).sum() + c[pick].sum())
+        if cut(bound):
+            return None
+        g = sub[:, pick].sum(axis=1) - 1.0
+        g[((mult <= 0.0) & (g > 0.0)) | ((mult >= w) & (g < 0.0))] = 0.0
+        norm = float(g @ g)
+        if norm == 0.0 or bound <= target:
+            break
+        mult = np.clip(mult - (bound - target) / norm * g, 0.0, w)
+    lam = lam.copy()
+    lam[rows] = mult
+    return lam
 
 
 def _greedy_value(cols: np.ndarray, pops: np.ndarray, covered: np.ndarray,

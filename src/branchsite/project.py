@@ -16,6 +16,7 @@ from __future__ import annotations
 import fcntl
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -99,10 +100,13 @@ def _req(obj: dict, key: str, path: str):
 
 
 def _is_number(value) -> bool:
-    """A JSON number that converts to a float (no bool, no huge integer)."""
+    """A JSON number that converts to a finite float (no bool, no NaN or
+    infinity, no huge integer)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
-    return isinstance(value, float) or abs(value) <= sys.float_info.max
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return abs(value) <= sys.float_info.max
 
 
 def _is_int(value) -> bool:

@@ -24,7 +24,14 @@ from branchsite.criteria import (
     Segment,
     classify,
 )
-from branchsite.geo import PLANAR, Point, Polygon, distances_to, points_in_polygon
+from branchsite.geo import (
+    GEODESIC,
+    PLANAR,
+    Point,
+    Polygon,
+    distances_to,
+    points_in_polygon,
+)
 from branchsite.mclp import (
     METHOD_GREEDY_SWAP,
     CoverageCurve,
@@ -73,21 +80,58 @@ def oracle_family():
     return out
 
 
+def tie_heavy_family():
+    """300 small instances where many subsets tie: populations in {0, 1, 2,
+    3}, about 10% of the candidates fixed open; yields (instance, p) for
+    every feasible p <= 6."""
+    rng = random.Random(20261018)
+    for _ in range(300):
+        n_areas = rng.randint(5, 40)
+        n_cands = rng.randint(3, 18)
+        density = rng.choice((0.1, 0.2, 0.35))
+        matrix = np.array(
+            [[rng.random() < density for _ in range(n_cands)] for _ in range(n_areas)]
+        )
+        areas = tuple(
+            DemandArea(id=f"d{i:02d}", population=float(rng.randint(0, 3)),
+                       centroid=Point(float(i), 0.0))
+            for i in range(n_areas)
+        )
+        cands = tuple(
+            existing_site(f"c{j:02d}", Point(float(j), 1.0), fixed_open=rng.random() < 0.1)
+            for j in range(n_cands)
+        )
+        inst = MclpInstance(areas=areas, candidates=cands, matrix=matrix)
+        n_fixed = sum(c.fixed_open for c in cands)
+        for p in range(max(1, n_fixed), min(6, n_cands) + 1):
+            yield inst, p
+
+
+def geodesic_distance(a: Point, b: Point) -> float:
+    """Haversine great-circle distance in meters between two lon/lat points:
+    the geodesic kernel run on one point."""
+    return float(distances_to(np.array([a.x]), np.array([a.y]), b, GEODESIC)[0])
+
+
 def enumerate_optimum(inst, p):
-    """Full C(|J|, p) enumeration; returns (z, lexicographically smallest set)."""
+    """Full enumeration of the p-sets that hold every fixed-open candidate:
+    C(free, p - fixed) subsets of the free candidates, each with the fixed
+    ones added; returns (z, lexicographically smallest optimal id set)."""
     pops = inst.populations
     n = len(inst.candidates)
     ids = [c.id for c in inst.candidates]
     id_order = sorted(range(n), key=lambda j: ids[j])
+    fixed = [j for j in id_order if inst.candidates[j].fixed_open]
+    free = [j for j in id_order if not inst.candidates[j].fixed_open]
     best_z = -1.0
     best_sel = None
-    for subset in itertools.combinations(id_order, p):
-        covered = inst.matrix[:, list(subset)].any(axis=1)
+    for extra in itertools.combinations(free, p - len(fixed)):
+        subset = fixed + list(extra)
+        covered = inst.matrix[:, subset].any(axis=1)
         z = float(pops[covered].sum())
-        sel = tuple(sorted(ids[j] for j in subset))
         if z > best_z:
             best_z = z
-            best_sel = sel
+            best_sel = tuple(sorted(ids[j] for j in subset))
     return best_z, best_sel
 
 

@@ -9,12 +9,11 @@ from branchsite.geo import (
     EARTH_RADIUS_M,
     Point,
     distances_to,
-    geodesic_distance,
     planar_distance,
     point_in_polygon,
 )
 
-from helpers import polygon_from_coords
+from helpers import geodesic_distance, polygon_from_coords
 
 
 def reference_haversine(lon1, lat1, lon2, lat2):

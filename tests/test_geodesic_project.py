@@ -8,8 +8,10 @@ import pytest
 
 from branchsite.cli import main
 from branchsite.errors import InputError
-from branchsite.geo import Point, geodesic_distance
+from branchsite.geo import Point
 from branchsite.project import load_demand_layer, load_project, run_pipeline
+
+from helpers import geodesic_distance
 
 # a ~2.2 km x 2.2 km patch around (51.66E, 32.64N); 0.002 deg cells
 ORIGIN = (51.65, 32.63)

@@ -9,19 +9,21 @@ import pytest
 from helpers import (
     covering_candidates,
     enumerate_optimum,
+    geodesic_distance,
     oracle_family,
     parse_coverage_table_csv,
     random_instance,
     reference_greedy_curve,
     reference_improve_swap,
     reference_solve_greedy,
+    tie_heavy_family,
     verify_solution,
 )
 
 from branchsite import mclp
 from branchsite.candidates import CandidateSite, existing_site
 from branchsite.errors import ConfigError, InputError, SolverRefused
-from branchsite.geo import Point, geodesic_distance, planar_distance
+from branchsite.geo import Point, planar_distance
 from branchsite.mclp import (
     CoverageStandard,
     DemandArea,
@@ -81,6 +83,17 @@ class TestCoverageStandard:
             CoverageStandard(radius=0)
         with pytest.raises(ConfigError):
             CoverageStandard(kind="travel_time", minutes=5, speed_kmh=0)
+
+    @pytest.mark.parametrize("value", [True, math.inf, math.nan, "5", 10 ** 400, [5]])
+    def test_non_finite_bool_and_text_rejected(self, value):
+        with pytest.raises(ConfigError, match="finite positive number"):
+            CoverageStandard(radius=value)
+        with pytest.raises(ConfigError, match="finite positive number"):
+            CoverageStandard(kind="travel_time", minutes=5, speed_kmh=value)
+
+    def test_travel_time_overflowing_to_infinite_radius_rejected(self):
+        with pytest.raises(ConfigError, match="infinite radius"):
+            CoverageStandard(kind="travel_time", minutes=1e300, speed_kmh=1e300)
 
 
 class TestBuildCoverage:
@@ -182,6 +195,46 @@ class TestSolveExact:
             sol = solve_exact(inst, p)
             _, sel = enumerate_optimum(inst, p)
             assert sol.selected == sel
+
+    def test_tie_heavy_family_matches_enumeration(self):
+        """Many equal-valued subsets and fixed-open sites: the Lagrangian cut
+        must keep the lexicographically smallest optimum."""
+        checked = 0
+        for inst, p in tie_heavy_family():
+            z, sel = enumerate_optimum(inst, p)
+            sol = solve_exact(inst, p)
+            assert (sol.selected, sol.objective) == (sel, z), (checked, p)
+            checked += 1
+        assert checked > 1000
+
+    def test_lagrangian_bound_within_ulps_of_incumbent(self, monkeypatch):
+        """Populations in eighths keep every coverage sum exact, so the
+        fractional multipliers are the only rounding: the Lagrangian bound
+        of a subtree that ties the incumbent lands a few ulp either side of
+        it, and only the tolerance keeps that subtree. (Tenths would round
+        the sums themselves, so two equal covers could compare unequal.)"""
+        gaps = []
+        lagrange_cut = mclp._lagrange_cut
+
+        def spy(lam, open_rows, pops, cols, slots, target, cut):
+            def seen(bound):
+                gaps.append(abs(bound - target) / max(target, 1.0))
+                return cut(bound)
+            return lagrange_cut(lam, open_rows, pops, cols, slots, target, seen)
+
+        monkeypatch.setattr(mclp, "_lagrange_cut", spy)
+        rng = random.Random(7)
+        for _ in range(200):
+            n_areas, n_cands = rng.randint(5, 30), rng.randint(3, 14)
+            matrix = [[rng.random() < 0.3 for _ in range(n_cands)]
+                      for _ in range(n_areas)]
+            pops = [rng.choice((0.125, 0.25, 0.375)) for _ in range(n_areas)]
+            inst = tiny_instance(matrix, pops)
+            for p in range(2, min(5, n_cands) + 1):
+                sol = solve_exact(inst, p)
+                assert (sol.selected, sol.objective) == enumerate_optimum(inst, p)[::-1]
+        near = sum(gap <= 8 * 2.0 ** -52 for gap in gaps)
+        assert near > 0
 
     def test_incumbent_is_the_greedy_objective(self):
         for inst, p in oracle_family()[:60]:
@@ -451,4 +504,12 @@ class TestExactAgainstMilp:
         inst = _seeded_planar_instance(1)
         sol = solve_exact(inst, p)
         assert sol.objective == _milp_optimum(inst, p)
+        assert verify_solution(inst, sol)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_above_cap_matches_highs_optimum(self, seed):
+        pytest.importorskip("scipy")
+        inst = _seeded_planar_instance(seed, n_areas=300, n_cands=50)
+        sol = solve_exact(inst, 8, override_cap=True)
+        assert sol.objective == _milp_optimum(inst, 8)
         assert verify_solution(inst, sol)

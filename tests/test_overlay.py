@@ -37,6 +37,7 @@ from branchsite.overlay import (
 from branchsite.weights import WeightVector
 
 from helpers import (
+    geodesic_distance,
     polygon_from_coords,
     read_esri_ascii,
     reference_build_mask,
@@ -200,7 +201,6 @@ class TestGeodesicRasterize:
         grid = GridSpec(51.60, 32.60, 0.01, 6, 6)  # degrees in geodesic mode
         points = [Point(51.63, 32.62), Point(51.61, 32.64)]
         raster = rasterize(spec, points, grid, SCHEME, mode="geodesic")
-        from branchsite.geo import geodesic_distance
         from branchsite.criteria import classify as cls_fn
         for row in range(6):
             for col in range(6):

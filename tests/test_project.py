@@ -401,6 +401,13 @@ def _with_text_population(d):
     return d
 
 
+def _with_radius(radius):
+    def mutate(d):
+        d["standard"] = {"kind": "radius", "radius": radius}
+        return d
+    return mutate
+
+
 def _with_geodesic_centroid_off_range(d):
     del d["matrix"]
     d["mode"] = "geodesic"
@@ -586,6 +593,9 @@ class TestCli:
         (_with_ragged_matrix, "matrix"),
         (_with_text_population, "areas[0].population"),
         (_with_geodesic_centroid_off_range, "lon=200"),
+        (_with_radius(True), "radius must be a finite positive number, got True"),
+        (_with_radius(math.inf), "radius must be a finite positive number, got inf"),
+        (_with_radius("5"), "radius must be a finite positive number, got '5'"),
     ])
     def test_malformed_instance_exits_2(self, tmp_path, capsys, mutate, field):
         instance = {
@@ -651,6 +661,17 @@ class TestCli:
         (_report_argv(_report_variant(values="[[-Infinity, 0.5]]")),
          "number -Infinity is not finite"),
         (_report_argv(_report_variant(cell_size="NaN")), "number NaN is not finite"),
+        # config numbers are finite, and the coverage radius a real number
+        (_config_argv(lambda cfg: cfg["standard"].update(radius="5")),
+         "radius must be a finite positive number, got '5'"),
+        (_config_argv(lambda cfg: cfg["standard"].update(radius=True)),
+         "radius must be a finite positive number, got True"),
+        (_config_argv(lambda cfg: cfg["standard"].update(radius=math.inf)),
+         "radius must be a finite positive number, got inf"),
+        (_config_argv(lambda cfg: cfg["extraction"].update(min_separation=math.nan)),
+         "extraction.min_separation must be a number, got nan"),
+        (_config_argv(lambda cfg: cfg["extraction"].update(min_score=math.nan)),
+         "extraction.min_score must be a number, got nan"),
         # the cell centers of this grid overflow to inf
         (_config_argv(lambda cfg: cfg["grid"].update(cell_size=1e308)),
          "far corner (inf, inf) must be finite"),
@@ -788,8 +809,10 @@ class TestReportInput:
     @pytest.mark.parametrize("text, message", [
         (_report_variant(values="[[1e400, null]]"), "values holds a non-finite cell"),
         (_report_variant(values="[[NaN, 0.5]]"), "values holds a non-finite cell"),
-        (_report_variant(origin="[0, -Infinity]"), "far corner (2.0, -inf) must be finite"),
-        (_report_variant(cell_size="1e400"), "far corner (inf, inf) must be finite"),
+        (_report_variant(origin="[0, -Infinity]"),
+         "report field grid.origin[1] must be a number, got -inf"),
+        (_report_variant(cell_size="1e400"),
+         "report field grid.cell_size must be a number, got inf"),
         (_report_variant(cell_size="1e308"), "far corner (inf, 1e+308) must be finite"),
     ])
     def test_non_finite_grid_or_cell_rejected_by_render_report(self, tmp_path, text,

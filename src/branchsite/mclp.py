@@ -7,11 +7,11 @@ candidates J, and the binary coverage matrix a[i][j] = 1 iff candidate j
 lies within the coverage standard of centroid i. Choosing p candidates, the
 objective is the total population of areas covered by at least one choice.
 
-The bool matrix is the solvers' only representation of coverage. Each
-solver call takes one float64 0/1 copy of it with the columns in ascending
-id order, and every marginal gain is one matrix-vector product of the
+The bool matrix is the solvers' only representation of coverage. They read
+one float64 0/1 copy of it, taken once per instance, with the columns in
+ascending id order; every marginal gain is one matrix-vector product of the
 uncovered populations with those columns (``_gains``). Ties go to the first
-maximum, which is the smallest id.
+maximum, the smallest id. The greedy+swap curve reuses one greedy pass.
 
 Exactness: with integer populations whose total is below 2**53, every
 partial sum is an integer that float64 holds exactly, so sums agree in any
@@ -23,12 +23,14 @@ oracle agree.
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import itertools
 import json
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -120,6 +122,14 @@ def _positive_finite(value) -> bool:
         return False
 
 
+class _SolverView(NamedTuple):   # what the solvers read, once per instance
+    ids: tuple[str, ...]        # candidate ids in ascending order: the columns
+    position: dict[str, int]    # candidate id -> its column
+    fixed: list[int]            # the columns of the fixed-open candidates
+    cols: np.ndarray            # float64 0/1 coverage, read-only
+    area_ids: tuple[str, ...]
+
+
 @dataclass(frozen=True)
 class MclpInstance:
     areas: tuple[DemandArea, ...]
@@ -141,13 +151,25 @@ class MclpInstance:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
-    @property
+    @functools.cached_property
     def populations(self) -> np.ndarray:
-        return np.array([a.population for a in self.areas], dtype=float)
+        pops = np.array([a.population for a in self.areas], dtype=float)
+        pops.flags.writeable = False
+        return pops
 
-    @property
+    @functools.cached_property
     def total_population(self) -> float:
         return float(self.populations.sum())
+
+    @functools.cached_property
+    def _view(self) -> _SolverView:
+        order = sorted(range(len(self.candidates)), key=lambda j: self.candidates[j].id)
+        ids = tuple(self.candidates[j].id for j in order)
+        cols = self.matrix[:, order].astype(np.float64)
+        cols.flags.writeable = False
+        return _SolverView(ids, {c: k for k, c in enumerate(ids)},
+                           [k for k, j in enumerate(order) if self.candidates[j].fixed_open],
+                           cols, tuple(a.id for a in self.areas))
 
     def to_dict(self) -> dict:
         return {
@@ -173,25 +195,26 @@ class MclpInstance:
         mode = d.get("mode", PLANAR)
         standard = None
         if d.get("standard") is not None:
-            standard = _field(d, "standard", "", CoverageStandard.from_dict)
+            standard = _field(d, "standard", CoverageStandard.from_dict)
         areas = tuple(
             DemandArea(
-                id=_field(a, "id", f"areas[{i}]", str),
-                population=_field(a, "population", f"areas[{i}]", float),
-                centroid=_field(a, "centroid", f"areas[{i}]", _point),
+                id=_field(a, "id", _text, "areas", i),
+                population=_field(a, "population", _number, "areas", i),
+                centroid=_field(a, "centroid", _point, "areas", i),
             )
             for i, a in enumerate(_items(d, "areas"))
         )
         cands = tuple(
             existing_site(
-                _field(c, "id", f"candidates[{i}]", str),
-                _field(c, "location", f"candidates[{i}]", _point),
-                fixed_open=bool(c.get("fixed_open", False)),
+                _field(c, "id", _text, "candidates", i),
+                _field(c, "location", _point, "candidates", i),
+                fixed_open=("fixed_open" in c
+                            and _field(c, "fixed_open", _flag, "candidates", i)),
             )
             for i, c in enumerate(_items(d, "candidates"))
         )
         if d.get("matrix") is not None:
-            matrix = _field(d, "matrix", "", lambda m: np.array(m, dtype=bool))
+            matrix = _field(d, "matrix", _matrix)
         else:
             if standard is None:
                 raise InputError("instance needs either a matrix or a coverage standard")
@@ -200,17 +223,20 @@ class MclpInstance:
                    standard=standard, mode=mode)
 
 
-def _field(obj, key: str, where: str, convert):
+def _field(obj, key: str, convert, section: str = "", index: int | None = None):
     """convert(obj[key]); a missing or malformed field is an InputError
-    that names it (``where`` is the enclosing path, "" at the top level)."""
-    path = f"{where}.{key}" if where else key
-    if not isinstance(obj, dict):
-        raise InputError(f"instance field {where} must be a JSON object")
-    if key not in obj:
-        raise InputError(f"instance field {path} is missing")
+    that names it by its enclosing path, ``section[index]`` ("" at the top
+    level). The path is formatted only when the field fails."""
     try:
         return convert(obj[key])
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError,
+            ValueError) as exc:
+        where = section if index is None else f"{section}[{index}]"
+        path = f"{where}.{key}" if where else key
+        if not isinstance(obj, dict):
+            raise InputError(f"instance field {where} must be a JSON object") from None
+        if key not in obj:
+            raise InputError(f"instance field {path} is missing") from None
         raise InputError(f"instance field {path} is malformed: {exc}") from None
 
 
@@ -221,8 +247,40 @@ def _items(d: dict, key: str) -> list:
     return items
 
 
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _number(value) -> float:
+    """A finite real number that is not a bool, as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return x
+
+
 def _point(xy) -> Point:
-    return Point(float(xy[0]), float(xy[1]))
+    if not isinstance(xy, list) or len(xy) != 2:
+        raise ValueError(f"expected [x, y], got {xy!r}")
+    return Point(_number(xy[0]), _number(xy[1]))
+
+
+def _matrix(rows) -> np.ndarray:
+    """Rows of JSON bools or the integers 0 and 1."""
+    m = np.array(rows)
+    if m.dtype != bool and (m.dtype.kind not in "iu" or ((m != 0) & (m != 1)).any()):
+        raise ValueError("entries must be true, false, 0 or 1")
+    return m
 
 
 @dataclass(frozen=True)
@@ -286,14 +344,12 @@ def _finish_solution(inst: MclpInstance, chosen_ids: Iterable[str], method: str,
                      optimal: bool, gains: Sequence[float] = ()) -> MclpSolution:
     """Build the solution record, recomputing z canonically from the matrix."""
     selected = tuple(sorted(chosen_ids))
-    idx = {c.id: j for j, c in enumerate(inst.candidates)}
-    cols = [idx[s] for s in selected]
-    covered_rows = inst.matrix[:, cols].any(axis=1) if cols else np.zeros(len(inst.areas), bool)
-    pops = inst.populations
-    z = float(pops[covered_rows].sum())
+    view = inst._view
+    covered_rows = view.cols[:, [view.position[s] for s in selected]].any(axis=1)
+    z = float(inst.populations[covered_rows].sum())
     total = inst.total_population
     pct = 100.0 * z / total if total > 0 else 0.0
-    covered = tuple(inst.areas[i].id for i in range(len(inst.areas)) if covered_rows[i])
+    covered = tuple(itertools.compress(view.area_ids, covered_rows.tolist()))
     return MclpSolution(
         p=len(selected), selected=selected, covered=covered,
         objective=z, coverage_pct=pct, method=method, optimal=optimal,
@@ -301,21 +357,15 @@ def _finish_solution(inst: MclpInstance, chosen_ids: Iterable[str], method: str,
     )
 
 
-def _prepare(inst: MclpInstance, p: int):
-    """Check p; return the candidate indices in ascending id order, the
-    populations, the float64 0/1 coverage columns in that order, and the
-    positions (in that order) of the fixed-open candidates."""
+def _prepare(inst: MclpInstance, p: int) -> _SolverView:
+    """Check p; return the instance's solver view."""
     n = len(inst.candidates)
     if not 1 <= p <= n:
         raise InputError(f"p must be in [1, {n}], got {p}")
-    order = sorted(range(n), key=lambda j: inst.candidates[j].id)
-    fixed = [k for k, j in enumerate(order) if inst.candidates[j].fixed_open]
-    if len(fixed) > p:
-        raise InputError(
-            f"{len(fixed)} candidates are fixed open but p={p}"
-        )
-    cols = inst.matrix[:, order].astype(np.float64)
-    return order, inst.populations, cols, fixed
+    view = inst._view
+    if len(view.fixed) > p:
+        raise InputError(f"{len(view.fixed)} candidates are fixed open but p={p}")
+    return view
 
 
 def _gains(cols: np.ndarray, pops: np.ndarray, covered: np.ndarray) -> np.ndarray:
@@ -330,11 +380,6 @@ def _best(cols: np.ndarray, pops: np.ndarray, covered: np.ndarray,
     gains[list(taken)] = -np.inf    # a list: gains[()] would be every column
     k = int(np.argmax(gains))
     return k, float(gains[k])
-
-
-def _positions(inst: MclpInstance, order: Sequence[int], ids: Iterable[str]) -> list[int]:
-    pos = {inst.candidates[j].id: k for k, j in enumerate(order)}
-    return [pos[s] for s in ids]
 
 
 def solve_exact(inst: MclpInstance, p: int, override_cap: bool = False) -> MclpSolution:
@@ -378,7 +423,8 @@ def solve_exact(inst: MclpInstance, p: int, override_cap: bool = False) -> MclpS
             f"instance has {n} candidates, above the exact-solver cap of {EXACT_SIZE_CAP}; "
             "use the greedy solver or override the cap"
         )
-    order, pops, cols, fixed = _prepare(inst, p)
+    view = _prepare(inst, p)
+    pops, cols, fixed = inst.populations, view.cols, view.fixed
     free = [k for k in range(n) if k not in set(fixed)]
     nfree = len(free)
     free_cols = cols[:, free]
@@ -433,8 +479,7 @@ def solve_exact(inst: MclpInstance, p: int, override_cap: bool = False) -> MclpS
         dfs(start + 1, chosen, covered, z, lam)
 
     dfs(0, [], start_covered, start_z, pops / 2)
-    chosen_ids = [inst.candidates[order[k]].id
-                  for k in fixed + [free[i] for i in best_sel]]
+    chosen_ids = [view.ids[k] for k in fixed + [free[i] for i in best_sel]]
     return _finish_solution(inst, chosen_ids, METHOD_EXACT, optimal=True)
 
 
@@ -479,15 +524,15 @@ def _greedy_value(cols: np.ndarray, pops: np.ndarray, covered: np.ndarray,
     return z
 
 
-def solve_greedy(inst: MclpInstance, p: int) -> MclpSolution:
-    """Greedy heuristic: p rounds, each adding the candidate with the largest
-    marginal covered population (ties to the smallest id). Records the
-    marginal gain sequence, which is non-increasing by submodularity."""
-    order, pops, cols, fixed = _prepare(inst, p)
+def _greedy(inst: MclpInstance, p: int) -> tuple[list[str], list[float]]:
+    """Greedy picks in pick order, with their marginal gains: the fixed-open
+    sites, then each round the largest marginal gain (ties to the smallest id)."""
+    view = _prepare(inst, p)
+    pops, cols = inst.populations, view.cols
     chosen: list[int] = []
     covered = np.zeros(len(pops), dtype=bool)
     gains: list[float] = []
-    for k in fixed:
+    for k in view.fixed:
         gains.append(float(_gains(cols[:, k], pops, covered)))
         covered |= cols[:, k] > 0
         chosen.append(k)
@@ -496,10 +541,15 @@ def solve_greedy(inst: MclpInstance, p: int) -> MclpSolution:
         chosen.append(k)
         covered |= cols[:, k] > 0
         gains.append(gain)
-    free_gains = gains[len(fixed):]
+    free_gains = gains[len(view.fixed):]
     if any(b > a + 1e-9 for a, b in zip(free_gains, free_gains[1:])):
         raise AssertionError("greedy marginal gains must be non-increasing")
-    ids = [inst.candidates[order[k]].id for k in chosen]
+    return [view.ids[k] for k in chosen], gains
+
+
+def solve_greedy(inst: MclpInstance, p: int) -> MclpSolution:
+    """Greedy heuristic; its gains are non-increasing by submodularity."""
+    ids, gains = _greedy(inst, p)
     return _finish_solution(inst, ids, METHOD_GREEDY_SWAP, optimal=False, gains=gains)
 
 
@@ -509,8 +559,9 @@ def improve_swap(inst: MclpInstance, sol: MclpSolution) -> MclpSolution:
     Dropping a site leaves covered the areas whose cover count stays
     positive; one product then scores every incoming candidate. Ties go to
     the smallest dropped id, then the smallest added id."""
-    order, pops, cols, fixed = _prepare(inst, sol.p)
-    selected = sorted(_positions(inst, order, sol.selected))
+    view = _prepare(inst, sol.p)
+    pops, cols, fixed = inst.populations, view.cols, view.fixed
+    selected = sorted(view.position[s] for s in sol.selected)
     z_cur = sol.objective
     while True:
         count = cols[:, selected].sum(axis=1)
@@ -528,7 +579,7 @@ def improve_swap(inst: MclpInstance, sol: MclpSolution) -> MclpSolution:
             break
         z_cur, drop, add = best
         selected = sorted(set(selected) - {drop} | {add})
-    ids = [inst.candidates[order[k]].id for k in selected]
+    ids = [view.ids[k] for k in selected]
     out = _finish_solution(inst, ids, METHOD_GREEDY_SWAP, optimal=False,
                            gains=sol.marginal_gains)
     if out.objective < sol.objective:
@@ -536,19 +587,15 @@ def improve_swap(inst: MclpInstance, sol: MclpSolution) -> MclpSolution:
     return out
 
 
-def _greedy_swap(inst: MclpInstance, p: int) -> MclpSolution:
-    return improve_swap(inst, solve_greedy(inst, p))
-
-
 def coverage_curve(inst: MclpInstance, p_max: int,
                    method: str = METHOD_EXACT,
                    override_cap: bool = False) -> CoverageCurve:
-    """Solve for every p in 1..p_max independently.
+    """Solve for every p in 1..p_max.
 
-    The exact curve is monotone because any p-solution extends to p+1. For
-    the heuristic, each row is additionally seeded with the previous row's
-    selection plus its best extension, and the better of the two is kept, so
-    the reported best-known curve is monotone by construction.
+    The exact curve is monotone because any p-solution extends to p+1. The
+    heuristic swap-improves the first p picks of one greedy pass to p_max,
+    seeds each row with the previous row's selection plus its best
+    extension too, and keeps the better, so it is monotone by construction.
     """
     if method not in METHODS:
         raise InputError(f"unknown solver method {method!r}")
@@ -556,11 +603,15 @@ def coverage_curve(inst: MclpInstance, p_max: int,
     if not 1 <= p_max <= n:
         raise InputError(f"p_max must be in [1, {n}], got {p_max}")
     rows: list[MclpSolution] = []
+    if method == METHOD_GREEDY_SWAP:
+        _prepare(inst, 1)   # two or more fixed-open sites fail at the first row
+        picks, gains = _greedy(inst, p_max)
     for p in range(1, p_max + 1):
         if method == METHOD_EXACT:
             sol = solve_exact(inst, p, override_cap=override_cap)
         else:
-            sol = _greedy_swap(inst, p)
+            sol = improve_swap(inst, _finish_solution(
+                inst, picks[:p], METHOD_GREEDY_SWAP, optimal=False, gains=gains[:p]))
             if rows:
                 ext = _extend_by_best(inst, rows[-1])
                 if ext.objective > sol.objective:
@@ -571,11 +622,11 @@ def coverage_curve(inst: MclpInstance, p_max: int,
 
 def _extend_by_best(inst: MclpInstance, prev: MclpSolution) -> MclpSolution:
     """prev's selection plus the candidate with the best marginal gain."""
-    order, pops, cols, _ = _prepare(inst, prev.p + 1)
-    taken = _positions(inst, order, prev.selected)
-    covered = (cols[:, taken] > 0).any(axis=1)
-    k, gain = _best(cols, pops, covered, taken)
-    ids = list(prev.selected) + [inst.candidates[order[k]].id]
+    view = _prepare(inst, prev.p + 1)
+    taken = [view.position[s] for s in prev.selected]
+    covered = (view.cols[:, taken] > 0).any(axis=1)
+    k, gain = _best(view.cols, inst.populations, covered, taken)
+    ids = list(prev.selected) + [view.ids[k]]
     return _finish_solution(inst, ids, METHOD_GREEDY_SWAP, optimal=False,
                             gains=tuple(prev.marginal_gains) + (gain,))
 

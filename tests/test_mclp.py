@@ -22,6 +22,7 @@ from helpers import (
 
 from branchsite import mclp
 from branchsite.candidates import CandidateSite, existing_site
+from branchsite.cli import main
 from branchsite.errors import ConfigError, InputError, SolverRefused
 from branchsite.geo import Point, planar_distance
 from branchsite.mclp import (
@@ -238,7 +239,7 @@ class TestSolveExact:
 
     def test_incumbent_is_the_greedy_objective(self):
         for inst, p in oracle_family()[:60]:
-            _order, pops, cols, _fixed = mclp._prepare(inst, p)
+            cols, pops = mclp._prepare(inst, p).cols, inst.populations
             no_cover = np.zeros(len(pops), dtype=bool)
             z = mclp._greedy_value(cols, pops, no_cover, 0.0, p)
             assert z == solve_greedy(inst, p).objective
@@ -358,6 +359,46 @@ class TestCoverageCurve:
         heur = coverage_curve(GREEDY_TRAP, 2, method="greedy+swap")
         assert not any(r.optimal for r in heur.rows)
 
+    def test_greedy_swap_curve_equals_per_p_solves(self):
+        """One greedy pass to p_max gives the rows that greedy from scratch
+        at every p gave, with fractional populations and fixed-open sites."""
+        rng = random.Random(149)
+        for case in range(50):
+            n_cands = rng.randint(2, 14)
+            areas = [DemandArea(f"d{i:02d}", rng.randint(0, 50) / 10,
+                                Point(rng.uniform(0, 6000), rng.uniform(0, 6000)))
+                     for i in range(rng.randint(5, 60))]
+            fixed = rng.randrange(n_cands) if case % 3 == 0 else None
+            cands = [existing_site(f"c{j:02d}",
+                                   Point(rng.uniform(0, 6000), rng.uniform(0, 6000)),
+                                   fixed_open=j == fixed)
+                     for j in range(n_cands)]
+            inst = build_coverage(areas, cands, CoverageStandard(radius=1500.0))
+            p_max = n_cands if case % 2 else rng.randint(1, n_cands)
+            want: list = []
+            for p in range(1, p_max + 1):
+                sol = improve_swap(inst, solve_greedy(inst, p))
+                if want:
+                    ext = mclp._extend_by_best(inst, want[-1])
+                    if ext.objective > sol.objective:
+                        sol = ext
+                want.append(sol)
+            got = coverage_curve(inst, p_max, method="greedy+swap").rows
+            assert [r.p for r in got] == list(range(1, p_max + 1))
+            for g, w in zip(got, want):
+                _same(g, w)
+
+
+class TestSolverViewReadOnly:
+    def test_populations_and_columns_refuse_writes(self):
+        view = mclp._prepare(GREEDY_TRAP, 1)
+        assert GREEDY_TRAP.populations is GREEDY_TRAP.populations
+        with pytest.raises(ValueError, match="read-only"):
+            GREEDY_TRAP.populations[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            view.cols[0, 0] = 0.0
+        assert mclp._prepare(GREEDY_TRAP, 2) is view
+
 
 class TestScaleEquivariance:
     def test_populations_times_constant(self):
@@ -397,6 +438,27 @@ class TestSerialization:
         del d["matrix"]
         rebuilt = MclpInstance.from_dict(d)
         assert np.array_equal(rebuilt.matrix, inst.matrix)
+
+    def test_fixed_open_false_text_rejected(self, tmp_path, capsys):
+        """Two areas, radius 1: c1 alone covers 62.5%; the text "false"
+        must not force c2 open."""
+        instance = {
+            "standard": {"kind": "radius", "radius": 1.0},
+            "areas": [{"id": "d0", "population": 5, "centroid": [0, 0]},
+                      {"id": "d1", "population": 3, "centroid": [10, 0]}],
+            "candidates": [{"id": "c1", "location": [0, 0], "fixed_open": False},
+                           {"id": "c2", "location": [10, 0], "fixed_open": "false"}],
+        }
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(instance))
+        argv = ["--out", str(tmp_path / "o"), "solve", "--instance", str(path), "--p", "1"]
+        assert main(argv) == 2
+        assert ("instance field candidates[1].fixed_open is malformed: "
+                "expected true or false, got 'false'") in capsys.readouterr().err
+        instance["candidates"][1]["fixed_open"] = False
+        path.write_text(json.dumps(instance))
+        assert main(argv) == 0
+        assert "p=1: 62.5% covered by c1" in capsys.readouterr().out
 
     def test_coverage_table_round_trips_exactly(self):
         curve = coverage_curve(GREEDY_TRAP, 3, method="exact")

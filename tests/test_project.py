@@ -408,6 +408,17 @@ def _with_radius(radius):
     return mutate
 
 
+def _with_value(value, *path):
+    """Set the instance field at ``path`` (keys and list indices) to value."""
+    def mutate(d):
+        target = d
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return d
+    return mutate
+
+
 def _with_geodesic_centroid_off_range(d):
     del d["matrix"]
     d["mode"] = "geodesic"
@@ -596,6 +607,36 @@ class TestCli:
         (_with_radius(True), "radius must be a finite positive number, got True"),
         (_with_radius(math.inf), "radius must be a finite positive number, got inf"),
         (_with_radius("5"), "radius must be a finite positive number, got '5'"),
+        (_with_value(1, "candidates", 0, "fixed_open"),
+         "field candidates[0].fixed_open is malformed: expected true or false, got 1"),
+        (_with_value(None, "candidates", 0, "fixed_open"),
+         "field candidates[0].fixed_open is malformed: expected true or false, got None"),
+        (_with_value(True, "areas", 1, "population"),
+         "field areas[1].population is malformed: expected a number, got True"),
+        (_with_value("5", "areas", 1, "population"),
+         "field areas[1].population is malformed: expected a number, got '5'"),
+        (_with_value(10 ** 400, "areas", 1, "population"),
+         "field areas[1].population is malformed: int too large to convert to float"),
+        (_with_value("00", "areas", 0, "centroid"),
+         "field areas[0].centroid is malformed: expected [x, y], got '00'"),
+        (_with_value([0, 0, 9], "areas", 0, "centroid"),
+         "field areas[0].centroid is malformed: expected [x, y], got [0, 0, 9]"),
+        (_with_value([True, 0], "areas", 0, "centroid"),
+         "field areas[0].centroid is malformed: expected a number, got True"),
+        (_with_value([math.nan, 0], "areas", 0, "centroid"),
+         "field areas[0].centroid is malformed: expected a finite number, got nan"),
+        (_with_value([0, math.inf], "candidates", 1, "location"),
+         "field candidates[1].location is malformed: expected a finite number, got inf"),
+        (_with_value(7, "areas", 2, "id"),
+         "field areas[2].id is malformed: expected a string, got 7"),
+        (_with_value(None, "candidates", 1, "id"),
+         "field candidates[1].id is malformed: expected a string, got None"),
+        (_with_value([1, "x"], "matrix", 1),
+         "field matrix is malformed: entries must be true, false, 0 or 1"),
+        (_with_value([1, 2], "matrix", 1),
+         "field matrix is malformed: entries must be true, false, 0 or 1"),
+        (_with_value([1, 0.5], "matrix", 1),
+         "field matrix is malformed: entries must be true, false, 0 or 1"),
     ])
     def test_malformed_instance_exits_2(self, tmp_path, capsys, mutate, field):
         instance = {

@@ -12,14 +12,13 @@ Exit codes: 0 success, 2 validation error, 3 solver refusal, 4 I/O error.
 
 from __future__ import annotations
 
-import json
-import math
 import sys
 from pathlib import Path
 
 import click
 
 from .errors import BranchSiteError, InputError, SolverRefused, StageError
+from .fields import read_json
 from .fixture import write_fixture
 from .mclp import (
     coverage_curve,
@@ -127,7 +126,11 @@ def solve(ctx, instance_path, p_single, p_max, method, override_cap):
     """Solve an MCLP instance JSON for a budget or a whole curve."""
     if (p_single is None) == (p_max is None):
         raise click.UsageError("pass exactly one of --p or --p-max")
-    inst = instance_from_json(Path(instance_path).read_text())
+    try:
+        inst = instance_from_json(Path(instance_path).read_bytes())
+    except BranchSiteError as exc:
+        exc.args = (f"{instance_path}: {exc}",)
+        raise
     out = ctx.obj["out"]
     if p_single is not None:
         if method == "exact":
@@ -164,16 +167,6 @@ def pipeline(ctx):
     click.echo(f"wrote {len(written)} files to {out}")
 
 
-def _finite(text: str) -> float:
-    """Parse a number of a report. NaN, Infinity and numbers too large for
-    a float are rejected: the re-rendered artifacts are strict JSON, which
-    has no text for them."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"number {text} is not finite")
-    return value
-
-
 @cli.command()
 @click.option("--report", "report_path", required=True,
               type=click.Path(exists=True, dir_okay=False),
@@ -181,11 +174,7 @@ def _finite(text: str) -> float:
 @click.pass_context
 def report(ctx, report_path):
     """Re-render artifacts from an existing report."""
-    try:
-        data = json.loads(Path(report_path).read_text(),
-                          parse_float=_finite, parse_constant=_finite)
-    except ValueError as exc:
-        raise InputError(f"report {report_path} is not valid JSON: {exc}") from None
+    _, data = read_json(report_path, InputError, "report")
     if not isinstance(data, dict):
         raise InputError(f"report {report_path} must be a JSON object")
     out = ctx.obj["out"]

@@ -23,6 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InputError, SpecificationError
+from .fields import is_number
 
 
 class SuitabilityClass(Enum):
@@ -40,18 +41,6 @@ _RANK = {
     SuitabilityClass.SUITABLE: 1,
     SuitabilityClass.NON_SUITABLE: 0,
 }
-
-_CLASS_BY_NAME = {c.value: c for c in SuitabilityClass}
-
-
-def parse_class(name: str) -> SuitabilityClass:
-    try:
-        return _CLASS_BY_NAME[name]
-    except KeyError:
-        raise SpecificationError(
-            f"unknown suitability class {name!r} (expected one of {sorted(_CLASS_BY_NAME)})"
-        ) from None
-
 
 @dataclass(frozen=True)
 class ScoreScheme:
@@ -400,16 +389,12 @@ def classify(spec: NormalizedCriterion, raw) -> SuitabilityClass:
     """Class of the unique normalized band containing the raw value."""
     if spec.kind == KIND_CATEGORICAL:
         cats = spec.category_map
-        if raw not in cats:
+        if not isinstance(raw, str) or raw not in cats:
             raise InputError(
                 f"criterion {spec.id!r}: category {raw!r} not in {sorted(cats)}"
             )
         return cats[raw]
-    try:
-        valid = isinstance(raw, (int, float)) and math.isfinite(raw) and raw >= 0
-    except OverflowError:  # an int too large for a float
-        valid = False
-    if not valid:
+    if not (is_number(raw) and raw >= 0):
         raise SpecificationError(
             f"criterion {spec.id!r}: raw value {raw!r} outside the normalized bands"
         )

@@ -1,0 +1,133 @@
+"""The one JSON decoder and the one typed-field vocabulary of every input.
+
+Project configs, GeoJSON layers, MCLP instances and reports are all strict
+JSON (RFC 8259): UTF-8 text without ``NaN``, ``Infinity`` or a decimal
+number too large for a float, the same JSON the artifacts are written in.
+
+``get`` reads one field of a decoded object as a ``Kind``. A field of the
+wrong type fails as ``<source> field <path> must be <kind>, got <value>``,
+where the source is ``config``, ``instance`` or ``report``; the path is
+formatted only when a field fails, since an instance has thousands.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import reprlib
+import sys
+from pathlib import Path
+from typing import Callable, NamedTuple
+
+from .errors import ConfigError, InputError
+from .geo import MODES, Point
+
+_ERRORS = {"config": ConfigError, "instance": InputError, "report": InputError}
+
+
+def _finite(text: str) -> float:
+    """A JSON number as a float. NaN, Infinity and numbers too large for a
+    float are rejected: strict JSON has no text for them."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} is not finite")
+    return value
+
+
+def parse_json(raw: str | bytes, error: type[Exception], name: str):
+    """The value of the strict JSON text ``raw`` (bytes must be UTF-8);
+    any failure raises ``error`` naming the input ``name``."""
+    try:
+        text = raw.decode() if isinstance(raw, bytes) else raw
+        return json.loads(text, parse_float=_finite, parse_constant=_finite)
+    except UnicodeDecodeError as exc:
+        raise error(f"{name} is not UTF-8: {exc}") from None
+    except ValueError as exc:  # a syntax error or a non-finite number
+        raise error(f"{name} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise error(f"{name} is not valid JSON: nested too deeply") from None
+
+
+def read_json(path: str | Path, error: type[Exception], name: str):
+    """(bytes, value) of the JSON file at ``path``, which is read once."""
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise error(f"cannot read {name} {path}: {exc}") from None
+    return raw, parse_json(raw, error, f"{name} {path}")
+
+
+_FLOAT_MAX = sys.float_info.max
+
+
+def is_int(value) -> bool:
+    """A JSON integer: an int, not a bool."""
+    return type(value) is int
+
+
+def is_number(value) -> bool:
+    """A real number, not a bool, that converts to a finite float (an
+    integer beyond the float range does not). A type test, not a
+    ``numbers.Real`` one, since it runs once per coordinate."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return type(value) is int and -_FLOAT_MAX <= value <= _FLOAT_MAX
+
+
+class Kind(NamedTuple):
+    name: str                     # the <kind> of the message
+    read: Callable                # the typed value, or None if not of the kind
+
+
+def one_of(choices: tuple) -> Kind:
+    return Kind(f"one of {choices}", lambda v: v if v in choices else None)
+
+
+NUMBER = Kind("a number", lambda v: float(v) if is_number(v) else None)
+INTEGER = Kind("an integer", lambda v: v if is_int(v) else None)
+STRING = Kind("a string", lambda v: v if isinstance(v, str) else None)
+BOOL = Kind("true or false", lambda v: v if isinstance(v, bool) else None)
+LIST = Kind("a list", lambda v: v if isinstance(v, list) else None)
+OBJECT = Kind("an object", lambda v: v if isinstance(v, dict) else None)
+XY = Kind("[x, y]", lambda v: (
+    Point(float(v[0]), float(v[1]))
+    if isinstance(v, list) and len(v) == 2 and is_number(v[0]) and is_number(v[1])
+    else None))
+MODE = one_of(MODES)
+
+_REQUIRED = object()
+
+
+def mistyped(source: str, path: str, kind: Kind, value) -> Exception:
+    """The error for a ``value`` at ``path`` that is not of ``kind``; an
+    [x, y] pair of the right length names its bad coordinate."""
+    if kind is XY and isinstance(value, list) and len(value) == 2:
+        i = 1 if is_number(value[0]) else 0
+        path, kind, value = f"{path}[{i}]", NUMBER, value[i]
+    return _ERRORS[source](
+        f"{source} field {path} must be {kind.name}, got {reprlib.repr(value)}")
+
+
+def get(obj, key: str, kind: Kind, source: str, section: str = "",
+        index: int | None = None, default=_REQUIRED):
+    """``obj[key]`` as ``kind``, where ``obj`` is the object at
+    ``section[index]`` ("" at the top level); ``default`` when the key is
+    absent and a default is given."""
+    try:
+        value = obj[key]
+    except (KeyError, TypeError):  # no such key, or ``obj`` is no object
+        if default is not _REQUIRED and isinstance(obj, dict):
+            return default
+    else:
+        value = kind.read(value)
+        if value is not None:
+            return value
+    where = section if index is None else f"{section}[{index}]"
+    if not isinstance(obj, dict):
+        if not where:
+            raise _ERRORS[source](f"{source} must be a JSON object")
+        raise mistyped(source, where, OBJECT, obj)
+    path = f"{where}.{key}" if where else key
+    if key not in obj:
+        raise _ERRORS[source](f"{source} field {path} is missing")
+    raise mistyped(source, path, kind, obj[key])

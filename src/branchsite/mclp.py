@@ -26,9 +26,7 @@ import csv
 import functools
 import io
 import itertools
-import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
@@ -36,6 +34,20 @@ import numpy as np
 
 from .candidates import CandidateSite, existing_site
 from .errors import ConfigError, InputError, SolverRefused
+from .fields import (
+    BOOL,
+    LIST,
+    MODE,
+    NUMBER,
+    OBJECT,
+    STRING,
+    XY,
+    Kind,
+    get,
+    is_number,
+    mistyped,
+    parse_json,
+)
 from .geo import PLANAR, Point, Polygon, distances_to, point_in_polygon
 
 EXACT_SIZE_CAP = 30
@@ -85,7 +97,7 @@ class CoverageStandard:
             raise ConfigError(f"coverage standard: unknown kind {self.kind!r}")
         for name in names:
             value = getattr(self, name)
-            if not _positive_finite(value):
+            if not (is_number(value) and value > 0):
                 raise ConfigError(f"coverage standard: {name} must be a finite "
                                   f"positive number, got {value!r}")
         if not math.isfinite(self.effective_radius_m):
@@ -110,16 +122,6 @@ class CoverageStandard:
             minutes=d.get("minutes"),
             speed_kmh=d.get("speed_kmh"),
         )
-
-
-def _positive_finite(value) -> bool:
-    """A real number (not a bool) that is finite and above zero."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return False
-    try:
-        return math.isfinite(value) and value > 0
-    except OverflowError:   # an integer too large for a float
-        return False
 
 
 class _SolverView(NamedTuple):   # what the solvers read, once per instance
@@ -147,6 +149,9 @@ class MclpInstance:
         cids = [c.id for c in self.candidates]
         if len(set(cids)) != len(cids):
             raise InputError("candidate ids must be unique")
+        # 100 times the total, which bounds every objective, must be a float
+        if not math.isfinite(100.0 * self.total_population):
+            raise InputError(f"total population {self.total_population} overflows")
         m = self.matrix.astype(bool)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -190,97 +195,55 @@ class MclpInstance:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MclpInstance":
-        if not isinstance(d, dict):
-            raise InputError("instance must be a JSON object")
-        mode = d.get("mode", PLANAR)
+        mode = get(d, "mode", MODE, "instance", default=PLANAR)
         standard = None
         if d.get("standard") is not None:
-            standard = _field(d, "standard", CoverageStandard.from_dict)
+            standard = CoverageStandard.from_dict(get(d, "standard", OBJECT, "instance"))
         areas = tuple(
             DemandArea(
-                id=_field(a, "id", _text, "areas", i),
-                population=_field(a, "population", _number, "areas", i),
-                centroid=_field(a, "centroid", _point, "areas", i),
+                id=get(a, "id", STRING, "instance", "areas", i),
+                population=get(a, "population", NUMBER, "instance", "areas", i),
+                centroid=get(a, "centroid", XY, "instance", "areas", i),
             )
-            for i, a in enumerate(_items(d, "areas"))
+            for i, a in enumerate(get(d, "areas", LIST, "instance", default=[]))
         )
         cands = tuple(
             existing_site(
-                _field(c, "id", _text, "candidates", i),
-                _field(c, "location", _point, "candidates", i),
-                fixed_open=("fixed_open" in c
-                            and _field(c, "fixed_open", _flag, "candidates", i)),
+                get(c, "id", STRING, "instance", "candidates", i),
+                get(c, "location", XY, "instance", "candidates", i),
+                fixed_open=get(c, "fixed_open", BOOL, "instance", "candidates", i,
+                               default=False),
             )
-            for i, c in enumerate(_items(d, "candidates"))
+            for i, c in enumerate(get(d, "candidates", LIST, "instance", default=[]))
         )
-        if d.get("matrix") is not None:
-            matrix = _field(d, "matrix", _matrix)
-        else:
+        if d.get("matrix") is None:
             if standard is None:
                 raise InputError("instance needs either a matrix or a coverage standard")
             return build_coverage(areas, cands, standard, mode=mode)
-        return cls(areas=areas, candidates=cands, matrix=matrix,
+        return cls(areas=areas, candidates=cands, matrix=_matrix(d, len(cands)),
                    standard=standard, mode=mode)
 
 
-def _field(obj, key: str, convert, section: str = "", index: int | None = None):
-    """convert(obj[key]); a missing or malformed field is an InputError
-    that names it by its enclosing path, ``section[index]`` ("" at the top
-    level). The path is formatted only when the field fails."""
+def _matrix(d: dict, width: int) -> np.ndarray:
+    """The ``matrix`` of an instance: rows of ``width`` entries, each a JSON
+    bool or the integer 0 or 1. numpy types the whole matrix at once; the
+    rows are read one by one only to name the first bad one."""
+    rows = get(d, "matrix", LIST, "instance")
     try:
-        return convert(obj[key])
-    except (AttributeError, IndexError, KeyError, OverflowError, TypeError,
-            ValueError) as exc:
-        where = section if index is None else f"{section}[{index}]"
-        path = f"{where}.{key}" if where else key
-        if not isinstance(obj, dict):
-            raise InputError(f"instance field {where} must be a JSON object") from None
-        if key not in obj:
-            raise InputError(f"instance field {path} is missing") from None
-        raise InputError(f"instance field {path} is malformed: {exc}") from None
-
-
-def _items(d: dict, key: str) -> list:
-    items = d.get(key, [])
-    if not isinstance(items, list):
-        raise InputError(f"instance field {key} must be a list")
-    return items
-
-
-def _text(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {value!r}")
-    return value
-
-
-def _flag(value) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
-    return value
-
-
-def _number(value) -> float:
-    """A finite real number that is not a bool, as a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
-    x = float(value)
-    if not math.isfinite(x):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return x
-
-
-def _point(xy) -> Point:
-    if not isinstance(xy, list) or len(xy) != 2:
-        raise ValueError(f"expected [x, y], got {xy!r}")
-    return Point(_number(xy[0]), _number(xy[1]))
-
-
-def _matrix(rows) -> np.ndarray:
-    """Rows of JSON bools or the integers 0 and 1."""
-    m = np.array(rows)
-    if m.dtype != bool and (m.dtype.kind not in "iu" or ((m != 0) & (m != 1)).any()):
-        raise ValueError("entries must be true, false, 0 or 1")
-    return m
+        m = np.array(rows)
+        if m.shape[1:] == (width,) and (m.dtype == bool or (
+                m.dtype.kind in "iu" and not ((m != 0) & (m != 1)).any())):
+            return m
+    except ValueError:  # ragged rows
+        pass
+    row = Kind(f"a list of {width} entries, each true, false, 0 or 1",
+               lambda r: r if (isinstance(r, list) and len(r) == width and all(
+                   isinstance(v, int) and v in (0, 1) for v in r)) else None)
+    for i, r in enumerate(rows):
+        if row.read(r) is None:
+            raise mistyped("instance", f"matrix[{i}]", row, r)
+    # every row is valid, so the matrix has no entries: no rows, or width 0
+    return np.zeros((len(rows), width), dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -631,12 +594,8 @@ def _extend_by_best(inst: MclpInstance, prev: MclpSolution) -> MclpSolution:
                             gains=tuple(prev.marginal_gains) + (gain,))
 
 
-def instance_from_json(text: str) -> MclpInstance:
-    try:
-        d = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid instance JSON: {exc}") from exc
-    return MclpInstance.from_dict(d)
+def instance_from_json(text: str | bytes) -> MclpInstance:
+    return MclpInstance.from_dict(parse_json(text, InputError, "instance"))
 
 
 def coverage_table_csv(rows: Sequence[dict]) -> str:

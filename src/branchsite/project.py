@@ -15,10 +15,7 @@ from __future__ import annotations
 
 import fcntl
 import hashlib
-import json
-import math
 import os
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -41,7 +38,7 @@ from .criteria import (
     KIND_DENSITY,
     NormalizedCriterion,
     ScoreScheme,
-    parse_class,
+    SuitabilityClass,
     validate_spec,
 )
 from .errors import (
@@ -52,7 +49,22 @@ from .errors import (
     InputError,
     StageError,
 )
-from .geo import GEODESIC, MODES, Point, Polygon, check_geodesic_range
+from .fields import (
+    INTEGER,
+    LIST,
+    MODE,
+    NUMBER,
+    OBJECT,
+    STRING,
+    XY,
+    Kind,
+    get,
+    is_int,
+    is_number,
+    one_of,
+    read_json,
+)
+from .geo import GEODESIC, Point, Polygon, check_geodesic_range
 from .mclp import (
     CoverageStandard,
     DemandArea,
@@ -85,44 +97,6 @@ from .weights import (
     load_matrix_csv,
     synthesize,
 )
-
-
-def _obj(obj, path: str) -> dict:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"config field {path} must be an object, got {obj!r}")
-    return obj
-
-
-def _req(obj: dict, key: str, path: str):
-    if key not in _obj(obj, path):
-        raise ConfigError(f"missing config field: {path}.{key}")
-    return obj[key]
-
-
-def _is_number(value) -> bool:
-    """A JSON number that converts to a finite float (no bool, no NaN or
-    infinity, no huge integer)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    if isinstance(value, float):
-        return math.isfinite(value)
-    return abs(value) <= sys.float_info.max
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _num(value, path: str) -> float:
-    if not _is_number(value):
-        raise ConfigError(f"config field {path} must be a number, got {value!r}")
-    return float(value)
-
-
-def _int(value, path: str) -> int:
-    if not _is_int(value):
-        raise ConfigError(f"config field {path} must be an integer, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -166,107 +140,102 @@ class ProjectConfig:
         return files
 
 
-def _parse_bands(entries, path: str) -> tuple[Band, ...]:
+def _grid(d: dict, source: str) -> GridSpec:
+    """The ``grid`` of a config or a report. A report's values are
+    re-rendered as they stand, so a float ``ncols`` would give an invalid
+    Esri header."""
+    g = get(d, "grid", OBJECT, source)
+    origin = get(g, "origin", XY, source, "grid")
+    return GridSpec(origin_x=origin.x, origin_y=origin.y,
+                    cell_size=get(g, "cell_size", NUMBER, source, "grid"),
+                    ncols=get(g, "ncols", INTEGER, source, "grid"),
+                    nrows=get(g, "nrows", INTEGER, source, "grid"))
+
+
+_CLASS = one_of(tuple(c.value for c in SuitabilityClass))
+_POSITIVE_INT = Kind("an integer >= 1", lambda v: v if is_int(v) and v >= 1 else None)
+
+
+def _parse_bands(entries: list, path: str) -> tuple[Band, ...]:
     bands = []
     for i, entry in enumerate(entries):
-        where = f"{path}[{i}]"
-        lo = _num(_req(entry, "min", where), f"{where}.min")
-        hi = entry.get("max")
-        if hi is not None:
-            hi = _num(hi, f"{where}.max")
-        cls = parse_class(_req(entry, "class", where))
+        lo = get(entry, "min", NUMBER, "config", path, i)
+        hi = (None if entry.get("max") is None
+              else get(entry, "max", NUMBER, "config", path, i))
+        cls = SuitabilityClass(get(entry, "class", _CLASS, "config", path, i))
         bands.append(Band(lo, hi, cls))
     return tuple(bands)
 
 
-def _file_name(value, path: str) -> str:
-    """A criterion id names its raster, ``rasters/<id>.asc``, so it must be
-    one file-name component: a write may not leave the output directory."""
-    if (not isinstance(value, str) or value in ("", ".", "..")
-            or any(c in value for c in "/\\\0")):
-        raise ConfigError(
-            f"config field {path} must be a file name, not empty, '.' or '..' "
-            f"and without '/', '\\' or NUL, got {value!r}")
-    return value
+# A criterion id names its raster, ``rasters/<id>.asc``, so it must be one
+# file-name component: a write may not leave the output directory.
+_FILE_NAME = Kind(
+    "a file name, not empty, '.' or '..' and without '/', '\\' or NUL",
+    lambda v: (v if isinstance(v, str) and v not in ("", ".", "..")
+               and not any(c in v for c in "/\\\0") else None))
+
+_NAMES = Kind("a list of strings",
+              lambda v: v if isinstance(v, list) and all(isinstance(c, str) for c in v)
+              else None)
 
 
 def _parse_criterion(entry: dict, idx: int, base_dir: Path) -> tuple[NormalizedCriterion, Path]:
     where = f"criteria[{idx}]"
-    cid = _file_name(_req(entry, "id", where), f"{where}.id")
-    kind = _req(entry, "kind", where)
-    layer_rel = _req(entry, "layer", where)
+    cid = get(entry, "id", _FILE_NAME, "config", "criteria", idx)
+    kind = get(entry, "kind", STRING, "config", "criteria", idx)
+    layer_rel = get(entry, "layer", STRING, "config", "criteria", idx)
     layer_path = base_dir / layer_rel
     if not layer_path.is_file():
         raise ConfigError(f"{where}.layer: file not found: {layer_path}")
     if "categories" in entry:
-        categories = {
-            name: parse_class(cls)
-            for name, cls in _obj(entry["categories"], f"{where}.categories").items()
-        }
-        spec = CriterionSpec(id=cid, kind=kind, categories=categories,
-                             layer_ref=str(layer_rel))
+        categories = get(entry, "categories", OBJECT, "config", "criteria", idx)
+        spec = CriterionSpec(
+            id=cid, kind=kind, layer_ref=layer_rel,
+            categories={name: SuitabilityClass(get(categories, name, _CLASS, "config",
+                                                   f"{where}.categories"))
+                        for name in categories})
     else:
-        bands = _parse_bands(_req(entry, "bands", where), f"{where}.bands")
-        spec = CriterionSpec(id=cid, kind=kind, bands=bands,
-                             direction=entry.get("direction", "band"),
-                             layer_ref=str(layer_rel))
+        bands = _parse_bands(get(entry, "bands", LIST, "config", "criteria", idx),
+                             f"{where}.bands")
+        spec = CriterionSpec(id=cid, kind=kind, bands=bands, layer_ref=layer_rel,
+                             direction=get(entry, "direction", STRING, "config",
+                                           "criteria", idx, default="band"))
     return validate_spec(spec), layer_path
 
 
 def _parse_hierarchy(cfg: dict, base_dir: Path) -> tuple[Hierarchy, float]:
-    hcfg = _obj(_req(cfg, "hierarchy", "config"), "hierarchy")
-    threshold = _num(hcfg.get("cr_threshold", 0.1), "hierarchy.cr_threshold")
+    hcfg = get(cfg, "hierarchy", OBJECT, "config")
+    threshold = get(hcfg, "cr_threshold", NUMBER, "config", "hierarchy", default=0.1)
     nodes = []
-    for i, entry in enumerate(_req(hcfg, "nodes", "hierarchy")):
-        where = f"hierarchy.nodes[{i}]"
-        node_id = _req(entry, "id", where)
-        children = tuple(_req(entry, "children", where))
-        matrix_rel = entry.get("matrix")
+    for i, entry in enumerate(get(hcfg, "nodes", LIST, "config", "hierarchy")):
+        node_id = get(entry, "id", STRING, "config", "hierarchy.nodes", i)
+        children = tuple(get(entry, "children", _NAMES, "config", "hierarchy.nodes", i))
         matrix = None
-        if matrix_rel is not None:
-            matrix_path = base_dir / matrix_rel
-            if not matrix_path.is_file():
-                raise ConfigError(f"{where}.matrix: file not found: {matrix_path}")
+        if entry.get("matrix") is not None:
+            matrix_rel = get(entry, "matrix", STRING, "config", "hierarchy.nodes", i)
             # keep the config-relative path as the matrix id for reporting
-            matrix = load_matrix_csv(matrix_path, matrix_id=str(matrix_rel))
-            if matrix.items != children:
-                raise ConfigError(
-                    f"{where}: matrix header {matrix.items} does not match "
-                    f"children {children}"
-                )
+            matrix = load_matrix_csv(base_dir / matrix_rel, matrix_id=matrix_rel)
         nodes.append(HierarchyNode(node_id, children, matrix))
-    return Hierarchy(nodes=tuple(nodes), root=_req(hcfg, "root", "hierarchy")), threshold
+    root = get(hcfg, "root", STRING, "config", "hierarchy")
+    return Hierarchy(nodes=tuple(nodes), root=root), threshold
+
+
+def _input_file(cfg: dict, key: str, base_dir: Path) -> Path:
+    path = base_dir / get(cfg, key, STRING, "config")
+    if not path.is_file():
+        raise ConfigError(f"config.{key}: file not found: {path}")
+    return path
 
 
 def load_project(path: str | Path) -> ProjectConfig:
     """Parse and validate a project file; every gate and schema check runs now."""
     path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise ConfigError(f"cannot read project file {path}: {exc}") from exc
+    raw, cfg = read_json(path, ConfigError, "config")
     digest = hashlib.sha256(raw).hexdigest()
-    try:
-        cfg = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"project file {path} is not valid JSON: {exc}") from exc
     base_dir = path.parent
 
-    mode = _req(cfg, "mode", "config")
-    if mode not in MODES:
-        raise ConfigError(f"config.mode must be one of {MODES}, got {mode!r}")
-
-    gcfg = _req(cfg, "grid", "config")
-    origin = _req(gcfg, "origin", "grid")
-    if not isinstance(origin, list) or len(origin) != 2:
-        raise ConfigError(f"config field grid.origin must be [x, y], got {origin!r}")
-    grid = GridSpec(
-        origin_x=_num(origin[0], "grid.origin[0]"),
-        origin_y=_num(origin[1], "grid.origin[1]"),
-        cell_size=_num(_req(gcfg, "cell_size", "grid"), "grid.cell_size"),
-        ncols=_int(_req(gcfg, "ncols", "grid"), "grid.ncols"),
-        nrows=_int(_req(gcfg, "nrows", "grid"), "grid.nrows"),
-    )
+    mode = get(cfg, "mode", MODE, "config")
+    grid = _grid(cfg, "config")
     if mode == GEODESIC:
         # the centers are monotone in row and column, so the first and the
         # last cell bound every cell, masked or not
@@ -276,18 +245,18 @@ def load_project(path: str | Path) -> ProjectConfig:
         except DomainError as exc:
             raise ConfigError(f"config field grid: {exc}") from None
 
-    scfg = _obj(cfg.get("scheme", {}), "scheme")
+    scfg = get(cfg, "scheme", OBJECT, "config", default={})
     scheme = ScoreScheme(
-        high=_num(scfg.get("high", 0.6), "scheme.high"),
-        mid=_num(scfg.get("mid", 0.4), "scheme.mid"),
-        non=_num(scfg.get("non", 0.0), "scheme.non"),
+        high=get(scfg, "high", NUMBER, "config", "scheme", default=0.6),
+        mid=get(scfg, "mid", NUMBER, "config", "scheme", default=0.4),
+        non=get(scfg, "non", NUMBER, "config", "scheme", default=0.0),
     )
 
     combine_mode = parse_combine_mode(cfg.get("combine_mode", "weighted_geometric"))
 
     criteria = []
     layer_paths: dict[str, Path] = {}
-    for i, entry in enumerate(_req(cfg, "criteria", "config")):
+    for i, entry in enumerate(get(cfg, "criteria", LIST, "config")):
         spec, layer_path = _parse_criterion(entry, i, base_dir)
         if spec.id in layer_paths:
             raise ConfigError(f"criteria[{i}]: duplicate criterion id {spec.id!r}")
@@ -319,30 +288,19 @@ def load_project(path: str | Path) -> ProjectConfig:
     if failures:
         raise GateError(failures)
 
-    demand_path = base_dir / _req(cfg, "demand_areas", "config")
-    if not demand_path.is_file():
-        raise ConfigError(f"config.demand_areas: file not found: {demand_path}")
-    existing_path = base_dir / _req(cfg, "existing_branches", "config")
-    if not existing_path.is_file():
-        raise ConfigError(f"config.existing_branches: file not found: {existing_path}")
+    demand_path = _input_file(cfg, "demand_areas", base_dir)
+    existing_path = _input_file(cfg, "existing_branches", base_dir)
 
-    ecfg = _req(cfg, "extraction", "config")
+    ecfg = get(cfg, "extraction", OBJECT, "config")
     extraction = ExtractionConfig(
-        min_score=_num(_req(ecfg, "min_score", "extraction"), "extraction.min_score"),
-        min_separation=_num(_req(ecfg, "min_separation", "extraction"),
-                            "extraction.min_separation"),
-        max_proposed=_int(_req(ecfg, "max_proposed", "extraction"),
-                          "extraction.max_proposed"),
+        min_score=get(ecfg, "min_score", NUMBER, "config", "extraction"),
+        min_separation=get(ecfg, "min_separation", NUMBER, "config", "extraction"),
+        max_proposed=get(ecfg, "max_proposed", INTEGER, "config", "extraction"),
     )
 
-    standard = CoverageStandard.from_dict(
-        _obj(_req(cfg, "standard", "config"), "standard"))
-    p_max = _int(_req(cfg, "p_max", "config"), "config.p_max")
-    if p_max < 1:
-        raise ConfigError(f"config.p_max must be >= 1, got {p_max}")
-    solver = cfg.get("solver", "exact")
-    if solver not in METHODS:
-        raise ConfigError(f"config.solver must be one of {METHODS}, got {solver!r}")
+    standard = CoverageStandard.from_dict(get(cfg, "standard", OBJECT, "config"))
+    p_max = get(cfg, "p_max", _POSITIVE_INT, "config")
+    solver = get(cfg, "solver", one_of(METHODS), "config", default="exact")
 
     return ProjectConfig(
         path=path, base_dir=base_dir, digest=digest, mode=mode, grid=grid,
@@ -357,12 +315,7 @@ def load_project(path: str | Path) -> ProjectConfig:
 def _load_features(path: Path) -> Iterator[tuple[int, str, dict]]:
     """(index, "<path> feature <index>", feature) for each feature of the
     GeoJSON FeatureCollection at ``path``."""
-    try:
-        data = json.loads(path.read_text())
-    except OSError as exc:
-        raise InputError(f"cannot read layer {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"layer {path} is not valid JSON: {exc}") from exc
+    _, data = read_json(path, InputError, "layer")
     if (not isinstance(data, dict) or data.get("type") != "FeatureCollection"
             or not isinstance(data.get("features"), list)):
         raise InputError(f"layer {path} is not a GeoJSON FeatureCollection")
@@ -394,7 +347,7 @@ def _position(value, where: str, mode: str) -> Point:
     """A GeoJSON position [x, y, ...] in the coordinate mode; coordinates
     past the second are ignored."""
     if (not isinstance(value, list) or len(value) < 2
-            or not all(_is_number(v) for v in value[:2])):
+            or not all(is_number(v) for v in value[:2])):
         raise InputError(f"{where}: expected an [x, y] position of numbers, got {value!r}")
     p = Point(float(value[0]), float(value[1]))
     if mode == GEODESIC:
@@ -450,7 +403,7 @@ def load_demand_layer(path: Path, mode: str) -> list[DemandArea]:
         if "population" not in props:
             raise InputError(f"{where}: demand area is missing the 'population' property")
         population = props["population"]
-        if not _is_number(population):
+        if not is_number(population):
             raise InputError(
                 f"{where}: 'population' must be a number, got {population!r}")
         aid = str(props.get("id", f"area{i + 1:02d}"))
@@ -608,28 +561,8 @@ def run_pipeline(cfg: ProjectConfig) -> RunReport:
     return RunReport(data=data, rasters=surface.rasters, score=surface.score)
 
 
-def _grid_from_report(data: dict) -> GridSpec:
-    """The grid of a report, typed as ``load_project`` types it; its values
-    are re-rendered as they stand, so a float ``ncols`` would give an
-    invalid Esri header."""
-    g = data["grid"]
-    origin = g["origin"]
-    if not isinstance(origin, list) or len(origin) != 2:
-        raise InputError(f"report field grid.origin must be [x, y], got {origin!r}")
-    fields = {"origin[0]": origin[0], "origin[1]": origin[1],
-              "cell_size": g["cell_size"]}
-    for name, value in fields.items():
-        if not _is_number(value):
-            raise InputError(f"report field grid.{name} must be a number, got {value!r}")
-    for name in ("ncols", "nrows"):
-        if not _is_int(g[name]):
-            raise InputError(f"report field grid.{name} must be an integer, got {g[name]!r}")
-    return GridSpec(origin_x=float(origin[0]), origin_y=float(origin[1]),
-                    cell_size=float(g["cell_size"]), ncols=g["ncols"], nrows=g["nrows"])
-
-
 def _score_raster_from_report(data: dict) -> ScoreRaster:
-    grid = _grid_from_report(data)
+    grid = _grid(data, "report")
     cells = data["score_raster"]["values"]
     values = np.array(cells, dtype=float)  # None -> NaN
     mask = ~np.isnan(values)

@@ -279,7 +279,7 @@ def load_matrix_csv(path: str | Path, matrix_id: str | None = None) -> Compariso
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             rows = [row for row in reader if row and any(cell.strip() for cell in row)]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read matrix file {path}: {exc}") from exc
     if not rows:
         raise InputError(f"matrix file {path} is empty")

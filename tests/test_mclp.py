@@ -453,8 +453,8 @@ class TestSerialization:
         path.write_text(json.dumps(instance))
         argv = ["--out", str(tmp_path / "o"), "solve", "--instance", str(path), "--p", "1"]
         assert main(argv) == 2
-        assert ("instance field candidates[1].fixed_open is malformed: "
-                "expected true or false, got 'false'") in capsys.readouterr().err
+        assert ("instance field candidates[1].fixed_open must be true or false, "
+                "got 'false'") in capsys.readouterr().err
         instance["candidates"][1]["fixed_open"] = False
         path.write_text(json.dumps(instance))
         assert main(argv) == 0

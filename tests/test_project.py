@@ -447,6 +447,19 @@ def _layer_argv(layer, mutate):
     return argv
 
 
+def _appended_argv(rel, suffix):
+    """A pipeline run on a copy of the demo project whose file ``rel``
+    (relative to the project file) ends with the bytes ``suffix``."""
+    def argv(config_path, tmp_path):
+        root = tmp_path / "project"
+        shutil.copytree(Path(config_path).parent, root)
+        with open(root / rel, "ab") as f:
+            f.write(suffix)
+        return ["--config", str(root / Path(config_path).name),
+                "--out", str(tmp_path / "o"), "pipeline"]
+    return argv
+
+
 def _set_in_features(keys, value):
     """Mutation setting the item at the ``keys`` path under the layer's
     features list; a ``value`` of None deletes the item."""
@@ -605,38 +618,47 @@ class TestCli:
         (_with_text_population, "areas[0].population"),
         (_with_geodesic_centroid_off_range, "lon=200"),
         (_with_radius(True), "radius must be a finite positive number, got True"),
-        (_with_radius(math.inf), "radius must be a finite positive number, got inf"),
+        (_with_radius(math.inf), "number Infinity is not finite"),
         (_with_radius("5"), "radius must be a finite positive number, got '5'"),
         (_with_value(1, "candidates", 0, "fixed_open"),
-         "field candidates[0].fixed_open is malformed: expected true or false, got 1"),
+         "instance field candidates[0].fixed_open must be true or false, got 1"),
         (_with_value(None, "candidates", 0, "fixed_open"),
-         "field candidates[0].fixed_open is malformed: expected true or false, got None"),
+         "instance field candidates[0].fixed_open must be true or false, got None"),
         (_with_value(True, "areas", 1, "population"),
-         "field areas[1].population is malformed: expected a number, got True"),
+         "instance field areas[1].population must be a number, got True"),
         (_with_value("5", "areas", 1, "population"),
-         "field areas[1].population is malformed: expected a number, got '5'"),
+         "instance field areas[1].population must be a number, got '5'"),
         (_with_value(10 ** 400, "areas", 1, "population"),
-         "field areas[1].population is malformed: int too large to convert to float"),
+         "instance field areas[1].population must be a number, got 1000000"),
         (_with_value("00", "areas", 0, "centroid"),
-         "field areas[0].centroid is malformed: expected [x, y], got '00'"),
+         "instance field areas[0].centroid must be [x, y], got '00'"),
         (_with_value([0, 0, 9], "areas", 0, "centroid"),
-         "field areas[0].centroid is malformed: expected [x, y], got [0, 0, 9]"),
+         "instance field areas[0].centroid must be [x, y], got [0, 0, 9]"),
         (_with_value([True, 0], "areas", 0, "centroid"),
-         "field areas[0].centroid is malformed: expected a number, got True"),
-        (_with_value([math.nan, 0], "areas", 0, "centroid"),
-         "field areas[0].centroid is malformed: expected a finite number, got nan"),
+         "instance field areas[0].centroid[0] must be a number, got True"),
+        (_with_value([math.nan, 0], "areas", 0, "centroid"), "number NaN is not finite"),
         (_with_value([0, math.inf], "candidates", 1, "location"),
-         "field candidates[1].location is malformed: expected a finite number, got inf"),
+         "number Infinity is not finite"),
         (_with_value(7, "areas", 2, "id"),
-         "field areas[2].id is malformed: expected a string, got 7"),
+         "instance field areas[2].id must be a string, got 7"),
         (_with_value(None, "candidates", 1, "id"),
-         "field candidates[1].id is malformed: expected a string, got None"),
+         "instance field candidates[1].id must be a string, got None"),
         (_with_value([1, "x"], "matrix", 1),
-         "field matrix is malformed: entries must be true, false, 0 or 1"),
+         "instance field matrix[1] must be a list of 2 entries, each true, false, "
+         "0 or 1, got [1, 'x']"),
         (_with_value([1, 2], "matrix", 1),
-         "field matrix is malformed: entries must be true, false, 0 or 1"),
+         "instance field matrix[1] must be a list of 2 entries, each true, false, "
+         "0 or 1, got [1, 2]"),
         (_with_value([1, 0.5], "matrix", 1),
-         "field matrix is malformed: entries must be true, false, 0 or 1"),
+         "instance field matrix[1] must be a list of 2 entries, each true, false, "
+         "0 or 1, got [1, 0.5]"),
+        (_with_value(1e308, "areas", 1, "population"),
+         "total population 1e+308 overflows"),
+        # the mode is checked when the instance carries its matrix too
+        (_with_value("foo", "mode"),
+         "instance field mode must be one of ('planar', 'geodesic'), got 'foo'"),
+        (lambda d: json.dumps(d).encode() + b"\xff",
+         "bad.json: instance is not UTF-8: 'utf-8' codec can't decode byte 0xff"),
     ])
     def test_malformed_instance_exits_2(self, tmp_path, capsys, mutate, field):
         instance = {
@@ -648,7 +670,8 @@ class TestCli:
             "matrix": [[1, 0], [1, 1], [0, 1]],
         }
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(mutate(instance)))
+        body = mutate(instance)
+        path.write_bytes(body if isinstance(body, bytes) else json.dumps(body).encode())
         code = main(["--out", str(tmp_path / "o"), "solve",
                      "--instance", str(path), "--p", "1"])
         assert code == 2
@@ -708,11 +731,35 @@ class TestCli:
         (_config_argv(lambda cfg: cfg["standard"].update(radius=True)),
          "radius must be a finite positive number, got True"),
         (_config_argv(lambda cfg: cfg["standard"].update(radius=math.inf)),
-         "radius must be a finite positive number, got inf"),
+         "number Infinity is not finite"),
         (_config_argv(lambda cfg: cfg["extraction"].update(min_separation=math.nan)),
-         "extraction.min_separation must be a number, got nan"),
+         "number NaN is not finite"),
         (_config_argv(lambda cfg: cfg["extraction"].update(min_score=math.nan)),
-         "extraction.min_score must be a number, got nan"),
+         "number NaN is not finite"),
+        (_appended_argv("project.json", b"\xff"),
+         "project.json is not UTF-8: 'utf-8' codec can't decode byte 0xff"),
+        (_appended_argv("matrices/goal.csv", b"\xff"),
+         "cannot read matrix file"),
+        (_report_argv("[" * 100_000), "is not valid JSON: nested too deeply"),
+        # every config field is typed
+        (_config_argv(lambda cfg: cfg.update(criteria=5)),
+         "config field criteria must be a list, got 5"),
+        (_config_argv(lambda cfg: cfg["criteria"][0].update(bands=5)),
+         "config field criteria[0].bands must be a list, got 5"),
+        (_config_argv(lambda cfg: cfg["criteria"][0].update(kind=[1])),
+         "config field criteria[0].kind must be a string, got [1]"),
+        (_config_argv(lambda cfg: cfg["criteria"][0].update(layer=5)),
+         "config field criteria[0].layer must be a string, got 5"),
+        (_config_argv(lambda cfg: cfg["hierarchy"]["nodes"][0].update(children=5)),
+         "config field hierarchy.nodes[0].children must be a list of strings, got 5"),
+        (_config_argv(lambda cfg: cfg["hierarchy"]["nodes"][0].update(id=[1])),
+         "config field hierarchy.nodes[0].id must be a string, got [1]"),
+        (_config_argv(lambda cfg: cfg["hierarchy"].update(root=[1])),
+         "config field hierarchy.root must be a string, got [1]"),
+        (_config_argv(lambda cfg: cfg["hierarchy"]["nodes"][0].update(matrix=5)),
+         "config field hierarchy.nodes[0].matrix must be a string, got 5"),
+        (_config_argv(lambda cfg: cfg.update(demand_areas=5)),
+         "config field demand_areas must be a string, got 5"),
         # the cell centers of this grid overflow to inf
         (_config_argv(lambda cfg: cfg["grid"].update(cell_size=1e308)),
          "far corner (inf, inf) must be finite"),
@@ -751,6 +798,12 @@ class TestCli:
         (_layer_argv("density_zones.geojson",
                      _set_in_features([-1, "properties", "level"], 10 ** 400)),
          "criterion 'population_density': raw value 1000"),
+        # a category that is no JSON string is not a category
+        (_layer_argv("income_zones.geojson",
+                     _set_in_features([0, "properties", "level"], ["High"])),
+         "criterion 'income_level': category ['High'] not in"),
+        (_appended_argv("layers/hotels.geojson", b"\xff"),
+         "hotels.geojson is not UTF-8: 'utf-8' codec can't decode byte 0xff"),
     ])
     def test_malformed_layer_exits_2(self, demo_config_path, tmp_path, capsys,
                                      argv, message):
@@ -832,9 +885,10 @@ class TestCriterionIds:
                 == sorted(f"{c.id}.asc" for c in cfg.criteria))
 
 
-def _small_report(config_path, root):
-    """report.json text of the demo project re-gridded to 400 m cells
-    (27 x 39 cells), which still proposes candidates and solves p = 1..3."""
+def _small_project(config_path, root):
+    """A copy at ``root`` of the demo project re-gridded to 400 m cells
+    (27 x 39 cells), which still proposes candidates and solves p = 1..3;
+    returns its project file."""
     shutil.copytree(Path(config_path).parent, root)
     path = root / Path(config_path).name
     cfg = load_config_json(path)
@@ -843,7 +897,94 @@ def _small_report(config_path, root):
     grid.update(cell_size=400.0, ncols=round(grid["ncols"] * scale),
                 nrows=round(grid["nrows"] * scale))
     path.write_text(json.dumps(cfg))
-    return run_pipeline(load_project(path)).to_json()
+    return path
+
+
+def _small_report(config_path, root):
+    """report.json text of the 400 m demo project."""
+    return run_pipeline(load_project(_small_project(config_path, root))).to_json()
+
+
+# What a fuzz mutation may put in place of a value.
+FUZZ_VALUES = [None, True, False, 0, -1, 3, 2.5, -0.0, 1e308, 10 ** 400, -10 ** 400,
+               math.inf, -math.inf, math.nan, "", "x", [], {}, [0, 0], [[0.5]],
+               {"a": 1}]
+
+
+def _retyped(st, value):
+    """``value`` as other JSON types, the same number where it can be."""
+    others = [str(value), [value]]
+    if isinstance(value, bool):
+        others.append(int(value))
+    elif isinstance(value, (int, float)):
+        others.append(bool(value))
+        if isinstance(value, int) and abs(value) <= 2 ** 53:
+            others.append(float(value))
+        elif isinstance(value, float) and value.is_integer():
+            others.append(int(value))
+    return st.sampled_from(others)
+
+
+def _walk(node, data, st):
+    """(container, key) where a random walk down the objects and lists
+    from ``node`` stops; (None, None) when ``node`` is empty or a scalar."""
+    parent, key = None, None
+    while isinstance(node, (dict, list)) and node:
+        if parent is not None and data.draw(st.booleans()):
+            break
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        parent, key = node, data.draw(st.sampled_from(list(keys)))
+        node = parent[key]
+    return parent, key
+
+
+def _mutate_at(parent, key, data, st):
+    """Delete, replace or retype ``parent[key]``."""
+    if parent is None:
+        return
+    op = data.draw(st.sampled_from(["delete", "replace", "retype"]))
+    if op == "delete":
+        del parent[key]
+    else:
+        # a copy: a later mutation may edit a drawn list or dict
+        parent[key] = copy.deepcopy(data.draw(
+            st.sampled_from(FUZZ_VALUES) if op == "replace" else _retyped(st, parent[key])))
+
+
+def _mutate(starts, data, st):
+    """One or two mutations, each at the end of a walk from one of the
+    nodes ``starts`` of a document."""
+    for _ in range(data.draw(st.integers(1, 2))):
+        _mutate_at(*_walk(data.draw(st.sampled_from(starts)), data, st), data, st)
+
+
+def _no_constant(name):
+    raise AssertionError(f"{name} written into a JSON artifact")
+
+
+def _invoke_fuzzed(argv):
+    """Run the CLI on ``argv``. It either raises a ``BranchSiteError`` with
+    its documented exit code (3 for ``SolverRefused``, otherwise 2) and
+    returns None, or succeeds and returns the click result."""
+    from click.testing import CliRunner
+
+    from branchsite.cli import _exit_code, cli
+    from branchsite.errors import BranchSiteError, SolverRefused
+
+    result = CliRunner().invoke(cli, argv, standalone_mode=False)
+    exc = result.exception
+    if exc is None:
+        return result
+    assert isinstance(exc, BranchSiteError), result.exc_info
+    assert _exit_code(exc) == (3 if isinstance(exc, SolverRefused) else 2), exc
+    return None
+
+
+def _strict_json_files(out):
+    """The parsed JSON artifacts under ``out``; NaN or Infinity in any
+    fails the test."""
+    return {p.name: json.loads(p.read_text(), parse_constant=_no_constant)
+            for p in out.rglob("*.*json")}
 
 
 class TestReportInput:
@@ -873,30 +1014,8 @@ class TestReportInput:
         with integer sizes and a report.json that reads back as its input."""
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
-        from click.testing import CliRunner
-
-        from branchsite.cli import _exit_code, cli
-        from branchsite.errors import BranchSiteError
 
         base = _small_report(demo_config_path, tmp_path / "project")
-        runner = CliRunner()
-        values = st.sampled_from([None, True, False, 0, -1, 3, 2.5, -0.0, 1e308,
-                                  10 ** 400, -10 ** 400, math.inf, -math.inf,
-                                  math.nan, "", "x", [], {}, [0, 0], [[0.5]],
-                                  {"a": 1}])
-
-        def retyped(value):
-            """``value`` as other JSON types, the same number where it can be."""
-            others = [str(value), [value]]
-            if isinstance(value, bool):
-                others.append(int(value))
-            elif isinstance(value, (int, float)):
-                others.append(bool(value))
-                if isinstance(value, int) and abs(value) <= 2 ** 53:
-                    others.append(float(value))
-                elif isinstance(value, float) and value.is_integer():
-                    others.append(int(value))
-            return st.sampled_from(others)
 
         def site(doc, data):
             """(container, key) of the value to mutate: where a walk from the
@@ -913,56 +1032,108 @@ class TestReportInput:
             node = doc
             if region == "grid" and isinstance(doc.get("grid"), dict) and doc["grid"]:
                 node = doc["grid"]
-            parent, key = None, None
-            while isinstance(node, (dict, list)) and node:
-                if parent is not None and data.draw(st.booleans()):
-                    break
-                keys = sorted(node) if isinstance(node, dict) else range(len(node))
-                parent, key = node, data.draw(st.sampled_from(list(keys)))
-                node = parent[key]
-            return parent, key
-
-        def mutate(doc, data):
-            """Delete, replace or retype one value of ``doc``."""
-            parent, key = site(doc, data)
-            if parent is None:
-                return
-            op = data.draw(st.sampled_from(["delete", "replace", "retype"]))
-            if op == "delete":
-                del parent[key]
-            else:
-                # a copy: a later mutation may edit a drawn list or dict
-                parent[key] = copy.deepcopy(data.draw(
-                    values if op == "replace" else retyped(parent[key])))
-
-        def no_constant(name):
-            raise AssertionError(f"{name} written into a JSON artifact")
+            return _walk(node, data, st)
 
         @hypothesis.settings(max_examples=200, deadline=None)
         @hypothesis.given(data=st.data())
         def check(data):
             doc = json.loads(base)
             for _ in range(data.draw(st.integers(1, 2))):
-                mutate(doc, data)
+                _mutate_at(*site(doc, data), data, st)
             work = Path(tempfile.mkdtemp(dir=tmp_path))
             try:
                 (work / "report.json").write_text(json.dumps(doc))
-                result = runner.invoke(
-                    cli, ["--out", str(work / "o"), "report", "--report",
-                          str(work / "report.json")], standalone_mode=False)
-                exc = result.exception
-                if exc is not None:
-                    assert isinstance(exc, BranchSiteError), result.exc_info
-                    assert _exit_code(exc) == 2, exc
+                result = _invoke_fuzzed(["--out", str(work / "o"), "report", "--report",
+                                         str(work / "report.json")])
+                if result is None:
                     return
-                texts = {p.name: p.read_text() for p in (work / "o").iterdir()}
+                parsed = _strict_json_files(work / "o")
+                asc = (work / "o" / "score.asc").read_text()
             finally:
                 shutil.rmtree(work)
-            parsed = {name: json.loads(text, parse_constant=no_constant)
-                      for name, text in texts.items()
-                      if name.endswith((".json", ".geojson"))}
             assert _same_json(parsed["report.json"], doc)
-            assert re.match(r"NCOLS \d+\nNROWS \d+\n", texts["score.asc"])
+            assert re.match(r"NCOLS \d+\nNROWS \d+\n", asc)
+
+        check()
+
+
+class TestInputFuzz:
+    """Random deletions, type changes and non-finite or huge numbers in the
+    400 m demo project's config, one of its layers, or its coverage
+    instance: the command either raises a ``BranchSiteError`` with its
+    documented exit code, or succeeds and writes strict JSON artifacts."""
+
+    def test_fuzzed_config_succeeds_or_exits_2(self, demo_config_path, tmp_path):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        path = _small_project(demo_config_path, tmp_path / "project")
+        base = path.read_text()
+        fuzzed = path.with_name("fuzzed.json")  # beside it: layer paths resolve
+
+        @hypothesis.settings(max_examples=100, deadline=None)
+        @hypothesis.given(data=st.data())
+        def check(data):
+            cfg = json.loads(base)
+            _mutate([cfg, cfg["grid"], cfg["criteria"], cfg["hierarchy"]["nodes"],
+                     cfg["extraction"], cfg["standard"]], data, st)
+            fuzzed.write_text(json.dumps(cfg))
+            out = Path(tempfile.mkdtemp(dir=tmp_path))
+            try:
+                if _invoke_fuzzed(["--config", str(fuzzed), "--out", str(out),
+                                   "pipeline"]):
+                    assert "report.json" in _strict_json_files(out)
+            finally:
+                shutil.rmtree(out)
+
+        check()
+
+    def test_fuzzed_layer_succeeds_or_exits_2(self, demo_config_path, tmp_path):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        path = _small_project(demo_config_path, tmp_path / "project")
+        cfg = load_project(path)
+        layers = sorted({*cfg.layer_paths.values(), cfg.demand_path, cfg.existing_path})
+        originals = {layer: layer.read_text() for layer in layers}
+
+        @hypothesis.settings(max_examples=100, deadline=None)
+        @hypothesis.given(data=st.data())
+        def check(data):
+            layer = data.draw(st.sampled_from(layers))
+            doc = json.loads(originals[layer])
+            feature = data.draw(st.sampled_from(doc["features"]))
+            _mutate([doc, doc["features"], feature, feature["properties"],
+                     feature["geometry"]], data, st)
+            layer.write_text(json.dumps(doc))
+            out = Path(tempfile.mkdtemp(dir=tmp_path))
+            try:
+                if _invoke_fuzzed(["--config", str(path), "--out", str(out),
+                                   "pipeline"]):
+                    assert "report.json" in _strict_json_files(out)
+            finally:
+                layer.write_text(originals[layer])
+                shutil.rmtree(out)
+
+        check()
+
+    def test_fuzzed_instance_succeeds_or_exits_2(self, demo_config_path, tmp_path):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        report = json.loads(_small_report(demo_config_path, tmp_path / "project"))
+        base = json.dumps(report["instance"])
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(data=st.data())
+        def check(data):
+            doc = json.loads(base)
+            _mutate([doc, doc["areas"], doc["candidates"], doc["matrix"]], data, st)
+            work = Path(tempfile.mkdtemp(dir=tmp_path))
+            try:
+                (work / "instance.json").write_text(json.dumps(doc))
+                if _invoke_fuzzed(["--out", str(work / "o"), "solve", "--instance",
+                                   str(work / "instance.json"), "--p-max", "2"]):
+                    assert "solutions.json" in _strict_json_files(work / "o")
+            finally:
+                shutil.rmtree(work)
 
         check()
 

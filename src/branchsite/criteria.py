@@ -78,8 +78,6 @@ _KIND_ALIASES = {
     "cost-level": KIND_CATEGORICAL,
 }
 
-NUMERIC_KINDS = (KIND_DISTANCE, KIND_DENSITY)
-
 DIRECTION_NEAR_BETTER = "near_better"
 DIRECTION_FAR_BETTER = "far_better"
 DIRECTION_BAND = "band"

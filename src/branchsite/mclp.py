@@ -13,11 +13,13 @@ ascending id order; every marginal gain is one matrix-vector product of the
 uncovered populations with those columns (``_gains``). Ties go to the first
 maximum, the smallest id. The greedy+swap curve reuses one greedy pass.
 
-Exactness: with integer populations whose total is below 2**53, every
-partial sum is an integer that float64 holds exactly, so sums agree in any
-order and every comparison in the solvers is exact. Objective values are
-recomputed canonically (one numpy sum over the covered rows) so solver and
-oracle agree.
+Exactness: every comparison of two complete selections (a B&B leaf with
+the incumbent, a swap with the current set) uses the canonical objective,
+one numpy sum over the covered rows (``_objective``), which is what a
+solution reports and what the oracle computes. Bounds are float sums in
+other orders; they cut with no slack only when every population is an
+integer and the total is below 2**53, so that every partial sum is exact.
+Fractional populations are therefore solved exactly too.
 """
 
 from __future__ import annotations
@@ -303,13 +305,19 @@ def build_coverage(areas: Sequence[DemandArea], candidates: Sequence[CandidateSi
     )
 
 
+def _objective(pops: np.ndarray, covered: np.ndarray) -> float:
+    """The canonical objective of a selection: one numpy sum over its
+    covered rows. Every comparison of two complete selections uses it."""
+    return float(pops[covered].sum())
+
+
 def _finish_solution(inst: MclpInstance, chosen_ids: Iterable[str], method: str,
                      optimal: bool, gains: Sequence[float] = ()) -> MclpSolution:
-    """Build the solution record, recomputing z canonically from the matrix."""
+    """Build the solution record, with z the canonical objective."""
     selected = tuple(sorted(chosen_ids))
     view = inst._view
     covered_rows = view.cols[:, [view.position[s] for s in selected]].any(axis=1)
-    z = float(inst.populations[covered_rows].sum())
+    z = _objective(inst.populations, covered_rows)
     total = inst.total_population
     pct = 100.0 * z / total if total > 0 else 0.0
     covered = tuple(itertools.compress(view.area_ids, covered_rows.tolist()))
@@ -345,6 +353,30 @@ def _best(cols: np.ndarray, pops: np.ndarray, covered: np.ndarray,
     return k, float(gains[k])
 
 
+def _greedy(view: _SolverView, pops: np.ndarray, start: Sequence[int],
+            p: int) -> tuple[list[int], list[float]]:
+    """The ``start`` columns, then each round the largest marginal gain
+    (ties to the smallest id) until p columns are chosen. Returns the
+    columns in pick order and the marginal gain of each."""
+    cols = view.cols
+    chosen: list[int] = []
+    covered = np.zeros(len(pops), dtype=bool)
+    gains: list[float] = []
+    for k in start:
+        gains.append(float(_gains(cols[:, k], pops, covered)))
+        covered |= cols[:, k] > 0
+        chosen.append(k)
+    while len(chosen) < p:
+        k, gain = _best(cols, pops, covered, chosen)
+        chosen.append(k)
+        covered |= cols[:, k] > 0
+        gains.append(gain)
+    picked = gains[len(start):]
+    if any(b > a + 1e-9 for a, b in zip(picked, picked[1:])):
+        raise AssertionError("greedy marginal gains must be non-increasing")
+    return chosen, gains
+
+
 def solve_exact(inst: MclpInstance, p: int, override_cap: bool = False) -> MclpSolution:
     """Provably optimal solution by depth-first branch and bound.
 
@@ -369,16 +401,18 @@ def solve_exact(inst: MclpInstance, p: int, override_cap: bool = False) -> MclpS
       Polyak step toward the target ``best_z - z``. Each node starts from
       its parent's multipliers; the root starts at w / 2.
 
-    A greedy incumbent seeds the search. While it is the incumbent a subtree
-    is cut only when it is strictly worse (exact bound below ``best_z``, or
-    ``z + L + tol < best_z``), and a leaf equal to it replaces it; after that
-    a subtree is cut when it cannot beat the incumbent (exact bound at most
-    ``best_z``, or ``z + L + tol <= best_z``). ``tol`` (1e-9 of the total
-    population) absorbs the rounding of the fractional multipliers, so it
-    only ever weakens a cut. As the DFS meets subsets in lexicographic order
-    and never cuts a subtree holding a leaf that could replace the
-    incumbent, the first optimum it keeps is the lexicographically smallest
-    optimal id set.
+    A leaf is valued by the canonical objective and replaces the incumbent
+    when ``z > best_z``. The incumbent starts at the greedy set's objective
+    minus ``tol`` (1e-9 of the total population), so a leaf equal to the
+    greedy set replaces it. A subtree is cut when ``bound + slack <=
+    best_z``. The bounds are float sums in another order than the
+    objective: ``slack`` is 0 when every population is an integer and the
+    total is below 2**53, so that every sum is exact, and ``tol`` otherwise.
+    The Lagrangian bound adds ``tol`` of its own for the rounding of the
+    fractional multipliers. Both only ever weaken a cut. As the DFS meets
+    subsets in lexicographic order and never cuts a subtree holding a leaf
+    above the incumbent, the first optimum it keeps is the lexicographically
+    smallest optimal id set.
     """
     n = len(inst.candidates)
     if n > EXACT_SIZE_CAP and not override_cap:
@@ -396,33 +430,27 @@ def solve_exact(inst: MclpInstance, p: int, override_cap: bool = False) -> MclpS
     # cover, so one product gives the residual gains and what is reachable
     reach = np.logical_or.accumulate(hit[:, ::-1], axis=1)[:, ::-1]
     table = np.hstack([free_cols, reach])
-    tol = 1e-9 * float(pops.sum())
+    total = inst.total_population
+    tol = 1e-9 * total or 1.0   # the incumbent's offset must stay positive
+    slack = 0.0 if total < 2.0 ** 53 and (pops == np.floor(pops)).all() else tol
 
     start_covered = (cols[:, fixed] > 0).any(axis=1)
-    start_z = float(pops[start_covered].sum())
-
-    # greedy incumbent: prunes hard, but stays replaceable by an equal-value
-    # DFS solution so the reported set is still the lexicographically
-    # smallest optimum (strict pruning until DFS finds its own incumbent)
-    best_z = _greedy_value(free_cols, pops, start_covered, start_z,
-                           p - len(fixed))
+    seed, _ = _greedy(view, pops, fixed, p)
+    best_z = _objective(pops, (cols[:, seed] > 0).any(axis=1)) - tol
     best_sel: list[int] = []
-    seeded = True
 
-    def cut(bound: float, slack: float = 0.0) -> bool:
-        if seeded:
-            return bound + slack < best_z
+    def cut(bound: float) -> bool:
         return bound + slack <= best_z
 
     def dfs(start: int, chosen: list[int], covered: np.ndarray, z: float,
             lam: np.ndarray):
-        nonlocal best_z, best_sel, seeded
+        nonlocal best_z, best_sel
         slots = p - len(fixed) - len(chosen)
         if slots == 0:
-            if z > best_z or (seeded and z == best_z):
+            z = _objective(pops, covered)
+            if z > best_z:
                 best_z = z
                 best_sel = list(chosen)
-                seeded = False
             return
         if nfree - start < slots:
             return
@@ -434,14 +462,14 @@ def solve_exact(inst: MclpInstance, p: int, override_cap: bool = False) -> MclpS
         if slots > 1:
             lam = _lagrange_cut(lam, ~covered & reach[:, start], pops,
                                 free_cols[:, start:nfree], slots, best_z - z,
-                                lambda bound: cut(z + bound, tol))
+                                lambda bound: cut(z + bound + tol))
             if lam is None:
                 return
         dfs(start + 1, chosen + [start], covered | hit[:, start], z + gains[start],
             lam)
         dfs(start + 1, chosen, covered, z, lam)
 
-    dfs(0, [], start_covered, start_z, pops / 2)
+    dfs(0, [], start_covered, _objective(pops, start_covered), pops / 2)
     chosen_ids = [view.ids[k] for k in fixed + [free[i] for i in best_sel]]
     return _finish_solution(inst, chosen_ids, METHOD_EXACT, optimal=True)
 
@@ -478,50 +506,23 @@ def _lagrange_cut(lam: np.ndarray, open_rows: np.ndarray, pops: np.ndarray,
     return lam
 
 
-def _greedy_value(cols: np.ndarray, pops: np.ndarray, covered: np.ndarray,
-                  z: float, rounds: int) -> float:
-    for _ in range(rounds):
-        k, gain = _best(cols, pops, covered, [])
-        covered = covered | (cols[:, k] > 0)
-        z += gain
-    return z
-
-
-def _greedy(inst: MclpInstance, p: int) -> tuple[list[str], list[float]]:
-    """Greedy picks in pick order, with their marginal gains: the fixed-open
-    sites, then each round the largest marginal gain (ties to the smallest id)."""
-    view = _prepare(inst, p)
-    pops, cols = inst.populations, view.cols
-    chosen: list[int] = []
-    covered = np.zeros(len(pops), dtype=bool)
-    gains: list[float] = []
-    for k in view.fixed:
-        gains.append(float(_gains(cols[:, k], pops, covered)))
-        covered |= cols[:, k] > 0
-        chosen.append(k)
-    while len(chosen) < p:
-        k, gain = _best(cols, pops, covered, chosen)
-        chosen.append(k)
-        covered |= cols[:, k] > 0
-        gains.append(gain)
-    free_gains = gains[len(view.fixed):]
-    if any(b > a + 1e-9 for a, b in zip(free_gains, free_gains[1:])):
-        raise AssertionError("greedy marginal gains must be non-increasing")
-    return [view.ids[k] for k in chosen], gains
-
-
 def solve_greedy(inst: MclpInstance, p: int) -> MclpSolution:
-    """Greedy heuristic; its gains are non-increasing by submodularity."""
-    ids, gains = _greedy(inst, p)
-    return _finish_solution(inst, ids, METHOD_GREEDY_SWAP, optimal=False, gains=gains)
+    """Greedy heuristic: the fixed-open sites, then the largest marginal
+    gain each round; its gains are non-increasing by submodularity."""
+    view = _prepare(inst, p)
+    picks, gains = _greedy(view, inst.populations, view.fixed, p)
+    return _finish_solution(inst, [view.ids[k] for k in picks], METHOD_GREEDY_SWAP,
+                            optimal=False, gains=gains)
 
 
 def improve_swap(inst: MclpInstance, sol: MclpSolution) -> MclpSolution:
-    """Best-improvement single swaps until no swap strictly raises z.
+    """Best-improvement single swaps until no swap raises z.
 
     Dropping a site leaves covered the areas whose cover count stays
-    positive; one product then scores every incoming candidate. Ties go to
-    the smallest dropped id, then the smallest added id."""
+    positive; ``_best`` then picks the incoming candidate. The swap taken is
+    the one whose set has the highest objective, if that is above the
+    current set's. Ties go to the smallest dropped id, then the smallest
+    added id."""
     view = _prepare(inst, sol.p)
     pops, cols, fixed = inst.populations, view.cols, view.fixed
     selected = sorted(view.position[s] for s in sol.selected)
@@ -533,21 +534,16 @@ def improve_swap(inst: MclpInstance, sol: MclpSolution) -> MclpSolution:
             if drop in fixed:
                 continue
             kept = count - cols[:, drop] > 0
-            z_new = pops[kept].sum() + _gains(cols, pops, kept)
-            z_new[selected] = -np.inf
-            k = int(np.argmax(z_new))
-            if z_new[k] > z_cur and (best is None or z_new[k] > best[0]):
-                best = (z_new[k], drop, k)
+            add, _ = _best(cols, pops, kept, selected)
+            z_new = _objective(pops, kept | (cols[:, add] > 0))
+            if z_new > (z_cur if best is None else best[0]):
+                best = (z_new, drop, add)
         if best is None:
             break
         z_cur, drop, add = best
         selected = sorted(set(selected) - {drop} | {add})
-    ids = [view.ids[k] for k in selected]
-    out = _finish_solution(inst, ids, METHOD_GREEDY_SWAP, optimal=False,
-                           gains=sol.marginal_gains)
-    if out.objective < sol.objective:
-        raise AssertionError("swap improvement must not lower the objective")
-    return out
+    return _finish_solution(inst, [view.ids[k] for k in selected], METHOD_GREEDY_SWAP,
+                            optimal=False, gains=sol.marginal_gains)
 
 
 def coverage_curve(inst: MclpInstance, p_max: int,
@@ -567,8 +563,9 @@ def coverage_curve(inst: MclpInstance, p_max: int,
         raise InputError(f"p_max must be in [1, {n}], got {p_max}")
     rows: list[MclpSolution] = []
     if method == METHOD_GREEDY_SWAP:
-        _prepare(inst, 1)   # two or more fixed-open sites fail at the first row
-        picks, gains = _greedy(inst, p_max)
+        view = _prepare(inst, 1)   # two or more fixed-open sites fail at the first row
+        order, gains = _greedy(view, inst.populations, view.fixed, p_max)
+        picks = [view.ids[k] for k in order]
     for p in range(1, p_max + 1):
         if method == METHOD_EXACT:
             sol = solve_exact(inst, p, override_cap=override_cap)
@@ -586,12 +583,10 @@ def coverage_curve(inst: MclpInstance, p_max: int,
 def _extend_by_best(inst: MclpInstance, prev: MclpSolution) -> MclpSolution:
     """prev's selection plus the candidate with the best marginal gain."""
     view = _prepare(inst, prev.p + 1)
-    taken = [view.position[s] for s in prev.selected]
-    covered = (view.cols[:, taken] > 0).any(axis=1)
-    k, gain = _best(view.cols, inst.populations, covered, taken)
-    ids = list(prev.selected) + [view.ids[k]]
-    return _finish_solution(inst, ids, METHOD_GREEDY_SWAP, optimal=False,
-                            gains=tuple(prev.marginal_gains) + (gain,))
+    picks, gains = _greedy(view, inst.populations,
+                           [view.position[s] for s in prev.selected], prev.p + 1)
+    return _finish_solution(inst, [view.ids[k] for k in picks], METHOD_GREEDY_SWAP,
+                            optimal=False, gains=prev.marginal_gains + (gains[-1],))
 
 
 def instance_from_json(text: str | bytes) -> MclpInstance:

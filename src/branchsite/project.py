@@ -112,6 +112,8 @@ class ProjectConfig:
     layer_paths: dict[str, Path]
     demand_path: Path
     existing_path: Path
+    demand_ref: str     # the two paths as the config wrote them
+    existing_ref: str
     hierarchy: Hierarchy
     cr_threshold: float
     gates: tuple[GateResult, ...]  # one per matrix, computed at load
@@ -126,17 +128,16 @@ class ProjectConfig:
         return {"config_digest": self.digest, "mode": self.mode}
 
     def input_files(self) -> dict[str, Path]:
-        """Every file the pipeline reads, keyed by config-relative name."""
-        files = {str(self.path.name): self.path}
-        for cid, p in sorted(self.layer_paths.items()):
-            files[str(p.relative_to(self.base_dir))] = p
-        files[str(self.demand_path.relative_to(self.base_dir))] = self.demand_path
-        files[str(self.existing_path.relative_to(self.base_dir))] = self.existing_path
+        """Every file the pipeline reads, keyed by its path as the config
+        wrote it (the project file by its name)."""
+        files = {self.path.name: self.path, self.demand_ref: self.demand_path,
+                 self.existing_ref: self.existing_path}
+        for spec in self.criteria:
+            files[spec.layer_ref] = self.layer_paths[spec.id]
         for node in self.hierarchy.nodes:
             if node.matrix is not None:
-                p = self.base_dir / node.matrix.id
-                # matrix ids hold the config-relative path; see load_project
-                files[node.matrix.id] = p
+                # matrix ids hold the path as written; see load_project
+                files[node.matrix.id] = self.base_dir / node.matrix.id
         return files
 
 
@@ -220,11 +221,13 @@ def _parse_hierarchy(cfg: dict, base_dir: Path) -> tuple[Hierarchy, float]:
     return Hierarchy(nodes=tuple(nodes), root=root), threshold
 
 
-def _input_file(cfg: dict, key: str, base_dir: Path) -> Path:
-    path = base_dir / get(cfg, key, STRING, "config")
+def _input_file(cfg: dict, key: str, base_dir: Path) -> tuple[str, Path]:
+    """The file at ``key``: its path as written, and the path it names."""
+    ref = get(cfg, key, STRING, "config")
+    path = base_dir / ref
     if not path.is_file():
         raise ConfigError(f"config.{key}: file not found: {path}")
-    return path
+    return ref, path
 
 
 def load_project(path: str | Path) -> ProjectConfig:
@@ -288,8 +291,8 @@ def load_project(path: str | Path) -> ProjectConfig:
     if failures:
         raise GateError(failures)
 
-    demand_path = _input_file(cfg, "demand_areas", base_dir)
-    existing_path = _input_file(cfg, "existing_branches", base_dir)
+    demand_ref, demand_path = _input_file(cfg, "demand_areas", base_dir)
+    existing_ref, existing_path = _input_file(cfg, "existing_branches", base_dir)
 
     ecfg = get(cfg, "extraction", OBJECT, "config")
     extraction = ExtractionConfig(
@@ -306,7 +309,8 @@ def load_project(path: str | Path) -> ProjectConfig:
         path=path, base_dir=base_dir, digest=digest, mode=mode, grid=grid,
         scheme=scheme, combine_mode=combine_mode, criteria=tuple(criteria),
         layer_paths=layer_paths, demand_path=demand_path,
-        existing_path=existing_path, hierarchy=hierarchy,
+        existing_path=existing_path, demand_ref=demand_ref,
+        existing_ref=existing_ref, hierarchy=hierarchy,
         cr_threshold=cr_threshold, gates=tuple(gates), extraction=extraction,
         standard=standard, p_max=p_max, solver=solver,
     )
@@ -448,7 +452,6 @@ class SurfaceResult:
     weights: WeightVector
     gates: tuple[GateResult, ...]
     areas: tuple[DemandArea, ...]
-    mask: np.ndarray
     rasters: tuple[SuitabilityRaster, ...]
     score: ScoreRaster
 
@@ -502,7 +505,7 @@ def build_surface(cfg: ProjectConfig) -> SurfaceResult:
         score = combine(rasters, weights, cfg.combine_mode)
 
     return SurfaceResult(weights=weights, gates=gates, areas=areas,
-                         mask=mask, rasters=rasters, score=score)
+                         rasters=rasters, score=score)
 
 
 def build_candidate_set(cfg: ProjectConfig, surface: SurfaceResult

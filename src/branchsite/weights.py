@@ -87,12 +87,6 @@ class WeightVector:
         if abs(sum(self.values) - 1.0) > 1e-12:
             raise InputError(f"weights must sum to 1, got {sum(self.values)!r}")
 
-    def __getitem__(self, item: str) -> float:
-        try:
-            return self.values[self.items.index(item)]
-        except ValueError:
-            raise KeyError(item) from None
-
     def as_dict(self) -> dict[str, float]:
         return dict(zip(self.items, self.values))
 

@@ -107,6 +107,25 @@ def tie_heavy_family():
             yield inst, p
 
 
+def fractional_family(seed, count, max_areas, max_cands, density, choices):
+    """``count`` small instances whose populations are drawn from the
+    fractional ``choices``, so float sums of equal covers can round apart:
+    5 to ``max_areas`` areas, 3 to ``max_cands`` candidates."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n_areas, n_cands = rng.randint(5, max_areas), rng.randint(3, max_cands)
+        pops = [rng.choice(choices) for _ in range(n_areas)]
+        matrix = np.array(
+            [[rng.random() < density for _ in range(n_cands)] for _ in range(n_areas)]
+        )
+        areas = tuple(DemandArea(id=f"d{i:02d}", population=pop,
+                                 centroid=Point(float(i), 0.0))
+                      for i, pop in enumerate(pops))
+        cands = tuple(existing_site(f"c{j:02d}", Point(float(j), 1.0))
+                      for j in range(n_cands))
+        yield MclpInstance(areas=areas, candidates=cands, matrix=matrix)
+
+
 def geodesic_distance(a: Point, b: Point) -> float:
     """Haversine great-circle distance in meters between two lon/lat points:
     the geodesic kernel run on one point."""

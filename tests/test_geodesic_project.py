@@ -3,6 +3,7 @@ spherical kernel, thresholds still in meters."""
 
 import json
 import math
+import shutil
 
 import pytest
 
@@ -173,7 +174,9 @@ def test_geodesic_grid_past_antimeridian_exits_2(geodesic_project, tmp_path, cap
     # lon 180, where no kernel that runs on the masked cells would see them
     cfg = json.loads(geodesic_project.read_text())
     cfg["grid"]["ncols"] = math.ceil((180.0 - ORIGIN[0]) / CELL) + 1
-    variant = geodesic_project.parent / "wide_grid_project.json"
+    root = tmp_path / "project"
+    shutil.copytree(geodesic_project.parent, root)
+    variant = root / "wide_grid_project.json"
     variant.write_text(json.dumps(cfg))
     code = main(["--config", str(variant), "--out", str(tmp_path / "o"), "pipeline"])
     assert code == 2

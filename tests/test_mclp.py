@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import random
@@ -9,6 +10,7 @@ import pytest
 from helpers import (
     covering_candidates,
     enumerate_optimum,
+    fractional_family,
     geodesic_distance,
     oracle_family,
     parse_coverage_table_csv,
@@ -237,12 +239,43 @@ class TestSolveExact:
         near = sum(gap <= 8 * 2.0 ** -52 for gap in gaps)
         assert near > 0
 
-    def test_incumbent_is_the_greedy_objective(self):
-        for inst, p in oracle_family()[:60]:
-            cols, pops = mclp._prepare(inst, p).cols, inst.populations
-            no_cover = np.zeros(len(pops), dtype=bool)
-            z = mclp._greedy_value(cols, pops, no_cover, 0.0, p)
-            assert z == solve_greedy(inst, p).objective
+    def test_fractional_populations_match_enumeration(self):
+        """Tenths make float sums of equal covers round apart; every
+        comparison of two selections uses the one canonical sum, so the
+        solver still returns the enumeration's set and objective."""
+        solves = 0
+        for inst in fractional_family(7, 200, 25, 12, 0.35, (0.1, 0.2, 0.3)):
+            for p in range(2, min(5, len(inst.candidates)) + 1):
+                sol = solve_exact(inst, p)
+                assert (sol.selected, sol.objective) == enumerate_optimum(inst, p)[::-1]
+                solves += 1
+        assert solves == 747
+
+    def test_incumbent_is_the_greedy_objective(self, monkeypatch):
+        """The exact solver seeds its incumbent from one ``_greedy`` call
+        that picks what ``solve_greedy`` reports, fixed-open sites too."""
+        calls = []
+        greedy = mclp._greedy
+
+        def spy(view, pops, start, p):
+            picks, gains = greedy(view, pops, start, p)
+            calls.append((tuple(sorted(view.ids[k] for k in picks)), tuple(gains)))
+            return picks, gains
+
+        monkeypatch.setattr(mclp, "_greedy", spy)
+        for inst, p in itertools.islice(_reference_family(), 90):
+            calls.clear()
+            solve_exact(inst, p)
+            seeded = list(calls)
+            sol = solve_greedy(inst, p)
+            assert seeded == [(sol.selected, sol.marginal_gains)]
+
+    def test_unpopulated_instance_picks_the_smallest_ids(self):
+        """With every population 0 each p-set is optimal, so the first
+        leaf must still replace the greedy incumbent."""
+        inst = tiny_instance([[1, 0, 1], [0, 1, 0]], [0, 0])
+        for p in (1, 2, 3):
+            assert solve_exact(inst, p).selected == ("c0", "c1", "c2")[:p]
 
     def test_size_cap_refusal_mentions_greedy(self):
         areas = [DemandArea("d0", 10, Point(0, 0))]
@@ -319,6 +352,32 @@ class TestImproveSwap:
             z, _ = enumerate_optimum(inst, p)
             assert g.objective <= s.objective <= z
             assert verify_solution(inst, s)
+
+    def test_fractional_populations_never_raise(self):
+        """A swap is taken only when the swapped set's canonical objective
+        is higher, so with fractional populations the result never falls
+        below the greedy start."""
+        solves = 0
+        for inst in fractional_family(11, 3000, 40, 15, 0.3, (0.1, 0.2, 0.3, 0.7)):
+            for p in range(1, min(6, len(inst.candidates)) + 1):
+                g = solve_greedy(inst, p)
+                assert improve_swap(inst, g).objective >= g.objective
+                solves += 1
+        assert solves == 16549
+
+    @pytest.mark.parametrize("budget", ["--p", "--p-max"])
+    def test_fractional_instance_solves_from_the_cli(self, tmp_path, capsys, budget):
+        """The first instance of the family above where the swap once
+        lowered the objective (37 areas, 12 candidates, p = 5)."""
+        inst = next(itertools.islice(
+            fractional_family(11, 3000, 40, 15, 0.3, (0.1, 0.2, 0.3, 0.7)), 492, None))
+        assert inst.matrix.shape == (37, 12)
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(inst.to_dict()))
+        argv = ["--out", str(tmp_path / "o"), "solve", "--instance", str(path),
+                "--method", "greedy+swap", budget, "5"]
+        assert main(argv) == 0
+        assert "p=5:" in capsys.readouterr().out
 
     def test_recovers_optimum_on_greedy_trap(self):
         g = solve_greedy(GREEDY_TRAP, 2)

@@ -33,12 +33,21 @@ def load_config_json(config_path):
     return json.loads(Path(config_path).read_text())
 
 
-def write_variant(config_path, mutate, name="variant.json"):
-    """Write a mutated copy of the demo config next to the original, so all
-    relative layer/matrix paths keep working."""
+def demo_copy(config_path, tmp_path):
+    """The test's own copy of the demo project, at ``tmp_path / "project"``,
+    so no test writes into the project that the session shares."""
+    root = tmp_path / "project"
+    if not root.exists():
+        shutil.copytree(Path(config_path).parent, root)
+    return root
+
+
+def write_variant(config_path, tmp_path, mutate, name="variant.json"):
+    """Write a mutated copy of the demo config into the test's copy of the
+    demo project, so all relative layer/matrix paths keep working."""
     cfg = load_config_json(config_path)
     mutate(cfg)
-    path = Path(config_path).parent / name
+    path = demo_copy(config_path, tmp_path) / name
     path.write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
     return path
 
@@ -53,14 +62,14 @@ class TestLoadProject:
         assert cfg.p_max == 3
         assert set(cfg.hierarchy.leaves()) == {c.id for c in cfg.criteria}
 
-    def test_undeclared_criterion_named_in_error(self, demo_config_path):
+    def test_undeclared_criterion_named_in_error(self, demo_config_path, tmp_path):
         def drop_one(cfg):
             cfg["criteria"] = [c for c in cfg["criteria"] if c["id"] != "parking"]
-        path = write_variant(demo_config_path, drop_one, "undeclared.json")
+        path = write_variant(demo_config_path, tmp_path, drop_one, "undeclared.json")
         with pytest.raises(ConfigError, match="parking"):
             load_project(path)
 
-    def test_unreferenced_criterion_rejected(self, demo_config_path):
+    def test_unreferenced_criterion_rejected(self, demo_config_path, tmp_path):
         def drop_leaf(cfg):
             for node in cfg["hierarchy"]["nodes"]:
                 if node["id"] == "transport_access":
@@ -69,7 +78,7 @@ class TestLoadProject:
             for node in cfg["hierarchy"]["nodes"]:
                 if node["id"] == "transport_access":
                     node["matrix"] = None
-        path = write_variant(demo_config_path, drop_leaf, "unreferenced.json")
+        path = write_variant(demo_config_path, tmp_path, drop_leaf, "unreferenced.json")
         with pytest.raises(ConfigError, match="transit_stop"):
             load_project(path)
 
@@ -83,7 +92,7 @@ class TestLoadProject:
         assert not calls
 
     def test_inconsistent_matrix_fails_gate_at_load(self, demo_config_path, tmp_path):
-        base = Path(demo_config_path).parent
+        base = demo_copy(demo_config_path, tmp_path)
         rows = [r.split(",") for r in
                 (base / "matrices" / "goal.csv").read_text().strip().splitlines()]
         header, data = rows[0], [[float(x) for x in r] for r in rows[1:]]
@@ -100,21 +109,21 @@ class TestLoadProject:
             for node in cfg["hierarchy"]["nodes"]:
                 if node["id"] == "goal":
                     node["matrix"] = "matrices/goal_bad.csv"
-        path = write_variant(demo_config_path, swap_matrix, "badgate.json")
+        path = write_variant(demo_config_path, tmp_path, swap_matrix, "badgate.json")
         with pytest.raises(GateError, match="goal_bad"):
             load_project(path)
 
-    def test_missing_layer_file_rejected(self, demo_config_path):
+    def test_missing_layer_file_rejected(self, demo_config_path, tmp_path):
         def break_layer(cfg):
             cfg["criteria"][0]["layer"] = "layers/nonexistent.geojson"
-        path = write_variant(demo_config_path, break_layer, "missingfile.json")
+        path = write_variant(demo_config_path, tmp_path, break_layer, "missingfile.json")
         with pytest.raises(ConfigError, match="nonexistent"):
             load_project(path)
 
-    def test_schema_violation_names_field(self, demo_config_path):
+    def test_schema_violation_names_field(self, demo_config_path, tmp_path):
         def drop_grid(cfg):
             del cfg["grid"]
-        path = write_variant(demo_config_path, drop_grid, "nogrid.json")
+        path = write_variant(demo_config_path, tmp_path, drop_grid, "nogrid.json")
         with pytest.raises(ConfigError, match="grid"):
             load_project(path)
 
@@ -163,16 +172,15 @@ class TestLoadLayers:
         with pytest.raises(InputError, match="population"):
             load_demand_layer(path, "planar")
 
-    def test_empty_distance_layer_fails_at_rasterize_stage(self, demo_config_path):
-        base = Path(demo_config_path).parent
-        empty = base / "layers" / "empty.geojson"
+    def test_empty_distance_layer_fails_at_rasterize_stage(self, demo_config_path, tmp_path):
+        empty = demo_copy(demo_config_path, tmp_path) / "layers" / "empty.geojson"
         empty.write_text(json.dumps({"type": "FeatureCollection", "features": []}))
 
         def use_empty(cfg):
             for c in cfg["criteria"]:
                 if c["id"] == "parking":
                     c["layer"] = "layers/empty.geojson"
-        path = write_variant(demo_config_path, use_empty, "emptylayer.json")
+        path = write_variant(demo_config_path, tmp_path, use_empty, "emptylayer.json")
         cfg = load_project(path)  # loads fine; the failure belongs to rasterize
         with pytest.raises(InputError, match=r"\[stage rasterize\].*empty feature layer"):
             run_pipeline(cfg)
@@ -215,10 +223,10 @@ class TestPipeline:
         for rel in files1:
             assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
 
-    def test_p_max_of_all_candidates_reaches_total_coverable(self, demo_config_path):
+    def test_p_max_of_all_candidates_reaches_total_coverable(self, demo_config_path, tmp_path):
         def full_budget(cfg):
             cfg["p_max"] = 23
-        path = write_variant(demo_config_path, full_budget, "pfull.json")
+        path = write_variant(demo_config_path, tmp_path, full_budget, "pfull.json")
         report = run_pipeline(load_project(path))
         rows = report.data["curve"]
         assert len(rows) == 23
@@ -226,10 +234,10 @@ class TestPipeline:
         pcts = [r["coverage_pct"] for r in rows]
         assert all(b >= a for a, b in zip(pcts, pcts[1:]))
 
-    def test_greedy_swap_solver_matches_exact_here(self, demo_config_path):
+    def test_greedy_swap_solver_matches_exact_here(self, demo_config_path, tmp_path):
         def heuristic(cfg):
             cfg["solver"] = "greedy+swap"
-        path = write_variant(demo_config_path, heuristic, "heur.json")
+        path = write_variant(demo_config_path, tmp_path, heuristic, "heur.json")
         report = run_pipeline(load_project(path))
         assert [r["coverage_pct"] for r in report.data["curve"]] == [90.0, 96.0, 100.0]
         assert not any(r["optimal"] for r in report.data["curve"])
@@ -237,7 +245,7 @@ class TestPipeline:
     def test_empty_extraction_noted_and_solving_skipped(self, demo_config_path, tmp_path):
         def impossible_threshold(cfg):
             cfg["extraction"]["min_score"] = 0.99
-        path = write_variant(demo_config_path, impossible_threshold, "nopeaks.json")
+        path = write_variant(demo_config_path, tmp_path, impossible_threshold, "nopeaks.json")
         report = run_pipeline(load_project(path))
         assert report.data["extraction_empty"] is True
         assert report.data["curve"] is None
@@ -429,7 +437,7 @@ def _with_geodesic_centroid_off_range(d):
 
 def _config_argv(mutate):
     def argv(config_path, tmp_path):
-        path = write_variant(config_path, mutate, "malformed.json")
+        path = write_variant(config_path, tmp_path, mutate, "malformed.json")
         return ["--config", str(path), "--out", str(tmp_path / "o"), "pipeline"]
     return argv
 
@@ -438,8 +446,7 @@ def _layer_argv(layer, mutate):
     """A pipeline run on a copy of the demo project whose ``layer`` file is
     ``mutate``d; ``mutate`` returns the new layer body."""
     def argv(config_path, tmp_path):
-        root = tmp_path / "project"
-        shutil.copytree(Path(config_path).parent, root)
+        root = demo_copy(config_path, tmp_path)
         path = root / "layers" / layer
         path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
         return ["--config", str(root / Path(config_path).name),
@@ -451,8 +458,7 @@ def _appended_argv(rel, suffix):
     """A pipeline run on a copy of the demo project whose file ``rel``
     (relative to the project file) ends with the bytes ``suffix``."""
     def argv(config_path, tmp_path):
-        root = tmp_path / "project"
-        shutil.copytree(Path(config_path).parent, root)
+        root = demo_copy(config_path, tmp_path)
         with open(root / rel, "ab") as f:
             f.write(suffix)
         return ["--config", str(root / Path(config_path).name),
@@ -590,10 +596,40 @@ class TestCli:
                            ("config_digest", "mode", "weights", "consistency")}
 
     def test_validation_error_exits_2(self, demo_config_path, tmp_path):
-        path = write_variant(demo_config_path,
+        path = write_variant(demo_config_path, tmp_path,
                              lambda cfg: cfg.__delitem__("grid"), "cli_bad.json")
         code = main(["--config", str(path), "--out", str(tmp_path / "x"), "pipeline"])
         assert code == 2
+
+    def test_absolute_input_paths_keep_their_spelling(self, demo_config_path,
+                                                      demo_report, tmp_path):
+        """A layer, the demand areas and a matrix named by absolute paths:
+        the pipeline exits 0 and the report keys each input digest by the
+        path as the config wrote it."""
+        root = demo_copy(demo_config_path, tmp_path)
+        renamed = {}
+
+        def absolute(entry, key):
+            renamed[entry[key]] = entry[key] = str(root / entry[key])
+
+        def use_absolute_paths(cfg):
+            absolute(cfg["criteria"][0], "layer")
+            absolute(cfg, "demand_areas")
+            absolute(next(n for n in cfg["hierarchy"]["nodes"] if n.get("matrix")),
+                     "matrix")
+
+        path = write_variant(demo_config_path, tmp_path, use_absolute_paths,
+                             "absolute.json")
+        out = tmp_path / "o"
+        assert main(["--config", str(path), "--out", str(out), "pipeline"]) == 0
+        want = dict(demo_report.data["input_digests"])
+        del want[Path(demo_config_path).name]
+        want[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        for rel, ref in renamed.items():
+            want[ref] = want.pop(rel)
+        assert len(renamed) == 3
+        report = json.loads((out / "report.json").read_text())
+        assert report["input_digests"] == want
 
     def test_solver_refusal_exits_3(self, tmp_path):
         instance = {

@@ -47,7 +47,7 @@ class TestPrincipalWeights:
 
     def test_consistent_2x2(self):
         m = ComparisonMatrix("m", ("a", "b"), ((1, 2), (0.5, 1)))
-        w = principal_weights(m)
+        w = principal_weights(m).as_dict()
         assert w["a"] == pytest.approx(2 / 3, abs=1e-12)
         assert w["b"] == pytest.approx(1 / 3, abs=1e-12)
 
@@ -174,7 +174,7 @@ class TestSynthesize:
             ),
             root="goal",
         )
-        w = synthesize(h)
+        w = synthesize(h).as_dict()
         assert w["a"] == pytest.approx(0.5, abs=1e-9)
         assert w["b"] == pytest.approx(0.3, abs=1e-9)
         assert w["c"] == pytest.approx(0.2, abs=1e-9)
@@ -204,7 +204,7 @@ class TestSynthesize:
             got = synthesize(Hierarchy(nodes=tuple(nodes), root="goal"))
             assert sum(got.values) == pytest.approx(1.0, abs=1e-12)
             for leaf, w_exp in expected.items():
-                assert got[leaf] == pytest.approx(w_exp, abs=1e-12)
+                assert got.as_dict()[leaf] == pytest.approx(w_exp, abs=1e-12)
 
     def test_permutation_equivariant(self):
         h = two_level_hierarchy()
@@ -257,7 +257,7 @@ class TestWeightVector:
             WeightVector(("a", "b"), (0.5, 0.6))
 
     def test_lookup(self):
-        w = WeightVector(("a", "b"), (0.25, 0.75))
+        w = WeightVector(("a", "b"), (0.25, 0.75)).as_dict()
         assert w["b"] == 0.75
         with pytest.raises(KeyError):
             w["missing"]
@@ -271,7 +271,7 @@ class TestMatrixCsv:
         assert m.id == "m"
         assert m.items == ("a", "b", "c")
         assert consistency_ratio(m) <= 1e-9
-        w = principal_weights(m)
+        w = principal_weights(m).as_dict()
         assert w["a"] == pytest.approx(4 / 7, abs=1e-9)
 
     def test_non_numeric_rejected(self, tmp_path):

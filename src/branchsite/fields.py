@@ -8,6 +8,8 @@ number too large for a float, the same JSON the artifacts are written in.
 wrong type fails as ``<source> field <path> must be <kind>, got <value>``,
 where the source is ``config``, ``instance`` or ``report``; the path is
 formatted only when a field fails, since an instance has thousands.
+``columns`` reads the same field of every object in a list at once, and
+falls back to ``get`` only to name the first field that fails.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import reprlib
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .errors import ConfigError, InputError
 from .geo import MODES, Point
@@ -77,22 +81,53 @@ def is_number(value) -> bool:
 class Kind(NamedTuple):
     name: str                     # the <kind> of the message
     read: Callable                # the typed value, or None if not of the kind
+    column: Callable | None = None  # a list of values typed at once, or None
+
+
+def _numbers(values: list) -> np.ndarray | None:
+    """``values`` as one float64 array if each is a number (``is_number``),
+    else None. Types are tested once per distinct type; the values numpy
+    rounds to the float limit or past it are then tested one by one."""
+    if not all(t is int or issubclass(t, float) for t in set(map(type, values))):
+        return None
+    try:
+        a = np.array(values, dtype=np.float64)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    edge = np.flatnonzero(~(np.abs(a) < _FLOAT_MAX))  # NaN and infinities too
+    return a if all(is_number(values[k]) for k in edge) else None
+
+
+def _strings(values: list) -> tuple | None:
+    if all(issubclass(t, str) for t in set(map(type, values))):
+        return tuple(values)
+    return None
+
+
+def _pairs(values: list) -> np.ndarray | None:
+    """``values`` as one n x 2 float64 array if each is an [x, y] pair."""
+    if (all(issubclass(t, list) for t in set(map(type, values)))
+            and set(map(len, values)) <= {2}):
+        a = _numbers([c for v in values for c in v])
+        if a is not None:
+            return a.reshape(-1, 2)
+    return None
 
 
 def one_of(choices: tuple) -> Kind:
     return Kind(f"one of {choices}", lambda v: v if v in choices else None)
 
 
-NUMBER = Kind("a number", lambda v: float(v) if is_number(v) else None)
+NUMBER = Kind("a number", lambda v: float(v) if is_number(v) else None, _numbers)
 INTEGER = Kind("an integer", lambda v: v if is_int(v) else None)
-STRING = Kind("a string", lambda v: v if isinstance(v, str) else None)
+STRING = Kind("a string", lambda v: v if isinstance(v, str) else None, _strings)
 BOOL = Kind("true or false", lambda v: v if isinstance(v, bool) else None)
 LIST = Kind("a list", lambda v: v if isinstance(v, list) else None)
 OBJECT = Kind("an object", lambda v: v if isinstance(v, dict) else None)
 XY = Kind("[x, y]", lambda v: (
     Point(float(v[0]), float(v[1]))
     if isinstance(v, list) and len(v) == 2 and is_number(v[0]) and is_number(v[1])
-    else None))
+    else None), _pairs)
 MODE = one_of(MODES)
 
 _REQUIRED = object()
@@ -131,3 +166,27 @@ def get(obj, key: str, kind: Kind, source: str, section: str = "",
     if key not in obj:
         raise _ERRORS[source](f"{source} field {path} is missing")
     raise mistyped(source, path, kind, obj[key])
+
+
+def columns(rows: list, kinds: dict[str, Kind], source: str, section: str) -> list:
+    """``row[key]`` of every object in ``rows``, one column per ``key: kind``
+    of ``kinds``, typed at once by ``kind.column``: a tuple of strings, a
+    float64 array of numbers, an n x 2 float64 array of [x, y] pairs. A
+    column test accepts exactly what ``get`` accepts, so the rows are read
+    one by one with ``get``, in row order, only when a column fails, to
+    raise the first bad field's error."""
+    out = []
+    for key, kind in kinds.items():
+        try:
+            values = [row[key] for row in rows]
+        except (KeyError, TypeError):  # a row without the key, or no object
+            break
+        out.append(kind.column(values))
+        if out[-1] is None:
+            break
+    else:
+        return out
+    for i, row in enumerate(rows):
+        for key, kind in kinds.items():
+            get(row, key, kind, source, section, i)
+    raise AssertionError(f"a column of {section} failed but every field reads")

@@ -6,6 +6,9 @@ An instance is demand areas I (each a weighted point: the area centroid),
 candidates J, and the binary coverage matrix a[i][j] = 1 iff candidate j
 lies within the coverage standard of centroid i. Choosing p candidates, the
 objective is the total population of areas covered by at least one choice.
+The areas are held as three columns: their ids, a float64 array of
+populations and an n x 2 float64 array of centroids. The instance reader
+types each column at once (``fields.columns``), not one area at a time.
 
 The bool matrix is the solvers' only representation of coverage. They read
 one float64 0/1 copy of it, taken once per instance, with the columns in
@@ -29,6 +32,7 @@ import functools
 import io
 import itertools
 import math
+import reprlib
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
@@ -45,6 +49,7 @@ from .fields import (
     STRING,
     XY,
     Kind,
+    columns,
     get,
     is_number,
     mistyped,
@@ -96,12 +101,13 @@ class CoverageStandard:
         elif self.kind == "travel_time":
             names = ("minutes", "speed_kmh")
         else:
-            raise ConfigError(f"coverage standard: unknown kind {self.kind!r}")
+            raise ConfigError(
+                f"coverage standard: unknown kind {reprlib.repr(self.kind)}")
         for name in names:
             value = getattr(self, name)
             if not (is_number(value) and value > 0):
                 raise ConfigError(f"coverage standard: {name} must be a finite "
-                                  f"positive number, got {value!r}")
+                                  f"positive number, got {reprlib.repr(value)}")
         if not math.isfinite(self.effective_radius_m):
             raise ConfigError("coverage standard: travel time gives an infinite radius")
 
@@ -131,22 +137,41 @@ class _SolverView(NamedTuple):   # what the solvers read, once per instance
     position: dict[str, int]    # candidate id -> its column
     fixed: list[int]            # the columns of the fixed-open candidates
     cols: np.ndarray            # float64 0/1 coverage, read-only
-    area_ids: tuple[str, ...]
+
+
+def _frozen(values, shape: tuple, name: str) -> np.ndarray:
+    """A read-only float64 copy of ``values``, which must have ``shape``."""
+    a = np.array(values, dtype=np.float64)
+    if a.shape != shape:
+        raise InputError(f"{name} must have shape {shape}, got {a.shape}")
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
 class MclpInstance:
-    areas: tuple[DemandArea, ...]
+    area_ids: tuple[str, ...]
+    populations: np.ndarray     # float64, |I|, read-only
+    centroids: np.ndarray       # float64, |I| x 2, read-only
     candidates: tuple[CandidateSite, ...]
-    matrix: np.ndarray  # bool, |I| x |J|
+    matrix: np.ndarray          # bool, |I| x |J|, read-only
     standard: CoverageStandard | None = None
     mode: str = PLANAR
 
     def __post_init__(self):
-        if self.matrix.shape != (len(self.areas), len(self.candidates)):
+        n = len(self.area_ids)
+        pops = _frozen(self.populations, (n,), "populations")
+        object.__setattr__(self, "populations", pops)
+        object.__setattr__(self, "centroids", _frozen(self.centroids, (n, 2), "centroids"))
+        bad = np.flatnonzero(~(np.isfinite(pops) & (pops >= 0)))
+        if bad.size:
+            raise InputError(f"demand area {self.area_ids[bad[0]]!r}: "
+                             "population must be a finite number >= 0")
+        if not np.isfinite(self.centroids).all():
+            raise InputError("demand area centroids must be finite")
+        if self.matrix.shape != (n, len(self.candidates)):
             raise InputError("coverage matrix shape does not match areas x candidates")
-        ids = [a.id for a in self.areas]
-        if len(set(ids)) != len(ids):
+        if len(set(self.area_ids)) != n:
             raise InputError("demand area ids must be unique")
         cids = [c.id for c in self.candidates]
         if len(set(cids)) != len(cids):
@@ -157,12 +182,6 @@ class MclpInstance:
         m = self.matrix.astype(bool)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-
-    @functools.cached_property
-    def populations(self) -> np.ndarray:
-        pops = np.array([a.population for a in self.areas], dtype=float)
-        pops.flags.writeable = False
-        return pops
 
     @functools.cached_property
     def total_population(self) -> float:
@@ -176,16 +195,16 @@ class MclpInstance:
         cols.flags.writeable = False
         return _SolverView(ids, {c: k for k, c in enumerate(ids)},
                            [k for k, j in enumerate(order) if self.candidates[j].fixed_open],
-                           cols, tuple(a.id for a in self.areas))
+                           cols)
 
     def to_dict(self) -> dict:
         return {
             "mode": self.mode,
             "standard": None if self.standard is None else self.standard.to_dict(),
             "areas": [
-                {"id": a.id, "population": a.population,
-                 "centroid": [a.centroid.x, a.centroid.y]}
-                for a in self.areas
+                {"id": aid, "population": pop, "centroid": xy}
+                for aid, pop, xy in zip(self.area_ids, self.populations.tolist(),
+                                        self.centroids.tolist())
             ],
             "candidates": [
                 {"id": c.id, "location": [c.location.x, c.location.y],
@@ -201,14 +220,9 @@ class MclpInstance:
         standard = None
         if d.get("standard") is not None:
             standard = CoverageStandard.from_dict(get(d, "standard", OBJECT, "instance"))
-        areas = tuple(
-            DemandArea(
-                id=get(a, "id", STRING, "instance", "areas", i),
-                population=get(a, "population", NUMBER, "instance", "areas", i),
-                centroid=get(a, "centroid", XY, "instance", "areas", i),
-            )
-            for i, a in enumerate(get(d, "areas", LIST, "instance", default=[]))
-        )
+        ids, pops, centroids = columns(
+            get(d, "areas", LIST, "instance", default=[]),
+            {"id": STRING, "population": NUMBER, "centroid": XY}, "instance", "areas")
         cands = tuple(
             existing_site(
                 get(c, "id", STRING, "instance", "candidates", i),
@@ -221,8 +235,8 @@ class MclpInstance:
         if d.get("matrix") is None:
             if standard is None:
                 raise InputError("instance needs either a matrix or a coverage standard")
-            return build_coverage(areas, cands, standard, mode=mode)
-        return cls(areas=areas, candidates=cands, matrix=_matrix(d, len(cands)),
+            return build_coverage(ids, pops, centroids, cands, standard, mode=mode)
+        return cls(ids, pops, centroids, cands, _matrix(d, len(cands)),
                    standard=standard, mode=mode)
 
 
@@ -285,24 +299,23 @@ class CoverageCurve:
         return {"rows": [r.to_dict() for r in self.rows]}
 
 
-def build_coverage(areas: Sequence[DemandArea], candidates: Sequence[CandidateSite],
-                   standard: CoverageStandard, mode: str = PLANAR) -> MclpInstance:
-    """Coverage matrix: a[i][j] = 1 iff candidate j is within the effective
-    radius of centroid i (boundary inclusive)."""
-    if not areas or not candidates:
+def build_coverage(area_ids: Sequence[str], populations, centroids,
+                   candidates: Sequence[CandidateSite], standard: CoverageStandard,
+                   mode: str = PLANAR) -> MclpInstance:
+    """The instance of the area columns (ids, populations, n x 2 centroids)
+    and the candidates, with the coverage matrix: a[i][j] = 1 iff candidate
+    j is within the effective radius of centroid i (boundary inclusive)."""
+    if not len(area_ids) or not candidates:
         raise InputError("coverage needs at least one area and one candidate")
     radius = standard.effective_radius_m
-    xs = np.array([a.centroid.x for a in areas])
-    ys = np.array([a.centroid.y for a in areas])
+    xs, ys = _frozen(centroids, (len(area_ids), 2), "centroids").T.copy()
     # one column per kernel call: an |I| x |J| float temporary would cost
     # more memory than the bool matrix it fills
-    matrix = np.empty((len(areas), len(candidates)), dtype=bool)
+    matrix = np.empty((len(xs), len(candidates)), dtype=bool)
     for j, cand in enumerate(candidates):
         matrix[:, j] = distances_to(xs, ys, cand.location, mode) <= radius
-    return MclpInstance(
-        areas=tuple(areas), candidates=tuple(candidates),
-        matrix=matrix, standard=standard, mode=mode,
-    )
+    return MclpInstance(tuple(area_ids), populations, centroids, tuple(candidates),
+                        matrix, standard=standard, mode=mode)
 
 
 def _objective(pops: np.ndarray, covered: np.ndarray) -> float:
@@ -320,7 +333,7 @@ def _finish_solution(inst: MclpInstance, chosen_ids: Iterable[str], method: str,
     z = _objective(inst.populations, covered_rows)
     total = inst.total_population
     pct = 100.0 * z / total if total > 0 else 0.0
-    covered = tuple(itertools.compress(view.area_ids, covered_rows.tolist()))
+    covered = tuple(itertools.compress(inst.area_ids, covered_rows.tolist()))
     return MclpSolution(
         p=len(selected), selected=selected, covered=covered,
         objective=z, coverage_pct=pct, method=method, optimal=optimal,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import fcntl
 import hashlib
 import os
+import reprlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -409,7 +410,7 @@ def load_demand_layer(path: Path, mode: str) -> list[DemandArea]:
         population = props["population"]
         if not is_number(population):
             raise InputError(
-                f"{where}: 'population' must be a number, got {population!r}")
+                f"{where}: 'population' must be a number, got {reprlib.repr(population)}")
         aid = str(props.get("id", f"area{i + 1:02d}"))
         centroid = None
         if props.get("centroid") is not None:
@@ -529,8 +530,11 @@ def run_pipeline(cfg: ProjectConfig) -> RunReport:
     curve = None
     if not extraction_empty:
         with _Stage("solve"):
-            instance = build_coverage(surface.areas, merged, cfg.standard,
-                                      mode=cfg.mode)
+            areas = surface.areas
+            instance = build_coverage(
+                tuple(a.id for a in areas), [a.population for a in areas],
+                [(a.centroid.x, a.centroid.y) for a in areas], merged, cfg.standard,
+                mode=cfg.mode)
             curve = coverage_curve(instance, cfg.p_max, method=cfg.solver)
 
     with _Stage("report"):

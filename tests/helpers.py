@@ -1,5 +1,6 @@
 """Shared test utilities: random instance generation, enumeration oracles,
-solution checks, a big-int bitmask reference for the heuristic solvers,
+solution checks, the per-field instance reader as a reference for the
+column reader, a big-int bitmask reference for the heuristic solvers,
 per-cell loop references for the raster formatters, per-segment comparison
 references for the band lookup, full-grid references for the overlay
 kernels, polygons from coordinate pairs, consistent judgment matrices, and
@@ -32,13 +33,17 @@ from branchsite.geo import (
     distances_to,
     points_in_polygon,
 )
+from branchsite.fields import BOOL, LIST, MODE, NUMBER, OBJECT, STRING, XY, get
 from branchsite.mclp import (
     METHOD_GREEDY_SWAP,
     CoverageCurve,
+    CoverageStandard,
     DemandArea,
     MclpInstance,
     MclpSolution,
     _finish_solution,
+    _matrix,
+    build_coverage,
 )
 from branchsite.errors import InputError
 from branchsite.weights import ComparisonMatrix
@@ -53,6 +58,15 @@ from branchsite.overlay import (
 from branchsite.weights import WeightVector
 
 
+def line_instance(pops, cands, matrix) -> MclpInstance:
+    """The instance whose area i is ``d{i:02d}`` at (i, 0) with population
+    ``pops[i]``: the area columns of every random family."""
+    n = len(pops)
+    centroids = np.column_stack([np.arange(n, dtype=float), np.zeros(n)])
+    return MclpInstance(tuple(f"d{i:02d}" for i in range(n)), pops, centroids,
+                        tuple(cands), matrix)
+
+
 def random_instance(rng, max_areas=30, max_cands=12, density=0.4):
     """Random MCLP instance with integer populations (so float sums are exact)."""
     n_areas = rng.randint(3, max_areas)
@@ -60,13 +74,9 @@ def random_instance(rng, max_areas=30, max_cands=12, density=0.4):
     matrix = np.array(
         [[rng.random() < density for _ in range(n_cands)] for _ in range(n_areas)]
     )
-    areas = tuple(
-        DemandArea(id=f"d{i:02d}", population=float(rng.randint(1, 1000)),
-                   centroid=Point(float(i), 0.0))
-        for i in range(n_areas)
-    )
-    cands = tuple(existing_site(f"c{j:02d}", Point(float(j), 1.0)) for j in range(n_cands))
-    return MclpInstance(areas=areas, candidates=cands, matrix=matrix)
+    pops = [float(rng.randint(1, 1000)) for _ in range(n_areas)]
+    cands = [existing_site(f"c{j:02d}", Point(float(j), 1.0)) for j in range(n_cands)]
+    return line_instance(pops, cands, matrix)
 
 
 def oracle_family():
@@ -92,16 +102,12 @@ def tie_heavy_family():
         matrix = np.array(
             [[rng.random() < density for _ in range(n_cands)] for _ in range(n_areas)]
         )
-        areas = tuple(
-            DemandArea(id=f"d{i:02d}", population=float(rng.randint(0, 3)),
-                       centroid=Point(float(i), 0.0))
-            for i in range(n_areas)
-        )
+        pops = [float(rng.randint(0, 3)) for _ in range(n_areas)]
         cands = tuple(
             existing_site(f"c{j:02d}", Point(float(j), 1.0), fixed_open=rng.random() < 0.1)
             for j in range(n_cands)
         )
-        inst = MclpInstance(areas=areas, candidates=cands, matrix=matrix)
+        inst = line_instance(pops, cands, matrix)
         n_fixed = sum(c.fixed_open for c in cands)
         for p in range(max(1, n_fixed), min(6, n_cands) + 1):
             yield inst, p
@@ -118,12 +124,8 @@ def fractional_family(seed, count, max_areas, max_cands, density, choices):
         matrix = np.array(
             [[rng.random() < density for _ in range(n_cands)] for _ in range(n_areas)]
         )
-        areas = tuple(DemandArea(id=f"d{i:02d}", population=pop,
-                                 centroid=Point(float(i), 0.0))
-                      for i, pop in enumerate(pops))
-        cands = tuple(existing_site(f"c{j:02d}", Point(float(j), 1.0))
-                      for j in range(n_cands))
-        yield MclpInstance(areas=areas, candidates=cands, matrix=matrix)
+        cands = [existing_site(f"c{j:02d}", Point(float(j), 1.0)) for j in range(n_cands)]
+        yield line_instance(pops, cands, matrix)
 
 
 def geodesic_distance(a: Point, b: Point) -> float:
@@ -172,11 +174,49 @@ def verify_solution(inst: MclpInstance, sol: MclpSolution) -> bool:
         return False
     cols = [idx[s] for s in sol.selected]
     covered_rows = inst.matrix[:, cols].any(axis=1)
-    covered_ids = {inst.areas[i].id for i in range(len(inst.areas)) if covered_rows[i]}
+    covered_ids = {aid for aid, c in zip(inst.area_ids, covered_rows) if c}
     if covered_ids != set(sol.covered):
         return False
     z = float(inst.populations[covered_rows].sum())
     return z == sol.objective
+
+
+# -- per-field instance reader ---------------------------------------------------
+# The instance reader as it was written before the area columns: three typed
+# ``get`` calls and one ``DemandArea`` per area. ``MclpInstance.from_dict``
+# must return the same instance, or raise the same error, on any input.
+
+def reference_instance_from_dict(d: dict) -> MclpInstance:
+    mode = get(d, "mode", MODE, "instance", default=PLANAR)
+    standard = None
+    if d.get("standard") is not None:
+        standard = CoverageStandard.from_dict(get(d, "standard", OBJECT, "instance"))
+    areas = tuple(
+        DemandArea(
+            id=get(a, "id", STRING, "instance", "areas", i),
+            population=get(a, "population", NUMBER, "instance", "areas", i),
+            centroid=get(a, "centroid", XY, "instance", "areas", i),
+        )
+        for i, a in enumerate(get(d, "areas", LIST, "instance", default=[]))
+    )
+    cands = tuple(
+        existing_site(
+            get(c, "id", STRING, "instance", "candidates", i),
+            get(c, "location", XY, "instance", "candidates", i),
+            fixed_open=get(c, "fixed_open", BOOL, "instance", "candidates", i,
+                           default=False),
+        )
+        for i, c in enumerate(get(d, "candidates", LIST, "instance", default=[]))
+    )
+    ids = tuple(a.id for a in areas)
+    pops = [a.population for a in areas]
+    centroids = np.array([(a.centroid.x, a.centroid.y) for a in areas]).reshape(-1, 2)
+    if d.get("matrix") is None:
+        if standard is None:
+            raise InputError("instance needs either a matrix or a coverage standard")
+        return build_coverage(ids, pops, centroids, cands, standard, mode=mode)
+    return MclpInstance(ids, pops, centroids, cands, _matrix(d, len(cands)),
+                        standard=standard, mode=mode)
 
 
 # -- bitmask reference --------------------------------------------------------
@@ -190,7 +230,7 @@ def candidate_area_masks(inst: MclpInstance) -> list[int]:
     for j in range(len(inst.candidates)):
         m = 0
         col = inst.matrix[:, j]
-        for i in range(len(inst.areas)):
+        for i in range(len(inst.area_ids)):
             if col[i]:
                 m |= 1 << i
         masks.append(m)
@@ -213,7 +253,7 @@ def _prepare(inst: MclpInstance, p: int):
     if not 1 <= p <= n:
         raise InputError(f"p must be in [1, {n}], got {p}")
     order = sorted(range(n), key=lambda j: inst.candidates[j].id)
-    pops = [a.population for a in inst.areas]
+    pops = inst.populations.tolist()
     masks = candidate_area_masks(inst)
     fixed = [j for j in order if inst.candidates[j].fixed_open]
     if len(fixed) > p:

@@ -6,6 +6,7 @@ math criteria run against randomized families with independent oracles
 (full enumeration, dense eigensolver, exact rational products).
 """
 
+import dataclasses
 import math
 import random
 import time
@@ -18,7 +19,6 @@ from helpers import consistent_matrix, enumerate_optimum, random_instance
 
 from branchsite.criteria import KIND_CATEGORICAL, ScoreScheme, classify
 from branchsite.mclp import (
-    DemandArea,
     MclpInstance,
     coverage_curve,
     solve_exact,
@@ -260,15 +260,7 @@ def test_criterion_8_pipeline_determinism(demo_config_path, tmp_path):
 
 def test_criterion_9_scale_equivariance(demo_report):
     inst = MclpInstance.from_dict(demo_report.data["instance"])
-    scaled = MclpInstance(
-        areas=tuple(
-            DemandArea(a.id, a.population * 7.0, a.centroid) for a in inst.areas
-        ),
-        candidates=inst.candidates,
-        matrix=np.array(inst.matrix),
-        standard=inst.standard,
-        mode=inst.mode,
-    )
+    scaled = dataclasses.replace(inst, populations=inst.populations * 7.0)
     for p in (1, 2, 3):
         base = solve_exact(inst, p)
         big = solve_exact(scaled, p)

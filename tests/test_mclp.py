@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -16,20 +17,20 @@ from helpers import (
     parse_coverage_table_csv,
     random_instance,
     reference_greedy_curve,
+    reference_instance_from_dict,
     reference_improve_swap,
     reference_solve_greedy,
     tie_heavy_family,
     verify_solution,
 )
 
-from branchsite import mclp
+from branchsite import fields, mclp
 from branchsite.candidates import CandidateSite, existing_site
 from branchsite.cli import main
 from branchsite.errors import ConfigError, InputError, SolverRefused
 from branchsite.geo import Point, planar_distance
 from branchsite.mclp import (
     CoverageStandard,
-    DemandArea,
     MclpInstance,
     build_coverage,
     coverage_curve,
@@ -45,14 +46,17 @@ GREEDY_GUARANTEE = 1.0 - 1.0 / math.e
 
 def tiny_instance(matrix_rows, pops):
     matrix = np.array(matrix_rows, dtype=bool)
-    areas = tuple(
-        DemandArea(id=f"d{i}", population=float(p), centroid=Point(float(i), 0.0))
-        for i, p in enumerate(pops)
-    )
     cands = tuple(
         existing_site(f"c{j}", Point(float(j), 1.0)) for j in range(matrix.shape[1])
     )
-    return MclpInstance(areas=areas, candidates=cands, matrix=matrix)
+    return MclpInstance(tuple(f"d{i}" for i in range(len(pops))), pops,
+                        [(float(i), 0.0) for i in range(len(pops))], cands, matrix)
+
+
+def points_instance(pops, points, cands, standard, mode="planar"):
+    """``build_coverage`` over areas ``d{i}`` with ``pops[i]`` at ``points[i]``."""
+    return build_coverage(tuple(f"d{i}" for i in range(len(pops))), pops,
+                          [(q.x, q.y) for q in points], cands, standard, mode=mode)
 
 
 # frozen instance where greedy is strictly suboptimal and one swap recovers
@@ -94,6 +98,17 @@ class TestCoverageStandard:
         with pytest.raises(ConfigError, match="finite positive number"):
             CoverageStandard(kind="travel_time", minutes=5, speed_kmh=value)
 
+    @pytest.mark.parametrize("name", ["kind", "radius", "minutes", "speed_kmh"])
+    def test_huge_number_is_shortened_in_the_message(self, name):
+        values = ({"radius": 5} if name == "radius"
+                  else {"kind": "travel_time", "minutes": 5, "speed_kmh": 30})
+        values[name] = 10 ** 400
+        with pytest.raises(ConfigError) as info:
+            CoverageStandard(**values)
+        message = str(info.value)
+        assert "got 1000" in message or "kind 1000" in message
+        assert "..." in message and len(message) < 120
+
     def test_travel_time_overflowing_to_infinite_radius_rejected(self):
         with pytest.raises(ConfigError, match="infinite radius"):
             CoverageStandard(kind="travel_time", minutes=1e300, speed_kmh=1e300)
@@ -101,34 +116,31 @@ class TestCoverageStandard:
 
 class TestBuildCoverage:
     def test_tiny_radius_all_zero(self):
-        areas = [DemandArea("d0", 10, Point(0, 0)), DemandArea("d1", 20, Point(100, 0))]
         cands = [existing_site("c0", Point(50, 50))]
-        inst = build_coverage(areas, cands, CoverageStandard(radius=1.0))
+        inst = points_instance([10, 20], [Point(0, 0), Point(100, 0)], cands,
+                               CoverageStandard(radius=1.0))
         assert not inst.matrix.any()
 
     def test_boundary_is_inclusive(self):
-        areas = [DemandArea("d0", 10, Point(0, 0))]
         cands = [existing_site("c0", Point(2500, 0))]
-        inst = build_coverage(areas, cands, CoverageStandard(radius=2500.0))
+        inst = points_instance([10], [Point(0, 0)], cands, CoverageStandard(radius=2500.0))
         assert inst.matrix[0, 0]
 
     def test_matches_per_pair_distance_oracle(self):
         rng = random.Random(83)
-        areas = [
-            DemandArea(f"d{i}", rng.randint(1, 100),
-                       Point(rng.uniform(0, 5000), rng.uniform(0, 5000)))
-            for i in range(20)
-        ]
+        pops, points = [], []
+        for _ in range(20):
+            pops.append(rng.randint(1, 100))
+            points.append(Point(rng.uniform(0, 5000), rng.uniform(0, 5000)))
         cands = [
             existing_site(f"c{j}", Point(rng.uniform(0, 5000), rng.uniform(0, 5000)))
             for j in range(23)
         ]
         std = CoverageStandard(radius=1500.0)
-        inst = build_coverage(areas, cands, std)
-        for i, a in enumerate(areas):
+        inst = points_instance(pops, points, cands, std)
+        for i, a in enumerate(points):
             for j, c in enumerate(cands):
-                d = math.sqrt((a.centroid.x - c.location.x) ** 2
-                              + (a.centroid.y - c.location.y) ** 2)
+                d = math.sqrt((a.x - c.location.x) ** 2 + (a.y - c.location.y) ** 2)
                 assert inst.matrix[i, j] == (d <= 1500.0)
         assert covering_candidates(inst, 0) == [
             cands[j].id for j in range(23) if inst.matrix[0, j]
@@ -149,23 +161,22 @@ class TestBuildCoverage:
             def point(k):
                 return Point(rng.uniform(51.60, 51.64), rng.uniform(32.60, 32.64))
             wrapper = geodesic_distance
-        areas = [DemandArea(f"d{i}", 10, point(i)) for i in range(40)]
+        points = [point(i) for i in range(40)]
         cands = [existing_site(f"c{j}", point(j)) for j in range(30)]
-        radius = 5.0 if mode == "planar" else wrapper(areas[0].centroid,
-                                                      cands[0].location)
-        inst = build_coverage(areas, cands, CoverageStandard(radius=radius),
-                              mode=mode)
+        radius = 5.0 if mode == "planar" else wrapper(points[0], cands[0].location)
+        inst = points_instance([10] * 40, points, cands, CoverageStandard(radius=radius),
+                               mode=mode)
         on_radius = 0
-        for i, a in enumerate(areas):
+        for i, a in enumerate(points):
             for j, c in enumerate(cands):
-                d = wrapper(a.centroid, c.location)
+                d = wrapper(a, c.location)
                 on_radius += d == radius
                 assert inst.matrix[i, j] == (d <= radius), (i, j)
         assert on_radius > 0
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(InputError):
-            build_coverage([], [existing_site("c", Point(0, 0))],
+            build_coverage((), [], np.empty((0, 2)), [existing_site("c", Point(0, 0))],
                            CoverageStandard(radius=1))
 
 
@@ -278,21 +289,20 @@ class TestSolveExact:
             assert solve_exact(inst, p).selected == ("c0", "c1", "c2")[:p]
 
     def test_size_cap_refusal_mentions_greedy(self):
-        areas = [DemandArea("d0", 10, Point(0, 0))]
         cands = [existing_site(f"c{j:02d}", Point(j, 0)) for j in range(31)]
-        inst = build_coverage(areas, cands, CoverageStandard(radius=50))
+        inst = points_instance([10], [Point(0, 0)], cands, CoverageStandard(radius=50))
         with pytest.raises(SolverRefused, match="greedy"):
             solve_exact(inst, 2)
         assert solve_exact(inst, 2, override_cap=True).optimal
 
     def test_fixed_open_candidates_forced_into_solution(self):
         matrix = [[1, 0], [0, 1]]
-        areas = (DemandArea("d0", 100, Point(0, 0)), DemandArea("d1", 1, Point(1, 0)))
         cands = (
             existing_site("c0", Point(0, 1)),
             CandidateSite("c1", Point(1, 1), None, "existing", fixed_open=True),
         )
-        inst = MclpInstance(areas=areas, candidates=cands, matrix=np.array(matrix, bool))
+        inst = MclpInstance(("d0", "d1"), [100, 1], [(0, 0), (1, 0)], cands,
+                            np.array(matrix, bool))
         sol = solve_exact(inst, 1)
         assert sol.selected == ("c1",)
         assert sol.objective == 1.0
@@ -424,15 +434,16 @@ class TestCoverageCurve:
         rng = random.Random(149)
         for case in range(50):
             n_cands = rng.randint(2, 14)
-            areas = [DemandArea(f"d{i:02d}", rng.randint(0, 50) / 10,
-                                Point(rng.uniform(0, 6000), rng.uniform(0, 6000)))
-                     for i in range(rng.randint(5, 60))]
+            pops, points = [], []
+            for _ in range(rng.randint(5, 60)):
+                pops.append(rng.randint(0, 50) / 10)
+                points.append(Point(rng.uniform(0, 6000), rng.uniform(0, 6000)))
             fixed = rng.randrange(n_cands) if case % 3 == 0 else None
             cands = [existing_site(f"c{j:02d}",
                                    Point(rng.uniform(0, 6000), rng.uniform(0, 6000)),
                                    fixed_open=j == fixed)
                      for j in range(n_cands)]
-            inst = build_coverage(areas, cands, CoverageStandard(radius=1500.0))
+            inst = points_instance(pops, points, cands, CoverageStandard(radius=1500.0))
             p_max = n_cands if case % 2 else rng.randint(1, n_cands)
             want: list = []
             for p in range(1, p_max + 1):
@@ -458,6 +469,169 @@ class TestSolverViewReadOnly:
             view.cols[0, 0] = 0.0
         assert mclp._prepare(GREEDY_TRAP, 2) is view
 
+    @pytest.mark.parametrize("with_matrix", [True, False])
+    def test_read_instance_columns_refuse_writes(self, with_matrix):
+        d = GREEDY_TRAP.to_dict()
+        if not with_matrix:
+            del d["matrix"]
+            d["standard"] = {"kind": "radius", "radius": 1.0}
+        inst = instance_from_json(json.dumps(d))
+        for array in (inst.populations, inst.centroids, inst.matrix):
+            assert not array.flags.writeable
+
+
+def _instance_dicts(seed, count):
+    """``count`` instance dicts as ``json.loads`` returns them: integer,
+    fractional and near-``float_max`` populations, integer and float
+    coordinates, fixed-open sites, a matrix or a radius or travel-time
+    standard, planar or geodesic."""
+    rng = random.Random(seed)
+    top = sys.float_info.max / 1e3
+    for case in range(count):
+        n_areas, n_cands = rng.randint(1, 60), rng.randint(1, 10)
+        geodesic = case % 4 == 3
+        span = (51.6, 51.7) if geodesic else (0, 5000)
+
+        def coord():
+            v = rng.uniform(*span)
+            return v if geodesic or rng.random() < 0.5 else round(v)
+
+        def population():
+            kind = rng.randrange(4)
+            if kind == 0:
+                return rng.randint(0, 10 ** 6)
+            if kind == 1:
+                return rng.random() * 1000
+            if kind == 2:   # near the float limit, within the total's bound
+                return rng.choice([top / n_areas, int(top) // n_areas, top / 7 / n_areas])
+            return rng.choice([0, 0.0, 1e-300, 2 ** 53 + 1])
+
+        d = {"mode": "geodesic" if geodesic else "planar",
+             "areas": [{"id": f"d{i:02d}", "population": population(),
+                        "centroid": [coord(), coord()]} for i in range(n_areas)],
+             "candidates": [{"id": f"c{j:02d}", "location": [coord(), coord()],
+                             "fixed_open": rng.random() < 0.2} for j in range(n_cands)]}
+        if case % 3 == 0:
+            d["matrix"] = [[rng.random() < 0.3 for _ in range(n_cands)]
+                           for _ in range(n_areas)]
+        elif case % 3 == 1:
+            d["standard"] = {"kind": "radius", "radius": 10_000.0 if geodesic else 1500}
+        else:
+            d["standard"] = {"kind": "travel_time", "minutes": 3, "speed_kmh": 30}
+        yield d
+
+
+def _corrupt(d, section, key, value, rng):
+    """``d`` with ``key`` of a random row of ``section`` set to ``value``
+    (deleted when it is ``_DELETE``; the whole row when ``key`` is None)."""
+    d = json.loads(json.dumps(d))
+    rows = d[section]
+    i = rng.randrange(len(rows))
+    if value is _DELETE:
+        del rows[i][key]
+    elif key is None:
+        rows[i] = value
+    else:
+        rows[i][key] = value
+    return d
+
+
+_DELETE = object()
+
+# one field of one row set to a bad value: each typed case of
+# ``test_malformed_instance_exits_2``, plus rows that are no object and
+# values only a dict built in Python can hold
+_CORRUPTIONS = [
+    ("areas", "population", _DELETE), ("areas", "population", "x"),
+    ("areas", "population", True), ("areas", "population", "5"),
+    ("areas", "population", 10 ** 400), ("areas", "population", 1e308),
+    ("areas", "population", -1), ("areas", "population", math.nan),
+    ("areas", "population", sys.float_info.max), ("areas", "population", None),
+    ("areas", "population", int(sys.float_info.max) + 1),
+    ("areas", "centroid", [0, -int(sys.float_info.max) - 1]),
+    ("areas", "centroid", "00"), ("areas", "centroid", [0, 0, 9]),
+    ("areas", "centroid", [True, 0]), ("areas", "centroid", [math.nan, 0]),
+    ("areas", "centroid", [0, 10 ** 400]), ("areas", "centroid", [200, 0]),
+    ("areas", "centroid", _DELETE), ("areas", "id", 7), ("areas", "id", None),
+    ("areas", "id", "d000"), ("areas", None, 5), ("areas", None, ["d", 1, [0, 0]]),
+    ("candidates", "fixed_open", 1), ("candidates", "fixed_open", None),
+    ("candidates", "location", [0, math.inf]), ("candidates", "id", None),
+    ("matrix", None, [0]), ("matrix", None, [1, "x"]), ("matrix", None, [1, 2]),
+    ("matrix", None, [1, 0.5]),
+]
+
+
+def _read(reader, d):
+    """(instance, None) or (None, (exception type, message))."""
+    try:
+        return reader(d), None
+    except Exception as exc:
+        return None, (type(exc), str(exc))
+
+
+class TestColumnReader:
+    """``MclpInstance.from_dict`` reads each area field as one column; it
+    must return what the per-field reader of ``helpers`` returned, and fail
+    with the same error."""
+
+    def _assert_same_instance(self, got, want):
+        assert got.area_ids == want.area_ids
+        assert got.populations.tobytes() == want.populations.tobytes()
+        assert got.centroids.tobytes() == want.centroids.tobytes()
+        assert np.array_equal(got.matrix, want.matrix)
+        assert [c.fixed_open for c in got.candidates] == [
+            c.fixed_open for c in want.candidates]
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+
+    def test_seeded_family_matches_the_per_field_reader(self):
+        for d in _instance_dicts(2026, 120):
+            got, got_error = _read(MclpInstance.from_dict, d)
+            want, want_error = _read(reference_instance_from_dict, d)
+            assert got_error == want_error is None
+            self._assert_same_instance(got, want)
+
+    @pytest.mark.parametrize("base", ["matrix", "geodesic standard"])
+    def test_one_corrupt_field_raises_the_per_field_error(self, base):
+        rng = random.Random(61)
+        d = {"mode": "planar",
+             "areas": [{"id": f"d{i:03d}", "population": rng.randint(0, 5000),
+                        "centroid": [rng.uniform(51.6, 51.7), rng.uniform(32.6, 32.7)]}
+                       for i in range(500)],
+             "candidates": [{"id": f"c{j}", "location": [51.65, 32.65 + j / 100]}
+                            for j in range(2)]}
+        if base == "matrix":
+            d["matrix"] = [[True, False]] * 500
+        else:
+            d["mode"] = "geodesic"
+            d["standard"] = {"kind": "radius", "radius": 3000.0}
+        for section, key, value in _CORRUPTIONS:
+            if section == "matrix" and base != "matrix":
+                continue
+            bad = _corrupt(d, section, key, value, rng)
+            got, got_error = _read(MclpInstance.from_dict, bad)
+            want, want_error = _read(reference_instance_from_dict, bad)
+            assert got_error == want_error, (section, key, value)
+            if want_error is None:
+                self._assert_same_instance(got, want)
+
+    def test_valid_areas_are_not_read_one_by_one(self, monkeypatch):
+        """The per-field ``get`` walk is only the error path."""
+        sections = []
+        real_get = fields.get
+
+        def spy(obj, key, kind, source, section="", index=None, **kw):
+            sections.append(section)
+            return real_get(obj, key, kind, source, section, index, **kw)
+
+        monkeypatch.setattr(fields, "get", spy)
+        d = next(_instance_dicts(5, 1))
+        MclpInstance.from_dict(d)
+        assert "areas" not in sections
+        d["areas"][-1]["population"] = "x"
+        with pytest.raises(InputError, match=r"areas\[\d+\]\.population"):
+            MclpInstance.from_dict(d)
+        assert sections.count("areas") == 3 * len(d["areas"]) - 1
+
 
 class TestScaleEquivariance:
     def test_populations_times_constant(self):
@@ -465,13 +639,7 @@ class TestScaleEquivariance:
         for _ in range(10):
             inst = random_instance(rng, max_areas=15, max_cands=8)
             p = rng.randint(1, 3)
-            scaled = MclpInstance(
-                areas=tuple(
-                    DemandArea(a.id, a.population * 7.0, a.centroid) for a in inst.areas
-                ),
-                candidates=inst.candidates,
-                matrix=np.array(inst.matrix),
-            )
+            scaled = dataclasses.replace(inst, populations=inst.populations * 7.0)
             base = solve_exact(inst, p)
             big = solve_exact(scaled, p)
             assert big.objective == 7.0 * base.objective
@@ -486,13 +654,12 @@ class TestSerialization:
         text = json.dumps(inst.to_dict())
         back = instance_from_json(text)
         assert np.array_equal(back.matrix, inst.matrix)
-        assert [a.id for a in back.areas] == [a.id for a in inst.areas]
+        assert back.area_ids == inst.area_ids
         assert back.to_dict() == inst.to_dict()
 
     def test_instance_matrix_rebuilt_from_standard(self):
-        areas = [DemandArea("d0", 10, Point(0, 0))]
         cands = [existing_site("c0", Point(30, 40))]
-        inst = build_coverage(areas, cands, CoverageStandard(radius=50.0))
+        inst = points_instance([10], [Point(0, 0)], cands, CoverageStandard(radius=50.0))
         d = inst.to_dict()
         del d["matrix"]
         rebuilt = MclpInstance.from_dict(d)
@@ -535,7 +702,7 @@ def _with_fixed_open(inst, positions):
         dataclasses.replace(c, fixed_open=j in positions)
         for j, c in enumerate(inst.candidates)
     )
-    return MclpInstance(areas=inst.areas, candidates=cands, matrix=np.array(inst.matrix))
+    return dataclasses.replace(inst, candidates=cands)
 
 
 def _reference_family():
@@ -585,16 +752,16 @@ class TestBitmaskReference:
 
 def _seeded_planar_instance(seed, n_areas=200, n_cands=30, side=12000.0):
     rng = random.Random(seed)
-    areas = [
-        DemandArea(f"d{i:03d}", float(rng.randint(100, 5000)),
-                   Point(rng.uniform(0, side), rng.uniform(0, side)))
-        for i in range(n_areas)
-    ]
+    pops, points = [], []
+    for _ in range(n_areas):
+        pops.append(float(rng.randint(100, 5000)))
+        points.append((rng.uniform(0, side), rng.uniform(0, side)))
     cands = [
         existing_site(f"c{j:02d}", Point(rng.uniform(0, side), rng.uniform(0, side)))
         for j in range(n_cands)
     ]
-    return build_coverage(areas, cands, CoverageStandard(radius=2500.0))
+    return build_coverage(tuple(f"d{i:03d}" for i in range(n_areas)), pops, points,
+                          cands, CoverageStandard(radius=2500.0))
 
 
 def _milp_optimum(inst, p):

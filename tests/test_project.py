@@ -435,6 +435,15 @@ def _with_geodesic_centroid_off_range(d):
     return d
 
 
+def _huge_radius_solve_argv(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "standard": {"kind": "radius", "radius": 10 ** 400},
+        "areas": [{"id": "d0", "population": 10, "centroid": [0, 0]}],
+        "candidates": [{"id": "c0", "location": [0, 0]}]}))
+    return ["--out", str(tmp_path / "o"), "solve", "--instance", str(path), "--p", "1"]
+
+
 def _config_argv(mutate):
     def argv(config_path, tmp_path):
         path = write_variant(config_path, tmp_path, mutate, "malformed.json")
@@ -846,6 +855,22 @@ class TestCli:
         code = main(argv(demo_config_path, tmp_path))
         assert code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (_layer_argv("demand_areas.geojson",
+                     _set_in_features([5, "properties", "population"], 10 ** 400)),
+         "demand_areas.geojson feature 5: 'population' must be a number, got 1000"),
+        (lambda config_path, tmp_path: _huge_radius_solve_argv(tmp_path),
+         "coverage standard: radius must be a finite positive number, got 1000"),
+    ])
+    def test_huge_number_is_shortened_in_the_message(self, demo_config_path, tmp_path,
+                                                      capsys, argv, message):
+        """A 401-digit number is printed abbreviated, not in full."""
+        code = main(argv(demo_config_path, tmp_path))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert message in err
+        assert "..." in err and len(err) < 300
 
     def test_locked_output_exits_4(self, demo_config_path, tmp_path):
         out = tmp_path / "locked"

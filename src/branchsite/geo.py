@@ -7,13 +7,22 @@ the mode explicitly. All types are immutable after construction.
 
 Each geometric operation has exactly one implementation, a numpy kernel over
 coordinate arrays: ``distances_to`` (many points to one point, in either
-mode) and ``points_in_polygon`` (ray crossing, boundary inclusive). The
-scalar functions ``planar_distance`` and ``point_in_polygon`` are thin
-wrappers that run the kernel on one point, so a scalar check agrees bit for
-bit with every raster, coverage matrix and extraction built from the arrays.
+mode) and ``points_in_polygon`` (ray crossing, boundary inclusive, over the
+grid of ascending x and y axes). The scalar functions ``planar_distance``
+and ``point_in_polygon`` are thin wrappers that run the kernel on one point,
+for ``point_in_polygon`` a 1x1 grid, so a scalar check agrees bit for bit
+with every raster, coverage matrix and extraction built from the arrays.
 Planar distances are ``dx*dx + dy*dy`` under a correctly rounded square
 root, the same IEEE operations as a scalar evaluation; geodesic distances
 are one numpy haversine.
+
+``points_in_polygon`` is the crossing-number test (E. Haines, "Point in
+Polygon Strategies", Graphics Gems IV, 1994) on a grid, where an edge's
+crossing x depends only on the row: the crossings cost O(edges x rows),
+the parity one pass over the grid, and each edge's exact boundary test
+its bounding-box window, not O(edges x cells). The crossings and cross
+products are the per-cell test's IEEE expressions, so both give the same
+grid.
 """
 
 from __future__ import annotations
@@ -205,49 +214,49 @@ class Polygon:
 
 
 def points_in_polygon(xs: np.ndarray, ys: np.ndarray, poly: Polygon) -> np.ndarray:
-    """Ray-crossing containment of each point (xs[k], ys[k]); boundary
-    points count as inside."""
+    """Ray-crossing containment of every grid point (xs[c], ys[r]) as a
+    (len(ys), len(xs)) bool grid, for ascending axes; boundary points
+    count as inside."""
 
     def ring_arrays(ring):
-        ax = np.array([p.x for p in ring])
-        ay = np.array([p.y for p in ring])
-        bx = np.roll(ax, -1)
-        by = np.roll(ay, -1)
-        return ax, ay, bx, by
+        x, y = [p.x for p in ring], [p.y for p in ring]
+        return np.array(x), np.array(y), np.array(x[1:] + x[:1]), np.array(y[1:] + y[:1])
 
-    def crossings_odd(ring):
-        ax, ay, bx, by = ring_arrays(ring)
-        inside = np.zeros(xs.shape, dtype=bool)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for i in range(len(ax)):
-                cond = (ay[i] > ys) != (by[i] > ys)
-                if not cond.any():
-                    continue
-                x_at = ax[i] + (ys - ay[i]) * (bx[i] - ax[i]) / (by[i] - ay[i])
-                inside ^= cond & (xs < x_at)
-        return inside
+    def crossings_odd(ax, ay, bx, by):
+        edge, row = np.nonzero((ay[:, None] > ys) != (by[:, None] > ys))
+        x_at = ax[edge] + (ys[row] - ay[edge]) * (bx - ax)[edge] / (by - ay)[edge]
+        # a ring crosses each row an even number of times, so a cell's
+        # parity is also that of the crossings not right of it: those with
+        # xs[c] >= x_at, and every NaN x_at (xs < NaN is False)
+        k = np.where(np.isnan(x_at), 0, xs.searchsorted(x_at, "left"))
+        cuts = np.concatenate(([0], np.sort(row * len(xs) + k), [len(ys) * len(xs)]))
+        odd = np.zeros(len(cuts) - 1, dtype=bool)
+        odd[1::2] = True
+        return np.repeat(odd, cuts[1:] - cuts[:-1]).reshape(len(ys), len(xs))
 
-    def on_ring(ring):
-        ax, ay, bx, by = ring_arrays(ring)
-        on = np.zeros(xs.shape, dtype=bool)
-        for i in range(len(ax)):
-            cross = (bx[i] - ax[i]) * (ys - ay[i]) - (by[i] - ay[i]) * (xs - ax[i])
-            bbox = (
-                (np.minimum(ax[i], bx[i]) <= xs) & (xs <= np.maximum(ax[i], bx[i]))
-                & (np.minimum(ay[i], by[i]) <= ys) & (ys <= np.maximum(ay[i], by[i]))
-            )
-            on |= (cross == 0.0) & bbox
-        return on
+    def on_ring(ax, ay, bx, by, on):
+        # the window holds the axis values inside the edge's bounding box
+        c0 = xs.searchsorted(np.minimum(ax, bx), "left")
+        c1 = xs.searchsorted(np.maximum(ax, bx), "right")
+        r0 = ys.searchsorted(np.minimum(ay, by), "left")
+        r1 = ys.searchsorted(np.maximum(ay, by), "right")
+        for x, y, dx, dy, a, b, c, d in zip(
+                ax.tolist(), ay.tolist(), (bx - ax).tolist(), (by - ay).tolist(),
+                r0.tolist(), r1.tolist(), c0.tolist(), c1.tolist()):
+            if a < b and c < d:
+                on[a:b, c:d] |= dx * (ys[a:b, None] - y) - dy * (xs[c:d] - x) == 0.0
 
-    boundary = on_ring(poly.exterior)
-    for hole in poly.holes:
-        boundary |= on_ring(hole)
-    inside = crossings_odd(poly.exterior)
-    for hole in poly.holes:
-        inside &= ~crossings_odd(hole)
-    return boundary | inside
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    rings = [ring_arrays(ring) for ring in (poly.exterior, *poly.holes)]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inside = crossings_odd(*rings[0])
+        for hole in rings[1:]:
+            inside &= ~crossings_odd(*hole)
+        for ring in rings:
+            on_ring(*ring, inside)
+    return inside
 
 
 def point_in_polygon(p: Point, poly: Polygon) -> bool:
     """Ray-crossing containment test; boundary points count as inside."""
-    return bool(points_in_polygon(*_coords(p), poly)[0])
+    return bool(points_in_polygon(*_coords(p), poly)[0, 0])

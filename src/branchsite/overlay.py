@@ -3,17 +3,19 @@ combination over a uniform analysis grid.
 
 Cells are scored at their centers. Row 0 is the southernmost row; exports
 write rows top-down as the Esri ASCII grid format expects. Only the cells
-inside the study-area mask are scored and combined. A distance criterion
-measures each feature point only on the cells within the criterion's reach
-(its largest finite band edge) plus one cell; a cell farther than that from
-every point gets the score of the top band, the one unbounded above, which
-is the score its exact distance would get. The distances, and the
-attributes of the density zones that win a cell, find their band through
-``criteria.segment_index``, the one band lookup, which ``classify`` also
-uses; the tests check it against the per-segment comparison loop it
-replaced, kept in ``tests/helpers.py``. Combination accumulates the masked
-cells in criterion-id order so the result is bit-identical under any input
-permutation.
+inside the study-area mask are scored and combined. The mask and the zone
+criteria test each polygon with the grid kernel ``geo.points_in_polygon``
+on the center axes inside its bounding box, at O(edges x rows) plus the
+window's cells. A distance criterion measures each feature point only on
+the cells within the criterion's reach (its largest finite band edge) plus
+one cell; a cell farther than that from every point gets the score of the
+top band, the one unbounded above, which is the score its exact distance
+would get. The distances, and the attributes of the density zones that win
+a cell, find their band through ``criteria.segment_index``, the one band
+lookup, which ``classify`` also uses; the tests check it against the
+per-segment comparison loop it replaced, kept in ``tests/helpers.py``.
+Combination accumulates the masked cells in criterion-id order so the
+result is bit-identical under any input permutation.
 
 The Esri grids, ``score_points.geojson`` and the score raster inside
 ``report.json`` are formatted from arrays: each distinct bit pattern of a
@@ -163,16 +165,21 @@ class ScoreRaster:
         _freeze(self.mask)
 
 
+def _window(xs: np.ndarray, ys: np.ndarray, poly: Polygon) -> tuple[slice, slice]:
+    """(rows, cols) slices of the grid points inside the polygon's bounds."""
+    x0, y0, x1, y1 = poly.bounds
+    return (slice(ys.searchsorted(y0, "left"), ys.searchsorted(y1, "right")),
+            slice(xs.searchsorted(x0, "left"), xs.searchsorted(x1, "right")))
+
+
 def build_mask(grid: GridSpec, polygons: Sequence[Polygon]) -> np.ndarray:
     """True where the cell center lies inside any of the polygons; each
     polygon is tested only on the cells whose center lies in its bounds."""
     xs, ys = grid.center_axes()
     mask = np.zeros(grid.shape, dtype=bool)
     for poly in polygons:
-        x0, y0, x1, y1 = poly.bounds
-        cols = slice(np.searchsorted(xs, x0, "left"), np.searchsorted(xs, x1, "right"))
-        rows = slice(np.searchsorted(ys, y0, "left"), np.searchsorted(ys, y1, "right"))
-        mask[rows, cols] |= points_in_polygon(*np.meshgrid(xs[cols], ys[rows]), poly)
+        rows, cols = _window(xs, ys, poly)
+        mask[rows, cols] |= points_in_polygon(xs[cols], ys[rows], poly)
     return mask
 
 
@@ -229,8 +236,9 @@ def rasterize(spec: NormalizedCriterion, features, grid: GridSpec,
     ``features`` is a point sequence for distance criteria, or a sequence of
     (Polygon, attribute) zones for categorical/density criteria. Zones may
     nest; the smallest zone containing the center wins, so the result does
-    not depend on feature order. Only the in-area cells are computed, in
-    row-major order; each zone tests only those inside its bounds.
+    not depend on feature order. Each zone is tested on the cells inside its
+    bounds; the winning area and zone index grids are read at the in-area
+    cells in row-major order, so an error names the first one uncovered.
 
     A distance criterion's bands tell distances apart only up to its reach,
     the largest finite band edge; every distance past it falls in the top
@@ -251,21 +259,19 @@ def rasterize(spec: NormalizedCriterion, features, grid: GridSpec,
             raise InputError(
                 f"criterion {spec.id!r} expects (Polygon, attribute) zones"
             )
-        rows, cols = np.nonzero(mask)
         cx, cy = grid.center_axes()
-        xs, ys = cx[cols], cy[rows]
-        best_area = np.full(xs.shape, np.inf)
-        zone_idx = np.full(xs.shape, -1)
+        best_area = np.full(grid.shape, np.inf)
+        zone_idx = np.full(grid.shape, -1)
         for k, (poly, _value) in enumerate(zones):
-            x0, y0, x1, y1 = poly.bounds
-            near = np.flatnonzero((x0 <= xs) & (xs <= x1) & (y0 <= ys) & (ys <= y1))
-            contains = near[points_in_polygon(xs[near], ys[near], poly)]
-            take = contains[poly.area < best_area[contains]]
-            best_area[take] = poly.area
-            zone_idx[take] = k
+            rows, cols = window = _window(cx, cy, poly)
+            area = poly.area
+            take = points_in_polygon(cx[cols], cy[rows], poly) & (area < best_area[window])
+            best_area[window][take] = area
+            zone_idx[window][take] = k
+        zone_idx = zone_idx[mask]
         missing = np.flatnonzero(zone_idx < 0)
         if len(missing):
-            row, col = int(rows[missing[0]]), int(cols[missing[0]])
+            row, col = (int(v[missing[0]]) for v in np.nonzero(mask))
             center = grid.cell_center(row, col)
             raise InputError(
                 f"criterion {spec.id!r}: cell (row={row}, col={col}) at "
@@ -277,7 +283,7 @@ def rasterize(spec: NormalizedCriterion, features, grid: GridSpec,
         for k in np.flatnonzero(np.bincount(zone_idx, minlength=len(zones))).tolist():
             scores[k] = scheme.value(classify(spec, zones[k][1]))
         values = np.full(grid.shape, np.nan)
-        values[rows, cols] = scores[zone_idx]
+        values[mask] = scores[zone_idx]
         return SuitabilityRaster(grid, spec.id, values, mask.copy())
 
     points = list(features)

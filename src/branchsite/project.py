@@ -327,7 +327,7 @@ def _load_features(path: Path) -> Iterator[tuple[int, str, dict]]:
     for i, feat in enumerate(data["features"]):
         where = f"{path} feature {i}"
         if not isinstance(feat, dict):
-            raise InputError(f"{where}: feature must be an object, got {feat!r}")
+            raise InputError(f"{where}: feature must be an object, got {reprlib.repr(feat)}")
         yield i, where, feat
 
 
@@ -335,7 +335,7 @@ def _coordinates(feat: dict, kind: str, where: str):
     geom = feat.get("geometry") or {}
     gtype = geom.get("type") if isinstance(geom, dict) else None
     if gtype != kind:
-        raise InputError(f"{where}: expected {kind} geometry, got {gtype!r}")
+        raise InputError(f"{where}: expected {kind} geometry, got {reprlib.repr(gtype)}")
     if "coordinates" not in geom:
         raise InputError(f"{where}: {kind} geometry has no coordinates")
     return geom["coordinates"]
@@ -344,7 +344,7 @@ def _coordinates(feat: dict, kind: str, where: str):
 def _properties(feat: dict, where: str) -> dict:
     props = feat.get("properties") or {}
     if not isinstance(props, dict):
-        raise InputError(f"{where}: properties must be an object, got {props!r}")
+        raise InputError(f"{where}: properties must be an object, got {reprlib.repr(props)}")
     return props
 
 
@@ -353,7 +353,8 @@ def _position(value, where: str, mode: str) -> Point:
     past the second are ignored."""
     if (not isinstance(value, list) or len(value) < 2
             or not all(is_number(v) for v in value[:2])):
-        raise InputError(f"{where}: expected an [x, y] position of numbers, got {value!r}")
+        raise InputError(
+            f"{where}: expected an [x, y] position of numbers, got {reprlib.repr(value)}")
     p = Point(float(value[0]), float(value[1]))
     if mode == GEODESIC:
         try:
@@ -379,7 +380,7 @@ def _polygon(feat: dict, mode: str, where: str) -> Polygon:
         raise InputError(f"{where}: polygon has no rings")
     for ring in rings:
         if not isinstance(ring, list):
-            raise InputError(f"{where}: polygon ring must be a list, got {ring!r}")
+            raise InputError(f"{where}: polygon ring must be a list, got {reprlib.repr(ring)}")
     try:
         poly = Polygon(tuple(_position(v, where, mode) for v in rings[0]),
                        tuple(tuple(_position(v, where, mode) for v in ring)

@@ -2,9 +2,10 @@
 solution checks, the per-field instance reader as a reference for the
 column reader, a big-int bitmask reference for the heuristic solvers,
 per-cell loop references for the raster formatters, per-segment comparison
-references for the band lookup, full-grid references for the overlay
-kernels, polygons from coordinate pairs, consistent judgment matrices, and
-readers for the Esri ASCII grids and the coverage table."""
+references for the band lookup, the per-cell point-in-polygon kernel and
+full-grid references for the overlay kernels, polygons from coordinate
+pairs, consistent judgment matrices, and readers for the Esri ASCII grids
+and the coverage table."""
 
 import csv
 import io
@@ -31,7 +32,6 @@ from branchsite.geo import (
     Point,
     Polygon,
     distances_to,
-    points_in_polygon,
 )
 from branchsite.fields import BOOL, LIST, MODE, NUMBER, OBJECT, STRING, XY, get
 from branchsite.mclp import (
@@ -453,6 +453,56 @@ def polygon_from_coords(exterior: Iterable[tuple[float, float]],
     return Polygon(ext, hs)
 
 
+# --- the per-cell point-in-polygon kernel -------------------------------------
+# geo.points_in_polygon as it was before it became a kernel over grid axes,
+# kept verbatim: about 20 full-array passes per polygon edge over the given
+# points, which may have any shape and order.
+
+
+def reference_points_in_polygon(xs: np.ndarray, ys: np.ndarray, poly: Polygon) -> np.ndarray:
+    """Ray-crossing containment of each point (xs[k], ys[k]); boundary
+    points count as inside."""
+
+    def ring_arrays(ring):
+        ax = np.array([p.x for p in ring])
+        ay = np.array([p.y for p in ring])
+        bx = np.roll(ax, -1)
+        by = np.roll(ay, -1)
+        return ax, ay, bx, by
+
+    def crossings_odd(ring):
+        ax, ay, bx, by = ring_arrays(ring)
+        inside = np.zeros(xs.shape, dtype=bool)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i in range(len(ax)):
+                cond = (ay[i] > ys) != (by[i] > ys)
+                if not cond.any():
+                    continue
+                x_at = ax[i] + (ys - ay[i]) * (bx[i] - ax[i]) / (by[i] - ay[i])
+                inside ^= cond & (xs < x_at)
+        return inside
+
+    def on_ring(ring):
+        ax, ay, bx, by = ring_arrays(ring)
+        on = np.zeros(xs.shape, dtype=bool)
+        for i in range(len(ax)):
+            cross = (bx[i] - ax[i]) * (ys - ay[i]) - (by[i] - ay[i]) * (xs - ax[i])
+            bbox = (
+                (np.minimum(ax[i], bx[i]) <= xs) & (xs <= np.maximum(ax[i], bx[i]))
+                & (np.minimum(ay[i], by[i]) <= ys) & (ys <= np.maximum(ay[i], by[i]))
+            )
+            on |= (cross == 0.0) & bbox
+        return on
+
+    boundary = on_ring(poly.exterior)
+    for hole in poly.holes:
+        boundary |= on_ring(hole)
+    inside = crossings_odd(poly.exterior)
+    for hole in poly.holes:
+        inside &= ~crossings_odd(hole)
+    return boundary | inside
+
+
 # --- full-grid references for the overlay kernels ---------------------------
 # build_mask, rasterize and combine as they were before they computed only
 # the cells they keep, and before distances were measured only within a
@@ -481,7 +531,7 @@ def reference_build_mask(grid: GridSpec, polygons: Sequence[Polygon]) -> np.ndar
     xs, ys = _reference_center_arrays(grid)
     mask = np.zeros(grid.shape, dtype=bool)
     for poly in polygons:
-        mask |= points_in_polygon(xs, ys, poly)
+        mask |= reference_points_in_polygon(xs, ys, poly)
     return mask
 
 
@@ -513,7 +563,7 @@ def reference_rasterize(spec: NormalizedCriterion, features, grid: GridSpec,
         best_area = np.full(grid.shape, np.inf)
         zone_idx = np.full(grid.shape, -1)
         for k, (poly, _value) in enumerate(zones):
-            contains = points_in_polygon(xs, ys, poly) & mask
+            contains = reference_points_in_polygon(xs, ys, poly) & mask
             take = contains & (poly.area < best_area)
             best_area[take] = poly.area
             zone_idx[take] = k

@@ -11,9 +11,10 @@ from branchsite.geo import (
     distances_to,
     planar_distance,
     point_in_polygon,
+    points_in_polygon,
 )
 
-from helpers import geodesic_distance, polygon_from_coords
+from helpers import geodesic_distance, polygon_from_coords, reference_points_in_polygon
 
 
 def reference_haversine(lon1, lat1, lon2, lat2):
@@ -188,3 +189,63 @@ class TestPointInPolygon:
             for _ in range(50):
                 p = Point(rng.uniform(-9, 9), rng.uniform(-9, 9))
                 assert point_in_polygon(p, poly) == winding_number_inside(p, poly.exterior)
+
+
+class TestGridKernel:
+    def test_matches_per_cell_kernel(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def cases(draw):
+            # vertices on the lattice of ``scale`` and grid axes on its half
+            # lattice, so centers land on edges and vertices; at 1e300 the
+            # cross products overflow, and at 1.5e307 so does bx - ax; 0.1
+            # is inexact, so a crossing can round onto a center off its edge
+            scale = draw(st.sampled_from([1e-3, 0.1, 1.0, 37.5, 1e300, 1.5e307]))
+            coord = st.integers(-8, 8).map(lambda k: k * scale)
+
+            def ring():
+                if draw(st.booleans()):  # horizontal and vertical edges
+                    x0, x1 = sorted(draw(st.lists(coord, min_size=2, max_size=2, unique=True)))
+                    y0, y1 = sorted(draw(st.lists(coord, min_size=2, max_size=2, unique=True)))
+                    return [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+                xy = draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=6, unique=True))
+                mx = sum(x / len(xy) for x, _ in xy)
+                my = sum(y / len(xy) for _, y in xy)
+                return sorted(xy, key=lambda p: math.atan2(p[1] - my, p[0] - mx))
+
+            try:
+                poly = polygon_from_coords(ring(), [ring() for _ in range(draw(st.integers(0, 2)))])
+            except DomainError:
+                hypothesis.assume(False)
+            # 1 to 6 values, equal neighbours allowed: 1x1, one-row and
+            # one-column grids come up
+            axis = st.lists(st.integers(-18, 18), min_size=1, max_size=6).map(
+                lambda ks: np.array(sorted(ks), dtype=float) * (scale / 2.0))
+            return poly, draw(axis), draw(axis)
+
+        @hypothesis.settings(max_examples=400, deadline=None)
+        @hypothesis.given(case=cases())
+        def check(case):
+            poly, xs, ys = case
+            got = points_in_polygon(xs, ys, poly)
+            with np.errstate(all="ignore"):
+                want = reference_points_in_polygon(*np.meshgrid(xs, ys), poly)
+            assert got.shape == (len(ys), len(xs))
+            assert np.array_equal(got, want)
+            assert point_in_polygon(Point(xs[0], ys[0]), poly) == want[0, 0]
+
+        check()
+
+    def test_center_at_a_rounded_crossing(self):
+        # the first edge's crossing x rounds onto the center while its cross
+        # product is not 0.0: the center is off the boundary, and that
+        # crossing does not lie right of it (xs < x_at is False)
+        for ring, x, y, want in (
+                ([(0.2, 0.9), (0.1, 0.4), (0.1, 0.7)], 0.16, 0.7, False),
+                ([(0.4, 0.1), (0.5, 0.8), (0.6, 0.8)], 0.4285714285714286, 0.3, True)):
+            poly = polygon_from_coords(ring)
+            xs, ys = np.array([x]), np.array([y])
+            assert reference_points_in_polygon(xs, ys, poly).tolist() == [want]
+            assert points_in_polygon(xs, ys, poly).tolist() == [[want]]

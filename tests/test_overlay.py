@@ -233,10 +233,12 @@ class TestBuildMask:
 
     def test_bulk_pip_boundary_inclusive(self):
         poly = polygon_from_coords([(0, 0), (10, 0), (10, 10), (0, 10)])
-        xs = np.array([5.0, 0.0, 20.0, 10.0])
-        ys = np.array([0.0, 5.0, 5.0, 10.0])
+        xs = np.array([0.0, 5.0, 10.0, 20.0])
+        ys = np.array([0.0, 5.0, 10.0])
         got = points_in_polygon(xs, ys, poly)
-        assert got.tolist() == [True, True, False, True]
+        assert got.shape == (3, 4)
+        # (5, 0) and (0, 5) on edges, (20, 5) outside, (10, 10) on a vertex
+        assert [got[0, 1], got[1, 0], got[1, 3], got[2, 2]] == [True, True, False, True]
 
 
 def rect(x0, y0, x1, y1, holes=()):

@@ -872,6 +872,31 @@ class TestCli:
         assert message in err
         assert "..." in err and len(err) < 300
 
+    @pytest.mark.parametrize("argv, message", [
+        (_layer_argv("hotels.geojson", _set_in_features([0], list(range(5000)))),
+         "feature 0: feature must be an object, got [0, 1, 2, 3, 4, 5, ...]"),
+        (_layer_argv("hotels.geojson", _set_in_features([0, "geometry", "type"], "x" * 5000)),
+         "feature 0: expected Point geometry, got 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+        (_layer_argv("hotels.geojson", _set_in_features([0, "properties"], list(range(5000)))),
+         "feature 0: properties must be an object, got [0, 1, 2, 3, 4, 5, ...]"),
+        (_layer_argv("hotels.geojson", _set_in_features([0, "geometry", "coordinates"],
+                                                        [str(i) for i in range(5000)])),
+         "feature 0: expected an [x, y] position of numbers, got "
+         "['0', '1', '2', '3', '4', '5', ...]"),
+        (_layer_argv("income_zones.geojson",
+                     _set_in_features([0, "geometry", "coordinates"],
+                                      [{str(i): i for i in range(5000)}])),
+         "feature 0: polygon ring must be a list, got {'0': 0, '1': 1, '10': 10, '100': 100, ...}"),
+    ])
+    def test_large_layer_value_is_shortened_in_the_message(self, demo_config_path, tmp_path,
+                                                           capsys, argv, message):
+        """A layer value of 5,000 items is printed abbreviated, not in full."""
+        code = main(argv(demo_config_path, tmp_path))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert message in err
+        assert len(err.encode()) < 1000
+
     def test_locked_output_exits_4(self, demo_config_path, tmp_path):
         out = tmp_path / "locked"
         out.mkdir()

@@ -39,7 +39,6 @@ from .geo import (
 from .mclp import (
     CoverageCurve,
     CoverageStandard,
-    DemandArea,
     MclpInstance,
     MclpSolution,
     build_coverage,
@@ -58,6 +57,7 @@ from .overlay import (
     rasterize,
 )
 from .project import (
+    DemandArea,
     ProjectConfig,
     RunReport,
     load_project,

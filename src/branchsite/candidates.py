@@ -35,7 +35,6 @@ class CandidateSite:
     score: float | None
     origin: str
     tier: str | None = None
-    fixed_open: bool = False
 
     def __post_init__(self):
         if self.origin not in (ORIGIN_PROPOSED, ORIGIN_EXISTING):
@@ -48,7 +47,7 @@ class CandidateSite:
     def to_dict(self) -> dict:
         return {"id": self.id, "location": [self.location.x, self.location.y],
                 "score": self.score, "origin": self.origin, "tier": self.tier,
-                "fixed_open": self.fixed_open}
+                "fixed_open": False}
 
 
 @dataclass(frozen=True)
@@ -146,13 +145,6 @@ def merge(proposed: Sequence[CandidateSite],
             raise InputError(f"duplicate candidate id {site.id!r} after merge")
         seen.add(site.id)
     return merged
-
-
-def existing_site(site_id: str, location: Point, fixed_open: bool = False) -> CandidateSite:
-    return CandidateSite(
-        id=site_id, location=location, score=None,
-        origin=ORIGIN_EXISTING, fixed_open=fixed_open,
-    )
 
 
 def candidates_geojson(rows: Sequence[dict], meta: dict | None = None) -> dict:

@@ -104,6 +104,10 @@ def _strings(values: list) -> tuple | None:
     return None
 
 
+def _bools(values: list) -> np.ndarray | None:
+    return np.array(values, dtype=bool) if set(map(type, values)) <= {bool} else None
+
+
 def _pairs(values: list) -> np.ndarray | None:
     """``values`` as one n x 2 float64 array if each is an [x, y] pair."""
     if (all(issubclass(t, list) for t in set(map(type, values)))
@@ -121,7 +125,7 @@ def one_of(choices: tuple) -> Kind:
 NUMBER = Kind("a number", lambda v: float(v) if is_number(v) else None, _numbers)
 INTEGER = Kind("an integer", lambda v: v if is_int(v) else None)
 STRING = Kind("a string", lambda v: v if isinstance(v, str) else None, _strings)
-BOOL = Kind("true or false", lambda v: v if isinstance(v, bool) else None)
+BOOL = Kind("true or false", lambda v: v if isinstance(v, bool) else None, _bools)
 LIST = Kind("a list", lambda v: v if isinstance(v, list) else None)
 OBJECT = Kind("an object", lambda v: v if isinstance(v, dict) else None)
 XY = Kind("[x, y]", lambda v: (
@@ -168,18 +172,22 @@ def get(obj, key: str, kind: Kind, source: str, section: str = "",
     raise mistyped(source, path, kind, obj[key])
 
 
-def columns(rows: list, kinds: dict[str, Kind], source: str, section: str) -> list:
+def columns(rows: list, kinds: dict[str, Kind], source: str, section: str,
+            defaults: dict | None = None) -> list:
     """``row[key]`` of every object in ``rows``, one column per ``key: kind``
     of ``kinds``, typed at once by ``kind.column``: a tuple of strings, a
-    float64 array of numbers, an n x 2 float64 array of [x, y] pairs. A
-    column test accepts exactly what ``get`` accepts, so the rows are read
-    one by one with ``get``, in row order, only when a column fails, to
-    raise the first bad field's error."""
+    float64 array of numbers, a bool array, an n x 2 float64 array of [x, y]
+    pairs. A row without a key of ``defaults`` reads its default. A column
+    test accepts exactly what ``get`` accepts, so the rows are read one by
+    one with ``get``, in row order, only when a column fails, to raise the
+    first bad field's error."""
+    defaults = defaults or {}
     out = []
     for key, kind in kinds.items():
         try:
-            values = [row[key] for row in rows]
-        except (KeyError, TypeError):  # a row without the key, or no object
+            values = ([row[key] for row in rows] if key not in defaults
+                      else [row.get(key, defaults[key]) for row in rows])
+        except (KeyError, TypeError, AttributeError):  # no key, or no object
             break
         out.append(kind.column(values))
         if out[-1] is None:
@@ -188,5 +196,5 @@ def columns(rows: list, kinds: dict[str, Kind], source: str, section: str) -> li
         return out
     for i, row in enumerate(rows):
         for key, kind in kinds.items():
-            get(row, key, kind, source, section, i)
+            get(row, key, kind, source, section, i, default=defaults.get(key, _REQUIRED))
     raise AssertionError(f"a column of {section} failed but every field reads")

@@ -6,9 +6,10 @@ An instance is demand areas I (each a weighted point: the area centroid),
 candidates J, and the binary coverage matrix a[i][j] = 1 iff candidate j
 lies within the coverage standard of centroid i. Choosing p candidates, the
 objective is the total population of areas covered by at least one choice.
-The areas are held as three columns: their ids, a float64 array of
-populations and an n x 2 float64 array of centroids. The instance reader
-types each column at once (``fields.columns``), not one area at a time.
+The areas are held as three columns (ids, float64 populations, n x 2
+float64 centroids), the candidates as three more (ids, m x 2 float64
+locations, bool fixed-open flags: every selection holds those sites). The
+instance reader types each column at once (``fields.columns``).
 
 The bool matrix is the solvers' only representation of coverage. They read
 one float64 0/1 copy of it, taken once per instance, with the columns in
@@ -38,7 +39,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .candidates import CandidateSite, existing_site
 from .errors import ConfigError, InputError, SolverRefused
 from .fields import (
     BOOL,
@@ -55,34 +55,13 @@ from .fields import (
     mistyped,
     parse_json,
 )
-from .geo import PLANAR, Point, Polygon, distances_to, point_in_polygon
+from .geo import PLANAR, Point, distances_to
 
 EXACT_SIZE_CAP = 30
 
 METHOD_EXACT = "exact"
 METHOD_GREEDY_SWAP = "greedy+swap"
 METHODS = (METHOD_EXACT, METHOD_GREEDY_SWAP)
-
-
-@dataclass(frozen=True)
-class DemandArea:
-    """A city section with its service population, represented by a centroid."""
-
-    id: str
-    population: float
-    centroid: Point | None = None
-    geometry: Polygon | None = None
-
-    def __post_init__(self):
-        if not math.isfinite(self.population) or self.population < 0:
-            raise InputError(
-                f"demand area {self.id!r}: population must be a finite number >= 0")
-        if self.centroid is None:
-            if self.geometry is None:
-                raise InputError(f"demand area {self.id!r}: needs a centroid or geometry")
-            object.__setattr__(self, "centroid", self.geometry.centroid)
-        if self.geometry is not None and not point_in_polygon(self.centroid, self.geometry):
-            raise InputError(f"demand area {self.id!r}: centroid lies outside its geometry")
 
 
 @dataclass(frozen=True)
@@ -139,9 +118,9 @@ class _SolverView(NamedTuple):   # what the solvers read, once per instance
     cols: np.ndarray            # float64 0/1 coverage, read-only
 
 
-def _frozen(values, shape: tuple, name: str) -> np.ndarray:
-    """A read-only float64 copy of ``values``, which must have ``shape``."""
-    a = np.array(values, dtype=np.float64)
+def _frozen(values, shape: tuple, name: str, dtype=np.float64) -> np.ndarray:
+    """A read-only ``dtype`` copy of ``values``, which must have ``shape``."""
+    a = np.array(values, dtype=dtype)
     if a.shape != shape:
         raise InputError(f"{name} must have shape {shape}, got {a.shape}")
     a.flags.writeable = False
@@ -153,28 +132,32 @@ class MclpInstance:
     area_ids: tuple[str, ...]
     populations: np.ndarray     # float64, |I|, read-only
     centroids: np.ndarray       # float64, |I| x 2, read-only
-    candidates: tuple[CandidateSite, ...]
+    candidate_ids: tuple[str, ...]
+    locations: np.ndarray       # float64, |J| x 2, read-only
+    fixed_open: np.ndarray      # bool, |J|, read-only
     matrix: np.ndarray          # bool, |I| x |J|, read-only
     standard: CoverageStandard | None = None
     mode: str = PLANAR
 
     def __post_init__(self):
-        n = len(self.area_ids)
-        pops = _frozen(self.populations, (n,), "populations")
-        object.__setattr__(self, "populations", pops)
-        object.__setattr__(self, "centroids", _frozen(self.centroids, (n, 2), "centroids"))
+        n, m = len(self.area_ids), len(self.candidate_ids)
+        for name, shape, dtype in (("populations", (n,), float), ("centroids", (n, 2), float),
+                                   ("locations", (m, 2), float), ("fixed_open", (m,), bool)):
+            object.__setattr__(self, name, _frozen(getattr(self, name), shape, name, dtype))
+        pops = self.populations
         bad = np.flatnonzero(~(np.isfinite(pops) & (pops >= 0)))
         if bad.size:
             raise InputError(f"demand area {self.area_ids[bad[0]]!r}: "
                              "population must be a finite number >= 0")
         if not np.isfinite(self.centroids).all():
             raise InputError("demand area centroids must be finite")
-        if self.matrix.shape != (n, len(self.candidates)):
+        if not np.isfinite(self.locations).all():
+            raise InputError("candidate locations must be finite")
+        if self.matrix.shape != (n, m):
             raise InputError("coverage matrix shape does not match areas x candidates")
         if len(set(self.area_ids)) != n:
             raise InputError("demand area ids must be unique")
-        cids = [c.id for c in self.candidates]
-        if len(set(cids)) != len(cids):
+        if len(set(self.candidate_ids)) != m:
             raise InputError("candidate ids must be unique")
         # 100 times the total, which bounds every objective, must be a float
         if not math.isfinite(100.0 * self.total_population):
@@ -189,13 +172,13 @@ class MclpInstance:
 
     @functools.cached_property
     def _view(self) -> _SolverView:
-        order = sorted(range(len(self.candidates)), key=lambda j: self.candidates[j].id)
-        ids = tuple(self.candidates[j].id for j in order)
+        # Python's str order: a numpy string sort would tie "c" and "c\x00"
+        order = sorted(range(len(self.candidate_ids)), key=self.candidate_ids.__getitem__)
+        ids = tuple(self.candidate_ids[j] for j in order)
         cols = self.matrix[:, order].astype(np.float64)
         cols.flags.writeable = False
         return _SolverView(ids, {c: k for k, c in enumerate(ids)},
-                           [k for k, j in enumerate(order) if self.candidates[j].fixed_open],
-                           cols)
+                           np.flatnonzero(self.fixed_open[order]).tolist(), cols)
 
     def to_dict(self) -> dict:
         return {
@@ -207,9 +190,9 @@ class MclpInstance:
                                         self.centroids.tolist())
             ],
             "candidates": [
-                {"id": c.id, "location": [c.location.x, c.location.y],
-                 "fixed_open": c.fixed_open}
-                for c in self.candidates
+                {"id": cid, "location": xy, "fixed_open": fixed}
+                for cid, xy, fixed in zip(self.candidate_ids, self.locations.tolist(),
+                                          self.fixed_open.tolist())
             ],
             "matrix": [[int(v) for v in row] for row in self.matrix],
         }
@@ -223,20 +206,15 @@ class MclpInstance:
         ids, pops, centroids = columns(
             get(d, "areas", LIST, "instance", default=[]),
             {"id": STRING, "population": NUMBER, "centroid": XY}, "instance", "areas")
-        cands = tuple(
-            existing_site(
-                get(c, "id", STRING, "instance", "candidates", i),
-                get(c, "location", XY, "instance", "candidates", i),
-                fixed_open=get(c, "fixed_open", BOOL, "instance", "candidates", i,
-                               default=False),
-            )
-            for i, c in enumerate(get(d, "candidates", LIST, "instance", default=[]))
-        )
+        cands = columns(
+            get(d, "candidates", LIST, "instance", default=[]),
+            {"id": STRING, "location": XY, "fixed_open": BOOL}, "instance", "candidates",
+            defaults={"fixed_open": False})
         if d.get("matrix") is None:
             if standard is None:
                 raise InputError("instance needs either a matrix or a coverage standard")
-            return build_coverage(ids, pops, centroids, cands, standard, mode=mode)
-        return cls(ids, pops, centroids, cands, _matrix(d, len(cands)),
+            return build_coverage(ids, pops, centroids, *cands, standard, mode=mode)
+        return cls(ids, pops, centroids, *cands, _matrix(d, len(cands[0])),
                    standard=standard, mode=mode)
 
 
@@ -300,22 +278,24 @@ class CoverageCurve:
 
 
 def build_coverage(area_ids: Sequence[str], populations, centroids,
-                   candidates: Sequence[CandidateSite], standard: CoverageStandard,
-                   mode: str = PLANAR) -> MclpInstance:
+                   candidate_ids: Sequence[str], locations, fixed_open,
+                   standard: CoverageStandard, mode: str = PLANAR) -> MclpInstance:
     """The instance of the area columns (ids, populations, n x 2 centroids)
-    and the candidates, with the coverage matrix: a[i][j] = 1 iff candidate
-    j is within the effective radius of centroid i (boundary inclusive)."""
-    if not len(area_ids) or not candidates:
+    and the candidate columns (ids, m x 2 locations, fixed-open flags), with
+    the coverage matrix: a[i][j] = 1 iff candidate j is within the effective
+    radius of centroid i (boundary inclusive)."""
+    if not len(area_ids) or not len(candidate_ids):
         raise InputError("coverage needs at least one area and one candidate")
     radius = standard.effective_radius_m
     xs, ys = _frozen(centroids, (len(area_ids), 2), "centroids").T.copy()
+    sites = _frozen(locations, (len(candidate_ids), 2), "locations").tolist()
     # one column per kernel call: an |I| x |J| float temporary would cost
     # more memory than the bool matrix it fills
-    matrix = np.empty((len(xs), len(candidates)), dtype=bool)
-    for j, cand in enumerate(candidates):
-        matrix[:, j] = distances_to(xs, ys, cand.location, mode) <= radius
-    return MclpInstance(tuple(area_ids), populations, centroids, tuple(candidates),
-                        matrix, standard=standard, mode=mode)
+    matrix = np.empty((len(xs), len(sites)), dtype=bool)
+    for j, (x, y) in enumerate(sites):
+        matrix[:, j] = distances_to(xs, ys, Point(x, y), mode) <= radius
+    return MclpInstance(tuple(area_ids), populations, centroids, tuple(candidate_ids),
+                        locations, fixed_open, matrix, standard=standard, mode=mode)
 
 
 def _objective(pops: np.ndarray, covered: np.ndarray) -> float:
@@ -343,7 +323,7 @@ def _finish_solution(inst: MclpInstance, chosen_ids: Iterable[str], method: str,
 
 def _prepare(inst: MclpInstance, p: int) -> _SolverView:
     """Check p; return the instance's solver view."""
-    n = len(inst.candidates)
+    n = len(inst.candidate_ids)
     if not 1 <= p <= n:
         raise InputError(f"p must be in [1, {n}], got {p}")
     view = inst._view
@@ -427,7 +407,7 @@ def solve_exact(inst: MclpInstance, p: int, override_cap: bool = False) -> MclpS
     above the incumbent, the first optimum it keeps is the lexicographically
     smallest optimal id set.
     """
-    n = len(inst.candidates)
+    n = len(inst.candidate_ids)
     if n > EXACT_SIZE_CAP and not override_cap:
         raise SolverRefused(
             f"instance has {n} candidates, above the exact-solver cap of {EXACT_SIZE_CAP}; "
@@ -571,7 +551,7 @@ def coverage_curve(inst: MclpInstance, p_max: int,
     """
     if method not in METHODS:
         raise InputError(f"unknown solver method {method!r}")
-    n = len(inst.candidates)
+    n = len(inst.candidate_ids)
     if not 1 <= p_max <= n:
         raise InputError(f"p_max must be in [1, {n}], got {p_max}")
     rows: list[MclpSolution] = []

@@ -24,11 +24,11 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .candidates import (
+    ORIGIN_EXISTING,
     CandidateSite,
     ExtractionConfig,
     assign_tiers,
     candidates_geojson,
-    existing_site,
     extract,
     merge,
 )
@@ -65,10 +65,9 @@ from .fields import (
     one_of,
     read_json,
 )
-from .geo import GEODESIC, Point, Polygon, check_geodesic_range
+from .geo import GEODESIC, Point, Polygon, check_geodesic_range, point_in_polygon
 from .mclp import (
     CoverageStandard,
-    DemandArea,
     MclpInstance,
     METHODS,
     build_coverage,
@@ -401,6 +400,23 @@ def load_zone_layer(path: Path, mode: str) -> list[tuple[Polygon, object]]:
     return out
 
 
+@dataclass(frozen=True)
+class DemandArea:
+    """A city section with its service population and a centroid inside it."""
+
+    id: str
+    population: float
+    centroid: Point
+    geometry: Polygon
+
+    def __post_init__(self):
+        if not (is_number(self.population) and self.population >= 0):
+            raise InputError(
+                f"demand area {self.id!r}: population must be a finite number >= 0")
+        if not point_in_polygon(self.centroid, self.geometry):
+            raise InputError(f"demand area {self.id!r}: centroid lies outside its geometry")
+
+
 def load_demand_layer(path: Path, mode: str) -> list[DemandArea]:
     out = []
     for i, where, feat in _load_features(path):
@@ -413,9 +429,8 @@ def load_demand_layer(path: Path, mode: str) -> list[DemandArea]:
             raise InputError(
                 f"{where}: 'population' must be a number, got {reprlib.repr(population)}")
         aid = str(props.get("id", f"area{i + 1:02d}"))
-        centroid = None
-        if props.get("centroid") is not None:
-            centroid = _position(props["centroid"], where, mode)
+        centroid = props.get("centroid")
+        centroid = poly.centroid if centroid is None else _position(centroid, where, mode)
         out.append(DemandArea(id=aid, population=float(population),
                               centroid=centroid, geometry=poly))
     ids = [a.id for a in out]
@@ -425,10 +440,8 @@ def load_demand_layer(path: Path, mode: str) -> list[DemandArea]:
 
 
 def load_existing_branches(path: Path, mode: str) -> list[CandidateSite]:
-    sites = []
-    for i, (fid, p) in enumerate(load_point_layer(path, mode)):
-        sites.append(existing_site(fid or f"e{i + 1:02d}", p))
-    return sites
+    return [CandidateSite(fid or f"e{i + 1:02d}", p, None, ORIGIN_EXISTING)
+            for i, (fid, p) in enumerate(load_point_layer(path, mode))]
 
 
 class _Stage:
@@ -534,8 +547,9 @@ def run_pipeline(cfg: ProjectConfig) -> RunReport:
             areas = surface.areas
             instance = build_coverage(
                 tuple(a.id for a in areas), [a.population for a in areas],
-                [(a.centroid.x, a.centroid.y) for a in areas], merged, cfg.standard,
-                mode=cfg.mode)
+                [(a.centroid.x, a.centroid.y) for a in areas],
+                tuple(c.id for c in merged), [(c.location.x, c.location.y) for c in merged],
+                [False] * len(merged), cfg.standard, mode=cfg.mode)
             curve = coverage_curve(instance, cfg.p_max, method=cfg.solver)
 
     with _Stage("report"):

@@ -17,7 +17,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from branchsite.candidates import existing_site
 from branchsite.criteria import (
     KIND_CATEGORICAL,
     KIND_DENSITY,
@@ -38,7 +37,6 @@ from branchsite.mclp import (
     METHOD_GREEDY_SWAP,
     CoverageCurve,
     CoverageStandard,
-    DemandArea,
     MclpInstance,
     MclpSolution,
     _finish_solution,
@@ -58,13 +56,17 @@ from branchsite.overlay import (
 from branchsite.weights import WeightVector
 
 
-def line_instance(pops, cands, matrix) -> MclpInstance:
+def line_instance(pops, matrix, fixed_open=None) -> MclpInstance:
     """The instance whose area i is ``d{i:02d}`` at (i, 0) with population
-    ``pops[i]``: the area columns of every random family."""
-    n = len(pops)
+    ``pops[i]`` and whose candidate j is ``c{j:02d}`` at (j, 1), fixed open
+    where ``fixed_open[j]`` holds (none by default): the columns of every
+    random family."""
+    n, m = matrix.shape
     centroids = np.column_stack([np.arange(n, dtype=float), np.zeros(n)])
+    locations = np.column_stack([np.arange(m, dtype=float), np.ones(m)])
     return MclpInstance(tuple(f"d{i:02d}" for i in range(n)), pops, centroids,
-                        tuple(cands), matrix)
+                        tuple(f"c{j:02d}" for j in range(m)), locations,
+                        [False] * m if fixed_open is None else fixed_open, matrix)
 
 
 def random_instance(rng, max_areas=30, max_cands=12, density=0.4):
@@ -75,8 +77,7 @@ def random_instance(rng, max_areas=30, max_cands=12, density=0.4):
         [[rng.random() < density for _ in range(n_cands)] for _ in range(n_areas)]
     )
     pops = [float(rng.randint(1, 1000)) for _ in range(n_areas)]
-    cands = [existing_site(f"c{j:02d}", Point(float(j), 1.0)) for j in range(n_cands)]
-    return line_instance(pops, cands, matrix)
+    return line_instance(pops, matrix)
 
 
 def oracle_family():
@@ -85,7 +86,7 @@ def oracle_family():
     out = []
     for _ in range(200):
         inst = random_instance(rng, max_areas=30, max_cands=12)
-        p = rng.randint(1, min(4, len(inst.candidates)))
+        p = rng.randint(1, min(4, len(inst.candidate_ids)))
         out.append((inst, p))
     return out
 
@@ -103,12 +104,9 @@ def tie_heavy_family():
             [[rng.random() < density for _ in range(n_cands)] for _ in range(n_areas)]
         )
         pops = [float(rng.randint(0, 3)) for _ in range(n_areas)]
-        cands = tuple(
-            existing_site(f"c{j:02d}", Point(float(j), 1.0), fixed_open=rng.random() < 0.1)
-            for j in range(n_cands)
-        )
-        inst = line_instance(pops, cands, matrix)
-        n_fixed = sum(c.fixed_open for c in cands)
+        fixed_open = [rng.random() < 0.1 for _ in range(n_cands)]
+        inst = line_instance(pops, matrix, fixed_open)
+        n_fixed = sum(fixed_open)
         for p in range(max(1, n_fixed), min(6, n_cands) + 1):
             yield inst, p
 
@@ -124,8 +122,7 @@ def fractional_family(seed, count, max_areas, max_cands, density, choices):
         matrix = np.array(
             [[rng.random() < density for _ in range(n_cands)] for _ in range(n_areas)]
         )
-        cands = [existing_site(f"c{j:02d}", Point(float(j), 1.0)) for j in range(n_cands)]
-        yield line_instance(pops, cands, matrix)
+        yield line_instance(pops, matrix)
 
 
 def geodesic_distance(a: Point, b: Point) -> float:
@@ -139,11 +136,10 @@ def enumerate_optimum(inst, p):
     C(free, p - fixed) subsets of the free candidates, each with the fixed
     ones added; returns (z, lexicographically smallest optimal id set)."""
     pops = inst.populations
-    n = len(inst.candidates)
-    ids = [c.id for c in inst.candidates]
-    id_order = sorted(range(n), key=lambda j: ids[j])
-    fixed = [j for j in id_order if inst.candidates[j].fixed_open]
-    free = [j for j in id_order if not inst.candidates[j].fixed_open]
+    ids = inst.candidate_ids
+    id_order = sorted(range(len(ids)), key=lambda j: ids[j])
+    fixed = [j for j in id_order if inst.fixed_open[j]]
+    free = [j for j in id_order if not inst.fixed_open[j]]
     best_z = -1.0
     best_sel = None
     for extra in itertools.combinations(free, p - len(fixed)):
@@ -158,18 +154,14 @@ def enumerate_optimum(inst, p):
 
 def covering_candidates(inst: MclpInstance, area_index: int) -> list[str]:
     """N_i: ids of the candidates covering area i."""
-    return [
-        inst.candidates[j].id
-        for j in range(len(inst.candidates))
-        if inst.matrix[area_index, j]
-    ]
+    return [cid for cid, hit in zip(inst.candidate_ids, inst.matrix[area_index]) if hit]
 
 
 def verify_solution(inst: MclpInstance, sol: MclpSolution) -> bool:
     """Re-evaluate feasibility and the coverage linkage from the raw matrix."""
     if len(sol.selected) != sol.p:
         return False
-    idx = {c.id: j for j, c in enumerate(inst.candidates)}
+    idx = {cid: j for j, cid in enumerate(inst.candidate_ids)}
     if any(s not in idx for s in sol.selected):
         return False
     cols = [idx[s] for s in sol.selected]
@@ -182,41 +174,40 @@ def verify_solution(inst: MclpInstance, sol: MclpSolution) -> bool:
 
 
 # -- per-field instance reader ---------------------------------------------------
-# The instance reader as it was written before the area columns: three typed
-# ``get`` calls and one ``DemandArea`` per area. ``MclpInstance.from_dict``
-# must return the same instance, or raise the same error, on any input.
+# The instance reader as it was written before the columns: three typed
+# ``get`` calls per area and per candidate. ``MclpInstance.from_dict`` must
+# return the same instance, or raise the same error, on any input.
 
 def reference_instance_from_dict(d: dict) -> MclpInstance:
     mode = get(d, "mode", MODE, "instance", default=PLANAR)
     standard = None
     if d.get("standard") is not None:
         standard = CoverageStandard.from_dict(get(d, "standard", OBJECT, "instance"))
-    areas = tuple(
-        DemandArea(
-            id=get(a, "id", STRING, "instance", "areas", i),
-            population=get(a, "population", NUMBER, "instance", "areas", i),
-            centroid=get(a, "centroid", XY, "instance", "areas", i),
-        )
+    areas = [
+        (get(a, "id", STRING, "instance", "areas", i),
+         get(a, "population", NUMBER, "instance", "areas", i),
+         get(a, "centroid", XY, "instance", "areas", i))
         for i, a in enumerate(get(d, "areas", LIST, "instance", default=[]))
-    )
-    cands = tuple(
-        existing_site(
-            get(c, "id", STRING, "instance", "candidates", i),
-            get(c, "location", XY, "instance", "candidates", i),
-            fixed_open=get(c, "fixed_open", BOOL, "instance", "candidates", i,
-                           default=False),
-        )
+    ]
+    cands = [
+        (get(c, "id", STRING, "instance", "candidates", i),
+         get(c, "location", XY, "instance", "candidates", i),
+         get(c, "fixed_open", BOOL, "instance", "candidates", i, default=False))
         for i, c in enumerate(get(d, "candidates", LIST, "instance", default=[]))
-    )
-    ids = tuple(a.id for a in areas)
-    pops = [a.population for a in areas]
-    centroids = np.array([(a.centroid.x, a.centroid.y) for a in areas]).reshape(-1, 2)
+    ]
+    ids = tuple(a[0] for a in areas)
+    pops = [a[1] for a in areas]
+    centroids = np.array([(a[2].x, a[2].y) for a in areas]).reshape(-1, 2)
+    cids = tuple(c[0] for c in cands)
+    locations = np.array([(c[1].x, c[1].y) for c in cands]).reshape(-1, 2)
+    fixed_open = [c[2] for c in cands]
     if d.get("matrix") is None:
         if standard is None:
             raise InputError("instance needs either a matrix or a coverage standard")
-        return build_coverage(ids, pops, centroids, cands, standard, mode=mode)
-    return MclpInstance(ids, pops, centroids, cands, _matrix(d, len(cands)),
-                        standard=standard, mode=mode)
+        return build_coverage(ids, pops, centroids, cids, locations, fixed_open,
+                              standard, mode=mode)
+    return MclpInstance(ids, pops, centroids, cids, locations, fixed_open,
+                        _matrix(d, len(cands)), standard=standard, mode=mode)
 
 
 # -- bitmask reference --------------------------------------------------------
@@ -227,7 +218,7 @@ def reference_instance_from_dict(d: dict) -> MclpInstance:
 def candidate_area_masks(inst: MclpInstance) -> list[int]:
     """Per-candidate bitmask of covered area indices."""
     masks = []
-    for j in range(len(inst.candidates)):
+    for j in range(len(inst.candidate_ids)):
         m = 0
         col = inst.matrix[:, j]
         for i in range(len(inst.area_ids)):
@@ -249,13 +240,13 @@ def _popcount_weight(mask: int, pops: Sequence[float]) -> float:
 
 
 def _prepare(inst: MclpInstance, p: int):
-    n = len(inst.candidates)
+    n = len(inst.candidate_ids)
     if not 1 <= p <= n:
         raise InputError(f"p must be in [1, {n}], got {p}")
-    order = sorted(range(n), key=lambda j: inst.candidates[j].id)
+    order = sorted(range(n), key=lambda j: inst.candidate_ids[j])
     pops = inst.populations.tolist()
     masks = candidate_area_masks(inst)
-    fixed = [j for j in order if inst.candidates[j].fixed_open]
+    fixed = [j for j in order if inst.fixed_open[j]]
     if len(fixed) > p:
         raise InputError(
             f"{len(fixed)} candidates are fixed open but p={p}"
@@ -288,14 +279,14 @@ def reference_solve_greedy(inst: MclpInstance, p: int) -> MclpSolution:
     free_gains = gains[len(fixed):]
     if any(b > a + 1e-9 for a, b in zip(free_gains, free_gains[1:])):
         raise AssertionError("greedy marginal gains must be non-increasing")
-    ids = [inst.candidates[j].id for j in chosen]
+    ids = [inst.candidate_ids[j] for j in chosen]
     return _finish_solution(inst, ids, METHOD_GREEDY_SWAP, optimal=False, gains=gains)
 
 
 def reference_improve_swap(inst: MclpInstance, sol: MclpSolution) -> MclpSolution:
     order, pops, masks, _fixed = _prepare(inst, sol.p)
-    id_to_idx = {c.id: j for j, c in enumerate(inst.candidates)}
-    fixed_ids = {c.id for c in inst.candidates if c.fixed_open}
+    id_to_idx = {cid: j for j, cid in enumerate(inst.candidate_ids)}
+    fixed_ids = {cid for cid, fixed in zip(inst.candidate_ids, inst.fixed_open) if fixed}
     selected = sorted(sol.selected)
     z_cur = sol.objective
     improved = True
@@ -311,7 +302,7 @@ def reference_improve_swap(inst: MclpInstance, sol: MclpSolution) -> MclpSolutio
             for j in keep:
                 base_mask |= masks[j]
             for j in order:  # candidates in id order: deterministic scan
-                cand_id = inst.candidates[j].id
+                cand_id = inst.candidate_ids[j]
                 if cand_id in sel_set:
                     continue
                 z_new = _popcount_weight(base_mask | masks[j], pops)
@@ -331,7 +322,7 @@ def reference_improve_swap(inst: MclpInstance, sol: MclpSolution) -> MclpSolutio
 
 def reference_extend_by_best(inst: MclpInstance, prev: MclpSolution) -> MclpSolution:
     order, pops, masks, _ = _prepare(inst, prev.p + 1)
-    id_to_idx = {c.id: j for j, c in enumerate(inst.candidates)}
+    id_to_idx = {cid: j for j, cid in enumerate(inst.candidate_ids)}
     covered = 0
     for s in prev.selected:
         covered |= masks[id_to_idx[s]]
@@ -339,13 +330,13 @@ def reference_extend_by_best(inst: MclpInstance, prev: MclpSolution) -> MclpSolu
     best_gain = -1.0
     sel = set(prev.selected)
     for j in order:
-        if inst.candidates[j].id in sel:
+        if inst.candidate_ids[j] in sel:
             continue
         g = _popcount_weight(masks[j] & ~covered, pops)
         if g > best_gain:
             best_gain = g
             best_j = j
-    ids = list(prev.selected) + [inst.candidates[best_j].id]
+    ids = list(prev.selected) + [inst.candidate_ids[best_j]]
     return _finish_solution(inst, ids, METHOD_GREEDY_SWAP, optimal=False,
                             gains=tuple(prev.marginal_gains) + (best_gain,))
 

@@ -48,7 +48,7 @@ def oracle_instances():
     out = []
     for _ in range(200):
         inst = random_instance(rng, max_areas=30, max_cands=12)
-        p = rng.randint(1, min(4, len(inst.candidates)))
+        p = rng.randint(1, min(4, len(inst.candidate_ids)))
         out.append((inst, p))
     return out
 
@@ -99,7 +99,7 @@ def test_criterion_3_greedy_guarantee_and_monotone_gains(oracle_instances):
 def test_criterion_4_coverage_curve_monotone(oracle_instances):
     checked = 0
     for inst, _p in oracle_instances[:60]:
-        p_max = min(5, len(inst.candidates))
+        p_max = min(5, len(inst.candidate_ids))
         for method in ("exact", "greedy+swap"):
             curve = coverage_curve(inst, p_max, method=method)
             pcts = [r.coverage_pct for r in curve.rows]

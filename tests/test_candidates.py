@@ -9,7 +9,6 @@ from branchsite.candidates import (
     ExtractionConfig,
     assign_tiers,
     candidates_geojson,
-    existing_site,
     extract,
     merge,
     tier_sizes,
@@ -156,7 +155,8 @@ class TestMerge:
             CandidateSite(f"p{i:02d}", Point(i * 1000, 0), 0.6, "proposed")
             for i in range(14)
         ]
-        existing = [existing_site(f"e{i:02d}", Point(i * 1000, 5000)) for i in range(9)]
+        existing = [CandidateSite(f"e{i:02d}", Point(i * 1000, 5000), None, "existing")
+                    for i in range(9)]
         merged = merge(proposed, existing)
         assert len(merged) == 23
         assert sum(1 for s in merged if s.origin == "existing") == 9
@@ -167,12 +167,12 @@ class TestMerge:
 
     def test_proposed_near_existing_both_retained(self):
         proposed = [CandidateSite("p01", Point(0, 0), 0.6, "proposed")]
-        existing = [existing_site("e01", Point(5, 0))]  # 5 m away
+        existing = [CandidateSite("e01", Point(5, 0), None, "existing")]  # 5 m away
         assert len(merge(proposed, existing)) == 2
 
     def test_duplicate_id_rejected(self):
         a = [CandidateSite("x", Point(0, 0), 0.6, "proposed")]
-        b = [existing_site("x", Point(1, 1))]
+        b = [CandidateSite("x", Point(1, 1), None, "existing")]
         with pytest.raises(InputError, match="duplicate candidate id"):
             merge(a, b)
 
@@ -180,7 +180,7 @@ class TestMerge:
 class TestGeojson:
     def test_properties_rendered(self):
         sites = assign_tiers([CandidateSite("p01", Point(50, 50), 0.6, "proposed")])
-        sites = merge(sites, [existing_site("e01", Point(10, 10))])
+        sites = merge(sites, [CandidateSite("e01", Point(10, 10), None, "existing")])
         gj = candidates_geojson([s.to_dict() for s in sites])
         assert gj["type"] == "FeatureCollection"
         props = [f["properties"] for f in gj["features"]]

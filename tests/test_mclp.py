@@ -1,9 +1,11 @@
+import ast
 import dataclasses
 import itertools
 import json
 import math
 import random
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +27,6 @@ from helpers import (
 )
 
 from branchsite import fields, mclp
-from branchsite.candidates import CandidateSite, existing_site
 from branchsite.cli import main
 from branchsite.errors import ConfigError, InputError, SolverRefused
 from branchsite.geo import Point, planar_distance
@@ -44,19 +45,24 @@ from branchsite.mclp import (
 GREEDY_GUARANTEE = 1.0 - 1.0 / math.e
 
 
-def tiny_instance(matrix_rows, pops):
+def tiny_instance(matrix_rows, pops, fixed_open=None):
     matrix = np.array(matrix_rows, dtype=bool)
-    cands = tuple(
-        existing_site(f"c{j}", Point(float(j), 1.0)) for j in range(matrix.shape[1])
-    )
+    m = matrix.shape[1]
     return MclpInstance(tuple(f"d{i}" for i in range(len(pops))), pops,
-                        [(float(i), 0.0) for i in range(len(pops))], cands, matrix)
+                        [(float(i), 0.0) for i in range(len(pops))],
+                        tuple(f"c{j}" for j in range(m)), [(float(j), 1.0) for j in range(m)],
+                        [False] * m if fixed_open is None else fixed_open, matrix)
 
 
-def points_instance(pops, points, cands, standard, mode="planar"):
-    """``build_coverage`` over areas ``d{i}`` with ``pops[i]`` at ``points[i]``."""
+def points_instance(pops, points, sites, standard, mode="planar", fixed_open=None):
+    """``build_coverage`` over areas ``d{i}`` with ``pops[i]`` at ``points[i]``
+    and the candidates of ``sites`` (id -> location), none fixed open unless
+    ``fixed_open`` says so."""
     return build_coverage(tuple(f"d{i}" for i in range(len(pops))), pops,
-                          [(q.x, q.y) for q in points], cands, standard, mode=mode)
+                          [(q.x, q.y) for q in points], tuple(sites),
+                          [(q.x, q.y) for q in sites.values()],
+                          [False] * len(sites) if fixed_open is None else fixed_open,
+                          standard, mode=mode)
 
 
 # frozen instance where greedy is strictly suboptimal and one swap recovers
@@ -116,13 +122,13 @@ class TestCoverageStandard:
 
 class TestBuildCoverage:
     def test_tiny_radius_all_zero(self):
-        cands = [existing_site("c0", Point(50, 50))]
+        cands = {"c0": Point(50, 50)}
         inst = points_instance([10, 20], [Point(0, 0), Point(100, 0)], cands,
                                CoverageStandard(radius=1.0))
         assert not inst.matrix.any()
 
     def test_boundary_is_inclusive(self):
-        cands = [existing_site("c0", Point(2500, 0))]
+        cands = {"c0": Point(2500, 0)}
         inst = points_instance([10], [Point(0, 0)], cands, CoverageStandard(radius=2500.0))
         assert inst.matrix[0, 0]
 
@@ -132,18 +138,16 @@ class TestBuildCoverage:
         for _ in range(20):
             pops.append(rng.randint(1, 100))
             points.append(Point(rng.uniform(0, 5000), rng.uniform(0, 5000)))
-        cands = [
-            existing_site(f"c{j}", Point(rng.uniform(0, 5000), rng.uniform(0, 5000)))
-            for j in range(23)
-        ]
+        cands = {f"c{j}": Point(rng.uniform(0, 5000), rng.uniform(0, 5000))
+                 for j in range(23)}
         std = CoverageStandard(radius=1500.0)
         inst = points_instance(pops, points, cands, std)
         for i, a in enumerate(points):
-            for j, c in enumerate(cands):
-                d = math.sqrt((a.x - c.location.x) ** 2 + (a.y - c.location.y) ** 2)
+            for j, c in enumerate(cands.values()):
+                d = math.sqrt((a.x - c.x) ** 2 + (a.y - c.y) ** 2)
                 assert inst.matrix[i, j] == (d <= 1500.0)
         assert covering_candidates(inst, 0) == [
-            cands[j].id for j in range(23) if inst.matrix[0, j]
+            f"c{j}" for j in range(23) if inst.matrix[0, j]
         ]
 
     @pytest.mark.parametrize("mode", ["planar", "geodesic"])
@@ -162,29 +166,51 @@ class TestBuildCoverage:
                 return Point(rng.uniform(51.60, 51.64), rng.uniform(32.60, 32.64))
             wrapper = geodesic_distance
         points = [point(i) for i in range(40)]
-        cands = [existing_site(f"c{j}", point(j)) for j in range(30)]
-        radius = 5.0 if mode == "planar" else wrapper(points[0], cands[0].location)
+        cands = {f"c{j}": point(j) for j in range(30)}
+        radius = 5.0 if mode == "planar" else wrapper(points[0], cands["c0"])
         inst = points_instance([10] * 40, points, cands, CoverageStandard(radius=radius),
                                mode=mode)
         on_radius = 0
         for i, a in enumerate(points):
-            for j, c in enumerate(cands):
-                d = wrapper(a, c.location)
+            for j, c in enumerate(cands.values()):
+                d = wrapper(a, c)
                 on_radius += d == radius
                 assert inst.matrix[i, j] == (d <= radius), (i, j)
         assert on_radius > 0
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(InputError):
-            build_coverage((), [], np.empty((0, 2)), [existing_site("c", Point(0, 0))],
+            build_coverage((), [], np.empty((0, 2)), ("c",), [(0, 0)], [False],
                            CoverageStandard(radius=1))
+
+
+class TestCandidateColumns:
+    @pytest.mark.parametrize("ids, locations, fixed_open, message", [
+        (("c0", "c1"), [(0, 0), (1, math.inf)], [False, True],
+         "candidate locations must be finite"),
+        (("c0", "c1"), [(0, 0, 0), (1, 1, 1)], [False, True],
+         r"locations must have shape \(2, 2\)"),
+        (("c0", "c1"), [(0, 0), (1, 1)], [False], r"fixed_open must have shape \(2,\)"),
+        (("c0", "c0"), [(0, 0), (1, 1)], [False, True], "candidate ids must be unique"),
+    ])
+    def test_bad_columns_rejected(self, ids, locations, fixed_open, message):
+        with pytest.raises(InputError, match=message):
+            MclpInstance(("d0",), [1], [(0, 0)], ids, locations, fixed_open,
+                         np.ones((1, 2), bool))
+
+    def test_ids_sort_as_python_strings(self):
+        """numpy's fixed-width strings drop trailing NULs, so "c" and
+        "c\\x00" would tie there; the solvers order them as Python does."""
+        inst = tiny_instance([[1, 1]], [7])
+        inst = dataclasses.replace(inst, candidate_ids=("c\x00", "c"))
+        assert solve_greedy(inst, 1).selected == ("c",)
 
 
 class TestSolveExact:
     def test_p_equals_all_candidates_covers_everything_coverable(self):
         rng = random.Random(89)
         inst = random_instance(rng, max_areas=15, max_cands=8)
-        n = len(inst.candidates)
+        n = len(inst.candidate_ids)
         sol = solve_exact(inst, n)
         coverable = inst.matrix.any(axis=1)
         want = float(inst.populations[coverable].sum())
@@ -194,7 +220,7 @@ class TestSolveExact:
         rng = random.Random(97)
         for _ in range(60):
             inst = random_instance(rng)
-            p = rng.randint(1, min(4, len(inst.candidates)))
+            p = rng.randint(1, min(4, len(inst.candidate_ids)))
             sol = solve_exact(inst, p)
             z, sel = enumerate_optimum(inst, p)
             assert sol.objective == z
@@ -256,7 +282,7 @@ class TestSolveExact:
         solver still returns the enumeration's set and objective."""
         solves = 0
         for inst in fractional_family(7, 200, 25, 12, 0.35, (0.1, 0.2, 0.3)):
-            for p in range(2, min(5, len(inst.candidates)) + 1):
+            for p in range(2, min(5, len(inst.candidate_ids)) + 1):
                 sol = solve_exact(inst, p)
                 assert (sol.selected, sol.objective) == enumerate_optimum(inst, p)[::-1]
                 solves += 1
@@ -289,20 +315,14 @@ class TestSolveExact:
             assert solve_exact(inst, p).selected == ("c0", "c1", "c2")[:p]
 
     def test_size_cap_refusal_mentions_greedy(self):
-        cands = [existing_site(f"c{j:02d}", Point(j, 0)) for j in range(31)]
+        cands = {f"c{j:02d}": Point(j, 0) for j in range(31)}
         inst = points_instance([10], [Point(0, 0)], cands, CoverageStandard(radius=50))
         with pytest.raises(SolverRefused, match="greedy"):
             solve_exact(inst, 2)
         assert solve_exact(inst, 2, override_cap=True).optimal
 
     def test_fixed_open_candidates_forced_into_solution(self):
-        matrix = [[1, 0], [0, 1]]
-        cands = (
-            existing_site("c0", Point(0, 1)),
-            CandidateSite("c1", Point(1, 1), None, "existing", fixed_open=True),
-        )
-        inst = MclpInstance(("d0", "d1"), [100, 1], [(0, 0), (1, 0)], cands,
-                            np.array(matrix, bool))
+        inst = tiny_instance([[1, 0], [0, 1]], [100, 1], fixed_open=[False, True])
         sol = solve_exact(inst, 1)
         assert sol.selected == ("c1",)
         assert sol.objective == 1.0
@@ -327,7 +347,7 @@ class TestSolveGreedy:
         rng = random.Random(103)
         for _ in range(60):
             inst = random_instance(rng)
-            p = rng.randint(1, min(4, len(inst.candidates)))
+            p = rng.randint(1, min(4, len(inst.candidate_ids)))
             g = solve_greedy(inst, p)
             z, _ = enumerate_optimum(inst, p)
             assert g.objective >= GREEDY_GUARANTEE * z - 1e-9
@@ -356,7 +376,7 @@ class TestImproveSwap:
         rng = random.Random(109)
         for _ in range(40):
             inst = random_instance(rng)
-            p = rng.randint(1, min(4, len(inst.candidates)))
+            p = rng.randint(1, min(4, len(inst.candidate_ids)))
             g = solve_greedy(inst, p)
             s = improve_swap(inst, g)
             z, _ = enumerate_optimum(inst, p)
@@ -369,7 +389,7 @@ class TestImproveSwap:
         below the greedy start."""
         solves = 0
         for inst in fractional_family(11, 3000, 40, 15, 0.3, (0.1, 0.2, 0.3, 0.7)):
-            for p in range(1, min(6, len(inst.candidates)) + 1):
+            for p in range(1, min(6, len(inst.candidate_ids)) + 1):
                 g = solve_greedy(inst, p)
                 assert improve_swap(inst, g).objective >= g.objective
                 solves += 1
@@ -403,7 +423,7 @@ class TestCoverageCurve:
         rng = random.Random(113)
         for _ in range(25):
             inst = random_instance(rng, max_areas=20, max_cands=10)
-            p_max = min(5, len(inst.candidates))
+            p_max = min(5, len(inst.candidate_ids))
             for method in ("exact", "greedy+swap"):
                 curve = coverage_curve(inst, p_max, method=method)
                 pcts = [r.coverage_pct for r in curve.rows]
@@ -412,7 +432,7 @@ class TestCoverageCurve:
     def test_final_point_is_total_coverable_share(self):
         rng = random.Random(127)
         inst = random_instance(rng, max_areas=15, max_cands=7)
-        n = len(inst.candidates)
+        n = len(inst.candidate_ids)
         curve = coverage_curve(inst, n, method="exact")
         coverable = inst.matrix.any(axis=1)
         want = 100.0 * float(inst.populations[coverable].sum()) / inst.total_population
@@ -439,11 +459,10 @@ class TestCoverageCurve:
                 pops.append(rng.randint(0, 50) / 10)
                 points.append(Point(rng.uniform(0, 6000), rng.uniform(0, 6000)))
             fixed = rng.randrange(n_cands) if case % 3 == 0 else None
-            cands = [existing_site(f"c{j:02d}",
-                                   Point(rng.uniform(0, 6000), rng.uniform(0, 6000)),
-                                   fixed_open=j == fixed)
-                     for j in range(n_cands)]
-            inst = points_instance(pops, points, cands, CoverageStandard(radius=1500.0))
+            cands = {f"c{j:02d}": Point(rng.uniform(0, 6000), rng.uniform(0, 6000))
+                     for j in range(n_cands)}
+            inst = points_instance(pops, points, cands, CoverageStandard(radius=1500.0),
+                                   fixed_open=[j == fixed for j in range(n_cands)])
             p_max = n_cands if case % 2 else rng.randint(1, n_cands)
             want: list = []
             for p in range(1, p_max + 1):
@@ -476,7 +495,8 @@ class TestSolverViewReadOnly:
             del d["matrix"]
             d["standard"] = {"kind": "radius", "radius": 1.0}
         inst = instance_from_json(json.dumps(d))
-        for array in (inst.populations, inst.centroids, inst.matrix):
+        for array in (inst.populations, inst.centroids, inst.locations, inst.fixed_open,
+                      inst.matrix):
             assert not array.flags.writeable
 
 
@@ -523,12 +543,13 @@ def _instance_dicts(seed, count):
 
 def _corrupt(d, section, key, value, rng):
     """``d`` with ``key`` of a random row of ``section`` set to ``value``
-    (deleted when it is ``_DELETE``; the whole row when ``key`` is None)."""
+    (deleted, if the row has it, when it is ``_DELETE``; the whole row when
+    ``key`` is None)."""
     d = json.loads(json.dumps(d))
     rows = d[section]
     i = rng.randrange(len(rows))
     if value is _DELETE:
-        del rows[i][key]
+        rows[i].pop(key, None)
     elif key is None:
         rows[i] = value
     else:
@@ -555,7 +576,12 @@ _CORRUPTIONS = [
     ("areas", "centroid", _DELETE), ("areas", "id", 7), ("areas", "id", None),
     ("areas", "id", "d000"), ("areas", None, 5), ("areas", None, ["d", 1, [0, 0]]),
     ("candidates", "fixed_open", 1), ("candidates", "fixed_open", None),
-    ("candidates", "location", [0, math.inf]), ("candidates", "id", None),
+    ("candidates", "fixed_open", "true"), ("candidates", "fixed_open", 0),
+    ("candidates", "fixed_open", _DELETE), ("candidates", "fixed_open", True),
+    ("candidates", "location", [0, math.inf]), ("candidates", "location", _DELETE),
+    ("candidates", "location", [True, 0]), ("candidates", "location", [0, 10 ** 400]),
+    ("candidates", "id", None), ("candidates", "id", "c000"),
+    ("candidates", None, 5), ("candidates", None, ["c", [0, 0]]),
     ("matrix", None, [0]), ("matrix", None, [1, "x"]), ("matrix", None, [1, 2]),
     ("matrix", None, [1, 0.5]),
 ]
@@ -570,17 +596,18 @@ def _read(reader, d):
 
 
 class TestColumnReader:
-    """``MclpInstance.from_dict`` reads each area field as one column; it
-    must return what the per-field reader of ``helpers`` returned, and fail
-    with the same error."""
+    """``MclpInstance.from_dict`` reads each area and candidate field as one
+    column; it must return what the per-field reader of ``helpers``
+    returned, and fail with the same error."""
 
     def _assert_same_instance(self, got, want):
         assert got.area_ids == want.area_ids
         assert got.populations.tobytes() == want.populations.tobytes()
         assert got.centroids.tobytes() == want.centroids.tobytes()
+        assert got.candidate_ids == want.candidate_ids
+        assert got.locations.tobytes() == want.locations.tobytes()
+        assert got.fixed_open.tolist() == want.fixed_open.tolist()
         assert np.array_equal(got.matrix, want.matrix)
-        assert [c.fixed_open for c in got.candidates] == [
-            c.fixed_open for c in want.candidates]
         assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
 
     def test_seeded_family_matches_the_per_field_reader(self):
@@ -592,18 +619,28 @@ class TestColumnReader:
 
     @pytest.mark.parametrize("base", ["matrix", "geodesic standard"])
     def test_one_corrupt_field_raises_the_per_field_error(self, base):
+        """500 areas and 300 candidates, so the bad row is seldom the first;
+        every third candidate has no ``fixed_open``, which reads false."""
         rng = random.Random(61)
         d = {"mode": "planar",
              "areas": [{"id": f"d{i:03d}", "population": rng.randint(0, 5000),
                         "centroid": [rng.uniform(51.6, 51.7), rng.uniform(32.6, 32.7)]}
                        for i in range(500)],
-             "candidates": [{"id": f"c{j}", "location": [51.65, 32.65 + j / 100]}
-                            for j in range(2)]}
+             "candidates": [{"id": f"c{j:03d}",
+                             "location": [rng.uniform(51.6, 51.7), rng.uniform(32.6, 32.7)]}
+                            for j in range(300)]}
+        for j, c in enumerate(d["candidates"]):
+            if j % 3:
+                c["fixed_open"] = rng.random() < 0.1
         if base == "matrix":
-            d["matrix"] = [[True, False]] * 500
+            d["matrix"] = [[rng.random() < 0.1 for _ in range(300)] for _ in range(500)]
         else:
             d["mode"] = "geodesic"
             d["standard"] = {"kind": "radius", "radius": 3000.0}
+        inst = MclpInstance.from_dict(d)
+        assert inst.fixed_open.tolist() == [
+            c.get("fixed_open", False) for c in d["candidates"]]
+        assert 0 < inst.fixed_open.sum() < 100
         for section, key, value in _CORRUPTIONS:
             if section == "matrix" and base != "matrix":
                 continue
@@ -614,8 +651,9 @@ class TestColumnReader:
             if want_error is None:
                 self._assert_same_instance(got, want)
 
-    def test_valid_areas_are_not_read_one_by_one(self, monkeypatch):
-        """The per-field ``get`` walk is only the error path."""
+    def test_valid_rows_are_not_read_one_by_one(self, monkeypatch):
+        """The per-field ``get`` walk is only the error path, also for
+        candidates that leave ``fixed_open`` to its default."""
         sections = []
         real_get = fields.get
 
@@ -625,12 +663,32 @@ class TestColumnReader:
 
         monkeypatch.setattr(fields, "get", spy)
         d = next(_instance_dicts(5, 1))
+        for c in d["candidates"][::2]:
+            del c["fixed_open"]
         MclpInstance.from_dict(d)
-        assert "areas" not in sections
+        assert "areas" not in sections and "candidates" not in sections
+        d["candidates"][-1]["fixed_open"] = 1
+        with pytest.raises(InputError, match=r"candidates\[\d+\]\.fixed_open"):
+            MclpInstance.from_dict(d)
+        assert sections.count("candidates") == 3 * len(d["candidates"])
         d["areas"][-1]["population"] = "x"
         with pytest.raises(InputError, match=r"areas\[\d+\]\.population"):
             MclpInstance.from_dict(d)
         assert sections.count("areas") == 3 * len(d["areas"]) - 1
+
+
+class TestImportGraph:
+    def test_solver_imports_only_errors_fields_and_geo(self):
+        """The solver layer loads none of the candidate and raster modules."""
+        imported = set()
+        for node in ast.walk(ast.parse(Path(mclp.__file__).read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                imported |= {node.module} if node.module else {a.name for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module.startswith("branchsite"):
+                imported.add(node.module)
+            elif isinstance(node, ast.Import):
+                imported |= {a.name for a in node.names if a.name.startswith("branchsite")}
+        assert imported == {"errors", "fields", "geo"}
 
 
 class TestScaleEquivariance:
@@ -658,7 +716,7 @@ class TestSerialization:
         assert back.to_dict() == inst.to_dict()
 
     def test_instance_matrix_rebuilt_from_standard(self):
-        cands = [existing_site("c0", Point(30, 40))]
+        cands = {"c0": Point(30, 40)}
         inst = points_instance([10], [Point(0, 0)], cands, CoverageStandard(radius=50.0))
         d = inst.to_dict()
         del d["matrix"]
@@ -698,11 +756,8 @@ class TestSerialization:
 
 
 def _with_fixed_open(inst, positions):
-    cands = tuple(
-        dataclasses.replace(c, fixed_open=j in positions)
-        for j, c in enumerate(inst.candidates)
-    )
-    return dataclasses.replace(inst, candidates=cands)
+    return dataclasses.replace(
+        inst, fixed_open=[j in positions for j in range(len(inst.candidate_ids))])
 
 
 def _reference_family():
@@ -712,7 +767,7 @@ def _reference_family():
     for inst, p in oracle_family():
         yield inst, p
         for n_fixed in (1, 2):
-            fixed = set(rng.sample(range(len(inst.candidates)), n_fixed))
+            fixed = set(rng.sample(range(len(inst.candidate_ids)), n_fixed))
             yield _with_fixed_open(inst, fixed), max(p, n_fixed)
 
 
@@ -736,7 +791,7 @@ class TestBitmaskReference:
 
     def test_greedy_swap_curve_matches(self):
         for inst, _p in _reference_family():
-            p_max = min(5, len(inst.candidates))
+            p_max = min(5, len(inst.candidate_ids))
             try:
                 want = reference_greedy_curve(inst, p_max)
             except InputError:  # more fixed-open sites than p = 1 allows
@@ -756,12 +811,10 @@ def _seeded_planar_instance(seed, n_areas=200, n_cands=30, side=12000.0):
     for _ in range(n_areas):
         pops.append(float(rng.randint(100, 5000)))
         points.append((rng.uniform(0, side), rng.uniform(0, side)))
-    cands = [
-        existing_site(f"c{j:02d}", Point(rng.uniform(0, side), rng.uniform(0, side)))
-        for j in range(n_cands)
-    ]
+    locations = [(rng.uniform(0, side), rng.uniform(0, side)) for _ in range(n_cands)]
     return build_coverage(tuple(f"d{i:03d}" for i in range(n_areas)), pops, points,
-                          cands, CoverageStandard(radius=2500.0))
+                          tuple(f"c{j:02d}" for j in range(n_cands)), locations,
+                          [False] * n_cands, CoverageStandard(radius=2500.0))
 
 
 def _milp_optimum(inst, p):

@@ -12,9 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from branchsite import project
+from branchsite import DemandArea, project
 from branchsite.cli import main
 from branchsite.errors import ConfigError, GateError, InputError
+from branchsite.geo import Point, Polygon
 from branchsite.overlay import json_text
 from branchsite.project import (
     load_demand_layer,
@@ -143,6 +144,12 @@ class TestLoadLayers:
         assert sum(a.population for a in areas) == 100_000
         for a in areas:
             assert a.geometry is not None
+
+    def test_negative_population_rejected(self):
+        square = Polygon(tuple(Point(x, y) for x, y in [(0, 0), (1, 0), (1, 1), (0, 1)]))
+        with pytest.raises(InputError, match="'d01': population must be a finite number"):
+            DemandArea("d01", -1.0, Point(0.5, 0.5), square)
+        assert DemandArea("d01", 0.0, Point(0.5, 0.5), square).population == 0.0
 
     def test_wrong_geometry_type_rejected(self, tmp_path):
         path = tmp_path / "bad.geojson"
@@ -839,6 +846,10 @@ class TestCli:
                      _set_in_features([6, "geometry", "coordinates"],
                                       [[[0, 0], [1, 0], [2, 0], [0, 0]]])),
          "demand_areas.geojson feature 6: polygon area must be strictly positive"),
+        # area d05 is the rectangle [960, 1920] x [7500, 9000]
+        (_layer_argv("demand_areas.geojson",
+                     _set_in_features([4, "properties", "centroid"], [100.0, 100.0])),
+         "demand area 'd05': centroid lies outside its geometry"),
         # an integer level too large for a float is a bad raw value, not a crash
         (_layer_argv("density_zones.geojson",
                      _set_in_features([-1, "properties", "level"], 10 ** 400)),

@@ -137,7 +137,7 @@ def solve(ctx, instance_path, p_single, p_max, method, override_cap):
             sol = solve_exact(inst, p_single, override_cap=override_cap)
         else:
             sol = improve_swap(inst, solve_greedy(inst, p_single))
-        write_artifacts(out, [("solution.json", json_text(sol.to_dict()))])
+        write_artifacts(out, [("solution.json", [json_text(sol.to_dict())])])
         click.echo(f"p={sol.p}: {sol.coverage_pct:g}% covered "
                    f"by {', '.join(sol.selected)}")
     else:

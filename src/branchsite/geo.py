@@ -206,6 +206,25 @@ class Polygon:
             sum(p.y for p in self.exterior) / n,
         )
 
+    def representative_point(self) -> Point:
+        """A point inside the polygon (boundary included): the vertex mean
+        when it lies inside; else the midpoint of the widest inside interval
+        of the horizontal line through it, between two consecutive crossings
+        of the rings. The vertex mean if that fails too."""
+        mean = self.centroid
+        if point_in_polygon(mean, self):
+            return mean
+        y = mean.y
+        xs = sorted(a.x + (y - a.y) * (b.x - a.x) / (b.y - a.y)
+                    for ring in (self.exterior, *self.holes)
+                    for a, b in zip(ring, ring[1:] + ring[:1]) if (a.y > y) != (b.y > y))
+        # the line enters the polygon at every even crossing and leaves it
+        # at the next one
+        x0, x1 = max(zip(xs[::2], xs[1::2]), key=lambda iv: iv[1] - iv[0],
+                     default=(mean.x, mean.x))
+        point = Point(x0 + (x1 - x0) / 2, y)
+        return point if point_in_polygon(point, self) else mean
+
     @property
     def bounds(self) -> tuple[float, float, float, float]:
         xs = [p.x for p in self.exterior]

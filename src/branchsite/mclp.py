@@ -127,8 +127,11 @@ def _frozen(values, shape: tuple, name: str, dtype=np.float64) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MclpInstance:
+    """An MCLP instance as columns. Instances compare by identity: an
+    array field has no single truth value to compare by."""
+
     area_ids: tuple[str, ...]
     populations: np.ndarray     # float64, |I|, read-only
     centroids: np.ndarray       # float64, |I| x 2, read-only

@@ -17,15 +17,21 @@ per-segment comparison loop it replaced, kept in ``tests/helpers.py``.
 Combination accumulates the masked cells in criterion-id order so the
 result is bit-identical under any input permutation.
 
-The Esri grids, ``score_points.geojson`` and the score raster inside
-``report.json`` are formatted from arrays: each distinct bit pattern of a
-float array is formatted once into a table of strings, which the cells then
-index, so the text is the same as formatting every cell on its own. The
-grids and the report's raster are also joined once per distinct row (rows
-repeat: every row outside the study area is the same), and each later
-occurrence of a row reuses that text. Each feature of
-``score_points.geojson`` is a column's, a row's and a score's text, so the
-file is one join of those shared pieces.
+The Esri grids, ``score_points.geojson`` and ``report.json`` with its score
+raster are formatted from arrays into chunks of text. Each formatter builds
+its tables in its own call and returns an iterator that joins the text a
+chunk of about 1 MiB (``_CHUNK``) at a time, so the writer holds one chunk,
+not the file. Beyond it, the memory is the tables: the in-area cell indices
+of ``score_points.geojson`` (8 bytes a cell), and copies of the bits a
+table formats while it is built. Each distinct bit pattern of a float array
+is formatted once into a table of strings, which the cells then look up, so
+the text is the same as formatting every cell on its own. The grids and the
+report's raster are joined once per distinct row: runs of equal adjacent
+rows come from one comparison of the rows' bits, only the first row of each
+run is hashed, and every later run of the same row (every row outside the
+study area is the same) reuses its text. Each feature of
+``score_points.geojson`` is a column's, a row's and a score's text; a chunk
+joins those shared pieces for a slice of the in-area cells.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -133,9 +139,12 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SuitabilityRaster:
-    """Per-criterion scores over the grid; NaN outside the study area."""
+    """Per-criterion scores over the grid; NaN outside the study area.
+
+    Rasters compare by identity: their arrays have no single truth value.
+    """
 
     grid: GridSpec
     criterion_id: str
@@ -149,9 +158,12 @@ class SuitabilityRaster:
         _freeze(self.mask)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreRaster:
-    """Combined suitability surface; NaN outside the study area."""
+    """Combined suitability surface; NaN outside the study area.
+
+    Rasters compare by identity: their arrays have no single truth value.
+    """
 
     grid: GridSpec
     values: np.ndarray
@@ -378,49 +390,116 @@ def json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _text_table(values, fmt, nan_text: str) -> np.ndarray:
-    """``values`` as an object array of strings of the same shape.
+# The formatters yield an artifact's text in chunks of about this many
+# characters, so the writer holds one chunk and not the whole file.
+_CHUNK = 1 << 20
 
-    ``fmt`` runs once per distinct bit pattern (so ``-0.0`` and ``0.0``
-    keep their own text) and every NaN becomes ``nan_text``.
+
+def _text_table(values, fmt, nan_text: str) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct bit patterns of the float ``values`` as ascending
+    ``int64`` keys, and each key's text: ``fmt`` runs once per pattern (so
+    ``-0.0`` and ``0.0`` keep their own text) and every NaN is ``nan_text``.
     """
-    values = np.ascontiguousarray(values, dtype=float)
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    table = np.array([nan_text if math.isnan(v) else fmt(v)
-                      for v in bits.view(float).tolist()], dtype=object)
-    return table[inverse].reshape(values.shape)
+    # a sort, not np.unique: its hash table (numpy 2.3 on) is several times slower
+    keys = np.sort(np.asarray(values, dtype=float).view(np.int64), axis=None)
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    texts = np.array([nan_text if math.isnan(v) else fmt(v)
+                      for v in keys.view(float).tolist()], dtype=object)
+    return keys, texts
 
 
-def _row_texts(values, fmt, nan_text: str, sep: str) -> list[str]:
+def _texts(table: tuple[np.ndarray, np.ndarray], values: np.ndarray) -> np.ndarray:
+    """The ``_text_table`` strings of the float ``values``, as an object
+    array of the same shape."""
+    keys, texts = table
+    return texts[keys.searchsorted(values.view(np.int64))]
+
+
+def _drain(buf: list[str]) -> str:
+    text = "".join(buf)
+    buf.clear()
+    return text
+
+
+def _chunks(head: str, items: Iterable[str], sep: str, tail: str) -> Iterator[str]:
+    """``head + sep.join(items) + tail`` in chunks of at least ``_CHUNK``
+    characters, but the last. Each chunk's pieces are dropped before it is
+    yielded, so the caller's chunk is the only one alive."""
+    buf, size = [head], len(head)
+    for k, item in enumerate(items):
+        if k:
+            buf.append(sep)
+        buf.append(item)
+        size += len(item) + len(sep)
+        if size >= _CHUNK:
+            yield _drain(buf)
+            size = 0
+    buf.append(tail)
+    yield _drain(buf)
+
+
+def _row_runs(bits: np.ndarray) -> tuple[list[tuple[int, int]], list[int]]:
+    """The runs of equal adjacent rows of the 2-D ``int64`` ``bits``, as
+    (slot, rows) pairs, and the first row of each slot.
+
+    Runs whose rows have the same bytes share a slot; slots are numbered in
+    order of first occurrence. Only each run's first row is hashed.
+    """
+    starts = np.flatnonzero(np.concatenate(([True], (bits[1:] != bits[:-1]).any(axis=1))))
+    slot: dict[bytes, int] = {}
+    runs, distinct = [], []
+    for r, n in zip(starts.tolist(), np.diff(starts, append=len(bits)).tolist()):
+        k = slot.setdefault(bits[r].tobytes(), len(slot))
+        if k == len(distinct):
+            distinct.append(r)
+        runs.append((k, n))
+    return runs, distinct
+
+
+def _row_texts(values, fmt, nan_text: str, sep: str) -> Iterator[str]:
     """One text per row of the 2-D ``values``: its cells' ``_text_table``
     strings joined by ``sep``.
 
-    Rows are keyed by their bytes, so rows that differ only in ``-0.0`` and
-    ``0.0`` or in a NaN payload keep their own text; only the first
-    occurrence of each distinct row is formatted and joined.
+    The table and the runs of equal rows are found in this call; the texts
+    are joined as the iterator reaches them, a batch of rows of about
+    ``_CHUNK`` characters at a time. Rows are compared by their ``int64``
+    bits, so rows that differ only in ``-0.0`` and ``0.0`` or in a NaN
+    payload keep their own text. Each distinct row is joined once: its
+    text is kept until the last run of equal rows that uses it.
     """
-    values = np.ascontiguousarray(values, dtype=float)
-    slot: dict[bytes, int] = {}
-    order = [slot.setdefault(row.tobytes(), len(slot)) for row in values]
-    # the keys, in slot order, are the distinct rows' bytes
-    distinct = np.frombuffer(b"".join(slot), dtype=float)
-    cells = _text_table(distinct.reshape(len(slot), values.shape[1]), fmt, nan_text)
-    texts = [sep.join(row) for row in cells.tolist()]
-    return [texts[k] for k in order]
+    values = np.asarray(values, dtype=float)
+    runs, distinct = _row_runs(values.view(np.int64))
+    last = {k: i for i, (k, _) in enumerate(runs)}
+    table = _text_table(values[distinct], fmt, nan_text)
+    width = (max(map(len, table[1].tolist())) + len(sep)) * values.shape[1]
+
+    def texts():
+        kept: dict[int, str] = {}
+        for i, (k, n) in enumerate(runs):
+            if k not in kept:
+                # slots first occur in order, so k is the first not yet joined
+                batch = distinct[k:k + max(1, _CHUNK // width)]
+                for j, cells in enumerate(_texts(table, values[batch]).tolist(), k):
+                    kept[j] = sep.join(cells)
+            text = kept[k] if last[k] > i else kept.pop(k)
+            for _ in range(n):
+                yield text
+
+    return texts()
 
 
-def esri_ascii_text(grid: GridSpec, values: np.ndarray) -> str:
-    """Esri ASCII grid body; rows written north to south."""
-    lines = [
+def esri_ascii_text(grid: GridSpec, values: np.ndarray) -> Iterator[str]:
+    """Esri ASCII grid text in chunks; rows written north to south."""
+    header = "\n".join([
         f"NCOLS {grid.ncols}",
         f"NROWS {grid.nrows}",
         f"XLLCORNER {grid.origin_x!r}",
         f"YLLCORNER {grid.origin_y!r}",
         f"CELLSIZE {grid.cell_size!r}",
         f"NODATA_VALUE {NODATA!r}",
-    ]
-    lines += _row_texts(values[::-1], repr, repr(NODATA), " ")
-    return "\n".join(lines) + "\n"
+    ])
+    rows = _row_texts(values[::-1], repr, repr(NODATA), " ")
+    return _chunks(header + "\n", rows, "\n", "\n")
 
 
 # One feature of score_points.geojson exactly as json_text indents it inside
@@ -442,58 +521,68 @@ _POINT_FEATURE = """\
 _HEAD, _MID, _MID2, _TAIL = _POINT_FEATURE.split("%s")
 
 
-def _splice(text: str, anchor: str, parts: list[str]) -> str:
-    """``text`` with its first ``anchor`` replaced by the concatenated
-    ``parts``, in a single join.
-
-    The anchors start with a newline and two spaces, so inside ``json_text``
-    only a top-level key can match: a string value escapes its newlines.
-    """
-    head, tail = text.split(anchor, 1)
-    return "".join([head, *parts, tail])
-
-
-def _json_pieces(values, before: str, after: str) -> np.ndarray:
+def _json_table(values, before: str, after: str) -> tuple[np.ndarray, np.ndarray]:
     """``_text_table`` of ``values`` as ``json.dumps`` text, each text
     between ``before`` and ``after``."""
     return _text_table(values, lambda v: before + json.dumps(v) + after,
                        before + "NaN" + after)
 
 
-def score_points_geojson(raster, meta: dict | None = None) -> str:
+def score_points_geojson(raster, meta: dict | None = None) -> Iterator[str]:
     """GeoJSON FeatureCollection text of the in-area cell centers with their
-    score, in row-major order; the same bytes as ``json_text`` of the dict.
+    score, in row-major order and in chunks; the same text as ``json_text``
+    of the dict.
 
     ``meta`` entries (config digest, mode, ...) are added as top-level
     foreign members so the file identifies the run that produced it.
 
     Each feature's text is three pieces: one per column (the separator and
-    x), one per row (y) and one per distinct score. Each piece is formatted
-    once and the features are indexed from those tables, so the only
-    full-size string built is the file itself.
+    x), one per row (y) and one per distinct score. The pieces are
+    formatted in this call; each chunk joins the pieces of the next slice
+    of in-area cells, about ``_CHUNK`` characters of features.
     """
+    # the anchor starts with a newline and two spaces, so inside json_text
+    # only the top-level key can match: a string value escapes its newlines
     text = json_text({"type": "FeatureCollection", "features": [], **(meta or {})})
-    rows, cols = np.nonzero(~np.isnan(raster.values))
-    if not len(rows):
-        return text
+    head, tail = text.split('\n  "features": []', 1)
+    values = raster.values.reshape(-1)
+    cells = np.flatnonzero(~np.isnan(values))
+    if not len(cells):
+        return iter([text])
     xs, ys = raster.grid.center_axes()
-    pieces = np.empty((len(rows), 3), dtype=object)
-    pieces[:, 0] = _json_pieces(xs, ",\n" + _HEAD, _MID)[cols]
-    pieces[:, 1] = _json_pieces(ys, "", _MID2)[rows]
-    pieces[:, 2] = _json_pieces(raster.values[rows, cols], "", _TAIL)
-    pieces[0, 0] = pieces[0, 0][len(",\n"):]  # no separator before the first
-    return _splice(text, '\n  "features": []',
-                   ['\n  "features": [\n', *pieces.ravel().tolist(), "\n  ]"])
+    x_texts = _texts(_json_table(xs, ",\n" + _HEAD, _MID), xs)
+    y_texts = _texts(_json_table(ys, "", _MID2), ys)
+    scores = _json_table(values[cells], "", _TAIL)
+    # every feature is longer than the template, so a full slice fills a chunk
+    step = -(-_CHUNK // len(_POINT_FEATURE))
+
+    def chunks():
+        for a in range(0, len(cells), step):
+            block = cells[a:a + step]
+            rows, cols = np.divmod(block, raster.grid.ncols)
+            pieces = np.empty((len(block), 3), dtype=object)
+            pieces[:, 0] = x_texts[cols]
+            pieces[:, 1] = y_texts[rows]
+            pieces[:, 2] = _texts(scores, values[block])
+            parts = pieces.ravel().tolist()
+            if not a:  # no separator before the first feature
+                parts[0] = head + '\n  "features": [\n' + parts[0][len(",\n"):]
+            if a + step >= len(cells):
+                parts.append("\n  ]" + tail)
+            yield "".join(parts)
+
+    return chunks()
 
 
-def report_json_text(data: dict, score: ScoreRaster) -> str:
+def report_json_text(data: dict, score: ScoreRaster) -> Iterator[str]:
     """``json_text`` of the run report ``data`` with its ``score_raster``
-    set to ``{"values": ...}``, holding ``score.values`` as float rows with
-    NaN as ``null``; the raster's rows are encoded by ``_row_texts``, not
-    cell by cell through the indenting encoder.
+    set to ``{"values": ...}``, in chunks. The raster holds ``score.values``
+    as float rows with NaN as ``null``; its rows are encoded by
+    ``_row_texts``, not cell by cell through the indenting encoder.
     """
     text = json_text({**data, "score_raster": {"values": []}})
+    # a top-level key, as in score_points_geojson
+    head, tail = text.split('\n  "score_raster": {\n    "values": []', 1)
     rows = _row_texts(score.values, json.dumps, "null", ",\n        ")
-    return _splice(text, '\n  "score_raster": {\n    "values": []',
-                   ['\n  "score_raster": {\n    "values": [\n      [\n        ',
-                    "\n      ],\n      [\n        ".join(rows), "\n      ]\n    ]"])
+    return _chunks(head + '\n  "score_raster": {\n    "values": [\n      [\n        ',
+                   rows, "\n      ],\n      [\n        ", "\n      ]\n    ]" + tail)

@@ -430,7 +430,8 @@ def load_demand_layer(path: Path, mode: str) -> list[DemandArea]:
                 f"{where}: 'population' must be a number, got {reprlib.repr(population)}")
         aid = str(props.get("id", f"area{i + 1:02d}"))
         centroid = props.get("centroid")
-        centroid = poly.centroid if centroid is None else _position(centroid, where, mode)
+        centroid = (poly.representative_point() if centroid is None
+                    else _position(centroid, where, mode))
         out.append(DemandArea(id=aid, population=float(population),
                               centroid=centroid, geometry=poly))
     ids = [a.id for a in out]
@@ -482,7 +483,7 @@ class RunReport:
     score: ScoreRaster
 
     def to_json(self) -> str:
-        return report_json_text(self.data, self.score)
+        return "".join(report_json_text(self.data, self.score))
 
 
 def _gate_rows(gates) -> list[dict]:
@@ -601,13 +602,19 @@ def _score_raster_from_report(data: dict) -> ScoreRaster:
     return raster
 
 
-def write_artifacts(out_dir: str | Path, files: Iterable[tuple[str, str]]) -> list[Path]:
-    """Write each (name relative to ``out_dir``, text) pair, all or nothing.
+Chunks = Iterable[str]
 
-    Each text goes to a temporary sibling of its target; only once every
-    text is written are they renamed into place, so an error (in a
-    formatter or a write) leaves the previous files untouched and no
-    temporary behind. An exclusive ``flock`` on the directory keeps it to
+
+def write_artifacts(out_dir: str | Path, files: Iterable[tuple[str, Chunks]]) -> list[Path]:
+    """Write each (name relative to ``out_dir``, text chunks) pair, all or
+    nothing.
+
+    Each file's chunks go to a temporary sibling of its target as they
+    come, and each is dropped before the next is asked for: the writer
+    holds one chunk (about 1 MiB from the formatters), not the file. Only
+    once every file is written are they renamed into place, so an error (in
+    a formatter, even mid-file, or in a write) leaves the previous files
+    untouched and no temporary behind. An exclusive ``flock`` on the directory keeps it to
     one writer; the kernel drops it when the process ends, however it ends.
     """
     out = Path(out_dir)
@@ -619,13 +626,14 @@ def write_artifacts(out_dir: str | Path, files: Iterable[tuple[str, str]]) -> li
             fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
             raise OSError(f"output directory {out} is in use by another run") from None
-        for name, text in files:
+        for name, chunks in files:
             path = out / name
             path.parent.mkdir(parents=True, exist_ok=True)
             tmp = path.with_name(f".{path.name}.tmp")
             staged.append((tmp, path))
-            tmp.write_text(text)
-            del text  # keep one artifact text alive at a time
+            with tmp.open("w") as fh:
+                # writelines drops each chunk before it takes the next
+                fh.writelines(chunks)
         for tmp, path in staged:
             os.replace(tmp, path)
     except BaseException:
@@ -637,17 +645,19 @@ def write_artifacts(out_dir: str | Path, files: Iterable[tuple[str, str]]) -> li
     return [path for _, path in staged]
 
 
-# One generator of (name, text) pairs per stage; each artifact format lives
-# in exactly one of them. ``meta`` (config digest and mode) makes each JSON
-# file self-describing; the Esri grids and the CSV have no room for it.
+# One generator of (name, text chunks) pairs per stage; each artifact format
+# lives in exactly one of them. A file's formatter runs when the writer
+# reaches it, so one file's tables are alive at a time. ``meta`` (config
+# digest and mode) makes each JSON file self-describing; the Esri grids and
+# the CSV have no room for it.
 
-def weights_files(meta: dict, weights: WeightVector, gates) -> Iterator[tuple[str, str]]:
-    yield "weights.json", json_text(
-        {**meta, "weights": weights.as_dict(), "consistency": _gate_rows(gates)})
+def weights_files(meta: dict, weights: WeightVector, gates) -> Iterator[tuple[str, Chunks]]:
+    yield "weights.json", [json_text(
+        {**meta, "weights": weights.as_dict(), "consistency": _gate_rows(gates)})]
 
 
 def surface_files(meta: dict, score: ScoreRaster,
-                  rasters: Iterable[SuitabilityRaster]) -> Iterator[tuple[str, str]]:
+                  rasters: Iterable[SuitabilityRaster]) -> Iterator[tuple[str, Chunks]]:
     yield "score.asc", esri_ascii_text(score.grid, score.values)
     yield "score_points.geojson", score_points_geojson(score, meta=meta)
     for raster in rasters:
@@ -655,22 +665,22 @@ def surface_files(meta: dict, score: ScoreRaster,
                esri_ascii_text(raster.grid, raster.values))
 
 
-def candidate_files(meta: dict, rows: list[dict]) -> Iterator[tuple[str, str]]:
-    yield "candidates.geojson", json_text(candidates_geojson(rows, meta=meta))
+def candidate_files(meta: dict, rows: list[dict]) -> Iterator[tuple[str, Chunks]]:
+    yield "candidates.geojson", [json_text(candidates_geojson(rows, meta=meta))]
 
 
-def curve_files(solutions: dict) -> Iterator[tuple[str, str]]:
+def curve_files(solutions: dict) -> Iterator[tuple[str, Chunks]]:
     """``solutions`` is ``{"rows": [solution dicts]}`` plus any meta keys."""
-    yield "coverage.csv", coverage_table_csv(solutions["rows"])
-    yield "solutions.json", json_text(solutions)
+    yield "coverage.csv", [coverage_table_csv(solutions["rows"])]
+    yield "solutions.json", [json_text(solutions)]
 
 
-def instance_files(meta: dict, instance: dict) -> Iterator[tuple[str, str]]:
-    yield "instance.json", json_text({**meta, **instance})
+def instance_files(meta: dict, instance: dict) -> Iterator[tuple[str, Chunks]]:
+    yield "instance.json", [json_text({**meta, **instance})]
 
 
 def _run_files(data: dict, meta: dict, score: ScoreRaster,
-               rasters: Iterable[SuitabilityRaster]) -> Iterator[tuple[str, str]]:
+               rasters: Iterable[SuitabilityRaster]) -> Iterator[tuple[str, Chunks]]:
     yield "report.json", report_json_text(data, score)
     yield from candidate_files(meta, data["candidates"])
     yield from surface_files(meta, score, rasters)

@@ -183,6 +183,17 @@ class TestBuildCoverage:
             build_coverage((), [], np.empty((0, 2)), ("c",), [(0, 0)], [False],
                            CoverageStandard(radius=1))
 
+    def test_instances_compare_by_identity(self):
+        """Two instances of equal columns are different objects; comparing
+        them must not ask a numpy array for its truth value."""
+        def build():
+            return build_coverage(("d0", "d1"), [10, 20], [(0, 0), (5, 0)], ("c0",),
+                                  [(1, 0)], [False], CoverageStandard(radius=2.0))
+        a, b = build(), build()
+        assert a == a
+        assert a != b
+        assert len({a, b}) == 2
+
 
 class TestCandidateColumns:
     @pytest.mark.parametrize("ids, locations, fixed_open, message", [

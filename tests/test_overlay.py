@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from branchsite import overlay
 from branchsite.criteria import (
     Band,
     CriterionSpec,
@@ -719,7 +720,7 @@ class TestExports:
         mask[1, 2] = False
         r = make_raster(grid, "a", [[0.6, 0.4, 0.0], [0.4, 0.6, 0.6]], mask)
         path = tmp_path / "r.asc"
-        path.write_text(esri_ascii_text(r.grid, r.values))
+        path.write_text("".join(esri_ascii_text(r.grid, r.values)))
         grid2, values = read_esri_ascii(path)
         assert grid2 == grid
         assert np.array_equal(values, r.values, equal_nan=True)
@@ -727,16 +728,23 @@ class TestExports:
     def test_esri_ascii_bytes_deterministic(self):
         grid = GridSpec(10.5, -3.25, 12.5, 3, 3)
         cells = [[0.6, 0.4, 0.0], [0.0, 0.4, 0.6], [0.4, 0.4, 0.4]]
-        a = esri_ascii_text(grid, make_raster(grid, "a", cells).values)
-        b = esri_ascii_text(grid, make_raster(grid, "a", cells).values)
+        a = "".join(esri_ascii_text(grid, make_raster(grid, "a", cells).values))
+        b = "".join(esri_ascii_text(grid, make_raster(grid, "a", cells).values))
         assert a == b
         assert a.startswith("NCOLS 3\nNROWS 3\nXLLCORNER 10.5\n")
+
+    def test_rasters_compare_by_identity(self):
+        grid = GridSpec(0, 0, 100, 2, 1)
+        a, b = (make_raster(grid, "a", [[0.6, 0.4]]) for _ in range(2))
+        c, d = (_score_raster(grid, [[0.6, 0.4]]) for _ in range(2))
+        assert a == a and a != b
+        assert c == c and c != d
 
     def test_score_points_geojson_skips_masked(self):
         grid = GridSpec(0, 0, 100, 2, 1)
         mask = np.array([[True, False]])
         r = make_raster(grid, "a", [[0.6, 0.4]], mask)
-        gj = json.loads(score_points_geojson(r))
+        gj = json.loads("".join(score_points_geojson(r)))
         assert len(gj["features"]) == 1
         assert gj["features"][0]["geometry"]["coordinates"] == [50.0, 50.0]
         assert gj["features"][0]["properties"]["score"] == 0.6
@@ -804,14 +812,20 @@ def _score_raster(grid, cells):
 
 
 def _assert_formatters_match_reference(raster, meta):
-    assert (esri_ascii_text(raster.grid, raster.values)
-            == reference_esri_ascii_text(raster.grid, raster.values))
-    assert (score_points_geojson(raster, meta=meta)
-            == json_text(reference_score_points_geojson(raster, meta=meta)))
-    # a run report holds the raster as rows of floats with NaN as None
+    """Each formatter's chunks join to the reference text; every chunk but
+    the last holds at least ``_CHUNK`` characters."""
     values = np.where(np.isnan(raster.values), None, raster.values).tolist()
+    # a run report holds the raster as rows of floats with NaN as None
     data = {**(meta or {}), "score_raster": {"values": values}, "p_max": 3}
-    assert report_json_text(data, raster) == json_text(data)
+    for chunks, reference in [
+            (esri_ascii_text(raster.grid, raster.values),
+             reference_esri_ascii_text(raster.grid, raster.values)),
+            (score_points_geojson(raster, meta=meta),
+             json_text(reference_score_points_geojson(raster, meta=meta))),
+            (report_json_text(data, raster), json_text(data))]:
+        chunks = list(chunks)
+        assert "".join(chunks) == reference
+        assert all(len(c) >= overlay._CHUNK for c in chunks[:-1])
 
 
 class TestFormattersMatchReference:
@@ -860,6 +874,32 @@ class TestFormattersMatchReference:
 
         check()
 
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_chunk_boundaries(self, chunk, monkeypatch):
+        """Chunks of 1, 7 and 64 characters split the texts inside rows,
+        features and the fixed text around them; the chunks still join to
+        the reference text."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        monkeypatch.setattr(overlay, "_CHUNK", chunk)
+
+        @hypothesis.settings(max_examples=60, deadline=None)
+        @hypothesis.given(ncols=st.integers(1, 5), nrows=st.integers(1, 8),
+                          data=st.data(), meta=st.sampled_from(FORMATTER_METAS))
+        def check(ncols, nrows, data, meta):
+            # rows from a small palette repeat, next to each other or apart
+            row = st.lists(st.sampled_from(AWKWARD), min_size=ncols, max_size=ncols)
+            palette = data.draw(st.lists(row, min_size=1, max_size=3))
+            picks = data.draw(st.lists(st.integers(0, len(palette) - 1),
+                                       min_size=nrows, max_size=nrows))
+            raster = _score_raster(GridSpec(-0.0, 12.5, 2.5, ncols, nrows),
+                                   [palette[k] for k in picks])
+            _assert_formatters_match_reference(raster, meta)
+            if chunk == 1:  # every row ends a chunk, and the tail is one more
+                assert len(list(esri_ascii_text(raster.grid, raster.values))) > nrows
+
+        check()
+
     def test_drawn_grids_and_masks(self):
         """score_points.geojson on random grids, masks and repeated scores."""
         hypothesis = pytest.importorskip("hypothesis")
@@ -880,7 +920,7 @@ class TestFormattersMatchReference:
             cells = np.where(masked, np.array(scores, dtype=float), NAN)
             raster = _score_raster(GridSpec(x0, y0, cell_size, ncols, nrows),
                                    cells.reshape(nrows, ncols))
-            assert (score_points_geojson(raster, meta=meta)
+            assert ("".join(score_points_geojson(raster, meta=meta))
                     == json_text(reference_score_points_geojson(raster, meta=meta)))
 
         check()

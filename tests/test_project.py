@@ -7,6 +7,7 @@ import os
 import re
 import shutil
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from branchsite.project import (
     load_project,
     render_report,
     run_pipeline,
+    write_artifacts,
     write_pipeline_artifacts,
 )
 
@@ -178,6 +180,32 @@ class TestLoadLayers:
         }))
         with pytest.raises(InputError, match="population"):
             load_demand_layer(path, "planar")
+
+    @pytest.mark.parametrize("ring, centroid", [
+        # a U: the vertex mean (1.5, 1.75) lies in the gap between the arms,
+        # so the point is the midpoint of the first of the two widest inside
+        # intervals of the line y = 1.75
+        ([(0, 0), (3, 0), (3, 3), (2, 3), (2, 1), (1, 1), (1, 3), (0, 3)],
+         Point(0.5, 1.75)),
+        # an L whose vertex mean (10/6, 10/6) is outside: the line through
+        # it holds one inside interval, [0, 1]
+        ([(0, 0), (4, 0), (4, 1), (1, 1), (1, 4), (0, 4)], Point(0.5, 10 / 6)),
+        # a convex area keeps its vertex mean
+        ([(0, 0), (4, 0), (4, 4), (0, 4)], Point(2.0, 2.0)),
+    ])
+    def test_demand_area_without_centroid_gets_a_point_inside(self, tmp_path, ring,
+                                                              centroid):
+        path = tmp_path / "areas.geojson"
+        path.write_text(json.dumps({
+            "type": "FeatureCollection",
+            "features": [{
+                "type": "Feature",
+                "geometry": {"type": "Polygon", "coordinates": [[*ring, ring[0]]]},
+                "properties": {"id": "d01", "population": 10},
+            }],
+        }))
+        (area,) = load_demand_layer(path, "planar")
+        assert area.centroid == centroid
 
     def test_empty_distance_layer_fails_at_rasterize_stage(self, demo_config_path, tmp_path):
         empty = demo_copy(demo_config_path, tmp_path) / "layers" / "empty.geojson"
@@ -384,13 +412,47 @@ class TestRenderedArtifacts:
             calls.append(grid)
             if len(calls) == 4:
                 raise OSError("disk full")
-            return "changed\n"
+            return ["changed\n"]
 
         monkeypatch.setattr(project, "esri_ascii_text", failing_on_fourth_call)
         with pytest.raises(OSError, match="disk full"):
             write_pipeline_artifacts(demo_report, out)
         # same names (so no temporary is left) and the same bytes
         assert _dir_bytes(out) == before
+
+    def test_failed_chunk_leaves_previous_files(self, tmp_path):
+        out = tmp_path / "out"
+        write_artifacts(out, [("a.txt", ["old a\n"]), ("sub/b.txt", ["old b\n"])])
+        before = _dir_bytes(out)
+
+        def failing_after_first_chunk():
+            yield "new b, first chunk\n"
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            write_artifacts(out, [("a.txt", ["new a\n"]),
+                                  ("sub/b.txt", failing_after_first_chunk())])
+        # same names (so neither temporary is left, the partly written one
+        # included) and the same bytes
+        assert _dir_bytes(out) == before
+
+    def test_writer_memory_is_bounded_by_a_chunk(self, demo_config_path, tmp_path):
+        """At 25 m the writer's traced peak stays below half the largest
+        artifact: no artifact's whole text is ever held."""
+        def at_25_m(cfg):
+            grid = cfg["grid"]
+            grid.update(cell_size=25.0, ncols=grid["ncols"] * 4, nrows=grid["nrows"] * 4)
+        report = run_pipeline(load_project(write_variant(demo_config_path, tmp_path,
+                                                         at_25_m, "at25m.json")))
+        tracemalloc.start()
+        try:
+            written = write_pipeline_artifacts(report, tmp_path / "out")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        largest = max(p.stat().st_size for p in written)
+        assert largest > 10_000_000  # score_points.geojson spans many chunks
+        assert peak < largest / 2
 
 
 def _dir_bytes(root):

@@ -20,13 +20,7 @@ import click
 from .errors import BranchSiteError, InputError, SolverRefused, StageError
 from .fields import read_json
 from .fixture import write_fixture
-from .mclp import (
-    coverage_curve,
-    improve_swap,
-    instance_from_json,
-    solve_exact,
-    solve_greedy,
-)
+from .mclp import coverage_curve, instance_from_json, solve_exact, solve_greedy_swap
 from .project import (
     build_candidate_set,
     build_surface,
@@ -74,10 +68,10 @@ def _require_config(ctx) -> Path:
 def weights(ctx):
     """Derive criterion weights and the consistency report."""
     cfg = load_project(_require_config(ctx))
-    vector, gates = evaluate_weights(cfg)
+    vector = evaluate_weights(cfg)
     out = ctx.obj["out"]
-    write_artifacts(out, weights_files(cfg.meta, vector, gates))
-    for g in gates:
+    write_artifacts(out, weights_files(cfg.meta, vector, cfg.gates))
+    for g in cfg.gates:
         click.echo(f"{g.matrix_id}: CR={g.cr:.6f} "
                    f"{'pass' if g.passed else 'FAIL'}")
     for item, value in vector.as_dict().items():
@@ -114,7 +108,7 @@ def candidates(ctx):
               type=click.Path(exists=True, dir_okay=False),
               help="MCLP instance JSON.")
 @click.option("--p", "p_single", type=int, default=None,
-              help="Solve for one facility budget.")
+              help="Solve for one facility budget: row p of the --p-max p curve.")
 @click.option("--p-max", type=int, default=None,
               help="Solve the coverage curve for p = 1..p_max.")
 @click.option("--method", type=click.Choice(["exact", "greedy+swap"]),
@@ -136,7 +130,7 @@ def solve(ctx, instance_path, p_single, p_max, method, override_cap):
         if method == "exact":
             sol = solve_exact(inst, p_single, override_cap=override_cap)
         else:
-            sol = improve_swap(inst, solve_greedy(inst, p_single))
+            sol = solve_greedy_swap(inst, p_single)
         write_artifacts(out, [("solution.json", [json_text(sol.to_dict())])])
         click.echo(f"p={sol.p}: {sol.coverage_pct:g}% covered "
                    f"by {', '.join(sol.selected)}")

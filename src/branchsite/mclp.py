@@ -548,41 +548,56 @@ def coverage_curve(inst: MclpInstance, p_max: int,
     """Solve for every p in 1..p_max.
 
     The exact curve is monotone because any p-solution extends to p+1. The
-    heuristic swap-improves the first p picks of one greedy pass to p_max,
-    seeds each row with the previous row's selection plus its best
-    extension too, and keeps the better, so it is monotone by construction.
+    heuristic rows are those of ``solve_greedy_swap``, monotone by
+    construction.
     """
     if method not in METHODS:
         raise InputError(f"unknown solver method {method!r}")
     n = len(inst.candidate_ids)
     if not 1 <= p_max <= n:
         raise InputError(f"p_max must be in [1, {n}], got {p_max}")
-    rows: list[MclpSolution] = []
-    if method == METHOD_GREEDY_SWAP:
-        view = _prepare(inst, 1)   # two or more fixed-open sites fail at the first row
-        order, gains = _greedy(view, inst.populations, view.fixed, p_max)
-        picks = [view.ids[k] for k in order]
-    for p in range(1, p_max + 1):
-        if method == METHOD_EXACT:
-            sol = solve_exact(inst, p, override_cap=override_cap)
-        else:
-            sol = improve_swap(inst, _finish_solution(
-                inst, picks[:p], METHOD_GREEDY_SWAP, optimal=False, gains=gains[:p]))
-            if rows:
-                ext = _extend_by_best(inst, rows[-1])
-                if ext.objective > sol.objective:
-                    sol = ext
-        rows.append(sol)
+    if method == METHOD_EXACT:
+        rows = [solve_exact(inst, p, override_cap=override_cap) for p in range(1, p_max + 1)]
+    else:
+        _prepare(inst, 1)   # two or more fixed-open sites fail at the first row
+        rows = _greedy_swap_rows(inst, p_max)
     return CoverageCurve(tuple(rows))
+
+
+def solve_greedy_swap(inst: MclpInstance, p: int) -> MclpSolution:
+    """Row p of the greedy+swap curve to p. With k > 1 fixed-open sites,
+    where the curve has no row 1, the rows run from p = k."""
+    return _greedy_swap_rows(inst, p)[-1]
+
+
+def _greedy_swap_rows(inst: MclpInstance, p_max: int) -> list[MclpSolution]:
+    """Each row swap-improves the first p picks of one greedy pass to
+    p_max, is seeded with the previous row's selection plus its best
+    extension too, and keeps the better, so z never falls from row to row.
+    The rows run from p = max(1, number of fixed-open sites) to p_max."""
+    view = _prepare(inst, p_max)
+    order, gains = _greedy(view, inst.populations, view.fixed, p_max)
+    picks = [view.ids[k] for k in order]
+    rows: list[MclpSolution] = []
+    for p in range(max(1, len(view.fixed)), p_max + 1):
+        sol = improve_swap(inst, _finish_solution(
+            inst, picks[:p], METHOD_GREEDY_SWAP, optimal=False, gains=gains[:p]))
+        if rows:
+            ext = _extend_by_best(inst, rows[-1])
+            if ext.objective > sol.objective:
+                sol = ext
+        rows.append(sol)
+    return rows
 
 
 def _extend_by_best(inst: MclpInstance, prev: MclpSolution) -> MclpSolution:
     """prev's selection plus the candidate with the best marginal gain."""
     view = _prepare(inst, prev.p + 1)
-    picks, gains = _greedy(view, inst.populations,
-                           [view.position[s] for s in prev.selected], prev.p + 1)
-    return _finish_solution(inst, [view.ids[k] for k in picks], METHOD_GREEDY_SWAP,
-                            optimal=False, gains=prev.marginal_gains + (gains[-1],))
+    taken = [view.position[s] for s in prev.selected]
+    covered = (view.cols[:, taken] > 0).any(axis=1)
+    k, gain = _best(view.cols, inst.populations, covered, taken)
+    return _finish_solution(inst, [*prev.selected, view.ids[k]], METHOD_GREEDY_SWAP,
+                            optimal=False, gains=prev.marginal_gains + (gain,))
 
 
 def instance_from_json(text: str | bytes) -> MclpInstance:

@@ -168,7 +168,6 @@ class ScoreRaster:
     grid: GridSpec
     values: np.ndarray
     mask: np.ndarray
-    mode: CombineMode
 
     def __post_init__(self):
         if self.values.shape != self.grid.shape or self.mask.shape != self.grid.shape:
@@ -382,7 +381,7 @@ def combine(rasters: Sequence[SuitabilityRaster], weights,
         raise InputError(f"unknown combine mode: {mode!r}")
     values = np.full(grid.shape, np.nan)
     values[mask] = acc
-    return ScoreRaster(grid, values, mask.copy(), mode)
+    return ScoreRaster(grid, values, mask.copy())
 
 
 def json_text(payload) -> str:

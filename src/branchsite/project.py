@@ -19,7 +19,7 @@ import os
 import reprlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -46,7 +46,6 @@ from .errors import (
     BranchSiteError,
     ConfigError,
     DomainError,
-    GateError,
     InputError,
     StageError,
 )
@@ -89,11 +88,12 @@ from .overlay import (
     score_points_geojson,
 )
 from .weights import (
+    DEFAULT_CR_THRESHOLD,
     GateResult,
     Hierarchy,
     HierarchyNode,
     WeightVector,
-    gate,
+    gate_hierarchy,
     load_matrix_csv,
     synthesize,
 )
@@ -102,18 +102,17 @@ from .weights import (
 @dataclass(frozen=True)
 class ProjectConfig:
     path: Path
-    base_dir: Path
     digest: str
     mode: str
     grid: GridSpec
     scheme: ScoreScheme
     combine_mode: CombineMode
     criteria: tuple[NormalizedCriterion, ...]
-    layer_paths: dict[str, Path]
+    # every file the pipeline reads, keyed by its path as the config wrote
+    # it (the project file by its name)
+    inputs: dict[str, Path]
     demand_path: Path
     existing_path: Path
-    demand_ref: str     # the two paths as the config wrote them
-    existing_ref: str
     hierarchy: Hierarchy
     cr_threshold: float
     gates: tuple[GateResult, ...]  # one per matrix, computed at load
@@ -126,19 +125,6 @@ class ProjectConfig:
     def meta(self) -> dict:
         """The keys that make each JSON artifact self-describing."""
         return {"config_digest": self.digest, "mode": self.mode}
-
-    def input_files(self) -> dict[str, Path]:
-        """Every file the pipeline reads, keyed by its path as the config
-        wrote it (the project file by its name)."""
-        files = {self.path.name: self.path, self.demand_ref: self.demand_path,
-                 self.existing_ref: self.existing_path}
-        for spec in self.criteria:
-            files[spec.layer_ref] = self.layer_paths[spec.id]
-        for node in self.hierarchy.nodes:
-            if node.matrix is not None:
-                # matrix ids hold the path as written; see load_project
-                files[node.matrix.id] = self.base_dir / node.matrix.id
-        return files
 
 
 def _grid(d: dict, source: str) -> GridSpec:
@@ -180,14 +166,12 @@ _NAMES = Kind("a list of strings",
               else None)
 
 
-def _parse_criterion(entry: dict, idx: int, base_dir: Path) -> tuple[NormalizedCriterion, Path]:
+def _parse_criterion(entry: dict, idx: int, resolve: Callable) -> NormalizedCriterion:
     where = f"criteria[{idx}]"
     cid = get(entry, "id", _FILE_NAME, "config", "criteria", idx)
     kind = get(entry, "kind", STRING, "config", "criteria", idx)
     layer_rel = get(entry, "layer", STRING, "config", "criteria", idx)
-    layer_path = base_dir / layer_rel
-    if not layer_path.is_file():
-        raise ConfigError(f"{where}.layer: file not found: {layer_path}")
+    resolve(layer_rel, f"{where}.layer")
     if "categories" in entry:
         categories = get(entry, "categories", OBJECT, "config", "criteria", idx)
         spec = CriterionSpec(
@@ -201,12 +185,13 @@ def _parse_criterion(entry: dict, idx: int, base_dir: Path) -> tuple[NormalizedC
         spec = CriterionSpec(id=cid, kind=kind, bands=bands, layer_ref=layer_rel,
                              direction=get(entry, "direction", STRING, "config",
                                            "criteria", idx, default="band"))
-    return validate_spec(spec), layer_path
+    return validate_spec(spec)
 
 
-def _parse_hierarchy(cfg: dict, base_dir: Path) -> tuple[Hierarchy, float]:
+def _parse_hierarchy(cfg: dict, resolve: Callable) -> tuple[Hierarchy, float]:
     hcfg = get(cfg, "hierarchy", OBJECT, "config")
-    threshold = get(hcfg, "cr_threshold", NUMBER, "config", "hierarchy", default=0.1)
+    threshold = get(hcfg, "cr_threshold", NUMBER, "config", "hierarchy",
+                    default=DEFAULT_CR_THRESHOLD)
     nodes = []
     for i, entry in enumerate(get(hcfg, "nodes", LIST, "config", "hierarchy")):
         node_id = get(entry, "id", STRING, "config", "hierarchy.nodes", i)
@@ -215,19 +200,10 @@ def _parse_hierarchy(cfg: dict, base_dir: Path) -> tuple[Hierarchy, float]:
         if entry.get("matrix") is not None:
             matrix_rel = get(entry, "matrix", STRING, "config", "hierarchy.nodes", i)
             # keep the config-relative path as the matrix id for reporting
-            matrix = load_matrix_csv(base_dir / matrix_rel, matrix_id=matrix_rel)
+            matrix = load_matrix_csv(resolve(matrix_rel), matrix_id=matrix_rel)
         nodes.append(HierarchyNode(node_id, children, matrix))
     root = get(hcfg, "root", STRING, "config", "hierarchy")
     return Hierarchy(nodes=tuple(nodes), root=root), threshold
-
-
-def _input_file(cfg: dict, key: str, base_dir: Path) -> tuple[str, Path]:
-    """The file at ``key``: its path as written, and the path it names."""
-    ref = get(cfg, key, STRING, "config")
-    path = base_dir / ref
-    if not path.is_file():
-        raise ConfigError(f"config.{key}: file not found: {path}")
-    return ref, path
 
 
 def load_project(path: str | Path) -> ProjectConfig:
@@ -235,7 +211,15 @@ def load_project(path: str | Path) -> ProjectConfig:
     path = Path(path)
     raw, cfg = read_json(path, ConfigError, "config")
     digest = hashlib.sha256(raw).hexdigest()
-    base_dir = path.parent
+    inputs = {path.name: path}
+
+    def resolve(ref: str, field: str | None = None) -> Path:
+        """The file ``ref`` names, entered in ``inputs``; given the config
+        ``field`` that names it, it must exist."""
+        file = inputs[ref] = path.parent / ref
+        if field is not None and not file.is_file():
+            raise ConfigError(f"{field}: file not found: {file}")
+        return file
 
     mode = get(cfg, "mode", MODE, "config")
     grid = _grid(cfg, "config")
@@ -258,17 +242,16 @@ def load_project(path: str | Path) -> ProjectConfig:
     combine_mode = parse_combine_mode(cfg.get("combine_mode", "weighted_geometric"))
 
     criteria = []
-    layer_paths: dict[str, Path] = {}
+    declared: set[str] = set()
     for i, entry in enumerate(get(cfg, "criteria", LIST, "config")):
-        spec, layer_path = _parse_criterion(entry, i, base_dir)
-        if spec.id in layer_paths:
+        spec = _parse_criterion(entry, i, resolve)
+        if spec.id in declared:
             raise ConfigError(f"criteria[{i}]: duplicate criterion id {spec.id!r}")
         criteria.append(spec)
-        layer_paths[spec.id] = layer_path
+        declared.add(spec.id)
 
-    hierarchy, cr_threshold = _parse_hierarchy(cfg, base_dir)
+    hierarchy, cr_threshold = _parse_hierarchy(cfg, resolve)
     leaves = set(hierarchy.leaves())
-    declared = set(layer_paths)
     missing = leaves - declared
     if missing:
         raise ConfigError(
@@ -280,19 +263,10 @@ def load_project(path: str | Path) -> ProjectConfig:
             f"criteria never referenced by the hierarchy: {sorted(unused)}"
         )
 
-    # fail fast on inconsistent matrices
-    failures = []
-    gates = []
-    for m in hierarchy.matrices():
-        result = gate(m, cr_threshold)
-        gates.append(result)
-        if not result.passed:
-            failures.append((m.id, result.cr))
-    if failures:
-        raise GateError(failures)
-
-    demand_ref, demand_path = _input_file(cfg, "demand_areas", base_dir)
-    existing_ref, existing_path = _input_file(cfg, "existing_branches", base_dir)
+    gates = gate_hierarchy(hierarchy, cr_threshold)   # fail fast on inconsistent matrices
+    demand_path, existing_path = (
+        resolve(get(cfg, key, STRING, "config"), f"config.{key}")
+        for key in ("demand_areas", "existing_branches"))
 
     ecfg = get(cfg, "extraction", OBJECT, "config")
     extraction = ExtractionConfig(
@@ -306,13 +280,11 @@ def load_project(path: str | Path) -> ProjectConfig:
     solver = get(cfg, "solver", one_of(METHODS), "config", default="exact")
 
     return ProjectConfig(
-        path=path, base_dir=base_dir, digest=digest, mode=mode, grid=grid,
-        scheme=scheme, combine_mode=combine_mode, criteria=tuple(criteria),
-        layer_paths=layer_paths, demand_path=demand_path,
-        existing_path=existing_path, demand_ref=demand_ref,
-        existing_ref=existing_ref, hierarchy=hierarchy,
-        cr_threshold=cr_threshold, gates=tuple(gates), extraction=extraction,
-        standard=standard, p_max=p_max, solver=solver,
+        path=path, digest=digest, mode=mode, grid=grid, scheme=scheme,
+        combine_mode=combine_mode, criteria=tuple(criteria), inputs=inputs,
+        demand_path=demand_path, existing_path=existing_path,
+        hierarchy=hierarchy, cr_threshold=cr_threshold, gates=gates,
+        extraction=extraction, standard=standard, p_max=p_max, solver=solver,
     )
 
 
@@ -466,7 +438,6 @@ class _Stage:
 @dataclass
 class SurfaceResult:
     weights: WeightVector
-    gates: tuple[GateResult, ...]
     areas: tuple[DemandArea, ...]
     rasters: tuple[SuitabilityRaster, ...]
     score: ScoreRaster
@@ -491,19 +462,19 @@ def _gate_rows(gates) -> list[dict]:
              "passed": g.passed} for g in gates]
 
 
-def evaluate_weights(cfg: ProjectConfig) -> tuple[WeightVector, tuple[GateResult, ...]]:
-    return synthesize(cfg.hierarchy, cfg.cr_threshold), cfg.gates
+def evaluate_weights(cfg: ProjectConfig) -> WeightVector:
+    return synthesize(cfg.hierarchy, cfg.cr_threshold)
 
 
 def build_surface(cfg: ProjectConfig) -> SurfaceResult:
     with _Stage("weights"):
-        weights, gates = evaluate_weights(cfg)
+        weights = evaluate_weights(cfg)
 
     with _Stage("layers"):
         areas = tuple(load_demand_layer(cfg.demand_path, cfg.mode))
         features = {}
         for spec in cfg.criteria:
-            layer_path = cfg.layer_paths[spec.id]
+            layer_path = cfg.inputs[spec.layer_ref]
             if spec.kind in (KIND_CATEGORICAL, KIND_DENSITY):
                 features[spec.id] = load_zone_layer(layer_path, cfg.mode)
             else:
@@ -520,8 +491,7 @@ def build_surface(cfg: ProjectConfig) -> SurfaceResult:
     with _Stage("combine"):
         score = combine(rasters, weights, cfg.combine_mode)
 
-    return SurfaceResult(weights=weights, gates=gates, areas=areas,
-                         rasters=rasters, score=score)
+    return SurfaceResult(weights=weights, areas=areas, rasters=rasters, score=score)
 
 
 def build_candidate_set(cfg: ProjectConfig, surface: SurfaceResult
@@ -556,7 +526,7 @@ def run_pipeline(cfg: ProjectConfig) -> RunReport:
     with _Stage("report"):
         digests = {
             name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for name, p in cfg.input_files().items()
+            for name, p in cfg.inputs.items()
         }
         data = {
             **cfg.meta,
@@ -568,7 +538,7 @@ def run_pipeline(cfg: ProjectConfig) -> RunReport:
                      "cell_size": cfg.grid.cell_size,
                      "ncols": cfg.grid.ncols, "nrows": cfg.grid.nrows},
             "weights": surface.weights.as_dict(),
-            "consistency": _gate_rows(surface.gates),
+            "consistency": _gate_rows(cfg.gates),
             "criteria": [
                 {"id": spec.id, "kind": spec.kind,
                  "normalization_repairs": list(spec.repairs)}
@@ -589,7 +559,8 @@ def _score_raster_from_report(data: dict) -> ScoreRaster:
     cells = data["score_raster"]["values"]
     values = np.array(cells, dtype=float)  # None -> NaN
     mask = ~np.isnan(values)
-    raster = ScoreRaster(grid, values, mask, CombineMode(data["combine_mode"]))
+    CombineMode(data["combine_mode"])   # a report of an unknown mode is malformed
+    raster = ScoreRaster(grid, values, mask)
     # numpy parses "0.5" and true as floats, but report.json is re-encoded
     # from the floats, so a string or bool cell would silently change
     kinds = {type(v) for row in cells for v in row}

@@ -3,12 +3,15 @@
 Weights are the normalized principal right eigenvector of a reciprocal
 judgment matrix, found by deterministic power iteration. The consistency
 ratio CR = ((lambda_max - n) / (n - 1)) / RI(n) gates every matrix before
-hierarchy synthesis multiplies local weights down to the leaves.
+hierarchy synthesis multiplies local weights down to the leaves. Each
+matrix computes its eigenpair once and keeps it, so gating a hierarchy
+again and synthesizing its weights repeat no iteration.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -71,6 +74,13 @@ class ComparisonMatrix:
     def as_array(self) -> np.ndarray:
         return np.array(self.rows, dtype=float)
 
+    @functools.cached_property
+    def _eigenpair(self) -> tuple[np.ndarray, float]:
+        """The principal eigenvector (sum-normalized, read-only) and lambda_max."""
+        w, lam = _power_iterate(self)
+        w.flags.writeable = False
+        return w, lam
+
 
 @dataclass(frozen=True)
 class WeightVector:
@@ -110,7 +120,7 @@ def _power_iterate(matrix: ComparisonMatrix) -> tuple[np.ndarray, float]:
 
 def principal_weights(matrix: ComparisonMatrix) -> WeightVector:
     """Normalized principal eigenvector of the judgment matrix."""
-    w, _ = _power_iterate(matrix)
+    w, _ = matrix._eigenpair
     w = w / w.sum()
     return WeightVector(matrix.items, tuple(float(x) for x in w))
 
@@ -120,7 +130,7 @@ def consistency_ratio(matrix: ComparisonMatrix) -> float:
     n = matrix.n
     if n <= 2:
         return 0.0
-    _, lam = _power_iterate(matrix)
+    _, lam = matrix._eigenpair
     ci = (lam - n) / (n - 1)
     if ci < 0.0:  # numerical noise around a perfectly consistent matrix
         ci = 0.0
@@ -230,19 +240,24 @@ class Hierarchy:
         return tuple(n.matrix for n in self.nodes if n.matrix is not None)
 
 
+def gate_hierarchy(hierarchy: Hierarchy,
+                   threshold: float = DEFAULT_CR_THRESHOLD) -> tuple[GateResult, ...]:
+    """The gate result of every matrix of the hierarchy. Raises
+    ``GateError`` listing the failing matrices if any fails."""
+    results = tuple(gate(m, threshold) for m in hierarchy.matrices())
+    failures = [(r.matrix_id, r.cr) for r in results if not r.passed]
+    if failures:
+        raise GateError(failures)
+    return results
+
+
 def synthesize(hierarchy: Hierarchy, threshold: float = DEFAULT_CR_THRESHOLD) -> WeightVector:
     """Global leaf weights: the product of local weights along each root path.
 
     Every matrix must pass the consistency gate first; any failure rejects
     the whole hierarchy, listing the offending nodes.
     """
-    failures = []
-    for m in hierarchy.matrices():
-        result = gate(m, threshold)
-        if not result.passed:
-            failures.append((m.id, result.cr))
-    if failures:
-        raise GateError(failures)
+    gate_hierarchy(hierarchy, threshold)
 
     leaf_ids: list[str] = []
     leaf_weights: list[float] = []

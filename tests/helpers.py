@@ -642,7 +642,7 @@ def reference_combine(rasters: Sequence[SuitabilityRaster], weights,
     else:
         raise InputError(f"unknown combine mode: {mode!r}")
     acc[~mask] = np.nan
-    return ScoreRaster(grid, acc, mask.copy(), mode)
+    return ScoreRaster(grid, acc, mask.copy())
 
 
 # --- Esri ASCII grid and coverage table readers -----------------------------

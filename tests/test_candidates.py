@@ -15,7 +15,7 @@ from branchsite.candidates import (
 )
 from branchsite.errors import InputError
 from branchsite.geo import Point, planar_distance
-from branchsite.overlay import CombineMode, GridSpec, ScoreRaster
+from branchsite.overlay import GridSpec, ScoreRaster
 
 
 def make_score_raster(grid, cells, mask=None):
@@ -23,7 +23,7 @@ def make_score_raster(grid, cells, mask=None):
     m = np.ones(grid.shape, dtype=bool) if mask is None else mask
     values = values.copy()
     values[~m] = np.nan
-    return ScoreRaster(grid, values, m, CombineMode.WEIGHTED_GEOMETRIC)
+    return ScoreRaster(grid, values, m)
 
 
 def greedy_suppression_oracle(grid, values, min_score, min_separation, max_proposed):

@@ -489,6 +489,80 @@ class TestCoverageCurve:
                 _same(g, w)
 
 
+# A 6 x 5 instance where greedy to p = 3 and its swaps reach 80.6% of the
+# population (c0, c1, c2), but extending row 2 of the curve reaches 100%.
+SIX_BY_FIVE = {
+    "areas": [{"id": f"a{i}", "population": pop, "centroid": [0, 0]}
+              for i, pop in enumerate([7, 1, 7, 6, 8, 7])],
+    "candidates": [{"id": f"c{j}", "location": [0, 0]} for j in range(5)],
+    "matrix": [[0, 0, 0, 0, 1], [1, 0, 0, 0, 0], [0, 1, 0, 1, 0], [1, 0, 0, 0, 0],
+               [0, 0, 1, 1, 0], [1, 0, 1, 0, 0]],
+}
+
+
+class TestSingleBudgetIsCurveRow:
+    """``solve --p k`` writes row k of ``solve --p-max k``, for both methods."""
+
+    @staticmethod
+    def _rows(tmp_path, instance, p_top):
+        """{(method, k): (the --p k solution, the last row of --p-max k)}."""
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(instance))
+        out = tmp_path / "o"
+        rows = {}
+        for method, k in itertools.product(("exact", "greedy+swap"), range(1, p_top + 1)):
+            argv = ["--out", str(out), "solve", "--instance", str(path), "--method", method]
+            assert main(argv + ["--p", str(k)]) == 0
+            single = json.loads((out / "solution.json").read_text())
+            assert main(argv + ["--p-max", str(k)]) == 0
+            last = json.loads((out / "solutions.json").read_text())["rows"][-1]
+            rows[method, k] = single, last
+        return rows
+
+    def test_six_by_five(self, tmp_path):
+        rows = self._rows(tmp_path, SIX_BY_FIVE, 5)
+        for single, last in rows.values():
+            assert single == last
+        single, _ = rows["greedy+swap", 3]
+        assert single["selected"] == ["c0", "c3", "c4"]
+        assert single["objective"] == 36.0
+
+    def test_random_instances(self, tmp_path):
+        # the 4 seeds below 400 where greedy+swap at p alone fell short of
+        # the curve's row p, and 16 others
+        for seed in [*range(16), 93, 244, 253, 351]:
+            inst = random_instance(random.Random(seed))
+            p_top = min(len(inst.candidate_ids), 6)
+            for single, last in self._rows(tmp_path, inst.to_dict(), p_top).values():
+                for key in ("p", "selected", "objective", "marginal_gains"):
+                    assert single[key] == last[key]
+
+    def test_fixed_open_rows_start_at_their_count(self, tmp_path):
+        """With two or more fixed-open sites the curve has no row 1; --p k
+        still solves, from rows that start at the number of those sites."""
+        checked = 0
+        for inst, p in tie_heavy_family():
+            got = mclp.solve_greedy_swap(inst, p)
+            fixed = {c for c, f in zip(inst.candidate_ids, inst.fixed_open) if f}
+            if len(fixed) <= 1:
+                _same(got, coverage_curve(inst, p, method="greedy+swap").rows[-1])
+                continue
+            assert fixed <= set(got.selected) and got.p == p
+            assert got.objective >= improve_swap(inst, solve_greedy(inst, p)).objective
+            checked += 1
+        assert checked > 0
+        instance = dict(SIX_BY_FIVE, candidates=[
+            {"id": f"c{j}", "location": [0, 0], "fixed_open": j in (1, 2)} for j in range(5)])
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(instance))
+        argv = ["--out", str(tmp_path / "o"), "solve", "--instance", str(path),
+                "--method", "greedy+swap"]
+        assert main(argv + ["--p-max", "4"]) == 2
+        assert main(argv + ["--p", "4"]) == 0
+        sol = json.loads((tmp_path / "o" / "solution.json").read_text())
+        assert sol["selected"] == ["c0", "c1", "c2", "c4"]
+
+
 class TestSolverViewReadOnly:
     def test_populations_and_columns_refuse_writes(self):
         view = mclp._prepare(GREEDY_TRAP, 1)

@@ -656,7 +656,6 @@ class TestCombine:
             return
         assert np.array_equal(_bits(got.values), _bits(want.values))
         assert np.array_equal(got.mask, want.mask)
-        assert got.mode is want.mode
 
     def test_masked_matches_full_grid_reference(self):
         # scores anywhere outside the mask, zeros under weighted_geometric,
@@ -808,7 +807,7 @@ FORMATTER_METAS = [None, {"config_digest": "abc", "mode": "planar"},
 
 def _score_raster(grid, cells):
     values = np.array(cells, dtype=float)
-    return ScoreRaster(grid, values, ~np.isnan(values), CombineMode.WEIGHTED_SUM)
+    return ScoreRaster(grid, values, ~np.isnan(values))
 
 
 def _assert_formatters_match_reference(raster, meta):

@@ -1,3 +1,4 @@
+import collections
 import copy
 import fcntl
 import hashlib
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from branchsite import DemandArea, project
+from branchsite import DemandArea, project, weights
 from branchsite.cli import main
 from branchsite.errors import ConfigError, GateError, InputError
 from branchsite.geo import Point, Polygon
@@ -85,14 +86,23 @@ class TestLoadProject:
         with pytest.raises(ConfigError, match="transit_stop"):
             load_project(path)
 
-    def test_weights_reuse_the_gates_of_the_load(self, demo_config_path, monkeypatch):
+    def test_each_matrix_is_eigen_solved_once(self, demo_config_path, monkeypatch):
+        """The load gates every matrix and the run synthesizes the weights
+        and reports the gates: between them each matrix is power-iterated
+        once."""
+        solves = collections.Counter()
+        power_iterate = weights._power_iterate
+
+        def counting(matrix):
+            solves[matrix.id] += 1
+            return power_iterate(matrix)
+
+        monkeypatch.setattr(weights, "_power_iterate", counting)
         cfg = load_project(demo_config_path)
+        report = run_pipeline(cfg)
         assert [g.matrix_id for g in cfg.gates] == [m.id for m in cfg.hierarchy.matrices()]
-        calls = []
-        monkeypatch.setattr(project, "gate", lambda *args: calls.append(args))
-        _, gates = project.evaluate_weights(cfg)
-        assert gates is cfg.gates
-        assert not calls
+        assert report.data["consistency"] == project._gate_rows(cfg.gates)
+        assert dict(solves) == {m.id: 1 for m in cfg.hierarchy.matrices()}
 
     def test_inconsistent_matrix_fails_gate_at_load(self, demo_config_path, tmp_path):
         base = demo_copy(demo_config_path, tmp_path)
@@ -1034,7 +1044,7 @@ class TestCriterionIds:
         config = _renamed_criterion_project(demo_config_path, tmp_path / "project", cid)
         cfg = load_project(config)
         assert cfg.criteria[7].id == cid
-        assert sorted(cfg.layer_paths) == sorted(c.id for c in cfg.criteria)
+        assert all(cfg.inputs[c.layer_ref].is_file() for c in cfg.criteria)
 
     def test_demo_ids_name_their_rasters(self, demo_config_path, tmp_path):
         cfg = load_project(demo_config_path)
@@ -1162,6 +1172,13 @@ class TestReportInput:
             render_report(json.loads(text), tmp_path / "o")
         assert not (tmp_path / "o").exists()
 
+    def test_unknown_combine_mode_exits_2(self, tmp_path, capsys):
+        text = _report_variant().replace('"weighted_sum"', '"bogus"')
+        assert main(_report_argv(text)(None, tmp_path)) == 2
+        assert ("report is malformed: 'bogus' is not a valid CombineMode"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
     def test_valid_variant_renders(self, tmp_path):
         assert main(_report_argv(_report_variant())(None, tmp_path)) == 0
         assert (tmp_path / "o" / "score.asc").read_text().startswith("NCOLS 2\nNROWS 1\n")
@@ -1251,7 +1268,7 @@ class TestInputFuzz:
         st = hypothesis.strategies
         path = _small_project(demo_config_path, tmp_path / "project")
         cfg = load_project(path)
-        layers = sorted({*cfg.layer_paths.values(), cfg.demand_path, cfg.existing_path})
+        layers = sorted({p for p in cfg.inputs.values() if p.suffix == ".geojson"})
         originals = {layer: layer.read_text() for layer in layers}
 
         @hypothesis.settings(max_examples=100, deadline=None)

@@ -57,12 +57,14 @@ class ScoreScheme:
                 f"got ({self.high}, {self.mid}, {self.non})"
             )
 
+    @property
+    def table(self) -> tuple[float, float, float]:
+        """The scores indexed by class rank: ``table[cls.rank]`` is the
+        score of ``cls``, so a class rank serves as a raster's class code."""
+        return (self.non, self.mid, self.high)
+
     def value(self, cls: SuitabilityClass) -> float:
-        if cls is SuitabilityClass.HIGH_SUITABLE:
-            return self.high
-        if cls is SuitabilityClass.SUITABLE:
-            return self.mid
-        return self.non
+        return self.table[cls.rank]
 
 
 # criterion kinds (aliases from config vocabularies map onto these)
@@ -374,13 +376,16 @@ def segment_index(spec: NormalizedCriterion, values):
     scalar or an array of values >= 0; ``inf`` falls in the top segment.
 
     An internal edge belongs to the segment below it when that segment is
-    closed there (``hi_inc``), otherwise to the segment above it.
+    closed there (``hi_inc``), otherwise to the segment above it. So the
+    index counts the edges below the value: the lower-owned edges ``< v``
+    and the upper-owned ones ``<= v``, one comparison per edge. A scalar
+    gives an ``int``, an array an ``intp`` array of its shape.
     """
-    inner = spec.segments[:-1]
-    lower_owned = [seg.hi for seg in inner if seg.hi_inc]
-    upper_owned = [seg.hi for seg in inner if not seg.hi_inc]
-    return (np.searchsorted(lower_owned, values, "left")
-            + np.searchsorted(upper_owned, values, "right"))
+    values = np.asarray(values)
+    index = np.zeros(values.shape, dtype=np.intp)
+    for seg in spec.segments[:-1]:
+        index += values > seg.hi if seg.hi_inc else values >= seg.hi
+    return int(index) if index.ndim == 0 else index
 
 
 def classify(spec: NormalizedCriterion, raw) -> SuitabilityClass:

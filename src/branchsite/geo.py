@@ -154,16 +154,31 @@ def _ring_area(ring: Sequence[Point]) -> float:
 
 
 def _ring_self_intersects(ring: Sequence[Point]) -> bool:
+    """True iff two edges of the ring that share no endpoint meet.
+
+    Edges whose bounding boxes are disjoint share no point, so a sweep over
+    the edges' x-intervals in order of their left ends tests only the pairs
+    whose boxes overlap: each edge meets the earlier edges whose x-interval
+    still reaches it, and of those the ones whose y-interval overlaps its
+    own. A convex ring costs O(n log n) instead of the O(n^2) of all pairs.
+    """
     n = len(ring)
-    for i in range(n):
-        a1, a2 = ring[i], ring[(i + 1) % n]
-        for j in range(i + 1, n):
-            # skip the segment itself and segments sharing an endpoint
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            b1, b2 = ring[j], ring[(j + 1) % n]
-            if _segments_intersect(a1, a2, b1, b2):
+    ends = ring[1:] + ring[:1]
+    boxes = []
+    for k, a, b in zip(range(n), ring, ends):
+        x0, x1 = (a.x, b.x) if a.x <= b.x else (b.x, a.x)
+        y0, y1 = (a.y, b.y) if a.y <= b.y else (b.y, a.y)
+        boxes.append((x0, x1, y0, y1, k))
+    boxes.sort()
+    active: list[tuple] = []
+    for box in boxes:
+        x0, _, y0, y1, j = box
+        active = [other for other in active if other[1] >= x0]
+        for _, _, v0, v1, i in active:
+            if (v0 <= y1 and v1 >= y0 and (i - j) % n not in (1, n - 1)
+                    and _segments_intersect(ring[i], ends[i], ring[j], ends[j])):
                 return True
+        active.append(box)
     return False
 
 

@@ -14,24 +14,34 @@ would get. The distances, and the attributes of the density zones that win
 a cell, find their band through ``criteria.segment_index``, the one band
 lookup, which ``classify`` also uses; the tests check it against the
 per-segment comparison loop it replaced, kept in ``tests/helpers.py``.
-Combination accumulates the masked cells in criterion-id order so the
-result is bit-identical under any input permutation.
+
+A criterion raster is the local operation of map algebra on a categorical
+layer (Tomlin, Geographic Information Systems and Cartographic Modeling,
+1990): it stores each in-area cell's class as a one-byte code, in
+row-major order over the mask, and the scheme's scores as a table indexed
+by the code. The rasters of a run share the one read-only mask of
+``build_mask``. Combination weights each raster's table once and gathers
+the weighted entries by code, in criterion-id order, so the result is
+bit-identical under any input permutation and to weighting every cell.
 
 The Esri grids, ``score_points.geojson`` and ``report.json`` with its score
 raster are formatted from arrays into chunks of text. Each formatter builds
 its tables in its own call and returns an iterator that joins the text a
 chunk of about 1 MiB (``_CHUNK``) at a time, so the writer holds one chunk,
 not the file. Beyond it, the memory is the tables: the in-area cell indices
-of ``score_points.geojson`` (8 bytes a cell), and copies of the bits a
-table formats while it is built. Each distinct bit pattern of a float array
-is formatted once into a table of strings, which the cells then look up, so
-the text is the same as formatting every cell on its own. The grids and the
-report's raster are joined once per distinct row: runs of equal adjacent
-rows come from one comparison of the rows' bits, only the first row of each
-run is hashed, and every later run of the same row (every row outside the
-study area is the same) reuses its text. Each feature of
-``score_points.geojson`` is a column's, a row's and a score's text; a chunk
-joins those shared pieces for a slice of the in-area cells.
+of ``score_points.geojson`` (8 bytes a cell), the codes of a grid, and
+copies of the bits a table formats while it is built. A grid's rows are
+codes into a table of texts, and one row formatter, ``_row_texts``, joins
+them: a criterion grid's codes are its classes, with one more for the
+cells outside the mask, and its at most four texts are its table's; a
+float grid's codes are its distinct bit patterns, each formatted once, so
+the text is the same as formatting every cell on its own. Each distinct
+row is joined once: runs of equal adjacent rows come from one comparison
+of the rows' codes (a float grid's bits), only the first row of each run is
+hashed, and every later run of the same row (every row outside the study
+area is the same) reuses its text. Each feature of ``score_points.geojson``
+is a column's, a row's and a score's text; a chunk joins those shared
+pieces for a slice of the in-area cells.
 """
 
 from __future__ import annotations
@@ -135,34 +145,93 @@ class GridSpec:
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
+    """Make an array that no one else holds read-only, in place."""
     arr.flags.writeable = False
     return arr
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr`` if it is read-only, else a read-only copy: a raster never
+    changes the flags of an array its caller may still write."""
+    return arr if not arr.flags.writeable else _freeze(arr.copy())
+
+
+def _distinct_bits(values) -> np.ndarray:
+    """The distinct bit patterns of the float ``values``, as ascending
+    ``int64`` keys."""
+    # a sort, not np.unique: its hash table (numpy 2.3 on) is several times slower
+    keys = np.sort(np.asarray(values, dtype=float).view(np.int64), axis=None)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
 @dataclass(frozen=True, eq=False)
 class SuitabilityRaster:
-    """Per-criterion scores over the grid; NaN outside the study area.
+    """One criterion's scores over the study area, as a class code per cell.
 
-    Rasters compare by identity: their arrays have no single truth value.
+    ``codes`` holds one unsigned code per in-area cell, in row-major order,
+    and ``table[code]`` is that cell's score. The pipeline's rasters hold
+    one byte per cell, share the one study-area ``mask`` of their run and
+    use the scheme's ``table``, its scores indexed by class rank, with each
+    cell's class rank as its code. ``from_values`` builds a raster of any
+    float grid, and ``values`` gives the float grid back, with NaN outside
+    the mask.
+
+    The arrays are read-only: a writeable array is copied, never frozen in
+    place. Rasters compare by identity: their arrays have no single truth
+    value.
     """
 
     grid: GridSpec
     criterion_id: str
-    values: np.ndarray
-    mask: np.ndarray  # True where the cell is inside the study area
+    mask: np.ndarray   # True where the cell is inside the study area
+    codes: np.ndarray
+    table: np.ndarray
 
     def __post_init__(self):
-        if self.values.shape != self.grid.shape or self.mask.shape != self.grid.shape:
+        if self.mask.shape != self.grid.shape or self.mask.dtype != bool:
+            raise InputError("raster mask must be a bool array of the grid shape")
+        if (self.codes.dtype.kind != "u"
+                or self.codes.shape != (np.count_nonzero(self.mask),)):
+            raise InputError("raster codes must be one unsigned code per in-area cell")
+        if self.table.ndim != 1 or (self.codes.size and self.codes.max() >= len(self.table)):
+            raise InputError("raster codes must index its score table")
+        for name in ("mask", "codes", "table"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
+
+    @classmethod
+    def from_values(cls, grid: GridSpec, criterion_id: str, values,
+                    mask) -> SuitabilityRaster:
+        """The raster of the float grid ``values`` at the cells of ``mask``;
+        the cells outside it are ignored. Each distinct bit pattern gets a
+        code, so ``-0.0`` and ``0.0``, and NaNs of other payloads, keep
+        their own bits; the codes are as wide as the patterns need."""
+        values = np.asarray(values, dtype=float)
+        mask = np.asarray(mask, dtype=bool)
+        if values.shape != grid.shape or mask.shape != grid.shape:
             raise InputError("raster arrays must match the grid shape")
-        _freeze(self.values)
-        _freeze(self.mask)
+        scores = values[mask]
+        keys = _distinct_bits(scores)
+        codes = keys.searchsorted(scores.view(np.int64))
+        codes = codes.astype(np.min_scalar_type(max(len(keys) - 1, 0)))
+        return cls(grid, criterion_id, mask, _freeze(codes), _freeze(keys.view(float)))
+
+    @property
+    def values(self) -> np.ndarray:
+        """A new float grid of the scores, NaN outside the mask."""
+        values = np.full(self.grid.shape, np.nan)
+        values[self.mask] = self.table[self.codes]
+        return values
 
 
 @dataclass(frozen=True, eq=False)
 class ScoreRaster:
     """Combined suitability surface; NaN outside the study area.
 
-    Rasters compare by identity: their arrays have no single truth value.
+    The arrays are read-only: a writeable array is copied, never frozen in
+    place. Rasters compare by identity: their arrays have no single truth
+    value.
     """
 
     grid: GridSpec
@@ -172,8 +241,8 @@ class ScoreRaster:
     def __post_init__(self):
         if self.values.shape != self.grid.shape or self.mask.shape != self.grid.shape:
             raise InputError("raster arrays must match the grid shape")
-        _freeze(self.values)
-        _freeze(self.mask)
+        object.__setattr__(self, "values", _read_only(self.values))
+        object.__setattr__(self, "mask", _read_only(self.mask))
 
 
 def _window(xs: np.ndarray, ys: np.ndarray, poly: Polygon) -> tuple[slice, slice]:
@@ -184,14 +253,15 @@ def _window(xs: np.ndarray, ys: np.ndarray, poly: Polygon) -> tuple[slice, slice
 
 
 def build_mask(grid: GridSpec, polygons: Sequence[Polygon]) -> np.ndarray:
-    """True where the cell center lies inside any of the polygons; each
-    polygon is tested only on the cells whose center lies in its bounds."""
+    """A read-only grid, True where the cell center lies inside any of the
+    polygons; each polygon is tested only on the cells whose center lies in
+    its bounds. The rasters built on it share it."""
     xs, ys = grid.center_axes()
     mask = np.zeros(grid.shape, dtype=bool)
     for poly in polygons:
         rows, cols = _window(xs, ys, poly)
         mask[rows, cols] |= points_in_polygon(xs[cols], ys[rows], poly)
-    return mask
+    return _freeze(mask)
 
 
 def _nearest_distances(points: Sequence[Point], grid: GridSpec, mask: np.ndarray,
@@ -242,7 +312,8 @@ def _nearest_distances(points: Sequence[Point], grid: GridSpec, mask: np.ndarray
 def rasterize(spec: NormalizedCriterion, features, grid: GridSpec,
               scheme: ScoreScheme, mask: np.ndarray | None = None,
               mode: str = PLANAR) -> SuitabilityRaster:
-    """Score one criterion at every in-area cell center.
+    """Classify one criterion at every in-area cell center: the raster holds
+    each cell's class rank as its code and the scheme's scores as its table.
 
     ``features`` is a point sequence for distance criteria, or a sequence of
     (Polygon, attribute) zones for categorical/density criteria. Zones may
@@ -258,9 +329,12 @@ def rasterize(spec: NormalizedCriterion, features, grid: GridSpec,
     that no window reaches gets the top segment's score. The scores are the
     ones of measuring every in-area cell against every point.
     """
-    mask = np.ones(grid.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    if mask is None:
+        mask = _freeze(np.ones(grid.shape, dtype=bool))
+    mask = np.asarray(mask, dtype=bool)
     if mask.shape != grid.shape:
         raise InputError("mask shape does not match the grid")
+    table = _freeze(np.array(scheme.table))
 
     if spec.kind in (KIND_CATEGORICAL, KIND_DENSITY):
         zones = list(features)
@@ -290,27 +364,22 @@ def rasterize(spec: NormalizedCriterion, features, grid: GridSpec,
             )
         # a zone that wins no cell is never classified, so its attribute
         # cannot raise; the others are classified in zone order
-        scores = np.full(len(zones), np.nan)
+        classes = np.zeros(len(zones), dtype=np.uint8)
         for k in np.flatnonzero(np.bincount(zone_idx, minlength=len(zones))).tolist():
-            scores[k] = scheme.value(classify(spec, zones[k][1]))
-        values = np.full(grid.shape, np.nan)
-        values[mask] = scores[zone_idx]
-        return SuitabilityRaster(grid, spec.id, values, mask.copy())
+            classes[k] = classify(spec, zones[k][1]).rank
+        return SuitabilityRaster(grid, spec.id, mask, _freeze(classes[zone_idx]), table)
 
     points = list(features)
     if not points:
         raise InputError(f"criterion {spec.id!r}: empty feature layer")
     if not all(isinstance(p, Point) for p in points):
         raise InputError(f"criterion {spec.id!r} expects point features")
-    # the reach is the largest internal band edge, 0.0 with one segment; the
-    # distance grid becomes the score grid, saving a fresh grid per raster
-    values = _nearest_distances(points, grid, mask, spec.segments[-1].lo, mode)
-    raws = values[mask]
-    values.fill(np.nan)
+    # the reach is the largest internal band edge, 0.0 with one segment
+    raws = _nearest_distances(points, grid, mask, spec.segments[-1].lo, mode)[mask]
     # a cell no window reached holds inf, which falls in the top segment
-    scores = np.array([scheme.value(seg.cls) for seg in spec.segments])
-    values[mask] = scores[segment_index(spec, raws)]
-    return SuitabilityRaster(grid, spec.id, values, mask.copy())
+    classes = np.array([seg.cls.rank for seg in spec.segments], dtype=np.uint8)
+    codes = classes[segment_index(spec, raws)]
+    return SuitabilityRaster(grid, spec.id, mask, _freeze(codes), table)
 
 
 def _is_zone_layer(features) -> bool:
@@ -326,6 +395,10 @@ def combine(rasters: Sequence[SuitabilityRaster], weights,
     weighted_sum:        sum_k w_k * s_k
     literal_product:     prod_k (w_k * s_k)
     weighted_geometric:  prod_k s_k ** w_k   (0 ** w = 0)
+
+    Each weight meets its raster's score table once (``w * s`` or
+    ``s ** w``), and every cell takes the entry of its code: the same IEEE
+    operation on the same operands as weighting the cell's own score.
     """
     if not rasters:
         raise InputError("combine needs at least one raster")
@@ -357,31 +430,31 @@ def combine(rasters: Sequence[SuitabilityRaster], weights,
             raise InputError(
                 f"combine: raster {r.criterion_id!r} is on a different grid"
             )
-        if not np.array_equal(r.mask, mask):
+        if r.mask is not mask and not np.array_equal(r.mask, mask):
             raise InputError(
                 f"combine: raster {r.criterion_id!r} has a different study-area mask"
             )
 
     # canonical order by criterion id: bit-identical under input permutation
     order = sorted(range(len(rasters)), key=lambda k: rasters[k].criterion_id)
-    cells = int(mask.sum())
-    if mode is CombineMode.WEIGHTED_SUM:
-        acc = np.zeros(cells)
-        for k in order:
-            acc = acc + w_list[k] * rasters[k].values[mask]
-    elif mode is CombineMode.LITERAL_PRODUCT:
-        acc = np.ones(cells)
-        for k in order:
-            acc = acc * (w_list[k] * rasters[k].values[mask])
+    if mode is CombineMode.WEIGHTED_SUM or mode is CombineMode.LITERAL_PRODUCT:
+        tables = [w_list[k] * rasters[k].table for k in order]
     elif mode is CombineMode.WEIGHTED_GEOMETRIC:
-        acc = np.ones(cells)
-        for k in order:
-            acc = acc * np.power(rasters[k].values[mask], w_list[k])
+        tables = [np.power(rasters[k].table, w_list[k]) for k in order]
     else:
         raise InputError(f"unknown combine mode: {mode!r}")
+    cells = len(rasters[0].codes)
+    acc = np.zeros(cells) if mode is CombineMode.WEIGHTED_SUM else np.ones(cells)
+    term = np.empty(cells)
+    for k, table in zip(order, tables):
+        np.take(table, rasters[k].codes, out=term)
+        if mode is CombineMode.WEIGHTED_SUM:
+            acc += term
+        else:
+            acc *= term
     values = np.full(grid.shape, np.nan)
     values[mask] = acc
-    return ScoreRaster(grid, values, mask.copy())
+    return ScoreRaster(grid, _freeze(values), mask)
 
 
 def json_text(payload) -> str:
@@ -394,17 +467,18 @@ def json_text(payload) -> str:
 _CHUNK = 1 << 20
 
 
+def _format(values: np.ndarray, fmt, nan_text: str) -> list[str]:
+    """``fmt`` of each float of ``values``, and ``nan_text`` for every NaN."""
+    return [nan_text if math.isnan(v) else fmt(v) for v in values.tolist()]
+
+
 def _text_table(values, fmt, nan_text: str) -> tuple[np.ndarray, np.ndarray]:
     """The distinct bit patterns of the float ``values`` as ascending
     ``int64`` keys, and each key's text: ``fmt`` runs once per pattern (so
     ``-0.0`` and ``0.0`` keep their own text) and every NaN is ``nan_text``.
     """
-    # a sort, not np.unique: its hash table (numpy 2.3 on) is several times slower
-    keys = np.sort(np.asarray(values, dtype=float).view(np.int64), axis=None)
-    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    texts = np.array([nan_text if math.isnan(v) else fmt(v)
-                      for v in keys.view(float).tolist()], dtype=object)
-    return keys, texts
+    keys = _distinct_bits(values)
+    return keys, np.array(_format(keys.view(float), fmt, nan_text), dtype=object)
 
 
 def _texts(table: tuple[np.ndarray, np.ndarray], values: np.ndarray) -> np.ndarray:
@@ -437,58 +511,85 @@ def _chunks(head: str, items: Iterable[str], sep: str, tail: str) -> Iterator[st
     yield _drain(buf)
 
 
-def _row_runs(bits: np.ndarray) -> tuple[list[tuple[int, int]], list[int]]:
-    """The runs of equal adjacent rows of the 2-D ``int64`` ``bits``, as
+def _row_runs(codes: np.ndarray) -> tuple[list[tuple[int, int]], list[int]]:
+    """The runs of equal adjacent rows of the 2-D integer ``codes``, as
     (slot, rows) pairs, and the first row of each slot.
 
     Runs whose rows have the same bytes share a slot; slots are numbered in
     order of first occurrence. Only each run's first row is hashed.
     """
-    starts = np.flatnonzero(np.concatenate(([True], (bits[1:] != bits[:-1]).any(axis=1))))
+    starts = np.flatnonzero(np.concatenate(([True], (codes[1:] != codes[:-1]).any(axis=1))))
     slot: dict[bytes, int] = {}
     runs, distinct = [], []
-    for r, n in zip(starts.tolist(), np.diff(starts, append=len(bits)).tolist()):
-        k = slot.setdefault(bits[r].tobytes(), len(slot))
+    for r, n in zip(starts.tolist(), np.diff(starts, append=len(codes)).tolist()):
+        k = slot.setdefault(codes[r].tobytes(), len(slot))
         if k == len(distinct):
             distinct.append(r)
         runs.append((k, n))
     return runs, distinct
 
 
-def _row_texts(values, fmt, nan_text: str, sep: str) -> Iterator[str]:
-    """One text per row of the 2-D ``values``: its cells' ``_text_table``
-    strings joined by ``sep``.
+def _row_texts(runs: list[tuple[int, int]], codes: np.ndarray, texts: np.ndarray,
+               sep: str) -> Iterator[str]:
+    """One text per row of a grid given as ``_row_runs``: row ``k`` of the
+    2-D integer ``codes`` is slot ``k``'s, and its text is the ``texts`` of
+    its codes joined by ``sep``.
 
-    The table and the runs of equal rows are found in this call; the texts
-    are joined as the iterator reaches them, a batch of rows of about
-    ``_CHUNK`` characters at a time. Rows are compared by their ``int64``
-    bits, so rows that differ only in ``-0.0`` and ``0.0`` or in a NaN
-    payload keep their own text. Each distinct row is joined once: its
-    text is kept until the last run of equal rows that uses it.
+    The texts are joined as the iterator reaches them, a batch of rows of
+    about ``_CHUNK`` characters at a time. Each distinct row is joined
+    once: its text is kept until the last run of equal rows that uses it.
     """
-    values = np.asarray(values, dtype=float)
-    runs, distinct = _row_runs(values.view(np.int64))
     last = {k: i for i, (k, _) in enumerate(runs)}
-    table = _text_table(values[distinct], fmt, nan_text)
-    width = (max(map(len, table[1].tolist())) + len(sep)) * values.shape[1]
+    width = (max(map(len, texts.tolist())) + len(sep)) * codes.shape[1]
 
-    def texts():
+    def rows():
         kept: dict[int, str] = {}
         for i, (k, n) in enumerate(runs):
             if k not in kept:
                 # slots first occur in order, so k is the first not yet joined
-                batch = distinct[k:k + max(1, _CHUNK // width)]
-                for j, cells in enumerate(_texts(table, values[batch]).tolist(), k):
+                batch = codes[k:k + max(1, _CHUNK // width)]
+                for j, cells in enumerate(texts[batch].tolist(), k):
                     kept[j] = sep.join(cells)
             text = kept[k] if last[k] > i else kept.pop(k)
             for _ in range(n):
                 yield text
 
-    return texts()
+    return rows()
 
 
-def esri_ascii_text(grid: GridSpec, values: np.ndarray) -> Iterator[str]:
-    """Esri ASCII grid text in chunks; rows written north to south."""
+def _float_rows(values, fmt, nan_text: str
+                ) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
+    """``_row_texts`` arguments but the separator for the 2-D float
+    ``values``, rows in order. The rows are compared by their bits, so rows
+    that differ only in ``-0.0`` and ``0.0`` or in a NaN payload keep their
+    own text; the codes index the ``_text_table`` of the distinct rows."""
+    bits = np.asarray(values, dtype=float).view(np.int64)
+    runs, distinct = _row_runs(bits)
+    bits = bits[distinct]
+    keys, texts = _text_table(bits.view(float), fmt, nan_text)
+    return runs, keys.searchsorted(bits), texts
+
+
+def _class_rows(raster: SuitabilityRaster, fmt, nan_text: str
+                ) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
+    """``_row_texts`` arguments but the separator for a criterion raster,
+    rows north to south: its codes laid on the grid, with one more code for
+    the cells outside the mask, whose texts are its table's entries, each
+    formatted once, then ``nan_text``."""
+    outside = len(raster.table)
+    laid = np.full(raster.grid.shape, outside, dtype=np.min_scalar_type(outside))
+    laid[raster.mask] = raster.codes
+    codes = laid[::-1]
+    runs, distinct = _row_runs(codes)
+    texts = np.array(_format(raster.table, fmt, nan_text) + [nan_text], dtype=object)
+    return runs, codes[distinct], texts
+
+
+def esri_ascii_text(raster: SuitabilityRaster | ScoreRaster) -> Iterator[str]:
+    """Esri ASCII grid text of a raster in chunks; rows written north to
+    south. A criterion raster is formatted from its codes and its table's
+    texts, a score raster from the codes of its cells' bit patterns."""
+    grid = raster.grid
     header = "\n".join([
         f"NCOLS {grid.ncols}",
         f"NROWS {grid.nrows}",
@@ -497,8 +598,11 @@ def esri_ascii_text(grid: GridSpec, values: np.ndarray) -> Iterator[str]:
         f"CELLSIZE {grid.cell_size!r}",
         f"NODATA_VALUE {NODATA!r}",
     ])
-    rows = _row_texts(values[::-1], repr, repr(NODATA), " ")
-    return _chunks(header + "\n", rows, "\n", "\n")
+    if isinstance(raster, SuitabilityRaster):
+        rows = _class_rows(raster, repr, repr(NODATA))
+    else:
+        rows = _float_rows(raster.values[::-1], repr, repr(NODATA))
+    return _chunks(header + "\n", _row_texts(*rows, " "), "\n", "\n")
 
 
 # One feature of score_points.geojson exactly as json_text indents it inside
@@ -582,6 +686,6 @@ def report_json_text(data: dict, score: ScoreRaster) -> Iterator[str]:
     text = json_text({**data, "score_raster": {"values": []}})
     # a top-level key, as in score_points_geojson
     head, tail = text.split('\n  "score_raster": {\n    "values": []', 1)
-    rows = _row_texts(score.values, json.dumps, "null", ",\n        ")
+    rows = _row_texts(*_float_rows(score.values, json.dumps, "null"), ",\n        ")
     return _chunks(head + '\n  "score_raster": {\n    "values": [\n      [\n        ',
                    rows, "\n      ],\n      [\n        ", "\n      ]\n    ]" + tail)

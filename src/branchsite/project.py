@@ -558,7 +558,9 @@ def _score_raster_from_report(data: dict) -> ScoreRaster:
     grid = _grid(data, "report")
     cells = data["score_raster"]["values"]
     values = np.array(cells, dtype=float)  # None -> NaN
+    values.flags.writeable = False
     mask = ~np.isnan(values)
+    mask.flags.writeable = False
     CombineMode(data["combine_mode"])   # a report of an unknown mode is malformed
     raster = ScoreRaster(grid, values, mask)
     # numpy parses "0.5" and true as floats, but report.json is re-encoded
@@ -629,11 +631,10 @@ def weights_files(meta: dict, weights: WeightVector, gates) -> Iterator[tuple[st
 
 def surface_files(meta: dict, score: ScoreRaster,
                   rasters: Iterable[SuitabilityRaster]) -> Iterator[tuple[str, Chunks]]:
-    yield "score.asc", esri_ascii_text(score.grid, score.values)
+    yield "score.asc", esri_ascii_text(score)
     yield "score_points.geojson", score_points_geojson(score, meta=meta)
     for raster in rasters:
-        yield (f"rasters/{raster.criterion_id}.asc",
-               esri_ascii_text(raster.grid, raster.values))
+        yield f"rasters/{raster.criterion_id}.asc", esri_ascii_text(raster)
 
 
 def candidate_files(meta: dict, rows: list[dict]) -> Iterator[tuple[str, Chunks]]:

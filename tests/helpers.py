@@ -30,6 +30,7 @@ from branchsite.geo import (
     PLANAR,
     Point,
     Polygon,
+    _segments_intersect,
     distances_to,
 )
 from branchsite.fields import BOOL, LIST, MODE, NUMBER, OBJECT, STRING, XY, get
@@ -444,6 +445,25 @@ def polygon_from_coords(exterior: Iterable[tuple[float, float]],
     return Polygon(ext, hs)
 
 
+# --- the pair loop of ring validation ------------------------------------------
+# geo._ring_self_intersects as it was before it swept the edges' bounding
+# boxes, kept verbatim: every pair of edges that share no endpoint.
+
+
+def reference_ring_self_intersects(ring: Sequence[Point]) -> bool:
+    n = len(ring)
+    for i in range(n):
+        a1, a2 = ring[i], ring[(i + 1) % n]
+        for j in range(i + 1, n):
+            # skip the segment itself and segments sharing an endpoint
+            if j == i or (j + 1) % n == i or (i + 1) % n == j:
+                continue
+            b1, b2 = ring[j], ring[(j + 1) % n]
+            if _segments_intersect(a1, a2, b1, b2):
+                return True
+    return False
+
+
 # --- the per-cell point-in-polygon kernel -------------------------------------
 # geo.points_in_polygon as it was before it became a kernel over grid axes,
 # kept verbatim: about 20 full-array passes per polygon edge over the given
@@ -570,7 +590,7 @@ def reference_rasterize(spec: NormalizedCriterion, features, grid: GridSpec,
             cells = zone_idx == k
             if cells.any():
                 values[cells] = scheme.value(classify(spec, value))
-        return SuitabilityRaster(grid, spec.id, values, mask.copy())
+        return SuitabilityRaster.from_values(grid, spec.id, values, mask)
 
     points = list(features)
     if not points:
@@ -579,7 +599,7 @@ def reference_rasterize(spec: NormalizedCriterion, features, grid: GridSpec,
         raise InputError(f"criterion {spec.id!r} expects point features")
     raws = _min_distances(xs, ys, points, mode)
     values[mask] = _classify_scores(spec, raws[mask], scheme)
-    return SuitabilityRaster(grid, spec.id, values, mask.copy())
+    return SuitabilityRaster.from_values(grid, spec.id, values, mask)
 
 
 def reference_combine(rasters: Sequence[SuitabilityRaster], weights,

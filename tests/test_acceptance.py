@@ -198,7 +198,7 @@ def test_criterion_7_overlay_correctness():
         ]
         mask = np.ones(grid.shape, dtype=bool)
         rasters = [
-            SuitabilityRaster(grid, f"c{i}", np.array(cells[i], dtype=float), mask)
+            SuitabilityRaster.from_values(grid, f"c{i}", np.array(cells[i], dtype=float), mask)
             for i in range(k)
         ]
         weights = [rng.uniform(0.5, 1.0) for _ in range(k)]

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -8,13 +9,19 @@ from branchsite.errors import DomainError
 from branchsite.geo import (
     EARTH_RADIUS_M,
     Point,
+    _ring_self_intersects,
     distances_to,
     planar_distance,
     point_in_polygon,
     points_in_polygon,
 )
 
-from helpers import geodesic_distance, polygon_from_coords, reference_points_in_polygon
+from helpers import (
+    geodesic_distance,
+    polygon_from_coords,
+    reference_points_in_polygon,
+    reference_ring_self_intersects,
+)
 
 
 def reference_haversine(lon1, lat1, lon2, lat2):
@@ -133,6 +140,59 @@ class TestPolygon:
     def test_self_intersecting_rejected(self):
         with pytest.raises(DomainError):
             polygon_from_coords([(0, 0), (4, 4), (4, 0), (0, 4)])  # bow-tie
+
+    def test_touching_rings_rejected(self):
+        # the vertex (5, 0) of two edges lies inside the bottom edge
+        with pytest.raises(DomainError, match="self-intersecting"):
+            polygon_from_coords([(0, 0), (10, 0), (10, 10), (5, 0), (0, 10)])
+        # the same ring as a hole
+        with pytest.raises(DomainError, match="self-intersecting"):
+            polygon_from_coords([(-5, -5), (15, -5), (15, 15), (-5, 15)],
+                                [[(0, 0), (10, 0), (10, 10), (5, 0), (0, 10)]])
+
+    @staticmethod
+    def _lattice_rectangle(width, height):
+        """A rectangle with a vertex at every lattice point of its sides,
+        counterclockwise from (0, 0)."""
+        return ([(x, 0) for x in range(width)] + [(width, y) for y in range(height)]
+                + [(x, height) for x in range(width, 0, -1)]
+                + [(0, y) for y in range(height, 0, -1)])
+
+    def test_large_rings_validate_fast(self):
+        n = 1000
+        convex = [(1000 * math.cos(2 * math.pi * k / n), 1000 * math.sin(2 * math.pi * k / n))
+                  for k in range(n)]
+        best = math.inf
+        for _ in range(3):
+            t0 = time.perf_counter()
+            polygon_from_coords(convex)
+            best = min(best, time.perf_counter() - t0)
+        assert best < 0.05
+        # collinear neighbours along the sides are no intersection
+        assert len(polygon_from_coords(self._lattice_rectangle(300, 200)).exterior) == 1000
+
+    def test_large_rings_with_a_crossing_or_a_touch_rejected(self):
+        ring = self._lattice_rectangle(300, 200)
+        top = ring.index((150, 200))
+        # a top vertex pulled onto the inside of a bottom edge, then through it
+        for moved in ((150.5, 0), (150.5, -1)):
+            bad = ring[:top] + [moved] + ring[top + 1:]
+            with pytest.raises(DomainError, match="self-intersecting"):
+                polygon_from_coords(bad)
+
+    def test_sweep_matches_pair_loop(self):
+        # small lattices make crossings, touches and collinear overlaps
+        # common; vertices in angle order around the center make most rings
+        # star-shaped, so simple rings are common too
+        rng = random.Random(83)
+        for _ in range(3000):
+            n = rng.randint(3, 14)
+            side = rng.choice([3, 6, 40])
+            ring = [Point(rng.randint(0, side), rng.randint(0, side)) for _ in range(n)]
+            if rng.random() < 0.5:
+                ring.sort(key=lambda p: math.atan2(p.y - side / 2, p.x - side / 2))
+            ring = tuple(ring)
+            assert _ring_self_intersects(ring) == reference_ring_self_intersects(ring), ring
 
 
 class TestPointInPolygon:

@@ -79,7 +79,7 @@ def make_raster(grid, cid, cell_scores, mask=None):
     m = full_mask(grid) if mask is None else mask
     values = values.copy()
     values[~m] = np.nan
-    return SuitabilityRaster(grid, cid, values, m)
+    return SuitabilityRaster.from_values(grid, cid, values, m)
 
 
 class TestRasterizeDistance:
@@ -670,7 +670,7 @@ class TestCombine:
             for k in rng.permutation(n).tolist():
                 values = rng.choice(palette, size=grid.shape)
                 values[~mask & (rng.random(grid.shape) < 0.5)] = np.nan
-                rasters.append(SuitabilityRaster(grid, f"c{k}", values, mask.copy()))
+                rasters.append(SuitabilityRaster.from_values(grid, f"c{k}", values, mask))
             weights = rng.random(n) * (rng.random(n) < 0.8)
             if not weights.sum():
                 weights[0] = 1.0
@@ -712,6 +712,77 @@ class TestCombine:
             self._assert_matches_reference(rasters, weights, mode)
 
 
+class TestRasters:
+    def test_constructors_leave_the_callers_arrays_writeable(self):
+        grid = GridSpec(0, 0, 10, 2, 2)
+        v = np.array([[0.6, 0.4], [0.0, 0.6]])
+        m = np.ones(grid.shape, dtype=bool)
+        codes = np.array([2, 1, 0, 2], dtype=np.uint8)
+        table = np.array([0.0, 0.4, 0.6])
+        rasters = [ScoreRaster(grid, v, m), SuitabilityRaster.from_values(grid, "a", v, m),
+                   SuitabilityRaster(grid, "b", m, codes, table)]
+        for arr in (v, m, codes, table):
+            assert arr.flags.writeable
+        v[0, 0], m[0, 0], codes[0], table[0] = 1.0, False, 0, 0.5
+        assert rasters[0].values is not v and rasters[0].values[0, 0] == 0.6
+        for r in rasters:
+            assert r.mask.all() and not r.mask.flags.writeable
+            assert r.values[0, 0] == 0.6
+        assert rasters[2].codes[0] == 2 and rasters[2].table[0] == 0.0
+
+    def test_constructors_keep_read_only_arrays(self):
+        grid = GridSpec(0, 0, 10, 2, 1)
+        v, m = np.array([[0.6, np.nan]]), np.array([[True, False]])
+        codes, table = np.array([1], dtype=np.uint8), np.array([0.0, 0.6])
+        for arr in (v, m, codes, table):
+            arr.flags.writeable = False
+        score = ScoreRaster(grid, v, m)
+        assert score.values is v and score.mask is m
+        raster = SuitabilityRaster(grid, "a", m, codes, table)
+        assert raster.mask is m and raster.codes is codes and raster.table is table
+        assert _bits(raster.values).tolist() == _bits(v).tolist()
+
+    def test_malformed_codes_rejected(self):
+        grid = GridSpec(0, 0, 10, 2, 1)
+        m = np.array([[True, False]])
+        table = np.array([0.0, 0.6])
+        for codes in (np.array([1, 0], dtype=np.uint8), np.array([1], dtype=np.int64),
+                      np.array([2], dtype=np.uint8)):
+            with pytest.raises(InputError, match="raster codes"):
+                SuitabilityRaster(grid, "a", m, codes, table)
+        with pytest.raises(InputError, match="raster mask"):
+            SuitabilityRaster(grid, "a", m.astype(int), np.array([1], dtype=np.uint8), table)
+
+    @pytest.mark.parametrize("distinct", [1, 4, 256, 257, 1000])
+    def test_from_values_round_trips_the_bits(self, distinct):
+        rng = np.random.default_rng(distinct)
+        grid = GridSpec(0, 0, 10, 40, 30)
+        palette = np.concatenate(([-0.0, 0.0, NAN_1, NEG_NAN, math.inf],
+                                  rng.random(max(0, distinct - 5))))[:distinct]
+        values = rng.choice(palette, size=grid.shape)
+        values.flat[:distinct] = palette   # every palette entry is in the raster
+        mask = np.ones(grid.shape, dtype=bool)
+        mask[rng.random(grid.shape) < 0.2] = False
+        mask.flat[:distinct] = True
+        values[~mask] = np.nan
+        raster = SuitabilityRaster.from_values(grid, "a", values, mask)
+        assert len(raster.table) == distinct
+        assert raster.codes.dtype == (np.uint8 if distinct <= 256 else np.uint16)
+        assert np.array_equal(_bits(raster.values), _bits(values))
+        # the cells outside the mask are NaN, whatever they held
+        values[~mask] = 0.5
+        again = SuitabilityRaster.from_values(grid, "a", values, mask)
+        assert np.array_equal(_bits(again.values), _bits(raster.values))
+
+    def test_from_values_of_an_empty_mask(self):
+        grid = GridSpec(0, 0, 10, 2, 2)
+        raster = SuitabilityRaster.from_values(grid, "a", np.zeros(grid.shape),
+                                               np.zeros(grid.shape, dtype=bool))
+        assert raster.codes.size == 0 and raster.table.size == 0
+        assert np.isnan(raster.values).all()
+        assert "".join(esri_ascii_text(raster)).endswith("-9999.0 -9999.0\n")
+
+
 class TestExports:
     def test_esri_ascii_round_trip(self, tmp_path):
         grid = GridSpec(0, 0, 100, 3, 2)
@@ -719,7 +790,7 @@ class TestExports:
         mask[1, 2] = False
         r = make_raster(grid, "a", [[0.6, 0.4, 0.0], [0.4, 0.6, 0.6]], mask)
         path = tmp_path / "r.asc"
-        path.write_text("".join(esri_ascii_text(r.grid, r.values)))
+        path.write_text("".join(esri_ascii_text(r)))
         grid2, values = read_esri_ascii(path)
         assert grid2 == grid
         assert np.array_equal(values, r.values, equal_nan=True)
@@ -727,8 +798,8 @@ class TestExports:
     def test_esri_ascii_bytes_deterministic(self):
         grid = GridSpec(10.5, -3.25, 12.5, 3, 3)
         cells = [[0.6, 0.4, 0.0], [0.0, 0.4, 0.6], [0.4, 0.4, 0.4]]
-        a = "".join(esri_ascii_text(grid, make_raster(grid, "a", cells).values))
-        b = "".join(esri_ascii_text(grid, make_raster(grid, "a", cells).values))
+        a = "".join(esri_ascii_text(make_raster(grid, "a", cells)))
+        b = "".join(esri_ascii_text(make_raster(grid, "a", cells)))
         assert a == b
         assert a.startswith("NCOLS 3\nNROWS 3\nXLLCORNER 10.5\n")
 
@@ -816,9 +887,14 @@ def _assert_formatters_match_reference(raster, meta):
     values = np.where(np.isnan(raster.values), None, raster.values).tolist()
     # a run report holds the raster as rows of floats with NaN as None
     data = {**(meta or {}), "score_raster": {"values": values}, "p_max": 3}
+    esri = reference_esri_ascii_text(raster.grid, raster.values)
+    # the same grid as class codes: NaN cells outside the mask, or in the table
+    coded = [SuitabilityRaster.from_values(raster.grid, "c", raster.values, mask)
+             for mask in (raster.mask, np.ones(raster.grid.shape, dtype=bool))]
     for chunks, reference in [
-            (esri_ascii_text(raster.grid, raster.values),
-             reference_esri_ascii_text(raster.grid, raster.values)),
+            (esri_ascii_text(raster), esri),
+            (esri_ascii_text(coded[0]), esri),
+            (esri_ascii_text(coded[1]), esri),
             (score_points_geojson(raster, meta=meta),
              json_text(reference_score_points_geojson(raster, meta=meta))),
             (report_json_text(data, raster), json_text(data))]:
@@ -895,7 +971,7 @@ class TestFormattersMatchReference:
                                    [palette[k] for k in picks])
             _assert_formatters_match_reference(raster, meta)
             if chunk == 1:  # every row ends a chunk, and the tail is one more
-                assert len(list(esri_ascii_text(raster.grid, raster.values))) > nrows
+                assert len(list(esri_ascii_text(raster))) > nrows
 
         check()
 

@@ -20,6 +20,7 @@ from branchsite.errors import ConfigError, GateError, InputError
 from branchsite.geo import Point, Polygon
 from branchsite.overlay import json_text
 from branchsite.project import (
+    build_surface,
     load_demand_layer,
     load_existing_branches,
     load_point_layer,
@@ -418,8 +419,8 @@ class TestRenderedArtifacts:
         before = _dir_bytes(out)
         calls = []
 
-        def failing_on_fourth_call(grid, values):
-            calls.append(grid)
+        def failing_on_fourth_call(raster):
+            calls.append(raster)
             if len(calls) == 4:
                 raise OSError("disk full")
             return ["changed\n"]
@@ -463,6 +464,43 @@ class TestRenderedArtifacts:
         largest = max(p.stat().st_size for p in written)
         assert largest > 10_000_000  # score_points.geojson spans many chunks
         assert peak < largest / 2
+
+
+class TestSurfaceAt25m:
+    """The criterion rasters of a run are class codes on its one mask."""
+
+    @pytest.fixture(scope="class")
+    def cfg_25m(self, demo_config_path, tmp_path_factory):
+        cfg = load_config_json(demo_config_path)
+        grid = cfg["grid"]
+        grid.update(cell_size=25.0, ncols=grid["ncols"] * 4, nrows=grid["nrows"] * 4)
+        root = tmp_path_factory.mktemp("at25m") / "project"
+        shutil.copytree(Path(demo_config_path).parent, root)
+        path = root / "at25m.json"
+        path.write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
+        return load_project(path)
+
+    def test_rasters_share_one_mask_and_hold_a_byte_a_cell(self, cfg_25m):
+        surface = build_surface(cfg_25m)
+        mask = surface.score.mask
+        cells = np.count_nonzero(mask)
+        assert cells > 50_000 and not mask.flags.writeable
+        assert len(surface.rasters) == 12
+        scheme = cfg_25m.scheme
+        for raster in surface.rasters:
+            assert raster.mask is mask
+            assert raster.codes.dtype == np.uint8 and raster.codes.nbytes == cells
+            assert raster.table.tolist() == [scheme.non, scheme.mid, scheme.high]
+
+    def test_traced_peak_of_the_surface(self, cfg_25m):
+        build_surface(cfg_25m)   # the first call's imports and caches are not the surface's
+        tracemalloc.start()
+        try:
+            build_surface(cfg_25m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8_000_000
 
 
 def _dir_bytes(root):

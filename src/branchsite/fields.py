@@ -9,7 +9,8 @@ wrong type fails as ``<source> field <path> must be <kind>, got <value>``,
 where the source is ``config``, ``instance`` or ``report``; the path is
 formatted only when a field fails, since an instance has thousands.
 ``columns`` reads the same field of every object in a list at once, and
-falls back to ``get`` only to name the first field that fails.
+falls back to ``get`` only to name the first field that fails;
+``positions`` types the GeoJSON positions of a layer at once the same way.
 """
 
 from __future__ import annotations
@@ -108,13 +109,27 @@ def _bools(values: list) -> np.ndarray | None:
     return np.array(values, dtype=bool) if set(map(type, values)) <= {bool} else None
 
 
+def positions(values: list) -> np.ndarray | None:
+    """``values`` as one n x 2 float64 array if each is a GeoJSON position:
+    a list of at least two numbers (``is_number``), [x, y, ...], whose
+    coordinates past the second are ignored. Else None."""
+    if not all(issubclass(t, list) for t in set(map(type, values))):
+        return None
+    lengths = set(map(len, values))
+    if lengths <= {2}:
+        a = _numbers([c for v in values for c in v])
+    elif min(lengths) >= 2:
+        a = _numbers([c for v in values for c in v[:2]])
+    else:
+        return None
+    return None if a is None else a.reshape(-1, 2)
+
+
 def _pairs(values: list) -> np.ndarray | None:
     """``values`` as one n x 2 float64 array if each is an [x, y] pair."""
     if (all(issubclass(t, list) for t in set(map(type, values)))
             and set(map(len, values)) <= {2}):
-        a = _numbers([c for v in values for c in v])
-        if a is not None:
-            return a.reshape(-1, 2)
+        return positions(values)
     return None
 
 

@@ -3,11 +3,14 @@ combination over a uniform analysis grid.
 
 Cells are scored at their centers. Row 0 is the southernmost row; exports
 write rows top-down as the Esri ASCII grid format expects. Only the cells
-inside the study-area mask are scored and combined. The mask and the zone
-criteria test each polygon with the grid kernel ``geo.points_in_polygon``
-on the center axes inside its bounding box, at O(edges x rows) plus the
-window's cells. A distance criterion measures each feature point only on
-the cells within the criterion's reach (its largest finite band edge) plus
+inside the study-area mask are scored and combined. The mask and each zone
+criterion make one call of the set kernel ``geo.points_in_polygons``: every
+polygon of the set is tested on the center axes inside its bounding box,
+and the callers read each polygon's block of the result as a view. A zone
+criterion keeps its winners on the bounding box of the mask, a byte a
+cell, and reads them at the in-area cells. A distance criterion takes its
+points as an n x 2 coordinate array and measures each point only on the
+cells within the criterion's reach (its largest finite band edge) plus
 one cell; a cell farther than that from every point gets the score of the
 top band, the one unbounded above, which is the score its exact distance
 would get. The distances, and the attributes of the density zones that win
@@ -48,6 +51,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
@@ -69,13 +73,18 @@ from .geo import (
     PLANAR,
     Point,
     Polygon,
+    axis_terms,
+    bounds_windows,
     check_geodesic_range,
-    distances_to,
-    points_in_polygon,
+    join_terms,
+    points_in_polygons,
 )
 from .weights import WeightVector
 
 MAX_CELLS = 4_000_000
+# The distance windows of this many points have their row and column
+# terms computed at once.
+_POINT_BATCH = 64
 NODATA = -9999.0
 
 
@@ -245,41 +254,47 @@ class ScoreRaster:
         object.__setattr__(self, "mask", _read_only(self.mask))
 
 
-def _window(xs: np.ndarray, ys: np.ndarray, poly: Polygon) -> tuple[slice, slice]:
-    """(rows, cols) slices of the grid points inside the polygon's bounds."""
-    x0, y0, x1, y1 = poly.bounds
-    return (slice(ys.searchsorted(y0, "left"), ys.searchsorted(y1, "right")),
-            slice(xs.searchsorted(x0, "left"), xs.searchsorted(x1, "right")))
-
-
 def build_mask(grid: GridSpec, polygons: Sequence[Polygon]) -> np.ndarray:
     """A read-only grid, True where the cell center lies inside any of the
-    polygons; each polygon is tested only on the cells whose center lies in
-    its bounds. The rasters built on it share it."""
+    polygons; one kernel call tests each polygon on the cells whose center
+    lies in its bounds. The rasters built on it share it."""
     xs, ys = grid.center_axes()
+    windows = bounds_windows(xs, ys, polygons)
     mask = np.zeros(grid.shape, dtype=bool)
-    for poly in polygons:
-        rows, cols = _window(xs, ys, poly)
-        mask[rows, cols] |= points_in_polygon(xs[cols], ys[rows], poly)
+    for (r0, r1, c0, c1), inside in zip(windows.tolist(),
+                                        points_in_polygons(xs, ys, polygons, windows)):
+        mask[r0:r1, c0:c1] |= inside
     return _freeze(mask)
 
 
-def _nearest_distances(points: Sequence[Point], grid: GridSpec, mask: np.ndarray,
-                       reach: float, mode: str) -> np.ndarray:
-    """A grid of the distance from each masked cell center to the nearest
-    point, or inf where every point is farther than ``reach``; the cells
-    outside the mask hold any distance or inf.
+def _mask_box(mask: np.ndarray) -> tuple[int, int, int, int] | None:
+    """(r0, r1, c0, c1) of the mask's bounding box, whose rows r0..r1-1 and
+    columns c0..c1-1 hold every True cell; None for a mask without one."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    cols = np.flatnonzero(mask.any(axis=0))
+    if not len(rows):
+        return None
+    return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
 
-    Each point is measured only on its window: the cells whose centers lie
-    within ``reach`` plus one cell of it, cut to the bounding box of the
-    mask. In geodesic mode the window is the rows within that latitude span,
-    since the haversine distance is at least R * |dlat|. A window broadcasts
-    the center axes, so every cell goes through the same IEEE operations as
-    when it is measured on its own.
+
+def _nearest_distances(xy: np.ndarray, grid: GridSpec, mask: np.ndarray,
+                       reach: float, mode: str) -> np.ndarray:
+    """The distance from each masked cell center, in row-major order, to
+    the nearest point of the n x 2 coordinates ``xy``, or inf where every
+    point is farther than ``reach``.
+
+    The distances are kept on the bounding box of the mask, and each point
+    is measured only on its window: the cells of the box whose centers lie
+    within ``reach`` plus one cell of it. In geodesic mode the window is
+    the rows within that latitude span, since the haversine distance is at
+    least R * |dlat|. The row and column terms of the windows
+    (``geo.axis_terms``) are computed for a batch of points at once and
+    joined per window, so every cell goes through the same IEEE operations
+    as when it is measured on its own. In geodesic mode the masked cells
+    and the points are range-checked; the other cells are never read.
     """
     cx, cy = grid.center_axes()
-    px = np.array([p.x for p in points])
-    py = np.array([p.y for p in points])
+    px, py = xy[:, 0], xy[:, 1]
     if mode == GEODESIC:
         # a point whose window is empty is never measured, so check them all
         xs, ys = np.broadcast_arrays(cx, cy[:, None])
@@ -287,26 +302,36 @@ def _nearest_distances(points: Sequence[Point], grid: GridSpec, mask: np.ndarray
         check_geodesic_range(px, py)
     elif mode != PLANAR:
         raise DomainError(f"unknown coordinate mode: {mode!r}")
-    best = np.full(grid.shape, np.inf)
-    # the rows and columns of the mask's bounding box
-    rows = np.flatnonzero(mask.any(axis=1))
-    cols = np.flatnonzero(mask.any(axis=0))
-    if not len(rows):
-        return best
+    box = _mask_box(mask)
+    if box is None:
+        return np.zeros(0)
+    r0, r1, c0, c1 = box
+    xs, ys = cx[c0:c1], cy[r0:r1]
+    best = np.full((r1 - r0, c1 - c0), np.inf)
     if mode == PLANAR:
         pad = reach + grid.cell_size
-        c0, c1 = np.searchsorted(cx, [px - pad, px + pad])
+        left, right = np.searchsorted(xs, [px - pad, px + pad])
     else:
         pad = math.degrees(reach / EARTH_RADIUS_M) + grid.cell_size
-        c0, c1 = np.zeros(px.shape, int), np.full(px.shape, grid.ncols)
-    r0, r1 = np.clip(np.searchsorted(cy, [py - pad, py + pad]), rows[0], rows[-1] + 1)
-    c0, c1 = np.clip([c0, c1], cols[0], cols[-1] + 1)
-    for p, a, b, c, d in zip(points, r0.tolist(), r1.tolist(), c0.tolist(), c1.tolist()):
-        if a < b and c < d:
+        left, right = np.zeros(px.shape, int), np.full(px.shape, len(xs))
+    top, bottom = np.searchsorted(ys, [py - pad, py + pad])
+    live = np.flatnonzero((top < bottom) & (left < right))
+    for start in range(0, len(live), _POINT_BATCH):
+        k = live[start:start + _POINT_BATCH]
+        # the rows top..top+h-1 and columns left..left+w-1 of each point's
+        # window, for the largest extents of the batch, clipped onto the
+        # box: the terms of every row and column at once
+        h, w = int((bottom - top)[k].max()), int((right - left)[k].max())
+        rows = np.minimum(top[k, None] + np.arange(h), len(ys) - 1)
+        cols = np.minimum(left[k, None] + np.arange(w), len(xs) - 1)
+        row_terms, col_terms = axis_terms(xs[cols], ys[rows], px[k, None], py[k, None], mode)
+        row_terms = np.stack(row_terms)
+        for i, (a, b, c, d) in enumerate(zip(top[k].tolist(), bottom[k].tolist(),
+                                             left[k].tolist(), right[k].tolist())):
             window = best[a:b, c:d]
-            np.minimum(window, distances_to(cx[None, c:d], cy[a:b, None], p, mode),
-                       out=window)
-    return best
+            np.minimum(window, join_terms(row_terms[:, i, :b - a, None], col_terms[i, :d - c],
+                                          mode), out=window)
+    return best[mask[r0:r1, c0:c1]]
 
 
 def rasterize(spec: NormalizedCriterion, features, grid: GridSpec,
@@ -315,12 +340,16 @@ def rasterize(spec: NormalizedCriterion, features, grid: GridSpec,
     """Classify one criterion at every in-area cell center: the raster holds
     each cell's class rank as its code and the scheme's scores as its table.
 
-    ``features`` is a point sequence for distance criteria, or a sequence of
-    (Polygon, attribute) zones for categorical/density criteria. Zones may
-    nest; the smallest zone containing the center wins, so the result does
-    not depend on feature order. Each zone is tested on the cells inside its
-    bounds; the winning area and zone index grids are read at the in-area
-    cells in row-major order, so an error names the first one uncovered.
+    ``features`` is the points of a distance criterion, as an n x 2 float64
+    array of coordinates or a sequence of Points, or the (Polygon,
+    attribute) zones of a categorical/density criterion. Zones may nest;
+    the smallest zone containing the center wins, and of equal ones the
+    earlier, so the result does not depend on the order of zones of
+    distinct areas. One kernel call tests each zone on the cells of the
+    mask's bounding box inside its bounds; the zones then claim their cells
+    smallest first, a byte a cell over that box, and the claims are read at
+    the in-area cells in row-major order, so an error names the first one
+    uncovered.
 
     A distance criterion's bands tell distances apart only up to its reach,
     the largest finite band edge; every distance past it falls in the top
@@ -340,21 +369,14 @@ def rasterize(spec: NormalizedCriterion, features, grid: GridSpec,
         zones = list(features)
         if not zones:
             raise InputError(f"criterion {spec.id!r}: empty zone layer")
-        if not _is_zone_layer(zones):
-            raise InputError(
-                f"criterion {spec.id!r} expects (Polygon, attribute) zones"
-            )
-        cx, cy = grid.center_axes()
-        best_area = np.full(grid.shape, np.inf)
-        zone_idx = np.full(grid.shape, -1)
-        for k, (poly, _value) in enumerate(zones):
-            rows, cols = window = _window(cx, cy, poly)
-            area = poly.area
-            take = points_in_polygon(cx[cols], cy[rows], poly) & (area < best_area[window])
-            best_area[window][take] = area
-            zone_idx[window][take] = k
-        zone_idx = zone_idx[mask]
-        missing = np.flatnonzero(zone_idx < 0)
+        for k, item in enumerate(zones):
+            if not (isinstance(item, tuple) and len(item) == 2
+                    and isinstance(item[0], Polygon)):
+                raise InputError(
+                    f"criterion {spec.id!r} expects (Polygon, attribute) zones, "
+                    f"got {reprlib.repr(item)} at index {k}")
+        zone_idx = _zone_winners([poly for poly, _ in zones], grid, mask)
+        missing = np.flatnonzero(zone_idx == len(zones))
         if len(missing):
             row, col = (int(v[missing[0]]) for v in np.nonzero(mask))
             center = grid.cell_center(row, col)
@@ -369,23 +391,54 @@ def rasterize(spec: NormalizedCriterion, features, grid: GridSpec,
             classes[k] = classify(spec, zones[k][1]).rank
         return SuitabilityRaster(grid, spec.id, mask, _freeze(classes[zone_idx]), table)
 
-    points = list(features)
-    if not points:
-        raise InputError(f"criterion {spec.id!r}: empty feature layer")
-    if not all(isinstance(p, Point) for p in points):
+    xy = _point_array(features)
+    if xy is None:
         raise InputError(f"criterion {spec.id!r} expects point features")
+    if not len(xy):
+        raise InputError(f"criterion {spec.id!r}: empty feature layer")
     # the reach is the largest internal band edge, 0.0 with one segment
-    raws = _nearest_distances(points, grid, mask, spec.segments[-1].lo, mode)[mask]
+    raws = _nearest_distances(xy, grid, mask, spec.segments[-1].lo, mode)
     # a cell no window reached holds inf, which falls in the top segment
     classes = np.array([seg.cls.rank for seg in spec.segments], dtype=np.uint8)
     codes = classes[segment_index(spec, raws)]
     return SuitabilityRaster(grid, spec.id, mask, _freeze(codes), table)
 
 
-def _is_zone_layer(features) -> bool:
-    for item in features:
-        return isinstance(item, tuple) and isinstance(item[0], Polygon)
-    return False
+def _zone_winners(polys: list[Polygon], grid: GridSpec, mask: np.ndarray) -> np.ndarray:
+    """The index of the zone that wins each in-area cell, in row-major
+    order, or ``len(polys)`` where no zone holds the cell's center.
+
+    The smallest zone wins, and of equal ones the earlier: the zones claim
+    the cells still free in that order. A zone whose area is not below inf
+    wins no cell."""
+    none = len(polys)
+    box = _mask_box(mask)
+    if box is None:
+        return np.zeros(0, dtype=np.min_scalar_type(none))
+    r0, r1, c0, c1 = box
+    cx, cy = grid.center_axes()
+    xs, ys = cx[c0:c1], cy[r0:r1]
+    windows = bounds_windows(xs, ys, polys)
+    winner = np.full((r1 - r0, c1 - c0), none, dtype=np.min_scalar_type(none))
+    blocks = points_in_polygons(xs, ys, polys, windows)
+    for k in sorted((k for k, poly in enumerate(polys) if poly.area < math.inf),
+                    key=lambda k: polys[k].area):
+        a, b, c, d = windows[k].tolist()
+        free = winner[a:b, c:d]
+        free[blocks[k] & (free == none)] = k
+    return winner[mask[r0:r1, c0:c1]]
+
+
+def _point_array(features) -> np.ndarray | None:
+    """A point layer's n x 2 float64 coordinates, or None if it is neither
+    such an array nor a sequence of Points."""
+    if isinstance(features, np.ndarray):
+        ok = features.dtype == np.float64 and features.ndim == 2 and features.shape[1] == 2
+        return features if ok else None
+    points = list(features)
+    if not all(isinstance(p, Point) for p in points):
+        return None
+    return np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
 
 
 def combine(rasters: Sequence[SuitabilityRaster], weights,
@@ -452,6 +505,7 @@ def combine(rasters: Sequence[SuitabilityRaster], weights,
             acc += term
         else:
             acc *= term
+    del term  # freed before the score grid, the largest array of a run's surface
     values = np.full(grid.shape, np.nan)
     values[mask] = acc
     return ScoreRaster(grid, _freeze(values), mask)

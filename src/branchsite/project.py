@@ -17,9 +17,9 @@ import fcntl
 import hashlib
 import os
 import reprlib
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -62,9 +62,17 @@ from .fields import (
     is_int,
     is_number,
     one_of,
+    positions,
     read_json,
 )
-from .geo import GEODESIC, Point, Polygon, check_geodesic_range, point_in_polygon
+from .geo import (
+    GEODESIC,
+    Point,
+    Polygon,
+    check_geodesic_range,
+    point_in_polygon,
+    representative_points,
+)
 from .mclp import (
     CoverageStandard,
     MclpInstance,
@@ -288,18 +296,29 @@ def load_project(path: str | Path) -> ProjectConfig:
     )
 
 
-def _load_features(path: Path) -> Iterator[tuple[int, str, dict]]:
-    """(index, "<path> feature <index>", feature) for each feature of the
-    GeoJSON FeatureCollection at ``path``."""
+def _feature_list(path: Path) -> list:
+    """The features of the GeoJSON FeatureCollection at ``path``."""
     _, data = read_json(path, InputError, "layer")
     if (not isinstance(data, dict) or data.get("type") != "FeatureCollection"
             or not isinstance(data.get("features"), list)):
         raise InputError(f"layer {path} is not a GeoJSON FeatureCollection")
-    for i, feat in enumerate(data["features"]):
+    return data["features"]
+
+
+def _walk(path: Path, features: list) -> Iterator[tuple[int, str, dict]]:
+    """(index, "<path> feature <index>", feature) for each feature, which
+    must be an object."""
+    for i, feat in enumerate(features):
         where = f"{path} feature {i}"
         if not isinstance(feat, dict):
             raise InputError(f"{where}: feature must be an object, got {reprlib.repr(feat)}")
         yield i, where, feat
+
+
+def _only(values: list, kind: type) -> bool:
+    """Every value is of exactly the type ``kind``, as JSON objects and
+    lists are; the type is tested once per distinct type."""
+    return set(map(type, values)) <= {kind}
 
 
 def _coordinates(feat: dict, kind: str, where: str):
@@ -336,13 +355,55 @@ def _position(value, where: str, mode: str) -> Point:
     return p
 
 
-def load_point_layer(path: Path, mode: str) -> list[tuple[str | None, Point]]:
-    out = []
-    for _, where, feat in _load_features(path):
-        p = _position(_coordinates(feat, "Point", where), where, mode)
-        fid = _properties(feat, where).get("id")
-        out.append((None if fid is None else str(fid), p))
-    return out
+class PointLayer(NamedTuple):
+    """A point layer as columns: each feature's ``id`` property as a string
+    (None where it has none), and its position as a row of the read-only
+    n x 2 float64 ``xy``."""
+
+    ids: tuple
+    xy: np.ndarray
+
+
+def load_point_layer(path: Path, mode: str) -> PointLayer:
+    """The Point features of the layer at ``path``, typed in one pass over
+    each column; a layer that fails is walked feature by feature, only to
+    raise the first bad feature's error."""
+    features = _feature_list(path)
+    layer = _point_columns(features, mode)
+    if layer is None:
+        for _, where, feat in _walk(path, features):
+            _position(_coordinates(feat, "Point", where), where, mode)
+            _properties(feat, where)
+        raise AssertionError(f"a column of layer {path} failed but every feature reads")
+    return layer
+
+
+def _point_columns(features: list, mode: str) -> PointLayer | None:
+    """The columns of the point layer ``features``, or None where the walk
+    would raise: it accepts exactly what ``_coordinates``, ``_position``
+    and ``_properties`` accept."""
+    if not _only(features, dict):
+        return None
+    geoms = [feat.get("geometry") for feat in features]
+    if not _only(geoms, dict) or [g.get("type") for g in geoms].count("Point") < len(geoms):
+        return None
+    try:
+        xy = positions([g["coordinates"] for g in geoms])
+    except KeyError:
+        return None
+    props = [feat.get("properties") or {} for feat in features]
+    if xy is None or not _only(props, dict):
+        return None
+    if mode == GEODESIC:
+        try:
+            check_geodesic_range(xy[:, 0], xy[:, 1])
+        except DomainError:
+            return None
+    ids = [p.get("id") for p in props]
+    if not _only(ids, str):
+        ids = [None if fid is None else str(fid) for fid in ids]
+    xy.flags.writeable = False
+    return PointLayer(tuple(ids), xy)
 
 
 def _polygon(feat: dict, mode: str, where: str) -> Polygon:
@@ -363,7 +424,7 @@ def _polygon(feat: dict, mode: str, where: str) -> Polygon:
 
 def load_zone_layer(path: Path, mode: str) -> list[tuple[Polygon, object]]:
     out = []
-    for _, where, feat in _load_features(path):
+    for _, where, feat in _walk(path, _feature_list(path)):
         poly = _polygon(feat, mode, where)
         props = _properties(feat, where)
         if "level" not in props:
@@ -374,47 +435,84 @@ def load_zone_layer(path: Path, mode: str) -> list[tuple[Polygon, object]]:
 
 @dataclass(frozen=True)
 class DemandArea:
-    """A city section with its service population and a centroid inside it."""
+    """A city section with its service population and a centroid inside it.
+
+    The centroid is tested against the geometry unless ``centroid_inside``
+    says the caller found it inside already."""
 
     id: str
     population: float
     centroid: Point
     geometry: Polygon
+    centroid_inside: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, centroid_inside: bool):
         if not (is_number(self.population) and self.population >= 0):
             raise InputError(
                 f"demand area {self.id!r}: population must be a finite number >= 0")
-        if not point_in_polygon(self.centroid, self.geometry):
+        if not (centroid_inside or point_in_polygon(self.centroid, self.geometry)):
             raise InputError(f"demand area {self.id!r}: centroid lies outside its geometry")
 
 
 def load_demand_layer(path: Path, mode: str) -> list[DemandArea]:
-    out = []
-    for i, where, feat in _load_features(path):
-        poly = _polygon(feat, mode, where)
-        props = _properties(feat, where)
-        if "population" not in props:
-            raise InputError(f"{where}: demand area is missing the 'population' property")
-        population = props["population"]
-        if not is_number(population):
-            raise InputError(
-                f"{where}: 'population' must be a number, got {reprlib.repr(population)}")
-        aid = str(props.get("id", f"area{i + 1:02d}"))
-        centroid = props.get("centroid")
-        centroid = (poly.representative_point() if centroid is None
-                    else _position(centroid, where, mode))
-        out.append(DemandArea(id=aid, population=float(population),
-                              centroid=centroid, geometry=poly))
+    """The demand areas of the layer at ``path``. The populations are
+    typed as one column, and every centroid is tested in one kernel call: the given ones, and the vertex means of the others (see
+    ``geo.representative_points``); a centroid found inside is not tested
+    again. A layer that fails is walked feature by feature, only to raise
+    the first bad feature's error."""
+    features = _feature_list(path)
+    out = _demand_columns(features, mode)
+    if out is None:
+        for i, where, feat in _walk(path, features):
+            poly = _polygon(feat, mode, where)
+            props = _properties(feat, where)
+            if "population" not in props:
+                raise InputError(f"{where}: demand area is missing the 'population' property")
+            population = props["population"]
+            if not is_number(population):
+                raise InputError(
+                    f"{where}: 'population' must be a number, got {reprlib.repr(population)}")
+            centroid = props.get("centroid")
+            DemandArea(str(props.get("id", f"area{i + 1:02d}")), float(population),
+                       poly.representative_point() if centroid is None
+                       else _position(centroid, where, mode), poly)
+        raise AssertionError(f"a column of layer {path} failed but every feature reads")
     ids = [a.id for a in out]
     if len(set(ids)) != len(ids):
         raise InputError(f"{path}: demand area ids are not unique")
     return out
 
 
+def _demand_columns(features: list, mode: str) -> list[DemandArea] | None:
+    """The demand areas of ``features``, or None where the walk of
+    ``load_demand_layer`` would raise."""
+    if not _only(features, dict):
+        return None
+    props = [feat.get("properties") or {} for feat in features]
+    if not _only(props, dict):
+        return None
+    populations = NUMBER.column([p.get("population") for p in props])
+    if populations is None or not (populations >= 0).all():
+        return None
+    try:
+        polys = [_polygon(feat, mode, "") for feat in features]
+        given = [None if p.get("centroid") is None else _position(p["centroid"], "", mode)
+                 for p in props]
+        centroids = representative_points(polys, given)
+    except (InputError, DomainError):
+        return None
+    if None in centroids:
+        return None
+    return [DemandArea(str(p.get("id", f"area{i + 1:02d}")), population, centroid, poly,
+                       centroid_inside=True)
+            for i, (p, population, centroid, poly)
+            in enumerate(zip(props, populations.tolist(), centroids, polys))]
+
+
 def load_existing_branches(path: Path, mode: str) -> list[CandidateSite]:
-    return [CandidateSite(fid or f"e{i + 1:02d}", p, None, ORIGIN_EXISTING)
-            for i, (fid, p) in enumerate(load_point_layer(path, mode))]
+    layer = load_point_layer(path, mode)
+    return [CandidateSite(fid or f"e{i + 1:02d}", Point(x, y), None, ORIGIN_EXISTING)
+            for i, (fid, (x, y)) in enumerate(zip(layer.ids, layer.xy.tolist()))]
 
 
 class _Stage:
@@ -478,7 +576,7 @@ def build_surface(cfg: ProjectConfig) -> SurfaceResult:
             if spec.kind in (KIND_CATEGORICAL, KIND_DENSITY):
                 features[spec.id] = load_zone_layer(layer_path, cfg.mode)
             else:
-                features[spec.id] = [p for _, p in load_point_layer(layer_path, cfg.mode)]
+                features[spec.id] = load_point_layer(layer_path, cfg.mode).xy
 
     with _Stage("rasterize"):
         mask = build_mask(cfg.grid, [a.geometry for a in areas])

@@ -52,7 +52,6 @@ from branchsite.overlay import (
     SuitabilityRaster,
     CombineMode,
     ScoreRaster,
-    _is_zone_layer,
 )
 from branchsite.weights import WeightVector
 
@@ -535,6 +534,13 @@ def _min_distances(xs: np.ndarray, ys: np.ndarray, points: Sequence[Point],
     for p in points:
         np.minimum(best, distances_to(xs, ys, p, mode), out=best)
     return best
+
+
+# the zone-layer test of rasterize as it was: only the first item is checked
+def _is_zone_layer(features) -> bool:
+    for item in features:
+        return isinstance(item, tuple) and isinstance(item[0], Polygon)
+    return False
 
 
 def reference_build_mask(grid: GridSpec, polygons: Sequence[Polygon]) -> np.ndarray:

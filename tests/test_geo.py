@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import time
@@ -9,11 +10,17 @@ from branchsite.errors import DomainError
 from branchsite.geo import (
     EARTH_RADIUS_M,
     Point,
+    Polygon,
     _ring_self_intersects,
+    axis_terms,
+    bounds_windows,
+    contains_each,
     distances_to,
+    join_terms,
     planar_distance,
     point_in_polygon,
     points_in_polygon,
+    points_in_polygons,
 )
 
 from helpers import (
@@ -101,6 +108,34 @@ class TestGeodesicDistance:
         with pytest.raises(DomainError, match="lon=181.0, lat=5.0"):
             distances_to(xs, ys, Point(0.0, 0.0), "geodesic")
 
+    @pytest.mark.parametrize("mode", ["planar", "geodesic"])
+    def test_axis_terms_of_a_batch_join_to_each_cell_alone(self, mode):
+        """The terms of many points' rows and columns at once, joined per
+        grid, give each cell the bits of the distance formula evaluated on
+        that cell alone, as one expression."""
+
+        def alone(x, y, q):
+            xs, ys = np.array([x]), np.array([y])
+            if mode == "planar":
+                dx, dy = xs - q.x, ys - q.y
+                return np.sqrt(dx * dx + dy * dy)[0]
+            lat1, lat2 = np.radians(ys), np.radians(q.y)
+            dlat, dlon = np.radians(q.y - ys), np.radians(q.x - xs)
+            h = np.sin(dlat / 2.0) ** 2 + np.cos(lat1) * np.cos(lat2) * np.sin(dlon / 2.0) ** 2
+            return (2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(h))))[0]
+
+        rng = np.random.default_rng(5)
+        xs, ys = np.sort(rng.uniform(51.0, 52.0, 13)), np.sort(rng.uniform(32.0, 33.0, 11))
+        qx, qy = rng.uniform(51.0, 52.0, 4), rng.uniform(32.0, 33.0, 4)
+        rows, cols = axis_terms(xs[None, :], ys[None, :], qx[:, None], qy[:, None], mode)
+        for k in range(4):
+            q = Point(qx[k], qy[k])
+            grid = join_terms([r[k, :, None] for r in rows], cols[k], mode)
+            assert np.array_equal(grid, distances_to(xs[None, :], ys[:, None], q, mode))
+            for r in range(len(ys)):
+                for c in range(len(xs)):
+                    assert grid[r, c].tobytes() == alone(xs[c], ys[r], q).tobytes()
+
     def test_kernel_properties_random(self):
         rng = random.Random(11)
         for _ in range(300):
@@ -130,6 +165,18 @@ class TestPolygon:
         assert len(poly.exterior) == 4
         assert poly.area == pytest.approx(16.0)
         assert poly.centroid == Point(2.0, 2.0)
+
+    def test_area_and_bounds_are_computed_once(self):
+        ring = [(0, 0), (4, 0), (4, 3), (0, 3)]
+        poly = polygon_from_coords(ring, holes=[[(1, 1), (2, 1), (2, 2), (1, 2)]])
+        assert poly.area == 11.0 and poly.bounds == (0.0, 0.0, 4.0, 3.0)
+        # each read returns the value stored at construction
+        assert poly.area is poly.area and poly.bounds is poly.bounds
+        # the public fields, equality and hash are the rings' alone
+        assert [f.name for f in dataclasses.fields(Polygon)] == ["exterior", "holes"]
+        same = polygon_from_coords(ring + ring[:1], holes=[[(1, 1), (2, 1), (2, 2), (1, 2)]])
+        assert same == poly and hash(same) == hash(poly)
+        assert polygon_from_coords(ring) != poly
 
     def test_degenerate_rejected(self):
         with pytest.raises(DomainError):
@@ -251,44 +298,60 @@ class TestPointInPolygon:
                 assert point_in_polygon(p, poly) == winding_number_inside(p, poly.exterior)
 
 
+def _lattice(hypothesis, data):
+    """(polygon, axis) drawers on the lattice of a drawn scale: vertices on
+    it and grid axes on its half lattice, so centers land on edges and
+    vertices; at 1e300 the cross products overflow, and at 1.5e307 so does
+    bx - ax; 0.1 is inexact, so a crossing can round onto a center off its
+    edge."""
+    st = hypothesis.strategies
+    draw = data.draw
+    scale = draw(st.sampled_from([1e-3, 0.1, 1.0, 37.5, 1e300, 1.5e307]))
+    coord = st.integers(-8, 8).map(lambda k: k * scale)
+
+    def ring(inside=None):
+        if inside is not None:  # a rectangle within the bounds of ``inside``
+            x0, y0, x1, y1 = inside.bounds
+            share = st.integers(0, 8).map(lambda i: i / 8)
+            xs = sorted({x0 + (x1 - x0) * draw(share) for _ in range(2)})
+            ys = sorted({y0 + (y1 - y0) * draw(share) for _ in range(2)})
+            hypothesis.assume(len(xs) == len(ys) == 2)
+        elif draw(st.booleans()):  # horizontal and vertical edges
+            xs = sorted(draw(st.lists(coord, min_size=2, max_size=2, unique=True)))
+            ys = sorted(draw(st.lists(coord, min_size=2, max_size=2, unique=True)))
+        else:
+            xy = draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=6, unique=True))
+            mx = sum(x / len(xy) for x, _ in xy)
+            my = sum(y / len(xy) for _, y in xy)
+            return sorted(xy, key=lambda p: math.atan2(p[1] - my, p[0] - mx))
+        (x0, x1), (y0, y1) = xs, ys
+        return [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+
+    def polygon(inside=None):
+        try:
+            return polygon_from_coords(ring(inside),
+                                       [ring() for _ in range(draw(st.integers(0, 2)))])
+        except DomainError:
+            hypothesis.assume(False)
+
+    def axis():
+        # 1 to 6 values, equal neighbours allowed: 1x1, one-row and
+        # one-column grids come up
+        ks = draw(st.lists(st.integers(-18, 18), min_size=1, max_size=6))
+        return np.array(sorted(ks), dtype=float) * (scale / 2.0)
+
+    return polygon, axis
+
+
 class TestGridKernel:
     def test_matches_per_cell_kernel(self):
         hypothesis = pytest.importorskip("hypothesis")
-        st = hypothesis.strategies
-
-        @st.composite
-        def cases(draw):
-            # vertices on the lattice of ``scale`` and grid axes on its half
-            # lattice, so centers land on edges and vertices; at 1e300 the
-            # cross products overflow, and at 1.5e307 so does bx - ax; 0.1
-            # is inexact, so a crossing can round onto a center off its edge
-            scale = draw(st.sampled_from([1e-3, 0.1, 1.0, 37.5, 1e300, 1.5e307]))
-            coord = st.integers(-8, 8).map(lambda k: k * scale)
-
-            def ring():
-                if draw(st.booleans()):  # horizontal and vertical edges
-                    x0, x1 = sorted(draw(st.lists(coord, min_size=2, max_size=2, unique=True)))
-                    y0, y1 = sorted(draw(st.lists(coord, min_size=2, max_size=2, unique=True)))
-                    return [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
-                xy = draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=6, unique=True))
-                mx = sum(x / len(xy) for x, _ in xy)
-                my = sum(y / len(xy) for _, y in xy)
-                return sorted(xy, key=lambda p: math.atan2(p[1] - my, p[0] - mx))
-
-            try:
-                poly = polygon_from_coords(ring(), [ring() for _ in range(draw(st.integers(0, 2)))])
-            except DomainError:
-                hypothesis.assume(False)
-            # 1 to 6 values, equal neighbours allowed: 1x1, one-row and
-            # one-column grids come up
-            axis = st.lists(st.integers(-18, 18), min_size=1, max_size=6).map(
-                lambda ks: np.array(sorted(ks), dtype=float) * (scale / 2.0))
-            return poly, draw(axis), draw(axis)
 
         @hypothesis.settings(max_examples=400, deadline=None)
-        @hypothesis.given(case=cases())
-        def check(case):
-            poly, xs, ys = case
+        @hypothesis.given(data=hypothesis.strategies.data())
+        def check(data):
+            polygon, axis = _lattice(hypothesis, data)
+            poly, xs, ys = polygon(), axis(), axis()
             got = points_in_polygon(xs, ys, poly)
             with np.errstate(all="ignore"):
                 want = reference_points_in_polygon(*np.meshgrid(xs, ys), poly)
@@ -297,6 +360,70 @@ class TestGridKernel:
             assert point_in_polygon(Point(xs[0], ys[0]), poly) == want[0, 0]
 
         check()
+
+    def test_polygon_sets_match_per_cell_kernel(self):
+        """One kernel call on a set of polygons (random, overlapping, nested
+        in an earlier one's bounds, with holes) gives each polygon's window
+        the per-cell kernel's answer; the windows are the bounds windows or
+        any others, empty ones too."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(data=st.data())
+        def check(data):
+            polygon, axis = _lattice(hypothesis, data)
+            polys = [polygon()]
+            for _ in range(data.draw(st.integers(0, 3))):
+                polys.append(polygon(inside=data.draw(st.sampled_from(polys))
+                                     if data.draw(st.booleans()) else None))
+            xs, ys = axis(), axis()
+            windows = bounds_windows(xs, ys, polys)
+            for k in range(len(polys)):
+                if data.draw(st.booleans()):
+                    r0, r1 = sorted(data.draw(st.integers(0, len(ys))) for _ in range(2))
+                    c0, c1 = sorted(data.draw(st.integers(0, len(xs))) for _ in range(2))
+                    windows[k] = r0, r1, c0, c1
+            blocks = points_in_polygons(xs, ys, polys, windows)
+            assert len(blocks) == len(polys)
+            for poly, (r0, r1, c0, c1), got in zip(polys, windows.tolist(), blocks):
+                with np.errstate(all="ignore"):
+                    want = reference_points_in_polygon(
+                        *np.meshgrid(xs[c0:c1], ys[r0:r1]), poly)
+                assert got.shape == (r1 - r0, c1 - c0)
+                assert np.array_equal(got, want)
+            # each polygon against a point of its own, in one call
+            points = [Point(data.draw(st.sampled_from(xs.tolist())),
+                            data.draw(st.sampled_from(ys.tolist()))) for _ in polys]
+            with np.errstate(all="ignore"):
+                want = [bool(reference_points_in_polygon(np.array([p.x]), np.array([p.y]),
+                                                         poly)[0])
+                        for p, poly in zip(points, polys)]
+            assert contains_each(points, polys) == want
+
+        check()
+
+    def test_boundary_windows_larger_than_a_batch(self):
+        """An edge whose window holds more cells than one boundary batch:
+        the centers on the diagonal are on the boundary, so inside."""
+        axis = np.arange(300.0)
+        for ring in ([(0, 0), (299, 0), (299, 299)], [(0, 0), (299, 299), (0, 299)]):
+            poly = polygon_from_coords(ring)
+            got = points_in_polygon(axis, axis, poly)
+            assert np.array_equal(got, reference_points_in_polygon(
+                *np.meshgrid(axis, axis), poly))
+            assert got.diagonal().all() and got.sum() == 300 * 301 // 2
+
+    def test_bounds_windows_hold_the_cells_inside_the_bounds(self):
+        square = polygon_from_coords([(1, 1), (3, 1), (3, 2), (1, 2)])
+        far = polygon_from_coords([(10, 10), (11, 10), (11, 11)])
+        xs = ys = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+        assert bounds_windows(xs, ys, [square, far]).tolist() == [[1, 3, 1, 4], [5, 5, 5, 5]]
+        inside, outside = points_in_polygons(xs, ys, [square, far],
+                                             bounds_windows(xs, ys, [square, far]))
+        assert inside.all() and inside.shape == (2, 3)
+        assert outside.shape == (0, 0)
+        assert points_in_polygons(xs, ys, [], np.zeros((0, 4), dtype=int)) == []
 
     def test_center_at_a_rounded_crossing(self):
         # the first edge's crossing x rounds onto the center while its cross

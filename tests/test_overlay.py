@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -170,6 +171,38 @@ class TestRasterizeZones:
         raster = rasterize(density, [(left, 650), (right, 120)], grid, SCHEME)
         assert raster.values[0, 0] == 0.6
         assert raster.values[0, 1] == 0.0
+
+    @pytest.mark.parametrize("bad, shown", [("junk", "'junk'"), (("x", 1), "('x', 1)")])
+    def test_every_zone_item_is_type_checked(self, bad, shown):
+        grid = GridSpec(0, 0, 100, 2, 2)
+        zone = (polygon_from_coords([(0, 0), (200, 0), (200, 200), (0, 200)]), "High")
+        with pytest.raises(InputError, match=re.escape(
+                f"criterion 'income_level' expects (Polygon, attribute) zones, "
+                f"got {shown} at index 1")):
+            rasterize(INCOME, [zone, bad], grid, SCHEME)
+
+    def test_equal_zones_go_to_the_earlier(self):
+        grid = GridSpec(0, 0, 100, 3, 2)
+        square = [(0, 0), (300, 0), (300, 200), (0, 200)]
+        # the same cells and the same area, in other vertex orders
+        first = polygon_from_coords(square)
+        second = polygon_from_coords(square[1:] + square[:1])
+        assert first.area == second.area
+        for (a, b), want in ((("High", "Low"), 0.6), (("Low", "High"), 0.0)):
+            zones = [(first, a), (second, b)]
+            assert rasterize(INCOME, zones, grid, SCHEME).values.tolist() == [[want] * 3] * 2
+
+    def test_zone_that_wins_no_cell_is_never_classified(self):
+        grid = GridSpec(0, 0, 100, 3, 2)
+        base = polygon_from_coords([(0, 0), (300, 0), (300, 200), (0, 200)])
+        covered = polygon_from_coords([(0, 0), (400, 0), (400, 300), (0, 300)])
+        outside = polygon_from_coords([(500, 500), (600, 500), (600, 600)])
+        # "Unknown" is no category: classifying either zone would raise
+        zones = [(covered, "Unknown"), (base, "Middle"), (outside, "Unknown")]
+        raster = rasterize(INCOME, zones, grid, SCHEME)
+        assert raster.values.tolist() == [[0.4] * 3] * 2
+        with pytest.raises(InputError, match="category 'Unknown' not in"):
+            rasterize(INCOME, [(base, "Unknown")], grid, SCHEME)
 
 
 class TestGridSpec:

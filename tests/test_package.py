@@ -1,0 +1,30 @@
+"""The names the ``branchsite`` package exports."""
+
+import branchsite
+
+EXPORTED = {
+    "Band", "BranchSiteError", "CandidateSite", "CombineMode", "ComparisonMatrix",
+    "ConfigError", "CoverageCurve", "CoverageStandard", "CriterionSpec", "DemandArea",
+    "DomainError", "ExtractionConfig", "GateError", "GridSpec", "Hierarchy",
+    "HierarchyNode", "InputError", "MclpInstance", "MclpSolution", "NormalizedCriterion",
+    "NumericalError", "Point", "Polygon", "ProjectConfig", "RunReport", "ScoreRaster",
+    "ScoreScheme", "SolverRefused", "SpecificationError", "StageError",
+    "SuitabilityClass", "SuitabilityRaster", "WeightVector", "assign_tiers",
+    "build_coverage", "build_mask", "candidates_geojson", "classify", "combine",
+    "consistency_ratio", "coverage_curve", "extract", "gate", "improve_swap",
+    "load_project", "merge", "planar_distance", "point_in_polygon", "principal_weights",
+    "rasterize", "render_report", "run_pipeline", "solve_exact", "solve_greedy",
+    "synthesize", "validate_spec", "write_fixture", "__version__",
+}
+
+
+def test_all_pins_the_exported_names():
+    assert len(branchsite.__all__) == len(set(branchsite.__all__))
+    assert set(branchsite.__all__) == EXPORTED
+    assert all(hasattr(branchsite, name) for name in EXPORTED)
+
+
+def test_star_import_gives_exactly_the_exported_names():
+    namespace: dict = {}
+    exec("from branchsite import *", namespace)
+    assert set(namespace) - {"__builtins__"} == EXPORTED

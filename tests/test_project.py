@@ -142,6 +142,20 @@ class TestLoadProject:
             load_project(path)
 
 
+def _collection(features):
+    return {"type": "FeatureCollection", "features": features}
+
+
+def _point(coordinates, properties):
+    return {"type": "Feature", "geometry": {"type": "Point", "coordinates": coordinates},
+            "properties": properties}
+
+
+def _area(ring, properties):
+    return {"type": "Feature", "geometry": {"type": "Polygon", "coordinates": [ring]},
+            "properties": properties}
+
+
 class TestLoadLayers:
     def test_existing_branches_count_and_ids(self, demo_config_path):
         cfg = load_project(demo_config_path)
@@ -217,6 +231,73 @@ class TestLoadLayers:
         }))
         (area,) = load_demand_layer(path, "planar")
         assert area.centroid == centroid
+
+    def test_point_layer_reads_as_columns(self, tmp_path):
+        path = tmp_path / "points.geojson"
+        path.write_text(json.dumps(_collection([
+            _point([1, 2.5], {"id": "a"}), _point([-3.0, 4, 99.0], {"id": 7}),
+            _point([5, 6], None), _point([7, 8], {"name": "b"})])))
+        layer = load_point_layer(path, "planar")
+        assert layer.ids == ("a", "7", None, None)
+        # a third coordinate is ignored
+        assert layer.xy.dtype == np.float64
+        assert layer.xy.tolist() == [[1.0, 2.5], [-3.0, 4.0], [5.0, 6.0], [7.0, 8.0]]
+        assert not layer.xy.flags.writeable
+        empty = tmp_path / "empty.geojson"
+        empty.write_text(json.dumps(_collection([])))
+        assert load_point_layer(empty, "planar").xy.shape == (0, 2)
+
+    @pytest.mark.parametrize("mode, bad, message", [
+        ("planar", [1999, "x"],
+         "feature 1999: expected an [x, y] position of numbers, got [1999, 'x']"),
+        ("planar", [1999], "feature 1999: expected an [x, y] position of numbers, got [1999]"),
+        ("geodesic", [200.0, 5.0], "feature 1999: coordinates (200.0, 5.0) out of lon/lat range"),
+    ])
+    def test_bad_last_of_2000_points_is_named(self, tmp_path, mode, bad, message):
+        """The column reader fails as a whole; the walk names the feature."""
+        path = tmp_path / "points.geojson"
+        features = [_point([i / 100, 1.0, 3.0], {}) for i in range(1999)] + [_point(bad, {})]
+        path.write_text(json.dumps(_collection(features)))
+        with pytest.raises(InputError) as err:
+            load_point_layer(path, mode)
+        assert str(err.value) == f"{path} {message}"
+
+    def test_demand_centroids_are_tested_once(self, demo_config_path, monkeypatch):
+        """The computed centroids are inside by construction; no scalar
+        test runs for them."""
+        calls = []
+        monkeypatch.setattr(project, "point_in_polygon",
+                            lambda *args: calls.append(args) or True)
+        cfg = load_project(demo_config_path)
+        areas = load_demand_layer(cfg.demand_path, cfg.mode)
+        assert len(areas) == 20 and not calls
+        # a centroid given to the constructor is still tested
+        monkeypatch.undo()
+        square = Polygon(tuple(Point(x, y) for x, y in [(0, 0), (1, 0), (1, 1), (0, 1)]))
+        with pytest.raises(InputError, match="'d1': centroid lies outside its geometry"):
+            DemandArea("d1", 1.0, Point(2.0, 0.5), square)
+
+    def test_first_bad_demand_area_is_named(self, tmp_path):
+        """A given centroid outside its area in feature 1 is named before
+        the bad ring of feature 2, as the feature walk meets them."""
+        square = [[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]
+        features = [
+            _area(square, {"id": "a", "population": 1}),
+            _area(square, {"id": "b", "population": 2, "centroid": [5, 5]}),
+            _area([[0, 0], [1, 0], [2, 0], [0, 0]], {"id": "c", "population": 3}),
+        ]
+        path = tmp_path / "areas.geojson"
+        path.write_text(json.dumps(_collection(features)))
+        with pytest.raises(InputError, match="demand area 'b': centroid lies outside"):
+            load_demand_layer(path, "planar")
+        features[1]["properties"]["centroid"] = [0.25, 0.75]
+        path.write_text(json.dumps(_collection(features)))
+        with pytest.raises(InputError, match="feature 2: polygon area must be strictly positive"):
+            load_demand_layer(path, "planar")
+        path.write_text(json.dumps(_collection(features[:2])))
+        a, b = load_demand_layer(path, "planar")
+        assert (a.centroid, b.centroid) == (Point(0.5, 0.5), Point(0.25, 0.75))
+        assert (a.population, b.population) == (1.0, 2.0)
 
     def test_empty_distance_layer_fails_at_rasterize_stage(self, demo_config_path, tmp_path):
         empty = demo_copy(demo_config_path, tmp_path) / "layers" / "empty.geojson"
@@ -500,7 +581,8 @@ class TestSurfaceAt25m:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8_000_000
+        # 2.9 MB: no full-grid array per zone layer and none of distances
+        assert peak <= 3_500_000
 
 
 def _dir_bytes(root):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InputError
 from .geo import PLANAR, Point, distances_to
-from .overlay import ScoreRaster
+from .overlay import SuitabilityRaster
 
 ORIGIN_PROPOSED = "proposed"
 ORIGIN_EXISTING = "existing"
@@ -63,19 +63,21 @@ class ExtractionConfig:
             raise InputError("max_proposed must be >= 1")
 
 
-def extract(raster: ScoreRaster, cfg: ExtractionConfig,
+def extract(raster: SuitabilityRaster, cfg: ExtractionConfig,
             mode: str = PLANAR) -> list[CandidateSite]:
     """Greedy peak extraction with non-maximum suppression.
 
     Returns proposed candidates in pick order; empty when no cell reaches
     min_score (an empty-result signal, not an error). Zero-score cells are
-    never eligible.
+    never eligible. The eligible scores are chosen in the raster's table,
+    and their cells among the in-area cells.
     """
-    values = raster.values
-    # NaN cells compare False, so they drop out with the non-positive ones
-    rows, cols = np.nonzero((values > 0.0) & (values >= cfg.min_score))
-    scores = values[rows, cols]
-    # np.nonzero is row-major, so the stable sort orders by (score desc, row, col)
+    table = raster.table
+    # NaN entries compare False, so they drop out with the non-positive ones
+    eligible = ((table > 0.0) & (table >= cfg.min_score))[raster.codes]
+    rows, cols = np.divmod(np.flatnonzero(raster.mask)[eligible], raster.grid.ncols)
+    scores = table[raster.codes[eligible]]
+    # the cells are row-major, so the stable sort orders by (score desc, row, col)
     order = np.argsort(-scores, kind="stable")
 
     picked: list[tuple[float, Point]] = []

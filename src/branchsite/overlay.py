@@ -27,24 +27,28 @@ by the code. The rasters of a run share the one read-only mask of
 the weighted entries by code, in criterion-id order, so the result is
 bit-identical under any input permutation and to weighting every cell.
 
+The combined surface is a raster of the same kind: combination codes each
+in-area cell by the bit pattern of its combined score, so the table holds
+the surface's few distinct scores (Tomlin's local operation of several
+categorical layers has only as many outcomes as their class combinations).
+
 The Esri grids, ``score_points.geojson`` and ``report.json`` with its score
-raster are formatted from arrays into chunks of text. Each formatter builds
-its tables in its own call and returns an iterator that joins the text a
-chunk of about 1 MiB (``_CHUNK``) at a time, so the writer holds one chunk,
-not the file. Beyond it, the memory is the tables: the in-area cell indices
-of ``score_points.geojson`` (8 bytes a cell), the codes of a grid, and
-copies of the bits a table formats while it is built. A grid's rows are
-codes into a table of texts, and one row formatter, ``_row_texts``, joins
-them: a criterion grid's codes are its classes, with one more for the
-cells outside the mask, and its at most four texts are its table's; a
-float grid's codes are its distinct bit patterns, each formatted once, so
-the text is the same as formatting every cell on its own. Each distinct
-row is joined once: runs of equal adjacent rows come from one comparison
-of the rows' codes (a float grid's bits), only the first row of each run is
-hashed, and every later run of the same row (every row outside the study
-area is the same) reuses its text. Each feature of ``score_points.geojson``
-is a column's, a row's and a score's text; a chunk joins those shared
-pieces for a slice of the in-area cells.
+raster are formatted from a raster's codes into chunks of text. Each
+formatter builds its tables in its own call and returns an iterator that
+joins the text a chunk of about 1 MiB (``_CHUNK``) at a time, so the writer
+holds one chunk, not the file. Beyond it, the memory is the tables: the
+in-area cell indices of ``score_points.geojson`` (8 bytes a cell) and the
+codes laid on the grid. Each table entry is formatted once, so ``-0.0``
+and ``0.0``, and NaNs of other payloads, keep their own text, which is the
+text of formatting every cell on its own. A grid's rows are its codes laid
+on the grid, with one more code for the cells outside the mask, and one
+row formatter, ``_row_texts``, joins them. Each distinct row is joined
+once: runs of equal adjacent rows come from one comparison of the rows'
+codes, only the first row of each run is hashed, and every later run of the
+same row (every row outside the study area is the same) reuses its text.
+Each feature of ``score_points.geojson`` is a column's, a row's and a
+score's text; a chunk joins those shared pieces for a slice of the in-area
+cells.
 """
 
 from __future__ import annotations
@@ -165,27 +169,35 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr if not arr.flags.writeable else _freeze(arr.copy())
 
 
-def _distinct_bits(values) -> np.ndarray:
-    """The distinct bit patterns of the float ``values``, as ascending
-    ``int64`` keys."""
-    # a sort, not np.unique: its hash table (numpy 2.3 on) is several times slower
-    keys = np.sort(np.asarray(values, dtype=float).view(np.int64), axis=None)
+def _coded(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, table) of the float ``scores``: the table holds each distinct
+    bit pattern once, ascending as ``int64``, and ``table[codes]`` has the
+    bits of ``scores``. The codes are as wide as the table needs; both
+    arrays are new and read-only."""
+    bits = scores.view(np.int64)
+    # a sort, not np.unique: its hash table (numpy 2.3 on) is several times
+    # slower, and on first use it imports numpy.ma
+    keys = np.sort(bits)
     first = np.ones(len(keys), dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
-    return keys[first]
+    keys = keys[first]
+    codes = keys.searchsorted(bits).astype(np.min_scalar_type(max(len(keys) - 1, 0)))
+    return _freeze(codes), _freeze(keys.view(float))
 
 
 @dataclass(frozen=True, eq=False)
 class SuitabilityRaster:
-    """One criterion's scores over the study area, as a class code per cell.
+    """Scores over the study area, as a class code per cell: one criterion's,
+    or the combined surface's (id ``"score"``).
 
     ``codes`` holds one unsigned code per in-area cell, in row-major order,
-    and ``table[code]`` is that cell's score. The pipeline's rasters hold
-    one byte per cell, share the one study-area ``mask`` of their run and
-    use the scheme's ``table``, its scores indexed by class rank, with each
-    cell's class rank as its code. ``from_values`` builds a raster of any
-    float grid, and ``values`` gives the float grid back, with NaN outside
-    the mask.
+    and ``table[code]`` is that cell's score. The pipeline's rasters share
+    the one study-area ``mask`` of their run. A criterion raster holds one
+    byte per cell and uses the scheme's ``table``, its scores indexed by
+    class rank, with each cell's class rank as its code; the combined
+    surface's table holds its distinct scores. ``from_values`` builds a
+    raster of any float grid, and ``values`` gives the float grid back,
+    with NaN outside the mask.
 
     The arrays are read-only: a writeable array is copied, never frozen in
     place. Rasters compare by identity: their arrays have no single truth
@@ -220,11 +232,7 @@ class SuitabilityRaster:
         mask = np.asarray(mask, dtype=bool)
         if values.shape != grid.shape or mask.shape != grid.shape:
             raise InputError("raster arrays must match the grid shape")
-        scores = values[mask]
-        keys = _distinct_bits(scores)
-        codes = keys.searchsorted(scores.view(np.int64))
-        codes = codes.astype(np.min_scalar_type(max(len(keys) - 1, 0)))
-        return cls(grid, criterion_id, mask, _freeze(codes), _freeze(keys.view(float)))
+        return cls(grid, criterion_id, mask, *_coded(values[mask]))
 
     @property
     def values(self) -> np.ndarray:
@@ -232,26 +240,6 @@ class SuitabilityRaster:
         values = np.full(self.grid.shape, np.nan)
         values[self.mask] = self.table[self.codes]
         return values
-
-
-@dataclass(frozen=True, eq=False)
-class ScoreRaster:
-    """Combined suitability surface; NaN outside the study area.
-
-    The arrays are read-only: a writeable array is copied, never frozen in
-    place. Rasters compare by identity: their arrays have no single truth
-    value.
-    """
-
-    grid: GridSpec
-    values: np.ndarray
-    mask: np.ndarray
-
-    def __post_init__(self):
-        if self.values.shape != self.grid.shape or self.mask.shape != self.grid.shape:
-            raise InputError("raster arrays must match the grid shape")
-        object.__setattr__(self, "values", _read_only(self.values))
-        object.__setattr__(self, "mask", _read_only(self.mask))
 
 
 def build_mask(grid: GridSpec, polygons: Sequence[Polygon]) -> np.ndarray:
@@ -442,8 +430,9 @@ def _point_array(features) -> np.ndarray | None:
 
 
 def combine(rasters: Sequence[SuitabilityRaster], weights,
-            mode: CombineMode) -> ScoreRaster:
-    """Weighted per-cell combination of suitability rasters.
+            mode: CombineMode) -> SuitabilityRaster:
+    """Weighted per-cell combination of suitability rasters, as the raster
+    ``"score"`` on their mask, coded by the bits of its distinct scores.
 
     weighted_sum:        sum_k w_k * s_k
     literal_product:     prod_k (w_k * s_k)
@@ -505,10 +494,8 @@ def combine(rasters: Sequence[SuitabilityRaster], weights,
             acc += term
         else:
             acc *= term
-    del term  # freed before the score grid, the largest array of a run's surface
-    values = np.full(grid.shape, np.nan)
-    values[mask] = acc
-    return ScoreRaster(grid, _freeze(values), mask)
+    del term  # freed before the sort of the coding
+    return SuitabilityRaster(grid, "score", mask, *_coded(acc))
 
 
 def json_text(payload) -> str:
@@ -524,22 +511,6 @@ _CHUNK = 1 << 20
 def _format(values: np.ndarray, fmt, nan_text: str) -> list[str]:
     """``fmt`` of each float of ``values``, and ``nan_text`` for every NaN."""
     return [nan_text if math.isnan(v) else fmt(v) for v in values.tolist()]
-
-
-def _text_table(values, fmt, nan_text: str) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct bit patterns of the float ``values`` as ascending
-    ``int64`` keys, and each key's text: ``fmt`` runs once per pattern (so
-    ``-0.0`` and ``0.0`` keep their own text) and every NaN is ``nan_text``.
-    """
-    keys = _distinct_bits(values)
-    return keys, np.array(_format(keys.view(float), fmt, nan_text), dtype=object)
-
-
-def _texts(table: tuple[np.ndarray, np.ndarray], values: np.ndarray) -> np.ndarray:
-    """The ``_text_table`` strings of the float ``values``, as an object
-    array of the same shape."""
-    keys, texts = table
-    return texts[keys.searchsorted(values.view(np.int64))]
 
 
 def _drain(buf: list[str]) -> str:
@@ -611,38 +582,24 @@ def _row_texts(runs: list[tuple[int, int]], codes: np.ndarray, texts: np.ndarray
     return rows()
 
 
-def _float_rows(values, fmt, nan_text: str
+def _class_rows(raster: SuitabilityRaster, fmt, nan_text: str, north_first: bool
                 ) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
-    """``_row_texts`` arguments but the separator for the 2-D float
-    ``values``, rows in order. The rows are compared by their bits, so rows
-    that differ only in ``-0.0`` and ``0.0`` or in a NaN payload keep their
-    own text; the codes index the ``_text_table`` of the distinct rows."""
-    bits = np.asarray(values, dtype=float).view(np.int64)
-    runs, distinct = _row_runs(bits)
-    bits = bits[distinct]
-    keys, texts = _text_table(bits.view(float), fmt, nan_text)
-    return runs, keys.searchsorted(bits), texts
-
-
-def _class_rows(raster: SuitabilityRaster, fmt, nan_text: str
-                ) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
-    """``_row_texts`` arguments but the separator for a criterion raster,
-    rows north to south: its codes laid on the grid, with one more code for
-    the cells outside the mask, whose texts are its table's entries, each
-    formatted once, then ``nan_text``."""
+    """``_row_texts`` arguments but the separator for a raster, rows north
+    to south if ``north_first``, else south to north: its codes laid on the
+    grid, with one more code for the cells outside the mask, whose texts are
+    its table's entries, each formatted once, then ``nan_text``."""
     outside = len(raster.table)
     laid = np.full(raster.grid.shape, outside, dtype=np.min_scalar_type(outside))
     laid[raster.mask] = raster.codes
-    codes = laid[::-1]
+    codes = laid[::-1] if north_first else laid
     runs, distinct = _row_runs(codes)
     texts = np.array(_format(raster.table, fmt, nan_text) + [nan_text], dtype=object)
     return runs, codes[distinct], texts
 
 
-def esri_ascii_text(raster: SuitabilityRaster | ScoreRaster) -> Iterator[str]:
+def esri_ascii_text(raster: SuitabilityRaster) -> Iterator[str]:
     """Esri ASCII grid text of a raster in chunks; rows written north to
-    south. A criterion raster is formatted from its codes and its table's
-    texts, a score raster from the codes of its cells' bit patterns."""
+    south, each row formatted from its codes and its table's texts."""
     grid = raster.grid
     header = "\n".join([
         f"NCOLS {grid.ncols}",
@@ -652,10 +609,7 @@ def esri_ascii_text(raster: SuitabilityRaster | ScoreRaster) -> Iterator[str]:
         f"CELLSIZE {grid.cell_size!r}",
         f"NODATA_VALUE {NODATA!r}",
     ])
-    if isinstance(raster, SuitabilityRaster):
-        rows = _class_rows(raster, repr, repr(NODATA))
-    else:
-        rows = _float_rows(raster.values[::-1], repr, repr(NODATA))
+    rows = _class_rows(raster, repr, repr(NODATA), north_first=True)
     return _chunks(header + "\n", _row_texts(*rows, " "), "\n", "\n")
 
 
@@ -678,14 +632,15 @@ _POINT_FEATURE = """\
 _HEAD, _MID, _MID2, _TAIL = _POINT_FEATURE.split("%s")
 
 
-def _json_table(values, before: str, after: str) -> tuple[np.ndarray, np.ndarray]:
-    """``_text_table`` of ``values`` as ``json.dumps`` text, each text
-    between ``before`` and ``after``."""
-    return _text_table(values, lambda v: before + json.dumps(v) + after,
-                       before + "NaN" + after)
+def _json_texts(values: np.ndarray, before: str, after: str) -> np.ndarray:
+    """The ``json.dumps`` text of each float of ``values`` between
+    ``before`` and ``after``, as an object array."""
+    return np.array([before + json.dumps(v) + after for v in values.tolist()],
+                    dtype=object)
 
 
-def score_points_geojson(raster, meta: dict | None = None) -> Iterator[str]:
+def score_points_geojson(raster: SuitabilityRaster, meta: dict | None = None
+                         ) -> Iterator[str]:
     """GeoJSON FeatureCollection text of the in-area cell centers with their
     score, in row-major order and in chunks; the same text as ``json_text``
     of the dict.
@@ -702,14 +657,16 @@ def score_points_geojson(raster, meta: dict | None = None) -> Iterator[str]:
     # only the top-level key can match: a string value escapes its newlines
     text = json_text({"type": "FeatureCollection", "features": [], **(meta or {})})
     head, tail = text.split('\n  "features": []', 1)
-    values = raster.values.reshape(-1)
-    cells = np.flatnonzero(~np.isnan(values))
+    # the in-area cells whose score is not NaN, and their codes
+    keep = ~np.isnan(raster.table)[raster.codes]
+    cells = np.flatnonzero(raster.mask)[keep]
     if not len(cells):
         return iter([text])
+    codes = raster.codes[keep]
     xs, ys = raster.grid.center_axes()
-    x_texts = _texts(_json_table(xs, ",\n" + _HEAD, _MID), xs)
-    y_texts = _texts(_json_table(ys, "", _MID2), ys)
-    scores = _json_table(values[cells], "", _TAIL)
+    x_texts = _json_texts(xs, ",\n" + _HEAD, _MID)
+    y_texts = _json_texts(ys, "", _MID2)
+    score_texts = _json_texts(raster.table, "", _TAIL)
     # every feature is longer than the template, so a full slice fills a chunk
     step = -(-_CHUNK // len(_POINT_FEATURE))
 
@@ -720,7 +677,7 @@ def score_points_geojson(raster, meta: dict | None = None) -> Iterator[str]:
             pieces = np.empty((len(block), 3), dtype=object)
             pieces[:, 0] = x_texts[cols]
             pieces[:, 1] = y_texts[rows]
-            pieces[:, 2] = _texts(scores, values[block])
+            pieces[:, 2] = score_texts[codes[a:a + step]]
             parts = pieces.ravel().tolist()
             if not a:  # no separator before the first feature
                 parts[0] = head + '\n  "features": [\n' + parts[0][len(",\n"):]
@@ -731,15 +688,17 @@ def score_points_geojson(raster, meta: dict | None = None) -> Iterator[str]:
     return chunks()
 
 
-def report_json_text(data: dict, score: ScoreRaster) -> Iterator[str]:
+def report_json_text(data: dict, score: SuitabilityRaster) -> Iterator[str]:
     """``json_text`` of the run report ``data`` with its ``score_raster``
     set to ``{"values": ...}``, in chunks. The raster holds ``score.values``
-    as float rows with NaN as ``null``; its rows are encoded by
-    ``_row_texts``, not cell by cell through the indenting encoder.
+    as float rows, south to north, with NaN as ``null``; its rows are
+    encoded by ``_row_texts``, not cell by cell through the indenting
+    encoder.
     """
     text = json_text({**data, "score_raster": {"values": []}})
     # a top-level key, as in score_points_geojson
     head, tail = text.split('\n  "score_raster": {\n    "values": []', 1)
-    rows = _row_texts(*_float_rows(score.values, json.dumps, "null"), ",\n        ")
+    rows = _class_rows(score, json.dumps, "null", north_first=False)
     return _chunks(head + '\n  "score_raster": {\n    "values": [\n      [\n        ',
-                   rows, "\n      ],\n      [\n        ", "\n      ]\n    ]" + tail)
+                   _row_texts(*rows, ",\n        "),
+                   "\n      ],\n      [\n        ", "\n      ]\n    ]" + tail)

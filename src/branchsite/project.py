@@ -58,6 +58,7 @@ from .fields import (
     STRING,
     XY,
     Kind,
+    columns,
     get,
     is_int,
     is_number,
@@ -84,7 +85,6 @@ from .mclp import (
 from .overlay import (
     CombineMode,
     GridSpec,
-    ScoreRaster,
     SuitabilityRaster,
     build_mask,
     combine,
@@ -538,7 +538,7 @@ class SurfaceResult:
     weights: WeightVector
     areas: tuple[DemandArea, ...]
     rasters: tuple[SuitabilityRaster, ...]
-    score: ScoreRaster
+    score: SuitabilityRaster
 
 
 @dataclass
@@ -549,7 +549,7 @@ class RunReport:
 
     data: dict
     rasters: tuple[SuitabilityRaster, ...]
-    score: ScoreRaster
+    score: SuitabilityRaster
 
     def to_json(self) -> str:
         return "".join(report_json_text(self.data, self.score))
@@ -652,15 +652,13 @@ def run_pipeline(cfg: ProjectConfig) -> RunReport:
     return RunReport(data=data, rasters=surface.rasters, score=surface.score)
 
 
-def _score_raster_from_report(data: dict) -> ScoreRaster:
+def _score_raster_from_report(data: dict) -> SuitabilityRaster:
     grid = _grid(data, "report")
-    cells = data["score_raster"]["values"]
+    field = get(data, "score_raster", OBJECT, "report")
+    cells = get(field, "values", LIST, "report", "score_raster")
     values = np.array(cells, dtype=float)  # None -> NaN
-    values.flags.writeable = False
-    mask = ~np.isnan(values)
-    mask.flags.writeable = False
     CombineMode(data["combine_mode"])   # a report of an unknown mode is malformed
-    raster = ScoreRaster(grid, values, mask)
+    score = SuitabilityRaster.from_values(grid, "score", values, ~np.isnan(values))
     # numpy parses "0.5" and true as floats, but report.json is re-encoded
     # from the floats, so a string or bool cell would silently change
     kinds = {type(v) for row in cells for v in row}
@@ -670,7 +668,7 @@ def _score_raster_from_report(data: dict) -> ScoreRaster:
     # a null cell is NaN; any other NaN or infinity has no JSON text
     if np.count_nonzero(~np.isfinite(values)) != sum(row.count(None) for row in cells):
         raise InputError("report field score_raster.values holds a non-finite cell")
-    return raster
+    return score
 
 
 Chunks = Iterable[str]
@@ -727,7 +725,7 @@ def weights_files(meta: dict, weights: WeightVector, gates) -> Iterator[tuple[st
         {**meta, "weights": weights.as_dict(), "consistency": _gate_rows(gates)})]
 
 
-def surface_files(meta: dict, score: ScoreRaster,
+def surface_files(meta: dict, score: SuitabilityRaster,
                   rasters: Iterable[SuitabilityRaster]) -> Iterator[tuple[str, Chunks]]:
     yield "score.asc", esri_ascii_text(score)
     yield "score_points.geojson", score_points_geojson(score, meta=meta)
@@ -749,7 +747,7 @@ def instance_files(meta: dict, instance: dict) -> Iterator[tuple[str, Chunks]]:
     yield "instance.json", [json_text({**meta, **instance})]
 
 
-def _run_files(data: dict, meta: dict, score: ScoreRaster,
+def _run_files(data: dict, meta: dict, score: SuitabilityRaster,
                rasters: Iterable[SuitabilityRaster]) -> Iterator[tuple[str, Chunks]]:
     yield "report.json", report_json_text(data, score)
     yield from candidate_files(meta, data["candidates"])
@@ -761,18 +759,22 @@ def _run_files(data: dict, meta: dict, score: ScoreRaster,
 
 
 def _meta(data: dict) -> dict:
-    return {"config_digest": data["config_digest"], "mode": data["mode"]}
+    return {"config_digest": get(data, "config_digest", STRING, "report"),
+            "mode": get(data, "mode", MODE, "report")}
 
 
 def render_report(data: dict, out_dir: str | Path) -> list[Path]:
     """Re-emit every artifact but the criterion rasters from a report body.
 
-    A report with a missing or mistyped field raises ``InputError``.
+    A report with a missing or mistyped field raises ``InputError``. The
+    fields are checked, not converted: each is written as it stands.
     """
     try:
         meta = _meta(data)
-        files = _run_files(data, meta, _score_raster_from_report(data), ())
-        return write_artifacts(out_dir, files)
+        score = _score_raster_from_report(data)
+        columns(get(data, "candidates", LIST, "report"), {"location": XY}, "report",
+                "candidates")
+        return write_artifacts(out_dir, _run_files(data, meta, score, ()))
     except KeyError as exc:
         raise InputError(f"report field {exc} is missing") from None
     except (AttributeError, IndexError, OverflowError, TypeError, ValueError) as exc:

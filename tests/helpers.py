@@ -51,7 +51,6 @@ from branchsite.overlay import (
     GridSpec,
     SuitabilityRaster,
     CombineMode,
-    ScoreRaster,
 )
 from branchsite.weights import WeightVector
 
@@ -387,9 +386,10 @@ def reference_score_points_geojson(raster, meta: dict | None = None) -> dict:
     """
     features = []
     grid = raster.grid
+    values = raster.values
     for row in range(grid.nrows):
         for col in range(grid.ncols):
-            v = raster.values[row, col]
+            v = values[row, col]
             if math.isnan(v):
                 continue
             center = grid.cell_center(row, col)
@@ -609,7 +609,7 @@ def reference_rasterize(spec: NormalizedCriterion, features, grid: GridSpec,
 
 
 def reference_combine(rasters: Sequence[SuitabilityRaster], weights,
-                      mode: CombineMode) -> ScoreRaster:
+                      mode: CombineMode) -> SuitabilityRaster:
     """Weighted per-cell combination of suitability rasters.
 
     weighted_sum:        sum_k w_k * s_k
@@ -667,8 +667,33 @@ def reference_combine(rasters: Sequence[SuitabilityRaster], weights,
             acc = acc * np.power(rasters[k].values, w_list[k])
     else:
         raise InputError(f"unknown combine mode: {mode!r}")
-    acc[~mask] = np.nan
-    return ScoreRaster(grid, acc, mask.copy())
+    return SuitabilityRaster.from_values(grid, "score", acc, mask.copy())
+
+
+# Scores whose bits a coded raster must keep: the signed zeros, and NaNs of
+# other payloads than math.nan's, one of them negative.
+SIGNED_ZEROS = np.array([0.0, -0.0])
+NAN_PAYLOADS = np.array([0x7FF8000000000001, -0x0008000000000000],
+                        dtype=np.int64).view(float)
+
+
+def random_score_rasters(rng: np.random.Generator, grid: GridSpec, mask: np.ndarray,
+                         n: int, distinct: int) -> list[SuitabilityRaster]:
+    """``n`` rasters ``c0``, ``c1``, ... on ``mask``, built by ``from_values``:
+    each cell holds a signed zero or one of ``distinct`` random scores in
+    [0, 1), and a cell of ``c0`` may hold one of ``NAN_PAYLOADS``.
+
+    Only one raster holds NaNs: where two NaNs of other payloads meet in a
+    sum or product, IEEE 754 leaves open whose payload the result keeps, and
+    numpy's vector loops keep the first operand's but their scalar tails
+    the second's, so the result would depend on the cell's place in the
+    array."""
+    rasters = []
+    for k in range(n):
+        specials = np.concatenate((SIGNED_ZEROS, NAN_PAYLOADS)) if k == 0 else SIGNED_ZEROS
+        values = rng.choice(np.concatenate((specials, rng.random(distinct))), size=grid.shape)
+        rasters.append(SuitabilityRaster.from_values(grid, f"c{k}", values, mask))
+    return rasters
 
 
 # --- Esri ASCII grid and coverage table readers -----------------------------

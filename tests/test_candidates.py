@@ -15,15 +15,15 @@ from branchsite.candidates import (
 )
 from branchsite.errors import InputError
 from branchsite.geo import Point, planar_distance
-from branchsite.overlay import GridSpec, ScoreRaster
+from branchsite.overlay import CombineMode, GridSpec, SuitabilityRaster, combine
+
+from helpers import random_score_rasters
 
 
 def make_score_raster(grid, cells, mask=None):
     values = np.array(cells, dtype=float)
     m = np.ones(grid.shape, dtype=bool) if mask is None else mask
-    values = values.copy()
-    values[~m] = np.nan
-    return ScoreRaster(grid, values, m)
+    return SuitabilityRaster.from_values(grid, "score", values, m)
 
 
 def greedy_suppression_oracle(grid, values, min_score, min_separation, max_proposed):
@@ -87,6 +87,35 @@ class TestExtract:
             want = greedy_suppression_oracle(
                 grid, raster.values, cfg.min_score, cfg.min_separation, cfg.max_proposed)
             assert [(s.score, s.location) for s in got] == want
+
+    def test_coded_surfaces_match_bruteforce_oracle(self):
+        """A raster of -0.0, NaN payloads and more than 256 distinct scores,
+        and the combined surface of such rasters."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=40, deadline=None)
+        @hypothesis.given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 3),
+                          distinct=st.sampled_from([0, 2, 40, 400]),
+                          cover=st.sampled_from([0.0, 0.5, 1.0]),
+                          mode=st.sampled_from(list(CombineMode)),
+                          min_score=st.sampled_from([0.0, 0.2, 0.5]),
+                          separation=st.sampled_from([0.0, 25.0, 130.0]),
+                          max_proposed=st.integers(1, 20))
+        def check(seed, n, distinct, cover, mode, min_score, separation, max_proposed):
+            rng = np.random.default_rng(seed)
+            grid = GridSpec(0, 0, 20, 30, 30)
+            mask = rng.random(grid.shape) < cover
+            rasters = random_score_rasters(rng, grid, mask, n, distinct)
+            weights = rng.random(n) + 0.01
+            surface = combine(rasters, (weights / weights.sum()).tolist(), mode)
+            cfg = ExtractionConfig(min_score, separation, max_proposed)
+            for raster in (rasters[0], surface):
+                want = greedy_suppression_oracle(grid, raster.values, min_score,
+                                                 separation, max_proposed)
+                assert [(s.score, s.location) for s in extract(raster, cfg)] == want
+
+        check()
 
     def test_pairwise_separation_respected(self):
         rng = random.Random(71)

@@ -26,7 +26,6 @@ from branchsite.geo import (
 from branchsite.overlay import (
     CombineMode,
     GridSpec,
-    ScoreRaster,
     SuitabilityRaster,
     build_mask,
     combine,
@@ -41,6 +40,7 @@ from branchsite.weights import WeightVector
 from helpers import (
     geodesic_distance,
     polygon_from_coords,
+    random_score_rasters,
     read_esri_ascii,
     reference_build_mask,
     reference_combine,
@@ -752,16 +752,17 @@ class TestRasters:
         m = np.ones(grid.shape, dtype=bool)
         codes = np.array([2, 1, 0, 2], dtype=np.uint8)
         table = np.array([0.0, 0.4, 0.6])
-        rasters = [ScoreRaster(grid, v, m), SuitabilityRaster.from_values(grid, "a", v, m),
+        rasters = [SuitabilityRaster.from_values(grid, "a", v, m),
                    SuitabilityRaster(grid, "b", m, codes, table)]
+        rasters.append(combine(rasters[1:], [1.0], CombineMode.WEIGHTED_SUM))
         for arr in (v, m, codes, table):
             assert arr.flags.writeable
         v[0, 0], m[0, 0], codes[0], table[0] = 1.0, False, 0, 0.5
-        assert rasters[0].values is not v and rasters[0].values[0, 0] == 0.6
         for r in rasters:
-            assert r.mask.all() and not r.mask.flags.writeable
-            assert r.values[0, 0] == 0.6
-        assert rasters[2].codes[0] == 2 and rasters[2].table[0] == 0.0
+            assert r.mask.all() and r.values[0, 0] == 0.6
+            for arr in (r.mask, r.codes, r.table):
+                assert not arr.flags.writeable
+        assert rasters[1].codes[0] == 2 and rasters[1].table[0] == 0.0
 
     def test_constructors_keep_read_only_arrays(self):
         grid = GridSpec(0, 0, 10, 2, 1)
@@ -769,11 +770,16 @@ class TestRasters:
         codes, table = np.array([1], dtype=np.uint8), np.array([0.0, 0.6])
         for arr in (v, m, codes, table):
             arr.flags.writeable = False
-        score = ScoreRaster(grid, v, m)
-        assert score.values is v and score.mask is m
         raster = SuitabilityRaster(grid, "a", m, codes, table)
         assert raster.mask is m and raster.codes is codes and raster.table is table
         assert _bits(raster.values).tolist() == _bits(v).tolist()
+        coded = SuitabilityRaster.from_values(grid, "a", v, m)
+        assert coded.mask is m
+        assert _bits(coded.values).tolist() == _bits(v).tolist()
+        # the combined surface shares its rasters' read-only mask
+        score = combine([raster], [1.0], CombineMode.WEIGHTED_SUM)
+        assert score.criterion_id == "score" and score.mask is m
+        assert _bits(score.values).tolist() == _bits(v).tolist()
 
     def test_malformed_codes_rejected(self):
         grid = GridSpec(0, 0, 10, 2, 1)
@@ -910,30 +916,33 @@ FORMATTER_METAS = [None, {"config_digest": "abc", "mode": "planar"},
 
 
 def _score_raster(grid, cells):
+    """The raster of ``cells`` as ``report`` reads it: the NaN cells lie
+    outside the mask."""
     values = np.array(cells, dtype=float)
-    return ScoreRaster(grid, values, ~np.isnan(values))
+    return SuitabilityRaster.from_values(grid, "score", values, ~np.isnan(values))
 
 
-def _assert_formatters_match_reference(raster, meta):
-    """Each formatter's chunks join to the reference text; every chunk but
-    the last holds at least ``_CHUNK`` characters."""
-    values = np.where(np.isnan(raster.values), None, raster.values).tolist()
+def _assert_formatters_match_reference(grid, cells, meta):
+    """Each formatter's chunks join to the reference text, with the NaN
+    cells of ``cells`` outside the mask and, of any payload, in the table;
+    every chunk but the last holds at least ``_CHUNK`` characters."""
+    values = np.array(cells, dtype=float)
     # a run report holds the raster as rows of floats with NaN as None
-    data = {**(meta or {}), "score_raster": {"values": values}, "p_max": 3}
-    esri = reference_esri_ascii_text(raster.grid, raster.values)
-    # the same grid as class codes: NaN cells outside the mask, or in the table
-    coded = [SuitabilityRaster.from_values(raster.grid, "c", raster.values, mask)
-             for mask in (raster.mask, np.ones(raster.grid.shape, dtype=bool))]
-    for chunks, reference in [
-            (esri_ascii_text(raster), esri),
-            (esri_ascii_text(coded[0]), esri),
-            (esri_ascii_text(coded[1]), esri),
-            (score_points_geojson(raster, meta=meta),
-             json_text(reference_score_points_geojson(raster, meta=meta))),
-            (report_json_text(data, raster), json_text(data))]:
-        chunks = list(chunks)
-        assert "".join(chunks) == reference
-        assert all(len(c) >= overlay._CHUNK for c in chunks[:-1])
+    data = {**(meta or {}), "p_max": 3,
+            "score_raster": {"values": np.where(np.isnan(values), None, values).tolist()}}
+    esri = reference_esri_ascii_text(grid, values)
+    masked = _score_raster(grid, values)
+    points = json_text(reference_score_points_geojson(masked, meta=meta))
+    in_table = SuitabilityRaster.from_values(grid, "c", values,
+                                             np.ones(grid.shape, dtype=bool))
+    for raster in (masked, in_table):
+        for chunks, reference in [
+                (esri_ascii_text(raster), esri),
+                (score_points_geojson(raster, meta=meta), points),
+                (report_json_text(data, raster), json_text(data))]:
+            chunks = list(chunks)
+            assert "".join(chunks) == reference
+            assert all(len(c) >= overlay._CHUNK for c in chunks[:-1])
 
 
 class TestFormattersMatchReference:
@@ -943,7 +952,7 @@ class TestFormattersMatchReference:
     @pytest.mark.parametrize("case", sorted(FORMATTER_CASES))
     def test_named_rasters(self, case, meta):
         grid, cells = FORMATTER_CASES[case]
-        _assert_formatters_match_reference(_score_raster(grid, cells), meta)
+        _assert_formatters_match_reference(grid, cells, meta)
 
     def test_drawn_rasters(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -959,8 +968,7 @@ class TestFormattersMatchReference:
             cells = data.draw(st.lists(st.sampled_from(AWKWARD),
                                        min_size=nrows * ncols, max_size=nrows * ncols))
             grid = GridSpec(origin, -origin, cell_size, ncols, nrows)
-            raster = _score_raster(grid, np.reshape(cells, (nrows, ncols)))
-            _assert_formatters_match_reference(raster, meta)
+            _assert_formatters_match_reference(grid, np.reshape(cells, (nrows, ncols)), meta)
 
         check()
 
@@ -977,8 +985,7 @@ class TestFormattersMatchReference:
             picks = data.draw(st.lists(st.integers(0, len(palette) - 1),
                                        min_size=nrows, max_size=nrows))
             grid = GridSpec(0.0, 0.0, 2.5, ncols, nrows)
-            _assert_formatters_match_reference(
-                _score_raster(grid, [palette[k] for k in picks]), meta)
+            _assert_formatters_match_reference(grid, [palette[k] for k in picks], meta)
 
         check()
 
@@ -1000,9 +1007,10 @@ class TestFormattersMatchReference:
             palette = data.draw(st.lists(row, min_size=1, max_size=3))
             picks = data.draw(st.lists(st.integers(0, len(palette) - 1),
                                        min_size=nrows, max_size=nrows))
-            raster = _score_raster(GridSpec(-0.0, 12.5, 2.5, ncols, nrows),
-                                   [palette[k] for k in picks])
-            _assert_formatters_match_reference(raster, meta)
+            grid = GridSpec(-0.0, 12.5, 2.5, ncols, nrows)
+            cells = [palette[k] for k in picks]
+            _assert_formatters_match_reference(grid, cells, meta)
+            raster = _score_raster(grid, cells)
             if chunk == 1:  # every row ends a chunk, and the tail is one more
                 assert len(list(esri_ascii_text(raster))) > nrows
 
@@ -1032,3 +1040,51 @@ class TestFormattersMatchReference:
                     == json_text(reference_score_points_geojson(raster, meta=meta)))
 
         check()
+
+
+class TestCodedSurface:
+    """combine codes the surface by the bit patterns of its in-area scores."""
+
+    def test_drawn_rasters(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=60, deadline=None)
+        @hypothesis.given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 3),
+                          distinct=st.sampled_from([0, 2, 40, 400]),
+                          cover=st.sampled_from([0.0, 0.5, 1.0]),
+                          mode=st.sampled_from(list(CombineMode)))
+        def check(seed, n, distinct, cover, mode):
+            rng = np.random.default_rng(seed)
+            grid = GridSpec(0, 0, 10, 30, 30)
+            mask = rng.random(grid.shape) < cover
+            rasters = random_score_rasters(rng, grid, mask, n, distinct)
+            weights = rng.random(n) + 0.01
+            weights = (weights / weights.sum()).tolist()
+            got = combine(rasters, weights, mode)
+            want = reference_combine(rasters, weights, mode)
+            values = want.values
+            assert np.array_equal(_bits(got.values), _bits(values))
+            # each distinct in-area bit pattern once, ascending, and each used
+            keys = _bits(got.table)
+            assert keys.tolist() == sorted(set(_bits(values[mask]).tolist()))
+            assert np.bincount(got.codes, minlength=len(keys)).all()
+            assert got.codes.dtype == np.min_scalar_type(max(len(keys) - 1, 0))
+            # a NaN score inside the mask is NODATA, null, and no point
+            data = {"score_raster": {
+                "values": np.where(np.isnan(values), None, values).tolist()}}
+            assert "".join(esri_ascii_text(got)) == reference_esri_ascii_text(grid, values)
+            assert "".join(report_json_text(data, got)) == json_text(data)
+            assert ("".join(score_points_geojson(got))
+                    == json_text(reference_score_points_geojson(want)))
+
+        check()
+
+    def test_more_than_256_scores_take_two_byte_codes(self):
+        rng = np.random.default_rng(5)
+        grid = GridSpec(0, 0, 10, 30, 30)
+        rasters = random_score_rasters(rng, grid, full_mask(grid), 2, 400)
+        got = combine(rasters, [0.25, 0.75], CombineMode.WEIGHTED_SUM)
+        want = reference_combine(rasters, [0.25, 0.75], CombineMode.WEIGHTED_SUM)
+        assert len(got.table) > 256 and got.codes.dtype == np.uint16
+        assert np.array_equal(_bits(got.values), _bits(want.values))

@@ -7,7 +7,7 @@ EXPORTED = {
     "ConfigError", "CoverageCurve", "CoverageStandard", "CriterionSpec", "DemandArea",
     "DomainError", "ExtractionConfig", "GateError", "GridSpec", "Hierarchy",
     "HierarchyNode", "InputError", "MclpInstance", "MclpSolution", "NormalizedCriterion",
-    "NumericalError", "Point", "Polygon", "ProjectConfig", "RunReport", "ScoreRaster",
+    "NumericalError", "Point", "Polygon", "ProjectConfig", "RunReport",
     "ScoreScheme", "SolverRefused", "SpecificationError", "StageError",
     "SuitabilityClass", "SuitabilityRaster", "WeightVector", "assign_tiers",
     "build_coverage", "build_mask", "candidates_geojson", "classify", "combine",

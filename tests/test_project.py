@@ -441,6 +441,40 @@ GOLDEN_DIGESTS = {
 }
 
 
+# sha256 of the surface files of the demo project with each other combine
+# mode, taken while the combined surface was a float grid. The modes give
+# 50 and 11 distinct scores, against the default's 12.
+MODE_GOLDEN_DIGESTS = {
+    "weighted_sum": {
+        "report.json":
+            "502eae61429c023180b6c35633d4074a2c62fd09d4bfae2144ec4e5778bae4c4",
+        "score.asc":
+            "cda8f32889dd776229895a31fe696bd32cdad69b8430606fddf204cd6043b812",
+        "score_points.geojson":
+            "1723e776f4d2b87319975576210498ca109772e10c10c5c41d5ce58071a72ec2",
+    },
+    "literal_product": {
+        "report.json":
+            "59bd57e7889ce0402a6a5153f1cefc80cd7119289ede3fa9c9a32fbed63d845e",
+        "score.asc":
+            "527048bb76a6f93ea47d84344a154fe2a2f73f062091413fc35cb1d6c4115c9c",
+        "score_points.geojson":
+            "a73406679aa3d8b767ca5c699d66793035de73f50c6c6bf3ef6878ee9936a7ef",
+    },
+}
+
+
+@pytest.mark.parametrize("mode", sorted(MODE_GOLDEN_DIGESTS))
+def test_other_combine_modes_match_golden_digests(demo_config_path, tmp_path, mode):
+    path = write_variant(demo_config_path, tmp_path,
+                         lambda cfg: cfg.update(combine_mode=mode))
+    out = tmp_path / "out"
+    write_pipeline_artifacts(run_pipeline(load_project(path)), out)
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in MODE_GOLDEN_DIGESTS[mode]}
+    assert got == MODE_GOLDEN_DIGESTS[mode]
+
+
 @pytest.fixture(scope="module")
 def artifact_dir(demo_report, tmp_path_factory):
     out = tmp_path_factory.mktemp("artifacts")
@@ -1297,6 +1331,29 @@ class TestReportInput:
         assert main(_report_argv(text)(None, tmp_path)) == 2
         assert ("report is malformed: 'bogus' is not a valid CombineMode"
                 in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda d: d["candidates"][0].update(location="ab"),
+         "report field candidates[0].location must be [x, y], got 'ab'"),
+        (lambda d: d["candidates"][-1].update(location=[1.0, 2.0, 3.0]),
+         "report field candidates[22].location must be [x, y], got [1.0, 2.0, 3.0]"),
+        (lambda d: d.update(config_digest=5),
+         "report field config_digest must be a string, got 5"),
+        (lambda d: d.update(mode=5),
+         "report field mode must be one of ('planar', 'geodesic'), got 5"),
+        (lambda d: d.update(score_raster={"values": 5}),
+         "report field score_raster.values must be a list, got 5"),
+        (lambda d: d.update(score_raster=5),
+         "report field score_raster must be an object, got 5"),
+    ], ids=["location_string", "location_triple", "config_digest", "mode",
+            "score_raster_values", "score_raster"])
+    def test_mistyped_demo_report_field_exits_2(self, demo_report, tmp_path, capsys,
+                                                 mutate, message):
+        data = json.loads(demo_report.to_json())
+        mutate(data)
+        assert main(_report_argv(json.dumps(data))(None, tmp_path)) == 2
+        assert f"error: {message}\n" == capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_valid_variant_renders(self, tmp_path):

@@ -1,138 +1,47 @@
 """Site-selection toolkit: pairwise criterion weighting with a consistency
 gate, banded suitability classification, weighted raster overlay, candidate
-extraction and tiering, and maximal covering location solvers."""
+extraction and tiering, and maximal covering location solvers.
 
-from .candidates import (
-    CandidateSite,
-    ExtractionConfig,
-    assign_tiers,
-    candidates_geojson,
-    extract,
-    merge,
-)
-from .criteria import (
-    Band,
-    CriterionSpec,
-    NormalizedCriterion,
-    ScoreScheme,
-    SuitabilityClass,
-    classify,
-    validate_spec,
-)
-from .errors import (
-    BranchSiteError,
-    ConfigError,
-    DomainError,
-    GateError,
-    InputError,
-    NumericalError,
-    SolverRefused,
-    SpecificationError,
-    StageError,
-)
-from .geo import (
-    Point,
-    Polygon,
-    planar_distance,
-    point_in_polygon,
-)
-from .mclp import (
-    CoverageCurve,
-    CoverageStandard,
-    MclpInstance,
-    MclpSolution,
-    build_coverage,
-    coverage_curve,
-    improve_swap,
-    solve_exact,
-    solve_greedy,
-)
-from .overlay import (
-    CombineMode,
-    GridSpec,
-    SuitabilityRaster,
-    build_mask,
-    combine,
-    rasterize,
-)
-from .project import (
-    DemandArea,
-    ProjectConfig,
-    RunReport,
-    load_project,
-    render_report,
-    run_pipeline,
-)
-from .weights import (
-    ComparisonMatrix,
-    Hierarchy,
-    HierarchyNode,
-    WeightVector,
-    consistency_ratio,
-    gate,
-    principal_weights,
-    synthesize,
-)
-from .fixture import write_fixture
+Each public name is imported from its module on first use (PEP 562), so
+importing one module, ``branchsite.mclp`` say, loads only what it imports.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Band",
-    "BranchSiteError",
-    "CandidateSite",
-    "CombineMode",
-    "ComparisonMatrix",
-    "ConfigError",
-    "CoverageCurve",
-    "CoverageStandard",
-    "CriterionSpec",
-    "DemandArea",
-    "DomainError",
-    "ExtractionConfig",
-    "GateError",
-    "GridSpec",
-    "Hierarchy",
-    "HierarchyNode",
-    "InputError",
-    "MclpInstance",
-    "MclpSolution",
-    "NormalizedCriterion",
-    "NumericalError",
-    "Point",
-    "Polygon",
-    "ProjectConfig",
-    "RunReport",
-    "ScoreScheme",
-    "SolverRefused",
-    "SpecificationError",
-    "StageError",
-    "SuitabilityClass",
-    "SuitabilityRaster",
-    "WeightVector",
-    "assign_tiers",
-    "build_coverage",
-    "build_mask",
-    "candidates_geojson",
-    "classify",
-    "combine",
-    "consistency_ratio",
-    "coverage_curve",
-    "extract",
-    "gate",
-    "improve_swap",
-    "load_project",
-    "merge",
-    "planar_distance",
-    "point_in_polygon",
-    "principal_weights",
-    "rasterize",
-    "render_report",
-    "run_pipeline",
-    "solve_exact",
-    "solve_greedy",
-    "synthesize",
-    "validate_spec",
-    "write_fixture",
-    "__version__",
-]
+# the public names, by the module that defines them
+_EXPORTS = {
+    "candidates": ("CandidateSite", "ExtractionConfig", "assign_tiers",
+                   "candidates_geojson", "extract", "merge"),
+    "criteria": ("Band", "CriterionSpec", "NormalizedCriterion", "ScoreScheme",
+                 "SuitabilityClass", "classify", "validate_spec"),
+    "errors": ("BranchSiteError", "ConfigError", "DomainError", "GateError",
+               "InputError", "NumericalError", "SolverRefused", "SpecificationError",
+               "StageError"),
+    "fixture": ("write_fixture",),
+    "geo": ("Point", "Polygon", "planar_distance", "point_in_polygon"),
+    "mclp": ("CoverageCurve", "CoverageStandard", "MclpInstance", "MclpSolution",
+             "build_coverage", "coverage_curve", "improve_swap", "solve_exact",
+             "solve_greedy"),
+    "overlay": ("CombineMode", "GridSpec", "SuitabilityRaster", "build_mask", "combine",
+                "rasterize"),
+    "project": ("ProjectConfig", "RunReport", "load_project", "render_report",
+                "run_pipeline"),
+    "weights": ("ComparisonMatrix", "Hierarchy", "HierarchyNode", "WeightVector",
+                "consistency_ratio", "gate", "principal_weights", "synthesize"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names] + ["__version__"]
+
+
+def __getattr__(name: str):
+    """A public name, imported from its module and kept as a package global,
+    so later lookups do not come here. Any other name raises AttributeError,
+    which lets ``from branchsite import <module>`` import the submodule."""
+    for module, names in _EXPORTS.items():
+        if name in names:
+            value = globals()[name] = getattr(
+                importlib.import_module(f".{module}", __name__), name)
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -258,13 +258,6 @@ class Polygon:
             sum(p.y for p in self.exterior) / n,
         )
 
-    def representative_point(self) -> Point:
-        """A point inside the polygon (boundary included), as
-        ``representative_points`` finds it; the vertex mean if it finds
-        none."""
-        (point,) = representative_points([self])
-        return self.centroid if point is None else point
-
 
 def _widest_midpoint(poly: Polygon, mean: Point) -> Point:
     """The midpoint of the widest inside interval of the horizontal line

@@ -25,7 +25,10 @@ row-major order over the mask, and the scheme's scores as a table indexed
 by the code. The rasters of a run share the one read-only mask of
 ``build_mask``. Combination weights each raster's table once and gathers
 the weighted entries by code, in criterion-id order, so the result is
-bit-identical under any input permutation and to weighting every cell.
+bit-identical under any input permutation and to weighting every cell,
+wherever the scores are not NaN. Where two NaNs of different payloads
+meet in a cell, numpy's loops keep one or the other by the cell's place in
+the array. The pipeline's scheme scores are finite, so it never meets one.
 
 The combined surface is a raster of the same kind: combination codes each
 in-area cell by the bit pattern of its combined score, so the table holds
@@ -489,7 +492,9 @@ def combine(rasters: Sequence[SuitabilityRaster], weights,
     acc = np.zeros(cells) if mode is CombineMode.WEIGHTED_SUM else np.ones(cells)
     term = np.empty(cells)
     for k, table in zip(order, tables):
-        np.take(table, rasters[k].codes, out=term)
+        # every code indexes its table (``SuitabilityRaster`` checks it), so
+        # nothing is clipped; the default mode="raise" buffers the output
+        np.take(table, rasters[k].codes, out=term, mode="clip")
         if mode is CombineMode.WEIGHTED_SUM:
             acc += term
         else:

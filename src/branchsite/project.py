@@ -17,7 +17,7 @@ import fcntl
 import hashlib
 import os
 import reprlib
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -25,6 +25,8 @@ import numpy as np
 
 from .candidates import (
     ORIGIN_EXISTING,
+    ORIGIN_PROPOSED,
+    TIERS,
     CandidateSite,
     ExtractionConfig,
     assign_tiers,
@@ -50,6 +52,7 @@ from .errors import (
     StageError,
 )
 from .fields import (
+    BOOL,
     INTEGER,
     LIST,
     MODE,
@@ -58,7 +61,6 @@ from .fields import (
     STRING,
     XY,
     Kind,
-    columns,
     get,
     is_int,
     is_number,
@@ -71,7 +73,6 @@ from .geo import (
     Point,
     Polygon,
     check_geodesic_range,
-    point_in_polygon,
     representative_points,
 )
 from .mclp import (
@@ -433,36 +434,28 @@ def load_zone_layer(path: Path, mode: str) -> list[tuple[Polygon, object]]:
     return out
 
 
-@dataclass(frozen=True)
-class DemandArea:
-    """A city section with its service population and a centroid inside it.
+class DemandLayer(NamedTuple):
+    """A demand layer as columns: the areas' ids, their populations as a
+    read-only float64 array, their centroids (each a point inside its area)
+    as a read-only n x 2 float64 array, and their polygons."""
 
-    The centroid is tested against the geometry unless ``centroid_inside``
-    says the caller found it inside already."""
-
-    id: str
-    population: float
-    centroid: Point
-    geometry: Polygon
-    centroid_inside: InitVar[bool] = False
-
-    def __post_init__(self, centroid_inside: bool):
-        if not (is_number(self.population) and self.population >= 0):
-            raise InputError(
-                f"demand area {self.id!r}: population must be a finite number >= 0")
-        if not (centroid_inside or point_in_polygon(self.centroid, self.geometry)):
-            raise InputError(f"demand area {self.id!r}: centroid lies outside its geometry")
+    ids: tuple
+    populations: np.ndarray
+    centroids: np.ndarray
+    polygons: tuple
 
 
-def load_demand_layer(path: Path, mode: str) -> list[DemandArea]:
-    """The demand areas of the layer at ``path``. The populations are
-    typed as one column, and every centroid is tested in one kernel call: the given ones, and the vertex means of the others (see
-    ``geo.representative_points``); a centroid found inside is not tested
-    again. A layer that fails is walked feature by feature, only to raise
-    the first bad feature's error."""
+def load_demand_layer(path: Path, mode: str) -> DemandLayer:
+    """The demand areas of the layer at ``path``, read in one walk over the
+    features. An area without a ``centroid`` property gets a point inside
+    it (see ``geo.representative_points``), and every centroid, given or
+    not, is tested in one kernel call. A bad feature's error is raised only
+    once the centroids of the features before it are found inside, so the
+    error named is the first in feature order."""
     features = _feature_list(path)
-    out = _demand_columns(features, mode)
-    if out is None:
+    ids, populations, given, polys = [], [], [], []
+    error = None
+    try:
         for i, where, feat in _walk(path, features):
             poly = _polygon(feat, mode, where)
             props = _properties(feat, where)
@@ -472,41 +465,30 @@ def load_demand_layer(path: Path, mode: str) -> list[DemandArea]:
             if not is_number(population):
                 raise InputError(
                     f"{where}: 'population' must be a number, got {reprlib.repr(population)}")
+            area_id = str(props.get("id", f"area{i + 1:02d}"))
             centroid = props.get("centroid")
-            DemandArea(str(props.get("id", f"area{i + 1:02d}")), float(population),
-                       poly.representative_point() if centroid is None
-                       else _position(centroid, where, mode), poly)
-        raise AssertionError(f"a column of layer {path} failed but every feature reads")
-    ids = [a.id for a in out]
+            point = None if centroid is None else _position(centroid, where, mode)
+            if population < 0:
+                raise InputError(
+                    f"demand area {area_id!r}: population must be a finite number >= 0")
+            ids.append(area_id)
+            populations.append(float(population))
+            given.append(point)
+            polys.append(poly)
+    except InputError as exc:
+        error = exc
+    points = representative_points(polys, given)
+    for area_id, point in zip(ids, points):
+        if point is None:
+            raise InputError(f"demand area {area_id!r}: centroid lies outside its geometry")
+    if error is not None:
+        raise error
     if len(set(ids)) != len(ids):
         raise InputError(f"{path}: demand area ids are not unique")
-    return out
-
-
-def _demand_columns(features: list, mode: str) -> list[DemandArea] | None:
-    """The demand areas of ``features``, or None where the walk of
-    ``load_demand_layer`` would raise."""
-    if not _only(features, dict):
-        return None
-    props = [feat.get("properties") or {} for feat in features]
-    if not _only(props, dict):
-        return None
-    populations = NUMBER.column([p.get("population") for p in props])
-    if populations is None or not (populations >= 0).all():
-        return None
-    try:
-        polys = [_polygon(feat, mode, "") for feat in features]
-        given = [None if p.get("centroid") is None else _position(p["centroid"], "", mode)
-                 for p in props]
-        centroids = representative_points(polys, given)
-    except (InputError, DomainError):
-        return None
-    if None in centroids:
-        return None
-    return [DemandArea(str(p.get("id", f"area{i + 1:02d}")), population, centroid, poly,
-                       centroid_inside=True)
-            for i, (p, population, centroid, poly)
-            in enumerate(zip(props, populations.tolist(), centroids, polys))]
+    populations = np.array(populations, dtype=np.float64)
+    centroids = np.array([(p.x, p.y) for p in points], dtype=np.float64).reshape(-1, 2)
+    populations.flags.writeable = centroids.flags.writeable = False
+    return DemandLayer(tuple(ids), populations, centroids, tuple(polys))
 
 
 def load_existing_branches(path: Path, mode: str) -> list[CandidateSite]:
@@ -536,7 +518,7 @@ class _Stage:
 @dataclass
 class SurfaceResult:
     weights: WeightVector
-    areas: tuple[DemandArea, ...]
+    demand: DemandLayer
     rasters: tuple[SuitabilityRaster, ...]
     score: SuitabilityRaster
 
@@ -569,7 +551,7 @@ def build_surface(cfg: ProjectConfig) -> SurfaceResult:
         weights = evaluate_weights(cfg)
 
     with _Stage("layers"):
-        areas = tuple(load_demand_layer(cfg.demand_path, cfg.mode))
+        demand = load_demand_layer(cfg.demand_path, cfg.mode)
         features = {}
         for spec in cfg.criteria:
             layer_path = cfg.inputs[spec.layer_ref]
@@ -579,7 +561,7 @@ def build_surface(cfg: ProjectConfig) -> SurfaceResult:
                 features[spec.id] = load_point_layer(layer_path, cfg.mode).xy
 
     with _Stage("rasterize"):
-        mask = build_mask(cfg.grid, [a.geometry for a in areas])
+        mask = build_mask(cfg.grid, demand.polygons)
         rasters = tuple(
             rasterize(spec, features[spec.id], cfg.grid, cfg.scheme,
                       mask=mask, mode=cfg.mode)
@@ -589,7 +571,7 @@ def build_surface(cfg: ProjectConfig) -> SurfaceResult:
     with _Stage("combine"):
         score = combine(rasters, weights, cfg.combine_mode)
 
-    return SurfaceResult(weights=weights, areas=areas, rasters=rasters, score=score)
+    return SurfaceResult(weights=weights, demand=demand, rasters=rasters, score=score)
 
 
 def build_candidate_set(cfg: ProjectConfig, surface: SurfaceResult
@@ -613,10 +595,9 @@ def run_pipeline(cfg: ProjectConfig) -> RunReport:
     curve = None
     if not extraction_empty:
         with _Stage("solve"):
-            areas = surface.areas
+            demand = surface.demand
             instance = build_coverage(
-                tuple(a.id for a in areas), [a.population for a in areas],
-                [(a.centroid.x, a.centroid.y) for a in areas],
+                demand.ids, demand.populations, demand.centroids,
                 tuple(c.id for c in merged), [(c.location.x, c.location.y) for c in merged],
                 [False] * len(merged), cfg.standard, mode=cfg.mode)
             curve = coverage_curve(instance, cfg.p_max, method=cfg.solver)
@@ -758,6 +739,25 @@ def _run_files(data: dict, meta: dict, score: SuitabilityRaster,
         yield from instance_files(meta, data["instance"])
 
 
+def _or_null(kind: Kind) -> Kind:
+    """``kind`` or JSON null, for checks only: a null reads as True, since
+    None means a value not of the kind."""
+    return Kind(f"{kind.name} or null", lambda v: True if v is None else kind.read(v))
+
+
+# the fields of a report's rows that its artifacts carry
+_CANDIDATE = {"id": STRING, "location": XY, "score": _or_null(NUMBER),
+              "origin": one_of((ORIGIN_PROPOSED, ORIGIN_EXISTING)),
+              "tier": _or_null(one_of(TIERS)), "fixed_open": BOOL}
+_CURVE_ROW = {"p": INTEGER, "selected": _NAMES, "coverage_pct": NUMBER}
+
+
+def _check_rows(rows: list, kinds: dict[str, Kind], section: str) -> None:
+    for i, row in enumerate(rows):
+        for key, kind in kinds.items():
+            get(row, key, kind, "report", section, i)
+
+
 def _meta(data: dict) -> dict:
     return {"config_digest": get(data, "config_digest", STRING, "report"),
             "mode": get(data, "mode", MODE, "report")}
@@ -772,8 +772,10 @@ def render_report(data: dict, out_dir: str | Path) -> list[Path]:
     try:
         meta = _meta(data)
         score = _score_raster_from_report(data)
-        columns(get(data, "candidates", LIST, "report"), {"location": XY}, "report",
-                "candidates")
+        _check_rows(get(data, "candidates", LIST, "report"), _CANDIDATE, "candidates")
+        get(data, "curve", _or_null(LIST), "report", default=None)
+        _check_rows(data.get("curve") or [], _CURVE_ROW, "curve")
+        get(data, "instance", _or_null(OBJECT), "report", default=None)
         return write_artifacts(out_dir, _run_files(data, meta, score, ()))
     except KeyError as exc:
         raise InputError(f"report field {exc} is missing") from None

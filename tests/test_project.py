@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from branchsite import DemandArea, project, weights
+from branchsite import geo, project, weights
 from branchsite.cli import main
 from branchsite.errors import ConfigError, GateError, InputError
 from branchsite.geo import Point, Polygon
@@ -166,17 +166,43 @@ class TestLoadLayers:
 
     def test_demand_layer_count_and_populations(self, demo_config_path):
         cfg = load_project(demo_config_path)
-        areas = load_demand_layer(cfg.demand_path, cfg.mode)
-        assert len(areas) == 20
-        assert sum(a.population for a in areas) == 100_000
-        for a in areas:
-            assert a.geometry is not None
+        demand = load_demand_layer(cfg.demand_path, cfg.mode)
+        assert len(demand.ids) == 20
+        assert demand.populations.sum() == 100_000
+        assert demand.centroids.shape == (20, 2)
+        assert all(isinstance(poly, Polygon) for poly in demand.polygons)
+        assert len(demand.polygons) == 20
 
-    def test_negative_population_rejected(self):
-        square = Polygon(tuple(Point(x, y) for x, y in [(0, 0), (1, 0), (1, 1), (0, 1)]))
-        with pytest.raises(InputError, match="'d01': population must be a finite number"):
-            DemandArea("d01", -1.0, Point(0.5, 0.5), square)
-        assert DemandArea("d01", 0.0, Point(0.5, 0.5), square).population == 0.0
+    def test_demand_layer_arrays_are_read_only(self, demo_config_path):
+        cfg = load_project(demo_config_path)
+        demand = load_demand_layer(cfg.demand_path, cfg.mode)
+        assert demand.populations.dtype == demand.centroids.dtype == np.float64
+        for column in (demand.populations, demand.centroids):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1.0
+
+    def test_negative_population_rejected(self, tmp_path):
+        square = [[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]
+        path = tmp_path / "areas.geojson"
+        path.write_text(json.dumps(_collection([
+            _area(square, {"id": "d01", "population": -1.0, "centroid": [0.5, 0.5]})])))
+        with pytest.raises(InputError) as err:
+            load_demand_layer(path, "planar")
+        assert str(err.value) == "demand area 'd01': population must be a finite number >= 0"
+        path.write_text(json.dumps(_collection([
+            _area(square, {"id": "d01", "population": 0, "centroid": [0.5, 0.5]})])))
+        assert load_demand_layer(path, "planar").populations.tolist() == [0.0]
+
+    def test_bad_population_of_last_of_2000_areas_is_named(self, tmp_path):
+        path = tmp_path / "areas.geojson"
+        features = [_area([[i, 0], [i + 1, 0], [i + 1, 1], [i, 1], [i, 0]],
+                          {"id": f"d{i}", "population": 10}) for i in range(2000)]
+        features[1999]["properties"]["population"] = True
+        path.write_text(json.dumps(_collection(features)))
+        with pytest.raises(InputError) as err:
+            load_demand_layer(path, "planar")
+        assert str(err.value) == f"{path} feature 1999: 'population' must be a number, got True"
 
     def test_wrong_geometry_type_rejected(self, tmp_path):
         path = tmp_path / "bad.geojson"
@@ -229,8 +255,8 @@ class TestLoadLayers:
                 "properties": {"id": "d01", "population": 10},
             }],
         }))
-        (area,) = load_demand_layer(path, "planar")
-        assert area.centroid == centroid
+        demand = load_demand_layer(path, "planar")
+        assert demand.centroids.tolist() == [[centroid.x, centroid.y]]
 
     def test_point_layer_reads_as_columns(self, tmp_path):
         path = tmp_path / "points.geojson"
@@ -262,20 +288,28 @@ class TestLoadLayers:
             load_point_layer(path, mode)
         assert str(err.value) == f"{path} {message}"
 
-    def test_demand_centroids_are_tested_once(self, demo_config_path, monkeypatch):
-        """The computed centroids are inside by construction; no scalar
-        test runs for them."""
-        calls = []
-        monkeypatch.setattr(project, "point_in_polygon",
+    def test_demand_centroids_are_tested_once(self, demo_config_path, tmp_path,
+                                              monkeypatch):
+        """Every centroid is tested in one kernel call; no scalar test runs
+        for the demo's areas, whose vertex means lie inside."""
+        calls, kernel_calls = [], []
+        monkeypatch.setattr(geo, "point_in_polygon",
                             lambda *args: calls.append(args) or True)
+        contains_each = geo.contains_each
+        monkeypatch.setattr(geo, "contains_each",
+                            lambda points, polys: kernel_calls.append(len(points))
+                            or contains_each(points, polys))
         cfg = load_project(demo_config_path)
-        areas = load_demand_layer(cfg.demand_path, cfg.mode)
-        assert len(areas) == 20 and not calls
-        # a centroid given to the constructor is still tested
+        demand = load_demand_layer(cfg.demand_path, cfg.mode)
+        assert len(demand.ids) == 20 and kernel_calls == [20] and not calls
+        # a given centroid is tested too
         monkeypatch.undo()
-        square = Polygon(tuple(Point(x, y) for x, y in [(0, 0), (1, 0), (1, 1), (0, 1)]))
+        path = tmp_path / "areas.geojson"
+        path.write_text(json.dumps(_collection([
+            _area([[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]],
+                  {"id": "d1", "population": 1, "centroid": [2.0, 0.5]})])))
         with pytest.raises(InputError, match="'d1': centroid lies outside its geometry"):
-            DemandArea("d1", 1.0, Point(2.0, 0.5), square)
+            load_demand_layer(path, "planar")
 
     def test_first_bad_demand_area_is_named(self, tmp_path):
         """A given centroid outside its area in feature 1 is named before
@@ -295,9 +329,9 @@ class TestLoadLayers:
         with pytest.raises(InputError, match="feature 2: polygon area must be strictly positive"):
             load_demand_layer(path, "planar")
         path.write_text(json.dumps(_collection(features[:2])))
-        a, b = load_demand_layer(path, "planar")
-        assert (a.centroid, b.centroid) == (Point(0.5, 0.5), Point(0.25, 0.75))
-        assert (a.population, b.population) == (1.0, 2.0)
+        demand = load_demand_layer(path, "planar")
+        assert demand.centroids.tolist() == [[0.5, 0.5], [0.25, 0.75]]
+        assert demand.populations.tolist() == [1.0, 2.0]
 
     def test_empty_distance_layer_fails_at_rasterize_stage(self, demo_config_path, tmp_path):
         empty = demo_copy(demo_config_path, tmp_path) / "layers" / "empty.geojson"
@@ -1346,8 +1380,31 @@ class TestReportInput:
          "report field score_raster.values must be a list, got 5"),
         (lambda d: d.update(score_raster=5),
          "report field score_raster must be an object, got 5"),
+        (lambda d: d["candidates"][0].update(id=5),
+         "report field candidates[0].id must be a string, got 5"),
+        (lambda d: d["candidates"][1].update(tier=[1]),
+         "report field candidates[1].tier must be one of ('first', 'second', 'third') "
+         "or null, got [1]"),
+        (lambda d: d["candidates"][2].update(origin={"a": 1}),
+         "report field candidates[2].origin must be one of ('proposed', 'existing'), "
+         "got {'a': 1}"),
+        (lambda d: d["candidates"][3].update(fixed_open="yes"),
+         "report field candidates[3].fixed_open must be true or false, got 'yes'"),
+        (lambda d: d["candidates"][4].update(score="0.5"),
+         "report field candidates[4].score must be a number or null, got '0.5'"),
+        (lambda d: d["curve"][0].update(p="x"),
+         "report field curve[0].p must be an integer, got 'x'"),
+        (lambda d: d["curve"][-1].update(coverage_pct="x"),
+         "report field curve[2].coverage_pct must be a number, got 'x'"),
+        (lambda d: d["curve"][1].update(selected=5),
+         "report field curve[1].selected must be a list of strings, got 5"),
+        (lambda d: d.update(curve=5), "report field curve must be a list or null, got 5"),
+        (lambda d: d.update(instance=5),
+         "report field instance must be an object or null, got 5"),
     ], ids=["location_string", "location_triple", "config_digest", "mode",
-            "score_raster_values", "score_raster"])
+            "score_raster_values", "score_raster", "candidate_id", "candidate_tier",
+            "candidate_origin", "candidate_fixed_open", "candidate_score", "curve_p",
+            "curve_coverage_pct", "curve_selected", "curve", "instance"])
     def test_mistyped_demo_report_field_exits_2(self, demo_report, tmp_path, capsys,
                                                  mutate, message):
         data = json.loads(demo_report.to_json())

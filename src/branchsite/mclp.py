@@ -15,7 +15,10 @@ The bool matrix is the solvers' only representation of coverage. They read
 one float64 0/1 copy of it, taken once per instance, with the columns in
 ascending id order; every marginal gain is one matrix-vector product of the
 uncovered populations with those columns (``_gains``). Ties go to the first
-maximum, the smallest id. The greedy+swap curve reuses one greedy pass.
+maximum, the smallest id. The greedy+swap curve reuses one greedy pass,
+and each instance keeps its rows: the exact solver's incumbent for budget
+p is the objective of row p, and its search arrays are prepared once per
+instance too.
 
 Exactness: every comparison of two complete selections (a B&B leaf with
 the incumbent, a swap with the current set) uses the canonical objective,
@@ -118,6 +121,17 @@ class _SolverView(NamedTuple):   # what the solvers read, once per instance
     cols: np.ndarray            # float64 0/1 coverage, read-only
 
 
+class _Search(NamedTuple):      # what ``solve_exact`` reads, once per instance
+    free: list[int]             # the columns that are not fixed open
+    hit: np.ndarray             # bool coverage of the free columns
+    reach: np.ndarray           # column k: what free columns k on can cover
+    table: np.ndarray           # float64 [hit | reach]: one product, both gains
+    covered: np.ndarray         # what the fixed-open sites cover
+    z: float                    # their objective
+    tol: float                  # 1e-9 of the total, or 1 if that is 0
+    slack: float                # 0 when every bound is an exact sum, else tol
+
+
 def _frozen(values, shape: tuple, name: str, dtype=np.float64) -> np.ndarray:
     """A read-only ``dtype`` copy of ``values``, which must have ``shape``."""
     a = np.array(values, dtype=dtype)
@@ -182,6 +196,26 @@ class MclpInstance:
         cols.flags.writeable = False
         return _SolverView(ids, {c: k for k, c in enumerate(ids)},
                            np.flatnonzero(self.fixed_open[order]).tolist(), cols)
+
+    @functools.cached_property
+    def _search(self) -> _Search:
+        pops, view = self.populations, self._view
+        free = sorted(set(range(len(view.ids))) - set(view.fixed))
+        hit = view.cols[:, free] > 0
+        reach = np.logical_or.accumulate(hit[:, ::-1], axis=1)[:, ::-1]
+        covered = (view.cols[:, view.fixed] > 0).any(axis=1)
+        total = self.total_population
+        tol = 1e-9 * total or 1.0
+        exact = total < 2.0 ** 53 and (pops == np.floor(pops)).all()
+        table = np.hstack([hit, reach]).astype(np.float64)
+        for a in (hit, reach, table, covered):   # every p's search reads them
+            a.flags.writeable = False
+        return _Search(free, hit, reach, table, covered, _objective(pops, covered),
+                       tol, 0.0 if exact else tol)
+
+    @functools.cached_property
+    def _swap_rows(self) -> list["MclpSolution"]:
+        return []   # the greedy+swap rows made so far, from the smallest p
 
     def to_dict(self) -> dict:
         return {
@@ -378,37 +412,48 @@ def solve_exact(inst: MclpInstance, p: int, override_cap: bool = False) -> MclpS
 
     Candidates are explored in ascending id order with an include-first
     strategy, so subsets are enumerated in lexicographic order of their
-    sorted ids. A node with covered areas C, free columns F (positions
-    ``start`` on) and s open slots is pruned by two upper bounds on the best
-    completion:
+    sorted ids. The search arrays (free columns, what each suffix of them
+    can reach, the tolerances) do not depend on p: each instance prepares
+    them once (``MclpInstance._search``). A node with covered areas C, free
+    columns F (positions ``start`` on) and s open slots is pruned by two
+    upper bounds on the best completion:
 
     * the submodular bound: current coverage plus the best s residual
       gains, capped by what F can reach at all;
-    * when that fails and s > 1 (for s = 1 it is already exact), the
-      Lagrangian relaxation of Galvao & ReVelle (1996). For multipliers
-      lambda_i in [0, w_i] on the uncovered areas,
-      L(lambda) = sum_{i not in C} (w_i - lambda_i) + (the s largest
-      c_j = sum_{i not in C} lambda_i a_ij over j in F)
-      bounds the completion from above. Areas that are covered or that no
-      column of F reaches drop out (lambda_i = w_i there). lambda is set by
-      up to ``_LAGRANGE_STEPS`` projected subgradient steps (Fisher 1981):
+    * when that fails and s > 1, the Lagrangian relaxation of Galvao &
+      ReVelle (1996). For multipliers lambda_i in [0, w_i] on the uncovered
+      areas, L(lambda) = sum_{i not in C} (w_i - lambda_i) + (the s largest
+      c_j = sum_{i not in C} lambda_i a_ij over j in F) bounds the
+      completion from above. Areas that are covered or that no column of F
+      reaches drop out (lambda_i = w_i there). lambda is set by up to
+      ``_LAGRANGE_STEPS`` projected subgradient steps (Fisher 1981):
       g_i = (how many of the s chosen columns cover i) - 1, zeroed where
       lambda_i sits on a box bound that g would push it past, with a
       Polyak step toward the target ``best_z - z``. Each node starts from
       its parent's multipliers; the root starts at w / 2.
 
+    A node with one slot left evaluates its leaves in closed form, in place
+    of a chain of one-slot nodes that each redo the gains and the sort: the
+    columns j of F with ``z + gain_j + slack > best_z``, in ascending order.
+    A leaf that fails this test cannot beat the incumbent, and the chain
+    cuts no leaf that can, so the same leaves replace the incumbent in the
+    same order and the tie-break below holds.
+
     A leaf is valued by the canonical objective and replaces the incumbent
-    when ``z > best_z``. The incumbent starts at the greedy set's objective
-    minus ``tol`` (1e-9 of the total population), so a leaf equal to the
-    greedy set replaces it. A subtree is cut when ``bound + slack <=
-    best_z``. The bounds are float sums in another order than the
-    objective: ``slack`` is 0 when every population is an integer and the
-    total is below 2**53, so that every sum is exact, and ``tol`` otherwise.
-    The Lagrangian bound adds ``tol`` of its own for the rounding of the
-    fractional multipliers. Both only ever weaken a cut. As the DFS meets
-    subsets in lexicographic order and never cuts a subtree holding a leaf
-    above the incumbent, the first optimum it keeps is the lexicographically
-    smallest optimal id set.
+    when ``z > best_z``. The incumbent starts at the objective of row p of
+    the greedy+swap curve minus ``tol`` (1e-9 of the total population), so
+    a leaf equal to that row replaces it. Each instance makes those rows
+    once, for every p asked (``MclpInstance._swap_rows``); a row is never
+    below the greedy set, whose first p picks it swap-improves. A subtree
+    is cut when ``bound + slack <= best_z``. The bounds are float sums in
+    another order than the objective: ``slack`` is 0 when every population
+    is an integer and the total is below 2**53, so that every sum is exact,
+    and ``tol`` otherwise. The Lagrangian bound adds ``tol`` of its own for
+    the rounding of the fractional multipliers. Both only ever weaken a cut.
+    As the DFS meets subsets in lexicographic order and never cuts a
+    subtree holding a leaf above the incumbent, the first optimum it keeps
+    is the lexicographically smallest optimal id set, whatever feasible
+    set the incumbent came from.
     """
     n = len(inst.candidate_ids)
     if n > EXACT_SIZE_CAP and not override_cap:
@@ -417,22 +462,10 @@ def solve_exact(inst: MclpInstance, p: int, override_cap: bool = False) -> MclpS
             "use the greedy solver or override the cap"
         )
     view = _prepare(inst, p)
-    pops, cols, fixed = inst.populations, view.cols, view.fixed
-    free = [k for k in range(n) if k not in set(fixed)]
+    pops, fixed = inst.populations, view.fixed
+    free, hit, reach, table, covered, z, tol, slack = inst._search
     nfree = len(free)
-    free_cols = cols[:, free]
-    hit = free_cols > 0
-    # column nfree + k: every area a free candidate from position k on can
-    # cover, so one product gives the residual gains and what is reachable
-    reach = np.logical_or.accumulate(hit[:, ::-1], axis=1)[:, ::-1]
-    table = np.hstack([free_cols, reach])
-    total = inst.total_population
-    tol = 1e-9 * total or 1.0   # the incumbent's offset must stay positive
-    slack = 0.0 if total < 2.0 ** 53 and (pops == np.floor(pops)).all() else tol
-
-    start_covered = (cols[:, fixed] > 0).any(axis=1)
-    seed, _ = _greedy(view, pops, fixed, p)
-    best_z = _objective(pops, (cols[:, seed] > 0).any(axis=1)) - tol
+    best_z = _greedy_swap_rows(inst, p)[-1].objective - tol
     best_sel: list[int] = []
 
     def cut(bound: float) -> bool:
@@ -442,30 +475,31 @@ def solve_exact(inst: MclpInstance, p: int, override_cap: bool = False) -> MclpS
             lam: np.ndarray):
         nonlocal best_z, best_sel
         slots = p - len(fixed) - len(chosen)
-        if slots == 0:
-            z = _objective(pops, covered)
-            if z > best_z:
-                best_z = z
-                best_sel = list(chosen)
-            return
         if nfree - start < slots:
             return
         gains = _gains(table, pops, covered)
+        if slots == 1:
+            above = z + gains[start:nfree] + slack > best_z
+            for j in (start + above.nonzero()[0]).tolist():
+                leaf = _objective(pops, covered | hit[:, j])
+                if leaf > best_z:
+                    best_z, best_sel = leaf, chosen + [j]
+            return
         residual = np.sort(gains[start:nfree])
         top = residual[residual.size - slots:].sum()
         if cut(z + min(top, gains[nfree + start])):
             return
-        if slots > 1:
-            lam = _lagrange_cut(lam, ~covered & reach[:, start], pops,
-                                free_cols[:, start:nfree], slots, best_z - z,
-                                lambda bound: cut(z + bound + tol))
-            if lam is None:
-                return
+        lam = _lagrange_cut(lam, ~covered & reach[:, start], pops,
+                            table[:, start:nfree], slots, best_z - z,
+                            lambda bound: cut(z + bound + tol))
+        if lam is None:
+            return
         dfs(start + 1, chosen + [start], covered | hit[:, start], z + gains[start],
             lam)
         dfs(start + 1, chosen, covered, z, lam)
 
-    dfs(0, [], start_covered, _objective(pops, start_covered), pops / 2)
+    if p > len(fixed):   # else the fixed-open sites are the only p-set
+        dfs(0, [], covered, z, pops / 2)
     chosen_ids = [view.ids[k] for k in fixed + [free[i] for i in best_sel]]
     return _finish_solution(inst, chosen_ids, METHOD_EXACT, optimal=True)
 
@@ -480,23 +514,30 @@ def _lagrange_cut(lam: np.ndarray, open_rows: np.ndarray, pops: np.ndarray,
 
     ``open_rows`` marks the areas still to cover that ``cols`` can reach,
     and ``lam`` holds the multipliers to start from. Returns None as soon
-    as ``cut(L)`` holds for a bound L, else the multipliers reached."""
-    rows = np.flatnonzero(open_rows)
+    as ``cut(L)`` holds for a bound L, else the multipliers reached. g
+    counts covers, so it is integral: where g > 0 the step lowers lambda_i
+    and 0 bounds it, where g < 0 it raises lambda_i and w_i bounds it."""
+    rows = open_rows.nonzero()[0]
     w = pops[rows]
     sub = cols[rows]
     mult = lam[rows]
+    pick = np.zeros(sub.shape[1])
     for _ in range(_LAGRANGE_STEPS):
         c = mult @ sub
-        pick = np.argpartition(c, c.size - slots)[c.size - slots:]
-        bound = float((w - mult).sum() + c[pick].sum())
+        top = c.argpartition(c.size - slots)[c.size - slots:]
+        bound = float((w - mult).sum() + c[top].sum())
         if cut(bound):
             return None
-        g = sub[:, pick].sum(axis=1) - 1.0
-        g[((mult <= 0.0) & (g > 0.0)) | ((mult >= w) & (g < 0.0))] = 0.0
-        norm = float(g @ g)
-        if norm == 0.0 or bound <= target:
+        if bound <= target:
             break
-        mult = np.clip(mult - (bound - target) / norm * g, 0.0, w)
+        pick[:] = 0.0
+        pick[top] = 1.0
+        g = sub @ pick - 1.0
+        g *= np.where(g > 0.0, mult > 0.0, mult < w)
+        norm = float(g @ g)
+        if norm == 0.0:
+            break
+        mult = np.minimum(np.maximum(mult - (bound - target) / norm * g, 0.0), w)
     lam = lam.copy()
     lam[rows] = mult
     return lam
@@ -574,20 +615,24 @@ def _greedy_swap_rows(inst: MclpInstance, p_max: int) -> list[MclpSolution]:
     """Each row swap-improves the first p picks of one greedy pass to
     p_max, is seeded with the previous row's selection plus its best
     extension too, and keeps the better, so z never falls from row to row.
-    The rows run from p = max(1, number of fixed-open sites) to p_max."""
+    The rows run from p = max(1, number of fixed-open sites) to p_max. Row
+    p does not depend on p_max, so the instance keeps the rows made so far
+    (``MclpInstance._swap_rows``) and a larger p_max only adds rows."""
     view = _prepare(inst, p_max)
-    order, gains = _greedy(view, inst.populations, view.fixed, p_max)
-    picks = [view.ids[k] for k in order]
-    rows: list[MclpSolution] = []
-    for p in range(max(1, len(view.fixed)), p_max + 1):
-        sol = improve_swap(inst, _finish_solution(
-            inst, picks[:p], METHOD_GREEDY_SWAP, optimal=False, gains=gains[:p]))
-        if rows:
-            ext = _extend_by_best(inst, rows[-1])
-            if ext.objective > sol.objective:
-                sol = ext
-        rows.append(sol)
-    return rows
+    rows = inst._swap_rows
+    first = max(1, len(view.fixed))
+    if first + len(rows) <= p_max:
+        order, gains = _greedy(view, inst.populations, view.fixed, p_max)
+        picks = [view.ids[k] for k in order]
+        for p in range(first + len(rows), p_max + 1):
+            sol = improve_swap(inst, _finish_solution(
+                inst, picks[:p], METHOD_GREEDY_SWAP, optimal=False, gains=gains[:p]))
+            if rows:
+                ext = _extend_by_best(inst, rows[-1])
+                if ext.objective > sol.objective:
+                    sol = ext
+            rows.append(sol)
+    return rows[:p_max - first + 1]
 
 
 def _extend_by_best(inst: MclpInstance, prev: MclpSolution) -> MclpSolution:

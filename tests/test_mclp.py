@@ -299,24 +299,132 @@ class TestSolveExact:
                 solves += 1
         assert solves == 747
 
-    def test_incumbent_is_the_greedy_objective(self, monkeypatch):
-        """The exact solver seeds its incumbent from one ``_greedy`` call
-        that picks what ``solve_greedy`` reports, fixed-open sites too."""
-        calls = []
-        greedy = mclp._greedy
+    def test_incumbent_is_the_greedy_swap_row(self, monkeypatch):
+        """The exact solver seeds its incumbent with row p of the greedy+swap
+        curve, the set ``solve_greedy_swap`` reports, fixed-open sites too;
+        where the root runs the Lagrangian bound, its target is that row's
+        objective minus the tolerance. One exact curve makes each row once:
+        ``improve_swap`` runs at most p_max times, not once per row per p."""
+        rows_seen, targets, swaps = [], [], []
+        greedy_swap_rows, lagrange_cut = mclp._greedy_swap_rows, mclp._lagrange_cut
+        swap = mclp.improve_swap
 
-        def spy(view, pops, start, p):
-            picks, gains = greedy(view, pops, start, p)
-            calls.append((tuple(sorted(view.ids[k] for k in picks)), tuple(gains)))
-            return picks, gains
+        def rows_spy(inst, p):
+            rows = greedy_swap_rows(inst, p)
+            rows_seen.append(rows[-1])
+            return rows
 
-        monkeypatch.setattr(mclp, "_greedy", spy)
+        def lagrange_spy(lam, open_rows, pops, cols, slots, target, cut):
+            targets.append((cols.shape[1], target))
+            return lagrange_cut(lam, open_rows, pops, cols, slots, target, cut)
+
+        def swap_spy(inst, sol):
+            swaps.append(sol.p)
+            return swap(inst, sol)
+
+        monkeypatch.setattr(mclp, "_greedy_swap_rows", rows_spy)
+        monkeypatch.setattr(mclp, "_lagrange_cut", lagrange_spy)
+        monkeypatch.setattr(mclp, "improve_swap", swap_spy)
+        roots = curves = 0
         for inst, p in itertools.islice(_reference_family(), 90):
-            calls.clear()
+            rows_seen.clear()
+            targets.clear()
             solve_exact(inst, p)
-            seeded = list(calls)
-            sol = solve_greedy(inst, p)
-            assert seeded == [(sol.selected, sol.marginal_gains)]
+            seeded = [(r.p, r.selected, r.objective) for r in rows_seen]
+            want = mclp.solve_greedy_swap(inst, p)
+            assert seeded == [(p, want.selected, want.objective)]
+            nfree = len(inst.candidate_ids) - int(inst.fixed_open.sum())
+            if targets and targets[0][0] == nfree:
+                fixed = inst.matrix[:, inst.fixed_open].any(axis=1)
+                start = float(inst.populations[fixed].sum())
+                tol = 1e-9 * inst.total_population or 1.0
+                assert targets[0][1] == (want.objective - tol) - start
+                roots += 1
+            if inst.fixed_open.sum() <= 1:
+                swaps.clear()
+                p_max = min(len(inst.candidate_ids), p + 2)
+                coverage_curve(dataclasses.replace(inst), p_max, "exact")
+                assert swaps == list(range(1, p_max + 1))
+                curves += 1
+        assert roots > 0 and curves > 0
+
+    def test_search_work_on_a_planar_curve(self, monkeypatch):
+        """The p <= 7 curve on a seeded 200 x 30 planar instance: bound
+        evaluations (products with the search table, 60 columns here) and
+        Lagrangian calls. With the greedy set as incumbent and a node per
+        last-slot leaf they were 1,816 and 1,109; the bounds leave room for
+        a near-tie bound that another numpy build rounds the other way."""
+        counts = {"bounds": 0, "lagrange": 0}
+        gains, lagrange_cut = mclp._gains, mclp._lagrange_cut
+
+        def gains_spy(cols, pops, covered):
+            counts["bounds"] += cols.ndim == 2 and cols.shape[1] == 60
+            return gains(cols, pops, covered)
+
+        def lagrange_spy(*args):
+            counts["lagrange"] += 1
+            return lagrange_cut(*args)
+
+        monkeypatch.setattr(mclp, "_gains", gains_spy)
+        monkeypatch.setattr(mclp, "_lagrange_cut", lagrange_spy)
+        curve = coverage_curve(_seeded_planar_instance(1), 7, "exact")
+        assert curve.rows[-1].objective == 436170.0
+        assert counts["bounds"] <= 640
+        assert counts["lagrange"] <= 470
+
+    def test_last_slot_ties_one_ulp_apart(self):
+        """Tenths: with c01 chosen, the leaves c03 and c04 have the same
+        canonical objective, the optimum, but z + gain reads 2.1999999999999997
+        for c03 and 2.2 for c04. The closed-form last slot must keep c03,
+        the lexicographically smaller set."""
+        inst = list(fractional_family(17, 159, 14, 8, 0.3, (0.1, 0.2, 0.3)))[158]
+        search, pops = inst._search, inst.populations
+        z = float(mclp._gains(search.table, pops, search.covered)[1])
+        gains = mclp._gains(search.table, pops, search.covered | search.hit[:, 1])
+        assert z + gains[3] < z + gains[4]
+        leaves = [float(pops[search.hit[:, [1, j]].any(axis=1)].sum()) for j in (3, 4)]
+        z_star, sel = enumerate_optimum(inst, 2)
+        assert leaves == [z_star, z_star] and sel == ("c01", "c03")
+        sol = solve_exact(inst, 2)
+        assert (sol.selected, sol.objective) == (sel, z_star)
+
+    def test_per_p_solves_equal_the_curve(self):
+        """The prepared search and the greedy+swap rows are cached on the
+        instance: solving each p alone, in a shuffled order, gives the rows
+        of one curve on a fresh copy, fixed-open sites included."""
+        rng = random.Random(151)
+        checked, last = 0, None
+        for inst, _p in tie_heavy_family():
+            if inst is last or inst.fixed_open.sum() != 1 or checked == 50:
+                continue
+            last = inst
+            p_top = min(6, len(inst.candidate_ids))
+            order = rng.sample(range(1, p_top + 1), p_top)
+            alone = {p: solve_exact(inst, p) for p in order}
+            curve = coverage_curve(dataclasses.replace(inst), p_top, "exact")
+            assert [alone[p].to_dict() for p in range(1, p_top + 1)] == [
+                r.to_dict() for r in curve.rows]
+            checked += 1
+        assert checked == 50
+
+    def test_swap_rows_survive_an_interrupted_pass(self, monkeypatch):
+        """The instance keeps only complete rows, so after a pass that
+        raised the next call makes the missing rows, not too few."""
+        inst = dataclasses.replace(GREEDY_TRAP)
+        swap = mclp.improve_swap
+
+        def failing(inst, sol):
+            if sol.p == 2:
+                raise KeyboardInterrupt
+            return swap(inst, sol)
+
+        monkeypatch.setattr(mclp, "improve_swap", failing)
+        with pytest.raises(KeyboardInterrupt):
+            mclp.solve_greedy_swap(inst, 3)
+        monkeypatch.setattr(mclp, "improve_swap", swap)
+        got = [(r.p, r.selected) for r in coverage_curve(inst, 3, "greedy+swap").rows]
+        want = coverage_curve(dataclasses.replace(GREEDY_TRAP), 3, "greedy+swap").rows
+        assert got == [(r.p, r.selected) for r in want]
 
     def test_unpopulated_instance_picks_the_smallest_ids(self):
         """With every population 0 each p-set is optimal, so the first
@@ -572,6 +680,10 @@ class TestSolverViewReadOnly:
         with pytest.raises(ValueError, match="read-only"):
             view.cols[0, 0] = 0.0
         assert mclp._prepare(GREEDY_TRAP, 2) is view
+        search = GREEDY_TRAP._search
+        for array in (search.hit, search.reach, search.table, search.covered):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
     @pytest.mark.parametrize("with_matrix", [True, False])
     def test_read_instance_columns_refuse_writes(self, with_matrix):

@@ -12,8 +12,7 @@ __version__ = "0.1.0"
 
 # the public names, by the module that defines them
 _EXPORTS = {
-    "candidates": ("CandidateSite", "ExtractionConfig", "assign_tiers",
-                   "candidates_geojson", "extract", "merge"),
+    "candidates": ("ExtractionConfig", "candidates_geojson", "extract"),
     "criteria": ("Band", "CriterionSpec", "NormalizedCriterion", "ScoreScheme",
                  "SuitabilityClass", "classify", "validate_spec"),
     "errors": ("BranchSiteError", "ConfigError", "DomainError", "GateError",

@@ -1,53 +1,34 @@
-"""Candidate-site extraction, priority tiering, and merge with existing
+"""Candidate-site extraction, priority tiers, and merge with existing
 branches.
+
+A candidate is one row, ``{"id", "location", "score", "origin", "tier",
+"fixed_open"}``, from extraction on: ``report.json`` lists the rows,
+``candidates.geojson`` renders them, and the coverage instance takes its
+candidate ids and locations from them.
 
 Extraction is greedy non-maximum suppression over the combined score
 surface: repeatedly take the best remaining cell (ties by row then column,
 ascending), emit its center, and suppress everything closer than the
-separation distance. Tiers are positional terciles of the score ordering,
-with remainders going to the higher tiers.
+separation distance. The picks come in descending score order, so the
+tiers are positional terciles of pick order, with remainders going to the
+higher tiers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InputError
-from .geo import PLANAR, Point, distances_to
+from .geo import PLANAR, distances_to
 from .overlay import SuitabilityRaster
 
 ORIGIN_PROPOSED = "proposed"
 ORIGIN_EXISTING = "existing"
 
-TIER_FIRST = "first"
-TIER_SECOND = "second"
-TIER_THIRD = "third"
-TIERS = (TIER_FIRST, TIER_SECOND, TIER_THIRD)
-
-
-@dataclass(frozen=True)
-class CandidateSite:
-    id: str
-    location: Point
-    score: float | None
-    origin: str
-    tier: str | None = None
-
-    def __post_init__(self):
-        if self.origin not in (ORIGIN_PROPOSED, ORIGIN_EXISTING):
-            raise InputError(f"candidate {self.id!r}: unknown origin {self.origin!r}")
-        if self.origin == ORIGIN_PROPOSED and not (self.score is not None and self.score > 0):
-            raise InputError(f"candidate {self.id!r}: proposed sites need a positive score")
-        if self.tier is not None and self.tier not in TIERS:
-            raise InputError(f"candidate {self.id!r}: unknown tier {self.tier!r}")
-
-    def to_dict(self) -> dict:
-        return {"id": self.id, "location": [self.location.x, self.location.y],
-                "score": self.score, "origin": self.origin, "tier": self.tier,
-                "fixed_open": False}
+TIERS = ("first", "second", "third")
 
 
 @dataclass(frozen=True)
@@ -63,14 +44,22 @@ class ExtractionConfig:
             raise InputError("max_proposed must be >= 1")
 
 
+def _row(site_id: str, location: list[float], score: float | None, origin: str,
+         tier: str | None) -> dict:
+    return {"id": site_id, "location": location, "score": score, "origin": origin,
+            "tier": tier, "fixed_open": False}
+
+
 def extract(raster: SuitabilityRaster, cfg: ExtractionConfig,
-            mode: str = PLANAR) -> list[CandidateSite]:
+            mode: str = PLANAR) -> list[dict]:
     """Greedy peak extraction with non-maximum suppression.
 
-    Returns proposed candidates in pick order; empty when no cell reaches
-    min_score (an empty-result signal, not an error). Zero-score cells are
-    never eligible. The eligible scores are chosen in the raster's table,
-    and their cells among the in-area cells.
+    Returns the proposed sites as rows in pick order, ``p01``, ``p02``, ...,
+    tiered by position: the first third ``first``, the next ``second``, the
+    rest ``third``. Empty when no cell reaches min_score (an empty-result
+    signal, not an error). Zero-score cells are never eligible. The eligible
+    scores are chosen in the raster's table, and their cells among the
+    in-area cells.
     """
     table = raster.table
     # NaN entries compare False, so they drop out with the non-positive ones
@@ -80,7 +69,7 @@ def extract(raster: SuitabilityRaster, cfg: ExtractionConfig,
     # the cells are row-major, so the stable sort orders by (score desc, row, col)
     order = np.argsort(-scores, kind="stable")
 
-    picked: list[tuple[float, Point]] = []
+    picked: list[tuple[float, list[float]]] = []
     # coordinates of the picked sites, filled in pick order
     xy = np.empty((2, min(cfg.max_proposed, len(order))))
     for k in order:
@@ -91,67 +80,39 @@ def extract(raster: SuitabilityRaster, cfg: ExtractionConfig,
         if (distances_to(xy[0, :n], xy[1, :n], center, mode) < cfg.min_separation).any():
             continue
         xy[:, n] = center.x, center.y
-        picked.append((float(scores[k]), center))
+        picked.append((float(scores[k]), [center.x, center.y]))
 
     width = max(2, len(str(cfg.max_proposed)))
-    return [
-        CandidateSite(
-            id=f"p{i + 1:0{width}d}",
-            location=loc,
-            score=v,
-            origin=ORIGIN_PROPOSED,
-        )
-        for i, (v, loc) in enumerate(picked)
-    ]
+    base, rem = divmod(len(picked), 3)
+    tiers = [tier for t, tier in enumerate(TIERS) for _ in range(base + (t < rem))]
+    return [_row(f"p{i + 1:0{width}d}", loc, score, ORIGIN_PROPOSED, tier)
+            for i, ((score, loc), tier) in enumerate(zip(picked, tiers))]
 
 
-def tier_sizes(n: int) -> tuple[int, int, int]:
-    """Tercile sizes; the remainder of an uneven split goes to higher tiers."""
-    base, rem = divmod(n, 3)
-    return tuple(base + (1 if i < rem else 0) for i in range(3))
-
-
-def assign_tiers(sites: Sequence[CandidateSite]) -> list[CandidateSite]:
-    """Score-ordered tercile split into first/second/third priority.
-
-    The ordering is a stable sort on descending score, so equal-scored sites
-    keep their given order and split positionally.
-    """
-    if not sites:
-        return []
-    for s in sites:
-        if s.score is None:
-            raise InputError(f"candidate {s.id!r} has no score; cannot tier")
-    order = sorted(range(len(sites)), key=lambda i: (-sites[i].score, i))
-    sizes = tier_sizes(len(sites))
-    tier_of_position = []
-    for tier, size in zip(TIERS, sizes):
-        tier_of_position.extend([tier] * size)
-    out: list[CandidateSite] = list(sites)
-    for pos, idx in enumerate(order):
-        out[idx] = replace(sites[idx], tier=tier_of_position[pos])
-    return out
-
-
-def merge(proposed: Sequence[CandidateSite],
-          existing: Sequence[CandidateSite]) -> list[CandidateSite]:
-    """Union of proposed and existing candidates, preserving origin labels.
+def merge_existing(proposed: list[dict], ids: Sequence[str | None],
+                   xy: np.ndarray) -> list[dict]:
+    """The proposed rows, then one row per existing branch: its id, or
+    ``e01``, ``e02``, ... by position where it has none, its ``xy`` row as
+    the location, and no score or tier.
 
     The proposed-proposed separation constraint does not bind across the
     merge; a proposed site may sit arbitrarily close to an existing branch.
+    The existing ids come from an outside layer, so the first id met twice
+    raises ``InputError``.
     """
-    merged = list(proposed) + list(existing)
+    merged = proposed + [_row(fid or f"e{i + 1:02d}", loc, None, ORIGIN_EXISTING, None)
+                         for i, (fid, loc) in enumerate(zip(ids, xy.tolist()))]
     seen: set[str] = set()
-    for site in merged:
-        if site.id in seen:
-            raise InputError(f"duplicate candidate id {site.id!r} after merge")
-        seen.add(site.id)
+    for row in merged:
+        if row["id"] in seen:
+            raise InputError(f"duplicate candidate id {row['id']!r} after merge")
+        seen.add(row["id"])
     return merged
 
 
 def candidates_geojson(rows: Sequence[dict], meta: dict | None = None) -> dict:
-    """GeoJSON FeatureCollection of ``CandidateSite.to_dict`` rows with
-    id/score/origin/tier properties.
+    """GeoJSON FeatureCollection of candidate rows with
+    id/score/origin/tier/fixed_open properties.
 
     ``meta`` entries are added as top-level foreign members so the file
     identifies the run that produced it.

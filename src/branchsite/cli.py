@@ -96,10 +96,10 @@ def candidates(ctx):
     """Extract, tier, and merge candidate sites."""
     cfg = load_project(_require_config(ctx))
     surface = build_surface(cfg)
-    tiered, merged = build_candidate_set(cfg, surface)
+    proposed, merged = build_candidate_set(cfg, surface)
     out = ctx.obj["out"]
-    write_artifacts(out, candidate_files(cfg.meta, [s.to_dict() for s in merged]))
-    click.echo(f"{len(tiered)} proposed + {len(merged) - len(tiered)} existing "
+    write_artifacts(out, candidate_files(cfg.meta, merged))
+    click.echo(f"{len(proposed)} proposed + {len(merged) - len(proposed)} existing "
                f"-> {out / 'candidates.geojson'}")
 
 

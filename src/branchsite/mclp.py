@@ -15,10 +15,10 @@ The bool matrix is the solvers' only representation of coverage. They read
 one float64 0/1 copy of it, taken once per instance, with the columns in
 ascending id order; every marginal gain is one matrix-vector product of the
 uncovered populations with those columns (``_gains``). Ties go to the first
-maximum, the smallest id. The greedy+swap curve reuses one greedy pass,
-and each instance keeps its rows: the exact solver's incumbent for budget
-p is the objective of row p, and its search arrays are prepared once per
-instance too.
+maximum, the smallest id. Each instance keeps one greedy pass, run only as
+far as the largest budget asked so far, and the greedy+swap rows made from
+it: the exact solver's incumbent for budget p is the objective of row p,
+and its search arrays are prepared once per instance too.
 
 Exactness: every comparison of two complete selections (a B&B leaf with
 the incumbent, a swap with the current set) uses the canonical objective,
@@ -38,7 +38,7 @@ import itertools
 import math
 import reprlib
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -214,6 +214,13 @@ class MclpInstance:
                        tol, 0.0 if exact else tol)
 
     @functools.cached_property
+    def _greedy_pass(self) -> tuple[list[tuple[int, float]], Iterator]:
+        # the greedy picks made so far, (column, gain) in pick order, and
+        # the one pass that makes more
+        view = self._view
+        return [], _greedy(view, self.populations, view.fixed)
+
+    @functools.cached_property
     def _swap_rows(self) -> list["MclpSolution"]:
         return []   # the greedy+swap rows made so far, from the smallest p
 
@@ -383,28 +390,40 @@ def _best(cols: np.ndarray, pops: np.ndarray, covered: np.ndarray,
     return k, float(gains[k])
 
 
-def _greedy(view: _SolverView, pops: np.ndarray, start: Sequence[int],
-            p: int) -> tuple[list[int], list[float]]:
+def _greedy(view: _SolverView, pops: np.ndarray,
+            start: Sequence[int]) -> Iterator[tuple[int, float]]:
     """The ``start`` columns, then each round the largest marginal gain
-    (ties to the smallest id) until p columns are chosen. Returns the
-    columns in pick order and the marginal gain of each."""
+    (ties to the smallest id) until every column is chosen. Yields each
+    column in pick order with its marginal gain, only as far as it is read."""
     cols = view.cols
     chosen: list[int] = []
     covered = np.zeros(len(pops), dtype=bool)
-    gains: list[float] = []
-    for k in start:
-        gains.append(float(_gains(cols[:, k], pops, covered)))
-        covered |= cols[:, k] > 0
+    last = math.inf
+    while len(chosen) < len(view.ids):
+        if len(chosen) < len(start):
+            k = start[len(chosen)]
+            gain = float(_gains(cols[:, k], pops, covered))
+        else:
+            k, gain = _best(cols, pops, covered, chosen)
+            if gain > last + 1e-9:
+                raise AssertionError("greedy marginal gains must be non-increasing")
+            last = gain
         chosen.append(k)
-    while len(chosen) < p:
-        k, gain = _best(cols, pops, covered, chosen)
-        chosen.append(k)
         covered |= cols[:, k] > 0
-        gains.append(gain)
-    picked = gains[len(start):]
-    if any(b > a + 1e-9 for a, b in zip(picked, picked[1:])):
-        raise AssertionError("greedy marginal gains must be non-increasing")
-    return chosen, gains
+        yield k, gain
+
+
+def _greedy_picks(inst: MclpInstance, p: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """The first p columns of the instance's one greedy pass, and their
+    gains. The pass runs only as far as the largest p asked so far; the
+    picks of a smaller p are its prefix, with the gains as first computed."""
+    picks, rest = inst._greedy_pass
+    picks.extend(itertools.islice(rest, max(0, p - len(picks))))
+    if len(picks) < p:   # a pass that raised has ended: start a new one
+        inst.__dict__.pop("_greedy_pass")
+        return _greedy_picks(inst, p)
+    order, gains = zip(*picks[:p])
+    return order, gains
 
 
 def solve_exact(inst: MclpInstance, p: int, override_cap: bool = False) -> MclpSolution:
@@ -547,7 +566,7 @@ def solve_greedy(inst: MclpInstance, p: int) -> MclpSolution:
     """Greedy heuristic: the fixed-open sites, then the largest marginal
     gain each round; its gains are non-increasing by submodularity."""
     view = _prepare(inst, p)
-    picks, gains = _greedy(view, inst.populations, view.fixed, p)
+    picks, gains = _greedy_picks(inst, p)
     return _finish_solution(inst, [view.ids[k] for k in picks], METHOD_GREEDY_SWAP,
                             optimal=False, gains=gains)
 
@@ -612,17 +631,18 @@ def solve_greedy_swap(inst: MclpInstance, p: int) -> MclpSolution:
 
 
 def _greedy_swap_rows(inst: MclpInstance, p_max: int) -> list[MclpSolution]:
-    """Each row swap-improves the first p picks of one greedy pass to
-    p_max, is seeded with the previous row's selection plus its best
+    """Each row swap-improves the first p picks of the instance's one greedy
+    pass, is seeded with the previous row's selection plus its best
     extension too, and keeps the better, so z never falls from row to row.
     The rows run from p = max(1, number of fixed-open sites) to p_max. Row
     p does not depend on p_max, so the instance keeps the rows made so far
-    (``MclpInstance._swap_rows``) and a larger p_max only adds rows."""
+    (``MclpInstance._swap_rows``) and a larger p_max only adds rows, reading
+    the greedy pass further (``_greedy_picks``)."""
     view = _prepare(inst, p_max)
     rows = inst._swap_rows
     first = max(1, len(view.fixed))
     if first + len(rows) <= p_max:
-        order, gains = _greedy(view, inst.populations, view.fixed, p_max)
+        order, gains = _greedy_picks(inst, p_max)
         picks = [view.ids[k] for k in order]
         for p in range(first + len(rows), p_max + 1):
             sol = improve_swap(inst, _finish_solution(

@@ -27,12 +27,10 @@ from .candidates import (
     ORIGIN_EXISTING,
     ORIGIN_PROPOSED,
     TIERS,
-    CandidateSite,
     ExtractionConfig,
-    assign_tiers,
     candidates_geojson,
     extract,
-    merge,
+    merge_existing,
 )
 from .criteria import (
     Band,
@@ -491,12 +489,6 @@ def load_demand_layer(path: Path, mode: str) -> DemandLayer:
     return DemandLayer(tuple(ids), populations, centroids, tuple(polys))
 
 
-def load_existing_branches(path: Path, mode: str) -> list[CandidateSite]:
-    layer = load_point_layer(path, mode)
-    return [CandidateSite(fid or f"e{i + 1:02d}", Point(x, y), None, ORIGIN_EXISTING)
-            for i, (fid, (x, y)) in enumerate(zip(layer.ids, layer.xy.tolist()))]
-
-
 class _Stage:
     """Context manager labeling errors with the failing pipeline stage."""
 
@@ -575,21 +567,21 @@ def build_surface(cfg: ProjectConfig) -> SurfaceResult:
 
 
 def build_candidate_set(cfg: ProjectConfig, surface: SurfaceResult
-                        ) -> tuple[list[CandidateSite], list[CandidateSite]]:
-    """(proposed-with-tiers, merged-with-existing)."""
+                        ) -> tuple[list[dict], list[dict]]:
+    """The proposed rows, tiered, and the merged rows: the proposed ones,
+    then the existing branches'."""
     with _Stage("candidates"):
         proposed = extract(surface.score, cfg.extraction, mode=cfg.mode)
-        tiered = assign_tiers(proposed)
-        existing = load_existing_branches(cfg.existing_path, cfg.mode)
-        merged = merge(tiered, existing)
-    return tiered, merged
+        existing = load_point_layer(cfg.existing_path, cfg.mode)
+        merged = merge_existing(proposed, existing.ids, existing.xy)
+    return proposed, merged
 
 
 def run_pipeline(cfg: ProjectConfig) -> RunReport:
     """Weights -> rasters -> surface -> candidates -> coverage curve -> report."""
     surface = build_surface(cfg)
-    tiered, merged = build_candidate_set(cfg, surface)
-    extraction_empty = not tiered
+    proposed, merged = build_candidate_set(cfg, surface)
+    extraction_empty = not proposed
 
     instance: MclpInstance | None = None
     curve = None
@@ -598,7 +590,7 @@ def run_pipeline(cfg: ProjectConfig) -> RunReport:
             demand = surface.demand
             instance = build_coverage(
                 demand.ids, demand.populations, demand.centroids,
-                tuple(c.id for c in merged), [(c.location.x, c.location.y) for c in merged],
+                [c["id"] for c in merged], [c["location"] for c in merged],
                 [False] * len(merged), cfg.standard, mode=cfg.mode)
             curve = coverage_curve(instance, cfg.p_max, method=cfg.solver)
 
@@ -624,7 +616,7 @@ def run_pipeline(cfg: ProjectConfig) -> RunReport:
                 for spec in cfg.criteria
             ],
             "extraction_empty": extraction_empty,
-            "candidates": [s.to_dict() for s in merged],
+            "candidates": merged,
             "solver": cfg.solver,
             "p_max": cfg.p_max,
             "curve": None if curve is None else [r.to_dict() for r in curve.rows],

@@ -5,13 +5,10 @@ import numpy as np
 import pytest
 
 from branchsite.candidates import (
-    CandidateSite,
     ExtractionConfig,
-    assign_tiers,
     candidates_geojson,
     extract,
-    merge,
-    tier_sizes,
+    merge_existing,
 )
 from branchsite.errors import InputError
 from branchsite.geo import Point, planar_distance
@@ -24,6 +21,10 @@ def make_score_raster(grid, cells, mask=None):
     values = np.array(cells, dtype=float)
     m = np.ones(grid.shape, dtype=bool) if mask is None else mask
     return SuitabilityRaster.from_values(grid, "score", values, m)
+
+
+def _scored_points(rows):
+    return [(row["score"], Point(*row["location"])) for row in rows]
 
 
 def greedy_suppression_oracle(grid, values, min_score, min_separation, max_proposed):
@@ -52,16 +53,16 @@ class TestExtract:
         cells[1][2] = 0.5
         got = extract(make_score_raster(grid, cells), ExtractionConfig(0.1, 50, 10))
         assert len(got) == 1
-        assert got[0].location == grid.cell_center(1, 2)
-        assert got[0].score == 0.5
-        assert got[0].origin == "proposed"
+        assert Point(*got[0]["location"]) == grid.cell_center(1, 2)
+        assert got[0]["score"] == 0.5
+        assert got[0]["origin"] == "proposed"
 
     def test_equal_cells_close_together_suppressed_to_lower_index(self):
         grid = GridSpec(0, 0, 10, 2, 1)  # two cells 10 m apart
         got = extract(make_score_raster(grid, [[0.6, 0.6]]),
                       ExtractionConfig(0.1, 500, 10))
         assert len(got) == 1
-        assert got[0].location == grid.cell_center(0, 0)
+        assert Point(*got[0]["location"]) == grid.cell_center(0, 0)
 
     def test_no_cell_meets_min_score_gives_empty_result(self):
         grid = GridSpec(0, 0, 10, 2, 2)
@@ -74,7 +75,7 @@ class TestExtract:
         got = extract(make_score_raster(grid, [[0.0, 0.3]]),
                       ExtractionConfig(0.0, 10, 5))
         assert len(got) == 1
-        assert got[0].score == 0.3
+        assert got[0]["score"] == 0.3
 
     def test_matches_bruteforce_oracle_on_random_rasters(self):
         rng = random.Random(67)
@@ -86,7 +87,7 @@ class TestExtract:
             got = extract(raster, cfg)
             want = greedy_suppression_oracle(
                 grid, raster.values, cfg.min_score, cfg.min_separation, cfg.max_proposed)
-            assert [(s.score, s.location) for s in got] == want
+            assert _scored_points(got) == want
 
     def test_coded_surfaces_match_bruteforce_oracle(self):
         """A raster of -0.0, NaN payloads and more than 256 distinct scores,
@@ -113,7 +114,7 @@ class TestExtract:
             for raster in (rasters[0], surface):
                 want = greedy_suppression_oracle(grid, raster.values, min_score,
                                                  separation, max_proposed)
-                assert [(s.score, s.location) for s in extract(raster, cfg)] == want
+                assert _scored_points(extract(raster, cfg)) == want
 
         check()
 
@@ -125,7 +126,8 @@ class TestExtract:
         got = extract(make_score_raster(grid, values), cfg)
         for i, a in enumerate(got):
             for b in got[i + 1:]:
-                assert planar_distance(a.location, b.location) >= cfg.min_separation
+                assert (planar_distance(Point(*a["location"]), Point(*b["location"]))
+                        >= cfg.min_separation)
 
     def test_deterministic_across_reruns(self):
         rng = random.Random(73)
@@ -136,81 +138,104 @@ class TestExtract:
         assert extract(r, cfg) == extract(r, cfg)
 
 
+def _tiers(rows):
+    return [row["tier"] for row in rows]
+
+
 class TestTier:
+    """Tiers are positional terciles of pick order, which is descending
+    score order, with the remainder of an uneven split to the higher tiers."""
+
     def test_three_sites(self):
-        sites = [
-            CandidateSite("a", Point(0, 0), 0.9, "proposed"),
-            CandidateSite("b", Point(1, 0), 0.5, "proposed"),
-            CandidateSite("c", Point(2, 0), 0.1, "proposed"),
-        ]
-        tiers = [s.tier for s in assign_tiers(sites)]
-        assert tiers == ["first", "second", "third"]
+        grid = GridSpec(0, 0, 100, 3, 1)
+        got = extract(make_score_raster(grid, [[0.9, 0.5, 0.1]]),
+                      ExtractionConfig(0.05, 50, 10))
+        assert [row["score"] for row in got] == [0.9, 0.5, 0.1]
+        assert _tiers(got) == ["first", "second", "third"]
 
     def test_fourteen_sites_split_5_5_4(self):
-        assert tier_sizes(14) == (5, 5, 4)
-        sites = [
-            CandidateSite(f"s{i:02d}", Point(i, 0), 1.0 - i * 0.01, "proposed")
-            for i in range(14)
-        ]
-        tiered = assign_tiers(sites)
-        counts = {t: sum(1 for s in tiered if s.tier == t) for t in ("first", "second", "third")}
+        grid = GridSpec(0, 0, 100, 14, 1)
+        got = extract(make_score_raster(grid, [[1.0 - i * 0.01 for i in range(14)]]),
+                      ExtractionConfig(0.1, 50, 14))
+        assert len(got) == 14
+        counts = {t: _tiers(got).count(t) for t in ("first", "second", "third")}
         assert counts == {"first": 5, "second": 5, "third": 4}
+        assert _tiers(got) == ["first"] * 5 + ["second"] * 5 + ["third"] * 4
 
     def test_equal_scores_still_split_positionally(self):
-        sites = [CandidateSite(f"s{i}", Point(i, 0), 0.5, "proposed") for i in range(6)]
-        tiered = assign_tiers(sites)
-        assert [s.tier for s in tiered] == ["first", "first", "second", "second", "third", "third"]
+        grid = GridSpec(0, 0, 100, 6, 1)
+        got = extract(make_score_raster(grid, [[0.5] * 6]), ExtractionConfig(0.1, 50, 10))
+        assert [row["id"] for row in got] == [f"p{i:02d}" for i in range(1, 7)]
+        assert [Point(*row["location"]) for row in got] == [
+            grid.cell_center(0, col) for col in range(6)]
+        assert _tiers(got) == ["first", "first", "second", "second", "third", "third"]
 
     def test_monotone_no_lower_tier_outscores_higher(self):
         rng = random.Random(79)
-        sites = [
-            CandidateSite(f"s{i:02d}", Point(i, 0), round(rng.random(), 4) + 0.001, "proposed")
-            for i in range(25)
-        ]
-        tiered = assign_tiers(sites)
         rank = {"first": 0, "second": 1, "third": 2}
-        for a in tiered:
-            for b in tiered:
-                if rank[a.tier] < rank[b.tier]:
-                    assert a.score >= b.score
+        for trial in range(10):
+            grid = GridSpec(0, 0, 40, 30, 30)
+            values = [[round(rng.random(), 2) for _ in range(30)] for _ in range(30)]
+            cfg = ExtractionConfig(rng.choice([0.0, 0.3]), rng.choice([0.0, 90.0]),
+                                   rng.randint(1, 40))
+            got = extract(make_score_raster(grid, values), cfg)
+            assert got
+            ranks = [rank[tier] for tier in _tiers(got)]
+            assert ranks == sorted(ranks)
+            for a in got:
+                for b in got:
+                    if rank[a["tier"]] < rank[b["tier"]]:
+                        assert a["score"] >= b["score"]
 
-    def test_empty_list(self):
-        assert assign_tiers([]) == []
+
+def _existing(n):
+    return [None] * n, np.array([[i * 1000.0, 5000.0] for i in range(n)]).reshape(-1, 2)
+
+
+P01 = {"id": "p01", "location": [0.0, 0.0], "score": 0.6, "origin": "proposed",
+       "tier": "first", "fixed_open": False}
 
 
 class TestMerge:
     def test_14_plus_9_makes_23(self):
-        proposed = [
-            CandidateSite(f"p{i:02d}", Point(i * 1000, 0), 0.6, "proposed")
-            for i in range(14)
-        ]
-        existing = [CandidateSite(f"e{i:02d}", Point(i * 1000, 5000), None, "existing")
-                    for i in range(9)]
-        merged = merge(proposed, existing)
+        grid = GridSpec(0, 0, 1000, 14, 1)
+        proposed = extract(make_score_raster(grid, [[0.6] * 14]), ExtractionConfig(0.1, 50, 14))
+        merged = merge_existing(proposed, *_existing(9))
         assert len(merged) == 23
-        assert sum(1 for s in merged if s.origin == "existing") == 9
+        assert merged[:14] == proposed
+        assert sum(1 for s in merged if s["origin"] == "existing") == 9
+        assert [s["id"] for s in merged[14:]] == [f"e{i:02d}" for i in range(1, 10)]
 
     def test_empty_existing(self):
-        proposed = [CandidateSite("p01", Point(0, 0), 0.6, "proposed")]
-        assert merge(proposed, []) == proposed
+        assert merge_existing([P01], *_existing(0)) == [P01]
 
     def test_proposed_near_existing_both_retained(self):
-        proposed = [CandidateSite("p01", Point(0, 0), 0.6, "proposed")]
-        existing = [CandidateSite("e01", Point(5, 0), None, "existing")]  # 5 m away
-        assert len(merge(proposed, existing)) == 2
+        merged = merge_existing([P01], ["e01"], np.array([[5.0, 0.0]]))  # 5 m away
+        assert len(merged) == 2
+
+    def test_existing_ids_kept_and_missing_ids_numbered(self):
+        merged = merge_existing([], ["b1", None, "b3"], np.array([[0.0, 1.0], [2.0, 3.0],
+                                                                  [4.0, 5.0]]))
+        assert merged == [
+            {"id": "b1", "location": [0.0, 1.0], "score": None, "origin": "existing",
+             "tier": None, "fixed_open": False},
+            {"id": "e02", "location": [2.0, 3.0], "score": None, "origin": "existing",
+             "tier": None, "fixed_open": False},
+            {"id": "b3", "location": [4.0, 5.0], "score": None, "origin": "existing",
+             "tier": None, "fixed_open": False},
+        ]
 
     def test_duplicate_id_rejected(self):
-        a = [CandidateSite("x", Point(0, 0), 0.6, "proposed")]
-        b = [CandidateSite("x", Point(1, 1), None, "existing")]
-        with pytest.raises(InputError, match="duplicate candidate id"):
-            merge(a, b)
+        with pytest.raises(InputError, match="duplicate candidate id 'p01' after merge"):
+            merge_existing([P01], ["p01"], np.array([[1.0, 1.0]]))
 
 
 class TestGeojson:
     def test_properties_rendered(self):
-        sites = assign_tiers([CandidateSite("p01", Point(50, 50), 0.6, "proposed")])
-        sites = merge(sites, [CandidateSite("e01", Point(10, 10), None, "existing")])
-        gj = candidates_geojson([s.to_dict() for s in sites])
+        grid = GridSpec(0, 0, 100, 1, 1)
+        sites = extract(make_score_raster(grid, [[0.6]]), ExtractionConfig(0.1, 50, 10))
+        sites = merge_existing(sites, ["e01"], np.array([[10.0, 10.0]]))
+        gj = candidates_geojson(sites)
         assert gj["type"] == "FeatureCollection"
         props = [f["properties"] for f in gj["features"]]
         assert props[0] == {"id": "p01", "score": 0.6, "origin": "proposed",

@@ -426,6 +426,47 @@ class TestSolveExact:
         want = coverage_curve(dataclasses.replace(GREEDY_TRAP), 3, "greedy+swap").rows
         assert got == [(r.p, r.selected) for r in want]
 
+    def test_one_greedy_pass_per_exact_curve(self, monkeypatch):
+        """The exact curve asks the greedy+swap rows for p = 1, ..., 7 in
+        turn; each new row reads the one greedy pass further, so it runs
+        once, and the rows equal those of one pass to 7 made at once."""
+        passes = []
+        greedy = mclp._greedy
+
+        def greedy_spy(view, pops, start):
+            passes.append(list(start))
+            return greedy(view, pops, start)
+
+        monkeypatch.setattr(mclp, "_greedy", greedy_spy)
+        inst = _seeded_planar_instance(1)
+        curve = coverage_curve(inst, 7, "exact")
+        assert passes == [[]]
+        at_once = coverage_curve(_seeded_planar_instance(1), 7, "greedy+swap").rows
+        assert [(r.selected, r.objective, r.marginal_gains) for r in inst._swap_rows] == [
+            (r.selected, r.objective, r.marginal_gains) for r in at_once]
+        assert curve.rows[-1].objective == 436170.0
+
+    def test_greedy_pass_restarts_after_an_interrupt(self, monkeypatch):
+        """A pass that raised has ended; the next call that needs more picks
+        than it made starts a new pass, so no row gets too few sites."""
+        inst, want = _seeded_planar_instance(2), _seeded_planar_instance(2)
+        best, calls = mclp._best, []
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return best(*args)
+
+        monkeypatch.setattr(mclp, "_best", failing)
+        with pytest.raises(KeyboardInterrupt):
+            solve_greedy(inst, 5)
+        monkeypatch.setattr(mclp, "_best", best)
+        for p in (2, 5):
+            got, expected = solve_greedy(inst, p), solve_greedy(want, p)
+            assert (got.selected, got.marginal_gains) == (
+                expected.selected, expected.marginal_gains)
+
     def test_unpopulated_instance_picks_the_smallest_ids(self):
         """With every population 0 each p-set is optimal, so the first
         leaf must still replace the greedy incumbent."""

@@ -8,16 +8,16 @@ import pytest
 import branchsite
 
 EXPORTED = {
-    "Band", "BranchSiteError", "CandidateSite", "CombineMode", "ComparisonMatrix",
+    "Band", "BranchSiteError", "CombineMode", "ComparisonMatrix",
     "ConfigError", "CoverageCurve", "CoverageStandard", "CriterionSpec", "DomainError",
     "ExtractionConfig", "GateError", "GridSpec", "Hierarchy",
     "HierarchyNode", "InputError", "MclpInstance", "MclpSolution", "NormalizedCriterion",
     "NumericalError", "Point", "Polygon", "ProjectConfig", "RunReport",
     "ScoreScheme", "SolverRefused", "SpecificationError", "StageError",
-    "SuitabilityClass", "SuitabilityRaster", "WeightVector", "assign_tiers",
+    "SuitabilityClass", "SuitabilityRaster", "WeightVector",
     "build_coverage", "build_mask", "candidates_geojson", "classify", "combine",
     "consistency_ratio", "coverage_curve", "extract", "gate", "improve_swap",
-    "load_project", "merge", "planar_distance", "point_in_polygon", "principal_weights",
+    "load_project", "planar_distance", "point_in_polygon", "principal_weights",
     "rasterize", "render_report", "run_pipeline", "solve_exact", "solve_greedy",
     "synthesize", "validate_spec", "write_fixture", "__version__",
 }

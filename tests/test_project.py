@@ -21,8 +21,8 @@ from branchsite.geo import Point, Polygon
 from branchsite.overlay import json_text
 from branchsite.project import (
     build_surface,
+    build_candidate_set,
     load_demand_layer,
-    load_existing_branches,
     load_point_layer,
     load_project,
     render_report,
@@ -159,10 +159,12 @@ def _area(ring, properties):
 class TestLoadLayers:
     def test_existing_branches_count_and_ids(self, demo_config_path):
         cfg = load_project(demo_config_path)
-        sites = load_existing_branches(cfg.existing_path, cfg.mode)
+        proposed, merged = build_candidate_set(cfg, build_surface(cfg))
+        sites = merged[len(proposed):]
         assert len(sites) == 9
-        assert sites[0].id == "e01"
-        assert all(s.origin == "existing" for s in sites)
+        assert sites[0]["id"] == "e01"
+        assert all(s["origin"] == "existing" for s in sites)
+        assert all(s["score"] is None and s["tier"] is None for s in sites)
 
     def test_demand_layer_count_and_populations(self, demo_config_path):
         cfg = load_project(demo_config_path)
@@ -1120,6 +1122,12 @@ class TestCli:
          "criterion 'income_level': category ['High'] not in"),
         (_appended_argv("layers/hotels.geojson", b"\xff"),
          "hotels.geojson is not UTF-8: 'utf-8' codec can't decode byte 0xff"),
+        # existing ids come from the layer: one may equal a proposed id or
+        # another existing one
+        (_layer_argv("own_branches.geojson", _set_in_features([3, "properties", "id"], "p01")),
+         "[stage candidates] duplicate candidate id 'p01' after merge"),
+        (_layer_argv("own_branches.geojson", _set_in_features([5, "properties", "id"], "e02")),
+         "[stage candidates] duplicate candidate id 'e02' after merge"),
     ])
     def test_malformed_layer_exits_2(self, demo_config_path, tmp_path, capsys,
                                      argv, message):

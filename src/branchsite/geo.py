@@ -5,6 +5,14 @@ Two coordinate modes exist project-wide: ``planar`` (x/y in meters) and
 of radius 6,371,000 m). Mixing modes is a caller error; every consumer takes
 the mode explicitly. All types are immutable after construction.
 
+A polygon's rings are read-only n x 2 float64 arrays of their vertices
+without the closing one, and polygons compare by identity. ``check_rings``
+checks every ring of a layer in one array pass: the closing vertex, at
+least 3 distinct vertices, the shoelace area and self-intersection, over
+the edge pairs whose boxes overlap. ``polygons`` builds a layer's polygons
+from that one pass and names the first that fails; the ``Polygon``
+constructor is that call on one polygon.
+
 Each geometric operation has exactly one implementation, a numpy kernel over
 coordinate arrays: ``distances_to`` (many points to one point, in either
 mode, as the ``axis_terms`` of the rows and the columns and their
@@ -36,8 +44,8 @@ test's IEEE expressions, so both give the same grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -124,122 +132,167 @@ def planar_distance(a: Point, b: Point) -> float:
     return float(distances_to(*_coords(a), b, PLANAR)[0])
 
 
-def _orient(a: Point, b: Point, c: Point) -> float:
-    return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
+def _successors(sizes: np.ndarray) -> np.ndarray:
+    """The index of the vertex after each one in its ring, for rings of
+    ``sizes[r]`` vertices end to end; a ring's first follows its last."""
+    ends = sizes.cumsum()
+    nxt = np.arange(1, (ends[-1] if len(ends) else 0) + 1)
+    full = sizes > 0
+    nxt[ends[full] - 1] = (ends - sizes)[full]
+    return nxt
 
 
-def _on_segment(a: Point, b: Point, p: Point) -> bool:
-    """True iff p lies on the closed segment [a, b]."""
-    cross = (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x)
-    if cross != 0.0:
-        return False
-    return (
-        min(a.x, b.x) <= p.x <= max(a.x, b.x)
-        and min(a.y, b.y) <= p.y <= max(a.y, b.y)
-    )
+def _edges(rings: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) of a nonempty list of rings: edge k, ring by ring, runs from
+    vertex a[k] to vertex b[k]."""
+    a = np.concatenate(rings)
+    return a, a[_successors(np.array([len(ring) for ring in rings], dtype=np.intp))]
 
 
-def _segments_intersect(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
-    d1 = _orient(q1, q2, p1)
-    d2 = _orient(q1, q2, p2)
-    d3 = _orient(p1, p2, q1)
-    d4 = _orient(p1, p2, q2)
-    if ((d1 > 0) != (d2 > 0) and d1 != 0 and d2 != 0) and (
-        (d3 > 0) != (d4 > 0) and d3 != 0 and d4 != 0
-    ):
-        return True
-    if d1 == 0 and _on_segment(q1, q2, p1):
-        return True
-    if d2 == 0 and _on_segment(q1, q2, p2):
-        return True
-    if d3 == 0 and _on_segment(p1, p2, q1):
-        return True
-    if d4 == 0 and _on_segment(p1, p2, q2):
-        return True
-    return False
+def _ring_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The sum of each ring's run of ``values`` (rings of ``sizes[r]`` end
+    to end) by the loop ``s = 0.0; s += v``: rings of one size are summed
+    at once by ``cumsum``, which adds left to right, unlike ``sum``."""
+    sums = np.zeros((len(sizes),) + values.shape[1:])
+    starts = sizes.cumsum() - sizes
+    for n in (np.flatnonzero(np.bincount(sizes)[1:]) + 1).tolist():
+        k = np.flatnonzero(sizes == n)
+        runs = np.zeros((len(k), n + 1) + values.shape[1:])
+        runs[:, 1:] = values[starts[k, None] + np.arange(n)]
+        sums[k] = runs.cumsum(axis=1)[:, -1]
+    return sums
 
 
-def _normalize_ring(vertices: Sequence[Point]) -> tuple[Point, ...]:
-    """Drop a duplicated closing vertex and validate the ring is usable."""
-    pts = list(vertices)
-    if len(pts) >= 2 and pts[0] == pts[-1]:
-        pts = pts[:-1]
-    if len(pts) < 3:
-        raise DomainError("polygon ring needs at least 3 distinct vertices")
-    if len(set((p.x, p.y) for p in pts)) != len(pts):
-        raise DomainError("polygon ring has repeated vertices")
-    return tuple(pts)
+SHORT, REPEATED, CROSSED = 1, 2, 3
+RING_FAULTS = {SHORT: "polygon ring needs at least 3 distinct vertices",
+               REPEATED: "polygon ring has repeated vertices",
+               CROSSED: "polygon ring is self-intersecting"}
+NO_AREA = "polygon area must be strictly positive"
 
 
-def _ring_area(ring: Sequence[Point]) -> float:
-    """Signed shoelace area of a ring given without the closing vertex."""
-    s = 0.0
-    n = len(ring)
-    for i in range(n):
-        a = ring[i]
-        b = ring[(i + 1) % n]
-        s += a.x * b.y - b.x * a.y
-    return 0.5 * s
+def check_rings(xy: np.ndarray, sizes) -> tuple[np.ndarray, ...]:
+    """(xy, sizes, areas, faults) of rings of ``sizes[r]`` rows of the
+    n x 2 float64 ``xy`` end to end, checked in one pass: each ring's
+    rows, now read-only and without a closing vertex that repeats its
+    first, its size, its signed shoelace area, and its fault, SHORT, else
+    REPEATED, else CROSSED, or 0.
+
+    Repeated vertices are found by one ``lexsort``. The areas are the
+    shoelace loop's IEEE operations in its order. Edges whose boxes are
+    disjoint share no point, so only pairs of edges whose boxes overlap
+    are tested (M. I. Shamos and D. Hoey, "Geometric intersection
+    problems", FOCS 1976): sorted by ring and left end, each edge is paired
+    with the later edges of its ring that start left of its right end, the
+    pairs of all rings at once. Two edges that share no endpoint meet
+    where each crosses the other's line strictly, or where an endpoint of
+    one lies on the other: its cross product is 0.0 and it is in the box."""
+    sizes = np.asarray(sizes, dtype=np.intp)
+    last = sizes.cumsum() - 1
+    closed = sizes >= 2
+    closed[closed] = (xy[last[closed] - sizes[closed] + 1] == xy[last[closed]]).all(axis=1)
+    keep = np.ones(len(xy), dtype=bool)
+    keep[last[closed]] = False
+    xy, sizes = xy[keep], sizes - closed
+    xy.flags.writeable = False
+    ring = np.arange(len(sizes)).repeat(sizes)
+    nxt = _successors(sizes)
+    a, b = xy, xy[nxt]
+    with np.errstate(over="ignore", invalid="ignore"):
+        areas = 0.5 * _ring_sums(a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1], sizes)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        xs = np.sort(np.concatenate([lo[:, 0], hi[:, 0]]))  # x ranks: (ring, x) as one key
+        keys = ring * len(xs) + xs.searchsorted(lo[:, 0])
+        order = keys.argsort(kind="stable")
+        reach = keys[order].searchsorted(
+            ring[order] * len(xs) + xs.searchsorted(hi[order, 0]), "right")
+        crossed = np.zeros(len(sizes), dtype=bool)
+        for first, later in _range_batches(np.arange(1, len(order) + 1), reach):
+            i, j = order[first], order[later]
+            boxes = (lo[i, 1] <= hi[j, 1]) & (hi[i, 1] >= lo[j, 1]) & (j != nxt[i]) & (i != nxt[j])
+            i, j = i[boxes], j[boxes]
+            # the cross products of edge j with the ends of edge i, then of
+            # edge i with the ends of edge j: (b - a) x (c - a)
+            e, c = np.array([j, j, i, i]), np.array([i, nxt[i], j, nxt[j]])
+            ea, eb, pc = a[e], b[e], a[c]
+            d = ((eb[..., 0] - ea[..., 0]) * (pc[..., 1] - ea[..., 1])
+                 - (eb[..., 1] - ea[..., 1]) * (pc[..., 0] - ea[..., 0]))
+            side = d > 0
+            meet = (((side[0] != side[1]) & (side[2] != side[3]) & (d != 0).all(axis=0))
+                    | ((d == 0) & ((lo[e] <= pc) & (pc <= hi[e])).all(axis=2)).any(axis=0))
+            crossed[ring[i[meet]]] = True
+    by_xy = np.lexsort((xy[:, 1], xy[:, 0], ring))
+    twice = by_xy[1:][(xy[by_xy[1:]] == xy[by_xy[:-1]]).all(axis=1)
+                      & (ring[by_xy[1:]] == ring[by_xy[:-1]])]
+    faults = np.where(crossed, CROSSED, 0)
+    faults[ring[twice]] = REPEATED
+    faults[sizes < 3] = SHORT
+    return xy, sizes, areas, faults
 
 
-def _ring_self_intersects(ring: Sequence[Point]) -> bool:
-    """True iff two edges of the ring that share no endpoint meet.
+def polygons(xy: np.ndarray, sizes, counts) -> tuple[list[Polygon], str | None]:
+    """The polygons before the first that fails, and its fault or None, of
+    the rings of ``sizes[r]`` rows of the n x 2 float64 ``xy`` end to end,
+    in one ``check_rings`` call; polygon k is the next ``counts[k]`` rings,
+    exterior first. A polygon's fault is its first SHORT or REPEATED
+    ring's, else NO_AREA for an exterior of area 0.0, else CROSSED, else
+    NO_AREA where the exterior's area less its holes' (each taken
+    absolute, in ring order) is not above 0.0."""
+    xy, sizes, areas, faults = check_rings(xy, sizes)
+    counts = np.asarray(counts, dtype=np.intp)
+    first = counts.cumsum() - counts
+    ring_areas = np.abs(areas)
+    areas = ring_areas[first]
+    with np.errstate(invalid="ignore"):  # inf less inf
+        for j in range(1, counts.max(initial=1)):
+            k = np.flatnonzero(counts > j)
+            areas[k] -= ring_areas[first[k] + j]
+    bad = (ring_areas[first] <= 0.0) | (areas <= 0.0)
+    bad[np.arange(len(counts)).repeat(counts)[faults > 0]] = True
+    n = int(np.argmax(bad)) if bad.any() else len(counts)  # the polygons that pass
+    fault = None
+    if n < len(counts):
+        own = faults[first[n]:first[n] + counts[n]].tolist()
+        shape = [RING_FAULTS[f] for f in own if f in (SHORT, REPEATED)]
+        fault = (shape[0] if shape else RING_FAULTS[CROSSED]
+                 if CROSSED in own and not ring_areas[first[n]] <= 0.0 else NO_AREA)
+    # the rings of the polygons that pass hold at least 3 vertices each
+    sizes = sizes[:first[n] if n < len(counts) else len(sizes)]
+    starts = sizes.cumsum() - sizes
+    views = [xy[s:s + size] for s, size in zip(starts.tolist(), sizes.tolist())]
+    box = xy[:sizes.sum()]
+    bounds = (np.hstack([np.minimum.reduceat(box, starts), np.maximum.reduceat(box, starts)])
+              if len(sizes) else np.zeros((0, 4))).tolist()
+    out = []
+    for r, c, area in zip(first[:n].tolist(), counts[:n].tolist(), areas[:n].tolist()):
+        out.append(object.__new__(Polygon))
+        vars(out[-1]).update(exterior=views[r], holes=tuple(views[r + 1:r + c]),
+                             _area=area, _bounds=tuple(bounds[r]))
+    return out, fault
 
-    Edges whose bounding boxes are disjoint share no point, so a sweep over
-    the edges' x-intervals in order of their left ends tests only the pairs
-    whose boxes overlap: each edge meets the earlier edges whose x-interval
-    still reaches it, and of those the ones whose y-interval overlaps its
-    own. A convex ring costs O(n log n) instead of the O(n^2) of all pairs.
-    """
-    n = len(ring)
-    ends = ring[1:] + ring[:1]
-    boxes = []
-    for k, a, b in zip(range(n), ring, ends):
-        x0, x1 = (a.x, b.x) if a.x <= b.x else (b.x, a.x)
-        y0, y1 = (a.y, b.y) if a.y <= b.y else (b.y, a.y)
-        boxes.append((x0, x1, y0, y1, k))
-    boxes.sort()
-    active: list[tuple] = []
-    for box in boxes:
-        x0, _, y0, y1, j = box
-        active = [other for other in active if other[1] >= x0]
-        for _, _, v0, v1, i in active:
-            if (v0 <= y1 and v1 >= y0 and (i - j) % n not in (1, n - 1)
-                    and _segments_intersect(ring[i], ends[i], ring[j], ends[j])):
-                return True
-        active.append(box)
-    return False
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Polygon:
-    """Simple polygon: one exterior ring plus optional hole rings.
+    """Simple polygon: one exterior ring plus optional hole rings, each a
+    read-only n x 2 float64 array of its vertices without the closing one.
 
-    Rings are stored without the duplicated closing vertex; input rings may
-    be given open or closed. The exterior must be non-self-intersecting with
-    strictly positive area. The area and the bounds are computed once, at
-    construction.
+    The rings are given as (x, y) pairs, open or closed, and checked by
+    ``polygons`` as a layer of one polygon. The area and the bounds are
+    computed once, at construction. Polygons compare by identity.
     """
 
-    exterior: tuple[Point, ...]
-    holes: tuple[tuple[Point, ...], ...] = field(default=())
+    exterior: np.ndarray
+    holes: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self):
-        ext = _normalize_ring(self.exterior)
-        holes = tuple(_normalize_ring(h) for h in self.holes)
-        object.__setattr__(self, "exterior", ext)
-        object.__setattr__(self, "holes", holes)
-        area = abs(_ring_area(ext))
-        if area <= 0.0:
-            raise DomainError("polygon area must be strictly positive")
-        for ring in (ext,) + holes:
-            if _ring_self_intersects(ring):
-                raise DomainError("polygon ring is self-intersecting")
-        for hole in holes:
-            area -= abs(_ring_area(hole))
-        xs, ys = [p.x for p in ext], [p.y for p in ext]
-        object.__setattr__(self, "_area", area)
-        object.__setattr__(self, "_bounds", (min(xs), min(ys), max(xs), max(ys)))
+        rings = [np.array(ring, dtype=np.float64).reshape(len(ring), 2)
+                 for ring in (self.exterior, *self.holes)]
+        xy = np.concatenate(rings)
+        if not np.isfinite(xy).all():
+            raise DomainError("polygon coordinates must be finite")
+        built, fault = polygons(xy, [len(ring) for ring in rings], [len(rings)])
+        if fault is not None:
+            raise DomainError(fault)
+        vars(self).update(vars(built[0]))
 
     @property
     def area(self) -> float:
@@ -249,46 +302,43 @@ class Polygon:
     def bounds(self) -> tuple[float, float, float, float]:
         return self._bounds
 
-    @property
-    def centroid(self) -> Point:
-        """Arithmetic mean of the exterior's distinct vertices."""
-        n = len(self.exterior)
-        return Point(
-            sum(p.x for p in self.exterior) / n,
-            sum(p.y for p in self.exterior) / n,
-        )
+
+def vertex_means(polys: Sequence[Polygon]) -> np.ndarray:
+    """The mean of each polygon's exterior vertices, as the rows of an
+    n x 2 array; the sums are taken left to right."""
+    sizes = np.array([len(poly.exterior) for poly in polys], dtype=np.intp)
+    xy = np.concatenate([poly.exterior for poly in polys]) if polys else np.zeros((0, 2))
+    return _ring_sums(xy, sizes) / sizes[:, None]
 
 
-def _widest_midpoint(poly: Polygon, mean: Point) -> Point:
+def _widest_midpoint(poly: Polygon, x: float, y: float) -> Point:
     """The midpoint of the widest inside interval of the horizontal line
-    through ``mean``, between two consecutive crossings of the rings; the
-    first of equally wide ones, and ``mean`` if the line crosses none."""
-    y = mean.y
-    xs = sorted(a.x + (y - a.y) * (b.x - a.x) / (b.y - a.y)
-                for ring in (poly.exterior, *poly.holes)
-                for a, b in zip(ring, ring[1:] + ring[:1]) if (a.y > y) != (b.y > y))
+    through (x, y), between two consecutive crossings of the rings; the
+    first of equally wide ones, and (x, y) if the line crosses none."""
+    a, b = _edges([poly.exterior, *poly.holes])
+    crossing = (a[:, 1] > y) != (b[:, 1] > y)
+    a, b = a[crossing], b[crossing]
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs = sorted((a[:, 0] + (y - a[:, 1]) * (b[:, 0] - a[:, 0]) / (b[:, 1] - a[:, 1])).tolist())
     # the line enters the polygon at every even crossing and leaves it at
     # the next one
-    x0, x1 = max(zip(xs[::2], xs[1::2]), key=lambda iv: iv[1] - iv[0],
-                 default=(mean.x, mean.x))
+    x0, x1 = max(zip(xs[::2], xs[1::2]), key=lambda iv: iv[1] - iv[0], default=(x, x))
     return Point(x0 + (x1 - x0) / 2, y)
 
 
-def representative_points(polys: Sequence[Polygon],
-                          given: Sequence[Point | None] | None = None) -> list[Point | None]:
-    """A point inside each polygon (boundary included), or None where none
-    is found. Where ``given[k]`` is a point, it is polygon k's one
-    candidate; else the candidates are the vertex mean, then the midpoint
-    of the widest inside interval of the horizontal line through it. The
-    given points and the vertex means are tested in one kernel call."""
-    given = [None] * len(polys) if given is None else given
-    first = [poly.centroid if point is None else point for poly, point in zip(polys, given)]
-    found = []
-    for poly, point, own, inside in zip(polys, first, given, contains_each(first, polys)):
-        if not inside and own is None:
-            point = _widest_midpoint(poly, point)
-            inside = point_in_polygon(point, poly)
-        found.append(point if inside else None)
+def representative_points(polys: Sequence[Polygon], given: np.ndarray) -> np.ndarray:
+    """A point inside each polygon (boundary included), as the rows of an
+    n x 2 array, NaN where none is found. Where row k of the n x 2
+    ``given`` is not NaN, it is polygon k's one candidate; else the
+    candidates are the vertex mean, then the midpoint of the widest inside
+    interval of the horizontal line through it. The given points and the
+    vertex means are tested in one kernel call."""
+    own = ~np.isnan(given[:, 0])
+    found = np.where(own[:, None], given, vertex_means(polys))
+    for k in np.flatnonzero(~np.array(contains_each(found, polys), dtype=bool)).tolist():
+        point = None if own[k] else _widest_midpoint(polys[k], *found[k].tolist())
+        found[k] = ((point.x, point.y) if point is not None and point_in_polygon(point, polys[k])
+                    else np.nan)
     return found
 
 
@@ -310,8 +360,20 @@ def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return k, np.arange(ends[-1] if len(n) else 0) + (lo - ends + n).repeat(n)
 
 
-# The boundary test evaluates about this many (edge, cell) pairs at a time.
-_BOUNDARY_CELLS = 1 << 16
+# The kernels evaluate about this many pairs, of (edge, cell) or of
+# edges, at a time.
+_BATCH = 1 << 16
+
+
+def _range_batches(lo: np.ndarray, hi: np.ndarray):
+    """``_ranges(lo, hi)`` in batches of about ``_BATCH`` pairs, each of
+    whole ranges; k indexes lo and hi as in the one call."""
+    ends = (hi - lo).cumsum()
+    cut = ends.searchsorted(np.arange(_BATCH, ends[-1] if len(ends) else 0, _BATCH)).tolist()
+    for a, b in zip([0, *cut], [*cut, len(lo)]):
+        if a < b:
+            k, v = _ranges(lo[a:b], hi[a:b])
+            yield k + a, v
 
 
 def points_in_polygons(xs: np.ndarray, ys: np.ndarray, polys: Sequence[Polygon],
@@ -350,8 +412,9 @@ def points_in_polygons(xs: np.ndarray, ys: np.ndarray, polys: Sequence[Polygon],
         return []
     # (ax, ay, bx, by) of every edge, ring by ring, and its ring's entry
     all_rings = [ring for poly in polys for ring in (poly.exterior, *poly.holes)]
-    ax, ay, bx, by = np.array([(a.x, a.y, b.x, b.y) for ring in all_rings
-                               for a, b in zip(ring, ring[1:] + ring[:1])], dtype=float).T
+    a, b = _edges(all_rings)
+    ax, ay = a.T
+    bx, by = b.T
     er0, er1, ec0, ec1, ew, eblock, eext = np.repeat(
         np.array(rings, dtype=np.intp), [len(ring) for ring in all_rings], axis=0).T
     y_hi = np.maximum(ay, by)
@@ -378,21 +441,15 @@ def points_in_polygons(xs: np.ndarray, ys: np.ndarray, polys: Sequence[Polygon],
 
         # the boundary: the cells of each edge's bounding-box window whose
         # cross product is exactly zero, row by row of the window, in
-        # batches of rows of about _BOUNDARY_CELLS cells
+        # batches of rows of about _BATCH cells
         left = xs.searchsorted(np.minimum(ax, bx), "left").clip(ec0, ec1)
         right = xs.searchsorted(np.maximum(ax, bx), "right").clip(ec0, ec1)
         keep = (left < right).nonzero()[0]
         e, row = _ranges(top[keep], ys.searchsorted(y_hi[keep], "right").clip(
             er0[keep], er1[keep]))
         e = keep[e]
-        ends = (right[e] - left[e]).cumsum()
-        cut = ends.searchsorted(np.arange(_BOUNDARY_CELLS, ends[-1] if len(e) else 0,
-                                          _BOUNDARY_CELLS)).tolist()
-        for a, b in zip([0, *cut], [*cut, len(e)]):
-            if a == b:
-                continue
-            pair, col = _ranges(left[e[a:b]], right[e[a:b]])
-            k, r = e[a:b][pair], row[a:b][pair]
+        for pair, col in _range_batches(left[e], right[e]):
+            k, r = e[pair], row[pair]
             on = (dx[k] * (ys[r] - ay[k]) - dy[k] * (xs[col] - ax[k]) == 0.0).nonzero()[0]
             k, r, col = k[on], r[on], col[on]
             inside[eext[k] + (r - er0[k]) * ew[k] + col - ec0[k]] = True
@@ -412,12 +469,12 @@ def points_in_polygon(xs: np.ndarray, ys: np.ndarray, poly: Polygon) -> np.ndarr
     return inside
 
 
-def contains_each(points: Sequence[Point], polys: Sequence[Polygon]) -> list[bool]:
-    """Whether point k lies in polygon k (boundary included), for every k,
-    in one kernel call: the axes are the points' sorted coordinates and
-    polygon k's window is its point's 1x1 cell."""
-    px = np.array([p.x for p in points], dtype=float)
-    py = np.array([p.y for p in points], dtype=float)
+def contains_each(xy: np.ndarray, polys: Sequence[Polygon]) -> list[bool]:
+    """Whether the point of row k of the n x 2 ``xy`` lies in polygon k
+    (boundary included), for every k, in one kernel call: the axes are the
+    points' sorted coordinates and polygon k's window is its point's 1x1
+    cell."""
+    px, py = np.asarray(xy, dtype=float).reshape(-1, 2).T
     xs, ys = np.sort(px), np.sort(py)
     c, r = xs.searchsorted(px), ys.searchsorted(py)
     blocks = points_in_polygons(xs, ys, polys, np.stack([r, r + 1, c, c + 1], axis=1))
@@ -426,5 +483,5 @@ def contains_each(points: Sequence[Point], polys: Sequence[Polygon]) -> list[boo
 
 def point_in_polygon(p: Point, poly: Polygon) -> bool:
     """Ray-crossing containment test; boundary points count as inside."""
-    (inside,) = contains_each([p], [poly])
+    (inside,) = contains_each(np.array([[p.x, p.y]]), [poly])
     return inside

@@ -71,6 +71,7 @@ from .geo import (
     Point,
     Polygon,
     check_geodesic_range,
+    polygons,
     representative_points,
 )
 from .mclp import (
@@ -354,6 +355,18 @@ def _position(value, where: str, mode: str) -> Point:
     return p
 
 
+def _positions(values: list, mode: str) -> np.ndarray | None:
+    """``fields.positions`` of the values in the coordinate mode: None
+    where ``_position`` would raise for one of them."""
+    xy = positions(values)
+    if xy is not None and mode == GEODESIC:
+        try:
+            check_geodesic_range(xy[:, 0], xy[:, 1])
+        except DomainError:
+            return None
+    return xy
+
+
 class PointLayer(NamedTuple):
     """A point layer as columns: each feature's ``id`` property as a string
     (None where it has none), and its position as a row of the read-only
@@ -387,17 +400,12 @@ def _point_columns(features: list, mode: str) -> PointLayer | None:
     if not _only(geoms, dict) or [g.get("type") for g in geoms].count("Point") < len(geoms):
         return None
     try:
-        xy = positions([g["coordinates"] for g in geoms])
+        xy = _positions([g["coordinates"] for g in geoms], mode)
     except KeyError:
         return None
     props = [feat.get("properties") or {} for feat in features]
     if xy is None or not _only(props, dict):
         return None
-    if mode == GEODESIC:
-        try:
-            check_geodesic_range(xy[:, 0], xy[:, 1])
-        except DomainError:
-            return None
     ids = [p.get("id") for p in props]
     if not _only(ids, str):
         ids = [None if fid is None else str(fid) for fid in ids]
@@ -405,31 +413,60 @@ def _point_columns(features: list, mode: str) -> PointLayer | None:
     return PointLayer(tuple(ids), xy)
 
 
-def _polygon(feat: dict, mode: str, where: str) -> Polygon:
-    rings = _coordinates(feat, "Polygon", where)
-    if not isinstance(rings, list) or not rings:
-        raise InputError(f"{where}: polygon has no rings")
-    for ring in rings:
-        if not isinstance(ring, list):
-            raise InputError(f"{where}: polygon ring must be a list, got {reprlib.repr(ring)}")
+def _polygon_layer(path: Path, mode: str,
+                   read: Callable) -> tuple[list, list, InputError | None]:
+    """The polygons of the layer at ``path`` and ``read(i, where,
+    properties)`` of each, up to the first bad feature, and its error or
+    None. One walk reads each feature's rings, then its properties; one
+    ``fields.positions`` call types every vertex, and one ``geo.polygons``
+    call checks every ring. So a feature's ring fault is named before its
+    property fault, and the error is the first bad feature's. Vertices are
+    walked with ``_position`` only to name a bad one."""
+    geoms, rows = [], []
+    error = None
     try:
-        poly = Polygon(tuple(_position(v, where, mode) for v in rings[0]),
-                       tuple(tuple(_position(v, where, mode) for v in ring)
-                             for ring in rings[1:]))
-    except DomainError as exc:
-        raise InputError(f"{where}: {exc}") from None
-    return poly
+        for i, where, feat in _walk(path, _feature_list(path)):
+            rings = _coordinates(feat, "Polygon", where)
+            if not isinstance(rings, list) or not rings:
+                raise InputError(f"{where}: polygon has no rings")
+            for ring in rings:
+                if not isinstance(ring, list):
+                    raise InputError(
+                        f"{where}: polygon ring must be a list, got {reprlib.repr(ring)}")
+            geoms.append(rings)
+            rows.append(read(i, where, _properties(feat, where)))
+    except InputError as exc:
+        error = exc
+    xy = _positions([v for rings in geoms for ring in rings for v in ring], mode)
+    if xy is None:
+        for i, rings in enumerate(geoms):
+            try:
+                for v in (v for ring in rings for v in ring):
+                    _position(v, f"{path} feature {i}", mode)
+            except InputError as exc:
+                error, geoms = exc, geoms[:i]
+                break
+        else:
+            raise AssertionError(f"the vertices of layer {path} failed but every one reads")
+        xy = _positions([v for rings in geoms for ring in rings for v in ring], mode)
+    polys, fault = polygons(xy, [len(ring) for rings in geoms for ring in rings],
+                            [len(rings) for rings in geoms])
+    if fault is not None:
+        error = InputError(f"{path} feature {len(polys)}: {fault}")
+    n = min(len(polys), len(rows))  # the index of the bad feature
+    return polys[:n], rows[:n], error
 
 
 def load_zone_layer(path: Path, mode: str) -> list[tuple[Polygon, object]]:
-    out = []
-    for _, where, feat in _walk(path, _feature_list(path)):
-        poly = _polygon(feat, mode, where)
-        props = _properties(feat, where)
+    def level(i, where, props):
         if "level" not in props:
             raise InputError(f"{where}: zone polygon is missing the 'level' property")
-        out.append((poly, props["level"]))
-    return out
+        return props["level"]
+
+    polys, levels, error = _polygon_layer(path, mode, level)
+    if error is not None:
+        raise error
+    return list(zip(polys, levels))
 
 
 class DemandLayer(NamedTuple):
@@ -444,49 +481,43 @@ class DemandLayer(NamedTuple):
 
 
 def load_demand_layer(path: Path, mode: str) -> DemandLayer:
-    """The demand areas of the layer at ``path``, read in one walk over the
-    features. An area without a ``centroid`` property gets a point inside
-    it (see ``geo.representative_points``), and every centroid, given or
-    not, is tested in one kernel call. A bad feature's error is raised only
-    once the centroids of the features before it are found inside, so the
-    error named is the first in feature order."""
-    features = _feature_list(path)
-    ids, populations, given, polys = [], [], [], []
-    error = None
-    try:
-        for i, where, feat in _walk(path, features):
-            poly = _polygon(feat, mode, where)
-            props = _properties(feat, where)
-            if "population" not in props:
-                raise InputError(f"{where}: demand area is missing the 'population' property")
-            population = props["population"]
-            if not is_number(population):
-                raise InputError(
-                    f"{where}: 'population' must be a number, got {reprlib.repr(population)}")
-            area_id = str(props.get("id", f"area{i + 1:02d}"))
-            centroid = props.get("centroid")
-            point = None if centroid is None else _position(centroid, where, mode)
-            if population < 0:
-                raise InputError(
-                    f"demand area {area_id!r}: population must be a finite number >= 0")
-            ids.append(area_id)
-            populations.append(float(population))
-            given.append(point)
-            polys.append(poly)
-    except InputError as exc:
-        error = exc
-    points = representative_points(polys, given)
-    for area_id, point in zip(ids, points):
-        if point is None:
-            raise InputError(f"demand area {area_id!r}: centroid lies outside its geometry")
+    """The demand areas of the layer at ``path``. An area without a
+    ``centroid`` property gets a point inside it (see
+    ``geo.representative_points``), and every centroid, given or not, is
+    tested in one kernel call. A bad feature's error is raised only once
+    the centroids of the features before it are found inside, so the error
+    named is the first in feature order."""
+
+    def area(i, where, props):
+        if "population" not in props:
+            raise InputError(f"{where}: demand area is missing the 'population' property")
+        population = props["population"]
+        if not is_number(population):
+            raise InputError(
+                f"{where}: 'population' must be a number, got {reprlib.repr(population)}")
+        area_id = str(props.get("id", f"area{i + 1:02d}"))
+        centroid = props.get("centroid")
+        point = None if centroid is None else _position(centroid, where, mode)
+        if population < 0:
+            raise InputError(
+                f"demand area {area_id!r}: population must be a finite number >= 0")
+        xy = (np.nan, np.nan) if point is None else (point.x, point.y)
+        return area_id, float(population), xy
+
+    polys, rows, error = _polygon_layer(path, mode, area)
+    ids = tuple(row[0] for row in rows)
+    given = np.array([row[2] for row in rows], dtype=np.float64).reshape(-1, 2)
+    centroids = representative_points(polys, given)
+    outside = np.flatnonzero(np.isnan(centroids[:, 0]))
+    if len(outside):
+        raise InputError(f"demand area {ids[outside[0]]!r}: centroid lies outside its geometry")
     if error is not None:
         raise error
     if len(set(ids)) != len(ids):
         raise InputError(f"{path}: demand area ids are not unique")
-    populations = np.array(populations, dtype=np.float64)
-    centroids = np.array([(p.x, p.y) for p in points], dtype=np.float64).reshape(-1, 2)
+    populations = np.array([row[1] for row in rows], dtype=np.float64)
     populations.flags.writeable = centroids.flags.writeable = False
-    return DemandLayer(tuple(ids), populations, centroids, tuple(polys))
+    return DemandLayer(ids, populations, centroids, tuple(polys))
 
 
 class _Stage:

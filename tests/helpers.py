@@ -4,7 +4,8 @@ column reader, a big-int bitmask reference for the heuristic solvers,
 per-cell loop references for the raster formatters, per-segment comparison
 references for the band lookup, the per-cell point-in-polygon kernel and
 full-grid references for the overlay kernels, polygons from coordinate
-pairs, consistent judgment matrices, and readers for the Esri ASCII grids
+pairs, the scalar ring checks as references for the one-pass ring check,
+consistent judgment matrices, and readers for the Esri ASCII grids
 and the coverage table."""
 
 import csv
@@ -30,7 +31,6 @@ from branchsite.geo import (
     PLANAR,
     Point,
     Polygon,
-    _segments_intersect,
     distances_to,
 )
 from branchsite.fields import BOOL, LIST, MODE, NUMBER, OBJECT, STRING, XY, get
@@ -44,7 +44,7 @@ from branchsite.mclp import (
     _matrix,
     build_coverage,
 )
-from branchsite.errors import InputError
+from branchsite.errors import DomainError, InputError
 from branchsite.weights import ComparisonMatrix
 from branchsite.overlay import (
     NODATA,
@@ -439,14 +439,77 @@ def _classify_scores(spec: NormalizedCriterion, raws: np.ndarray,
 
 def polygon_from_coords(exterior: Iterable[tuple[float, float]],
                         holes: Iterable[Iterable[tuple[float, float]]] = ()) -> Polygon:
-    ext = tuple(Point(float(x), float(y)) for x, y in exterior)
-    hs = tuple(tuple(Point(float(x), float(y)) for x, y in ring) for ring in holes)
-    return Polygon(ext, hs)
+    return Polygon(list(exterior), tuple(list(ring) for ring in holes))
 
 
-# --- the pair loop of ring validation ------------------------------------------
-# geo._ring_self_intersects as it was before it swept the edges' bounding
-# boxes, kept verbatim: every pair of edges that share no endpoint.
+# --- the scalar ring checks ------------------------------------------------------
+# geo's segment test, ring normalization and shoelace loop on Points as they
+# were before every ring of a layer was checked in one array pass, kept
+# verbatim, and geo._ring_self_intersects as it was before it swept the edges' bounding
+# boxes: every pair of edges that share no endpoint. ``ring_points`` turns
+# an n x 2 ring into the Points they take.
+
+
+def ring_points(ring) -> tuple[Point, ...]:
+    return tuple(Point(x, y) for x, y in np.asarray(ring, dtype=float).tolist())
+
+
+def _orient(a: Point, b: Point, c: Point) -> float:
+    return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
+
+
+def _on_segment(a: Point, b: Point, p: Point) -> bool:
+    """True iff p lies on the closed segment [a, b]."""
+    cross = (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x)
+    if cross != 0.0:
+        return False
+    return (
+        min(a.x, b.x) <= p.x <= max(a.x, b.x)
+        and min(a.y, b.y) <= p.y <= max(a.y, b.y)
+    )
+
+
+def _segments_intersect(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
+    d1 = _orient(q1, q2, p1)
+    d2 = _orient(q1, q2, p2)
+    d3 = _orient(p1, p2, q1)
+    d4 = _orient(p1, p2, q2)
+    if ((d1 > 0) != (d2 > 0) and d1 != 0 and d2 != 0) and (
+        (d3 > 0) != (d4 > 0) and d3 != 0 and d4 != 0
+    ):
+        return True
+    if d1 == 0 and _on_segment(q1, q2, p1):
+        return True
+    if d2 == 0 and _on_segment(q1, q2, p2):
+        return True
+    if d3 == 0 and _on_segment(p1, p2, q1):
+        return True
+    if d4 == 0 and _on_segment(p1, p2, q2):
+        return True
+    return False
+
+
+def _normalize_ring(vertices: Sequence[Point]) -> tuple[Point, ...]:
+    """Drop a duplicated closing vertex and validate the ring is usable."""
+    pts = list(vertices)
+    if len(pts) >= 2 and pts[0] == pts[-1]:
+        pts = pts[:-1]
+    if len(pts) < 3:
+        raise DomainError("polygon ring needs at least 3 distinct vertices")
+    if len(set((p.x, p.y) for p in pts)) != len(pts):
+        raise DomainError("polygon ring has repeated vertices")
+    return tuple(pts)
+
+
+def _ring_area(ring: Sequence[Point]) -> float:
+    """Signed shoelace area of a ring given without the closing vertex."""
+    s = 0.0
+    n = len(ring)
+    for i in range(n):
+        a = ring[i]
+        b = ring[(i + 1) % n]
+        s += a.x * b.y - b.x * a.y
+    return 0.5 * s
 
 
 def reference_ring_self_intersects(ring: Sequence[Point]) -> bool:
@@ -474,8 +537,8 @@ def reference_points_in_polygon(xs: np.ndarray, ys: np.ndarray, poly: Polygon) -
     points count as inside."""
 
     def ring_arrays(ring):
-        ax = np.array([p.x for p in ring])
-        ay = np.array([p.y for p in ring])
+        ax = np.array(ring[:, 0])
+        ay = np.array(ring[:, 1])
         bx = np.roll(ax, -1)
         by = np.roll(ay, -1)
         return ax, ay, bx, by

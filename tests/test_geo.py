@@ -9,11 +9,12 @@ import pytest
 from branchsite.errors import DomainError
 from branchsite.geo import (
     EARTH_RADIUS_M,
+    RING_FAULTS,
     Point,
     Polygon,
-    _ring_self_intersects,
     axis_terms,
     bounds_windows,
+    check_rings,
     contains_each,
     distances_to,
     join_terms,
@@ -21,13 +22,18 @@ from branchsite.geo import (
     point_in_polygon,
     points_in_polygon,
     points_in_polygons,
+    polygons,
+    vertex_means,
 )
 
 from helpers import (
+    _normalize_ring,
+    _ring_area,
     geodesic_distance,
     polygon_from_coords,
     reference_points_in_polygon,
     reference_ring_self_intersects,
+    ring_points,
 )
 
 
@@ -42,6 +48,7 @@ def reference_haversine(lon1, lat1, lon2, lat2):
 
 def winding_number_inside(p, ring):
     """Winding-number containment oracle (nonzero rule) for simple rings."""
+    ring = ring_points(ring)
     wn = 0
     n = len(ring)
     for i in range(n):
@@ -164,7 +171,7 @@ class TestPolygon:
         poly = polygon_from_coords([(0, 0), (4, 0), (4, 4), (0, 4), (0, 0)])
         assert len(poly.exterior) == 4
         assert poly.area == pytest.approx(16.0)
-        assert poly.centroid == Point(2.0, 2.0)
+        assert vertex_means([poly]).tolist() == [[2.0, 2.0]]
 
     def test_area_and_bounds_are_computed_once(self):
         ring = [(0, 0), (4, 0), (4, 3), (0, 3)]
@@ -172,10 +179,14 @@ class TestPolygon:
         assert poly.area == 11.0 and poly.bounds == (0.0, 0.0, 4.0, 3.0)
         # each read returns the value stored at construction
         assert poly.area is poly.area and poly.bounds is poly.bounds
-        # the public fields, equality and hash are the rings' alone
+        # the public fields are the rings alone, read-only arrays; polygons
+        # compare and hash by identity
         assert [f.name for f in dataclasses.fields(Polygon)] == ["exterior", "holes"]
+        assert poly.exterior.tolist() == [[0, 0], [4, 0], [4, 3], [0, 3]]
+        assert not poly.exterior.flags.writeable and not poly.holes[0].flags.writeable
         same = polygon_from_coords(ring + ring[:1], holes=[[(1, 1), (2, 1), (2, 2), (1, 2)]])
-        assert same == poly and hash(same) == hash(poly)
+        assert np.array_equal(same.exterior, poly.exterior)
+        assert same != poly and poly == poly and len({poly, same, poly}) == 2
         assert polygon_from_coords(ring) != poly
 
     def test_degenerate_rejected(self):
@@ -183,6 +194,18 @@ class TestPolygon:
             polygon_from_coords([(0, 0), (1, 1)])
         with pytest.raises(DomainError):
             polygon_from_coords([(0, 0), (1, 0), (2, 0)])  # zero area
+
+    def test_holes_that_leave_no_area_rejected(self):
+        ext = [(0, 0), (4, 0), (4, 3), (0, 3)]
+        assert polygon_from_coords(ext, [[(1, 1), (3, 1), (3, 2), (1, 2)]]).area == 10.0
+        # a hole as large as the exterior, and one larger
+        for hole in (ext, [(-1, -1), (30, -1), (30, 20), (-1, 20)]):
+            with pytest.raises(DomainError, match="polygon area must be strictly positive"):
+                polygon_from_coords(ext, [hole])
+
+    def test_non_finite_coordinates_rejected(self):
+        with pytest.raises(DomainError, match="must be finite"):
+            polygon_from_coords([(0, 0), (1, 0), (1, float("nan"))])
 
     def test_self_intersecting_rejected(self):
         with pytest.raises(DomainError):
@@ -227,25 +250,88 @@ class TestPolygon:
             with pytest.raises(DomainError, match="self-intersecting"):
                 polygon_from_coords(bad)
 
-    def test_sweep_matches_pair_loop(self):
-        # small lattices make crossings, touches and collinear overlaps
-        # common; vertices in angle order around the center make most rings
-        # star-shaped, so simple rings are common too
+    def test_one_check_matches_the_scalar_references(self):
+        """Rings of every size through one ``check_rings`` call: each ring's
+        fault and its area, bit for bit, are those of the scalar
+        normalization, pair loop and shoelace loop; and one ``polygons``
+        call gives each polygon with holes the loop's area less its holes'."""
+        # small lattices make crossings, touches, collinear overlaps and
+        # repeated vertices common; vertices in angle order around the
+        # center make most rings star-shaped, so simple rings are common too
         rng = random.Random(83)
+        rings = []
         for _ in range(3000):
             n = rng.randint(3, 14)
             side = rng.choice([3, 6, 40])
-            ring = [Point(rng.randint(0, side), rng.randint(0, side)) for _ in range(n)]
+            ring = [(rng.randint(0, side), rng.randint(0, side)) for _ in range(n)]
             if rng.random() < 0.5:
-                ring.sort(key=lambda p: math.atan2(p.y - side / 2, p.x - side / 2))
-            ring = tuple(ring)
-            assert _ring_self_intersects(ring) == reference_ring_self_intersects(ring), ring
+                ring.sort(key=lambda p: math.atan2(p[1] - side / 2, p[0] - side / 2))
+            if rng.random() < 0.25:
+                ring.append(ring[0])
+            rings.append(ring)
+        # 1,000-vertex lattice rectangles: simple, touched and crossed
+        rect = self._lattice_rectangle(300, 200)
+        top = rect.index((150, 200))
+        rings += [rect] + [rect[:top] + [moved] + rect[top + 1:]
+                           for moved in ((150.5, 0), (150.5, -1))]
+        # convex rings of inexact coordinates, whose shoelace sums round
+        # differently in another order
+        rings += [[(cx + r * math.cos(2 * math.pi * k / n), cy + r * math.sin(2 * math.pi * k / n))
+                   for k in range(n)]
+                  for n, cx, cy, r in ((300, 0.3, -0.7, 7.3), (297, -1.5, 2.5, 55.5),
+                                       (100, 0.1, 0.2, 1.7))]
+        # star-shaped polygons with holes, of inexact coordinates
+        def star(cx, cy, r0, r1):
+            n = rng.randint(3, 14)
+            polar = [(rng.uniform(r0, r1), 2 * math.pi * (k + rng.random() / 2) / n)
+                     for k in range(n)]
+            return [(cx + r * math.cos(t), cy + r * math.sin(t)) for r, t in polar]
+
+        groups = []
+        for _ in range(300):
+            cx, cy = rng.uniform(-50, 50), rng.uniform(-50, 50)
+            groups.append([star(cx, cy, 5.0, 10.0)] + [
+                star(cx + rng.uniform(-2, 2), cy + rng.uniform(-2, 2), 0.2, 1.0)
+                for _ in range(rng.randint(0, 3))])
+        rings += [ring for group in groups for ring in group]
+
+        _, sizes, got_areas, got_faults = check_rings(
+            np.array([v for ring in rings for v in ring], dtype=float),
+            [len(ring) for ring in rings])
+        assert len(sizes) == len(got_areas) == len(got_faults) == len(rings)
+        faults, areas, ok = [], [], []
+        for ring in rings:
+            try:
+                points = _normalize_ring(ring_points(ring))
+            except DomainError as exc:
+                faults.append(str(exc))
+                continue
+            faults.append("polygon ring is self-intersecting"
+                          if reference_ring_self_intersects(points) else None)
+            areas.append(_ring_area(points))
+            ok.append(len(faults) - 1)
+        assert [RING_FAULTS.get(f) for f in got_faults.tolist()] == faults
+        assert {None, "polygon ring is self-intersecting", "polygon ring has repeated vertices",
+                "polygon ring needs at least 3 distinct vertices"} <= set(faults)
+        assert got_areas[ok].tobytes() == np.array(areas).tobytes()
+
+        sizes = [len(ring) for group in groups for ring in group]
+        built, fault = polygons(
+            np.array([v for group in groups for ring in group for v in ring]), sizes,
+            [len(group) for group in groups])
+        assert fault is None and len(built) == len(groups)
+        for poly, (ext, *holes) in zip(built, groups):
+            area = abs(_ring_area(ring_points(ext)))
+            for hole in holes:
+                area -= abs(_ring_area(ring_points(hole)))
+            assert poly.area.hex() == area.hex()
+            assert len(poly.holes) == len(holes)
 
 
 class TestPointInPolygon:
     def test_centroid_of_convex_inside(self):
         poly = polygon_from_coords([(0, 0), (10, 0), (12, 6), (5, 11), (-2, 5)])
-        assert point_in_polygon(poly.centroid, poly)
+        assert point_in_polygon(Point(*vertex_means([poly])[0].tolist()), poly)
 
     def test_outside_bounding_box(self):
         poly = polygon_from_coords([(0, 0), (10, 0), (10, 10), (0, 10)])
@@ -393,13 +479,12 @@ class TestGridKernel:
                 assert got.shape == (r1 - r0, c1 - c0)
                 assert np.array_equal(got, want)
             # each polygon against a point of its own, in one call
-            points = [Point(data.draw(st.sampled_from(xs.tolist())),
-                            data.draw(st.sampled_from(ys.tolist()))) for _ in polys]
+            points = [(data.draw(st.sampled_from(xs.tolist())),
+                       data.draw(st.sampled_from(ys.tolist()))) for _ in polys]
             with np.errstate(all="ignore"):
-                want = [bool(reference_points_in_polygon(np.array([p.x]), np.array([p.y]),
-                                                         poly)[0])
-                        for p, poly in zip(points, polys)]
-            assert contains_each(points, polys) == want
+                want = [bool(reference_points_in_polygon(np.array([x]), np.array([y]), poly)[0])
+                        for (x, y), poly in zip(points, polys)]
+            assert contains_each(np.array(points), polys) == want
 
         check()
 

@@ -335,6 +335,61 @@ class TestLoadLayers:
         assert demand.centroids.tolist() == [[0.5, 0.5], [0.25, 0.75]]
         assert demand.populations.tolist() == [1.0, 2.0]
 
+    # a good feature's properties, and the error text of a missing one
+    _LAYERS = {
+        "zone": (project.load_zone_layer, {"level": 1},
+                 "zone polygon is missing the 'level' property"),
+        "demand": (load_demand_layer, {"population": 1},
+                   "demand area is missing the 'population' property"),
+    }
+
+    @pytest.mark.parametrize("kind", ["zone", "demand"])
+    def test_first_bad_feature_is_named_after_the_layer_check(self, tmp_path, kind):
+        """The rings and the vertices of a layer are checked in one call
+        after the walk, yet the feature named is the first bad one, and a
+        feature's ring or vertex fault is named before its property fault."""
+        load, props, missing = self._LAYERS[kind]
+        square = [[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]
+        flat = [[0, 0], [1, 0], [2, 0], [0, 0]]
+        bad_vertex = [[0, 0], [1, 0], [1, "x"], [0, 1], [0, 0]]
+        ring_fault = "polygon area must be strictly positive"
+        vertex_fault = "expected an [x, y] position of numbers, got [1, 'x']"
+        path = tmp_path / "layer.geojson"
+        for features, k, message in (
+                # a ring fault at j before a property fault at k > j
+                ([(square, props), (flat, props), (square, props), (square, {})], 1,
+                 ring_fault),
+                # both on one feature
+                ([(square, props), (square, props), (flat, {})], 2, ring_fault),
+                # a property fault before a later ring fault
+                ([(square, props), (square, {}), (flat, props)], 1, missing),
+                # the same for a vertex fault, which the walk of the vertices names
+                ([(square, props), (bad_vertex, props), (square, {})], 1, vertex_fault),
+                ([(bad_vertex, {}), (square, props)], 0, vertex_fault),
+                ([(square, {}), (flat, props), (bad_vertex, props)], 0, missing),
+                ([(flat, props), (bad_vertex, props)], 0, ring_fault)):
+            path.write_text(json.dumps(_collection([_area(r, dict(p)) for r, p in features])))
+            with pytest.raises(InputError) as err:
+                load(path, "planar")
+            assert str(err.value) == f"{path} feature {k}: {message}"
+
+    @pytest.mark.parametrize("kind", ["zone", "demand"])
+    def test_holes_that_leave_no_area_are_rejected(self, tmp_path, kind):
+        load, props, _ = self._LAYERS[kind]
+        ext = [[0, 0], [4, 0], [4, 3], [0, 3], [0, 0]]
+        hole = [[1, 1], [2, 1], [2, 2], [1, 2], [1, 1]]
+        path = tmp_path / "layer.geojson"
+        features = [{"type": "Feature", "properties": dict(props),
+                     "geometry": {"type": "Polygon", "coordinates": [ext, hole]}}]
+        path.write_text(json.dumps(_collection(features)))
+        load(path, "planar")  # the hole leaves an area
+        for big in (ext, [[-1, -1], [30, -1], [30, 20], [-1, 20], [-1, -1]]):
+            features[0]["geometry"]["coordinates"] = [ext, hole, big]
+            path.write_text(json.dumps(_collection(features)))
+            with pytest.raises(InputError) as err:
+                load(path, "planar")
+            assert str(err.value) == f"{path} feature 0: polygon area must be strictly positive"
+
     def test_empty_distance_layer_fails_at_rasterize_stage(self, demo_config_path, tmp_path):
         empty = demo_copy(demo_config_path, tmp_path) / "layers" / "empty.geojson"
         empty.write_text(json.dumps({"type": "FeatureCollection", "features": []}))

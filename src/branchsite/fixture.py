@@ -359,16 +359,20 @@ def write_fixture(target_dir: str | Path, seed: int = 0) -> Path:
             for aid, x0, y0, x1, y1, pop in DEMAND_AREAS
         ]),
     }
+
+    def write(path: Path, text: str) -> None:
+        path.write_text(text, encoding="utf-8")
+
     for rel, payload in files.items():
-        (target / rel).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        write(target / rel, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     goal_items = list(CLUSTER_WEIGHTS)
-    (matrices / "goal.csv").write_text(
-        _matrix_csv(goal_items, [CLUSTER_WEIGHTS[c] for c in goal_items]))
+    write(matrices / "goal.csv",
+          _matrix_csv(goal_items, [CLUSTER_WEIGHTS[c] for c in goal_items]))
     for cluster, pairs in LOCAL_WEIGHTS.items():
-        (matrices / f"{cluster}.csv").write_text(
-            _matrix_csv([cid for cid, _ in pairs], [w for _, w in pairs]))
+        write(matrices / f"{cluster}.csv",
+              _matrix_csv([cid for cid, _ in pairs], [w for _, w in pairs]))
 
     config_path = target / "project.json"
-    config_path.write_text(json.dumps(_project_config(), indent=2, sort_keys=True) + "\n")
+    write(config_path, json.dumps(_project_config(), indent=2, sort_keys=True) + "\n")
     return config_path

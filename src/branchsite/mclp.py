@@ -238,7 +238,7 @@ class MclpInstance:
                 for cid, xy, fixed in zip(self.candidate_ids, self.locations.tolist(),
                                           self.fixed_open.tolist())
             ],
-            "matrix": [[int(v) for v in row] for row in self.matrix],
+            "matrix": self.matrix.astype(np.uint8).tolist(),
         }
 
     @classmethod

@@ -315,12 +315,6 @@ def _walk(path: Path, features: list) -> Iterator[tuple[int, str, dict]]:
         yield i, where, feat
 
 
-def _only(values: list, kind: type) -> bool:
-    """Every value is of exactly the type ``kind``, as JSON objects and
-    lists are; the type is tested once per distinct type."""
-    return set(map(type, values)) <= {kind}
-
-
 def _coordinates(feat: dict, kind: str, where: str):
     geom = feat.get("geometry") or {}
     gtype = geom.get("type") if isinstance(geom, dict) else None
@@ -376,85 +370,78 @@ class PointLayer(NamedTuple):
     xy: np.ndarray
 
 
-def load_point_layer(path: Path, mode: str) -> PointLayer:
-    """The Point features of the layer at ``path``, typed in one pass over
-    each column; a layer that fails is walked feature by feature, only to
-    raise the first bad feature's error."""
-    features = _feature_list(path)
-    layer = _point_columns(features, mode)
-    if layer is None:
-        for _, where, feat in _walk(path, features):
-            _position(_coordinates(feat, "Point", where), where, mode)
-            _properties(feat, where)
-        raise AssertionError(f"a column of layer {path} failed but every feature reads")
-    return layer
-
-
-def _point_columns(features: list, mode: str) -> PointLayer | None:
-    """The columns of the point layer ``features``, or None where the walk
-    would raise: it accepts exactly what ``_coordinates``, ``_position``
-    and ``_properties`` accept."""
-    if not _only(features, dict):
-        return None
-    geoms = [feat.get("geometry") for feat in features]
-    if not _only(geoms, dict) or [g.get("type") for g in geoms].count("Point") < len(geoms):
-        return None
-    try:
-        xy = _positions([g["coordinates"] for g in geoms], mode)
-    except KeyError:
-        return None
-    props = [feat.get("properties") or {} for feat in features]
-    if xy is None or not _only(props, dict):
-        return None
-    ids = [p.get("id") for p in props]
-    if not _only(ids, str):
-        ids = [None if fid is None else str(fid) for fid in ids]
-    xy.flags.writeable = False
-    return PointLayer(tuple(ids), xy)
-
-
-def _polygon_layer(path: Path, mode: str,
-                   read: Callable) -> tuple[list, list, InputError | None]:
-    """The polygons of the layer at ``path`` and ``read(i, where,
-    properties)`` of each, up to the first bad feature, and its error or
-    None. One walk reads each feature's rings, then its properties; one
-    ``fields.positions`` call types every vertex, and one ``geo.polygons``
-    call checks every ring. So a feature's ring fault is named before its
-    property fault, and the error is the first bad feature's. Vertices are
-    walked with ``_position`` only to name a bad one."""
+def _layer(path: Path, mode: str, kind: str,
+           read: Callable) -> tuple[np.ndarray | list, list, InputError | None]:
+    """The shapes of the ``kind`` ("Point" or "Polygon") features of the
+    layer at ``path`` and ``read(i, where, properties)`` of each, up to the
+    first bad feature, and its error or None. A Point layer's shapes are
+    the rows of one read-only n x 2 float64 array, a Polygon layer's are
+    polygons. One walk reads each feature's geometry, then its properties;
+    one ``fields.positions`` call types every position (a Point's, or each
+    vertex of a Polygon's rings), and one ``geo.polygons`` call checks
+    every ring. So a feature's geometry fault is named before its property
+    fault, and the error is the first bad feature's. Positions are walked
+    with ``_position`` only to name a bad one."""
     geoms, rows = [], []
     error = None
     try:
         for i, where, feat in _walk(path, _feature_list(path)):
-            rings = _coordinates(feat, "Polygon", where)
-            if not isinstance(rings, list) or not rings:
-                raise InputError(f"{where}: polygon has no rings")
-            for ring in rings:
-                if not isinstance(ring, list):
-                    raise InputError(
-                        f"{where}: polygon ring must be a list, got {reprlib.repr(ring)}")
-            geoms.append(rings)
+            geom = _coordinates(feat, kind, where)
+            if kind == "Polygon":
+                if not isinstance(geom, list) or not geom:
+                    raise InputError(f"{where}: polygon has no rings")
+                for ring in geom:
+                    if not isinstance(ring, list):
+                        raise InputError(
+                            f"{where}: polygon ring must be a list, got {reprlib.repr(ring)}")
+            geoms.append(geom)
             rows.append(read(i, where, _properties(feat, where)))
     except InputError as exc:
         error = exc
-    xy = _positions([v for rings in geoms for ring in rings for v in ring], mode)
+
+    def vertices(coords: list) -> list:
+        """The positions of the ``kind`` coordinates ``coords``, end to end."""
+        if kind == "Point":
+            return coords
+        return [v for rings in coords for ring in rings for v in ring]
+
+    xy = _positions(vertices(geoms), mode)
     if xy is None:
-        for i, rings in enumerate(geoms):
+        for i, geom in enumerate(geoms):
             try:
-                for v in (v for ring in rings for v in ring):
+                for v in vertices([geom]):
                     _position(v, f"{path} feature {i}", mode)
             except InputError as exc:
                 error, geoms = exc, geoms[:i]
                 break
         else:
-            raise AssertionError(f"the vertices of layer {path} failed but every one reads")
-        xy = _positions([v for rings in geoms for ring in rings for v in ring], mode)
-    polys, fault = polygons(xy, [len(ring) for rings in geoms for ring in rings],
-                            [len(rings) for rings in geoms])
-    if fault is not None:
-        error = InputError(f"{path} feature {len(polys)}: {fault}")
-    n = min(len(polys), len(rows))  # the index of the bad feature
-    return polys[:n], rows[:n], error
+            raise AssertionError(f"the positions of layer {path} failed but every one reads")
+        xy = _positions(vertices(geoms), mode)
+    if kind == "Point":
+        xy.flags.writeable = False
+        shapes = xy
+    else:
+        shapes, fault = polygons(xy, [len(ring) for rings in geoms for ring in rings],
+                                 [len(rings) for rings in geoms])
+        if fault is not None:
+            error = InputError(f"{path} feature {len(shapes)}: {fault}")
+    n = min(len(shapes), len(rows))  # the index of the bad feature
+    return shapes[:n], rows[:n], error
+
+
+def _id(props: dict) -> str | None:
+    """A feature's ``id`` property as a string; None where it has none or
+    it is null."""
+    fid = props.get("id")
+    return None if fid is None else str(fid)
+
+
+def load_point_layer(path: Path, mode: str) -> PointLayer:
+    """The Point features of the layer at ``path``."""
+    xy, ids, error = _layer(path, mode, "Point", lambda i, where, props: _id(props))
+    if error is not None:
+        raise error
+    return PointLayer(tuple(ids), xy)
 
 
 def load_zone_layer(path: Path, mode: str) -> list[tuple[Polygon, object]]:
@@ -463,7 +450,7 @@ def load_zone_layer(path: Path, mode: str) -> list[tuple[Polygon, object]]:
             raise InputError(f"{where}: zone polygon is missing the 'level' property")
         return props["level"]
 
-    polys, levels, error = _polygon_layer(path, mode, level)
+    polys, levels, error = _layer(path, mode, "Polygon", level)
     if error is not None:
         raise error
     return list(zip(polys, levels))
@@ -495,7 +482,9 @@ def load_demand_layer(path: Path, mode: str) -> DemandLayer:
         if not is_number(population):
             raise InputError(
                 f"{where}: 'population' must be a number, got {reprlib.repr(population)}")
-        area_id = str(props.get("id", f"area{i + 1:02d}"))
+        area_id = _id(props)
+        if area_id is None:
+            area_id = f"area{i + 1:02d}"
         centroid = props.get("centroid")
         point = None if centroid is None else _position(centroid, where, mode)
         if population < 0:
@@ -504,7 +493,7 @@ def load_demand_layer(path: Path, mode: str) -> DemandLayer:
         xy = (np.nan, np.nan) if point is None else (point.x, point.y)
         return area_id, float(population), xy
 
-    polys, rows, error = _polygon_layer(path, mode, area)
+    polys, rows, error = _layer(path, mode, "Polygon", area)
     ids = tuple(row[0] for row in rows)
     given = np.array([row[2] for row in rows], dtype=np.float64).reshape(-1, 2)
     centroids = representative_points(polys, given)
@@ -585,6 +574,9 @@ def build_surface(cfg: ProjectConfig) -> SurfaceResult:
 
     with _Stage("rasterize"):
         mask = build_mask(cfg.grid, demand.polygons)
+        if not mask.any():
+            raise InputError(f"demand layer {cfg.demand_path}: no grid cell center "
+                             "lies inside a demand area, so the study area is empty")
         rasters = tuple(
             rasterize(spec, features[spec.id], cfg.grid, cfg.scheme,
                       mask=mask, mode=cfg.mode)
@@ -704,7 +696,7 @@ def write_artifacts(out_dir: str | Path, files: Iterable[tuple[str, Chunks]]) ->
             path.parent.mkdir(parents=True, exist_ok=True)
             tmp = path.with_name(f".{path.name}.tmp")
             staged.append((tmp, path))
-            with tmp.open("w") as fh:
+            with tmp.open("w", encoding="utf-8") as fh:
                 # writelines drops each chunk before it takes the next
                 fh.writelines(chunks)
         for tmp, path in staged:

@@ -285,7 +285,8 @@ def load_matrix_csv(path: str | Path, matrix_id: str | None = None) -> Compariso
     by one numeric row per item."""
     path = Path(path)
     try:
-        with open(path, newline="") as fh:
+        # utf-8-sig drops the byte order mark a spreadsheet may write
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             rows = [row for row in reader if row and any(cell.strip() for cell in row)]
     except (OSError, UnicodeDecodeError) as exc:

@@ -7,6 +7,8 @@ import math
 import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -282,13 +284,38 @@ class TestLoadLayers:
         ("geodesic", [200.0, 5.0], "feature 1999: coordinates (200.0, 5.0) out of lon/lat range"),
     ])
     def test_bad_last_of_2000_points_is_named(self, tmp_path, mode, bad, message):
-        """The column reader fails as a whole; the walk names the feature."""
+        """One position call fails for the whole layer; the walk names the feature."""
         path = tmp_path / "points.geojson"
         features = [_point([i / 100, 1.0, 3.0], {}) for i in range(1999)] + [_point(bad, {})]
         path.write_text(json.dumps(_collection(features)))
         with pytest.raises(InputError) as err:
             load_point_layer(path, mode)
         assert str(err.value) == f"{path} {message}"
+
+    @pytest.mark.parametrize("features, message", [
+        # a property fault names its feature before a bad position after it
+        ([_point([0, 0], {}), _point([1, 1], [1]), _point([2, "x"], {})],
+         "feature 1: properties must be an object, got [1]"),
+        # a feature with both faults names the position
+        ([_point([0, 0], {}), _point([1, "x"], [1])],
+         "feature 1: expected an [x, y] position of numbers, got [1, 'x']"),
+        # a wrong geometry type comes before a properties fault
+        ([_point([0, 0], {}), _area([[0, 0], [1, 0], [1, 1], [0, 0]], [1])],
+         "feature 1: expected Point geometry, got 'Polygon'"),
+    ])
+    def test_point_layer_error_precedence(self, tmp_path, features, message):
+        path = tmp_path / "points.geojson"
+        path.write_text(json.dumps(_collection(features)))
+        with pytest.raises(InputError) as err:
+            load_point_layer(path, "planar")
+        assert str(err.value) == f"{path} {message}"
+
+    def test_null_demand_id_counts_as_no_id(self, tmp_path):
+        path = tmp_path / "areas.geojson"
+        path.write_text(json.dumps(_collection([
+            _area([[i, 0], [i + 1, 0], [i + 1, 1], [i, 1], [i, 0]],
+                  {"id": None, "population": 10}) for i in range(2)])))
+        assert load_demand_layer(path, "planar").ids == ("area01", "area02")
 
     def test_demand_centroids_are_tested_once(self, demo_config_path, tmp_path,
                                               monkeypatch):
@@ -402,6 +429,25 @@ class TestLoadLayers:
         cfg = load_project(path)  # loads fine; the failure belongs to rasterize
         with pytest.raises(InputError, match=r"\[stage rasterize\].*empty feature layer"):
             run_pipeline(cfg)
+
+    @pytest.mark.parametrize("case", ["empty layer", "grid elsewhere"])
+    def test_empty_study_area_exits_2(self, demo_config_path, tmp_path, capsys, case):
+        """An empty demand layer, or a grid whose cell centers miss every
+        demand area, leaves no study area: the run stops at rasterize."""
+        root = demo_copy(demo_config_path, tmp_path)
+        demand = root / "layers" / "demand_areas.geojson"
+        if case == "empty layer":
+            demand.write_text(json.dumps(_collection([])))
+
+        def move_grid(cfg):
+            if case == "grid elsewhere":
+                cfg["grid"]["origin"][0] += 1e6
+        path = write_variant(demo_config_path, tmp_path, move_grid, "nostudy.json")
+        code = main(["--config", str(path), "--out", str(tmp_path / "o"), "pipeline"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: [stage rasterize] demand layer {demand}: ")
+        assert not (tmp_path / "o").exists()
 
 
 class TestPipeline:
@@ -927,6 +973,28 @@ class TestCli:
         report = json.loads((pipe / "report.json").read_text())
         assert weights == {key: report[key] for key in
                            ("config_digest", "mode", "weights", "consistency")}
+
+    def test_solve_writes_utf8_under_an_ascii_locale(self, demo_report, tmp_path):
+        """A non-ASCII candidate id is written as UTF-8 whatever the
+        locale's encoding."""
+        arts = tmp_path / "arts"
+        write_pipeline_artifacts(demo_report, arts)
+        instance = json.loads((arts / "instance.json").read_text())
+        instance["candidates"][0]["id"] = "شعبه"
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(instance, ensure_ascii=False), encoding="utf-8")
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("PYTHONIOENCODING", "PYTHONUTF8")}
+        env.update(LC_ALL="C", LANG="C", PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=str(Path(project.__file__).parents[1]))
+        out = tmp_path / "solved"
+        run = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-m", "branchsite.cli", "--out", str(out),
+             "solve", "--instance", str(path), "--p-max", "3"],
+            capture_output=True, env=env)
+        assert run.returncode == 0, run.stderr.decode(errors="replace")
+        rows = (out / "coverage.csv").read_bytes().decode("utf-8").splitlines()
+        assert rows[-1] == "3,p04;p05;شعبه,100.0"
 
     def test_validation_error_exits_2(self, demo_config_path, tmp_path):
         path = write_variant(demo_config_path, tmp_path,

@@ -274,6 +274,13 @@ class TestMatrixCsv:
         w = principal_weights(m).as_dict()
         assert w["a"] == pytest.approx(4 / 7, abs=1e-9)
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        """A spreadsheet's "CSV UTF-8" starts with a byte order mark, which
+        is not part of the first item id."""
+        path = tmp_path / "m.csv"
+        path.write_bytes("\ufeffa,b\n1,2\n0.5,1\n".encode("utf-8"))
+        assert load_matrix_csv(path).items == ("a", "b")
+
     def test_non_numeric_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("a,b\n1,x\n1,1\n")

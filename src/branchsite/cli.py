@@ -12,30 +12,44 @@ Exit codes: 0 success, 2 validation error, 3 solver refusal, 4 I/O error.
 
 from __future__ import annotations
 
+import importlib
 import sys
 from pathlib import Path
 
 import click
 
 from .errors import BranchSiteError, InputError, SolverRefused, StageError
-from .fields import read_json
-from .fixture import write_fixture
-from .mclp import coverage_curve, instance_from_json, solve_exact, solve_greedy_swap
-from .project import (
-    build_candidate_set,
-    build_surface,
-    candidate_files,
+from .fields import json_text, read_json, write_artifacts
+from .mclp import (
+    coverage_curve,
     curve_files,
-    evaluate_weights,
-    json_text,
-    load_project,
-    render_report,
-    run_pipeline,
-    surface_files,
-    weights_files,
-    write_artifacts,
-    write_pipeline_artifacts,
+    instance_from_json,
+    solve_exact,
+    solve_greedy_swap,
 )
+
+# The names of the commands that need the GIS stack or the demo generator,
+# each imported from its module on first use (PEP 562), so ``solve`` loads
+# only the solver. The commands look them up on the module object (``_self``),
+# so a rebound module global is what a command calls.
+_LAZY = {
+    **dict.fromkeys(("build_candidate_set", "build_surface", "candidate_files",
+                     "evaluate_weights", "load_project", "render_report",
+                     "run_pipeline", "surface_files", "weights_files",
+                     "write_pipeline_artifacts"), "project"),
+    "write_fixture": "fixture",
+}
+_self = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    """A name of ``_LAZY``, imported from its module and kept as a module
+    global, so later lookups do not come here."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(
+        importlib.import_module(f".{_LAZY[name]}", __package__), name)
+    return value
 
 
 @click.group()
@@ -67,10 +81,10 @@ def _require_config(ctx) -> Path:
 @click.pass_context
 def weights(ctx):
     """Derive criterion weights and the consistency report."""
-    cfg = load_project(_require_config(ctx))
-    vector = evaluate_weights(cfg)
+    cfg = _self.load_project(_require_config(ctx))
+    vector = _self.evaluate_weights(cfg)
     out = ctx.obj["out"]
-    write_artifacts(out, weights_files(cfg.meta, vector, cfg.gates))
+    write_artifacts(out, _self.weights_files(cfg.meta, vector, cfg.gates))
     for g in cfg.gates:
         click.echo(f"{g.matrix_id}: CR={g.cr:.6f} "
                    f"{'pass' if g.passed else 'FAIL'}")
@@ -83,10 +97,10 @@ def weights(ctx):
 @click.pass_context
 def score(ctx):
     """Rasterize every criterion and write the combined score surface."""
-    cfg = load_project(_require_config(ctx))
-    surface = build_surface(cfg)
+    cfg = _self.load_project(_require_config(ctx))
+    surface = _self.build_surface(cfg)
     out = ctx.obj["out"]
-    write_artifacts(out, surface_files(cfg.meta, surface.score, surface.rasters))
+    write_artifacts(out, _self.surface_files(cfg.meta, surface.score, surface.rasters))
     click.echo(f"wrote {out / 'score.asc'} and {len(surface.rasters)} criterion rasters")
 
 
@@ -94,11 +108,11 @@ def score(ctx):
 @click.pass_context
 def candidates(ctx):
     """Extract, tier, and merge candidate sites."""
-    cfg = load_project(_require_config(ctx))
-    surface = build_surface(cfg)
-    proposed, merged = build_candidate_set(cfg, surface)
+    cfg = _self.load_project(_require_config(ctx))
+    surface = _self.build_surface(cfg)
+    proposed, merged = _self.build_candidate_set(cfg, surface)
     out = ctx.obj["out"]
-    write_artifacts(out, candidate_files(cfg.meta, merged))
+    write_artifacts(out, _self.candidate_files(cfg.meta, merged))
     click.echo(f"{len(proposed)} proposed + {len(merged) - len(proposed)} existing "
                f"-> {out / 'candidates.geojson'}")
 
@@ -147,10 +161,10 @@ def solve(ctx, instance_path, p_single, p_max, method, override_cap):
 @click.pass_context
 def pipeline(ctx):
     """Run the whole pipeline and write every artifact."""
-    cfg = load_project(_require_config(ctx))
-    report = run_pipeline(cfg)
+    cfg = _self.load_project(_require_config(ctx))
+    report = _self.run_pipeline(cfg)
     out = ctx.obj["out"]
-    written = write_pipeline_artifacts(report, out)
+    written = _self.write_pipeline_artifacts(report, out)
     if report.data["extraction_empty"]:
         click.echo("no cell reached the extraction threshold; "
                    "no coverage table was produced")
@@ -172,7 +186,7 @@ def report(ctx, report_path):
     if not isinstance(data, dict):
         raise InputError(f"report {report_path} must be a JSON object")
     out = ctx.obj["out"]
-    written = render_report(data, out)
+    written = _self.render_report(data, out)
     click.echo(f"re-rendered {len(written)} files to {out}")
 
 
@@ -181,7 +195,7 @@ def report(ctx, report_path):
 def fixture(ctx):
     """Write the bundled demo project ("isfahan20") to the output directory."""
     out = ctx.obj["out"]
-    config_path = write_fixture(out, seed=ctx.obj["seed"])
+    config_path = _self.write_fixture(out, seed=ctx.obj["seed"])
     click.echo(f"wrote demo project to {config_path}")
 
 

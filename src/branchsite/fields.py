@@ -1,4 +1,5 @@
-"""The one JSON decoder and the one typed-field vocabulary of every input.
+"""The one JSON decoder and encoder, the one typed-field vocabulary of every
+input, and the one artifact writer.
 
 Project configs, GeoJSON layers, MCLP instances and reports are all strict
 JSON (RFC 8259): UTF-8 text without ``NaN``, ``Infinity`` or a decimal
@@ -11,16 +12,23 @@ formatted only when a field fails, since an instance has thousands.
 ``columns`` reads the same field of every object in a list at once, and
 falls back to ``get`` only to name the first field that fails;
 ``positions`` types the GeoJSON positions of a layer at once the same way.
+
+``json_text`` is the encoding of every JSON artifact, and
+``write_artifacts`` writes a command's files, all or nothing. They live
+here, beside the decoder, so that ``solve`` writes its files without
+loading the GIS stack.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import math
+import os
 import reprlib
 import sys
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -60,6 +68,59 @@ def read_json(path: str | Path, error: type[Exception], name: str):
     except OSError as exc:
         raise error(f"cannot read {name} {path}: {exc}") from None
     return raw, parse_json(raw, error, f"{name} {path}")
+
+
+def json_text(payload) -> str:
+    """The one JSON encoding of every JSON artifact and of report.json."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+Chunks = Iterable[str]
+
+
+def write_artifacts(out_dir: str | Path, files: Iterable[tuple[str, Chunks]]) -> list[Path]:
+    """Write each (name relative to ``out_dir``, text chunks) pair, all or
+    nothing.
+
+    Each file's chunks go to a temporary sibling of its target as they
+    come, and each is dropped before the next is asked for: the writer
+    holds one chunk (about 1 MiB from the formatters), not the file. Only
+    once every file is written are they renamed into place, so an error (in
+    a formatter, even mid-file, or in a write) leaves the previous files
+    untouched and no temporary behind. An exclusive ``flock`` on the directory keeps it to
+    one writer; the kernel drops it when the process ends, however it ends.
+    An ``out_dir`` that cannot be made a directory raises an ``OSError``
+    naming it.
+    """
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        fd = os.open(out, os.O_RDONLY)
+    except OSError as exc:  # a file at or above ``out``, say
+        raise OSError(f"cannot use output directory {out}: {exc.strerror}") from None
+    staged: list[tuple[Path, Path]] = []
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise OSError(f"output directory {out} is in use by another run") from None
+        for name, chunks in files:
+            path = out / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp = path.with_name(f".{path.name}.tmp")
+            staged.append((tmp, path))
+            with tmp.open("w", encoding="utf-8") as fh:
+                # writelines drops each chunk before it takes the next
+                fh.writelines(chunks)
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+        raise
+    finally:
+        os.close(fd)
+    return [path for _, path in staged]
 
 
 _FLOAT_MAX = sys.float_info.max

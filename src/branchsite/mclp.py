@@ -51,10 +51,12 @@ from .fields import (
     OBJECT,
     STRING,
     XY,
+    Chunks,
     Kind,
     columns,
     get,
     is_number,
+    json_text,
     mistyped,
     parse_json,
 )
@@ -678,3 +680,10 @@ def coverage_table_csv(rows: Sequence[dict]) -> str:
     for row in rows:
         writer.writerow([row["p"], ";".join(row["selected"]), repr(row["coverage_pct"])])
     return buf.getvalue()
+
+
+def curve_files(solutions: dict) -> Iterator[tuple[str, Chunks]]:
+    """The (name, text chunks) pairs of a curve's files for ``write_artifacts``;
+    ``solutions`` is ``{"rows": [solution dicts]}`` plus any meta keys."""
+    yield "coverage.csv", [coverage_table_csv(solutions["rows"])]
+    yield "solutions.json", [json_text(solutions)]

@@ -74,6 +74,7 @@ from .criteria import (
     segment_index,
 )
 from .errors import DomainError, InputError
+from .fields import json_text
 from .geo import (
     EARTH_RADIUS_M,
     GEODESIC,
@@ -501,11 +502,6 @@ def combine(rasters: Sequence[SuitabilityRaster], weights,
             acc *= term
     del term  # freed before the sort of the coding
     return SuitabilityRaster(grid, "score", mask, *_coded(acc))
-
-
-def json_text(payload) -> str:
-    """The one JSON encoding of every JSON artifact and of report.json."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 # The formatters yield an artifact's text in chunks of about this many

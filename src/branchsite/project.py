@@ -13,9 +13,7 @@ produce byte-identical artifacts (no timestamps anywhere).
 
 from __future__ import annotations
 
-import fcntl
 import hashlib
-import os
 import reprlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -58,13 +56,16 @@ from .fields import (
     OBJECT,
     STRING,
     XY,
+    Chunks,
     Kind,
     get,
     is_int,
     is_number,
+    json_text,
     one_of,
     positions,
     read_json,
+    write_artifacts,
 )
 from .geo import (
     GEODESIC,
@@ -80,7 +81,7 @@ from .mclp import (
     METHODS,
     build_coverage,
     coverage_curve,
-    coverage_table_csv,
+    curve_files,
 )
 from .overlay import (
     CombineMode,
@@ -89,7 +90,6 @@ from .overlay import (
     build_mask,
     combine,
     esri_ascii_text,
-    json_text,
     parse_combine_mode,
     rasterize,
     report_json_text,
@@ -667,49 +667,6 @@ def _score_raster_from_report(data: dict) -> SuitabilityRaster:
     return score
 
 
-Chunks = Iterable[str]
-
-
-def write_artifacts(out_dir: str | Path, files: Iterable[tuple[str, Chunks]]) -> list[Path]:
-    """Write each (name relative to ``out_dir``, text chunks) pair, all or
-    nothing.
-
-    Each file's chunks go to a temporary sibling of its target as they
-    come, and each is dropped before the next is asked for: the writer
-    holds one chunk (about 1 MiB from the formatters), not the file. Only
-    once every file is written are they renamed into place, so an error (in
-    a formatter, even mid-file, or in a write) leaves the previous files
-    untouched and no temporary behind. An exclusive ``flock`` on the directory keeps it to
-    one writer; the kernel drops it when the process ends, however it ends.
-    """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    fd = os.open(out, os.O_RDONLY)
-    staged: list[tuple[Path, Path]] = []
-    try:
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except BlockingIOError:
-            raise OSError(f"output directory {out} is in use by another run") from None
-        for name, chunks in files:
-            path = out / name
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_name(f".{path.name}.tmp")
-            staged.append((tmp, path))
-            with tmp.open("w", encoding="utf-8") as fh:
-                # writelines drops each chunk before it takes the next
-                fh.writelines(chunks)
-        for tmp, path in staged:
-            os.replace(tmp, path)
-    except BaseException:
-        for tmp, _ in staged:
-            tmp.unlink(missing_ok=True)
-        raise
-    finally:
-        os.close(fd)
-    return [path for _, path in staged]
-
-
 # One generator of (name, text chunks) pairs per stage; each artifact format
 # lives in exactly one of them. A file's formatter runs when the writer
 # reaches it, so one file's tables are alive at a time. ``meta`` (config
@@ -731,12 +688,6 @@ def surface_files(meta: dict, score: SuitabilityRaster,
 
 def candidate_files(meta: dict, rows: list[dict]) -> Iterator[tuple[str, Chunks]]:
     yield "candidates.geojson", [json_text(candidates_geojson(rows, meta=meta))]
-
-
-def curve_files(solutions: dict) -> Iterator[tuple[str, Chunks]]:
-    """``solutions`` is ``{"rows": [solution dicts]}`` plus any meta keys."""
-    yield "coverage.csv", [coverage_table_csv(solutions["rows"])]
-    yield "solutions.json", [json_text(solutions)]
 
 
 def instance_files(meta: dict, instance: dict) -> Iterator[tuple[str, Chunks]]:

@@ -1311,6 +1311,21 @@ class TestCli:
             os.close(fd)
         assert code == 4
 
+    @pytest.mark.parametrize("below, reason", [(False, "File exists"),
+                                                (True, "Not a directory")])
+    def test_output_path_through_a_file_exits_4(self, demo_config_path, tmp_path, capsys,
+                                                 below, reason):
+        """An --out that names a file, or a path below one, exits 4 with a
+        message that names the output directory."""
+        taken = tmp_path / "taken"
+        taken.write_text("a file\n")
+        out = taken / "sub" if below else taken
+        code = main(["--config", str(demo_config_path), "--out", str(out), "weights"])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            f"error: cannot use output directory {out}: {reason}\n")
+        assert taken.read_text() == "a file\n"
+
     def test_leftover_lock_file_does_not_block(self, demo_config_path, tmp_path):
         out = tmp_path / "stale"
         out.mkdir()

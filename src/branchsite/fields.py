@@ -89,8 +89,9 @@ def write_artifacts(out_dir: str | Path, files: Iterable[tuple[str, Chunks]]) ->
     a formatter, even mid-file, or in a write) leaves the previous files
     untouched and no temporary behind. An exclusive ``flock`` on the directory keeps it to
     one writer; the kernel drops it when the process ends, however it ends.
-    An ``out_dir`` that cannot be made a directory raises an ``OSError``
-    naming it.
+    An ``out_dir`` that cannot be made a directory, a target whose parent
+    cannot, and a target that is a directory raise an ``OSError`` naming
+    ``out_dir`` and the path, before any file is replaced.
     """
     out = Path(out_dir)
     try:
@@ -106,12 +107,18 @@ def write_artifacts(out_dir: str | Path, files: Iterable[tuple[str, Chunks]]) ->
             raise OSError(f"output directory {out} is in use by another run") from None
         for name, chunks in files:
             path = out / name
-            path.parent.mkdir(parents=True, exist_ok=True)
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:  # a file where a directory goes
+                raise _target_error(out, path.parent, exc.strerror) from None
             tmp = path.with_name(f".{path.name}.tmp")
             staged.append((tmp, path))
             with tmp.open("w", encoding="utf-8") as fh:
                 # writelines drops each chunk before it takes the next
                 fh.writelines(chunks)
+        for _, path in staged:
+            if path.is_dir() and not path.is_symlink():
+                raise _target_error(out, path, "Is a directory")
         for tmp, path in staged:
             os.replace(tmp, path)
     except BaseException:
@@ -121,6 +128,10 @@ def write_artifacts(out_dir: str | Path, files: Iterable[tuple[str, Chunks]]) ->
     finally:
         os.close(fd)
     return [path for _, path in staged]
+
+
+def _target_error(out: Path, path: Path, reason: str) -> OSError:
+    return OSError(f"cannot use output directory {out}: {path}: {reason}")
 
 
 _FLOAT_MAX = sys.float_info.max

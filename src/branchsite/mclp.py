@@ -15,10 +15,10 @@ The bool matrix is the solvers' only representation of coverage. They read
 one float64 0/1 copy of it, taken once per instance, with the columns in
 ascending id order; every marginal gain is one matrix-vector product of the
 uncovered populations with those columns (``_gains``). Ties go to the first
-maximum, the smallest id. Each instance keeps one greedy pass, run only as
-far as the largest budget asked so far, and the greedy+swap rows made from
-it: the exact solver's incumbent for budget p is the objective of row p,
-and its search arrays are prepared once per instance too.
+maximum, the smallest id. Each instance keeps the greedy+swap rows made
+so far, and only finished ones: the exact solver's incumbent for budget p
+is the objective of row p, and its search arrays are prepared once per
+instance too.
 
 Exactness: every comparison of two complete selections (a B&B leaf with
 the incumbent, a swap with the current set) uses the canonical objective,
@@ -216,13 +216,6 @@ class MclpInstance:
                        tol, 0.0 if exact else tol)
 
     @functools.cached_property
-    def _greedy_pass(self) -> tuple[list[tuple[int, float]], Iterator]:
-        # the greedy picks made so far, (column, gain) in pick order, and
-        # the one pass that makes more
-        view = self._view
-        return [], _greedy(view, self.populations, view.fixed)
-
-    @functools.cached_property
     def _swap_rows(self) -> list["MclpSolution"]:
         return []   # the greedy+swap rows made so far, from the smallest p
 
@@ -295,6 +288,9 @@ class MclpSolution:
     coverage_pct: float             # 100 * objective / total population
     method: str
     optimal: bool
+    # the gains of the greedy picks the row grew from, in pick order; on a
+    # swap-improved row they are not gains of its own ``selected``, and an
+    # exact row has none
     marginal_gains: tuple[float, ...] = field(default=(), compare=False)
 
     def to_dict(self) -> dict:
@@ -393,39 +389,28 @@ def _best(cols: np.ndarray, pops: np.ndarray, covered: np.ndarray,
 
 
 def _greedy(view: _SolverView, pops: np.ndarray,
-            start: Sequence[int]) -> Iterator[tuple[int, float]]:
-    """The ``start`` columns, then each round the largest marginal gain
-    (ties to the smallest id) until every column is chosen. Yields each
-    column in pick order with its marginal gain, only as far as it is read."""
-    cols = view.cols
-    chosen: list[int] = []
+            p: int) -> tuple[list[int], list[float]]:
+    """The first p greedy picks and their marginal gains: the fixed-open
+    columns, then each round the largest marginal gain (ties to the
+    smallest id)."""
+    cols, fixed = view.cols, view.fixed
+    picks: list[int] = []
+    gains: list[float] = []
     covered = np.zeros(len(pops), dtype=bool)
     last = math.inf
-    while len(chosen) < len(view.ids):
-        if len(chosen) < len(start):
-            k = start[len(chosen)]
+    while len(picks) < p:
+        if len(picks) < len(fixed):
+            k = fixed[len(picks)]
             gain = float(_gains(cols[:, k], pops, covered))
         else:
-            k, gain = _best(cols, pops, covered, chosen)
+            k, gain = _best(cols, pops, covered, picks)
             if gain > last + 1e-9:
                 raise AssertionError("greedy marginal gains must be non-increasing")
             last = gain
-        chosen.append(k)
+        picks.append(k)
+        gains.append(gain)
         covered |= cols[:, k] > 0
-        yield k, gain
-
-
-def _greedy_picks(inst: MclpInstance, p: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """The first p columns of the instance's one greedy pass, and their
-    gains. The pass runs only as far as the largest p asked so far; the
-    picks of a smaller p are its prefix, with the gains as first computed."""
-    picks, rest = inst._greedy_pass
-    picks.extend(itertools.islice(rest, max(0, p - len(picks))))
-    if len(picks) < p:   # a pass that raised has ended: start a new one
-        inst.__dict__.pop("_greedy_pass")
-        return _greedy_picks(inst, p)
-    order, gains = zip(*picks[:p])
-    return order, gains
+    return picks, gains
 
 
 def solve_exact(inst: MclpInstance, p: int, override_cap: bool = False) -> MclpSolution:
@@ -464,12 +449,13 @@ def solve_exact(inst: MclpInstance, p: int, override_cap: bool = False) -> MclpS
     when ``z > best_z``. The incumbent starts at the objective of row p of
     the greedy+swap curve minus ``tol`` (1e-9 of the total population), so
     a leaf equal to that row replaces it. Each instance makes those rows
-    once, for every p asked (``MclpInstance._swap_rows``); a row is never
-    below the greedy set, whose first p picks it swap-improves. A subtree
-    is cut when ``bound + slack <= best_z``. The bounds are float sums in
-    another order than the objective: ``slack`` is 0 when every population
-    is an integer and the total is below 2**53, so that every sum is exact,
-    and ``tol`` otherwise. The Lagrangian bound adds ``tol`` of its own for
+    once, for every p asked (``MclpInstance._swap_rows``), and the exact
+    curve makes them to p_max before its second row, from one greedy run; a
+    row is never below the greedy set, whose first p picks it swap-improves.
+    A subtree is cut when ``bound + slack <= best_z``. The bounds are float
+    sums in another order than the objective: ``slack`` is 0 when every
+    population is an integer and the total is below 2**53, so that every sum
+    is exact, and ``tol`` otherwise. The Lagrangian bound adds ``tol`` of its own for
     the rounding of the fractional multipliers. Both only ever weaken a cut.
     As the DFS meets subsets in lexicographic order and never cuts a
     subtree holding a leaf above the incumbent, the first optimum it keeps
@@ -568,7 +554,7 @@ def solve_greedy(inst: MclpInstance, p: int) -> MclpSolution:
     """Greedy heuristic: the fixed-open sites, then the largest marginal
     gain each round; its gains are non-increasing by submodularity."""
     view = _prepare(inst, p)
-    picks, gains = _greedy_picks(inst, p)
+    picks, gains = _greedy(view, inst.populations, p)
     return _finish_solution(inst, [view.ids[k] for k in picks], METHOD_GREEDY_SWAP,
                             optimal=False, gains=gains)
 
@@ -609,9 +595,11 @@ def coverage_curve(inst: MclpInstance, p_max: int,
                    override_cap: bool = False) -> CoverageCurve:
     """Solve for every p in 1..p_max.
 
-    The exact curve is monotone because any p-solution extends to p+1. The
-    heuristic rows are those of ``solve_greedy_swap``, monotone by
-    construction.
+    The exact curve is monotone because any p-solution extends to p+1. It
+    solves p = 1 first, so that the size cap and the fixed-open sites are
+    checked before any heuristic work, then makes the greedy+swap rows to
+    p_max from one greedy run: row p is the incumbent of p. The heuristic
+    rows are those of ``solve_greedy_swap``, monotone by construction.
     """
     if method not in METHODS:
         raise InputError(f"unknown solver method {method!r}")
@@ -619,7 +607,9 @@ def coverage_curve(inst: MclpInstance, p_max: int,
     if not 1 <= p_max <= n:
         raise InputError(f"p_max must be in [1, {n}], got {p_max}")
     if method == METHOD_EXACT:
-        rows = [solve_exact(inst, p, override_cap=override_cap) for p in range(1, p_max + 1)]
+        rows = [solve_exact(inst, 1, override_cap=override_cap)]
+        _greedy_swap_rows(inst, p_max)
+        rows += [solve_exact(inst, p, override_cap=override_cap) for p in range(2, p_max + 1)]
     else:
         _prepare(inst, 1)   # two or more fixed-open sites fail at the first row
         rows = _greedy_swap_rows(inst, p_max)
@@ -633,18 +623,17 @@ def solve_greedy_swap(inst: MclpInstance, p: int) -> MclpSolution:
 
 
 def _greedy_swap_rows(inst: MclpInstance, p_max: int) -> list[MclpSolution]:
-    """Each row swap-improves the first p picks of the instance's one greedy
-    pass, is seeded with the previous row's selection plus its best
-    extension too, and keeps the better, so z never falls from row to row.
-    The rows run from p = max(1, number of fixed-open sites) to p_max. Row
-    p does not depend on p_max, so the instance keeps the rows made so far
-    (``MclpInstance._swap_rows``) and a larger p_max only adds rows, reading
-    the greedy pass further (``_greedy_picks``)."""
+    """Each row swap-improves the first p greedy picks, is seeded with the
+    previous row's selection plus its best extension too, and keeps the
+    better, so z never falls from row to row. The rows run from p = max(1,
+    number of fixed-open sites) to p_max. Row p does not depend on p_max,
+    so the instance keeps the rows made so far (``MclpInstance._swap_rows``)
+    and a larger p_max only adds rows, from one greedy run to p_max."""
     view = _prepare(inst, p_max)
     rows = inst._swap_rows
     first = max(1, len(view.fixed))
     if first + len(rows) <= p_max:
-        order, gains = _greedy_picks(inst, p_max)
+        order, gains = _greedy(view, inst.populations, p_max)
         picks = [view.ids[k] for k in order]
         for p in range(first + len(rows), p_max + 1):
             sol = improve_swap(inst, _finish_solution(

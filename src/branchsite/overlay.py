@@ -283,7 +283,8 @@ def _nearest_distances(xy: np.ndarray, grid: GridSpec, mask: np.ndarray,
     (``geo.axis_terms``) are computed for a batch of points at once and
     joined per window, so every cell goes through the same IEEE operations
     as when it is measured on its own. In geodesic mode the masked cells
-    and the points are range-checked; the other cells are never read.
+    and the points are range-checked, in planar mode the points are checked
+    to be finite; the other cells are never read.
     """
     cx, cy = grid.center_axes()
     px, py = xy[:, 0], xy[:, 1]
@@ -294,6 +295,9 @@ def _nearest_distances(xy: np.ndarray, grid: GridSpec, mask: np.ndarray,
         check_geodesic_range(px, py)
     elif mode != PLANAR:
         raise DomainError(f"unknown coordinate mode: {mode!r}")
+    elif not np.isfinite(xy).all():   # as a Point of them would raise
+        x, y = xy[~np.isfinite(xy).all(axis=1)][0].tolist()
+        raise DomainError(f"point coordinates must be finite, got ({x}, {y})")
     box = _mask_box(mask)
     if box is None:
         return np.zeros(0)

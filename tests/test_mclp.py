@@ -408,7 +408,7 @@ class TestSolveExact:
         assert checked == 50
 
     def test_swap_rows_survive_an_interrupted_pass(self, monkeypatch):
-        """The instance keeps only complete rows, so after a pass that
+        """The instance keeps only finished rows, so after a curve that
         raised the next call makes the missing rows, not too few."""
         inst = dataclasses.replace(GREEDY_TRAP)
         swap = mclp.improve_swap
@@ -427,28 +427,39 @@ class TestSolveExact:
         assert got == [(r.p, r.selected) for r in want]
 
     def test_one_greedy_pass_per_exact_curve(self, monkeypatch):
-        """The exact curve asks the greedy+swap rows for p = 1, ..., 7 in
-        turn; each new row reads the one greedy pass further, so it runs
-        once, and the rows equal those of one pass to 7 made at once."""
+        """The exact curve to 7 solves p = 1 (a greedy run to 1), then makes
+        the greedy+swap rows to 7 from one greedy run to 7, which serve as
+        the incumbents of p = 2..7; the rows equal one greedy+swap curve to
+        7. The size cap (exit 3) and the fixed-open count (exit 2) refuse a
+        curve before any greedy run."""
         passes = []
         greedy = mclp._greedy
 
-        def greedy_spy(view, pops, start):
-            passes.append(list(start))
-            return greedy(view, pops, start)
+        def greedy_spy(view, pops, p):
+            passes.append(p)
+            return greedy(view, pops, p)
 
         monkeypatch.setattr(mclp, "_greedy", greedy_spy)
+        cands = {f"c{j:02d}": Point(j, 0) for j in range(31)}
+        too_big = points_instance([10], [Point(0, 0)], cands, CoverageStandard(radius=50))
+        with pytest.raises(SolverRefused):
+            coverage_curve(too_big, 3, "exact")
+        two_fixed = tiny_instance([[1, 0, 1], [0, 1, 0]], [5, 7], fixed_open=[True, True, False])
+        with pytest.raises(InputError, match="fixed open"):
+            coverage_curve(two_fixed, 3, "exact")
+        assert passes == []
         inst = _seeded_planar_instance(1)
         curve = coverage_curve(inst, 7, "exact")
-        assert passes == [[]]
+        assert passes == [1, 7]
         at_once = coverage_curve(_seeded_planar_instance(1), 7, "greedy+swap").rows
         assert [(r.selected, r.objective, r.marginal_gains) for r in inst._swap_rows] == [
             (r.selected, r.objective, r.marginal_gains) for r in at_once]
         assert curve.rows[-1].objective == 436170.0
 
     def test_greedy_pass_restarts_after_an_interrupt(self, monkeypatch):
-        """A pass that raised has ended; the next call that needs more picks
-        than it made starts a new pass, so no row gets too few sites."""
+        """A greedy run that raised leaves nothing on the instance: later
+        solves give the picks and gains of a fresh instance, so no row gets
+        too few sites."""
         inst, want = _seeded_planar_instance(2), _seeded_planar_instance(2)
         best, calls = mclp._best, []
 
@@ -1041,6 +1052,27 @@ class TestBitmaskReference:
             for g, w in zip(got.rows, want.rows):
                 assert g.p == w.p
                 _same(g, w)
+
+    def test_greedy_swap_curve_matches_above_the_family(self, monkeypatch):
+        """600 areas x 80 candidates to p = 8, past the 30-candidate family:
+        rows 2-8 are swap-improved and rows 4, 6 and 8 are the previous
+        row's best extension, so both ways of making a row are checked."""
+        inst = _seeded_planar_instance(1, n_areas=600, n_cands=80)
+        extend, extensions = mclp._extend_by_best, []
+
+        def extend_spy(inst, prev):
+            extensions.append(extend(inst, prev))
+            return extensions[-1]
+
+        monkeypatch.setattr(mclp, "_extend_by_best", extend_spy)
+        got = coverage_curve(inst, 8, method="greedy+swap").rows
+        want = reference_greedy_curve(inst, 8).rows
+        assert [g.p for g in got] == [w.p for w in want] == list(range(1, 9))
+        for g, w in zip(got, want):
+            _same(g, w)
+        swapped = [r.p for r in got if r.selected != solve_greedy(inst, r.p).selected]
+        assert swapped == list(range(2, 9))
+        assert [r.p for r in got if any(r is e for e in extensions)] == [4, 6, 8]
 
 
 def _seeded_planar_instance(seed, n_areas=200, n_cands=30, side=12000.0):

@@ -15,7 +15,7 @@ from branchsite.criteria import (
     classify,
     validate_spec,
 )
-from branchsite.errors import BranchSiteError, InputError
+from branchsite.errors import BranchSiteError, DomainError, InputError
 from branchsite.geo import (
     EARTH_RADIUS_M,
     Point,
@@ -139,6 +139,23 @@ class TestRasterizeDistance:
         want = rasterize(MEDICINE, points, grid, SCHEME, mask=mask.astype(bool))
         assert np.array_equal(got.values, want.values, equal_nan=True)
         assert np.array_equal(got.mask, want.mask)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_array_point_rejected(self, bad):
+        """The array form refuses a non-finite point as the Point form does,
+        in planar mode; geodesic mode refuses it by its range check."""
+        grid = GridSpec(0, 0, 100, 3, 3)
+        xy = np.array([[150.0, 150.0], [bad, 0.0]])
+        message = re.escape(f"point coordinates must be finite, got ({bad}, 0.0)")
+        with pytest.raises(DomainError, match=message):
+            rasterize(MEDICINE, xy, grid, SCHEME)
+        with pytest.raises(DomainError, match=message):
+            Point(bad, 0.0)
+        degrees = GridSpec(51.0, 32.0, 0.001, 3, 3)
+        lonlat = np.array([[51.0015, 32.0015], [bad, 32.0]])
+        out_of_range = r"geodesic coordinates out of range: lon=-?(nan|inf)"
+        with pytest.raises(DomainError, match=out_of_range):
+            rasterize(MEDICINE, lonlat, degrees, SCHEME, mode="geodesic")
 
 
 class TestRasterizeZones:

@@ -1326,6 +1326,28 @@ class TestCli:
             f"error: cannot use output directory {out}: {reason}\n")
         assert taken.read_text() == "a file\n"
 
+    @pytest.mark.parametrize("blocker, reason", [("rasters", "File exists"),
+                                                 ("score_points.geojson", "Is a directory")])
+    def test_target_of_the_wrong_type_exits_4(self, demo_config_path, tmp_path, capsys,
+                                              blocker, reason):
+        """A file where ``score`` puts its raster directory, or a directory
+        where it puts a file, exits 4 naming the output directory and the
+        path, before any file is replaced: the old score.asc survives and no
+        temporary is left."""
+        out = tmp_path / "w"
+        out.mkdir()
+        (out / "score.asc").write_bytes(b"old score\n")
+        if blocker == "rasters":
+            (out / blocker).write_text("a file\n")
+        else:
+            (out / blocker).mkdir()
+        code = main(["--config", str(demo_config_path), "--out", str(out), "score"])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            f"error: cannot use output directory {out}: {out / blocker}: {reason}\n")
+        assert (out / "score.asc").read_bytes() == b"old score\n"
+        assert not [p for p in out.rglob("*") if p.name.endswith(".tmp")]
+
     def test_leftover_lock_file_does_not_block(self, demo_config_path, tmp_path):
         out = tmp_path / "stale"
         out.mkdir()

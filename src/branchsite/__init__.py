@@ -19,7 +19,7 @@ _EXPORTS = {
                "InputError", "NumericalError", "SolverRefused", "SpecificationError",
                "StageError"),
     "fixture": ("write_fixture",),
-    "geo": ("Point", "Polygon", "planar_distance", "point_in_polygon"),
+    "geo": ("Polygon",),
     "mclp": ("CoverageCurve", "CoverageStandard", "MclpInstance", "MclpSolution",
              "build_coverage", "coverage_curve", "improve_swap", "solve_exact",
              "solve_greedy"),

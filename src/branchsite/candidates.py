@@ -16,6 +16,7 @@ higher tiers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,9 +39,12 @@ class ExtractionConfig:
     max_proposed: int
 
     def __post_init__(self):
-        if self.min_separation < 0:
+        # the comparisons are written so that NaN fails them
+        if math.isnan(self.min_score):
+            raise InputError("min_score must be a number, got nan")
+        if not self.min_separation >= 0:
             raise InputError("min_separation must be >= 0")
-        if self.max_proposed < 1:
+        if not self.max_proposed >= 1:
             raise InputError("max_proposed must be >= 1")
 
 
@@ -72,15 +76,16 @@ def extract(raster: SuitabilityRaster, cfg: ExtractionConfig,
     picked: list[tuple[float, list[float]]] = []
     # coordinates of the picked sites, filled in pick order
     xy = np.empty((2, min(cfg.max_proposed, len(order))))
+    cx, cy = raster.grid.center_axes()
     for k in order:
         n = len(picked)
         if n >= cfg.max_proposed:
             break
-        center = raster.grid.cell_center(int(rows[k]), int(cols[k]))
-        if (distances_to(xy[0, :n], xy[1, :n], center, mode) < cfg.min_separation).any():
+        x, y = float(cx[cols[k]]), float(cy[rows[k]])
+        if (distances_to(xy[0, :n], xy[1, :n], x, y, mode) < cfg.min_separation).any():
             continue
-        xy[:, n] = center.x, center.y
-        picked.append((float(scores[k]), [center.x, center.y]))
+        xy[:, n] = x, y
+        picked.append((float(scores[k]), [x, y]))
 
     width = max(2, len(str(cfg.max_proposed)))
     base, rem = divmod(len(picked), 3)

@@ -33,7 +33,7 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .geo import MODES, Point
+from .geo import MODES
 
 _ERRORS = {"config": ConfigError, "instance": InputError, "report": InputError}
 
@@ -216,7 +216,7 @@ BOOL = Kind("true or false", lambda v: v if isinstance(v, bool) else None, _bool
 LIST = Kind("a list", lambda v: v if isinstance(v, list) else None)
 OBJECT = Kind("an object", lambda v: v if isinstance(v, dict) else None)
 XY = Kind("[x, y]", lambda v: (
-    Point(float(v[0]), float(v[1]))
+    (float(v[0]), float(v[1]))
     if isinstance(v, list) and len(v) == 2 and is_number(v[0]) and is_number(v[1])
     else None), _pairs)
 MODE = one_of(MODES)

@@ -22,7 +22,9 @@ import json
 import random
 from pathlib import Path
 
-from .geo import Point, planar_distance
+import numpy as np
+
+from .geo import distances_to
 
 GRID = {"origin": [0.0, 0.0], "cell_size": 100.0, "ncols": 60, "nrows": 195}
 
@@ -156,15 +158,14 @@ def _jitter(rng: random.Random, pts, clearance_from=(), clearance=0.0):
     """Seeded jitter of cosmetic points, kept clear of protected locations."""
     out = []
     x0, y0, x1, y1 = CITY_BOUNDS
+    cx, cy = np.array(clearance_from, dtype=float).reshape(-1, 2).T
     for px, py in pts:
         for _ in range(100):
             jx = px + rng.uniform(-120.0, 120.0)
             jy = py + rng.uniform(-120.0, 120.0)
             jx = min(max(jx, x0 + 10.0), x1 - 10.0)
             jy = min(max(jy, y0 + 10.0), y1 - 10.0)
-            q = Point(jx, jy)
-            if all(planar_distance(q, Point(cx, cy)) >= clearance
-                   for cx, cy in clearance_from):
+            if (distances_to(cx, cy, jx, jy) >= clearance).all():
                 out.append((jx, jy))
                 break
         else:

@@ -3,7 +3,9 @@
 Two coordinate modes exist project-wide: ``planar`` (x/y in meters) and
 ``geodesic`` (x = longitude, y = latitude in degrees, distances on a sphere
 of radius 6,371,000 m). Mixing modes is a caller error; every consumer takes
-the mode explicitly. All types are immutable after construction.
+the mode explicitly. All types are immutable after construction. There is
+no point type: a point is a pair of floats, and a set of points is an
+n x 2 float64 array or a pair of coordinate arrays.
 
 A polygon's rings are read-only n x 2 float64 arrays of their vertices
 without the closing one, and polygons compare by identity. ``check_rings``
@@ -14,20 +16,17 @@ from that one pass and names the first that fails; the ``Polygon``
 constructor is that call on one polygon.
 
 Each geometric operation has exactly one implementation, a numpy kernel over
-coordinate arrays: ``distances_to`` (many points to one point, in either
-mode, as the ``axis_terms`` of the rows and the columns and their
+coordinate arrays: ``distances_to`` (many points to one point (qx, qy), in
+either mode, as the ``axis_terms`` of the rows and the columns and their
 ``join_terms``) and ``points_in_polygons`` (ray crossing, boundary
 inclusive, of a set of polygons over ascending grid axes, each polygon on
-its own window of the grid). The other entry points are thin wrappers that
-run a kernel: ``planar_distance`` takes two Points; ``points_in_polygon``
-is the set kernel on one polygon with the whole grid as its window;
-``contains_each`` tests point k against polygon k for every k in one call,
-on the axes of the points' sorted coordinates with a 1x1 window each, and
-``point_in_polygon`` is that call on one point. So a scalar check agrees bit
-for bit with every raster, coverage matrix and extraction built from the
-arrays. Planar distances are ``dx*dx + dy*dy`` under a correctly rounded
-square root, the same IEEE operations as a scalar evaluation; geodesic
-distances are one numpy haversine.
+its own window of the grid). ``contains_each`` tests point k against
+polygon k for every k in one call of the set kernel, on the axes of the
+points' sorted coordinates with a 1x1 window each. So a test of one point
+agrees bit for bit with every raster, coverage matrix and extraction built
+from the arrays. Planar distances are ``dx*dx + dy*dy`` under a correctly
+rounded square root, the same IEEE operations as a scalar evaluation;
+geodesic distances are one numpy haversine.
 
 ``points_in_polygons`` is the crossing-number test (E. Haines, "Point in
 Polygon Strategies", Graphics Gems IV, 1994) on a set of polygons at once.
@@ -45,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -56,16 +55,6 @@ EARTH_RADIUS_M = 6_371_000.0
 PLANAR = "planar"
 GEODESIC = "geodesic"
 MODES = (PLANAR, GEODESIC)
-
-
-@dataclass(frozen=True)
-class Point:
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise DomainError(f"point coordinates must be finite, got ({self.x}, {self.y})")
 
 
 def check_geodesic_range(xs, ys) -> None:
@@ -82,14 +71,18 @@ def check_geodesic_range(xs, ys) -> None:
         )
 
 
-def distances_to(xs: np.ndarray, ys: np.ndarray, q: Point,
+def distances_to(xs: np.ndarray, ys: np.ndarray, qx: float, qy: float,
                  mode: str = PLANAR) -> np.ndarray:
-    """Distance in meters from each point (xs[k], ys[k]) to q under the
-    coordinate mode: Euclidean in planar mode, haversine in geodesic mode."""
+    """Distance in meters from each point (xs[k], ys[k]) to (qx, qy) under
+    the coordinate mode: Euclidean in planar mode, haversine in geodesic
+    mode. A query off its mode's range raises DomainError: non-finite in
+    planar mode, outside lon/lat in geodesic mode."""
     if mode == GEODESIC:
         check_geodesic_range(xs, ys)
-        check_geodesic_range(q.x, q.y)
-    return join_terms(*axis_terms(xs, ys, q.x, q.y, mode), mode)
+        check_geodesic_range(qx, qy)
+    elif not (math.isfinite(qx) and math.isfinite(qy)):
+        raise DomainError(f"point coordinates must be finite, got ({qx}, {qy})")
+    return join_terms(*axis_terms(xs, ys, qx, qy, mode), mode)
 
 
 def axis_terms(xs, ys, qx, qy, mode: str = PLANAR) -> tuple[tuple, np.ndarray]:
@@ -121,15 +114,6 @@ def join_terms(rows, cols, mode: str = PLANAR) -> np.ndarray:
         return np.sqrt(cols + rows[0])
     h = rows[0] + rows[1] * cols
     return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(h)))
-
-
-def _coords(p: Point) -> tuple[np.ndarray, np.ndarray]:
-    return np.array([p.x]), np.array([p.y])
-
-
-def planar_distance(a: Point, b: Point) -> float:
-    """Euclidean distance in meters between two planar points."""
-    return float(distances_to(*_coords(a), b, PLANAR)[0])
 
 
 def _successors(sizes: np.ndarray) -> np.ndarray:
@@ -311,7 +295,7 @@ def vertex_means(polys: Sequence[Polygon]) -> np.ndarray:
     return _ring_sums(xy, sizes) / sizes[:, None]
 
 
-def _widest_midpoint(poly: Polygon, x: float, y: float) -> Point:
+def _widest_midpoint(poly: Polygon, x: float, y: float) -> tuple[float, float]:
     """The midpoint of the widest inside interval of the horizontal line
     through (x, y), between two consecutive crossings of the rings; the
     first of equally wide ones, and (x, y) if the line crosses none."""
@@ -323,7 +307,7 @@ def _widest_midpoint(poly: Polygon, x: float, y: float) -> Point:
     # the line enters the polygon at every even crossing and leaves it at
     # the next one
     x0, x1 = max(zip(xs[::2], xs[1::2]), key=lambda iv: iv[1] - iv[0], default=(x, x))
-    return Point(x0 + (x1 - x0) / 2, y)
+    return x0 + (x1 - x0) / 2, y
 
 
 def representative_points(polys: Sequence[Polygon], given: np.ndarray) -> np.ndarray:
@@ -337,8 +321,7 @@ def representative_points(polys: Sequence[Polygon], given: np.ndarray) -> np.nda
     found = np.where(own[:, None], given, vertex_means(polys))
     for k in np.flatnonzero(~np.array(contains_each(found, polys), dtype=bool)).tolist():
         point = None if own[k] else _widest_midpoint(polys[k], *found[k].tolist())
-        found[k] = ((point.x, point.y) if point is not None and point_in_polygon(point, polys[k])
-                    else np.nan)
+        found[k] = point if point is not None and contains_each([point], [polys[k]])[0] else np.nan
     return found
 
 
@@ -460,15 +443,6 @@ def points_in_polygons(xs: np.ndarray, ys: np.ndarray, polys: Sequence[Polygon],
     return blocks
 
 
-def points_in_polygon(xs: np.ndarray, ys: np.ndarray, poly: Polygon) -> np.ndarray:
-    """Ray-crossing containment of every grid point (xs[c], ys[r]) as a
-    (len(ys), len(xs)) bool grid, for ascending axes; boundary points
-    count as inside. The kernel on one polygon, with the whole grid as its
-    window."""
-    (inside,) = points_in_polygons(xs, ys, [poly], [(0, len(ys), 0, len(xs))])
-    return inside
-
-
 def contains_each(xy: np.ndarray, polys: Sequence[Polygon]) -> list[bool]:
     """Whether the point of row k of the n x 2 ``xy`` lies in polygon k
     (boundary included), for every k, in one kernel call: the axes are the
@@ -479,9 +453,3 @@ def contains_each(xy: np.ndarray, polys: Sequence[Polygon]) -> list[bool]:
     c, r = xs.searchsorted(px), ys.searchsorted(py)
     blocks = points_in_polygons(xs, ys, polys, np.stack([r, r + 1, c, c + 1], axis=1))
     return [bool(b[0, 0]) for b in blocks]
-
-
-def point_in_polygon(p: Point, poly: Polygon) -> bool:
-    """Ray-crossing containment test; boundary points count as inside."""
-    (inside,) = contains_each(np.array([[p.x, p.y]]), [poly])
-    return inside

@@ -60,7 +60,7 @@ from .fields import (
     mistyped,
     parse_json,
 )
-from .geo import PLANAR, Point, distances_to
+from .geo import PLANAR, distances_to
 
 EXACT_SIZE_CAP = 30
 
@@ -335,7 +335,7 @@ def build_coverage(area_ids: Sequence[str], populations, centroids,
     # more memory than the bool matrix it fills
     matrix = np.empty((len(xs), len(sites)), dtype=bool)
     for j, (x, y) in enumerate(sites):
-        matrix[:, j] = distances_to(xs, ys, Point(x, y), mode) <= radius
+        matrix[:, j] = distances_to(xs, ys, x, y, mode) <= radius
     return MclpInstance(tuple(area_ids), populations, centroids, tuple(candidate_ids),
                         locations, fixed_open, matrix, standard=standard, mode=mode)
 

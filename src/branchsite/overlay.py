@@ -1,15 +1,17 @@
 """Raster suitability surfaces: per-criterion rasterization and weighted
 combination over a uniform analysis grid.
 
-Cells are scored at their centers. Row 0 is the southernmost row; exports
-write rows top-down as the Esri ASCII grid format expects. Only the cells
-inside the study-area mask are scored and combined. The mask and each zone
+Cells are scored at their centers, whose coordinates come only from the
+grid's center axes: cell (row, col) is centered at (xs[col], ys[row]) of
+``GridSpec.center_axes``. Row 0 is the southernmost row; exports write
+rows top-down as the Esri ASCII grid format expects. Only the cells inside
+the study-area mask are scored and combined. The mask and each zone
 criterion make one call of the set kernel ``geo.points_in_polygons``: every
 polygon of the set is tested on the center axes inside its bounding box,
 and the callers read each polygon's block of the result as a view. A zone
 criterion keeps its winners on the bounding box of the mask, a byte a
 cell, and reads them at the in-area cells. A distance criterion takes its
-points as an n x 2 coordinate array and measures each point only on the
+points as one n x 2 float64 array and measures each point only on the
 cells within the criterion's reach (its largest finite band edge) plus
 one cell; a cell farther than that from every point gets the score of the
 top band, the one unbounded above, which is the score its exact distance
@@ -79,7 +81,6 @@ from .geo import (
     EARTH_RADIUS_M,
     GEODESIC,
     PLANAR,
-    Point,
     Polygon,
     axis_terms,
     bounds_windows,
@@ -147,15 +148,9 @@ class GridSpec:
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
-    def cell_center(self, row: int, col: int) -> Point:
-        return Point(
-            self.origin_x + (col + 0.5) * self.cell_size,
-            self.origin_y + (row + 0.5) * self.cell_size,
-        )
-
     def center_axes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(column xs, row ys) of the cell centers; identical arithmetic to
-        cell_center so scalar and vector paths agree bit for bit."""
+        """(column xs, row ys) of the cell centers: cell (row, col) is
+        centered at (xs[col], ys[row])."""
         xs = self.origin_x + (np.arange(self.ncols, dtype=float) + 0.5) * self.cell_size
         ys = self.origin_y + (np.arange(self.nrows, dtype=float) + 0.5) * self.cell_size
         return xs, ys
@@ -295,7 +290,7 @@ def _nearest_distances(xy: np.ndarray, grid: GridSpec, mask: np.ndarray,
         check_geodesic_range(px, py)
     elif mode != PLANAR:
         raise DomainError(f"unknown coordinate mode: {mode!r}")
-    elif not np.isfinite(xy).all():   # as a Point of them would raise
+    elif not np.isfinite(xy).all():   # as ``distances_to`` of one would raise
         x, y = xy[~np.isfinite(xy).all(axis=1)][0].tolist()
         raise DomainError(f"point coordinates must be finite, got ({x}, {y})")
     box = _mask_box(mask)
@@ -337,15 +332,14 @@ def rasterize(spec: NormalizedCriterion, features, grid: GridSpec,
     each cell's class rank as its code and the scheme's scores as its table.
 
     ``features`` is the points of a distance criterion, as an n x 2 float64
-    array of coordinates or a sequence of Points, or the (Polygon,
-    attribute) zones of a categorical/density criterion. Zones may nest;
-    the smallest zone containing the center wins, and of equal ones the
-    earlier, so the result does not depend on the order of zones of
-    distinct areas. One kernel call tests each zone on the cells of the
-    mask's bounding box inside its bounds; the zones then claim their cells
-    smallest first, a byte a cell over that box, and the claims are read at
-    the in-area cells in row-major order, so an error names the first one
-    uncovered.
+    array of coordinates, or the (Polygon, attribute) zones of a
+    categorical/density criterion. Zones may nest; the smallest zone
+    containing the center wins, and of equal ones the earlier, so the
+    result does not depend on the order of zones of distinct areas. One
+    kernel call tests each zone on the cells of the mask's bounding box
+    inside its bounds; the zones then claim their cells smallest first, a
+    byte a cell over that box, and the claims are read at the in-area cells
+    in row-major order, so an error names the first one uncovered.
 
     A distance criterion's bands tell distances apart only up to its reach,
     the largest finite band edge; every distance past it falls in the top
@@ -375,10 +369,10 @@ def rasterize(spec: NormalizedCriterion, features, grid: GridSpec,
         missing = np.flatnonzero(zone_idx == len(zones))
         if len(missing):
             row, col = (int(v[missing[0]]) for v in np.nonzero(mask))
-            center = grid.cell_center(row, col)
+            xs, ys = grid.center_axes()
             raise InputError(
                 f"criterion {spec.id!r}: cell (row={row}, col={col}) at "
-                f"({center.x}, {center.y}) is covered by no zone polygon"
+                f"({float(xs[col])}, {float(ys[row])}) is covered by no zone polygon"
             )
         # a zone that wins no cell is never classified, so its attribute
         # cannot raise; the others are classified in zone order
@@ -387,13 +381,13 @@ def rasterize(spec: NormalizedCriterion, features, grid: GridSpec,
             classes[k] = classify(spec, zones[k][1]).rank
         return SuitabilityRaster(grid, spec.id, mask, _freeze(classes[zone_idx]), table)
 
-    xy = _point_array(features)
-    if xy is None:
+    if not (isinstance(features, np.ndarray) and features.dtype == np.float64
+            and features.shape[1:] == (2,)):
         raise InputError(f"criterion {spec.id!r} expects point features")
-    if not len(xy):
+    if not len(features):
         raise InputError(f"criterion {spec.id!r}: empty feature layer")
     # the reach is the largest internal band edge, 0.0 with one segment
-    raws = _nearest_distances(xy, grid, mask, spec.segments[-1].lo, mode)
+    raws = _nearest_distances(features, grid, mask, spec.segments[-1].lo, mode)
     # a cell no window reached holds inf, which falls in the top segment
     classes = np.array([seg.cls.rank for seg in spec.segments], dtype=np.uint8)
     codes = classes[segment_index(spec, raws)]
@@ -423,18 +417,6 @@ def _zone_winners(polys: list[Polygon], grid: GridSpec, mask: np.ndarray) -> np.
         free = winner[a:b, c:d]
         free[blocks[k] & (free == none)] = k
     return winner[mask[r0:r1, c0:c1]]
-
-
-def _point_array(features) -> np.ndarray | None:
-    """A point layer's n x 2 float64 coordinates, or None if it is neither
-    such an array nor a sequence of Points."""
-    if isinstance(features, np.ndarray):
-        ok = features.dtype == np.float64 and features.ndim == 2 and features.shape[1] == 2
-        return features if ok else None
-    points = list(features)
-    if not all(isinstance(p, Point) for p in points):
-        return None
-    return np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
 
 
 def combine(rasters: Sequence[SuitabilityRaster], weights,
@@ -470,7 +452,7 @@ def combine(rasters: Sequence[SuitabilityRaster], weights,
             raise InputError(
                 f"combine: {len(w_list)} weights for {len(rasters)} rasters"
             )
-    if abs(sum(w_list) - 1.0) > 1e-9:
+    if not abs(sum(w_list) - 1.0) <= 1e-9:  # NaN fails too
         raise InputError(f"combine: weights must sum to 1, got {sum(w_list)!r}")
 
     grid = rasters[0].grid

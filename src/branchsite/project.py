@@ -69,7 +69,6 @@ from .fields import (
 )
 from .geo import (
     GEODESIC,
-    Point,
     Polygon,
     check_geodesic_range,
     polygons,
@@ -140,8 +139,8 @@ def _grid(d: dict, source: str) -> GridSpec:
     re-rendered as they stand, so a float ``ncols`` would give an invalid
     Esri header."""
     g = get(d, "grid", OBJECT, source)
-    origin = get(g, "origin", XY, source, "grid")
-    return GridSpec(origin_x=origin.x, origin_y=origin.y,
+    origin_x, origin_y = get(g, "origin", XY, source, "grid")
+    return GridSpec(origin_x=origin_x, origin_y=origin_y,
                     cell_size=get(g, "cell_size", NUMBER, source, "grid"),
                     ncols=get(g, "ncols", INTEGER, source, "grid"),
                     nrows=get(g, "nrows", INTEGER, source, "grid"))
@@ -332,21 +331,20 @@ def _properties(feat: dict, where: str) -> dict:
     return props
 
 
-def _position(value, where: str, mode: str) -> Point:
-    """A GeoJSON position [x, y, ...] in the coordinate mode; coordinates
-    past the second are ignored."""
+def _position(value, where: str, mode: str) -> tuple[float, float]:
+    """A GeoJSON position [x, y, ...] in the coordinate mode, as (x, y);
+    coordinates past the second are ignored."""
     if (not isinstance(value, list) or len(value) < 2
             or not all(is_number(v) for v in value[:2])):
         raise InputError(
             f"{where}: expected an [x, y] position of numbers, got {reprlib.repr(value)}")
-    p = Point(float(value[0]), float(value[1]))
+    x, y = float(value[0]), float(value[1])
     if mode == GEODESIC:
         try:
-            check_geodesic_range(p.x, p.y)
+            check_geodesic_range(x, y)
         except DomainError:
-            raise InputError(
-                f"{where}: coordinates ({p.x}, {p.y}) out of lon/lat range") from None
-    return p
+            raise InputError(f"{where}: coordinates ({x}, {y}) out of lon/lat range") from None
+    return x, y
 
 
 def _positions(values: list, mode: str) -> np.ndarray | None:
@@ -486,11 +484,10 @@ def load_demand_layer(path: Path, mode: str) -> DemandLayer:
         if area_id is None:
             area_id = f"area{i + 1:02d}"
         centroid = props.get("centroid")
-        point = None if centroid is None else _position(centroid, where, mode)
+        xy = (np.nan, np.nan) if centroid is None else _position(centroid, where, mode)
         if population < 0:
             raise InputError(
                 f"demand area {area_id!r}: population must be a finite number >= 0")
-        xy = (np.nan, np.nan) if point is None else (point.x, point.y)
         return area_id, float(population), xy
 
     polys, rows, error = _layer(path, mode, "Polygon", area)

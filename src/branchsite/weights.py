@@ -94,7 +94,7 @@ class WeightVector:
             raise InputError("weight vector items/values length mismatch")
         if any(v < 0 for v in self.values):
             raise InputError("weights must be non-negative")
-        if abs(sum(self.values) - 1.0) > 1e-12:
+        if not abs(sum(self.values) - 1.0) <= 1e-12:  # NaN fails too
             raise InputError(f"weights must sum to 1, got {sum(self.values)!r}")
 
     def as_dict(self) -> dict[str, float]:

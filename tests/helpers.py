@@ -3,10 +3,11 @@ solution checks, the per-field instance reader as a reference for the
 column reader, a big-int bitmask reference for the heuristic solvers,
 per-cell loop references for the raster formatters, per-segment comparison
 references for the band lookup, the per-cell point-in-polygon kernel and
-full-grid references for the overlay kernels, polygons from coordinate
-pairs, the scalar ring checks as references for the one-pass ring check,
-consistent judgment matrices, and readers for the Esri ASCII grids
-and the coverage table."""
+full-grid references for the overlay kernels, the distance kernel and the
+containment kernels on one point, polygons from coordinate pairs, the
+scalar ring checks as references for the one-pass ring check, consistent
+judgment matrices, and readers for the Esri ASCII grids and the coverage
+table."""
 
 import csv
 import io
@@ -14,7 +15,7 @@ import itertools
 import math
 import random
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,11 +28,11 @@ from branchsite.criteria import (
     classify,
 )
 from branchsite.geo import (
-    GEODESIC,
     PLANAR,
-    Point,
     Polygon,
+    contains_each,
     distances_to,
+    points_in_polygons,
 )
 from branchsite.fields import BOOL, LIST, MODE, NUMBER, OBJECT, STRING, XY, get
 from branchsite.mclp import (
@@ -124,10 +125,40 @@ def fractional_family(seed, count, max_areas, max_cands, density, choices):
         yield line_instance(pops, matrix)
 
 
-def geodesic_distance(a: Point, b: Point) -> float:
-    """Haversine great-circle distance in meters between two lon/lat points:
-    the geodesic kernel run on one point."""
-    return float(distances_to(np.array([a.x]), np.array([a.y]), b, GEODESIC)[0])
+# --- the kernels on one point ---------------------------------------------------
+
+
+class Point(NamedTuple):
+    """A coordinate pair of the reference geometry."""
+
+    x: float
+    y: float
+
+
+def distance(a, b, mode: str = PLANAR) -> float:
+    """The distance in meters between the (x, y) pairs a and b: the
+    ``distances_to`` kernel run on one point."""
+    return float(distances_to(np.array([a[0]]), np.array([a[1]]), b[0], b[1], mode)[0])
+
+
+def inside(p, poly: Polygon) -> bool:
+    """Whether the (x, y) pair p lies in the polygon, boundary included:
+    ``contains_each`` on one point."""
+    (got,) = contains_each(np.array([p], dtype=float), [poly])
+    return got
+
+
+def grid_inside(xs: np.ndarray, ys: np.ndarray, poly: Polygon) -> np.ndarray:
+    """The (len(ys), len(xs)) containment grid of ascending axes in one
+    polygon: ``points_in_polygons`` with the whole grid as its window."""
+    (got,) = points_in_polygons(xs, ys, [poly], [(0, len(ys), 0, len(xs))])
+    return got
+
+
+def center_at(grid: GridSpec, row: int, col: int) -> Point:
+    """The center of cell (row, col), read from ``grid.center_axes()``."""
+    xs, ys = grid.center_axes()
+    return Point(float(xs[col]), float(ys[row]))
 
 
 def enumerate_optimum(inst, p):
@@ -196,9 +227,9 @@ def reference_instance_from_dict(d: dict) -> MclpInstance:
     ]
     ids = tuple(a[0] for a in areas)
     pops = [a[1] for a in areas]
-    centroids = np.array([(a[2].x, a[2].y) for a in areas]).reshape(-1, 2)
+    centroids = np.array([a[2] for a in areas]).reshape(-1, 2)
     cids = tuple(c[0] for c in cands)
-    locations = np.array([(c[1].x, c[1].y) for c in cands]).reshape(-1, 2)
+    locations = np.array([c[1] for c in cands]).reshape(-1, 2)
     fixed_open = [c[2] for c in cands]
     if d.get("matrix") is None:
         if standard is None:
@@ -392,7 +423,7 @@ def reference_score_points_geojson(raster, meta: dict | None = None) -> dict:
             v = values[row, col]
             if math.isnan(v):
                 continue
-            center = grid.cell_center(row, col)
+            center = center_at(grid, row, col)
             features.append({
                 "type": "Feature",
                 "geometry": {"type": "Point", "coordinates": [center.x, center.y]},
@@ -591,11 +622,11 @@ def _reference_center_arrays(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
         np.broadcast_to(ys[:, None], (grid.nrows, grid.ncols)).copy()
 
 
-def _min_distances(xs: np.ndarray, ys: np.ndarray, points: Sequence[Point],
+def _min_distances(xs: np.ndarray, ys: np.ndarray, points: np.ndarray,
                    mode: str) -> np.ndarray:
     best = np.full(xs.shape, np.inf)
-    for p in points:
-        np.minimum(best, distances_to(xs, ys, p, mode), out=best)
+    for px, py in points.tolist():
+        np.minimum(best, distances_to(xs, ys, px, py, mode), out=best)
     return best
 
 
@@ -620,10 +651,10 @@ def reference_rasterize(spec: NormalizedCriterion, features, grid: GridSpec,
                         mode: str = PLANAR) -> SuitabilityRaster:
     """Score one criterion at every in-area cell center.
 
-    ``features`` is a point sequence for distance criteria, or a sequence of
-    (Polygon, attribute) zones for categorical/density criteria. Zones may
-    nest; the smallest zone containing the center wins, so the result does
-    not depend on feature order.
+    ``features`` is an n x 2 float64 point array for distance criteria, or
+    a sequence of (Polygon, attribute) zones for categorical/density
+    criteria. Zones may nest; the smallest zone containing the center wins,
+    so the result does not depend on feature order.
     """
     if mask is None:
         mask = np.ones(grid.shape, dtype=bool)
@@ -650,7 +681,7 @@ def reference_rasterize(spec: NormalizedCriterion, features, grid: GridSpec,
         missing = mask & (zone_idx < 0)
         if missing.any():
             row, col = map(int, np.argwhere(missing)[0])
-            center = grid.cell_center(row, col)
+            center = center_at(grid, row, col)
             raise InputError(
                 f"criterion {spec.id!r}: cell (row={row}, col={col}) at "
                 f"({center.x}, {center.y}) is covered by no zone polygon"
@@ -661,12 +692,12 @@ def reference_rasterize(spec: NormalizedCriterion, features, grid: GridSpec,
                 values[cells] = scheme.value(classify(spec, value))
         return SuitabilityRaster.from_values(grid, spec.id, values, mask)
 
-    points = list(features)
-    if not points:
-        raise InputError(f"criterion {spec.id!r}: empty feature layer")
-    if not all(isinstance(p, Point) for p in points):
+    if not (isinstance(features, np.ndarray) and features.dtype == np.float64
+            and features.shape[1:] == (2,)):
         raise InputError(f"criterion {spec.id!r} expects point features")
-    raws = _min_distances(xs, ys, points, mode)
+    if not len(features):
+        raise InputError(f"criterion {spec.id!r}: empty feature layer")
+    raws = _min_distances(xs, ys, features, mode)
     values[mask] = _classify_scores(spec, raws[mask], scheme)
     return SuitabilityRaster.from_values(grid, spec.id, values, mask)
 

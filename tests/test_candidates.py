@@ -11,10 +11,9 @@ from branchsite.candidates import (
     merge_existing,
 )
 from branchsite.errors import InputError
-from branchsite.geo import Point, planar_distance
 from branchsite.overlay import CombineMode, GridSpec, SuitabilityRaster, combine
 
-from helpers import random_score_rasters
+from helpers import center_at, distance, random_score_rasters
 
 
 def make_score_raster(grid, cells, mask=None):
@@ -24,7 +23,7 @@ def make_score_raster(grid, cells, mask=None):
 
 
 def _scored_points(rows):
-    return [(row["score"], Point(*row["location"])) for row in rows]
+    return [(row["score"], tuple(row["location"])) for row in rows]
 
 
 def greedy_suppression_oracle(grid, values, min_score, min_separation, max_proposed):
@@ -40,10 +39,25 @@ def greedy_suppression_oracle(grid, values, min_score, min_separation, max_propo
     for v, row, col in cells:
         if len(chosen) >= max_proposed:
             break
-        c = grid.cell_center(row, col)
-        if all(planar_distance(c, q) >= min_separation for _, q in chosen):
+        c = center_at(grid, row, col)
+        if all(distance(c, q) >= min_separation for _, q in chosen):
             chosen.append((v, c))
     return chosen
+
+
+class TestExtractionConfig:
+    @pytest.mark.parametrize("min_score, min_separation, max_proposed, message", [
+        (math.nan, math.nan, 3, "min_score must be a number, got nan"),
+        (math.nan, 100.0, 3, "min_score must be a number, got nan"),
+        (0.5, math.nan, 3, "min_separation must be >= 0"),
+        (0.5, -1.0, 3, "min_separation must be >= 0"),
+        (0.5, 100.0, 0, "max_proposed must be >= 1"),
+    ])
+    def test_bad_parameters_rejected(self, min_score, min_separation, max_proposed, message):
+        """A NaN separation would suppress nothing and a NaN min_score would
+        extract nothing, so both are refused."""
+        with pytest.raises(InputError, match=message):
+            ExtractionConfig(min_score, min_separation, max_proposed)
 
 
 class TestExtract:
@@ -53,7 +67,7 @@ class TestExtract:
         cells[1][2] = 0.5
         got = extract(make_score_raster(grid, cells), ExtractionConfig(0.1, 50, 10))
         assert len(got) == 1
-        assert Point(*got[0]["location"]) == grid.cell_center(1, 2)
+        assert tuple(got[0]["location"]) == center_at(grid, 1, 2)
         assert got[0]["score"] == 0.5
         assert got[0]["origin"] == "proposed"
 
@@ -62,7 +76,7 @@ class TestExtract:
         got = extract(make_score_raster(grid, [[0.6, 0.6]]),
                       ExtractionConfig(0.1, 500, 10))
         assert len(got) == 1
-        assert Point(*got[0]["location"]) == grid.cell_center(0, 0)
+        assert tuple(got[0]["location"]) == center_at(grid, 0, 0)
 
     def test_no_cell_meets_min_score_gives_empty_result(self):
         grid = GridSpec(0, 0, 10, 2, 2)
@@ -126,8 +140,7 @@ class TestExtract:
         got = extract(make_score_raster(grid, values), cfg)
         for i, a in enumerate(got):
             for b in got[i + 1:]:
-                assert (planar_distance(Point(*a["location"]), Point(*b["location"]))
-                        >= cfg.min_separation)
+                assert distance(a["location"], b["location"]) >= cfg.min_separation
 
     def test_deterministic_across_reruns(self):
         rng = random.Random(73)
@@ -166,8 +179,8 @@ class TestTier:
         grid = GridSpec(0, 0, 100, 6, 1)
         got = extract(make_score_raster(grid, [[0.5] * 6]), ExtractionConfig(0.1, 50, 10))
         assert [row["id"] for row in got] == [f"p{i:02d}" for i in range(1, 7)]
-        assert [Point(*row["location"]) for row in got] == [
-            grid.cell_center(0, col) for col in range(6)]
+        assert [tuple(row["location"]) for row in got] == [
+            center_at(grid, 0, col) for col in range(6)]
         assert _tiers(got) == ["first", "first", "second", "second", "third", "third"]
 
     def test_monotone_no_lower_tier_outscores_higher(self):

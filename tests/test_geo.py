@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 import time
 
 import numpy as np
@@ -10,7 +11,6 @@ from branchsite.errors import DomainError
 from branchsite.geo import (
     EARTH_RADIUS_M,
     RING_FAULTS,
-    Point,
     Polygon,
     axis_terms,
     bounds_windows,
@@ -18,18 +18,18 @@ from branchsite.geo import (
     contains_each,
     distances_to,
     join_terms,
-    planar_distance,
-    point_in_polygon,
-    points_in_polygon,
     points_in_polygons,
     polygons,
     vertex_means,
 )
 
 from helpers import (
+    Point,
     _normalize_ring,
     _ring_area,
-    geodesic_distance,
+    distance,
+    grid_inside,
+    inside,
     polygon_from_coords,
     reference_points_in_polygon,
     reference_ring_self_intersects,
@@ -65,17 +65,31 @@ def _is_left(a, b, p):
     return (b.x - a.x) * (p.y - a.y) - (p.x - a.x) * (b.y - a.y)
 
 
+def geodesic_distance(a, b):
+    return distance(a, b, "geodesic")
+
+
 class TestPlanarDistance:
     def test_identity(self):
-        assert planar_distance(Point(0, 0), Point(0, 0)) == 0.0
+        assert distance(Point(0, 0), Point(0, 0)) == 0.0
 
     def test_pythagorean_triple(self):
-        assert planar_distance(Point(0, 0), Point(3, 4)) == 5.0
+        assert distance(Point(0, 0), Point(3, 4)) == 5.0
+        assert distances_to(np.array([0.0, 3.0, -3.0]), np.array([0.0, 4.0, 0.0]),
+                            0.0, 4.0).tolist() == [4.0, 3.0, 5.0]
 
     def test_high_precision_reference(self):
         # sqrt(16.3^2 + 17.0^2) evaluated with 50-digit decimal arithmetic
-        d = planar_distance(Point(12.3, -7.1), Point(-4.0, 9.9))
+        d = distance(Point(12.3, -7.1), Point(-4.0, 9.9))
         assert d == pytest.approx(23.551857676200406, abs=1e-12)
+
+    @pytest.mark.parametrize("qx, qy", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
+    def test_non_finite_query_rejected(self, qx, qy):
+        message = re.escape(f"point coordinates must be finite, got ({qx}, {qy})")
+        with pytest.raises(DomainError, match=message):
+            distances_to(np.array([0.0]), np.array([0.0]), qx, qy)
+        with pytest.raises(DomainError, match=message):
+            distances_to(np.zeros(0), np.zeros(0), qx, qy, "planar")
 
     def test_symmetry_and_triangle_inequality(self):
         rng = random.Random(7)
@@ -83,10 +97,10 @@ class TestPlanarDistance:
             a = Point(rng.uniform(-1e4, 1e4), rng.uniform(-1e4, 1e4))
             b = Point(rng.uniform(-1e4, 1e4), rng.uniform(-1e4, 1e4))
             c = Point(rng.uniform(-1e4, 1e4), rng.uniform(-1e4, 1e4))
-            ab = planar_distance(a, b)
-            assert ab == planar_distance(b, a)
+            ab = distance(a, b)
+            assert ab == distance(b, a)
             assert ab >= 0.0
-            assert ab <= planar_distance(a, c) + planar_distance(c, b) + 1e-9
+            assert ab <= distance(a, c) + distance(c, b) + 1e-9
 
 
 class TestGeodesicDistance:
@@ -113,7 +127,7 @@ class TestGeodesicDistance:
         # a 2-D coordinate array is named by its first bad cell
         xs, ys = np.array([[0.0, 10.0], [179.0, 181.0]]), np.full((2, 2), 5.0)
         with pytest.raises(DomainError, match="lon=181.0, lat=5.0"):
-            distances_to(xs, ys, Point(0.0, 0.0), "geodesic")
+            distances_to(xs, ys, 0.0, 0.0, "geodesic")
 
     @pytest.mark.parametrize("mode", ["planar", "geodesic"])
     def test_axis_terms_of_a_batch_join_to_each_cell_alone(self, mode):
@@ -138,7 +152,7 @@ class TestGeodesicDistance:
         for k in range(4):
             q = Point(qx[k], qy[k])
             grid = join_terms([r[k, :, None] for r in rows], cols[k], mode)
-            assert np.array_equal(grid, distances_to(xs[None, :], ys[:, None], q, mode))
+            assert np.array_equal(grid, distances_to(xs[None, :], ys[:, None], *q, mode))
             for r in range(len(ys)):
                 for c in range(len(xs)):
                     assert grid[r, c].tobytes() == alone(xs[c], ys[r], q).tobytes()
@@ -156,14 +170,6 @@ class TestGeodesicDistance:
             ac = geodesic_distance(a, c)
             cb = geodesic_distance(c, b)
             assert ab <= ac + cb + 1e-9 * max(1.0, ab)
-
-
-class TestPoint:
-    def test_rejects_non_finite(self):
-        with pytest.raises(DomainError):
-            Point(float("nan"), 0.0)
-        with pytest.raises(DomainError):
-            Point(0.0, float("inf"))
 
 
 class TestPolygon:
@@ -331,26 +337,26 @@ class TestPolygon:
 class TestPointInPolygon:
     def test_centroid_of_convex_inside(self):
         poly = polygon_from_coords([(0, 0), (10, 0), (12, 6), (5, 11), (-2, 5)])
-        assert point_in_polygon(Point(*vertex_means([poly])[0].tolist()), poly)
+        assert inside(vertex_means([poly])[0].tolist(), poly)
 
     def test_outside_bounding_box(self):
         poly = polygon_from_coords([(0, 0), (10, 0), (10, 10), (0, 10)])
-        assert not point_in_polygon(Point(20, 20), poly)
+        assert not inside((20, 20), poly)
 
     def test_boundary_counts_as_inside(self):
         poly = polygon_from_coords([(0, 0), (10, 0), (10, 10), (0, 10)])
-        assert point_in_polygon(Point(5, 0), poly)   # on edge
-        assert point_in_polygon(Point(10, 10), poly)  # on vertex
-        assert point_in_polygon(Point(0, 5), poly)
+        assert inside((5, 0), poly)   # on edge
+        assert inside((10, 10), poly)  # on vertex
+        assert inside((0, 5), poly)
 
     def test_hole_excluded_but_hole_boundary_inside(self):
         poly = polygon_from_coords(
             [(0, 0), (10, 0), (10, 10), (0, 10)],
             holes=[[(4, 4), (6, 4), (6, 6), (4, 6)]],
         )
-        assert not point_in_polygon(Point(5, 5), poly)
-        assert point_in_polygon(Point(4, 5), poly)  # on hole ring
-        assert point_in_polygon(Point(2, 2), poly)
+        assert not inside((5, 5), poly)
+        assert inside((4, 5), poly)  # on hole ring
+        assert inside((2, 2), poly)
 
     def test_matches_winding_number_oracle_on_convex(self):
         rng = random.Random(3)
@@ -367,7 +373,7 @@ class TestPointInPolygon:
                 continue  # nearly-collinear sample
             for _ in range(50):
                 p = Point(rng.uniform(cx - 10, cx + 10), rng.uniform(cy - 10, cy + 10))
-                assert point_in_polygon(p, poly) == winding_number_inside(p, poly.exterior)
+                assert inside(p, poly) == winding_number_inside(p, poly.exterior)
 
     def test_matches_winding_number_oracle_on_star_shaped(self):
         rng = random.Random(5)
@@ -381,7 +387,7 @@ class TestPointInPolygon:
             poly = polygon_from_coords(ring)
             for _ in range(50):
                 p = Point(rng.uniform(-9, 9), rng.uniform(-9, 9))
-                assert point_in_polygon(p, poly) == winding_number_inside(p, poly.exterior)
+                assert inside(p, poly) == winding_number_inside(p, poly.exterior)
 
 
 def _lattice(hypothesis, data):
@@ -438,12 +444,12 @@ class TestGridKernel:
         def check(data):
             polygon, axis = _lattice(hypothesis, data)
             poly, xs, ys = polygon(), axis(), axis()
-            got = points_in_polygon(xs, ys, poly)
+            got = grid_inside(xs, ys, poly)
             with np.errstate(all="ignore"):
                 want = reference_points_in_polygon(*np.meshgrid(xs, ys), poly)
             assert got.shape == (len(ys), len(xs))
             assert np.array_equal(got, want)
-            assert point_in_polygon(Point(xs[0], ys[0]), poly) == want[0, 0]
+            assert inside((xs[0], ys[0]), poly) == want[0, 0]
 
         check()
 
@@ -494,7 +500,7 @@ class TestGridKernel:
         axis = np.arange(300.0)
         for ring in ([(0, 0), (299, 0), (299, 299)], [(0, 0), (299, 299), (0, 299)]):
             poly = polygon_from_coords(ring)
-            got = points_in_polygon(axis, axis, poly)
+            got = grid_inside(axis, axis, poly)
             assert np.array_equal(got, reference_points_in_polygon(
                 *np.meshgrid(axis, axis), poly))
             assert got.diagonal().all() and got.sum() == 300 * 301 // 2
@@ -520,4 +526,4 @@ class TestGridKernel:
             poly = polygon_from_coords(ring)
             xs, ys = np.array([x]), np.array([y])
             assert reference_points_in_polygon(xs, ys, poly).tolist() == [want]
-            assert points_in_polygon(xs, ys, poly).tolist() == [[want]]
+            assert grid_inside(xs, ys, poly).tolist() == [[want]]

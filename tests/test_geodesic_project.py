@@ -9,10 +9,9 @@ import pytest
 
 from branchsite.cli import main
 from branchsite.errors import InputError
-from branchsite.geo import Point
 from branchsite.project import load_demand_layer, load_project, run_pipeline
 
-from helpers import geodesic_distance
+from helpers import distance
 
 # a ~2.2 km x 2.2 km patch around (51.66E, 32.64N); 0.002 deg cells
 ORIGIN = (51.65, 32.63)
@@ -119,7 +118,7 @@ def test_geodesic_pipeline_runs_and_covers(geodesic_project):
     for a in proposed:
         for b in proposed:
             if a["id"] < b["id"]:
-                d = geodesic_distance(Point(*a["location"]), Point(*b["location"]))
+                d = distance(a["location"], b["location"], "geodesic")
                 assert d >= 500.0
 
     # a 2 km standard spans the whole ~2 km patch from near-central sites
@@ -131,7 +130,7 @@ def test_geodesic_pipeline_runs_and_covers(geodesic_project):
     inst = data["instance"]
     for i, area in enumerate(inst["areas"]):
         for j, cand in enumerate(inst["candidates"]):
-            d = geodesic_distance(Point(*area["centroid"]), Point(*cand["location"]))
+            d = distance(area["centroid"], cand["location"], "geodesic")
             assert inst["matrix"][i][j] == int(d <= 2000.0)
 
 

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from helpers import (
+    Point,
     covering_candidates,
+    distance,
     enumerate_optimum,
     fractional_family,
-    geodesic_distance,
     oracle_family,
     parse_coverage_table_csv,
     random_instance,
@@ -28,8 +29,7 @@ from helpers import (
 
 from branchsite import fields, mclp
 from branchsite.cli import main
-from branchsite.errors import ConfigError, InputError, SolverRefused
-from branchsite.geo import Point, planar_distance
+from branchsite.errors import ConfigError, DomainError, InputError, SolverRefused
 from branchsite.mclp import (
     CoverageStandard,
     MclpInstance,
@@ -151,7 +151,8 @@ class TestBuildCoverage:
         ]
 
     @pytest.mark.parametrize("mode", ["planar", "geodesic"])
-    def test_matches_scalar_wrapper_per_pair(self, mode):
+    def test_matches_distance_per_pair(self, mode):
+        """Each matrix entry is the distance kernel run on its one pair."""
         rng = random.Random(89)
         if mode == "planar":
             # integer points 0..12 apart give many pairs exactly 5.0 apart
@@ -160,20 +161,18 @@ class TestBuildCoverage:
                 if k % 2:
                     return Point(rng.uniform(0, 12), rng.uniform(0, 12))
                 return Point(rng.randint(0, 12), rng.randint(0, 12))
-            wrapper = planar_distance
         else:
             def point(k):
                 return Point(rng.uniform(51.60, 51.64), rng.uniform(32.60, 32.64))
-            wrapper = geodesic_distance
         points = [point(i) for i in range(40)]
         cands = {f"c{j}": point(j) for j in range(30)}
-        radius = 5.0 if mode == "planar" else wrapper(points[0], cands["c0"])
+        radius = 5.0 if mode == "planar" else distance(points[0], cands["c0"], mode)
         inst = points_instance([10] * 40, points, cands, CoverageStandard(radius=radius),
                                mode=mode)
         on_radius = 0
         for i, a in enumerate(points):
             for j, c in enumerate(cands.values()):
-                d = wrapper(a, c)
+                d = distance(a, c, mode)
                 on_radius += d == radius
                 assert inst.matrix[i, j] == (d <= radius), (i, j)
         assert on_radius > 0
@@ -182,6 +181,16 @@ class TestBuildCoverage:
         with pytest.raises(InputError):
             build_coverage((), [], np.empty((0, 2)), ("c",), [(0, 0)], [False],
                            CoverageStandard(radius=1))
+
+    @pytest.mark.parametrize("mode, message", [
+        ("planar", r"point coordinates must be finite, got \(1.0, nan\)"),
+        ("geodesic", "geodesic coordinates out of range: lon=1.0, lat=nan")])
+    def test_non_finite_location_rejected(self, mode, message):
+        """A candidate's distances are measured before the instance checks
+        its columns, so the kernel names the bad location."""
+        with pytest.raises(DomainError, match=message):
+            build_coverage(("d0",), [1], [(0, 0)], ("c0", "c1"), [(0, 0), (1, math.nan)],
+                           [False, False], CoverageStandard(radius=1), mode=mode)
 
     def test_instances_compare_by_identity(self):
         """Two instances of equal columns are different objects; comparing

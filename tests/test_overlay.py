@@ -16,13 +16,7 @@ from branchsite.criteria import (
     validate_spec,
 )
 from branchsite.errors import BranchSiteError, DomainError, InputError
-from branchsite.geo import (
-    EARTH_RADIUS_M,
-    Point,
-    planar_distance,
-    point_in_polygon,
-    points_in_polygon,
-)
+from branchsite.geo import EARTH_RADIUS_M, distances_to
 from branchsite.overlay import (
     CombineMode,
     GridSpec,
@@ -38,7 +32,10 @@ from branchsite.overlay import (
 from branchsite.weights import WeightVector
 
 from helpers import (
-    geodesic_distance,
+    center_at,
+    distance,
+    grid_inside,
+    inside,
     polygon_from_coords,
     random_score_rasters,
     read_esri_ascii,
@@ -75,6 +72,11 @@ def full_mask(grid):
     return np.ones(grid.shape, dtype=bool)
 
 
+def xy(points):
+    """The (x, y) pairs ``points`` as an n x 2 float64 array."""
+    return np.array(points, dtype=float).reshape(-1, 2)
+
+
 def make_raster(grid, cid, cell_scores, mask=None):
     values = np.array(cell_scores, dtype=float)
     m = full_mask(grid) if mask is None else mask
@@ -86,55 +88,64 @@ def make_raster(grid, cid, cell_scores, mask=None):
 class TestRasterizeDistance:
     def test_cell_on_feature_point_scores_high(self):
         grid = GridSpec(0, 0, 100, 4, 4)
-        hospital = grid.cell_center(2, 1)
-        raster = rasterize(MEDICINE, [hospital], grid, SCHEME)
+        hospital = center_at(grid, 2, 1)
+        raster = rasterize(MEDICINE, xy([hospital]), grid, SCHEME)
         assert raster.values[2, 1] == 0.6
 
     def test_cell_400m_from_business_scores_zero(self):
         grid = GridSpec(0, 0, 100, 10, 1)
         # feature at the center of column 0; column 4 center is 400 m away
-        raster = rasterize(BUSINESS, [grid.cell_center(0, 0)], grid, SCHEME)
+        raster = rasterize(BUSINESS, xy([center_at(grid, 0, 0)]), grid, SCHEME)
         assert raster.values[0, 4] == 0.0
         assert raster.values[0, 2] == 0.4  # 200 m -> suitable
 
     def test_matches_per_cell_linear_scan_oracle(self):
         rng = random.Random(41)
         grid = GridSpec(-250.0, 130.0, 37.5, 20, 20)
-        points = [Point(rng.uniform(-300, 600), rng.uniform(0, 1000)) for _ in range(5)]
-        raster = rasterize(MEDICINE, points, grid, SCHEME)
+        points = [(rng.uniform(-300, 600), rng.uniform(0, 1000)) for _ in range(5)]
+        raster = rasterize(MEDICINE, xy(points), grid, SCHEME)
         for row in range(grid.nrows):
             for col in range(grid.ncols):
-                center = grid.cell_center(row, col)
-                nearest = min(planar_distance(center, p) for p in points)
+                center = center_at(grid, row, col)
+                nearest = min(distance(center, p) for p in points)
                 want = SCHEME.value(classify(MEDICINE, nearest))
                 assert raster.values[row, col] == want
 
     def test_insertion_order_irrelevant(self):
         rng = random.Random(43)
         grid = GridSpec(0, 0, 50, 15, 15)
-        points = [Point(rng.uniform(0, 800), rng.uniform(0, 800)) for _ in range(12)]
-        a = rasterize(MEDICINE, points, grid, SCHEME)
+        points = [(rng.uniform(0, 800), rng.uniform(0, 800)) for _ in range(12)]
+        a = rasterize(MEDICINE, xy(points), grid, SCHEME)
         shuffled = points[:]
         rng.shuffle(shuffled)
-        b = rasterize(MEDICINE, shuffled, grid, SCHEME)
+        b = rasterize(MEDICINE, xy(shuffled), grid, SCHEME)
         assert np.array_equal(a.values, b.values)
 
     def test_empty_layer_rejected(self):
         grid = GridSpec(0, 0, 100, 2, 2)
         with pytest.raises(InputError, match="empty feature layer"):
-            rasterize(MEDICINE, [], grid, SCHEME)
+            rasterize(MEDICINE, xy([]), grid, SCHEME)
+
+    @pytest.mark.parametrize("features", [
+        [(50.0, 50.0)], [[50.0, 50.0]], [], np.array([[50, 50]]), np.array([50.0, 50.0])])
+    def test_points_other_than_a_float_array_rejected(self, features):
+        """The points are an n x 2 float64 array; a list of pairs, an
+        integer array and a flat array are not one."""
+        grid = GridSpec(0, 0, 100, 2, 2)
+        with pytest.raises(InputError, match="expects point features"):
+            rasterize(MEDICINE, features, grid, SCHEME)
 
     def test_masked_cells_carry_no_score(self):
         grid = GridSpec(0, 0, 100, 3, 3)
         mask = full_mask(grid)
         mask[0, 0] = False
-        raster = rasterize(MEDICINE, [grid.cell_center(1, 1)], grid, SCHEME, mask=mask)
+        raster = rasterize(MEDICINE, xy([center_at(grid, 1, 1)]), grid, SCHEME, mask=mask)
         assert math.isnan(raster.values[0, 0])
 
     def test_integer_mask_reads_as_bool(self):
         grid = GridSpec(0, 0, 100, 3, 3)
         mask = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-        points = [grid.cell_center(1, 1)]
+        points = xy([center_at(grid, 1, 1)])
         got = rasterize(MEDICINE, points, grid, SCHEME, mask=mask)
         want = rasterize(MEDICINE, points, grid, SCHEME, mask=mask.astype(bool))
         assert np.array_equal(got.values, want.values, equal_nan=True)
@@ -142,15 +153,16 @@ class TestRasterizeDistance:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_array_point_rejected(self, bad):
-        """The array form refuses a non-finite point as the Point form does,
-        in planar mode; geodesic mode refuses it by its range check."""
+        """A non-finite point is refused as ``distances_to`` refuses a
+        non-finite query, in planar mode; geodesic mode refuses it by its
+        range check."""
         grid = GridSpec(0, 0, 100, 3, 3)
         xy = np.array([[150.0, 150.0], [bad, 0.0]])
         message = re.escape(f"point coordinates must be finite, got ({bad}, 0.0)")
         with pytest.raises(DomainError, match=message):
             rasterize(MEDICINE, xy, grid, SCHEME)
         with pytest.raises(DomainError, match=message):
-            Point(bad, 0.0)
+            distances_to(np.zeros(1), np.zeros(1), bad, 0.0)
         degrees = GridSpec(51.0, 32.0, 0.001, 3, 3)
         lonlat = np.array([[51.0015, 32.0015], [bad, 32.0]])
         out_of_range = r"geodesic coordinates out of range: lon=-?(nan|inf)"
@@ -236,11 +248,9 @@ class TestGridSpec:
     def test_center_axes_match_scalar_centers(self):
         grid = GridSpec(-130.0, 42.5, 12.5, 7, 5)
         xs, ys = grid.center_axes()
-        for row in range(5):
-            for col in range(7):
-                c = grid.cell_center(row, col)
-                assert xs[col] == c.x
-                assert ys[row] == c.y
+        # the bits of evaluating each center on its own, in Python floats
+        assert xs.tolist() == [-130.0 + (col + 0.5) * 12.5 for col in range(7)]
+        assert ys.tolist() == [42.5 + (row + 0.5) * 12.5 for row in range(5)]
 
 
 class TestGeodesicRasterize:
@@ -250,19 +260,19 @@ class TestGeodesicRasterize:
             bands=(Band(0, 500, HIGH), Band(500, 2000, SUIT), Band(2000, None, NON)),
         ))
         grid = GridSpec(51.60, 32.60, 0.01, 6, 6)  # degrees in geodesic mode
-        points = [Point(51.63, 32.62), Point(51.61, 32.64)]
-        raster = rasterize(spec, points, grid, SCHEME, mode="geodesic")
+        points = [(51.63, 32.62), (51.61, 32.64)]
+        raster = rasterize(spec, xy(points), grid, SCHEME, mode="geodesic")
         from branchsite.criteria import classify as cls_fn
         for row in range(6):
             for col in range(6):
-                center = grid.cell_center(row, col)
-                raw = min(geodesic_distance(center, p) for p in points)
+                center = center_at(grid, row, col)
+                raw = min(distance(center, p, "geodesic") for p in points)
                 want = SCHEME.value(cls_fn(spec, raw))
                 assert raster.values[row, col] == want
 
 
 class TestBuildMask:
-    def test_matches_scalar_point_in_polygon(self):
+    def test_matches_per_point_containment(self):
         rng = random.Random(47)
         grid = GridSpec(-100, -100, 35, 12, 12)
         polys = []
@@ -278,15 +288,15 @@ class TestBuildMask:
         mask = build_mask(grid, polys)
         for row in range(grid.nrows):
             for col in range(grid.ncols):
-                center = grid.cell_center(row, col)
-                want = any(point_in_polygon(center, p) for p in polys)
+                center = center_at(grid, row, col)
+                want = any(inside(center, p) for p in polys)
                 assert mask[row, col] == want
 
     def test_bulk_pip_boundary_inclusive(self):
         poly = polygon_from_coords([(0, 0), (10, 0), (10, 10), (0, 10)])
         xs = np.array([0.0, 5.0, 10.0, 20.0])
         ys = np.array([0.0, 5.0, 10.0])
-        got = points_in_polygon(xs, ys, poly)
+        got = grid_inside(xs, ys, poly)
         assert got.shape == (3, 4)
         # (5, 0) and (0, 5) on edges, (20, 5) outside, (10, 10) on a vertex
         assert [got[0, 1], got[1, 0], got[1, 3], got[2, 2]] == [True, True, False, True]
@@ -334,7 +344,7 @@ def _assert_kernels_match_reference(grid, demand, zones, points, mode="planar",
 
 # 10 x 8 cells of 10 m: centers on x = 5, 15, ..., 95 and y = 5, 15, ..., 75.
 KERNEL_GRID = GridSpec(0, 0, 10, 10, 8)
-KERNEL_POINTS = [Point(12.5, 33.0), Point(95.0, 75.0), Point(-40.0, 10.0)]
+KERNEL_POINTS = xy([(12.5, 33.0), (95.0, 75.0), (-40.0, 10.0)])
 GEO_DISTANCE = validate_spec(CriterionSpec(
     id="clinic", kind="distance", direction="near_better",
     bands=(Band(0, 500, HIGH), Band(500, 2000, SUIT), Band(2000, None, NON)),
@@ -404,29 +414,28 @@ MIDDLE_ROWS[2:5, 3:8] = True
 
 # (45, 35) is a cell center: the centers 50 m from it lie at offsets (50, 0),
 # (30, 40), (40, 30) and their reflections, e.g. (95, 35), (75, 75), (5, 5)
-AT_REACH = [Point(45.0, 35.0)]
+AT_REACH = xy([(45.0, 35.0)])
 
 DISTANCE_CASES = {
     "at_reach_top_closed": dict(spec=REACH_50_TOP_CLOSED, points=AT_REACH),
     "at_reach_top_open": dict(spec=REACH_50_TOP_OPEN, points=AT_REACH),
     "at_reach_sparse_mask": dict(spec=REACH_50_TOP_OPEN, points=AT_REACH,
                                  mask=SPARSE_MASK),
-    "point_beyond_reach": dict(spec=MEDICINE, points=[Point(1000.0, 40.0)]),
+    "point_beyond_reach": dict(spec=MEDICINE, points=xy([(1000.0, 40.0)])),
     "points_near_and_beyond_reach": dict(
-        spec=REACH_30, points=[Point(-200.0, 40.0), Point(45.0, 35.0)]),
+        spec=REACH_30, points=xy([(-200.0, 40.0), (45.0, 35.0)])),
     "one_band_reach_0": dict(spec=ONE_BAND, points=KERNEL_POINTS),
-    "reach_wider_than_grid": dict(spec=WIDE, points=[Point(3000.0, -2000.0)]),
+    "reach_wider_than_grid": dict(spec=WIDE, points=xy([(3000.0, -2000.0)])),
     "points_off_each_side": dict(
         spec=REACH_30,
-        points=[Point(-25.0, 40.0), Point(125.0, 20.0), Point(50.0, -35.0),
-                Point(30.0, 110.0), Point(-100.0, -100.0)]),
+        points=xy([(-25.0, 40.0), (125.0, 20.0), (50.0, -35.0),
+                   (30.0, 110.0), (-100.0, -100.0)])),
     "points_off_each_side_middle_rows": dict(
         spec=REACH_30, mask=MIDDLE_ROWS,
-        points=[Point(10.0, 40.0), Point(95.0, 20.0), Point(50.0, 0.0),
-                Point(30.0, 75.0)]),
+        points=xy([(10.0, 40.0), (95.0, 20.0), (50.0, 0.0), (30.0, 75.0)])),
     "far_better": dict(spec=REACH_50_TOP_CLOSED, points=KERNEL_POINTS,
                        mask=SPARSE_MASK),
-    "band": dict(spec=RING, points=KERNEL_POINTS + AT_REACH),
+    "band": dict(spec=RING, points=np.concatenate([KERNEL_POINTS, AT_REACH])),
     "empty_mask": dict(spec=REACH_30, points=KERNEL_POINTS,
                        mask=np.zeros((8, 10), dtype=bool)),
 }
@@ -437,14 +446,14 @@ GEO_GRID = GridSpec(51.60, 32.60, 0.004, 9, 7)
 GEO_MASK = np.add.outer(np.arange(7), np.arange(9)) % 4 != 1
 
 GEODESIC_CASES = {
-    "near_and_far": dict(points=[Point(51.63, 32.62), Point(51.60, 33.50)]),
+    "near_and_far": dict(points=xy([(51.63, 32.62), (51.60, 33.50)])),
     "point_out_of_range_empty_window": dict(
-        points=[Point(51.63, 32.62), Point(51.61, 95.0)]),
-    "lon_out_of_range": dict(points=[Point(51.63, 32.62), Point(200.0, 32.61)]),
+        points=xy([(51.63, 32.62), (51.61, 95.0)])),
+    "lon_out_of_range": dict(points=xy([(51.63, 32.62), (200.0, 32.61)])),
     "empty_mask_point_out_of_range": dict(
-        points=[Point(51.63, 32.62), Point(51.61, -95.0)],
+        points=xy([(51.63, 32.62), (51.61, -95.0)]),
         mask=np.zeros((7, 9), dtype=bool)),
-    "unknown_mode": dict(points=[Point(51.63, 32.62)], mode="spherical"),
+    "unknown_mode": dict(points=xy([(51.63, 32.62)]), mode="spherical"),
 }
 
 
@@ -474,8 +483,8 @@ class TestMaskedKernelsMatchReference:
         closed = rasterize(REACH_50_TOP_CLOSED, AT_REACH, KERNEL_GRID, SCHEME)
         opened = rasterize(REACH_50_TOP_OPEN, AT_REACH, KERNEL_GRID, SCHEME)
         for row, col in [(3, 9), (7, 7), (7, 1), (6, 8), (6, 0), (0, 8), (0, 0)]:
-            center = KERNEL_GRID.cell_center(row, col)
-            assert planar_distance(center, AT_REACH[0]) == 50.0
+            center = center_at(KERNEL_GRID, row, col)
+            assert distance(center, AT_REACH[0]) == 50.0
             assert closed.values[row, col] == SCHEME.high
             assert opened.values[row, col] == SCHEME.mid
 
@@ -486,7 +495,7 @@ class TestMaskedKernelsMatchReference:
         cut = GridSpec(179.95, 10.0, 0.02, 2, 3)
         mask = np.zeros(wide.shape, dtype=bool)
         mask[:, :2] = True
-        points = [Point(179.97, 10.01), Point(-179.99, 10.03)]
+        points = xy([(179.97, 10.01), (-179.99, 10.03)])
         got = rasterize(GEO_DISTANCE, points, wide, SCHEME, mask=mask, mode="geodesic")
         want = rasterize(GEO_DISTANCE, points, cut, SCHEME, mode="geodesic")
         assert np.array_equal(_bits(got.values[:, :2]), _bits(want.values))
@@ -517,11 +526,11 @@ class TestMaskedKernelsMatchReference:
             half = cell / 2.0
             xk = st.integers(-8, 2 * ncols + 8)
             yk = st.integers(-8, 2 * nrows + 8)
-            points = draw(st.lists(st.builds(lambda i, j: Point(x0 + i * half, y0 + j * half),
+            points = draw(st.lists(st.builds(lambda i, j: (x0 + i * half, y0 + j * half),
                                              xk, yk), min_size=1, max_size=4))
             if mode == "geodesic":
-                points = [Point(min(max(p.x, -180.0), 180.0), min(max(p.y, -90.0), 90.0))
-                          for p in points]
+                points = [(min(max(x, -180.0), 180.0), min(max(y, -90.0), 90.0))
+                          for x, y in points]
             edges = sorted(draw(st.lists(st.integers(1, 24), max_size=3, unique=True)))
             classes = draw(st.lists(st.sampled_from([HIGH, SUIT, NON]),
                                     min_size=len(edges) + 1, max_size=len(edges) + 1))
@@ -530,7 +539,7 @@ class TestMaskedKernelsMatchReference:
                 classes.sort(key=lambda c: c.rank, reverse=direction == "near_better")
             spec = banded_spec(direction, [k * meters / 2.0 for k in edges], classes)
             grid = GridSpec(x0, y0, cell, ncols, nrows)
-            return spec, points, grid, mask.reshape(grid.shape), mode
+            return spec, xy(points), grid, mask.reshape(grid.shape), mode
 
         @hypothesis.settings(max_examples=300, deadline=None)
         @hypothesis.given(case=cases())
@@ -546,7 +555,7 @@ class TestMaskedKernelsMatchReference:
                   polygon_from_coords([(51.62, 32.60), (51.64, 32.61), (51.62, 32.628)])]
         zones = [(rect(51.59, 32.59, 51.65, 32.64), "Middle"),
                  (rect(51.614, 32.61, 51.626, 32.62), "High")]
-        points = [Point(51.63, 32.62), Point(51.61, 32.64)]
+        points = xy([(51.63, 32.62), (51.61, 32.64)])
         _assert_kernels_match_reference(grid, demand, zones, points, mode="geodesic",
                                         distance_spec=GEO_DISTANCE)
 
@@ -575,12 +584,12 @@ class TestMaskedKernelsMatchReference:
             zones=st.lists(st.tuples(polygons(), st.sampled_from(["High", "Middle", "Low"])),
                            min_size=1, max_size=4),
             base=st.booleans(),
-            points=st.lists(st.builds(Point, coord, coord), min_size=1, max_size=3))
+            points=st.lists(st.tuples(coord, coord), min_size=1, max_size=3))
         def check(ncols, nrows, cell_size, demand, zones, base, points):
             grid = GridSpec(0.0, 0.0, cell_size, ncols, nrows)
             if base:  # a zone under everything, so most draws score every cell
                 zones = zones + [(rect(-20, -20, 60, 60), "Low")]
-            _assert_kernels_match_reference(grid, demand, zones, points)
+            _assert_kernels_match_reference(grid, demand, zones, xy(points))
 
         check()
 
@@ -696,6 +705,14 @@ class TestCombine:
         r1 = make_raster(grid, "a", [[0.6]])
         with pytest.raises(InputError, match="weights"):
             combine([r1], [0.5, 0.5], CombineMode.WEIGHTED_SUM)
+
+    @pytest.mark.parametrize("mode", list(CombineMode))
+    def test_nan_weight_rejected(self, mode):
+        """A NaN weight would give an all-NaN surface."""
+        grid = GridSpec(0, 0, 10, 2, 1)
+        rasters = [make_raster(grid, "a", [[0.6, 0.4]]), make_raster(grid, "b", [[0.2, 0.4]])]
+        with pytest.raises(InputError, match="weights must sum to 1, got nan"):
+            combine(rasters, [math.nan, 1.0], mode)
 
     @staticmethod
     def _assert_matches_reference(rasters, weights, mode):

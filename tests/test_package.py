@@ -16,12 +16,12 @@ EXPORTED = {
     "ConfigError", "CoverageCurve", "CoverageStandard", "CriterionSpec", "DomainError",
     "ExtractionConfig", "GateError", "GridSpec", "Hierarchy",
     "HierarchyNode", "InputError", "MclpInstance", "MclpSolution", "NormalizedCriterion",
-    "NumericalError", "Point", "Polygon", "ProjectConfig", "RunReport",
+    "NumericalError", "Polygon", "ProjectConfig", "RunReport",
     "ScoreScheme", "SolverRefused", "SpecificationError", "StageError",
     "SuitabilityClass", "SuitabilityRaster", "WeightVector",
     "build_coverage", "build_mask", "candidates_geojson", "classify", "combine",
     "consistency_ratio", "coverage_curve", "extract", "gate", "improve_swap",
-    "load_project", "planar_distance", "point_in_polygon", "principal_weights",
+    "load_project", "principal_weights",
     "rasterize", "render_report", "run_pipeline", "solve_exact", "solve_greedy",
     "synthesize", "validate_spec", "write_fixture", "__version__",
 }

@@ -19,7 +19,7 @@ import pytest
 from branchsite import geo, project, weights
 from branchsite.cli import main
 from branchsite.errors import ConfigError, GateError, InputError
-from branchsite.geo import Point, Polygon
+from branchsite.geo import Polygon
 from branchsite.overlay import json_text
 from branchsite.project import (
     build_surface,
@@ -241,12 +241,12 @@ class TestLoadLayers:
         # so the point is the midpoint of the first of the two widest inside
         # intervals of the line y = 1.75
         ([(0, 0), (3, 0), (3, 3), (2, 3), (2, 1), (1, 1), (1, 3), (0, 3)],
-         Point(0.5, 1.75)),
+         (0.5, 1.75)),
         # an L whose vertex mean (10/6, 10/6) is outside: the line through
         # it holds one inside interval, [0, 1]
-        ([(0, 0), (4, 0), (4, 1), (1, 1), (1, 4), (0, 4)], Point(0.5, 10 / 6)),
+        ([(0, 0), (4, 0), (4, 1), (1, 1), (1, 4), (0, 4)], (0.5, 10 / 6)),
         # a convex area keeps its vertex mean
-        ([(0, 0), (4, 0), (4, 4), (0, 4)], Point(2.0, 2.0)),
+        ([(0, 0), (4, 0), (4, 4), (0, 4)], (2.0, 2.0)),
     ])
     def test_demand_area_without_centroid_gets_a_point_inside(self, tmp_path, ring,
                                                               centroid):
@@ -260,7 +260,7 @@ class TestLoadLayers:
             }],
         }))
         demand = load_demand_layer(path, "planar")
-        assert demand.centroids.tolist() == [[centroid.x, centroid.y]]
+        assert demand.centroids.tolist() == [list(centroid)]
 
     def test_point_layer_reads_as_columns(self, tmp_path):
         path = tmp_path / "points.geojson"
@@ -319,18 +319,16 @@ class TestLoadLayers:
 
     def test_demand_centroids_are_tested_once(self, demo_config_path, tmp_path,
                                               monkeypatch):
-        """Every centroid is tested in one kernel call; no scalar test runs
-        for the demo's areas, whose vertex means lie inside."""
-        calls, kernel_calls = [], []
-        monkeypatch.setattr(geo, "point_in_polygon",
-                            lambda *args: calls.append(args) or True)
+        """Every centroid is tested in one kernel call; no fallback point is
+        tested for the demo's areas, whose vertex means lie inside."""
+        kernel_calls = []
         contains_each = geo.contains_each
         monkeypatch.setattr(geo, "contains_each",
                             lambda points, polys: kernel_calls.append(len(points))
                             or contains_each(points, polys))
         cfg = load_project(demo_config_path)
         demand = load_demand_layer(cfg.demand_path, cfg.mode)
-        assert len(demand.ids) == 20 and kernel_calls == [20] and not calls
+        assert len(demand.ids) == 20 and kernel_calls == [20]
         # a given centroid is tested too
         monkeypatch.undo()
         path = tmp_path / "areas.geojson"

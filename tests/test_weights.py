@@ -256,6 +256,12 @@ class TestWeightVector:
         with pytest.raises(InputError):
             WeightVector(("a", "b"), (0.5, 0.6))
 
+    @pytest.mark.parametrize("values", [(float("nan"), 1.0), (float("nan"), float("nan")),
+                                        (float("inf"), 1.0)])
+    def test_non_finite_weights_rejected(self, values):
+        with pytest.raises(InputError, match="weights must sum to 1"):
+            WeightVector(("a", "b"), values)
+
     def test_lookup(self):
         w = WeightVector(("a", "b"), (0.25, 0.75)).as_dict()
         assert w["b"] == 0.75

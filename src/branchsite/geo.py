@@ -289,10 +289,17 @@ class Polygon:
 
 def vertex_means(polys: Sequence[Polygon]) -> np.ndarray:
     """The mean of each polygon's exterior vertices, as the rows of an
-    n x 2 array; the sums are taken left to right."""
+    n x 2 array; the sums are taken left to right. Where a sum overflows,
+    near the float maximum, that row is the sum of each vertex over n."""
     sizes = np.array([len(poly.exterior) for poly in polys], dtype=np.intp)
     xy = np.concatenate([poly.exterior for poly in polys]) if polys else np.zeros((0, 2))
-    return _ring_sums(xy, sizes) / sizes[:, None]
+    with np.errstate(over="ignore"):   # such rows are redone below
+        means = _ring_sums(xy, sizes) / sizes[:, None]
+    bad = ~np.isfinite(means).all(axis=1)
+    if bad.any():
+        n = sizes[bad]
+        means[bad] = _ring_sums(xy[np.repeat(bad, sizes)] / np.repeat(n, n)[:, None], n)
+    return means
 
 
 def _widest_midpoint(poly: Polygon, x: float, y: float) -> tuple[float, float]:

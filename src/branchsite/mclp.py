@@ -17,8 +17,9 @@ ascending id order; every marginal gain is one matrix-vector product of the
 uncovered populations with those columns (``_gains``). Ties go to the first
 maximum, the smallest id. Each instance keeps the greedy+swap rows made
 so far, and only finished ones: the exact solver's incumbent for budget p
-is the objective of row p, and its search arrays are prepared once per
-instance too.
+is the objective of row p, its search arrays are prepared once per
+instance too, and the instance keeps the root multipliers of the budget
+solved last, which start the next one.
 
 Exactness: every comparison of two complete selections (a B&B leaf with
 the incumbent, a swap with the current set) uses the canonical objective,
@@ -204,16 +205,19 @@ class MclpInstance:
         pops, view = self.populations, self._view
         free = sorted(set(range(len(view.ids))) - set(view.fixed))
         hit = view.cols[:, free] > 0
-        reach = np.logical_or.accumulate(hit[:, ::-1], axis=1)[:, ::-1]
+        reach, table = _reach_table(hit)
         covered = (view.cols[:, view.fixed] > 0).any(axis=1)
         total = self.total_population
         tol = 1e-9 * total or 1.0
         exact = total < 2.0 ** 53 and (pops == np.floor(pops)).all()
-        table = np.hstack([hit, reach]).astype(np.float64)
         for a in (hit, reach, table, covered):   # every p's search reads them
             a.flags.writeable = False
         return _Search(free, hit, reach, table, covered, _objective(pops, covered),
                        tol, 0.0 if exact else tol)
+
+    @functools.cached_property
+    def _root_lam(self) -> list[np.ndarray]:
+        return [self.populations / 2]   # the root multipliers of the last budget
 
     @functools.cached_property
     def _swap_rows(self) -> list["MclpSolution"]:
@@ -255,6 +259,13 @@ class MclpInstance:
             return build_coverage(ids, pops, centroids, *cands, standard, mode=mode)
         return cls(ids, pops, centroids, *cands, _matrix(d, len(cands[0])),
                    standard=standard, mode=mode)
+
+
+def _reach_table(hit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``reach``, whose column k is what the columns of ``hit`` from k on
+    can cover, and the float64 table [hit | reach]: one product, both gains."""
+    reach = np.logical_or.accumulate(hit[:, ::-1], axis=1)[:, ::-1]
+    return reach, np.hstack([hit, reach]).astype(np.float64)
 
 
 def _matrix(d: dict, width: int) -> np.ndarray:
@@ -434,9 +445,20 @@ def solve_exact(inst: MclpInstance, p: int, override_cap: bool = False) -> MclpS
       reaches drop out (lambda_i = w_i there). lambda is set by up to
       ``_LAGRANGE_STEPS`` projected subgradient steps (Fisher 1981):
       g_i = (how many of the s chosen columns cover i) - 1, zeroed where
-      lambda_i sits on a box bound that g would push it past, with a
+      lambda_i sits on a box bound that g would push it past, deflected by
+      the previous direction (Camerini, Fratta & Maffioli 1975), with a
       Polyak step toward the target ``best_z - z``. Each node starts from
-      its parent's multipliers; the root starts at w / 2.
+      its parent's multipliers, the first from the root's.
+
+    The root runs the same descent for up to ``_ROOT_STEPS`` steps, until
+    its bound reaches the target or has not fallen for ``_PATIENCE`` steps.
+    It starts from the root multipliers of the budget this instance solved
+    last (``MclpInstance._root_lam``), or from w / 2 on the first. With the
+    lowest bound L it met, it fixes out each free column j for which the
+    bound with j forced in, L - c_(s) + c_j (c_(s) the s-th largest c), is
+    cut (Fisher 1981). No column is fixed in. The search then runs on the
+    kept columns only, with ``hit``, ``reach`` and ``table`` narrowed to
+    them once per p.
 
     A node with one slot left evaluates its leaves in closed form, in place
     of a chain of one-slot nodes that each redo the gains and the sort: the
@@ -457,10 +479,11 @@ def solve_exact(inst: MclpInstance, p: int, override_cap: bool = False) -> MclpS
     population is an integer and the total is below 2**53, so that every sum
     is exact, and ``tol`` otherwise. The Lagrangian bound adds ``tol`` of its own for
     the rounding of the fractional multipliers. Both only ever weaken a cut.
-    As the DFS meets subsets in lexicographic order and never cuts a
-    subtree holding a leaf above the incumbent, the first optimum it keeps
-    is the lexicographically smallest optimal id set, whatever feasible
-    set the incumbent came from.
+    A column fixed out is in no optimal set, as every set that holds it is
+    below the incumbent. As the DFS meets subsets in lexicographic order and
+    never cuts a subtree holding a leaf above the incumbent, the first
+    optimum it keeps is the lexicographically smallest optimal id set,
+    whatever feasible set the incumbent came from.
     """
     n = len(inst.candidate_ids)
     if n > EXACT_SIZE_CAP and not override_cap:
@@ -471,12 +494,19 @@ def solve_exact(inst: MclpInstance, p: int, override_cap: bool = False) -> MclpS
     view = _prepare(inst, p)
     pops, fixed = inst.populations, view.fixed
     free, hit, reach, table, covered, z, tol, slack = inst._search
-    nfree = len(free)
     best_z = _greedy_swap_rows(inst, p)[-1].objective - tol
     best_sel: list[int] = []
+    slots = p - len(fixed)
 
-    def cut(bound: float) -> bool:
+    def cut(bound):
         return bound + slack <= best_z
+
+    kept = range(len(free))
+    if slots > 1:
+        kept = _root_kept(inst, slots, best_z - z, lambda bound: cut(z + bound + tol))
+        hit = hit[:, kept]
+        reach, table = _reach_table(hit)
+    nfree = len(kept)
 
     def dfs(start: int, chosen: list[int], covered: np.ndarray, z: float,
             lam: np.ndarray):
@@ -505,48 +535,81 @@ def solve_exact(inst: MclpInstance, p: int, override_cap: bool = False) -> MclpS
             lam)
         dfs(start + 1, chosen, covered, z, lam)
 
-    if p > len(fixed):   # else the fixed-open sites are the only p-set
-        dfs(0, [], covered, z, pops / 2)
-    chosen_ids = [view.ids[k] for k in fixed + [free[i] for i in best_sel]]
+    if slots > 0:   # else the fixed-open sites are the only p-set
+        dfs(0, [], covered, z, inst._root_lam[0])
+    del dfs   # it refers to itself: free the narrowed arrays now, not at a gc pass
+    chosen_ids = [view.ids[k] for k in fixed + [free[kept[i]] for i in best_sel]]
     return _finish_solution(inst, chosen_ids, METHOD_EXACT, optimal=True)
 
 
-_LAGRANGE_STEPS = 5
+_LAGRANGE_STEPS = 5     # subgradient steps at a node
+_ROOT_STEPS = 300       # at most, at the root
+_PATIENCE = 20          # steps without a lower bound that end a descent
+_DEFLECTION = 1.5       # gamma of Camerini, Fratta & Maffioli (1975)
+
+
+def _root_kept(inst: MclpInstance, slots: int, target: float, cut) -> list[int]:
+    """The root of ``solve_exact``: the long descent, from the multipliers
+    of the budget solved last, then the positions of the free columns that
+    are not fixed out, ascending. ``cut`` is the Lagrangian cut of the root."""
+    pops, search, warm = inst.populations, inst._search, inst._root_lam
+    rows = ~search.covered & search.reach[:, 0]
+    cols = search.table[:, :len(search.free)]
+    warm[0] = _lagrange_cut(warm[0], rows, pops, cols, slots, target, cut, _ROOT_STEPS)
+    mult = warm[0][rows]
+    c = mult @ cols[rows]
+    top = np.sort(c)[c.size - slots:]
+    bound = float((pops[rows] - mult).sum() + top.sum())
+    return np.flatnonzero(~cut(bound - top[0] + c)).tolist()
 
 
 def _lagrange_cut(lam: np.ndarray, open_rows: np.ndarray, pops: np.ndarray,
                   cols: np.ndarray, slots: int, target: float,
-                  cut) -> np.ndarray | None:
+                  cut, steps: int = _LAGRANGE_STEPS) -> np.ndarray | None:
     """Projected subgradient descent on the Lagrangian bound of a node.
 
     ``open_rows`` marks the areas still to cover that ``cols`` can reach,
     and ``lam`` holds the multipliers to start from. Returns None as soon
-    as ``cut(L)`` holds for a bound L, else the multipliers reached. g
-    counts covers, so it is integral: where g > 0 the step lowers lambda_i
-    and 0 bounds it, where g < 0 it raises lambda_i and w_i bounds it."""
+    as ``cut(L)`` holds for a bound L, else the multipliers of the lowest
+    L met. It takes up to ``steps`` steps and stops early when L reaches
+    ``target`` or has not fallen for ``_PATIENCE`` steps. g counts covers,
+    so it is integral: where g > 0 the step lowers lambda_i and 0 bounds
+    it, where g < 0 it raises lambda_i and w_i bounds it. A g at an obtuse
+    angle to the previous direction d is deflected by d (Camerini, Fratta
+    & Maffioli 1975), which damps the zigzag of plain subgradient steps."""
     rows = open_rows.nonzero()[0]
     w = pops[rows]
     sub = cols[rows]
-    mult = lam[rows]
+    mult = best_mult = lam[rows]
+    best, stale = math.inf, 0
     pick = np.zeros(sub.shape[1])
-    for _ in range(_LAGRANGE_STEPS):
+    d = np.zeros(rows.size)
+    for _ in range(steps):
         c = mult @ sub
         top = c.argpartition(c.size - slots)[c.size - slots:]
         bound = float((w - mult).sum() + c[top].sum())
         if cut(bound):
             return None
+        if bound < best:
+            best, best_mult, stale = bound, mult, 0
+        elif (stale := stale + 1) == _PATIENCE:
+            break
         if bound <= target:
             break
         pick[:] = 0.0
         pick[top] = 1.0
         g = sub @ pick - 1.0
         g *= np.where(g > 0.0, mult > 0.0, mult < w)
+        gd = float(g @ d)
+        if gd < 0.0:
+            g -= _DEFLECTION * gd / float(d @ d) * d
         norm = float(g @ g)
         if norm == 0.0:
             break
         mult = np.minimum(np.maximum(mult - (bound - target) / norm * g, 0.0), w)
+        d = g
     lam = lam.copy()
-    lam[rows] = mult
+    lam[rows] = best_mult
     return lam
 
 

@@ -452,6 +452,8 @@ def combine(rasters: Sequence[SuitabilityRaster], weights,
             raise InputError(
                 f"combine: {len(w_list)} weights for {len(rasters)} rasters"
             )
+        if any(w < 0 for w in w_list):   # as ``WeightVector`` checks
+            raise InputError("weights must be non-negative")
     if not abs(sum(w_list) - 1.0) <= 1e-9:  # NaN fails too
         raise InputError(f"combine: weights must sum to 1, got {sum(w_list)!r}")
 

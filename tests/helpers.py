@@ -182,6 +182,18 @@ def enumerate_optimum(inst, p):
     return best_z, best_sel
 
 
+def optimal_sets(inst, p):
+    """Every optimal p-set that holds the fixed-open candidates, as a set of
+    ids, by full enumeration with the canonical objective."""
+    ids, pops = inst.candidate_ids, inst.populations
+    fixed = [j for j in range(len(ids)) if inst.fixed_open[j]]
+    free = [j for j in range(len(ids)) if not inst.fixed_open[j]]
+    sets = [fixed + list(extra) for extra in itertools.combinations(free, p - len(fixed))]
+    zs = [float(pops[inst.matrix[:, s].any(axis=1)].sum()) for s in sets]
+    z_star = max(zs)
+    return [{ids[j] for j in s} for s, z in zip(sets, zs) if z == z_star]
+
+
 def covering_candidates(inst: MclpInstance, area_index: int) -> list[str]:
     """N_i: ids of the candidates covering area i."""
     return [cid for cid, hit in zip(inst.candidate_ids, inst.matrix[area_index]) if hit]

@@ -16,6 +16,7 @@ from helpers import (
     distance,
     enumerate_optimum,
     fractional_family,
+    optimal_sets,
     oracle_family,
     parse_coverage_table_csv,
     random_instance,
@@ -276,11 +277,11 @@ class TestSolveExact:
         gaps = []
         lagrange_cut = mclp._lagrange_cut
 
-        def spy(lam, open_rows, pops, cols, slots, target, cut):
+        def spy(lam, open_rows, pops, cols, slots, target, cut, *steps):
             def seen(bound):
                 gaps.append(abs(bound - target) / max(target, 1.0))
                 return cut(bound)
-            return lagrange_cut(lam, open_rows, pops, cols, slots, target, seen)
+            return lagrange_cut(lam, open_rows, pops, cols, slots, target, seen, *steps)
 
         monkeypatch.setattr(mclp, "_lagrange_cut", spy)
         rng = random.Random(7)
@@ -323,9 +324,9 @@ class TestSolveExact:
             rows_seen.append(rows[-1])
             return rows
 
-        def lagrange_spy(lam, open_rows, pops, cols, slots, target, cut):
+        def lagrange_spy(lam, open_rows, pops, cols, slots, target, cut, *steps):
             targets.append((cols.shape[1], target))
-            return lagrange_cut(lam, open_rows, pops, cols, slots, target, cut)
+            return lagrange_cut(lam, open_rows, pops, cols, slots, target, cut, *steps)
 
         def swap_spy(inst, sol):
             swaps.append(sol.p)
@@ -359,15 +360,17 @@ class TestSolveExact:
 
     def test_search_work_on_a_planar_curve(self, monkeypatch):
         """The p <= 7 curve on a seeded 200 x 30 planar instance: bound
-        evaluations (products with the search table, 60 columns here) and
-        Lagrangian calls. With the greedy set as incumbent and a node per
-        last-slot leaf they were 1,816 and 1,109; the bounds leave room for
-        a near-tie bound that another numpy build rounds the other way."""
+        evaluations (products with the search table, at any width: every
+        product but the greedy and swap ones with the instance's columns)
+        and Lagrangian calls. With the greedy set as incumbent and a node
+        per last-slot leaf they were 1,816 and 1,109; the bounds leave room
+        for a near-tie bound that another numpy build rounds the other way."""
         counts = {"bounds": 0, "lagrange": 0}
+        inst = _seeded_planar_instance(1)
         gains, lagrange_cut = mclp._gains, mclp._lagrange_cut
 
         def gains_spy(cols, pops, covered):
-            counts["bounds"] += cols.ndim == 2 and cols.shape[1] == 60
+            counts["bounds"] += cols.ndim == 2 and cols is not inst._view.cols
             return gains(cols, pops, covered)
 
         def lagrange_spy(*args):
@@ -376,10 +379,87 @@ class TestSolveExact:
 
         monkeypatch.setattr(mclp, "_gains", gains_spy)
         monkeypatch.setattr(mclp, "_lagrange_cut", lagrange_spy)
-        curve = coverage_curve(_seeded_planar_instance(1), 7, "exact")
+        curve = coverage_curve(inst, 7, "exact")
         assert curve.rows[-1].objective == 436170.0
         assert counts["bounds"] <= 640
         assert counts["lagrange"] <= 470
+
+    def test_root_work_on_a_planar_curve(self, monkeypatch):
+        """The same curve: subgradient steps, root and nodes together (one
+        ``cut`` call each), and bound evaluations on the search table at any
+        width, so that narrowing the table cannot hide work. Before the
+        root ran its long descent and fixed columns out they were 952 and
+        605; the ceilings are below half of that."""
+        counts = {"steps": 0, "bounds": 0}
+        inst = _seeded_planar_instance(1)
+        gains, lagrange_cut = mclp._gains, mclp._lagrange_cut
+
+        def gains_spy(cols, pops, covered):
+            counts["bounds"] += cols.ndim == 2 and cols is not inst._view.cols
+            return gains(cols, pops, covered)
+
+        def lagrange_spy(lam, open_rows, pops, cols, slots, target, cut, *steps):
+            def step(bound):
+                counts["steps"] += 1
+                return cut(bound)
+            return lagrange_cut(lam, open_rows, pops, cols, slots, target, step, *steps)
+
+        monkeypatch.setattr(mclp, "_gains", gains_spy)
+        monkeypatch.setattr(mclp, "_lagrange_cut", lagrange_spy)
+        curve = coverage_curve(inst, 7, "exact")
+        assert curve.rows[-1].objective == 436170.0
+        assert counts["steps"] <= 400
+        assert counts["bounds"] <= 160
+
+    def test_root_starts_from_the_last_budgets_multipliers(self, monkeypatch):
+        """Each root descent starts from the multipliers that the root of the
+        budget solved last on the instance returned; the first from w / 2."""
+        roots = []
+        lagrange_cut = mclp._lagrange_cut
+
+        def spy(lam, *args):
+            out = lagrange_cut(lam, *args)
+            if len(args) == 7:   # the root passes its step count
+                roots.append((lam, out))
+            return out
+
+        monkeypatch.setattr(mclp, "_lagrange_cut", spy)
+        inst = _seeded_planar_instance(1)
+        for p in (3, 7, 2, 5):
+            solve_exact(inst, p)
+        assert len(roots) == 4
+        assert roots[0][0].tolist() == (inst.populations / 2).tolist()
+        for (_, returned), (started, _) in zip(roots, roots[1:]):
+            assert started is returned
+
+    def test_root_fixes_out_no_column_of_an_optimal_set(self, monkeypatch):
+        """Reduced-cost fixing is sound: on the enumeration oracle's 200
+        instances, the fractional family and the tie-heavy family, no column
+        that the root fixes out is in any optimal set."""
+        root_kept, kept = mclp._root_kept, []
+
+        def spy(inst, slots, target, cut):
+            kept.append(root_kept(inst, slots, target, cut))
+            return kept[-1]
+
+        monkeypatch.setattr(mclp, "_root_kept", spy)
+        fractional = ((inst, p)
+                      for inst in fractional_family(7, 200, 25, 12, 0.35, (0.1, 0.2, 0.3))
+                      for p in range(2, min(5, len(inst.candidate_ids)) + 1))
+        roots = fixed_out = 0
+        for inst, p in itertools.chain(oracle_family(), fractional, tie_heavy_family()):
+            kept.clear()
+            solve_exact(inst, p)
+            if not kept:
+                continue
+            free, ids = inst._search.free, inst._view.ids
+            out = {ids[free[k]] for k in range(len(free)) if k not in kept[0]}
+            assert not any(out & s for s in optimal_sets(inst, p)), (inst, p, out)
+            roots += 1
+            fixed_out += len(out)
+        # 136 + 747 + 1,086 roots; 4,531 of their 17,412 free columns
+        # were fixed out when this was written
+        assert roots == 1969 and fixed_out > 2000
 
     def test_last_slot_ties_one_ulp_apart(self):
         """Tenths: with c01 chosen, the leaves c03 and c04 have the same

@@ -714,6 +714,18 @@ class TestCombine:
         with pytest.raises(InputError, match="weights must sum to 1, got nan"):
             combine(rasters, [math.nan, 1.0], mode)
 
+    @pytest.mark.parametrize("mode", list(CombineMode))
+    def test_negative_weight_rejected_in_both_forms(self, mode):
+        """A list of weights is checked as a ``WeightVector`` is: a negative
+        weight fails with the same error, before any arithmetic (it gave a
+        negative surface or a division by zero)."""
+        grid = GridSpec(0, 0, 10, 2, 1)
+        rasters = [make_raster(grid, "a", [[0.6, 0.4]]), make_raster(grid, "b", [[0.2, 0.4]])]
+        with pytest.raises(InputError, match="^weights must be non-negative$"):
+            combine(rasters, [-1.0, 2.0], mode)
+        with pytest.raises(InputError, match="^weights must be non-negative$"):
+            combine(rasters, WeightVector(("a", "b"), (-1.0, 2.0)), mode)
+
     @staticmethod
     def _assert_matches_reference(rasters, weights, mode):
         got = _outcome(combine, rasters, weights, mode)

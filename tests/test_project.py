@@ -262,6 +262,18 @@ class TestLoadLayers:
         demand = load_demand_layer(path, "planar")
         assert demand.centroids.tolist() == [list(centroid)]
 
+    def test_area_near_the_float_maximum_gets_a_point_inside(self, tmp_path):
+        """The square with corners (+-1e308, +-1e308): its vertex sums
+        overflow left to right, so its mean is the sum of each vertex over
+        4, (0, 0), which lies inside. (The overflowed mean was (0, -inf).)"""
+        big = 1e308
+        ring = [[-big, -big], [big, -big], [big, big], [-big, big], [-big, -big]]
+        path = tmp_path / "areas.geojson"
+        path.write_text(json.dumps(_collection([_area(ring, {"id": "d01", "population": 10})])))
+        demand = load_demand_layer(path, "planar")
+        assert demand.centroids.tolist() == [[0.0, 0.0]]
+        assert geo.contains_each(demand.centroids, demand.polygons) == [True]
+
     def test_point_layer_reads_as_columns(self, tmp_path):
         path = tmp_path / "points.geojson"
         path.write_text(json.dumps(_collection([

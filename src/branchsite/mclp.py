@@ -188,7 +188,8 @@ class MclpInstance:
 
     @functools.cached_property
     def total_population(self) -> float:
-        return float(self.populations.sum())
+        with np.errstate(over="ignore"):   # inf, which __post_init__ refuses
+            return float(self.populations.sum())
 
     @functools.cached_property
     def _view(self) -> _SolverView:

@@ -39,21 +39,19 @@ categorical layers has only as many outcomes as their class combinations).
 
 The Esri grids, ``score_points.geojson`` and ``report.json`` with its score
 raster are formatted from a raster's codes into chunks of text. Each
-formatter builds its tables in its own call and returns an iterator that
-joins the text a chunk of about 1 MiB (``_CHUNK``) at a time, so the writer
-holds one chunk, not the file. Beyond it, the memory is the tables: the
-in-area cell indices of ``score_points.geojson`` (8 bytes a cell) and the
-codes laid on the grid. Each table entry is formatted once, so ``-0.0``
-and ``0.0``, and NaNs of other payloads, keep their own text, which is the
-text of formatting every cell on its own. A grid's rows are its codes laid
-on the grid, with one more code for the cells outside the mask, and one
-row formatter, ``_row_texts``, joins them. Each distinct row is joined
-once: runs of equal adjacent rows come from one comparison of the rows'
-codes, only the first row of each run is hashed, and every later run of the
-same row (every row outside the study area is the same) reuses its text.
-Each feature of ``score_points.geojson`` is a column's, a row's and a
-score's text; a chunk joins those shared pieces for a slice of the in-area
-cells.
+formatter returns an iterator that joins the text a chunk of about 1 MiB
+(``_CHUNK``) at a time, so the writer holds one chunk, not the file. Beyond
+it, the memory is the tables: the in-area cell indices of
+``score_points.geojson`` (8 bytes a cell) and the codes laid on the grid.
+Each table entry is formatted once, so ``-0.0`` and ``0.0``, and NaNs of
+other payloads, keep their own text, which is the text of formatting every
+cell on its own. The Esri grids and the score raster of ``report.json``
+take their rows from one generator, ``_grid_rows``, which joins each
+distinct row once (every row outside the study area is the same). Each
+feature of ``score_points.geojson`` is a column's, a row's and a score's
+text; a chunk joins those shared pieces for a slice of the in-area cells.
+The JSON formatters splice their texts into ``json_text``'s own text
+around one top-level key (``_around``).
 """
 
 from __future__ import annotations
@@ -525,65 +523,46 @@ def _chunks(head: str, items: Iterable[str], sep: str, tail: str) -> Iterator[st
     yield _drain(buf)
 
 
-def _row_runs(codes: np.ndarray) -> tuple[list[tuple[int, int]], list[int]]:
-    """The runs of equal adjacent rows of the 2-D integer ``codes``, as
-    (slot, rows) pairs, and the first row of each slot.
-
-    Runs whose rows have the same bytes share a slot; slots are numbered in
-    order of first occurrence. Only each run's first row is hashed.
-    """
-    starts = np.flatnonzero(np.concatenate(([True], (codes[1:] != codes[:-1]).any(axis=1))))
-    slot: dict[bytes, int] = {}
-    runs, distinct = [], []
-    for r, n in zip(starts.tolist(), np.diff(starts, append=len(codes)).tolist()):
-        k = slot.setdefault(codes[r].tobytes(), len(slot))
-        if k == len(distinct):
-            distinct.append(r)
-        runs.append((k, n))
-    return runs, distinct
+def _around(payload: dict, key: str) -> tuple[str, str]:
+    """The ``json_text`` of ``payload`` before and after the value of its
+    top-level ``key``. The anchor starts with a newline and two spaces, so
+    only the top-level key can match: a string value escapes its newlines,
+    and a nested key is indented further."""
+    anchor = f"\n  {json.dumps(key)}: "
+    head, tail = json_text({**payload, key: None}).split(anchor + "null", 1)
+    return head + anchor, tail
 
 
-def _row_texts(runs: list[tuple[int, int]], codes: np.ndarray, texts: np.ndarray,
+def _grid_rows(raster: SuitabilityRaster, fmt, nan_text: str, north_first: bool,
                sep: str) -> Iterator[str]:
-    """One text per row of a grid given as ``_row_runs``: row ``k`` of the
-    2-D integer ``codes`` is slot ``k``'s, and its text is the ``texts`` of
-    its codes joined by ``sep``.
+    """The text of each row of ``raster``'s grid, north to south if
+    ``north_first``, else south to north: the ``fmt`` of its cells' scores
+    joined by ``sep``, with ``nan_text`` for NaN and the cells outside the
+    mask, which get one more code when the codes are laid on the grid.
 
-    The texts are joined as the iterator reaches them, a batch of rows of
-    about ``_CHUNK`` characters at a time. Each distinct row is joined
-    once: its text is kept until the last run of equal rows that uses it.
+    Each table entry is formatted once. One comparison of the rows' codes
+    finds the runs of equal adjacent rows, and only each run's first row is
+    hashed: each distinct row is joined once, and its text is dropped after
+    the last run that uses it.
     """
-    last = {k: i for i, (k, _) in enumerate(runs)}
-    width = (max(map(len, texts.tolist())) + len(sep)) * codes.shape[1]
-
-    def rows():
-        kept: dict[int, str] = {}
-        for i, (k, n) in enumerate(runs):
-            if k not in kept:
-                # slots first occur in order, so k is the first not yet joined
-                batch = codes[k:k + max(1, _CHUNK // width)]
-                for j, cells in enumerate(texts[batch].tolist(), k):
-                    kept[j] = sep.join(cells)
-            text = kept[k] if last[k] > i else kept.pop(k)
-            for _ in range(n):
-                yield text
-
-    return rows()
-
-
-def _class_rows(raster: SuitabilityRaster, fmt, nan_text: str, north_first: bool
-                ) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
-    """``_row_texts`` arguments but the separator for a raster, rows north
-    to south if ``north_first``, else south to north: its codes laid on the
-    grid, with one more code for the cells outside the mask, whose texts are
-    its table's entries, each formatted once, then ``nan_text``."""
     outside = len(raster.table)
     laid = np.full(raster.grid.shape, outside, dtype=np.min_scalar_type(outside))
     laid[raster.mask] = raster.codes
     codes = laid[::-1] if north_first else laid
-    runs, distinct = _row_runs(codes)
     texts = np.array(_format(raster.table, fmt, nan_text) + [nan_text], dtype=object)
-    return runs, codes[distinct], texts
+    starts = np.flatnonzero(np.concatenate(([True], (codes[1:] != codes[:-1]).any(axis=1))))
+    sizes = np.diff(starts, append=len(codes)).tolist()
+    firsts = codes[starts]
+    del laid, codes   # the first row of each run is all the iteration reads
+    keys = [row.tobytes() for row in firsts]
+    last = {key: i for i, key in enumerate(keys)}
+    kept: dict[bytes, str] = {}
+    for i, (key, n) in enumerate(zip(keys, sizes)):
+        if key not in kept:
+            kept[key] = sep.join(texts.take(firsts[i]).tolist())
+        text = kept[key] if last[key] > i else kept.pop(key)
+        for _ in range(n):
+            yield text
 
 
 def esri_ascii_text(raster: SuitabilityRaster) -> Iterator[str]:
@@ -598,8 +577,8 @@ def esri_ascii_text(raster: SuitabilityRaster) -> Iterator[str]:
         f"CELLSIZE {grid.cell_size!r}",
         f"NODATA_VALUE {NODATA!r}",
     ])
-    rows = _class_rows(raster, repr, repr(NODATA), north_first=True)
-    return _chunks(header + "\n", _row_texts(*rows, " "), "\n", "\n")
+    rows = _grid_rows(raster, repr, repr(NODATA), True, " ")
+    return _chunks(header + "\n", rows, "\n", "\n")
 
 
 # One feature of score_points.geojson exactly as json_text indents it inside
@@ -642,15 +621,12 @@ def score_points_geojson(raster: SuitabilityRaster, meta: dict | None = None
     formatted in this call; each chunk joins the pieces of the next slice
     of in-area cells, about ``_CHUNK`` characters of features.
     """
-    # the anchor starts with a newline and two spaces, so inside json_text
-    # only the top-level key can match: a string value escapes its newlines
-    text = json_text({"type": "FeatureCollection", "features": [], **(meta or {})})
-    head, tail = text.split('\n  "features": []', 1)
+    head, tail = _around({"type": "FeatureCollection", **(meta or {})}, "features")
     # the in-area cells whose score is not NaN, and their codes
     keep = ~np.isnan(raster.table)[raster.codes]
     cells = np.flatnonzero(raster.mask)[keep]
     if not len(cells):
-        return iter([text])
+        return iter([head + "[]" + tail])
     codes = raster.codes[keep]
     xs, ys = raster.grid.center_axes()
     x_texts = _json_texts(xs, ",\n" + _HEAD, _MID)
@@ -669,7 +645,7 @@ def score_points_geojson(raster: SuitabilityRaster, meta: dict | None = None
             pieces[:, 2] = score_texts[codes[a:a + step]]
             parts = pieces.ravel().tolist()
             if not a:  # no separator before the first feature
-                parts[0] = head + '\n  "features": [\n' + parts[0][len(",\n"):]
+                parts[0] = head + "[\n" + parts[0][len(",\n"):]
             if a + step >= len(cells):
                 parts.append("\n  ]" + tail)
             yield "".join(parts)
@@ -679,15 +655,13 @@ def score_points_geojson(raster: SuitabilityRaster, meta: dict | None = None
 
 def report_json_text(data: dict, score: SuitabilityRaster) -> Iterator[str]:
     """``json_text`` of the run report ``data`` with its ``score_raster``
-    set to ``{"values": ...}``, in chunks. The raster holds ``score.values``
-    as float rows, south to north, with NaN as ``null``; its rows are
-    encoded by ``_row_texts``, not cell by cell through the indenting
-    encoder.
+    set to ``{"values": ...}``, in chunks: the float rows of
+    ``score.values``, south to north, with NaN as ``null``. Each row's text
+    comes from ``_grid_rows``, indented as ``json_text`` indents it, and is
+    spliced in after the text before the key; no cell goes through the
+    indenting encoder.
     """
-    text = json_text({**data, "score_raster": {"values": []}})
-    # a top-level key, as in score_points_geojson
-    head, tail = text.split('\n  "score_raster": {\n    "values": []', 1)
-    rows = _class_rows(score, json.dumps, "null", north_first=False)
-    return _chunks(head + '\n  "score_raster": {\n    "values": [\n      [\n        ',
-                   _row_texts(*rows, ",\n        "),
-                   "\n      ],\n      [\n        ", "\n      ]\n    ]" + tail)
+    head, tail = _around(data, "score_raster")
+    rows = _grid_rows(score, json.dumps, "null", False, ",\n        ")
+    return _chunks(head + '{\n    "values": [\n      [\n        ', rows,
+                   "\n      ],\n      [\n        ", "\n      ]\n    ]\n  }" + tail)

@@ -134,11 +134,7 @@ def consistency_ratio(matrix: ComparisonMatrix) -> float:
     ci = (lam - n) / (n - 1)
     if ci < 0.0:  # numerical noise around a perfectly consistent matrix
         ci = 0.0
-    try:
-        ri = RANDOM_INDEX[n]
-    except KeyError:
-        raise ConfigError(f"no random index defined for n={n}") from None
-    return ci / ri
+    return ci / RANDOM_INDEX[n]
 
 
 @dataclass(frozen=True)

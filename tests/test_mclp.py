@@ -5,6 +5,7 @@ import json
 import math
 import random
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -218,6 +219,15 @@ class TestCandidateColumns:
         with pytest.raises(InputError, match=message):
             MclpInstance(("d0",), [1], [(0, 0)], ids, locations, fixed_open,
                          np.ones((1, 2), bool))
+
+    def test_overflowing_total_population_rejected_without_warning(self):
+        """Two areas of 1e308 sum to inf: the typed error, and no numpy
+        overflow warning before it."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="total population inf overflows"):
+                MclpInstance(("d0", "d1"), [1e308, 1e308], [(0, 0), (1, 0)], ("c0",),
+                             [(0, 0)], [False], np.ones((2, 1), bool))
 
     def test_ids_sort_as_python_strings(self):
         """numpy's fixed-width strings drop trailing NULs, so "c" and

@@ -1088,6 +1088,23 @@ class TestFormattersMatchReference:
         check()
 
 
+class TestGridRows:
+    @pytest.mark.parametrize("north_first", [False, True])
+    def test_equal_rows_share_one_text(self, north_first):
+        """Rows A, A, B, A, south to north: every A row yields the one text
+        joined for it, the repeat after B too, and each text is the join of
+        the row's cell texts."""
+        a, b = [0.5, NAN], [-0.0, 0.5]
+        cells = [a, a, b, a]
+        rows = list(overlay._grid_rows(_score_raster(GridSpec(0, 0, 10, 2, 4), cells),
+                                       repr, "x", north_first, " "))
+        order = cells[::-1] if north_first else cells
+        assert rows == [" ".join("x" if math.isnan(v) else repr(v) for v in row)
+                        for row in order]
+        first_a = order.index(a)
+        assert all((rows[k] is rows[first_a]) == (row is a) for k, row in enumerate(order))
+
+
 class TestCodedSurface:
     """combine codes the surface by the bit patterns of its in-area scores."""
 

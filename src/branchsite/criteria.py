@@ -3,10 +3,14 @@
 A criterion maps a raw attribute value (a distance in meters, a density, or
 a categorical level) to one of three suitability classes, which carry the
 numeric scores of the active scheme. Numeric band tables are normalized into
-disjoint intervals covering [0, inf) before use: overlapping stated bands are
-resolved in favor of the more suitable class, shared boundaries belong to the
-more suitable side, and gaps are filled by extending both neighbors to the
-gap midpoint. Every repair is recorded on the normalized spec.
+disjoint intervals covering [0, inf) before use, in one sweep over the sorted
+band edges: each edge and each open stretch between two edges goes to the
+most suitable class whose bands hold it, so overlaps and shared boundaries
+go to the more suitable side. A gap is an open stretch that no band holds:
+below the lowest edge and above the highest the nearest run is extended,
+between runs of one class it is bridged, and between two classes it is split
+at its midpoint. Every repair is recorded on the normalized spec. A -0.0
+edge reads as 0.0, and a NaN bound is rejected.
 
 ``segment_index`` is the one rule for which segment holds a value: it
 serves ``classify`` one value at a time and the raster overlay a whole
@@ -15,6 +19,7 @@ array at once.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -156,152 +161,95 @@ class NormalizedCriterion:
         return dict(self.categories)
 
 
-_Piece = tuple[float, bool, float, bool]  # lo, lo_inc, hi, hi_inc
-
-
-def _piece_str(p: _Piece) -> str:
-    lo, lo_inc, hi, hi_inc = p
+def _piece_str(lo: float, lo_inc: bool, hi: float, hi_inc: bool) -> str:
     left = "[" if lo_inc else "("
     right = "]" if hi_inc else ")"
     hi_s = "inf" if math.isinf(hi) else f"{hi:g}"
     return f"{left}{lo:g}, {hi_s}{right}"
 
 
-def _merge_closed(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Union of closed intervals, merged where they touch or overlap."""
-    out: list[tuple[float, float]] = []
-    for lo, hi in sorted(intervals):
-        if out and lo <= out[-1][1]:
-            out[-1] = (out[-1][0], max(out[-1][1], hi))
-        else:
-            out.append((lo, hi))
-    return out
-
-
-def _subtract_closed(pieces: list[_Piece], a: float, b: float) -> tuple[list[_Piece], list[_Piece]]:
-    """Remove the closed interval [a, b] from a list of pieces.
-
-    Returns the remaining pieces and the parts that were removed.
-    """
-    out: list[_Piece] = []
-    removed: list[_Piece] = []
-    for lo, lo_inc, hi, hi_inc in pieces:
-        # disjoint cases (careful with endpoint ownership)
-        if b < lo or (b == lo and not lo_inc):
-            out.append((lo, lo_inc, hi, hi_inc))
-            continue
-        if a > hi or (a == hi and not hi_inc):
-            out.append((lo, lo_inc, hi, hi_inc))
-            continue
-        r_lo, r_lo_inc = (a, True) if a > lo else (lo, lo_inc)
-        r_hi, r_hi_inc = (b, True) if b < hi else (hi, hi_inc)
-        removed.append((r_lo, r_lo_inc, r_hi, r_hi_inc))
-        if lo < a:
-            out.append((lo, lo_inc, a, False))
-        if hi > b:
-            out.append((b, False, hi, hi_inc))
-    return out, removed
+_BY_RANK = sorted(SuitabilityClass, key=_RANK.get)  # _BY_RANK[cls.rank] is cls
 
 
 def _normalize_numeric(spec: CriterionSpec) -> NormalizedCriterion:
     if not spec.bands:
         raise SpecificationError(f"criterion {spec.id!r}: no bands declared")
 
-    stated: dict[SuitabilityClass, list[tuple[float, float]]] = {}
+    bands: list[tuple[float, float, int]] = []
     for band in spec.bands:
-        lo = float(band.lo)
-        hi = math.inf if band.hi is None else float(band.hi)
+        lo = float(band.lo) + 0.0  # + 0.0 reads a -0.0 edge as 0.0
+        hi = math.inf if band.hi is None else float(band.hi) + 0.0
         if not math.isfinite(lo) or lo < 0:
             raise SpecificationError(
                 f"criterion {spec.id!r}: band lower bound must be finite and >= 0, got {lo}"
             )
-        if hi < lo:
+        if not hi >= lo:  # a NaN maximum fails here too
             raise SpecificationError(
                 f"criterion {spec.id!r}: band [{lo}, {hi}] has hi < lo"
             )
-        stated.setdefault(band.cls, []).append((lo, hi))
+        bands.append((lo, hi, band.cls.rank))
 
+    # Cut [lowest edge, inf) into elementary pieces: each edge as a point,
+    # then the open stretch up to the next edge. A band holds a piece when
+    # it starts at or below the piece's low end and ends at or above its
+    # high end; the piece goes to the most suitable class holding it, the
+    # highest rank.
+    edges = sorted({x for lo, hi, _ in bands for x in (lo, hi)} - {math.inf})
+    cuts = []
+    for a, b in zip(edges, edges[1:] + [math.inf]):
+        for piece in ((a, True, a, True), (a, False, b, False)):
+            claims = {rank for lo, hi, rank in bands if lo <= piece[0] and piece[2] <= hi}
+            cuts.append((piece, max(claims, default=None), claims))
+
+    def runs(key) -> list[list]:
+        """[lo, lo_inc, hi, hi_inc, k] of each maximal run of consecutive
+        pieces whose ``key`` is ``k``, runs keyed None left out."""
+        out = []
+        for k, group in itertools.groupby(cuts, key):
+            if k is not None:
+                pieces = [piece for piece, _, _ in group]
+                out.append([*pieces[0][:2], *pieces[-1][2:], k])
+        return out
+
+    # the outranked class, then the owner, each most suitable first
     repairs: list[str] = []
-    pieces: list[tuple[_Piece, SuitabilityClass]] = []
-    classes_desc = sorted(stated, key=lambda c: c.rank, reverse=True)
-    for idx, cls in enumerate(classes_desc):
-        own: list[_Piece] = [
-            (lo, True, hi, math.isfinite(hi)) for lo, hi in _merge_closed(stated[cls])
-        ]
-        for higher in classes_desc[:idx]:
-            for a, b in _merge_closed(stated[higher]):
-                own, removed = _subtract_closed(own, a, b)
-                for part in removed:
-                    repairs.append(
-                        f"overlap on {_piece_str(part)} claimed by both "
-                        f"{higher.value} and {cls.value}; kept for {higher.value}"
-                    )
-        pieces.extend((p, cls) for p in own)
+    for low, high in ((1, 2), (0, 2), (0, 1)):
+        for *part, _ in runs(lambda cut: cut[1] == high and low in cut[2] or None):
+            kept = _BY_RANK[high].value
+            repairs.append(f"overlap on {_piece_str(*part)} claimed by both "
+                           f"{kept} and {_BY_RANK[low].value}; kept for {kept}")
 
-    pieces.sort(key=lambda pc: (pc[0][0], not pc[0][1]))
-    if not pieces:
-        raise SpecificationError(f"criterion {spec.id!r}: bands normalize to nothing")
-
-    # extend toward zero
-    (lo, lo_inc, hi, hi_inc), cls = pieces[0]
-    if lo > 0.0 or not lo_inc:
-        repairs.append(f"gap below {_piece_str((lo, lo_inc, hi, hi_inc))}: extended {cls.value} to 0")
-        pieces[0] = ((0.0, True, hi, hi_inc), cls)
-
-    # fill interior gaps
-    filled: list[tuple[_Piece, SuitabilityClass]] = [pieces[0]]
-    for piece, cls in pieces[1:]:
-        (plo, plo_inc, phi, phi_inc), pcls = filled[-1]
-        lo, lo_inc, hi, hi_inc = piece
-        if lo < phi or (lo == phi and lo_inc and phi_inc):
-            raise SpecificationError(
-                f"criterion {spec.id!r}: irreparable overlap between "
-                f"{_piece_str((plo, plo_inc, phi, phi_inc))} and {_piece_str(piece)}"
-            )
+    # Every edge belongs to a band that states it, so consecutive owned runs
+    # either touch or leave one open stretch between two edges unowned.
+    owned = [[*run[:4], _BY_RANK[run[4]]] for run in runs(lambda cut: cut[1])]
+    first = owned[0]
+    if first[0] > 0.0:
+        repairs.append(f"gap below {_piece_str(*first[:4])}: extended {first[4].value} to 0")
+        first[0] = 0.0
+    filled = [first]
+    for run in owned[1:]:
+        prev = filled[-1]
+        phi, lo, pcls, cls = prev[2], run[0], prev[4], run[4]
         if lo > phi:
-            mid = phi + (lo - phi) / 2.0
             if pcls is cls:
-                repairs.append(
-                    f"gap ({phi:g}, {lo:g}) between {pcls.value} pieces: bridged"
-                )
-                filled[-1] = ((plo, plo_inc, lo, not lo_inc), pcls)
-            else:
-                prev_owns_mid = pcls.rank >= cls.rank
-                repairs.append(
-                    f"gap ({phi:g}, {lo:g}): filled to midpoint {mid:g} "
-                    f"({pcls.value} left, {cls.value} right)"
-                )
-                filled[-1] = ((plo, plo_inc, mid, prev_owns_mid), pcls)
-                piece = (mid, not prev_owns_mid, hi, hi_inc)
-        elif lo == phi and not lo_inc and not phi_inc:
-            # single uncovered point; give it to the more suitable side
-            if pcls.rank >= cls.rank:
-                filled[-1] = ((plo, plo_inc, phi, True), pcls)
-            else:
-                piece = (lo, True, hi, hi_inc)
-            repairs.append(f"boundary {phi:g} unowned: assigned to the more suitable side")
-        filled.append((piece, cls))
-
-    # extend to infinity
-    (lo, lo_inc, hi, hi_inc), cls = filled[-1]
-    if math.isfinite(hi):
-        repairs.append(f"gap above {hi:g}: extended {cls.value} to inf")
-        filled[-1] = ((lo, lo_inc, math.inf, False), cls)
-
-    # merge touching same-class neighbors
-    merged: list[tuple[_Piece, SuitabilityClass]] = []
-    for piece, cls in filled:
-        if merged and merged[-1][1] is cls:
-            (plo, plo_inc, phi, phi_inc), _ = merged[-1]
-            lo, lo_inc, hi, hi_inc = piece
-            if phi == lo and (phi_inc != lo_inc):
-                merged[-1] = ((plo, plo_inc, hi, hi_inc), cls)
+                repairs.append(f"gap ({phi:g}, {lo:g}) between {cls.value} pieces: bridged")
+                prev[2:4] = run[2:4]
                 continue
-        merged.append((piece, cls))
+            mid = phi + (lo - phi) / 2.0
+            prev_owns_mid = pcls.rank > cls.rank
+            repairs.append(
+                f"gap ({phi:g}, {lo:g}): filled to midpoint {mid:g} "
+                f"({pcls.value} left, {cls.value} right)"
+            )
+            prev[2:4] = mid, prev_owns_mid
+            run[:2] = mid, not prev_owns_mid
+        filled.append(run)
+    last = filled[-1]
+    if math.isfinite(last[2]):
+        repairs.append(f"gap above {last[2]:g}: extended {last[4].value} to inf")
+        last[2:4] = math.inf, False
 
-    segments = tuple(
-        Segment(lo, lo_inc, hi, hi_inc, cls) for (lo, lo_inc, hi, hi_inc), cls in merged
-    )
+    segments = tuple(Segment(*run) for run in filled)
     _check_partition(spec.id, segments)
     _check_direction(spec.id, spec.direction, segments)
 

@@ -18,12 +18,12 @@ fixed.
 
 from __future__ import annotations
 
-import json
 import random
 from pathlib import Path
 
 import numpy as np
 
+from .fields import json_text, write_artifacts
 from .geo import distances_to
 
 GRID = {"origin": [0.0, 0.0], "cell_size": 100.0, "ncols": 60, "nrows": 195}
@@ -309,15 +309,9 @@ def _project_config():
     }
 
 
-def write_fixture(target_dir: str | Path, seed: int = 0) -> Path:
-    """Write the demo project into target_dir and return the config path."""
+def _fixture_files(seed: int):
+    """The (name, text chunks) pairs of the demo project's files."""
     rng = random.Random(seed)
-    target = Path(target_dir)
-    layers = target / "layers"
-    matrices = target / "matrices"
-    layers.mkdir(parents=True, exist_ok=True)
-    matrices.mkdir(parents=True, exist_ok=True)
-
     peak_pts = [_point_feature(p) for p in ALL_PEAKS]
 
     def amenity_layer(name):
@@ -361,19 +355,18 @@ def write_fixture(target_dir: str | Path, seed: int = 0) -> Path:
         ]),
     }
 
-    def write(path: Path, text: str) -> None:
-        path.write_text(text, encoding="utf-8")
-
     for rel, payload in files.items():
-        write(target / rel, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
+        yield rel, [json_text(payload)]
     goal_items = list(CLUSTER_WEIGHTS)
-    write(matrices / "goal.csv",
-          _matrix_csv(goal_items, [CLUSTER_WEIGHTS[c] for c in goal_items]))
+    yield "matrices/goal.csv", [
+        _matrix_csv(goal_items, [CLUSTER_WEIGHTS[c] for c in goal_items])]
     for cluster, pairs in LOCAL_WEIGHTS.items():
-        write(matrices / f"{cluster}.csv",
-              _matrix_csv([cid for cid, _ in pairs], [w for _, w in pairs]))
+        yield f"matrices/{cluster}.csv", [
+            _matrix_csv([cid for cid, _ in pairs], [w for _, w in pairs])]
+    yield "project.json", [json_text(_project_config())]
 
-    config_path = target / "project.json"
-    write(config_path, json.dumps(_project_config(), indent=2, sort_keys=True) + "\n")
-    return config_path
+
+def write_fixture(target_dir: str | Path, seed: int = 0) -> Path:
+    """Write the demo project into target_dir, all or nothing, and return
+    the config path."""
+    return write_artifacts(target_dir, _fixture_files(seed))[-1]

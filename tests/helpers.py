@@ -2,14 +2,16 @@
 solution checks, the per-field instance reader as a reference for the
 column reader, a big-int bitmask reference for the heuristic solvers,
 per-cell loop references for the raster formatters, per-segment comparison
-references for the band lookup, the per-cell point-in-polygon kernel and
-full-grid references for the overlay kernels, the distance kernel and the
-containment kernels on one point, polygons from coordinate pairs, the
-scalar ring checks as references for the one-pass ring check, consistent
-judgment matrices, and readers for the Esri ASCII grids and the coverage
-table."""
+references for the band lookup, the interval-subtraction band normalizer
+as the reference for the one-sweep normalizer, the per-cell
+point-in-polygon kernel and full-grid references for the overlay kernels,
+the distance kernel and the containment kernels on one point, polygons
+from coordinate pairs, the scalar ring checks as references for the
+one-pass ring check, consistent judgment matrices, and readers for the
+Esri ASCII grids and the coverage table."""
 
 import csv
+import dataclasses
 import io
 import itertools
 import math
@@ -22,10 +24,15 @@ import numpy as np
 from branchsite.criteria import (
     KIND_CATEGORICAL,
     KIND_DENSITY,
+    Band,
+    CriterionSpec,
     NormalizedCriterion,
     ScoreScheme,
     Segment,
+    _check_direction,
+    _check_partition,
     classify,
+    validate_spec,
 )
 from branchsite.geo import (
     PLANAR,
@@ -45,7 +52,7 @@ from branchsite.mclp import (
     _matrix,
     build_coverage,
 )
-from branchsite.errors import DomainError, InputError
+from branchsite.errors import DomainError, InputError, SpecificationError
 from branchsite.weights import ComparisonMatrix
 from branchsite.overlay import (
     NODATA,
@@ -475,6 +482,195 @@ def _classify_scores(spec: NormalizedCriterion, raws: np.ndarray,
         bad = float(raws[~assigned].flat[0])
         raise InputError(f"criterion {spec.id!r}: raw value {bad} outside normalized bands")
     return out
+
+
+_Piece = tuple[float, bool, float, bool]  # lo, lo_inc, hi, hi_inc
+
+
+def _piece_str(p: _Piece) -> str:
+    lo, lo_inc, hi, hi_inc = p
+    left = "[" if lo_inc else "("
+    right = "]" if hi_inc else ")"
+    hi_s = "inf" if math.isinf(hi) else f"{hi:g}"
+    return f"{left}{lo:g}, {hi_s}{right}"
+
+
+def _merge_closed(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """Union of closed intervals, merged where they touch or overlap."""
+    out: list[tuple[float, float]] = []
+    for lo, hi in sorted(intervals):
+        if out and lo <= out[-1][1]:
+            out[-1] = (out[-1][0], max(out[-1][1], hi))
+        else:
+            out.append((lo, hi))
+    return out
+
+
+def _subtract_closed(pieces: list[_Piece], a: float, b: float) -> tuple[list[_Piece], list[_Piece]]:
+    """Remove the closed interval [a, b] from a list of pieces.
+
+    Returns the remaining pieces and the parts that were removed.
+    """
+    out: list[_Piece] = []
+    removed: list[_Piece] = []
+    for lo, lo_inc, hi, hi_inc in pieces:
+        # disjoint cases (careful with endpoint ownership)
+        if b < lo or (b == lo and not lo_inc):
+            out.append((lo, lo_inc, hi, hi_inc))
+            continue
+        if a > hi or (a == hi and not hi_inc):
+            out.append((lo, lo_inc, hi, hi_inc))
+            continue
+        r_lo, r_lo_inc = (a, True) if a > lo else (lo, lo_inc)
+        r_hi, r_hi_inc = (b, True) if b < hi else (hi, hi_inc)
+        removed.append((r_lo, r_lo_inc, r_hi, r_hi_inc))
+        if lo < a:
+            out.append((lo, lo_inc, a, False))
+        if hi > b:
+            out.append((b, False, hi, hi_inc))
+    return out, removed
+
+
+def reference_normalize(spec: CriterionSpec) -> NormalizedCriterion:
+    """The interval-subtraction normalizer ``validate_spec`` replaced: each
+    class's merged bands less every more suitable class's, then the gap
+    walk over the pieces left."""
+    if not spec.bands:
+        raise SpecificationError(f"criterion {spec.id!r}: no bands declared")
+
+    stated: dict[SuitabilityClass, list[tuple[float, float]]] = {}
+    for band in spec.bands:
+        lo = float(band.lo)
+        hi = math.inf if band.hi is None else float(band.hi)
+        if not math.isfinite(lo) or lo < 0:
+            raise SpecificationError(
+                f"criterion {spec.id!r}: band lower bound must be finite and >= 0, got {lo}"
+            )
+        if hi < lo:
+            raise SpecificationError(
+                f"criterion {spec.id!r}: band [{lo}, {hi}] has hi < lo"
+            )
+        stated.setdefault(band.cls, []).append((lo, hi))
+
+    repairs: list[str] = []
+    pieces: list[tuple[_Piece, SuitabilityClass]] = []
+    classes_desc = sorted(stated, key=lambda c: c.rank, reverse=True)
+    for idx, cls in enumerate(classes_desc):
+        own: list[_Piece] = [
+            (lo, True, hi, math.isfinite(hi)) for lo, hi in _merge_closed(stated[cls])
+        ]
+        for higher in classes_desc[:idx]:
+            for a, b in _merge_closed(stated[higher]):
+                own, removed = _subtract_closed(own, a, b)
+                for part in removed:
+                    repairs.append(
+                        f"overlap on {_piece_str(part)} claimed by both "
+                        f"{higher.value} and {cls.value}; kept for {higher.value}"
+                    )
+        pieces.extend((p, cls) for p in own)
+
+    pieces.sort(key=lambda pc: (pc[0][0], not pc[0][1]))
+    if not pieces:
+        raise SpecificationError(f"criterion {spec.id!r}: bands normalize to nothing")
+
+    # extend toward zero
+    (lo, lo_inc, hi, hi_inc), cls = pieces[0]
+    if lo > 0.0 or not lo_inc:
+        repairs.append(f"gap below {_piece_str((lo, lo_inc, hi, hi_inc))}: extended {cls.value} to 0")
+        pieces[0] = ((0.0, True, hi, hi_inc), cls)
+
+    # fill interior gaps
+    filled: list[tuple[_Piece, SuitabilityClass]] = [pieces[0]]
+    for piece, cls in pieces[1:]:
+        (plo, plo_inc, phi, phi_inc), pcls = filled[-1]
+        lo, lo_inc, hi, hi_inc = piece
+        if lo < phi or (lo == phi and lo_inc and phi_inc):
+            raise SpecificationError(
+                f"criterion {spec.id!r}: irreparable overlap between "
+                f"{_piece_str((plo, plo_inc, phi, phi_inc))} and {_piece_str(piece)}"
+            )
+        if lo > phi:
+            mid = phi + (lo - phi) / 2.0
+            if pcls is cls:
+                repairs.append(
+                    f"gap ({phi:g}, {lo:g}) between {pcls.value} pieces: bridged"
+                )
+                filled[-1] = ((plo, plo_inc, lo, not lo_inc), pcls)
+            else:
+                prev_owns_mid = pcls.rank >= cls.rank
+                repairs.append(
+                    f"gap ({phi:g}, {lo:g}): filled to midpoint {mid:g} "
+                    f"({pcls.value} left, {cls.value} right)"
+                )
+                filled[-1] = ((plo, plo_inc, mid, prev_owns_mid), pcls)
+                piece = (mid, not prev_owns_mid, hi, hi_inc)
+        elif lo == phi and not lo_inc and not phi_inc:
+            # single uncovered point; give it to the more suitable side
+            if pcls.rank >= cls.rank:
+                filled[-1] = ((plo, plo_inc, phi, True), pcls)
+            else:
+                piece = (lo, True, hi, hi_inc)
+            repairs.append(f"boundary {phi:g} unowned: assigned to the more suitable side")
+        filled.append((piece, cls))
+
+    # extend to infinity
+    (lo, lo_inc, hi, hi_inc), cls = filled[-1]
+    if math.isfinite(hi):
+        repairs.append(f"gap above {hi:g}: extended {cls.value} to inf")
+        filled[-1] = ((lo, lo_inc, math.inf, False), cls)
+
+    # merge touching same-class neighbors
+    merged: list[tuple[_Piece, SuitabilityClass]] = []
+    for piece, cls in filled:
+        if merged and merged[-1][1] is cls:
+            (plo, plo_inc, phi, phi_inc), _ = merged[-1]
+            lo, lo_inc, hi, hi_inc = piece
+            if phi == lo and (phi_inc != lo_inc):
+                merged[-1] = ((plo, plo_inc, hi, hi_inc), cls)
+                continue
+        merged.append((piece, cls))
+
+    segments = tuple(
+        Segment(lo, lo_inc, hi, hi_inc, cls) for (lo, lo_inc, hi, hi_inc), cls in merged
+    )
+    _check_partition(spec.id, segments)
+    _check_direction(spec.id, spec.direction, segments)
+
+    return NormalizedCriterion(
+        id=spec.id,
+        kind=spec.kind,
+        direction=spec.direction,
+        segments=segments,
+        layer_ref=spec.layer_ref,
+        repairs=tuple(repairs),
+    )
+
+
+def _normalized_outcome(normalize, spec: CriterionSpec):
+    """The segments (bounds by ``repr``, so with their sign) and repairs
+    ``normalize`` gives ``spec``, or the text of its SpecificationError."""
+    try:
+        norm = normalize(spec)
+    except SpecificationError as exc:
+        return str(exc)
+    return ([(repr(s.lo), s.lo_inc, repr(s.hi), s.hi_inc, s.cls) for s in norm.segments],
+            norm.repairs)
+
+
+def _unsigned(x):
+    return 0.0 if x == 0 else x
+
+
+def check_normalizes_like_reference(spec: CriterionSpec):
+    """Assert ``validate_spec`` gives ``spec`` the segments, repairs or
+    error text ``reference_normalize`` gives it with its -0.0 edges read as
+    0.0, and return that outcome."""
+    unsigned = dataclasses.replace(spec, bands=tuple(
+        Band(_unsigned(b.lo), _unsigned(b.hi), b.cls) for b in spec.bands))
+    want = _normalized_outcome(reference_normalize, unsigned)
+    got = _normalized_outcome(validate_spec, spec)
+    assert got == want, (spec, got, want)
+    return got
 
 
 # --- polygons from coordinate pairs -------------------------------------------

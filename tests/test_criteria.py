@@ -1,10 +1,13 @@
+import collections
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
 
 from branchsite.criteria import (
+    _DIRECTIONS,
     Band,
     CriterionSpec,
     ScoreScheme,
@@ -15,7 +18,12 @@ from branchsite.criteria import (
 )
 from branchsite.errors import InputError, SpecificationError
 
-from helpers import _classify_scores, segment_contains
+from helpers import (
+    _classify_scores,
+    check_normalizes_like_reference,
+    reference_normalize,
+    segment_contains,
+)
 
 HIGH = SuitabilityClass.HIGH_SUITABLE
 SUIT = SuitabilityClass.SUITABLE
@@ -108,6 +116,60 @@ class TestClassify:
             classify(validate_spec(MAIN_STREET), -1.0)
 
 
+def band_tables(st, wild=False):
+    """Strategy for a tuple of 1 to 5 drawn bands. A coarse lattice of edges
+    makes point, touching and overlapping bands and shared gap midpoints
+    common; free floats cover the rest. ``wild`` also draws signed zeros,
+    edges near the float maximum, invalid minima (negative, NaN, inf),
+    explicit inf maxima and maxima below their minima. No NaN maximum is
+    drawn beside a valid minimum."""
+    edge = st.one_of(st.integers(0, 12).map(lambda k: k * 12.5), st.floats(0.0, 200.0))
+    shapes = ["point", "bounded", "unbounded"]
+    if wild:
+        edge = st.one_of(edge, st.sampled_from([0.0, -0.0]),
+                         st.floats(1e307, sys.float_info.max))
+        shapes.append("inf")
+    bad_low = st.sampled_from([-1.0, -5e-324, math.nan, math.inf])
+
+    @st.composite
+    def bands(draw):
+        out = []
+        for _ in range(draw(st.integers(1, 5))):
+            # a wild band is invalid one time in ten: a bad minimum or hi < lo
+            fault = draw(st.integers(0, 19)) if wild else None
+            lo = draw(bad_low if fault == 0 else edge)
+            shape = "reversed" if fault == 1 else draw(st.sampled_from(shapes))
+            hi = {"point": lambda: lo, "bounded": lambda: lo + draw(edge),
+                  "unbounded": lambda: None, "inf": lambda: math.inf,
+                  "reversed": lambda: math.nextafter(lo, -math.inf)}[shape]()
+            out.append(Band(lo, hi, draw(st.sampled_from([HIGH, SUIT, NON]))))
+        return tuple(out)
+
+    return bands()
+
+
+def check_against_reference(hypothesis, examples: int) -> collections.Counter:
+    """Check ``validate_spec`` against ``reference_normalize`` on
+    ``examples`` wild band tables of every kind and direction, drawn from
+    a fixed seed; count the tables that normalize clean, with repairs, or
+    not at all."""
+    st = hypothesis.strategies
+    outcomes = collections.Counter()
+
+    @hypothesis.settings(max_examples=examples, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(bands=band_tables(st, wild=True),
+                      kind=st.sampled_from(["distance", "density"]),
+                      direction=st.sampled_from(_DIRECTIONS))
+    def check(bands, kind, direction):
+        got = check_normalizes_like_reference(
+            CriterionSpec(id="drawn", kind=kind, direction=direction, bands=bands))
+        outcomes["rejected" if isinstance(got, str) else "repaired" if got[1] else "clean"] += 1
+
+    check()
+    return outcomes
+
+
 class TestSegmentIndex:
     """The band lookup shared by classify and the rasters, against the
     per-segment comparison rules it replaced."""
@@ -116,21 +178,11 @@ class TestSegmentIndex:
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
         scheme = ScoreScheme()
-        # a coarse lattice makes point, touching and overlapping bands and
-        # shared gap midpoints common; free floats cover the rest
-        edge = st.one_of(st.integers(0, 12).map(lambda k: k * 12.5),
-                         st.floats(0.0, 200.0))
 
         @st.composite
         def specs(draw):
-            bands = []
-            for _ in range(draw(st.integers(1, 5))):
-                lo = draw(edge)
-                shape = draw(st.sampled_from(["point", "bounded", "unbounded"]))
-                hi = {"point": lo, "bounded": lo + draw(edge), "unbounded": None}[shape]
-                bands.append(Band(lo, hi, draw(st.sampled_from([HIGH, SUIT, NON]))))
             spec = CriterionSpec(id="drawn", kind=draw(st.sampled_from(["distance", "density"])),
-                                 direction="band", bands=tuple(bands))
+                                 direction="band", bands=draw(band_tables(st)))
             try:
                 return validate_spec(spec)
             except SpecificationError:
@@ -283,3 +335,34 @@ class TestValidateSpec:
     def test_unknown_kind_rejected(self):
         with pytest.raises(SpecificationError):
             CriterionSpec(id="x", kind="mystery", bands=(Band(0, 1, HIGH),))
+
+
+class TestReferenceNormalize:
+    """The one sweep over the band edges against the interval-subtraction
+    normalizer it replaced, ``reference_normalize`` in ``tests/helpers.py``:
+    the same segments bit for bit, the same repairs in order and the same
+    error text, once -0.0 edges read as 0.0. CI repeats the drawn tables
+    20,000 times."""
+
+    def test_drawn_band_tables(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        outcomes = check_against_reference(hypothesis, 400)
+        assert min(outcomes[k] for k in ("clean", "repaired", "rejected")) >= 10, outcomes
+
+    def test_nan_maximum_rejected(self):
+        spec = CriterionSpec(id="x", kind="distance",
+                             bands=(Band(0, 100, HIGH), Band(50, math.nan, NON)))
+        with pytest.raises(SpecificationError, match=r"'x': band \[50.0, nan\]"):
+            validate_spec(spec)
+
+    def test_negative_zero_edge_reads_as_zero(self):
+        spec = CriterionSpec(id="z", kind="distance",
+                             bands=(Band(0, 10, HIGH), Band(-0.0, 5, NON)))
+        assert validate_spec(spec).repairs == (
+            "overlap on [0, 5] claimed by both high and non; kept for high",
+            "gap above 10: extended high to inf",
+        )
+        assert reference_normalize(spec).repairs[0].startswith("overlap on [-0, 5]")
+        lone = CriterionSpec(id="z", kind="distance", bands=(Band(-0.0, None, HIGH),))
+        assert repr(validate_spec(lone).segments[0].lo) == "0.0"
+        assert repr(reference_normalize(lone).segments[0].lo) == "-0.0"

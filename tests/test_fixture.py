@@ -1,8 +1,8 @@
 """The demo project's construction guarantees, re-derived from the constants
 of ``branchsite.fixture``: the seed cells' spacing, their clearance from
 existing branches and competitors, their demand areas, and the 90/96/100
-coverage optima over the 23 merged candidates; and the bytes of the files
-the fixture writes at other seeds."""
+coverage optima over the 23 merged candidates; the bytes of the files the
+fixture writes at other seeds; and that it writes them all or nothing."""
 
 import hashlib
 import itertools
@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from branchsite import cli
 from branchsite.fixture import (
     ALL_PEAKS,
     CITY_BOUNDS,
@@ -206,3 +207,14 @@ def test_seeded_fixture_matches_golden_digests(tmp_path, seed):
     got = {str(p.relative_to(tmp_path)): hashlib.sha256(p.read_bytes()).hexdigest()
            for p in tmp_path.rglob("*") if p.is_file()}
     assert got == FIXTURE_DIGESTS[seed]
+
+
+def test_fixture_replaces_no_file_when_a_later_target_is_a_directory(tmp_path):
+    write_fixture(tmp_path)
+    hotels = tmp_path / "layers" / "hotels.geojson"
+    before = hotels.read_bytes()
+    (tmp_path / "project.json").unlink()
+    (tmp_path / "project.json").mkdir()
+    assert cli.main(["--seed", "3", "--out", str(tmp_path), "fixture"]) == 4
+    assert hotels.read_bytes() == before
+    assert not list(tmp_path.rglob("*.tmp"))

@@ -9,8 +9,10 @@ most suitable class whose bands hold it, so overlaps and shared boundaries
 go to the more suitable side. A gap is an open stretch that no band holds:
 below the lowest edge and above the highest the nearest run is extended,
 between runs of one class it is bridged, and between two classes it is split
-at its midpoint. Every repair is recorded on the normalized spec. A -0.0
-edge reads as 0.0, and a NaN bound is rejected.
+at its midpoint. A stretch between two adjacent floats holds no value, so it
+is no gap: each of its edges stays with the band that states it. Every
+repair is recorded on the normalized spec. A -0.0 edge reads as 0.0, and a
+NaN bound is rejected.
 
 ``segment_index`` is the one rule for which segment holds a value: it
 serves ``classify`` one value at a time and the raster overlay a whole
@@ -220,7 +222,9 @@ def _normalize_numeric(spec: CriterionSpec) -> NormalizedCriterion:
                            f"{kept} and {_BY_RANK[low].value}; kept for {kept}")
 
     # Every edge belongs to a band that states it, so consecutive owned runs
-    # either touch or leave one open stretch between two edges unowned.
+    # either touch or leave one open stretch between two edges unowned. A
+    # stretch between two adjacent floats holds no value: it needs no repair,
+    # and each edge stays with the band that states it.
     owned = [[*run[:4], _BY_RANK[run[4]]] for run in runs(lambda cut: cut[1])]
     first = owned[0]
     if first[0] > 0.0:
@@ -231,18 +235,23 @@ def _normalize_numeric(spec: CriterionSpec) -> NormalizedCriterion:
         prev = filled[-1]
         phi, lo, pcls, cls = prev[2], run[0], prev[4], run[4]
         if lo > phi:
+            empty = math.nextafter(phi, math.inf) == lo
             if pcls is cls:
-                repairs.append(f"gap ({phi:g}, {lo:g}) between {cls.value} pieces: bridged")
+                if not empty:
+                    repairs.append(f"gap ({phi:g}, {lo:g}) between {cls.value} pieces: bridged")
                 prev[2:4] = run[2:4]
                 continue
-            mid = phi + (lo - phi) / 2.0
-            prev_owns_mid = pcls.rank > cls.rank
-            repairs.append(
-                f"gap ({phi:g}, {lo:g}): filled to midpoint {mid:g} "
-                f"({pcls.value} left, {cls.value} right)"
-            )
-            prev[2:4] = mid, prev_owns_mid
-            run[:2] = mid, not prev_owns_mid
+            if empty:
+                run[:2] = phi, False
+            else:
+                mid = phi + (lo - phi) / 2.0
+                prev_owns_mid = pcls.rank > cls.rank
+                repairs.append(
+                    f"gap ({phi:g}, {lo:g}): filled to midpoint {mid:g} "
+                    f"({pcls.value} left, {cls.value} right)"
+                )
+                prev[2:4] = mid, prev_owns_mid
+                run[:2] = mid, not prev_owns_mid
         filled.append(run)
     last = filled[-1]
     if math.isfinite(last[2]):

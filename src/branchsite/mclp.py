@@ -126,9 +126,6 @@ class _SolverView(NamedTuple):   # what the solvers read, once per instance
 
 class _Search(NamedTuple):      # what ``solve_exact`` reads, once per instance
     free: list[int]             # the columns that are not fixed open
-    hit: np.ndarray             # bool coverage of the free columns
-    reach: np.ndarray           # column k: what free columns k on can cover
-    table: np.ndarray           # float64 [hit | reach]: one product, both gains
     covered: np.ndarray         # what the fixed-open sites cover
     z: float                    # their objective
     tol: float                  # 1e-9 of the total, or 1 if that is 0
@@ -205,16 +202,13 @@ class MclpInstance:
     def _search(self) -> _Search:
         pops, view = self.populations, self._view
         free = sorted(set(range(len(view.ids))) - set(view.fixed))
-        hit = view.cols[:, free] > 0
-        reach, table = _reach_table(hit)
         covered = (view.cols[:, view.fixed] > 0).any(axis=1)
+        covered.flags.writeable = False   # every p's search reads it
         total = self.total_population
         tol = 1e-9 * total or 1.0
         exact = total < 2.0 ** 53 and (pops == np.floor(pops)).all()
-        for a in (hit, reach, table, covered):   # every p's search reads them
-            a.flags.writeable = False
-        return _Search(free, hit, reach, table, covered, _objective(pops, covered),
-                       tol, 0.0 if exact else tol)
+        return _Search(free, covered, _objective(pops, covered), tol,
+                       0.0 if exact else tol)
 
     @functools.cached_property
     def _root_lam(self) -> list[np.ndarray]:
@@ -430,9 +424,9 @@ def solve_exact(inst: MclpInstance, p: int, override_cap: bool = False) -> MclpS
 
     Candidates are explored in ascending id order with an include-first
     strategy, so subsets are enumerated in lexicographic order of their
-    sorted ids. The search arrays (free columns, what each suffix of them
-    can reach, the tolerances) do not depend on p: each instance prepares
-    them once (``MclpInstance._search``). A node with covered areas C, free
+    sorted ids. The free columns, what the fixed-open sites cover and the
+    tolerances do not depend on p: each instance prepares them once
+    (``MclpInstance._search``). A node with covered areas C, free
     columns F (positions ``start`` on) and s open slots is pruned by two
     upper bounds on the best completion:
 
@@ -458,8 +452,8 @@ def solve_exact(inst: MclpInstance, p: int, override_cap: bool = False) -> MclpS
     lowest bound L it met, it fixes out each free column j for which the
     bound with j forced in, L - c_(s) + c_j (c_(s) the s-th largest c), is
     cut (Fisher 1981). No column is fixed in. The search then runs on the
-    kept columns only, with ``hit``, ``reach`` and ``table`` narrowed to
-    them once per p.
+    kept columns only: ``hit``, ``reach`` and ``table`` are built over them
+    once per p.
 
     A node with one slot left evaluates its leaves in closed form, in place
     of a chain of one-slot nodes that each redo the gains and the sort: the
@@ -494,7 +488,7 @@ def solve_exact(inst: MclpInstance, p: int, override_cap: bool = False) -> MclpS
         )
     view = _prepare(inst, p)
     pops, fixed = inst.populations, view.fixed
-    free, hit, reach, table, covered, z, tol, slack = inst._search
+    free, covered, z, tol, slack = inst._search
     best_z = _greedy_swap_rows(inst, p)[-1].objective - tol
     best_sel: list[int] = []
     slots = p - len(fixed)
@@ -502,11 +496,11 @@ def solve_exact(inst: MclpInstance, p: int, override_cap: bool = False) -> MclpS
     def cut(bound):
         return bound + slack <= best_z
 
-    kept = range(len(free))
+    kept = free
     if slots > 1:
         kept = _root_kept(inst, slots, best_z - z, lambda bound: cut(z + bound + tol))
-        hit = hit[:, kept]
-        reach, table = _reach_table(hit)
+    hit = view.cols[:, kept] > 0
+    reach, table = _reach_table(hit)
     nfree = len(kept)
 
     def dfs(start: int, chosen: list[int], covered: np.ndarray, z: float,
@@ -539,7 +533,7 @@ def solve_exact(inst: MclpInstance, p: int, override_cap: bool = False) -> MclpS
     if slots > 0:   # else the fixed-open sites are the only p-set
         dfs(0, [], covered, z, inst._root_lam[0])
     del dfs   # it refers to itself: free the narrowed arrays now, not at a gc pass
-    chosen_ids = [view.ids[k] for k in fixed + [free[kept[i]] for i in best_sel]]
+    chosen_ids = [view.ids[k] for k in fixed + [kept[i] for i in best_sel]]
     return _finish_solution(inst, chosen_ids, METHOD_EXACT, optimal=True)
 
 
@@ -551,17 +545,17 @@ _DEFLECTION = 1.5       # gamma of Camerini, Fratta & Maffioli (1975)
 
 def _root_kept(inst: MclpInstance, slots: int, target: float, cut) -> list[int]:
     """The root of ``solve_exact``: the long descent, from the multipliers
-    of the budget solved last, then the positions of the free columns that
-    are not fixed out, ascending. ``cut`` is the Lagrangian cut of the root."""
+    of the budget solved last, then the free columns that are not fixed
+    out, ascending. ``cut`` is the Lagrangian cut of the root."""
     pops, search, warm = inst.populations, inst._search, inst._root_lam
-    rows = ~search.covered & search.reach[:, 0]
-    cols = search.table[:, :len(search.free)]
+    cols = inst._view.cols[:, search.free]
+    rows = ~search.covered & (cols > 0).any(axis=1)
     warm[0] = _lagrange_cut(warm[0], rows, pops, cols, slots, target, cut, _ROOT_STEPS)
     mult = warm[0][rows]
     c = mult @ cols[rows]
     top = np.sort(c)[c.size - slots:]
     bound = float((pops[rows] - mult).sum() + top.sum())
-    return np.flatnonzero(~cut(bound - top[0] + c)).tolist()
+    return [search.free[k] for k in np.flatnonzero(~cut(bound - top[0] + c))]
 
 
 def _lagrange_cut(lam: np.ndarray, open_rows: np.ndarray, pops: np.ndarray,

@@ -3,9 +3,11 @@
 Weights are the normalized principal right eigenvector of a reciprocal
 judgment matrix, found by deterministic power iteration. The consistency
 ratio CR = ((lambda_max - n) / (n - 1)) / RI(n) gates every matrix before
-hierarchy synthesis multiplies local weights down to the leaves. Each
-matrix computes its eigenpair once and keeps it, so gating a hierarchy
-again and synthesizing its weights repeat no iteration.
+hierarchy synthesis multiplies local weights down to the leaves in one pass
+over the internal nodes, in the pre-order of the hierarchy's one walk, made
+without recursion at construction. Each matrix computes its eigenpair once
+and keeps it, so gating a hierarchy again and synthesizing its weights
+repeat no iteration.
 """
 
 from __future__ import annotations
@@ -183,11 +185,15 @@ class HierarchyNode:
 
 @dataclass(frozen=True)
 class Hierarchy:
-    """Goal-to-leaves tree with one comparison matrix per multi-child node."""
+    """Goal-to-leaves tree with one comparison matrix per multi-child node.
+    Construction walks it once on an explicit stack, so any depth loads:
+    ``order`` holds the internal nodes in pre-order, ``leaves()`` the leaves.
+    A child met twice has two parents; one that is the root closes a cycle."""
 
     nodes: tuple[HierarchyNode, ...]
     root: str
-    node_index: dict[str, HierarchyNode] = field(init=False, compare=False, repr=False)
+    order: tuple[HierarchyNode, ...] = field(init=False, compare=False, repr=False)
+    _leaves: tuple[str, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         index = {n.id: n for n in self.nodes}
@@ -195,42 +201,35 @@ class Hierarchy:
             raise ConfigError("hierarchy node ids must be unique")
         if self.root not in index:
             raise ConfigError(f"hierarchy root {self.root!r} is not a declared node")
-        object.__setattr__(self, "node_index", index)
 
+        order = [index[self.root]]
+        leaves: list[str] = []
         seen_children: set[str] = set()
-        visited: set[str] = set()
-
-        def rec(node_id: str, visiting: frozenset[str]):
-            if node_id in visiting:
-                raise ConfigError(f"hierarchy contains a cycle through {node_id!r}")
-            node = index.get(node_id)
-            if node is None:
-                return  # a leaf (criterion id)
-            visited.add(node_id)
-            for child in node.children:
+        stack = [iter(order[0].children)]
+        while stack:
+            for child in stack[-1]:
                 if child in seen_children:
                     raise ConfigError(f"{child!r} appears under two hierarchy parents")
                 seen_children.add(child)
-                rec(child, visiting | {node_id})
-
-        rec(self.root, frozenset())
-        unreachable = set(index) - visited
+                if child == self.root:
+                    raise ConfigError(f"hierarchy contains a cycle through {child!r}")
+                node = index.get(child)
+                if node is None:
+                    leaves.append(child)  # a criterion id
+                else:
+                    order.append(node)
+                    stack.append(iter(node.children))
+                    break
+            else:
+                stack.pop()
+        unreachable = set(index) - {n.id for n in order}
         if unreachable:
             raise ConfigError(f"hierarchy nodes unreachable from root: {sorted(unreachable)}")
+        object.__setattr__(self, "order", tuple(order))
+        object.__setattr__(self, "_leaves", tuple(leaves))
 
     def leaves(self) -> tuple[str, ...]:
-        out: list[str] = []
-
-        def rec(node_id: str):
-            node = self.node_index.get(node_id)
-            if node is None:
-                out.append(node_id)
-                return
-            for child in node.children:
-                rec(child)
-
-        rec(self.root)
-        return tuple(out)
+        return self._leaves
 
     def matrices(self) -> tuple[ComparisonMatrix, ...]:
         return tuple(n.matrix for n in self.nodes if n.matrix is not None)
@@ -255,25 +254,14 @@ def synthesize(hierarchy: Hierarchy, threshold: float = DEFAULT_CR_THRESHOLD) ->
     """
     gate_hierarchy(hierarchy, threshold)
 
-    leaf_ids: list[str] = []
-    leaf_weights: list[float] = []
-
-    def rec(node_id: str, acc: float):
-        node = hierarchy.node_index.get(node_id)
-        if node is None:
-            leaf_ids.append(node_id)
-            leaf_weights.append(acc)
-            return
-        if node.matrix is None:
-            local = {node.children[0]: 1.0}
-        else:
-            local = principal_weights(node.matrix).as_dict()
-        for child in node.children:
-            rec(child, acc * local[child])
-
-    rec(hierarchy.root, 1.0)
+    acc = {hierarchy.root: 1.0}
+    for node in hierarchy.order:
+        local = (1.0,) if node.matrix is None else principal_weights(node.matrix).values
+        for child, w in zip(node.children, local):
+            acc[child] = acc[node.id] * w
+    leaf_weights = [acc[leaf] for leaf in hierarchy.leaves()]
     total = sum(leaf_weights)
-    return WeightVector(tuple(leaf_ids), tuple(w / total for w in leaf_weights))
+    return WeightVector(hierarchy.leaves(), tuple(w / total for w in leaf_weights))
 
 
 def load_matrix_csv(path: str | Path, matrix_id: str | None = None) -> ComparisonMatrix:

@@ -7,8 +7,9 @@ as the reference for the one-sweep normalizer, the per-cell
 point-in-polygon kernel and full-grid references for the overlay kernels,
 the distance kernel and the containment kernels on one point, polygons
 from coordinate pairs, the scalar ring checks as references for the
-one-pass ring check, consistent judgment matrices, and readers for the
-Esri ASCII grids and the coverage table."""
+one-pass ring check, consistent judgment matrices, the recursive hierarchy
+walk as the reference for the one-stack walk, and readers for the Esri
+ASCII grids and the coverage table."""
 
 import csv
 import dataclasses
@@ -52,8 +53,15 @@ from branchsite.mclp import (
     _matrix,
     build_coverage,
 )
-from branchsite.errors import DomainError, InputError, SpecificationError
-from branchsite.weights import ComparisonMatrix
+from branchsite.errors import ConfigError, DomainError, InputError, SpecificationError
+from branchsite.weights import (
+    DEFAULT_CR_THRESHOLD,
+    ComparisonMatrix,
+    HierarchyNode,
+    WeightVector,
+    gate_hierarchy,
+    principal_weights,
+)
 from branchsite.overlay import (
     NODATA,
     GridSpec,
@@ -661,14 +669,28 @@ def _unsigned(x):
     return 0.0 if x == 0 else x
 
 
+def has_empty_gap(spec: CriterionSpec) -> bool:
+    """Whether two stated edges of ``spec`` are adjacent floats and no band
+    holds the open stretch between them, which holds no value."""
+    bands = [(b.lo, math.inf if b.hi is None else b.hi) for b in spec.bands]
+    edges = sorted({x for band in bands for x in band} - {math.inf})
+    return any(math.nextafter(a, math.inf) == b
+               and not any(lo <= a and b <= hi for lo, hi in bands)
+               for a, b in zip(edges, edges[1:]))
+
+
 def check_normalizes_like_reference(spec: CriterionSpec):
     """Assert ``validate_spec`` gives ``spec`` the segments, repairs or
     error text ``reference_normalize`` gives it with its -0.0 edges read as
-    0.0, and return that outcome."""
+    0.0, and return that outcome. A table that normalizes and has an empty
+    gap is not compared, and None returned: the reference repairs such a
+    gap, ``validate_spec`` leaves each of its edges with its band."""
+    got = _normalized_outcome(validate_spec, spec)
+    if not isinstance(got, str) and has_empty_gap(spec):
+        return None
     unsigned = dataclasses.replace(spec, bands=tuple(
         Band(_unsigned(b.lo), _unsigned(b.hi), b.cls) for b in spec.bands))
     want = _normalized_outcome(reference_normalize, unsigned)
-    got = _normalized_outcome(validate_spec, spec)
     assert got == want, (spec, got, want)
     return got
 
@@ -1057,3 +1079,96 @@ def consistent_matrix(matrix_id: str, items: Sequence[str],
     w = list(weights)
     rows = tuple(tuple(wi / wj for wj in w) for wi in w)
     return ComparisonMatrix(id=matrix_id, items=tuple(items), rows=rows)
+
+
+# --- the recursive hierarchy walk ---------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class _ReferenceHierarchy:
+    """The hierarchy as ``weights.Hierarchy`` was before its walk took one
+    explicit stack: validated, listed and synthesized by recursion."""
+
+    nodes: tuple[HierarchyNode, ...]
+    root: str
+    node_index: dict = dataclasses.field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        index = {n.id: n for n in self.nodes}
+        if len(index) != len(self.nodes):
+            raise ConfigError("hierarchy node ids must be unique")
+        if self.root not in index:
+            raise ConfigError(f"hierarchy root {self.root!r} is not a declared node")
+        object.__setattr__(self, "node_index", index)
+
+        seen_children: set[str] = set()
+        visited: set[str] = set()
+
+        def rec(node_id: str, visiting: frozenset[str]):
+            if node_id in visiting:
+                raise ConfigError(f"hierarchy contains a cycle through {node_id!r}")
+            node = index.get(node_id)
+            if node is None:
+                return  # a leaf (criterion id)
+            visited.add(node_id)
+            for child in node.children:
+                if child in seen_children:
+                    raise ConfigError(f"{child!r} appears under two hierarchy parents")
+                seen_children.add(child)
+                rec(child, visiting | {node_id})
+
+        rec(self.root, frozenset())
+        unreachable = set(index) - visited
+        if unreachable:
+            raise ConfigError(f"hierarchy nodes unreachable from root: {sorted(unreachable)}")
+
+    def leaves(self) -> tuple[str, ...]:
+        out: list[str] = []
+
+        def rec(node_id: str):
+            node = self.node_index.get(node_id)
+            if node is None:
+                out.append(node_id)
+                return
+            for child in node.children:
+                rec(child)
+
+        rec(self.root)
+        return tuple(out)
+
+    def matrices(self) -> tuple[ComparisonMatrix, ...]:
+        return tuple(n.matrix for n in self.nodes if n.matrix is not None)
+
+
+def _reference_synthesize(hierarchy: _ReferenceHierarchy,
+                          threshold: float = DEFAULT_CR_THRESHOLD) -> WeightVector:
+    gate_hierarchy(hierarchy, threshold)
+
+    leaf_ids: list[str] = []
+    leaf_weights: list[float] = []
+
+    def rec(node_id: str, acc: float):
+        node = hierarchy.node_index.get(node_id)
+        if node is None:
+            leaf_ids.append(node_id)
+            leaf_weights.append(acc)
+            return
+        if node.matrix is None:
+            local = {node.children[0]: 1.0}
+        else:
+            local = principal_weights(node.matrix).as_dict()
+        for child in node.children:
+            rec(child, acc * local[child])
+
+    rec(hierarchy.root, 1.0)
+    total = sum(leaf_weights)
+    return WeightVector(tuple(leaf_ids), tuple(w / total for w in leaf_weights))
+
+
+def reference_hierarchy(nodes: Sequence[HierarchyNode], root: str,
+                        threshold: float = DEFAULT_CR_THRESHOLD
+                        ) -> tuple[tuple[str, ...], WeightVector]:
+    """The leaves and synthesized weights of the hierarchy, by the recursive
+    walk; raises what that walk or the gate raises."""
+    h = _ReferenceHierarchy(tuple(nodes), root)
+    return h.leaves(), _reference_synthesize(h, threshold)

@@ -11,6 +11,7 @@ from branchsite.criteria import (
     Band,
     CriterionSpec,
     ScoreScheme,
+    Segment,
     SuitabilityClass,
     classify,
     segment_index,
@@ -152,7 +153,7 @@ def check_against_reference(hypothesis, examples: int) -> collections.Counter:
     """Check ``validate_spec`` against ``reference_normalize`` on
     ``examples`` wild band tables of every kind and direction, drawn from
     a fixed seed; count the tables that normalize clean, with repairs, or
-    not at all."""
+    not at all, and those with an empty gap, which are not compared."""
     st = hypothesis.strategies
     outcomes = collections.Counter()
 
@@ -164,7 +165,8 @@ def check_against_reference(hypothesis, examples: int) -> collections.Counter:
     def check(bands, kind, direction):
         got = check_normalizes_like_reference(
             CriterionSpec(id="drawn", kind=kind, direction=direction, bands=bands))
-        outcomes["rejected" if isinstance(got, str) else "repaired" if got[1] else "clean"] += 1
+        outcomes["empty gap" if got is None else "rejected" if isinstance(got, str)
+                 else "repaired" if got[1] else "clean"] += 1
 
     check()
     return outcomes
@@ -341,13 +343,62 @@ class TestReferenceNormalize:
     """The one sweep over the band edges against the interval-subtraction
     normalizer it replaced, ``reference_normalize`` in ``tests/helpers.py``:
     the same segments bit for bit, the same repairs in order and the same
-    error text, once -0.0 edges read as 0.0. CI repeats the drawn tables
-    20,000 times."""
+    error text, once -0.0 edges read as 0.0. Tables with an empty gap, an
+    open stretch between two adjacent floats that no band holds, are not
+    compared: the reference repairs it. CI repeats the drawn tables 20,000
+    times."""
 
     def test_drawn_band_tables(self):
         hypothesis = pytest.importorskip("hypothesis")
         outcomes = check_against_reference(hypothesis, 400)
         assert min(outcomes[k] for k in ("clean", "repaired", "rejected")) >= 10, outcomes
+
+    def test_adjacent_float_edges_keep_their_bands(self):
+        """The open stretch between 10 and the next float holds no value: it
+        is not repaired, and 10 stays with the band that states it."""
+        after = math.nextafter(10.0, math.inf)
+        spec = CriterionSpec(id="x", kind="distance",
+                             bands=(Band(0, 10, NON), Band(after, None, HIGH)))
+        norm = validate_spec(spec)
+        assert norm.segments == (Segment(0.0, True, 10.0, True, NON),
+                                 Segment(10.0, False, math.inf, False, HIGH))
+        assert norm.repairs == ()
+        assert [classify(norm, v) for v in (10.0, after)] == [NON, HIGH]
+        spec = CriterionSpec(id="x", kind="distance", bands=(
+            Band(0, 5, HIGH), Band(10, 10, NON), Band(after, None, SUIT)))
+        norm = validate_spec(spec)
+        assert norm.segments == (Segment(0.0, True, 7.5, True, HIGH),
+                                 Segment(7.5, False, 10.0, True, NON),
+                                 Segment(10.0, False, math.inf, False, SUIT))
+        assert norm.repairs == ("gap (5, 10): filled to midpoint 7.5 (high left, non right)",)
+        assert [classify(norm, v) for v in (10.0, after)] == [NON, SUIT]
+
+    def test_adjacent_float_edges_of_one_class_join(self):
+        spec = CriterionSpec(id="x", kind="distance",
+                             bands=(Band(0, 0, HIGH), Band(5e-324, 5e-324, HIGH)))
+        norm = validate_spec(spec)
+        assert norm.segments == (Segment(0.0, True, math.inf, False, HIGH),)
+        assert norm.repairs == ("gap above 4.94066e-324: extended high to inf",)
+        assert reference_normalize(spec).repairs[0].endswith("between high pieces: bridged")
+
+    def test_stated_edges_go_to_the_most_suitable_band(self):
+        """Every finite edge a band states classifies to the most suitable
+        class among the bands that hold it."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=400, deadline=None)
+        @hypothesis.given(bands=band_tables(st, wild=True))
+        def check(bands):
+            try:
+                norm = validate_spec(CriterionSpec(id="drawn", kind="distance", bands=bands))
+            except SpecificationError:
+                return
+            for x in {x for b in bands for x in (b.lo, b.hi) if x is not None} - {math.inf}:
+                holding = [b.cls for b in bands if b.lo <= x and (b.hi is None or x <= b.hi)]
+                assert classify(norm, x) is max(holding, key=lambda c: c.rank), (bands, x)
+
+        check()
 
     def test_nan_maximum_rejected(self):
         spec = CriterionSpec(id="x", kind="distance",

@@ -463,7 +463,7 @@ class TestSolveExact:
             if not kept:
                 continue
             free, ids = inst._search.free, inst._view.ids
-            out = {ids[free[k]] for k in range(len(free)) if k not in kept[0]}
+            out = {ids[k] for k in free if k not in kept[0]}
             assert not any(out & s for s in optimal_sets(inst, p)), (inst, p, out)
             roots += 1
             fixed_out += len(out)
@@ -477,11 +477,12 @@ class TestSolveExact:
         for c03 and 2.2 for c04. The closed-form last slot must keep c03,
         the lexicographically smaller set."""
         inst = list(fractional_family(17, 159, 14, 8, 0.3, (0.1, 0.2, 0.3)))[158]
-        search, pops = inst._search, inst.populations
-        z = float(mclp._gains(search.table, pops, search.covered)[1])
-        gains = mclp._gains(search.table, pops, search.covered | search.hit[:, 1])
+        table, pops, covered = inst._view.cols, inst.populations, inst._search.covered
+        hit = table > 0
+        z = float(mclp._gains(table, pops, covered)[1])
+        gains = mclp._gains(table, pops, covered | hit[:, 1])
         assert z + gains[3] < z + gains[4]
-        leaves = [float(pops[search.hit[:, [1, j]].any(axis=1)].sum()) for j in (3, 4)]
+        leaves = [float(pops[hit[:, [1, j]].any(axis=1)].sum()) for j in (3, 4)]
         z_star, sel = enumerate_optimum(inst, 2)
         assert leaves == [z_star, z_star] and sel == ("c01", "c03")
         sol = solve_exact(inst, 2)
@@ -831,10 +832,8 @@ class TestSolverViewReadOnly:
         with pytest.raises(ValueError, match="read-only"):
             view.cols[0, 0] = 0.0
         assert mclp._prepare(GREEDY_TRAP, 2) is view
-        search = GREEDY_TRAP._search
-        for array in (search.hit, search.reach, search.table, search.covered):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            GREEDY_TRAP._search.covered[0] = 0
 
     @pytest.mark.parametrize("with_matrix", [True, False])
     def test_read_instance_columns_refuse_writes(self, with_matrix):

@@ -1,3 +1,5 @@
+import collections
+import itertools
 import random
 
 import numpy as np
@@ -17,7 +19,7 @@ from branchsite.weights import (
     synthesize,
 )
 
-from helpers import consistent_matrix
+from helpers import consistent_matrix, reference_hierarchy
 
 
 def oracle_cr(matrix: ComparisonMatrix) -> float:
@@ -249,6 +251,135 @@ class TestSynthesize:
                 ),
                 root="goal",
             )
+
+
+class TestHierarchyWalk:
+    def test_cycle_through_root_rejected(self):
+        with pytest.raises(ConfigError) as exc:
+            Hierarchy(nodes=(HierarchyNode("goal", ("a",)), HierarchyNode("a", ("goal",))),
+                      root="goal")
+        assert str(exc.value) == "hierarchy contains a cycle through 'goal'"
+
+    def test_cycle_below_root_names_the_second_parent(self):
+        """A cycle that does not pass through the root reaches a node that
+        already has a parent, and that is the error it reports."""
+        with pytest.raises(ConfigError) as exc:
+            Hierarchy(nodes=(HierarchyNode("goal", ("a",)), HierarchyNode("a", ("b",)),
+                             HierarchyNode("b", ("a",))), root="goal")
+        assert str(exc.value) == "'a' appears under two hierarchy parents"
+
+    def test_unreachable_nodes_rejected(self):
+        with pytest.raises(ConfigError) as exc:
+            Hierarchy(nodes=(HierarchyNode("z", ("y",)), HierarchyNode("goal", ("leaf",)),
+                             HierarchyNode("y", ("z",))), root="goal")
+        assert str(exc.value) == "hierarchy nodes unreachable from root: ['y', 'z']"
+
+    def test_deep_chain_gives_the_flat_weights(self):
+        """A 5,000-deep chain of single-child nodes above one leaf loads and
+        leaves every weight's bits as the flat tree has them."""
+        root = consistent_matrix("root", ("left", "right"), (0.7, 0.3))
+        right = consistent_matrix("right", ("r1", "r2"), (0.2, 0.8))
+
+        def tree(left_children, *chain):
+            left = consistent_matrix("left", left_children, (0.35, 0.65))
+            return Hierarchy(nodes=(HierarchyNode("goal", ("left", "right"), root),
+                                    HierarchyNode("left", left_children, left),
+                                    HierarchyNode("right", ("r1", "r2"), right), *chain),
+                             root="goal")
+
+        depth = 5_000
+        chain = [HierarchyNode(f"k{i}", (f"k{i + 1}",)) for i in range(depth - 1)]
+        chain.append(HierarchyNode(f"k{depth - 1}", ("l1",)))
+        flat = synthesize(tree(("l1", "l2")))
+        deep = tree(("k0", "l2"), *chain)
+        assert deep.leaves() == flat.items == ("l1", "l2", "r1", "r2")
+        assert synthesize(deep) == flat
+
+    def test_matches_recursive_walk(self):
+        """Error class and text, leaf order and weight bits equal those of
+        the recursive walk on seeded random hierarchies, valid and not."""
+        rng = random.Random(2024)
+        outcomes = collections.Counter()
+        for _ in range(2_000):
+            nodes, root = random_hierarchy(rng)
+            want = _outcome(lambda: reference_hierarchy(nodes, root))
+            got = _outcome(lambda: _walk(nodes, root))
+            assert got == want, (nodes, root)
+            outcomes[want[0]] += 1
+        # every outcome the walk can reach was drawn
+        assert all(outcomes[k] >= 20 for k in (
+            "ok", "two hierarchy parents", "cycle through", "unreachable from root",
+            "must be unique", "not a declared node", "GateError")), outcomes
+
+
+def _walk(nodes, root):
+    h = Hierarchy(nodes=tuple(nodes), root=root)
+    return h.leaves(), synthesize(h)
+
+
+def _outcome(run):
+    try:
+        leaves, w = run()
+    except (ConfigError, GateError) as exc:
+        kind = next((k for k in ("two hierarchy parents", "cycle through",
+                                 "unreachable from root", "must be unique",
+                                 "not a declared node") if k in str(exc)), "GateError")
+        return kind, type(exc), str(exc)
+    return "ok", leaves, w.items, tuple(v.hex() for v in w.values)
+
+
+def random_hierarchy(rng: random.Random):
+    """A random tree of up to six nodes over up to eight leaves, then none,
+    one or two faults: a second parent, a cycle through the root or below
+    it, unreachable nodes, a duplicate node id or an undeclared root. One
+    matrix in five is a random Saaty-scale table, which may fail the gate."""
+    ids = [f"n{i}" for i in range(rng.randint(1, 6))]
+    children = {nid: [] for nid in ids}
+    for i, nid in enumerate(ids[1:], start=1):
+        children[rng.choice(ids[:i])].append(nid)
+    for leaf in range(rng.randint(1, 8)):
+        children[rng.choice(ids)].append(f"c{leaf}")
+    root = ids[0]
+    extra = []
+    for fault in rng.sample(("parent", "root cycle", "cycle", "unreachable",
+                             "duplicate", "missing root"), rng.choice((0, 0, 1, 2))):
+        if fault == "parent":
+            child = rng.choice([c for kids in children.values() for c in kids] or [root])
+            children[rng.choice(ids)].append(child)
+        elif fault == "root cycle":
+            children[rng.choice(ids)].append(root)
+        elif fault == "cycle":
+            children[rng.choice(ids)].append(rng.choice(ids[1:] or ids))
+        elif fault == "unreachable":
+            children["u0"] = ["u1"] if rng.random() < 0.5 else ["x0"]
+            children["u1"] = ["u0"]
+        elif fault == "duplicate":
+            extra.append(rng.choice(ids))
+        else:
+            root = "missing"
+    for nid, kids in children.items():
+        kids[:] = dict.fromkeys(kids) or [f"{nid}_leaf"]
+        rng.shuffle(kids)
+    nodes = [_random_node(rng, nid, tuple(kids)) for nid, kids in children.items()]
+    nodes += [_random_node(rng, nid, tuple(children[nid])) for nid in extra]
+    rng.shuffle(nodes)
+    return tuple(nodes), root
+
+
+def _random_node(rng: random.Random, node_id: str, children: tuple[str, ...]) -> HierarchyNode:
+    n = len(children)
+    if n == 1:
+        return HierarchyNode(node_id, children)
+    if rng.random() < 0.2:
+        scale = (1 / 9, 1 / 5, 1 / 3, 1.0, 3.0, 5.0, 9.0)
+        rows = [[1.0] * n for _ in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            rows[i][j] = rng.choice(scale)
+            rows[j][i] = 1.0 / rows[i][j]
+        matrix = ComparisonMatrix(node_id, children, tuple(map(tuple, rows)))
+    else:
+        matrix = consistent_matrix(node_id, children, [rng.uniform(1.0, 8.9) for _ in children])
+    return HierarchyNode(node_id, children, matrix)
 
 
 class TestWeightVector:

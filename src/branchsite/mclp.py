@@ -15,11 +15,11 @@ The bool matrix is the solvers' only representation of coverage. They read
 one float64 0/1 copy of it, taken once per instance, with the columns in
 ascending id order; every marginal gain is one matrix-vector product of the
 uncovered populations with those columns (``_gains``). Ties go to the first
-maximum, the smallest id. Each instance keeps the greedy+swap rows made
-so far, and only finished ones: the exact solver's incumbent for budget p
-is the objective of row p, its search arrays are prepared once per
-instance too, and the instance keeps the root multipliers of the budget
-solved last, which start the next one.
+maximum, the smallest id. An instance caches only what its data determine
+(the view, the exact search arrays), so several threads may solve one
+instance. What a solve writes is the call's: the greedy+swap rows, whose
+row p is the exact incumbent for budget p, and the root multipliers, which
+one exact curve (``_Curve``) shares across its budgets.
 
 Exactness: every comparison of two complete selections (a B&B leaf with
 the incumbent, a swap with the current set) uses the canonical objective,
@@ -210,14 +210,6 @@ class MclpInstance:
         return _Search(free, covered, _objective(pops, covered), tol,
                        0.0 if exact else tol)
 
-    @functools.cached_property
-    def _root_lam(self) -> list[np.ndarray]:
-        return [self.populations / 2]   # the root multipliers of the last budget
-
-    @functools.cached_property
-    def _swap_rows(self) -> list["MclpSolution"]:
-        return []   # the greedy+swap rows made so far, from the smallest p
-
     def to_dict(self) -> dict:
         return {
             "mode": self.mode,
@@ -254,6 +246,13 @@ class MclpInstance:
             return build_coverage(ids, pops, centroids, *cands, standard, mode=mode)
         return cls(ids, pops, centroids, *cands, _matrix(d, len(cands[0])),
                    standard=standard, mode=mode)
+
+
+@dataclass
+class _Curve:                   # what the budgets of one exact curve share
+    p_max: int
+    warm: np.ndarray            # the root multipliers of the budget solved last
+    rows: list[MclpSolution] = field(default_factory=list)   # greedy+swap, to p_max
 
 
 def _reach_table(hit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -419,7 +418,8 @@ def _greedy(view: _SolverView, pops: np.ndarray,
     return picks, gains
 
 
-def solve_exact(inst: MclpInstance, p: int, override_cap: bool = False) -> MclpSolution:
+def solve_exact(inst: MclpInstance, p: int, override_cap: bool = False,
+                curve: _Curve | None = None) -> MclpSolution:
     """Provably optimal solution by depth-first branch and bound.
 
     Candidates are explored in ascending id order with an include-first
@@ -447,9 +447,9 @@ def solve_exact(inst: MclpInstance, p: int, override_cap: bool = False) -> MclpS
 
     The root runs the same descent for up to ``_ROOT_STEPS`` steps, until
     its bound reaches the target or has not fallen for ``_PATIENCE`` steps.
-    It starts from the root multipliers of the budget this instance solved
-    last (``MclpInstance._root_lam``), or from w / 2 on the first. With the
-    lowest bound L it met, it fixes out each free column j for which the
+    It starts from the root multipliers of the curve's budget solved last,
+    or from w / 2 on the first. With the lowest bound L it met, it fixes
+    out each free column j for which the
     bound with j forced in, L - c_(s) + c_j (c_(s) the s-th largest c), is
     cut (Fisher 1981). No column is fixed in. The search then runs on the
     kept columns only: ``hit``, ``reach`` and ``table`` are built over them
@@ -465,10 +465,10 @@ def solve_exact(inst: MclpInstance, p: int, override_cap: bool = False) -> MclpS
     A leaf is valued by the canonical objective and replaces the incumbent
     when ``z > best_z``. The incumbent starts at the objective of row p of
     the greedy+swap curve minus ``tol`` (1e-9 of the total population), so
-    a leaf equal to that row replaces it. Each instance makes those rows
-    once, for every p asked (``MclpInstance._swap_rows``), and the exact
-    curve makes them to p_max before its second row, from one greedy run; a
-    row is never below the greedy set, whose first p picks it swap-improves.
+    a leaf equal to that row replaces it. ``curve`` (only ``coverage_curve``
+    passes one; a lone call makes its own) holds the rows to p_max, made
+    from one greedy run by its first budget once the cap and the fixed-open
+    count pass; a row is never below the greedy set it swap-improves.
     A subtree is cut when ``bound + slack <= best_z``. The bounds are float
     sums in another order than the objective: ``slack`` is 0 when every
     population is an integer and the total is below 2**53, so that every sum
@@ -489,7 +489,10 @@ def solve_exact(inst: MclpInstance, p: int, override_cap: bool = False) -> MclpS
     view = _prepare(inst, p)
     pops, fixed = inst.populations, view.fixed
     free, covered, z, tol, slack = inst._search
-    best_z = _greedy_swap_rows(inst, p)[-1].objective - tol
+    curve = curve or _Curve(p, pops / 2)
+    if not curve.rows:
+        curve.rows += _greedy_swap_rows(inst, curve.p_max)
+    best_z = curve.rows[p - max(1, len(fixed))].objective - tol
     best_sel: list[int] = []
     slots = p - len(fixed)
 
@@ -498,7 +501,7 @@ def solve_exact(inst: MclpInstance, p: int, override_cap: bool = False) -> MclpS
 
     kept = free
     if slots > 1:
-        kept = _root_kept(inst, slots, best_z - z, lambda bound: cut(z + bound + tol))
+        kept = _root_kept(inst, curve, slots, best_z - z, lambda bound: cut(z + bound + tol))
     hit = view.cols[:, kept] > 0
     reach, table = _reach_table(hit)
     nfree = len(kept)
@@ -531,7 +534,7 @@ def solve_exact(inst: MclpInstance, p: int, override_cap: bool = False) -> MclpS
         dfs(start + 1, chosen, covered, z, lam)
 
     if slots > 0:   # else the fixed-open sites are the only p-set
-        dfs(0, [], covered, z, inst._root_lam[0])
+        dfs(0, [], covered, z, curve.warm)
     del dfs   # it refers to itself: free the narrowed arrays now, not at a gc pass
     chosen_ids = [view.ids[k] for k in fixed + [kept[i] for i in best_sel]]
     return _finish_solution(inst, chosen_ids, METHOD_EXACT, optimal=True)
@@ -543,15 +546,16 @@ _PATIENCE = 20          # steps without a lower bound that end a descent
 _DEFLECTION = 1.5       # gamma of Camerini, Fratta & Maffioli (1975)
 
 
-def _root_kept(inst: MclpInstance, slots: int, target: float, cut) -> list[int]:
-    """The root of ``solve_exact``: the long descent, from the multipliers
-    of the budget solved last, then the free columns that are not fixed
-    out, ascending. ``cut`` is the Lagrangian cut of the root."""
-    pops, search, warm = inst.populations, inst._search, inst._root_lam
+def _root_kept(inst: MclpInstance, curve: _Curve, slots: int, target: float,
+               cut) -> list[int]:
+    """The root of ``solve_exact``: the long descent from ``curve.warm``, which
+    it replaces, then the free columns that are not fixed out, ascending.
+    ``cut`` is the Lagrangian cut of the root."""
+    pops, search = inst.populations, inst._search
     cols = inst._view.cols[:, search.free]
     rows = ~search.covered & (cols > 0).any(axis=1)
-    warm[0] = _lagrange_cut(warm[0], rows, pops, cols, slots, target, cut, _ROOT_STEPS)
-    mult = warm[0][rows]
+    curve.warm = _lagrange_cut(curve.warm, rows, pops, cols, slots, target, cut, _ROOT_STEPS)
+    mult = curve.warm[rows]
     c = mult @ cols[rows]
     top = np.sort(c)[c.size - slots:]
     bound = float((pops[rows] - mult).sum() + top.sum())
@@ -653,11 +657,11 @@ def coverage_curve(inst: MclpInstance, p_max: int,
                    override_cap: bool = False) -> CoverageCurve:
     """Solve for every p in 1..p_max.
 
-    The exact curve is monotone because any p-solution extends to p+1. It
-    solves p = 1 first, so that the size cap and the fixed-open sites are
-    checked before any heuristic work, then makes the greedy+swap rows to
-    p_max from one greedy run: row p is the incumbent of p. The heuristic
-    rows are those of ``solve_greedy_swap``, monotone by construction.
+    The exact curve is monotone because any p-solution extends to p+1. Its
+    budgets share one ``_Curve``: p = 1 checks the size cap and the
+    fixed-open sites, then makes the greedy+swap rows to p_max (the
+    incumbents) from one greedy run. The heuristic rows are those of
+    ``solve_greedy_swap``, monotone by construction.
     """
     if method not in METHODS:
         raise InputError(f"unknown solver method {method!r}")
@@ -665,9 +669,9 @@ def coverage_curve(inst: MclpInstance, p_max: int,
     if not 1 <= p_max <= n:
         raise InputError(f"p_max must be in [1, {n}], got {p_max}")
     if method == METHOD_EXACT:
-        rows = [solve_exact(inst, 1, override_cap=override_cap)]
-        _greedy_swap_rows(inst, p_max)
-        rows += [solve_exact(inst, p, override_cap=override_cap) for p in range(2, p_max + 1)]
+        curve = _Curve(p_max, inst.populations / 2)
+        rows = [solve_exact(inst, p, override_cap=override_cap, curve=curve)
+                for p in range(1, p_max + 1)]
     else:
         _prepare(inst, 1)   # two or more fixed-open sites fail at the first row
         rows = _greedy_swap_rows(inst, p_max)
@@ -681,27 +685,23 @@ def solve_greedy_swap(inst: MclpInstance, p: int) -> MclpSolution:
 
 
 def _greedy_swap_rows(inst: MclpInstance, p_max: int) -> list[MclpSolution]:
-    """Each row swap-improves the first p greedy picks, is seeded with the
+    """Rows p = max(1, number of fixed-open sites)..p_max from one greedy run
+    to p_max: each swap-improves the first p picks, is seeded with the
     previous row's selection plus its best extension too, and keeps the
-    better, so z never falls from row to row. The rows run from p = max(1,
-    number of fixed-open sites) to p_max. Row p does not depend on p_max,
-    so the instance keeps the rows made so far (``MclpInstance._swap_rows``)
-    and a larger p_max only adds rows, from one greedy run to p_max."""
+    better, so z never falls from row to row. Row p does not depend on p_max."""
     view = _prepare(inst, p_max)
-    rows = inst._swap_rows
-    first = max(1, len(view.fixed))
-    if first + len(rows) <= p_max:
-        order, gains = _greedy(view, inst.populations, p_max)
-        picks = [view.ids[k] for k in order]
-        for p in range(first + len(rows), p_max + 1):
-            sol = improve_swap(inst, _finish_solution(
-                inst, picks[:p], METHOD_GREEDY_SWAP, optimal=False, gains=gains[:p]))
-            if rows:
-                ext = _extend_by_best(inst, rows[-1])
-                if ext.objective > sol.objective:
-                    sol = ext
-            rows.append(sol)
-    return rows[:p_max - first + 1]
+    order, gains = _greedy(view, inst.populations, p_max)
+    picks = [view.ids[k] for k in order]
+    rows: list[MclpSolution] = []
+    for p in range(max(1, len(view.fixed)), p_max + 1):
+        sol = improve_swap(inst, _finish_solution(
+            inst, picks[:p], METHOD_GREEDY_SWAP, optimal=False, gains=gains[:p]))
+        if rows:
+            ext = _extend_by_best(inst, rows[-1])
+            if ext.objective > sol.objective:
+                sol = ext
+        rows.append(sol)
+    return rows
 
 
 def _extend_by_best(inst: MclpInstance, prev: MclpSolution) -> MclpSolution:

@@ -5,7 +5,10 @@ import json
 import math
 import random
 import sys
+import threading
+import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -422,8 +425,10 @@ class TestSolveExact:
         assert counts["bounds"] <= 160
 
     def test_root_starts_from_the_last_budgets_multipliers(self, monkeypatch):
-        """Each root descent starts from the multipliers that the root of the
-        budget solved last on the instance returned; the first from w / 2."""
+        """On one exact curve each root descent starts from the multipliers
+        that the root of the budget before returned, the first from w / 2.
+        The curve leaves nothing on the instance: a lone solve afterwards
+        starts from w / 2 again."""
         roots = []
         lagrange_cut = mclp._lagrange_cut
 
@@ -435,12 +440,14 @@ class TestSolveExact:
 
         monkeypatch.setattr(mclp, "_lagrange_cut", spy)
         inst = _seeded_planar_instance(1)
-        for p in (3, 7, 2, 5):
-            solve_exact(inst, p)
-        assert len(roots) == 4
-        assert roots[0][0].tolist() == (inst.populations / 2).tolist()
+        half = (inst.populations / 2).tolist()
+        coverage_curve(inst, 7, "exact")
+        assert len(roots) == 6   # p = 2..7: p = 1 has no Lagrangian root
+        assert roots[0][0].tolist() == half
         for (_, returned), (started, _) in zip(roots, roots[1:]):
             assert started is returned
+        solve_exact(inst, 5)
+        assert len(roots) == 7 and roots[-1][0].tolist() == half
 
     def test_root_fixes_out_no_column_of_an_optimal_set(self, monkeypatch):
         """Reduced-cost fixing is sound: on the enumeration oracle's 200
@@ -448,8 +455,8 @@ class TestSolveExact:
         that the root fixes out is in any optimal set."""
         root_kept, kept = mclp._root_kept, []
 
-        def spy(inst, slots, target, cut):
-            kept.append(root_kept(inst, slots, target, cut))
+        def spy(*args):
+            kept.append(root_kept(*args))
             return kept[-1]
 
         monkeypatch.setattr(mclp, "_root_kept", spy)
@@ -489,9 +496,9 @@ class TestSolveExact:
         assert (sol.selected, sol.objective) == (sel, z_star)
 
     def test_per_p_solves_equal_the_curve(self):
-        """The prepared search and the greedy+swap rows are cached on the
-        instance: solving each p alone, in a shuffled order, gives the rows
-        of one curve on a fresh copy, fixed-open sites included."""
+        """A lone solve makes its own greedy+swap rows and root multipliers:
+        solving each p alone, in a shuffled order, gives the rows of one
+        curve on a fresh copy, fixed-open sites included."""
         rng = random.Random(151)
         checked, last = 0, None
         for inst, _p in tie_heavy_family():
@@ -508,8 +515,8 @@ class TestSolveExact:
         assert checked == 50
 
     def test_swap_rows_survive_an_interrupted_pass(self, monkeypatch):
-        """The instance keeps only finished rows, so after a curve that
-        raised the next call makes the missing rows, not too few."""
+        """A pass that raised leaves no rows behind: the instance keeps
+        none, so the next curve makes every row, not too few."""
         inst = dataclasses.replace(GREEDY_TRAP)
         swap = mclp.improve_swap
 
@@ -527,19 +534,24 @@ class TestSolveExact:
         assert got == [(r.p, r.selected) for r in want]
 
     def test_one_greedy_pass_per_exact_curve(self, monkeypatch):
-        """The exact curve to 7 solves p = 1 (a greedy run to 1), then makes
-        the greedy+swap rows to 7 from one greedy run to 7, which serve as
-        the incumbents of p = 2..7; the rows equal one greedy+swap curve to
-        7. The size cap (exit 3) and the fixed-open count (exit 2) refuse a
-        curve before any greedy run."""
-        passes = []
-        greedy = mclp._greedy
+        """The exact curve to 7 makes the greedy+swap rows to 7 from one
+        greedy run to 7, at p = 1, and they serve as the incumbents of
+        p = 1..7; the rows equal one greedy+swap curve to 7. The size cap
+        (exit 3) and the fixed-open count (exit 2) refuse a curve before
+        any greedy run."""
+        passes, made = [], []
+        greedy, greedy_swap_rows = mclp._greedy, mclp._greedy_swap_rows
 
         def greedy_spy(view, pops, p):
             passes.append(p)
             return greedy(view, pops, p)
 
+        def rows_spy(inst, p_max):
+            made.append(greedy_swap_rows(inst, p_max))
+            return made[-1]
+
         monkeypatch.setattr(mclp, "_greedy", greedy_spy)
+        monkeypatch.setattr(mclp, "_greedy_swap_rows", rows_spy)
         cands = {f"c{j:02d}": Point(j, 0) for j in range(31)}
         too_big = points_instance([10], [Point(0, 0)], cands, CoverageStandard(radius=50))
         with pytest.raises(SolverRefused):
@@ -550,16 +562,16 @@ class TestSolveExact:
         assert passes == []
         inst = _seeded_planar_instance(1)
         curve = coverage_curve(inst, 7, "exact")
-        assert passes == [1, 7]
+        assert passes == [7] and len(made) == 1
         at_once = coverage_curve(_seeded_planar_instance(1), 7, "greedy+swap").rows
-        assert [(r.selected, r.objective, r.marginal_gains) for r in inst._swap_rows] == [
+        assert [(r.selected, r.objective, r.marginal_gains) for r in made[0]] == [
             (r.selected, r.objective, r.marginal_gains) for r in at_once]
         assert curve.rows[-1].objective == 436170.0
 
     def test_greedy_pass_restarts_after_an_interrupt(self, monkeypatch):
-        """A greedy run that raised leaves nothing on the instance: later
-        solves give the picks and gains of a fresh instance, so no row gets
-        too few sites."""
+        """A greedy run that raised leaves nothing behind, as no solve
+        writes to the instance: later solves give the picks and gains of a
+        fresh instance."""
         inst, want = _seeded_planar_instance(2), _seeded_planar_instance(2)
         best, calls = mclp._best, []
 
@@ -845,6 +857,46 @@ class TestSolverViewReadOnly:
         for array in (inst.populations, inst.centroids, inst.locations, inst.fixed_open,
                       inst.matrix):
             assert not array.flags.writeable
+
+
+class TestSharedInstance:
+    def test_concurrent_curves_equal_single_thread_curves(self, monkeypatch):
+        """No solve writes to an instance, so two threads may solve one at
+        once. On a 1,500 x 150 instance (the size of the benchmark's greedy
+        workload), 10 trials each start two curves together: greedy+swap to
+        p = 8, beside another such curve or an exact curve to p = 3 under
+        the size cap override. Each swap pass first sleeps 1 ms, which
+        releases the GIL, so the two curves interleave row by row. Every
+        curve equals the one a single thread makes on a fresh instance:
+        selected ids, objectives and gains."""
+
+        def greedy(inst):
+            return coverage_curve(inst, 8, "greedy+swap")
+
+        def exact(inst):
+            return coverage_curve(inst, 3, "exact", override_cap=True)
+
+        def rows(solve, inst, start=None):
+            if start is not None:
+                start.wait()
+            return [(r.p, r.selected, r.objective, r.marginal_gains)
+                    for r in solve(inst).rows]
+
+        def yielding_swap(inst, sol):
+            time.sleep(0.001)
+            return swap(inst, sol)
+
+        base = _seeded_planar_instance(1, n_areas=1500, n_cands=150, side=20000.0)
+        want = {solve: rows(solve, dataclasses.replace(base)) for solve in (greedy, exact)}
+        swap = mclp.improve_swap
+        monkeypatch.setattr(mclp, "improve_swap", yielding_swap)
+        with ThreadPoolExecutor(2) as pool:
+            for trial in range(10):
+                inst = dataclasses.replace(base)
+                solves = (greedy, greedy if trial % 2 else exact)
+                start = threading.Barrier(2, timeout=60)
+                futures = [pool.submit(rows, solve, inst, start) for solve in solves]
+                assert [f.result() for f in futures] == [want[s] for s in solves], trial
 
 
 def _instance_dicts(seed, count):
